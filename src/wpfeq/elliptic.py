@@ -12,11 +12,11 @@ by first translating the argument to its representative nearest the origin.
 Higher derivatives come from successive differentiation of the normal-form
 ODE  pe'^2 = 4 pe^3 - g2 pe - g3,  never from numerical differentiation.
 
-zeta integrates -pe termwise (principal part 1/z, odd), and sigma is
-z * exp(L) where L' = zeta - 1/z; the Taylor table of exp(L) is built once
-at construction time through the series recurrence S' = L'S. zeta extends
-over the plane by its additive quasi-period constants; sigma is evaluated
-from its table only, on a disc that covers the fundamental cell with margin.
+zeta integrates -pe termwise (principal part 1/z, odd) and extends over the
+plane by its quasi-period constants, the second from Legendre's relation.
+sigma comes from a Taylor table on a validated disc whose coefficients are
+exact polynomials in g2, g3 from Weierstrass's integer recurrence (DLMF
+23.9.7-23.9.8), built once per process.
 
 A slow, Richardson-accelerated lattice double sum is included as an
 independent cross-check oracle for pe. The lattice convention throughout:
@@ -242,38 +242,27 @@ _SIGMA_TERMS = 100
 def _sigma_exact_table(n_max: int = _SIGMA_TERMS):
     """Exact u-coefficients of sigma(z)/z as sparse polynomials in (g2, g3).
 
-    Keys (m, n) stand for g2^m g3^n; the coefficient of u^N is weight
-    homogeneous with 2m + 3n = N. Derivation: L(u) = sum_{k>=2} ell_k u^k
-    with ell_k = -c_k/((2k-1)(2k)) integrates zeta - 1/z termwise, and
-    S = exp(L) obeys n s_n = sum_k k ell_k s_{n-k}. Running the recurrence
-    over exact rationals matters: in floating point the recurrence has a
-    noise floor decaying only at the lattice-limited geometric rate, far
-    slower than the true superexponential decay of the coefficients of the
-    entire function sigma, which would cap the usable radius near the
-    lattice minimum. Built once per process and shared by every context.
+    Row N maps (m, n), standing for g2^m g3^n with 2m + 3n = N, to
+    a_(m,n) 2^(n-m) / (2N+1)! with Weierstrass's integers (DLMF 23.9.7-23.9.8):
+    a_(0,0) = 1, 3 a_(m,n) = 9(m+1) a_(m+1,n-1) + 16(n+1) a_(m-2,n+1)
+    - (2m+3n-1)(4m+6n-1) a_(m-1,n), negative indices counting as zero. Exact:
+    a float recurrence has a noise floor far above the superexponentially
+    decaying coefficients. Built once per process, shared by every context.
     """
-    zero = Fraction(0)
-    c: list[dict | None] = [None, None, {(1, 0): Fraction(1, 20)}, {(0, 1): Fraction(1, 28)}]
-    for k in range(4, n_max + 1):
-        acc: dict[tuple[int, int], Fraction] = {}
-        for m in range(2, k - 1):
-            for (a1, b1), q1 in c[m].items():
-                for (a2, b2), q2 in c[k - m].items():
-                    key = (a1 + a2, b1 + b2)
-                    acc[key] = acc.get(key, zero) + q1 * q2
-        scale = Fraction(3, (2 * k + 1) * (k - 3))
-        c.append({key: q * scale for key, q in acc.items() if q})
-    s: list[dict[tuple[int, int], Fraction]] = [{(0, 0): Fraction(1)}]
-    for n in range(1, n_max + 1):
-        acc = {}
-        for k in range(2, n + 1):
-            factor = Fraction(-k, (2 * k - 1) * (2 * k))
-            for (a1, b1), q1 in c[k].items():
-                for (a2, b2), q2 in s[n - k].items():
-                    key = (a1 + a2, b1 + b2)
-                    acc[key] = acc.get(key, zero) + factor * q1 * q2
-        s.append({key: q / n for key, q in acc.items() if q})
-    return tuple(s)
+    a = {(0, 0): 1}
+    rows: list[dict[tuple[int, int], Fraction]] = [{(0, 0): Fraction(1)}]
+    for weight in range(1, n_max + 1):
+        row = {}
+        for n in range(weight % 2, weight // 3 + 1, 2):
+            m = (weight - 3 * n) // 2
+            a[m, n] = (
+                9 * (m + 1) * a.get((m + 1, n - 1), 0)
+                + 16 * (n + 1) * a.get((m - 2, n + 1), 0)
+                - (2 * m + 3 * n - 1) * (4 * m + 6 * n - 1) * a.get((m - 1, n), 0)
+            ) // 3
+            row[m, n] = Fraction(a[m, n] * 2**n, 2**m * math.factorial(2 * weight + 1))
+        rows.append(row)
+    return tuple(rows)
 
 
 def _sigma_table(g2: complex, g3: complex, r_target: float, eps: float):
@@ -289,6 +278,10 @@ def _sigma_table(g2: complex, g3: complex, r_target: float, eps: float):
         val = 0j
         for (m, n), q in poly.items():
             val += float(q) * g2**m * g3**n
+        # a row near underflow may pass for a converged tail: the table ends
+        # there (a stopgap until scale normalisation, ROADMAP 4(b))
+        if abs(val) < 1e-292 and any((g2 or not m) and (g3 or not n) for m, n in poly):
+            break
         coeffs.append(val)
     log_mags = [math.log(abs(v)) if abs(v) > 0.0 else -math.inf for v in coeffs]
     log_eps = math.log(eps) - math.log(100.0)
@@ -296,21 +289,13 @@ def _sigma_table(g2: complex, g3: complex, r_target: float, eps: float):
     for _ in range(200):
         lr2 = 2.0 * math.log(r)
         logs = [log_mags[n] + n * lr2 for n in range(len(log_mags))]
-        log_peak = max(0.0, max(logs))
-        # truncate at the first run of five terms below threshold
-        run = 0
-        cut = None
-        for n, lt in enumerate(logs):
-            if lt <= log_eps + log_peak:
-                run += 1
-                if run >= 5 and n >= 10:
-                    cut = n
-                    break
-            else:
-                run = 0
-        if cut is not None:
-            return tuple(coeffs[: cut + 1]), r
-        if max(logs[-5:]) <= log_eps + log_peak:
+        top = max(range(len(logs)), key=logs.__getitem__)
+        small = [lt <= log_eps + logs[top] for lt in logs]
+        # truncate at the first run of five small terms past the largest one
+        for n in range(max(top + 5, 10), len(logs)):
+            if all(small[n - 4 : n + 1]):
+                return tuple(coeffs[: n + 1]), r
+        if all(small[-5:]):
             return tuple(coeffs), r
         r *= 0.95
     raise SeriesNoConverge("sigma table does not stabilise at any useful radius")
@@ -476,10 +461,10 @@ def from_periods(
     # error-amplifying duplication step is normally never needed here
     r_safe = _safe_radius(ctable, series_tol, 0.78 * lam_min)
     sigma_coeffs, r_sigma = _sigma_table(g2, g3, 1.3 * (abs(w1) + abs(w2)), series_tol)
-    eta_half = (
-        _zeta_series(ctable, b1 / 2.0, series_tol),
-        _zeta_series(ctable, b2 / 2.0, series_tol),
-    )
+    # b2/2 may leave the zeta series disc: Legendre's relation (DLMF 23.2.14)
+    e1 = _zeta_series(ctable, b1 / 2.0, series_tol)
+    orient = math.copysign(1.0, (b2 / b1).imag)
+    eta_half = (e1, (e1 * b2 - orient * math.pi * 1j) / b1)
     return EllipticContext(
         invariants=_classify_invariants(g2, g3),
         periods=Periods(w1, w2),
@@ -609,16 +594,28 @@ def jets(ctx: EllipticContext, z: complex, order: int = 5) -> JetValues:
 
 
 def sigma(ctx: EllipticContext, z: complex) -> complex:
-    """Entire odd sigma function; vanishes exactly on the lattice."""
+    """Entire odd sigma, zero on the lattice; raises where its table falls short."""
     z = complex(z)
     if abs(z) > ctx.r_sigma:
         raise SeriesNoConverge(
             f"|z| = {abs(z):.3g} outside the sigma validity radius {ctx.r_sigma:.3g}"
         )
     u = z * z
-    acc = 0j
+    au = abs(u)
+    acc, mag = 0j, 0.0
     for c in reversed(ctx.sigma_coeffs):
         acc = acc * u + c
+        mag = mag * au + abs(c)
+    # S = sigma(z)/z errs by at most `rate` times its sum of |terms| (Horner
+    # rounding, Higham eq. 5.3, plus the tail). Off the real axis of tall
+    # lattices the terms cancel far below both S and sigma' = S + 2u S'(u)
+    # and sigma raises; next to a lattice point only S is small, so it answers
+    rate = 2 * len(ctx.sigma_coeffs) * 2.0**-53 + ctx.tol.series / 100.0
+    target = 100.0 * ctx.tol.series
+    if rate * mag > target * abs(acc):
+        slope = sum(n * c * u ** (n - 1) for n, c in enumerate(ctx.sigma_coeffs) if n)
+        if rate * mag > target * max(abs(acc), abs(acc + 2.0 * u * slope)):
+            raise SeriesNoConverge(f"sigma series cancels at z = {z:.3g}; too few digits remain")
     return z * acc
 
 

@@ -16,6 +16,7 @@ generator, so reports are reproducible and order independent.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -260,7 +261,7 @@ class ResidualReport:
 
 
 def _aggregate(residuals, triples, tol, note="", details=None) -> ResidualReport:
-    worst = max(range(len(residuals)), key=residuals.__getitem__)
+    worst = max(range(len(residuals)), key=lambda i: (not math.isfinite(residuals[i]), residuals[i]))
     mx = residuals[worst]
     return ResidualReport(
         samples=len(residuals),

@@ -1,8 +1,9 @@
-"""Evaluation paths against independent oracles: lattice sums, finite
-differences, the normal-form ODE, and symmetry."""
+"""Evaluation paths against independent oracles: lattice sums, theta
+functions, finite differences, the normal-form ODE, and symmetry."""
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,72 @@ def brute_eisenstein_g2(w1, w2, cutoffs=(300, 600)):
     extrapolated = (ratio * s_big - s_small) / (ratio - 1.0)
     tail = abs(extrapolated - s_big)
     return 60.0 * extrapolated, 60.0 * tail
+
+
+def convolution_sigma_table(n_max):
+    """Reference: sigma(z)/z = exp(L(u)) by exact Fraction-dict convolutions.
+
+    L(u) = sum_{k>=2} ell_k u^k with ell_k = -c_k/((2k-1)(2k)) integrates
+    zeta - 1/z termwise, the c_k being the pe Laurent coefficients as
+    polynomials in (g2, g3), and S = exp(L) obeys n s_n = sum_k k ell_k s_{n-k}.
+    """
+    zero = Fraction(0)
+    c = [None, None, {(1, 0): Fraction(1, 20)}, {(0, 1): Fraction(1, 28)}]
+    for k in range(4, n_max + 1):
+        acc = {}
+        for m in range(2, k - 1):
+            for (a1, b1), q1 in c[m].items():
+                for (a2, b2), q2 in c[k - m].items():
+                    key = (a1 + a2, b1 + b2)
+                    acc[key] = acc.get(key, zero) + q1 * q2
+        scale = Fraction(3, (2 * k + 1) * (k - 3))
+        c.append({key: q * scale for key, q in acc.items() if q})
+    s = [{(0, 0): Fraction(1)}]
+    for n in range(1, n_max + 1):
+        acc = {}
+        for k in range(2, n + 1):
+            factor = Fraction(-k, (2 * k - 1) * (2 * k))
+            for (a1, b1), q1 in c[k].items():
+                for (a2, b2), q2 in s[n - k].items():
+                    key = (a1 + a2, b1 + b2)
+                    acc[key] = acc.get(key, zero) + factor * q1 * q2
+        s.append({key: q / n for key, q in acc.items() if q})
+    return s
+
+
+class ThetaOracle:
+    """sigma and zeta at 30 digits from Jacobi's theta1 (DLMF 23.6.8-23.6.9).
+
+    With the half period w = omega1/2, q = exp(i pi omega2/omega1) and
+    v = pi z/(2w): sigma(z) = (2w/pi) exp(eta1 z^2/(2w)) theta1(v)/theta1'(0)
+    and zeta(z) = eta1 z/w + (pi/(2w)) theta1'(v)/theta1(v), where
+    eta1 = -pi^2 theta1'''(0)/(12 w theta1'(0)).
+    """
+
+    def __init__(self, omega1, omega2):
+        self.mp = pytest.importorskip("mpmath")
+        with self.mp.workdps(30):
+            self.w = self.mp.mpc(omega1) / 2
+            self.q = self.mp.exp(1j * self.mp.pi * self.mp.mpc(omega2) / self.mp.mpc(omega1))
+            self.t1 = self.mp.jtheta(1, 0, self.q, 1)
+            t3 = self.mp.jtheta(1, 0, self.q, 3)
+            self.eta1 = -(self.mp.pi**2) * t3 / (12 * self.w * self.t1)
+
+    def sigma(self, z):
+        mp = self.mp
+        with mp.workdps(30):
+            z = mp.mpc(z)
+            v = mp.pi * z / (2 * self.w)
+            value = (2 * self.w / mp.pi) * mp.exp(self.eta1 * z * z / (2 * self.w))
+            return complex(value * mp.jtheta(1, v, self.q) / self.t1)
+
+    def zeta(self, z):
+        mp = self.mp
+        with mp.workdps(30):
+            z = mp.mpc(z)
+            v = mp.pi * z / (2 * self.w)
+            ratio = mp.jtheta(1, v, self.q, 1) / mp.jtheta(1, v, self.q)
+            return complex(self.eta1 * z / self.w + (mp.pi / (2 * self.w)) * ratio)
 
 
 class TestConstruction:
@@ -79,6 +146,19 @@ class TestConstruction:
             k = i + 2
             acc = sum(table[m - 2] * table[k - m - 2] for m in range(2, k - 1))
             assert table[i] == pytest.approx(3.0 * acc / ((2 * k + 1) * (k - 3)), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [1.9j, 3j, 8j, 0.5 + 8j])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 100.0])
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_tall_lattice_quasi_period_constants(self, tau, scale, flipped):
+        # (scale*tau, -scale) spans the same lattice, but Gauss reduction
+        # then swaps the pair into the opposite orientation
+        periods = (scale * tau, -scale) if flipped else (scale, scale * tau)
+        ctx = el.from_periods(*periods)
+        oracle = ThetaOracle(scale, scale * tau)
+        for half, eta in zip(ctx.reduced, ctx.eta_half):
+            ref = oracle.zeta(half / 2.0)
+            assert abs(eta - ref) <= 1e-9 * abs(ref)
 
     def test_invariant_context_has_no_lattice_queries(self, normal_form_ctx):
         with pytest.raises(NoPeriods):
@@ -182,6 +262,64 @@ class TestJets:
 
 
 class TestSigma:
+    def test_exact_table_matches_convolution(self):
+        table = el._sigma_exact_table()
+        assert len(table) == 101
+        assert list(table[:51]) == convolution_sigma_table(50)
+
+    def test_weierstrass_coefficients_are_integers(self):
+        # the table divides by 3 in integers; over the rationals nothing is lost
+        a = {(0, 0): Fraction(1)}
+        for weight in range(1, 101):
+            for n in range(weight % 2, weight // 3 + 1, 2):
+                m = (weight - 3 * n) // 2
+                a[m, n] = Fraction(
+                    9 * (m + 1) * a.get((m + 1, n - 1), 0)
+                    + 16 * (n + 1) * a.get((m - 2, n + 1), 0)
+                    - (2 * m + 3 * n - 1) * (4 * m + 6 * n - 1) * a.get((m - 1, n), 0),
+                    3,
+                )
+        assert all(q.denominator == 1 for q in a.values())
+        table = el._sigma_exact_table()
+        for (m, n), q in a.items():
+            weight = 2 * m + 3 * n
+            expected = q * 2**n / (2**m * math.factorial(2 * weight + 1))
+            assert table[weight].get((m, n), 0) == expected
+
+    @pytest.mark.parametrize("name", ["square_ctx", "hex_ctx", "generic_ctx"])
+    def test_matches_theta_oracle(self, name, request):
+        ctx = request.getfixturevalue(name)
+        w1, w2 = ctx.periods.omega1, ctx.periods.omega2
+        oracle = ThetaOracle(w1, w2)
+        for s, t in ((0.13, 0.29), (0.5, 0.5), (-0.71, 0.38), (1.37, 0.41), (-0.62, -1.45)):
+            z = s * w1 + t * w2
+            assert abs(z) < ctx.r_sigma
+            ref = oracle.sigma(z)
+            assert abs(el.sigma(ctx, z) - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "tau, scale",
+        [(1.9j, 1.0), (3j, 1.0), (8j, 1.0), (0.5 + 8j, 1.0), (3j, 100.0), (8j, 100.0), (0.5 + 1.2j, 1e4)],
+    )
+    def test_tall_or_large_lattice_accurate_or_loud(self, tau, scale):
+        # tall shapes make the terms cancel off the real axis, large scales
+        # underflow the rows: sigma must be accurate there or raise, never wrong
+        ctx = el.from_periods(scale, scale * tau)
+        oracle = ThetaOracle(scale, scale * tau)
+        evaluated = 0
+        for frac in (0.3, 0.6, 0.9):
+            for angle in (0.1, 0.7, 1.5):
+                z = frac * ctx.r_sigma * cmath.exp(1j * angle)
+                try:
+                    value = el.sigma(ctx, z)
+                except SeriesNoConverge:
+                    continue
+                ref = oracle.sigma(z)
+                assert abs(value - ref) <= 1e-10 * abs(ref)
+                evaluated += 1
+        # near the real generator the terms do not cancel, so these evaluate
+        assert evaluated >= 3
+
     def test_normalisation_at_origin(self, square_ctx):
         z = 1e-6
         assert abs(el.sigma(square_ctx, z) / z - 1.0) <= 1e-9

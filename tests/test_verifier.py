@@ -1,13 +1,14 @@
 """Determinant residuals, sampling determinism, and the closed-form cross-checks."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from wpfeq import elliptic as el
 from wpfeq import verifier as vr
-from wpfeq.errors import DegenerateProbe, PoleProximity
+from wpfeq.errors import DegenerateProbe, PoleProximity, SamplerExhausted
 
 
 class TestFamilies:
@@ -104,6 +105,14 @@ class TestResidualAndScan:
         x, y, z = rep.worst_triple
         assert abs(x + y + z) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_residual_fails_and_is_named(self, bad):
+        triples = [(0.1j, 0.2j, 0.3j), (0.4j, 0.5j, 0.6j), (0.7j, 0.8j, 0.9j)]
+        rep = vr._aggregate([1e-15, bad, 1e-14], triples, tol=1e-8)
+        assert not rep.passed
+        assert rep.worst_triple == triples[1]
+        assert not math.isfinite(rep.max_residual)
+
 
 class TestInvarianceClosure:
     def test_transformed_triples_still_solve(self, square_ctx):
@@ -151,6 +160,16 @@ class TestSigmaQuotient:
 
     def test_matches_det3(self, square_ctx):
         rep = vr.sigma_identity_scan(square_ctx, count=200, seed=0, tol=1e-8)
+        assert rep.passed
+
+    def test_tall_lattice_scan_passes_or_raises(self):
+        # on a tall lattice sigma cancels badly off the real axis; the scan
+        # must drop those draws or give up, never fail a true identity
+        ctx = el.from_periods(1.0, 8j)
+        try:
+            rep = vr.sigma_identity_scan(ctx, count=50, seed=1)
+        except SamplerExhausted:
+            return
         assert rep.passed
 
     def test_det_and_quotient_agree_at_zero_shift(self, square_ctx):
