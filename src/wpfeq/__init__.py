@@ -28,7 +28,6 @@ from .verifier import (
     TripleSampler,
     WeierstrassShifted,
     det3,
-    family_jets,
     residual,
     scan,
     sigma_quotient,
@@ -51,7 +50,6 @@ __all__ = [
     "WeierstrassShifted",
     "__version__",
     "det3",
-    "family_jets",
     "from_invariants",
     "from_periods",
     "is_lattice_point",

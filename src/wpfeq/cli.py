@@ -28,6 +28,7 @@ from . import classify as cls
 from . import elliptic, identities, verifier
 from .errors import (
     DegenerateLattice,
+    FloatOverflow,
     GridNotUniform,
     PoleProximity,
     SamplerExhausted,
@@ -479,43 +480,9 @@ def _cmd_scan(args, parser) -> int:
     tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
     grid = int(_positive(args.grid, "grid"))
     fam = _family_for_verify(args)
-    ctx = fam.ctx if isinstance(fam, verifier.WeierstrassShifted) else None
     sampler = verifier.TripleSampler(seed=seed, count=grid * grid, margin=margin)
-
-    rows = []
-    residuals = []
-    budget = 200
-    for i in range(grid):
-        for j in range(grid):
-            if ctx is not None:
-                s = margin + (1.0 - 2.0 * margin) * i / max(grid - 1, 1)
-                t = margin + (1.0 - 2.0 * margin) * j / max(grid - 1, 1)
-                x = s * ctx.periods.omega1 + t * ctx.periods.omega2
-            else:
-                x = complex(
-                    -1.0 + 2.0 * i / max(grid - 1, 1), -1.0 + 2.0 * j / max(grid - 1, 1)
-                )
-            value = None
-            for attempt in range(budget):
-                rng = np.random.default_rng((seed, i * grid + j, attempt))
-                y = sampler._draw(rng, ctx)
-                z = -(x + y)
-                shift = fam.shift if isinstance(fam, verifier.WeierstrassShifted) else 0j
-                if ctx is not None and any(
-                    elliptic.lattice_distance(ctx, p + shift)
-                    <= sampler.effective_pole_radius(ctx)
-                    for p in (x, y, z)
-                ):
-                    continue
-                try:
-                    value = (x, y, verifier.residual(fam, fam, fam, x, y, z))
-                except (PoleProximity, SeriesNoConverge):
-                    continue
-                break
-            if value is None:
-                raise SamplerExhausted(f"no admissible partner for grid point ({i}, {j})")
-            rows.append(value)
-            residuals.append(value[2])
+    rows = verifier.grid_scan(fam, sampler, grid)
+    residuals = [r for _, _, r in rows]
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -744,7 +711,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SamplerExhausted, SeriesNoConverge, DegenerateLattice) as exc:
+    except (SamplerExhausted, SeriesNoConverge, DegenerateLattice, FloatOverflow) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WpfeqError as exc:

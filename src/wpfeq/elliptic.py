@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     DegenerateLattice,
+    FloatOverflow,
     NoPeriods,
     PoleProximity,
     SeriesNoConverge,
@@ -277,7 +278,10 @@ def _sigma_table(g2: complex, g3: complex, r_target: float, eps: float):
     for poly in _sigma_exact_table():
         val = 0j
         for (m, n), q in poly.items():
-            val += float(q) * g2**m * g3**n
+            try:
+                val += float(q) * g2**m * g3**n
+            except OverflowError as exc:
+                raise FloatOverflow(f"sigma table overflows at g2 = {g2:.3g}; lattice too small") from exc
         # a row near underflow may pass for a converged tail: the table ends
         # there (a stopgap until scale normalisation, ROADMAP 4(b))
         if abs(val) < 1e-292 and any((g2 or not m) and (g3 or not n) for m, n in poly):

@@ -21,6 +21,10 @@ class SeriesNoConverge(WpfeqError):
     """A series evaluation could not reach the requested tolerance."""
 
 
+class FloatOverflow(WpfeqError):
+    """An intermediate value left the double-precision range."""
+
+
 class NoPeriods(WpfeqError):
     """Operation needs period generators but the context has invariants only."""
 

@@ -16,8 +16,10 @@ generator, so reports are reproducible and order independent.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ from . import elliptic, jetpoly
 from .elliptic import EllipticContext, JetValues
 from .errors import (
     DegenerateProbe,
+    FloatOverflow,
     PoleProximity,
     SamplerExhausted,
     SeriesNoConverge,
@@ -65,8 +68,14 @@ class Exponential:
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero; use Constant instead")
 
+    def _exp(self, x: complex) -> complex:
+        try:
+            return cmath.exp(self.delta * x)
+        except OverflowError as exc:
+            raise FloatOverflow(f"exp({self.delta} * {x}) overflows") from exc
+
     def jets(self, x: complex, order: int = 5) -> JetValues:
-        e = cmath.exp(self.delta * complex(x))
+        e = self._exp(complex(x))
         vals = [self.alpha * e + self.beta]
         d = self.alpha * e
         for _ in range(order):
@@ -76,7 +85,7 @@ class Exponential:
 
     def antiderivative(self, x: complex) -> complex:
         x = complex(x)
-        return self.alpha / self.delta * cmath.exp(self.delta * x) + self.beta * x
+        return self.alpha / self.delta * self._exp(x) + self.beta * x
 
 
 @dataclass(frozen=True)
@@ -111,11 +120,6 @@ class Constant:
 
 
 FunctionFamily = WeierstrassShifted | Exponential | Linear | Constant
-
-
-def family_jets(fam: FunctionFamily, x: complex, order: int = 5) -> JetValues:
-    """Exact jets of the family at x; PoleProximity near shifted lattice points."""
-    return fam.jets(x, order)
 
 
 def transform_jets(j: JetValues, alpha: complex = 1.0, beta: complex = 0j, delta: complex = 1.0) -> JetValues:
@@ -160,12 +164,33 @@ def residual(
     """Scale-normalised determinant residual at (x, y, z = -x-y)."""
     if z is None:
         z = -(complex(x) + complex(y))
-    return residual_from_jets(
-        family_jets(ff, x, 1), family_jets(fg, y, 1), family_jets(fh, z, 1)
-    )
+    return residual_from_jets(ff.jets(x, 1), fg.jets(y, 1), fh.jets(z, 1))
 
 
 # -- sampling ----------------------------------------------------------------------
+
+
+def _draws(seed: int, indices, budget: int, draw, accept):
+    """Yield (draw, value) for the first accepted draw of every sample index.
+
+    Attempt k of sample i draws from the generator seeded with (seed, i, k).
+    `accept` maps a draw to its value, or to None (or PoleProximity or
+    SeriesNoConverge) to reject it. All indices share one budget of draws.
+    """
+    spent = 0
+    for index in indices:
+        for attempt in itertools.count():
+            if spent == budget:
+                raise SamplerExhausted(f"no accepted draw for sample {index} within {budget} draws")
+            spent += 1
+            drawn = draw(np.random.default_rng((seed, index, attempt)))
+            try:
+                value = accept(drawn)
+            except (PoleProximity, SeriesNoConverge):
+                value = None
+            if value is not None:
+                yield drawn, value
+                break
 
 
 @dataclass(frozen=True)
@@ -212,28 +237,19 @@ class TripleSampler:
             (fam.ctx, fam.shift) if isinstance(fam, WeierstrassShifted) else (None, 0j)
             for fam in families
         ]
-        budget = 100 * self.count
-        spent = 0
-        for index in range(self.count):
-            for attempt in range(budget):
-                spent += 1
-                if spent > budget:
-                    raise SamplerExhausted("pole rejection starved the sampler")
-                rng = np.random.default_rng((self.seed, index, attempt))
-                x = self._draw(rng, ctx)
-                y = self._draw(rng, ctx)
-                z = self._draw(rng, ctx) if self.unconstrained else -(x + y)
-                points = (x, y, z)
-                ok = True
-                for (fctx, shift), pt in zip(shifts, points):
-                    if fctx is not None and not self.admissible(fctx, shift, pt):
-                        ok = False
-                        break
-                if ok:
-                    yield points
-                    break
-            else:
-                raise SamplerExhausted("pole rejection starved the sampler")
+
+        def draw(rng):
+            x = self._draw(rng, ctx)
+            y = self._draw(rng, ctx)
+            return x, y, self._draw(rng, ctx) if self.unconstrained else -(x + y)
+
+        def accept(points):
+            return all(
+                self.admissible(fctx, shift, p) for (fctx, shift), p in zip(shifts, points)
+            ) or None
+
+        drawn = _draws(self.seed, range(self.count), 100 * self.count, draw, accept)
+        yield from (points for points, _ in drawn)
 
 
 def _first_context(families) -> EllipticContext | None:
@@ -248,7 +264,12 @@ def _first_context(families) -> EllipticContext | None:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Aggregate of a sampled verification run; max >= mean >= 0."""
+    """Aggregate of a sampled verification run; max >= mean >= 0.
+
+    A sampled check's `details` count the sampled triples it could not score:
+    `skipped`, then `skipped_<Error>` per exception type seen and
+    `skipped_guard` for triples it declined (factfun's stencil guard).
+    """
 
     samples: int
     max_residual: float
@@ -275,6 +296,33 @@ def _aggregate(residuals, triples, tol, note="", details=None) -> ResidualReport
     )
 
 
+def _collect(triples, evaluate, tol, note="") -> ResidualReport:
+    """Report of evaluate(x, y, z) over the triples, skipping the ones it cannot score.
+
+    A triple is skipped when `evaluate` raises PoleProximity or
+    SeriesNoConverge, or returns None; the skips are counted in `details`.
+    """
+    residuals: list[float] = []
+    kept: list[tuple[complex, complex, complex]] = []
+    skipped: Counter = Counter()
+    for triple in triples:
+        try:
+            r = evaluate(*triple)
+        except (PoleProximity, SeriesNoConverge) as exc:
+            skipped[type(exc).__name__] += 1
+            continue
+        if r is None:
+            skipped["guard"] += 1
+            continue
+        residuals.append(r)
+        kept.append(triple)
+    if not residuals:
+        raise SamplerExhausted("no admissible triples survived evaluation")
+    details = {"skipped": sum(skipped.values())}
+    details.update((f"skipped_{why}", n) for why, n in sorted(skipped.items()))
+    return _aggregate(residuals, kept, tol, note, details)
+
+
 def scan(
     ff: FunctionFamily,
     fg: FunctionFamily,
@@ -283,18 +331,39 @@ def scan(
     tol: float,
 ) -> ResidualReport:
     """Residual report over sampled admissible triples; pass iff max <= tol."""
-    residuals: list[float] = []
-    triples: list[tuple[complex, complex, complex]] = []
-    for x, y, z in sampler.triples((ff, fg, fh)):
-        try:
-            r = residual(ff, fg, fh, x, y, z)
-        except (PoleProximity, SeriesNoConverge):
-            continue
-        residuals.append(r)
-        triples.append((x, y, z))
-    if not residuals:
-        raise SamplerExhausted("no admissible triples survived evaluation")
-    return _aggregate(residuals, triples, tol)
+    return _collect(
+        sampler.triples((ff, fg, fh)), lambda x, y, z: residual(ff, fg, fh, x, y, z), tol
+    )
+
+
+def grid_scan(
+    fam: FunctionFamily, sampler: TripleSampler, grid: int
+) -> list[tuple[complex, complex, float]]:
+    """Rows (x, y, residual) of the triple (fam, fam, fam) with x on a grid.
+
+    x runs over a grid x grid mesh: [margin, 1-margin]^2 in lattice
+    coordinates for a periodic family, else the box [-1, 1]^2. Grid point
+    (i, j) is sample i*grid + j of the sampler's stream: its partner y is
+    redrawn, at most 200 times, while a point of (x, y, -x-y) lies near a
+    pole or the residual cannot be evaluated; SamplerExhausted then.
+    """
+    ctx = _first_context((fam,))
+    shift = fam.shift if ctx is not None else 0j
+    lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if ctx is not None else (-1.0, 2.0)
+    ticks = [lo + width * i / max(grid - 1, 1) for i in range(grid)]
+
+    def row(index: int, s: float, t: float):
+        x = s * ctx.periods.omega1 + t * ctx.periods.omega2 if ctx is not None else complex(s, t)
+
+        def accept(y):
+            z = -(x + y)
+            ok = all(sampler.admissible(ctx, shift, p) for p in (x, y, z))
+            return residual(fam, fam, fam, x, y, z) if ok else None
+
+        ((y, r),) = _draws(sampler.seed, (index,), 200, lambda rng: sampler._draw(rng, ctx), accept)
+        return x, y, r
+
+    return [row(i * grid + j, s, t) for i, s in enumerate(ticks) for j, t in enumerate(ticks)]
 
 
 # -- closed-form cross-checks ----------------------------------------------------------
@@ -331,6 +400,13 @@ def sigma_quotient(ctx: EllipticContext, a: complex, b: complex, c: complex) -> 
     return sign * num / den
 
 
+def _det_vs_sigma(ctx: EllipticContext, a: complex, b: complex, c: complex) -> float:
+    """Relative gap between det3 on pe jets at (a, b, c) and the sigma quotient."""
+    det = det3(*(elliptic.jets(ctx, p, 1) for p in (a, b, c)))
+    quo = sigma_quotient(ctx, a, b, c)
+    return abs(det - quo) / max(abs(det), abs(quo), 1e-300)
+
+
 def sigma_identity_scan(
     ctx: EllipticContext,
     count: int = 500,
@@ -341,48 +417,29 @@ def sigma_identity_scan(
     """Relative agreement of det3 on pe jets with the sigma quotient.
 
     Points a, b, c are drawn in lattice coordinates uniform on
-    [-spread, spread]^2 about the origin. Draws are rejected when any point,
-    any pairwise difference, or the sum lies near the lattice (where both
-    sides vanish and relative comparison is meaningless) or outside the
-    sigma validity radius.
+    [-spread, spread]^2 about the origin. Draws are rejected and redrawn
+    when any point, any pairwise difference, or the sum lies near the
+    lattice (where both sides vanish and relative comparison is
+    meaningless) or outside the sigma validity radius, so none is skipped.
     """
     if ctx.periods is None:
         raise ValueError("the sigma identity scan needs a periodic context")
     w1, w2 = ctx.periods.omega1, ctx.periods.omega2
     pole = max(ctx.tol.pole, 0.04 * ctx.lambda_min)
-    budget = 200 * count
-    spent = 0
-    residuals: list[float] = []
-    triples: list[tuple[complex, complex, complex]] = []
-    for index in range(count):
-        accepted = False
-        for attempt in range(budget):
-            spent += 1
-            if spent > budget:
-                raise SamplerExhausted("sigma identity sampling starved")
-            rng = np.random.default_rng((seed, index, attempt))
-            st = rng.uniform(-spread, spread, 6)
-            a = st[0] * w1 + st[1] * w2
-            b = st[2] * w1 + st[3] * w2
-            c = st[4] * w1 + st[5] * w2
-            probes = (a, b, c, a - b, b - c, c - a, a + b + c)
-            if any(elliptic.lattice_distance(ctx, p) <= pole for p in probes):
-                continue
-            if any(abs(p) > ctx.r_sigma for p in probes):
-                continue
-            try:
-                ja, jb, jc = (elliptic.jets(ctx, p, 1) for p in (a, b, c))
-                det = det3(ja, jb, jc)
-                quo = sigma_quotient(ctx, a, b, c)
-            except (PoleProximity, SeriesNoConverge):
-                continue
-            residuals.append(abs(det - quo) / max(abs(det), abs(quo), 1e-300))
-            triples.append((a, b, c))
-            accepted = True
-            break
-        if not accepted:
-            raise SamplerExhausted("sigma identity sampling starved")
-    return _aggregate(residuals, triples, tol, note="det3 vs sigma quotient")
+
+    def draw(rng):
+        st = rng.uniform(-spread, spread, 6)
+        return st[0] * w1 + st[1] * w2, st[2] * w1 + st[3] * w2, st[4] * w1 + st[5] * w2
+
+    def accept(abc):
+        a, b, c = abc
+        probes = (a, b, c, a - b, b - c, c - a, a + b + c)
+        if any(elliptic.lattice_distance(ctx, p) <= pole for p in probes):
+            return None
+        return _det_vs_sigma(ctx, a, b, c)
+
+    triples, residuals = zip(*_draws(seed, range(count), 200 * count, draw, accept))
+    return _aggregate(residuals, triples, tol, "det3 vs sigma quotient", {"skipped": 0})
 
 
 def shifted_det_vs_sigma_scan(
@@ -396,29 +453,17 @@ def shifted_det_vs_sigma_scan(
     For f = g = h = pe(. + shift) at (x, y, z = -x-y) the determinant equals
     the sigma quotient at (x+shift, y+shift, z+shift); the shift sum 3*shift
     controls whether the value vanishes. This is the oracle that pins the
-    residual floor of non-lattice shifts.
+    residual floor of non-lattice shifts. Triples that take sigma beyond its
+    validity radius are skipped.
     """
     shift = complex(shift)
     fam = WeierstrassShifted(ctx, shift)
-    residuals: list[float] = []
-    triples: list[tuple[complex, complex, complex]] = []
-    for x, y, z in sampler.triples((fam, fam, fam)):
-        pts = (x + shift, y + shift, z + shift)
-        if any(abs(p) > ctx.r_sigma for p in pts) or any(
-            abs(p) > ctx.r_sigma for p in (pts[0] - pts[1], pts[1] - pts[2], pts[2] - pts[0])
-        ):
-            continue
-        try:
-            ja, jb, jc = (elliptic.jets(ctx, p, 1) for p in pts)
-            det = det3(ja, jb, jc)
-            quo = sigma_quotient(ctx, *pts)
-        except (PoleProximity, SeriesNoConverge):
-            continue
-        residuals.append(abs(det - quo) / max(abs(det), abs(quo), 1e-300))
-        triples.append((x, y, z))
-    if not residuals:
-        raise SamplerExhausted("no admissible triples survived evaluation")
-    return _aggregate(residuals, triples, tol, note="shifted determinant vs sigma quotient")
+    return _collect(
+        sampler.triples((fam, fam, fam)),
+        lambda x, y, z: _det_vs_sigma(ctx, x + shift, y + shift, z + shift),
+        tol,
+        note="shifted determinant vs sigma quotient",
+    )
 
 
 def theorem_shift_expectation(ctx: EllipticContext, total_shift: complex) -> str:
@@ -458,24 +503,15 @@ def theorem2_shift_test(
         sampler,
         tol,
     )
-    details = dict(report.details)
-    details.update(
-        {
+    return replace(
+        report,
+        note=f"shift sum expectation: {expected}",
+        details={
+            **report.details,
             "shift_sum": total,
             "expected": expected,
             "gamma3_equivalent": -(complex(gamma1) + complex(gamma2)),
-        }
-    )
-    note = f"shift sum expectation: {expected}"
-    return ResidualReport(
-        samples=report.samples,
-        max_residual=report.max_residual,
-        mean_residual=report.mean_residual,
-        worst_triple=report.worst_triple,
-        tol=report.tol,
-        passed=report.passed,
-        note=note,
-        details=details,
+        },
     )
 
 
@@ -500,22 +536,14 @@ def derived_determinant_check(
     """
     poly = jetpoly.abc_det(k, l, s) if s is not None else jetpoly.build_addet(k, l)
     order = max(poly.jet_order("f"), poly.jet_order("g"), 1)
-    residuals: list[float] = []
-    triples: list[tuple[complex, complex, complex]] = []
-    for x, y, z in sampler.triples((ff, fg, fh)):
-        try:
-            jf = family_jets(ff, x, order)
-            jg = family_jets(fg, y, order)
-        except (PoleProximity, SeriesNoConverge):
-            continue
-        value = jetpoly.evaluate(poly, jf.values, jg.values)
-        scale = jetpoly.evaluate(poly, jf.values, jg.values, absolute=True)
-        residuals.append(abs(value) / max(scale, 1e-100))
-        triples.append((x, y, z))
-    if not residuals:
-        raise SamplerExhausted("no admissible triples survived evaluation")
+
+    def evaluate(x, y, z):
+        fv, gv = ff.jets(x, order).values, fg.jets(y, order).values
+        value = jetpoly.evaluate(poly, fv, gv)
+        return abs(value) / max(jetpoly.evaluate(poly, fv, gv, absolute=True), 1e-100)
+
     label = f"columns ({k}, {l}, {s})" if s is not None else f"columns ({k}, {l})"
-    return _aggregate(residuals, triples, tol, note=label)
+    return _collect(sampler.triples((ff, fg, fh)), evaluate, tol, note=label)
 
 
 def _third_order_operator(S, x: complex, y: complex, h: float) -> complex:
@@ -550,34 +578,22 @@ def factfun_check(
         Fa, Fb, Fc = (fam.antiderivative(t) for t in (a, b, c))
         return Fa * Fb + Fb * Fc + Fc * Fa
 
-    guard = 4.0 * h_step
-    residuals: list[float] = []
-    triples: list[tuple[complex, complex, complex]] = []
     ctx = _first_context((fam,))
-    for x, y, z in sampler.triples((fam, fam, fam)):
-        if ctx is not None:
-            shift = fam.shift if isinstance(fam, WeierstrassShifted) else 0j
-            # the finite-difference stencil must stay clear of the poles
-            if any(
-                elliptic.lattice_distance(ctx, p + shift)
-                <= sampler.effective_pole_radius(ctx) + guard
-                for p in (x, y, z)
-            ):
-                continue
-        try:
-            d1 = _third_order_operator(S, x, y, h_step)
-            d2 = _third_order_operator(S, x, y, h_step / 2.0)
-            value = (4.0 * d2 - d1) / 3.0
-            jf = family_jets(fam, x, 1)
-            jg = family_jets(fam, y, 1)
-            jh = family_jets(fam, z, 1)
-        except (PoleProximity, SeriesNoConverge):
-            continue
-        residuals.append(abs(value) / det3_scale(jf, jg, jh))
-        triples.append((x, y, z))
-    if not residuals:
-        raise SamplerExhausted("no admissible triples survived evaluation")
-    return _aggregate(residuals, triples, tol, note=f"h = {h_step:g}, one Richardson level")
+    clearance = sampler.effective_pole_radius(ctx) + 4.0 * h_step
+
+    def evaluate(x, y, z):
+        # the finite-difference stencil must stay clear of the poles
+        if ctx is not None and any(
+            elliptic.lattice_distance(ctx, p + fam.shift) <= clearance for p in (x, y, z)
+        ):
+            return None
+        d1 = _third_order_operator(S, x, y, h_step)
+        d2 = _third_order_operator(S, x, y, h_step / 2.0)
+        value = (4.0 * d2 - d1) / 3.0
+        return abs(value) / det3_scale(*(fam.jets(t, 1) for t in (x, y, z)))
+
+    note = f"h = {h_step:g}, one Richardson level"
+    return _collect(sampler.triples((fam, fam, fam)), evaluate, tol, note)
 
 
 def constant_case_check(
@@ -593,25 +609,13 @@ def constant_case_check(
     exponentials with equal rates, or when either function is identically
     zero, and has a floor for mismatched rates.
     """
-    residuals: list[float] = []
-    triples: list[tuple[complex, complex, complex]] = []
-    for x, y, z in sampler.triples((ff, fg, Constant(0j))):
-        try:
-            jf = family_jets(ff, x, 1)
-            jg = family_jets(fg, y, 1)
-        except (PoleProximity, SeriesNoConverge):
-            continue
-        value = jf.values[0] * jg.values[1] - jf.values[1] * jg.values[0]
-        scale = max(
-            1.0,
-            abs(jf.values[0] * jg.values[1]),
-            abs(jf.values[1] * jg.values[0]),
-        )
-        residuals.append(abs(value) / scale)
-        triples.append((x, y, z))
-    if not residuals:
-        raise SamplerExhausted("no admissible triples survived evaluation")
-    return _aggregate(residuals, triples, tol)
+
+    def evaluate(x, y, z):
+        fv, gv = ff.jets(x, 1).values, fg.jets(y, 1).values
+        p, q = fv[0] * gv[1], fv[1] * gv[0]
+        return abs(p - q) / max(1.0, abs(p), abs(q))
+
+    return _collect(sampler.triples((ff, fg, Constant(0j))), evaluate, tol)
 
 
 def c_function_check(

@@ -176,6 +176,19 @@ class TestScan:
         report = json.loads(sum1.read_text())
         assert "wall_time_s" not in report
 
+    def test_grid_point_on_lattice_exit_65(self, tmp_path):
+        # the shifted grid puts a point on the lattice; no partner can rescue it
+        assert run(["scan", "--periods", "2,0,0,2", "--shift-frac", "0.95,0.95",
+                    "--grid", "16", "--out", str(tmp_path / "s.csv")]) == 65
+
+    def test_box_grid_without_periods(self, tmp_path):
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["scan", "--family", "exp", "--grid", "5"]
+        assert run(argv + ["--out", str(out1)]) == 0
+        assert run(argv + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert len(out1.read_text().splitlines()) == 1 + 25
+
     def test_shifted_scan_has_residual_floor(self, tmp_path):
         out = tmp_path / "s.csv"
         code = run(["scan", "--family", "wp", "--periods", "2,0,0,2",
@@ -195,6 +208,10 @@ class TestEval:
     def test_pole_exit_1(self):
         assert run(["eval", "--fn", "wp", "--periods", "2,0,0,2", "--z", "0,0"]) == 1
 
+    def test_small_lattice_overflow_exit_65(self, capsys):
+        assert run(["eval", "--fn", "wp", "--periods", "0.1,0,0,0.1", "--z", "0.03,0.01"]) == 65
+        assert "configuration error" in capsys.readouterr().err
+
     def test_needs_context(self):
         assert run(["eval", "--fn", "wp", "--z", "1,0"]) == 65
 
@@ -209,6 +226,13 @@ class TestReportFormat:
         report = json.loads(text)
         assert isinstance(report["pass"], bool)
         assert isinstance(report["max_residual"], float)
+
+    def test_checks_count_skipped_triples(self, tmp_path):
+        out = tmp_path / "r.json"
+        run(["verify", "factfun", "--periods", "2,0,0,2", "--n", "40", "--out", str(out)])
+        check = json.loads(out.read_text())["checks"][0]
+        assert isinstance(check["skipped"], int)
+        assert check["samples"] + check["skipped"] == 40
 
     def test_complex_params_serialise_as_pairs(self, tmp_path):
         out = tmp_path / "r.json"

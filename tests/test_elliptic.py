@@ -11,6 +11,7 @@ import pytest
 from wpfeq import elliptic as el
 from wpfeq.errors import (
     DegenerateLattice,
+    FloatOverflow,
     NoPeriods,
     PoleProximity,
     SeriesNoConverge,
@@ -104,6 +105,11 @@ class ThetaOracle:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("w", [0.1, 0.05])
+    def test_small_lattice_overflow_is_typed(self, w):
+        with pytest.raises(FloatOverflow):
+            el.from_periods(w, w * 1j)
+
     def test_square_lattice_kills_g3(self, square_ctx):
         scale = square_ctx.lambda_min ** -6
         assert abs(square_ctx.invariants.g3) <= 1e-10 * scale

@@ -8,20 +8,20 @@ import pytest
 
 from wpfeq import elliptic as el
 from wpfeq import verifier as vr
-from wpfeq.errors import DegenerateProbe, PoleProximity, SamplerExhausted
+from wpfeq.errors import DegenerateProbe, FloatOverflow, PoleProximity, SamplerExhausted
 
 
 class TestFamilies:
     def test_linear_jets(self):
-        j = vr.family_jets(vr.Linear(2.0, 1.0), 3.0, 3)
+        j = vr.Linear(2.0, 1.0).jets(3.0, 3)
         assert j.values == (7.0, 2.0, 0.0, 0.0)
 
     def test_exponential_jets(self):
-        j = vr.family_jets(vr.Exponential(1.0, 0.0, 1.0), 0.0, 3)
+        j = vr.Exponential(1.0, 0.0, 1.0).jets(0.0, 3)
         assert j.values == pytest.approx((1.0, 1.0, 1.0, 1.0))
 
     def test_degenerate_wp_jets(self, degenerate_ctx):
-        j = vr.family_jets(vr.WeierstrassShifted(degenerate_ctx, 0j), 0.5, 3)
+        j = vr.WeierstrassShifted(degenerate_ctx, 0j).jets(0.5, 3)
         assert j.values == pytest.approx((4.0, -16.0, 96.0, -768.0))
 
     def test_invalid_families_rejected(self):
@@ -33,20 +33,26 @@ class TestFamilies:
     def test_shifted_jets_hit_poles(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0.5)
         with pytest.raises(PoleProximity):
-            vr.family_jets(fam, -0.5, 2)
+            fam.jets(-0.5, 2)
+
+    def test_exponential_overflow_is_typed(self):
+        with pytest.raises(FloatOverflow):
+            vr.Exponential(delta=800).jets(1.0, 1)
+        with pytest.raises(FloatOverflow):
+            vr.Exponential().antiderivative(800)
 
 
 class TestDet3:
     def test_repeated_columns_vanish(self):
-        j = vr.family_jets(vr.Exponential(), 0.37, 1)
-        k = vr.family_jets(vr.Exponential(), -0.9, 1)
+        j = vr.Exponential().jets(0.37, 1)
+        k = vr.Exponential().jets(-0.9, 1)
         assert vr.det3(j, j, k) == 0
 
     def test_antisymmetry_under_swap(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
-        ja = vr.family_jets(fam, 0.31 + 0.4j, 1)
-        jb = vr.family_jets(fam, 0.9 + 1.1j, 1)
-        jc = vr.family_jets(fam, 1.3 + 0.7j, 1)
+        ja = fam.jets(0.31 + 0.4j, 1)
+        jb = fam.jets(0.9 + 1.1j, 1)
+        jc = fam.jets(1.3 + 0.7j, 1)
         assert vr.det3(ja, jb, jc) == -vr.det3(jb, ja, jc)
         assert vr.det3(ja, jb, jc) == -vr.det3(ja, jc, jb)
 
@@ -55,7 +61,7 @@ class TestDet3:
         rng = np.random.default_rng(3)
         for _ in range(50):
             x, y, z = (complex(*rng.uniform(-1, 1, 2)) for _ in range(3))
-            jf, jg, jh = (vr.family_jets(fam, t, 1) for t in (x, y, z))
+            jf, jg, jh = (fam.jets(t, 1) for t in (x, y, z))
             assert abs(vr.det3(jf, jg, jh)) <= 1e-12 * vr.det3_scale(jf, jg, jh)
 
     def test_linear_unconstrained_exact(self):
@@ -63,7 +69,7 @@ class TestDet3:
         rng = np.random.default_rng(4)
         for _ in range(50):
             x, y, z = (complex(*rng.uniform(-1, 1, 2)) for _ in range(3))
-            jf, jg, jh = (vr.family_jets(fam, t, 1) for t in (x, y, z))
+            jf, jg, jh = (fam.jets(t, 1) for t in (x, y, z))
             assert abs(vr.det3(jf, jg, jh)) <= 1e-12 * vr.det3_scale(jf, jg, jh)
 
 
@@ -114,6 +120,38 @@ class TestResidualAndScan:
         assert not math.isfinite(rep.max_residual)
 
 
+class TestSampling:
+    def test_stream_is_keyed_by_seed_index_attempt(self):
+        # without poles every first attempt is accepted: sample i comes from
+        # the generator seeded with (seed, i, 0), drawing x then y in the box
+        fam = vr.Exponential()
+        got = list(vr.TripleSampler(seed=4, count=3).triples((fam, fam, fam)))
+        want = []
+        for index in range(3):
+            rng = np.random.default_rng((4, index, 0))
+            x, y = (complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2))
+            want.append((x, y, -(x + y)))
+        assert got == want
+
+    def test_pole_radius_beyond_the_cell_starves(self, square_ctx):
+        fam = vr.WeierstrassShifted(square_ctx, 0j)
+        with pytest.raises(SamplerExhausted):
+            vr.scan(fam, fam, fam, vr.TripleSampler(pole_radius=10.0), tol=1e-8)
+
+    def test_skip_counts_add_up(self, square_ctx):
+        fam = vr.WeierstrassShifted(square_ctx, 0j)
+        rep = vr.factfun_check(fam, vr.TripleSampler(seed=10, count=80))
+        skipped = {k: v for k, v in rep.details.items() if k.startswith("skipped_")}
+        assert rep.details["skipped_guard"] > 0
+        assert rep.details["skipped"] == sum(skipped.values())
+        assert rep.samples + rep.details["skipped"] == 80
+
+    def test_clean_scan_reports_zero_skipped(self):
+        fam = vr.Exponential()
+        rep = vr.scan(fam, fam, fam, vr.TripleSampler(seed=0, count=50), tol=1e-8)
+        assert rep.details == {"skipped": 0}
+
+
 class TestInvarianceClosure:
     def test_transformed_triples_still_solve(self, square_ctx):
         base = vr.WeierstrassShifted(square_ctx, 0j)
@@ -127,7 +165,7 @@ class TestInvarianceClosure:
                 z = -(x + y)
                 if el.lattice_distance(square_ctx, z) < 0.1:
                     continue
-                jets = [vr.family_jets(base, delta * p, 1) for p in (x, y, z)]
+                jets = [base.jets(delta * p, 1) for p in (x, y, z)]
                 tj = [vr.transform_jets(j, alpha, beta, delta) for j in jets]
                 assert vr.residual_from_jets(*tj) <= 1e-8
 
@@ -183,6 +221,17 @@ class TestSigmaQuotient:
         rep = vr.shifted_det_vs_sigma_scan(
             square_ctx, 0.37 * 2.0 / 3.0, vr.TripleSampler(seed=8, count=200), tol=1e-6
         )
+        assert rep.passed
+
+
+    def test_shifted_scan_drops_draws_outside_sigma_radius(self, square_ctx):
+        # shifted points beyond r_sigma raise SeriesNoConverge and are dropped
+        rep = vr.shifted_det_vs_sigma_scan(
+            square_ctx, 0.9 + 0.9j, vr.TripleSampler(seed=0, count=200)
+        )
+        assert rep.samples < 200
+        assert rep.details["skipped_SeriesNoConverge"] > 0
+        assert rep.samples + rep.details["skipped"] == 200
         assert rep.passed
 
 
