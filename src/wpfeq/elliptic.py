@@ -1,6 +1,8 @@
 """Numerical evaluation of the Weierstrass functions from periods or invariants.
 
-The pe function is evaluated through its Laurent expansion about the origin,
+Generators are Gauss-reduced; g2, g3 and the discriminant come from the
+q-series in r = exp(2 pi i tau) of the reduced tau (DLMF 23.8). pe is
+evaluated through its Laurent expansion about the origin,
 
     pe(z) = 1/z^2 + sum_{k>=2} c_k z^(2k-2),
     c_2 = g2/20,  c_3 = g3/28,
@@ -12,8 +14,9 @@ by first translating the argument to its representative nearest the origin.
 Higher derivatives come from successive differentiation of the normal-form
 ODE  pe'^2 = 4 pe^3 - g2 pe - g3,  never from numerical differentiation.
 
-zeta integrates -pe termwise (principal part 1/z, odd) and extends over the
-plane by its quasi-period constants, the second from Legendre's relation.
+zeta integrates -pe termwise (principal part 1/z, odd), takes one
+duplication step beyond the safe disc and extends over the plane by its
+quasi-period constants, the second from Legendre's relation.
 sigma comes from a Taylor table on a validated disc whose coefficients are
 exact polynomials in g2, g3 from Weierstrass's integer recurrence (DLMF
 23.9.7-23.9.8), built once per process.
@@ -25,6 +28,7 @@ the generators span the lattice directly, Lambda = {m*omega1 + n*omega2}.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +44,9 @@ from .errors import (
     SeriesNoConverge,
 )
 
-_LAURENT_TERMS = 300  # c_k table length; sized for the sigma construction
+# c_k table length: within the 0.78 lambda_min cap on r_safe the k-th term over
+# the principal part is at most (2k-1) N 0.78^(2k), N <= 6: below 1e-16 by k = 90
+_LAURENT_TERMS = 100
 _DISC_REL_TOL = 1e-9  # relative tolerance classifying the discriminant
 
 
@@ -65,7 +71,7 @@ class Periods:
 class Invariants:
     g2: complex
     g3: complex
-    discriminant: complex  # g2^3 - 27 g3^2, always recomputed at construction
+    discriminant: complex  # g2^3 - 27 g3^2; from the q-product for a lattice
     degeneracy: str  # "generic" | "semi-degenerate" | "fully-degenerate"
 
 
@@ -266,6 +272,12 @@ def _sigma_exact_table(n_max: int = _SIGMA_TERMS):
     return tuple(rows)
 
 
+@lru_cache(maxsize=1)
+def _sigma_float_table():
+    """The exact table's coefficients as floats, (m, n, a) in the rows' order."""
+    return tuple(tuple((m, n, float(q)) for (m, n), q in row.items()) for row in _sigma_exact_table())
+
+
 def _sigma_table(g2: complex, g3: complex, r_target: float, eps: float):
     """Numeric Taylor table of sigma(z)/z in u = z^2 with a validated radius.
 
@@ -275,16 +287,16 @@ def _sigma_table(g2: complex, g3: complex, r_target: float, eps: float):
     radius is shrunk to where the trailing terms are safe.
     """
     coeffs = []
-    for poly in _sigma_exact_table():
+    for poly in _sigma_float_table():
         val = 0j
-        for (m, n), q in poly.items():
+        for m, n, q in poly:
             try:
-                val += float(q) * g2**m * g3**n
+                val += q * g2**m * g3**n
             except OverflowError as exc:
                 raise FloatOverflow(f"sigma table overflows at g2 = {g2:.3g}; lattice too small") from exc
         # a row near underflow may pass for a converged tail: the table ends
         # there (a stopgap until scale normalisation, ROADMAP 4(b))
-        if abs(val) < 1e-292 and any((g2 or not m) and (g3 or not n) for m, n in poly):
+        if abs(val) < 1e-292 and any((g2 or not m) and (g3 or not n) for m, n, _ in poly):
             break
         coeffs.append(val)
     log_mags = [math.log(abs(v)) if abs(v) > 0.0 else -math.inf for v in coeffs]
@@ -305,7 +317,7 @@ def _sigma_table(g2: complex, g3: complex, r_target: float, eps: float):
     raise SeriesNoConverge("sigma table does not stabilise at any useful radius")
 
 
-# -- Eisenstein sums and the reference lattice sum ------------------------------
+# -- the reference lattice sum ---------------------------------------------------
 
 
 def _richardson_best(values, p: int, step: float = 2.0):
@@ -343,43 +355,6 @@ def _annulus_points(w1: complex, w2: complex, inner: int, outer: int):
         if not mask.any():
             continue
         yield mm[mask] * w1 + nn[mask] * w2
-
-
-def _eisenstein_invariants(w1: complex, w2: complex, eps: float, lam_min: float):
-    """g2 = 60 sum' lambda^-4 and g3 = 140 sum' lambda^-6.
-
-    Rectangular cutoffs |m|, |n| <= M with M doubled, Richardson-extrapolated
-    (tails shrink like M^-2 and M^-4) until the estimates move by less than
-    eps relative to the result, floored at the summation roundoff scale
-    (machine epsilon times the sum of term magnitudes, which matters when a
-    lattice symmetry sends the sum itself to zero). Raw doubling alone
-    cannot reach eps at feasible cutoffs.
-    """
-    s4 = s6 = 0j
-    abs4 = abs6 = 0.0
-    vals4: list[complex] = []
-    vals6: list[complex] = []
-    inner = 0
-    for outer in (24, 48, 96, 192, 384, 768, 1536):
-        for lam in _annulus_points(w1, w2, inner, outer):
-            inv2 = 1.0 / (lam * lam)
-            inv4 = inv2 * inv2
-            inv6 = inv4 * inv2
-            s4 += inv4.sum()
-            s6 += inv6.sum()
-            abs4 += float(np.abs(inv4).sum())
-            abs6 += float(np.abs(inv6).sum())
-        inner = outer
-        vals4.append(s4)
-        vals6.append(s6)
-        if len(vals4) >= 3:
-            best4, err4 = _richardson_best(vals4, p=2)
-            best6, err6 = _richardson_best(vals6, p=4)
-            floor4 = max(eps * abs(best4), 100.0 * 2.3e-16 * abs4)
-            floor6 = max(eps * abs(best6), 100.0 * 2.3e-16 * abs6)
-            if err4 <= floor4 and err6 <= floor6:
-                return complex(60.0 * best4), complex(140.0 * best6)
-    raise SeriesNoConverge("Eisenstein sums did not reach the requested tolerance")
 
 
 def lattice_sum_reference(
@@ -422,6 +397,29 @@ def lattice_sum_reference(
 # -- construction ----------------------------------------------------------------
 
 
+def _q_series_invariants(b1: complex, tau: complex) -> tuple[complex, complex, complex]:
+    """(g2, g3, discriminant) of the lattice spanned by b1 and b1*tau (DLMF 23.8).
+
+    With r = exp(2 pi i tau) and sigma_k(n) = sum of d^k over the divisors
+    of n: E4 = 1 + 240 sum sigma_3(n) r^n, E6 = 1 - 504 sum sigma_5(n) r^n,
+    g2 = 60 (pi^4/45) E4/b1^4, g3 = 140 (2 pi^6/945) E6/b1^6, and the
+    discriminant (2 pi/b1)^12 r prod (1 - r^n)^24, which does not cancel the
+    way g2^3 - 27 g3^2 does on tall lattices. For a Gauss-reduced tau,
+    |r| <= exp(-pi sqrt(3)) < 0.0044, so the 11th E6 term is below 1e-18:
+    under the round-off of the O(1) sums.
+    """
+    r = cmath.exp(2j * math.pi * tau)
+    e4 = e6 = prod = rn = 1.0 + 0j
+    for n in range(1, 12):
+        rn *= r
+        e4 += 240 * sum(d**3 for d in range(1, n + 1) if n % d == 0) * rn
+        e6 -= 504 * sum(d**5 for d in range(1, n + 1) if n % d == 0) * rn
+        prod *= 1.0 - rn
+    g2 = 60.0 * (math.pi**4 / 45.0) * e4 / b1**4
+    g3 = 140.0 * (2.0 * math.pi**6 / 945.0) * e6 / b1**6
+    return g2, g3, (2.0 * math.pi / b1) ** 12 * r * prod**24
+
+
 def _classify_invariants(g2: complex, g3: complex) -> Invariants:
     disc = g2**3 - 27.0 * g3**2
     scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
@@ -442,7 +440,7 @@ def from_periods(
     lattice_tol: float = 1e-9,
     pole_tol: float | None = None,
 ) -> EllipticContext:
-    """Context from lattice generators; invariants via Eisenstein sums."""
+    """Context from lattice generators; invariants from the q-series of the reduced tau."""
     w1, w2 = complex(omega1), complex(omega2)
     if w1 == 0 or w2 == 0:
         raise DegenerateLattice("zero period generator")
@@ -453,24 +451,23 @@ def from_periods(
         w1, w2 = w2, w1
     b1, b2 = _gauss_reduce(w1, w2)
     lam_min = abs(b1)
-    g2, g3 = _eisenstein_invariants(w1, w2, series_tol, lam_min)
+    orient = math.copysign(1.0, (b2 / b1).imag)
+    g2, g3, disc = _q_series_invariants(b1, orient * b2 / b1)
     ctable = laurent_coefficients(g2, g3)
     tol = ToleranceSet(
         series=series_tol,
         pole=pole_tol if pole_tol is not None else 1e-3 * min(abs(w1), abs(w2)),
         lattice=lattice_tol,
     )
-    # reduction brings every argument within the covering radius (<= 0.77
-    # lambda for a reduced basis), so the series disc can cover it and the
-    # error-amplifying duplication step is normally never needed here
+    # the 0.78 lambda cap covers the reduced cell of rectangles up to Im tau ~ 1.1;
+    # beyond it wp halves and zeta takes one duplication step
     r_safe = _safe_radius(ctable, series_tol, 0.78 * lam_min)
     sigma_coeffs, r_sigma = _sigma_table(g2, g3, 1.3 * (abs(w1) + abs(w2)), series_tol)
     # b2/2 may leave the zeta series disc: Legendre's relation (DLMF 23.2.14)
     e1 = _zeta_series(ctable, b1 / 2.0, series_tol)
-    orient = math.copysign(1.0, (b2 / b1).imag)
     eta_half = (e1, (e1 * b2 - orient * math.pi * 1j) / b1)
     return EllipticContext(
-        invariants=_classify_invariants(g2, g3),
+        invariants=Invariants(g2, g3, disc, "generic"),
         periods=Periods(w1, w2),
         laurent_coeffs=ctable,
         sigma_coeffs=sigma_coeffs,
@@ -501,21 +498,18 @@ def from_invariants(
     ctable = laurent_coefficients(g2, g3)
     lam_est = _lambda_min_estimate(ctable)
     if math.isinf(lam_est):
-        r_safe = 1e18
-        r_sigma = 1e18
+        r_safe = r_sigma = 1e18
         pole_default = 0.0
+        sigma_coeffs: tuple[complex, ...] = (1.0 + 0j,)
     else:
         r_safe = _safe_radius(ctable, series_tol, 0.6 * lam_est)
         pole_default = 1e-3 * lam_est
+        sigma_coeffs, r_sigma = _sigma_table(g2, g3, 2.5 * lam_est, series_tol)
     tol = ToleranceSet(
         series=series_tol,
         pole=pole_tol if pole_tol is not None else pole_default,
         lattice=lattice_tol,
     )
-    if math.isinf(lam_est):
-        sigma_coeffs: tuple[complex, ...] = (1.0 + 0j,)
-    else:
-        sigma_coeffs, r_sigma = _sigma_table(g2, g3, 2.5 * lam_est, series_tol)
     return EllipticContext(
         invariants=_classify_invariants(g2, g3),
         periods=None,
@@ -628,18 +622,21 @@ def zeta(ctx: EllipticContext, z: complex) -> complex:
 
     With periods available the argument is reduced to the representative
     nearest the origin and the quasi-period constants restore the value.
+    Beyond the safe disc, zeta(2u) = 2 zeta(u) + pe''(u)/(2 pe'(u)) at u = z/2;
+    only once, as pe'' cancels to round-off where pe is flat on tall lattices.
     """
     z = complex(z)
-    if ctx.periods is not None:
-        zred, m, n = _reduce_near_zero(ctx, z)
-        if abs(zred) <= ctx.tol.pole:
-            raise PoleProximity(z)
-        base = _zeta_series(ctx.laurent_coeffs, zred, ctx.tol.series)
-        e1, e2 = ctx.eta_half
-        return base + 2.0 * m * e1 + 2.0 * n * e2
-    if abs(z) <= ctx.tol.pole:
+    zred, m, n = _reduce_near_zero(ctx, z) if ctx.periods is not None else (z, 0, 0)
+    if abs(zred) <= ctx.tol.pole:
         raise PoleProximity(z)
-    return _zeta_series(ctx.laurent_coeffs, z, ctx.tol.series)
+    if abs(zred) <= ctx.r_safe:
+        base = _zeta_series(ctx.laurent_coeffs, zred, ctx.tol.series)
+    else:
+        u = 0.5 * zred
+        _, dp, d2p = jets(ctx, u, 2).values
+        base = 2.0 * _zeta_series(ctx.laurent_coeffs, u, ctx.tol.series) + d2p / (2.0 * dp)
+    e1, e2 = ctx.eta_half or (0j, 0j)
+    return base + 2.0 * m * e1 + 2.0 * n * e2
 
 
 def reduce_to_cell(ctx: EllipticContext, z: complex) -> complex:

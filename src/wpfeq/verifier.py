@@ -580,12 +580,12 @@ def factfun_check(
 
     ctx = _first_context((fam,))
     clearance = sampler.effective_pole_radius(ctx) + 4.0 * h_step
+    # the finite-difference stencil must stay clear of the poles; without
+    # periods the origin is the only known one
+    near = abs if ctx is None or ctx.periods is None else lambda p: elliptic.lattice_distance(ctx, p)
 
     def evaluate(x, y, z):
-        # the finite-difference stencil must stay clear of the poles
-        if ctx is not None and any(
-            elliptic.lattice_distance(ctx, p + fam.shift) <= clearance for p in (x, y, z)
-        ):
+        if ctx is not None and any(near(p + fam.shift) <= clearance for p in (x, y, z)):
             return None
         d1 = _third_order_operator(S, x, y, h_step)
         d2 = _third_order_operator(S, x, y, h_step / 2.0)

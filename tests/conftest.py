@@ -23,6 +23,11 @@ def generic_ctx():
 
 
 @pytest.fixture(scope="session")
+def tall_ctx():
+    return elliptic.from_periods(1.0, 8.0j)
+
+
+@pytest.fixture(scope="session")
 def degenerate_ctx():
     return elliptic.from_invariants(0.0, 0.0)
 

@@ -183,6 +183,16 @@ class TestClassify:
         assert abs(dec.params["delta"] - 1j) <= 1e-4 or abs(dec.params["delta"] + 1j) <= 1e-4
         assert dec.roundtrip_residual <= 1e-8
 
+    @pytest.mark.parametrize("scale", [0.3, 0.2])
+    def test_small_lattice_round_trip(self, scale):
+        # the round trip's from_invariants table must stay finite at large g2
+        w1, w2 = scale, scale * (0.3 + 1.1j)
+        ctx = el.from_periods(w1, w2)
+        xs = tuple(w1 * (0.2 + 0.005 * i) + 0.1 * w2 for i in range(41))
+        dec = cl.classify_samples(cl.SampleSet(xs, tuple(el.wp(ctx, x) for x in xs)), seed=3)
+        assert dec.family == "weierstrass"
+        assert dec.roundtrip_residual <= 1e-10
+
     def test_absolute_value_rejected(self):
         s = _samples(abs, -1.0, 1.0, 0.05)
         assert cl.classify_samples(s).family == "not_a_solution"

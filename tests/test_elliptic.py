@@ -75,11 +75,13 @@ class ThetaOracle:
     With the half period w = omega1/2, q = exp(i pi omega2/omega1) and
     v = pi z/(2w): sigma(z) = (2w/pi) exp(eta1 z^2/(2w)) theta1(v)/theta1'(0)
     and zeta(z) = eta1 z/w + (pi/(2w)) theta1'(v)/theta1(v), where
-    eta1 = -pi^2 theta1'''(0)/(12 w theta1'(0)).
+    eta1 = -pi^2 theta1'''(0)/(12 w theta1'(0)). The invariants come from the
+    theta constants (DLMF 23.6.2-23.6.3), not from the q-series under test.
     """
 
     def __init__(self, omega1, omega2):
         self.mp = pytest.importorskip("mpmath")
+        self.omega1, self.omega2 = omega1, omega2
         with self.mp.workdps(30):
             self.w = self.mp.mpc(omega1) / 2
             self.q = self.mp.exp(1j * self.mp.pi * self.mp.mpc(omega2) / self.mp.mpc(omega1))
@@ -94,6 +96,16 @@ class ThetaOracle:
             v = mp.pi * z / (2 * self.w)
             value = (2 * self.w / mp.pi) * mp.exp(self.eta1 * z * z / (2 * self.w))
             return complex(value * mp.jtheta(1, v, self.q) / self.t1)
+
+    def invariants(self):
+        mp = self.mp
+        # 60 digits: on tall lattices g2^3 - 27 g3^2 cancels to 1e-22 relative
+        with mp.workdps(60):
+            w, q = mp.mpc(self.omega1) / 2, mp.exp(1j * mp.pi * mp.mpc(self.omega2) / mp.mpc(self.omega1))
+            t2, t3, t4 = (mp.jtheta(k, 0, q) for k in (2, 3, 4))
+            g2 = mp.pi**4 / (24 * w**4) * (t2**8 + t3**8 + t4**8)
+            g3 = mp.pi**6 / (432 * w**6) * (t2**4 + t3**4) * (t3**4 + t4**4) * (t4**4 - t2**4)
+            return complex(g2), complex(g3), complex(g2**3 - 27 * g3**2)
 
     def zeta(self, z):
         mp = self.mp
@@ -125,6 +137,22 @@ class TestConstruction:
         rel = abs(square_ctx.invariants.g2 - oracle) / abs(oracle)
         assert rel <= 1e-9
 
+    @pytest.mark.parametrize("tau", [1j, cmath.exp(1j * math.pi / 3), 0.35 + 1.05j, 1.9j, 3j, 8j, 0.5 + 8j])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 100.0])
+    @pytest.mark.parametrize("pair", ["rotated", "swapped"])
+    def test_invariants_and_discriminant_match_theta_oracle(self, tau, scale, pair):
+        # a rotated pair turns the invariants; a swapped one must be reoriented
+        turn = cmath.exp(0.7j) if pair == "rotated" else 1.0
+        w1, w2 = turn * scale, turn * scale * tau
+        ctx = el.from_periods(*((w1, w2) if pair == "rotated" else (w2, w1)))
+        g2, g3, disc = ThetaOracle(w1, w2).invariants()
+        s = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+        assert abs(ctx.invariants.g2 - g2) <= 1e-13 * s**4
+        assert abs(ctx.invariants.g3 - g3) <= 1e-13 * s**6
+        # a lattice is never degenerate, and its discriminant does not cancel
+        assert abs(ctx.invariants.discriminant - disc) <= 1e-13 * abs(disc)
+        assert ctx.invariants.degeneracy == "generic"
+
     def test_orientation_swap(self):
         ctx = el.from_periods(2.0j, 2.0)
         w1, w2 = ctx.periods.omega1, ctx.periods.omega2
@@ -152,6 +180,9 @@ class TestConstruction:
             k = i + 2
             acc = sum(table[m - 2] * table[k - m - 2] for m in range(2, k - 1))
             assert table[i] == pytest.approx(3.0 * acc / ((2 * k + 1) * (k - 3)), rel=1e-12)
+        # the recurrence is prefix-stable: a longer table only appends
+        assert len(table) == 100
+        assert el.laurent_coefficients(g2, g3, 300)[:100] == table
 
     @pytest.mark.parametrize("tau", [1.9j, 3j, 8j, 0.5 + 8j])
     @pytest.mark.parametrize("scale", [0.5, 1.0, 100.0])
@@ -194,6 +225,16 @@ class TestWp:
         z = 0.31 + 0.17j
         ref = el.lattice_sum_reference(square_ctx, z)
         assert abs(el.wp(square_ctx, z) - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("name", ["square_ctx", "hex_ctx", "generic_ctx", "tall_ctx"])
+    def test_series_converges_on_disc_rim(self, name, request):
+        # the Laurent table must reach round-off at |z| = r_safe
+        ctx = request.getfixturevalue(name)
+        for z in (ctx.r_safe * cmath.exp(0.3j), ctx.r_safe * cmath.exp(2.0j)):
+            ref = el.lattice_sum_reference(ctx, z)
+            series, _ = el._wp_series(ctx.laurent_coeffs, z, ctx.tol.series)
+            assert abs(series - ref) <= 1e-11 * abs(ref)
+            assert abs(el.wp(ctx, z) - ref) <= 1e-11 * abs(ref)
 
     def test_pole_proximity(self, square_ctx):
         with pytest.raises(PoleProximity):
@@ -380,6 +421,18 @@ class TestZeta:
         delta = el.zeta(square_ctx, z + step) - el.zeta(square_ctx, z)
         eta1 = el.zeta(square_ctx, step / 2.0)
         assert abs(delta - 2.0 * eta1) <= 1e-10 * max(1.0, abs(eta1))
+
+    @pytest.mark.parametrize("tau", [1.5j, 0.5 + 1.5j, 1.9j, 3j])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_matches_theta_oracle_across_the_cell(self, tau, scale):
+        # reduced points beyond the series disc take one duplication step
+        ctx = el.from_periods(scale, scale * tau)
+        oracle = ThetaOracle(scale, scale * tau)
+        rng = np.random.default_rng(6)
+        for s, t in rng.uniform(0.0, 1.0, (40, 2)):
+            z = scale * (s + t * tau)
+            ref = oracle.zeta(z)
+            assert abs(el.zeta(ctx, z) - ref) <= 1e-12 * max(abs(ref), 1.0 / scale)
 
     def test_log_sigma_derivative_is_zeta(self, square_ctx):
         z = 0.6 + 0.4j

@@ -53,8 +53,18 @@ class TestDet3:
         ja = fam.jets(0.31 + 0.4j, 1)
         jb = fam.jets(0.9 + 1.1j, 1)
         jc = fam.jets(1.3 + 0.7j, 1)
-        assert vr.det3(ja, jb, jc) == -vr.det3(jb, ja, jc)
-        assert vr.det3(ja, jb, jc) == -vr.det3(ja, jc, jb)
+        rng = np.random.default_rng(5)
+        triples = [(ja, jb, jc)] + [
+            tuple(fam.jets(complex(*rng.uniform(0.1, 1.9, 2)), 1) for _ in range(3)) for _ in range(50)
+        ]
+        for ja, jb, jc in triples:
+            # a <-> b negates every operand, so it is exact; b <-> c regroups
+            # the float sum, so it holds to a few units of round-off of the terms
+            assert vr.det3(ja, jb, jc) == -vr.det3(jb, ja, jc)
+            (fv, fp), (gv, gp), (hv, hp) = (j.values for j in (ja, jb, jc))
+            pairs = ((gv, hp), (fv, hp), (gp, hv), (fp, hv), (fv, gp), (gv, fp))
+            terms = sum(abs(u * v) for u, v in pairs)
+            assert abs(vr.det3(ja, jb, jc) + vr.det3(ja, jc, jb)) <= 8 * 2.0**-53 * terms
 
     def test_exponential_unconstrained(self):
         fam = vr.Exponential()
@@ -299,6 +309,14 @@ class TestFactfun:
         rep = vr.factfun_check(fam, vr.TripleSampler(seed=11, count=80), h_step=1e-2, tol=1e-6)
         assert not rep.passed
         assert rep.max_residual > 1e-3
+
+    def test_invariants_only_context(self, normal_form_ctx):
+        # no lattice is known: the stencil guard keeps clear of the origin
+        fam = vr.WeierstrassShifted(normal_form_ctx, 0j)
+        sampler = vr.TripleSampler(count=20, box=0.4 * normal_form_ctx.lambda_min)
+        rep = vr.factfun_check(fam, sampler)
+        assert rep.passed
+        assert rep.samples + rep.details["skipped"] == 20
 
 
 class TestConstantCase:
