@@ -13,6 +13,9 @@ halving plus the duplication formula, and, when period generators are known,
 by first translating the argument to its representative nearest the origin.
 Higher derivatives come from successive differentiation of the normal-form
 ODE  pe'^2 = 4 pe^3 - g2 pe - g3,  never from numerical differentiation.
+The sampled checks take pe and pe' a whole batch at a time, by the same
+method on numpy arrays (`_wp_dp_array`); the scalar functions answer point
+queries and are its reference.
 
 zeta integrates -pe termwise (principal part 1/z, odd), takes one
 duplication step beyond the safe disc and extends over the plane by its
@@ -556,6 +559,92 @@ def _wp_dp(ctx: EllipticContext, z: complex) -> tuple[complex, complex]:
     if not _finite(p, dp):
         raise PoleProximity(z, "evaluation landed on a lattice pole")
     return p, dp
+
+
+# fault codes of the array path, per element: 0 where it evaluated, else the
+# error the scalar path raises there
+_POLE, _NO_CONVERGE = 1, 2
+# the 3x3 neighbour shifts (dm, dn), in the scalar loop's order
+_NEAR_DM, _NEAR_DN = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
+
+
+def _reduce_array(ctx: EllipticContext, z: np.ndarray) -> np.ndarray:
+    """`_reduce_near_zero` elementwise: each representative nearest the origin."""
+    b1, b2 = ctx.reduced
+    det = b1.real * b2.imag - b1.imag * b2.real
+    s = (z.real * b2.imag - z.imag * b2.real) / det
+    t = (b1.real * z.imag - b1.imag * z.real) / det
+    m = np.round(s)[..., None] + _NEAR_DM
+    n = np.round(t)[..., None] + _NEAR_DN
+    cand = z[..., None] - m * b1 - n * b2
+    # argmin keeps the first of equal candidates, as the scalar loop does
+    return np.take_along_axis(cand, np.abs(cand).argmin(axis=-1)[..., None], axis=-1)[..., 0]
+
+
+def _lattice_distance_array(ctx: EllipticContext, z) -> np.ndarray:
+    """`lattice_distance` elementwise."""
+    return np.abs(_reduce_array(ctx, np.asarray(z, dtype=complex)))
+
+
+def _wp_dp_array(ctx: EllipticContext, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pe, pe', fault) at every element of z: `_wp_dp` for a whole batch.
+
+    Reduces to the nearest representative, counts each element's halvings,
+    sums one Horner pass over the Laurent table for the batch and undoes the
+    halvings by masked duplication steps. The sum stops after the last term
+    with |c_k| |u|^k >= 1e-18 at the batch's largest |u| = |z|^2, relative to
+    the principal part 1/u; it looks past the zero coefficients of symmetric
+    lattices. fault is _POLE where `_wp_dp` raises PoleProximity (a pole, or
+    a non-finite value), _NO_CONVERGE where it raises SeriesNoConverge (more
+    than 60 halvings, a critical point, a table too short); pe and pe' are
+    nan there. Scalar `_wp_dp` stays the path for single points: a batch of
+    one costs several times more here.
+    """
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(all="ignore"):
+        if ctx.periods is not None:
+            z = _reduce_array(ctx, z)
+        fault = np.where(np.abs(z) <= ctx.tol.pole, _POLE, 0)
+        halvings = np.zeros(z.shape, int)
+        for _ in range(61):
+            out = np.abs(z * 0.5**halvings) > ctx.r_safe
+            if not out.any():
+                break
+            halvings += out
+        fault[(fault == 0) & (halvings > 60)] = _NO_CONVERGE
+        halvings[fault != 0] = 0
+        zz = z * 0.5**halvings
+        u = zz * zz
+        log_u = np.log(np.abs(u))
+        coeffs = np.array(ctx.laurent_coeffs)
+        k = np.arange(2, len(coeffs) + 2)
+        log_c = np.log(np.abs(coeffs))
+        top = log_u[fault == 0].max(initial=-np.inf)
+        used = np.flatnonzero(log_c + k * top >= math.log(1e-18))
+        terms = used[-1] + 1 if used.size else 0
+        # the table falls short where its last three terms still matter
+        tail = (log_c[-3:, None] + k[-3:, None] * log_u.ravel()).max(axis=0)
+        fault[(fault == 0) & (tail.reshape(z.shape) > math.log(1e-16))] = _NO_CONVERGE
+        # Horner for sum c_k u^(k-2) and sum (k-1) c_k u^(k-2) together
+        stacked = np.stack((coeffs, (k - 1) * coeffs)).reshape((2, -1) + (1,) * z.ndim)
+        acc = np.zeros((2,) + z.shape, dtype=complex)
+        for i in range(terms - 1, -1, -1):
+            acc *= u
+            acc += stacked[:, i]
+        p = 1.0 / u + u * acc[0]
+        dp = -2.0 / (u * zz) + 2.0 * zz * acc[1]
+        g2 = ctx.invariants.g2
+        for step in range(halvings.max(initial=0)):
+            on = halvings > step
+            fault[on & (fault == 0) & (dp == 0)] = _NO_CONVERGE
+            q, d = p[on], dp[on]
+            w = 6.0 * q * q - 0.5 * g2
+            d2 = d * d
+            p[on] = (w * w) / (4.0 * d2) - 2.0 * q
+            dp[on] = 3.0 * q * w / d - w * w * w / (4.0 * d2 * d) - d
+        fault[(fault == 0) & ~(np.isfinite(p) & np.isfinite(dp))] = _POLE
+        p[fault != 0] = dp[fault != 0] = np.nan
+    return p, dp, fault
 
 
 def wp(ctx: EllipticContext, z: complex) -> complex:

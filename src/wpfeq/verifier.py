@@ -9,8 +9,11 @@ residual measures the identity itself rather than differentiation noise.
 Residuals are normalised by the product over rows of the largest entry
 magnitude clamped below by one: the determinant grows like |pe|*|pe'| near
 poles, and the clamp keeps near-pole triples from passing or failing
-trivially. Sampling is deterministic: each sample index seeds its own
-generator, so reports are reproducible and order independent.
+trivially. Sampling is deterministic: round k of rejection draws one block
+from the generator seeded with (seed, k), and sample i takes row i of it,
+so a draw depends only on (seed, sample, attempt) and reports are
+reproducible. Residuals of the pe, exponential, linear and constant
+families are scored a batch at a time, on numpy arrays of triples.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -36,6 +38,10 @@ from .errors import (
 
 
 # -- function families ---------------------------------------------------------
+#
+# Each family gives exact jets at one point, `jets(x, order)`, and (f, f',
+# fault) over a whole array of points, `jets_array(x)`; fault is nonzero
+# where `jets` raises a skip (see `_SKIPS`).
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,9 @@ class WeierstrassShifted:
     def jets(self, x: complex, order: int = 5) -> JetValues:
         inner = elliptic.jets(self.ctx, complex(x) + self.shift, order)
         return JetValues(at=complex(x), values=inner.values)
+
+    def jets_array(self, x: np.ndarray):
+        return elliptic._wp_dp_array(self.ctx, x + self.shift)
 
     def antiderivative(self, x: complex) -> complex:
         # F with F' = pe(. + shift) is -zeta(. + shift)
@@ -83,6 +92,14 @@ class Exponential:
             vals.append(d)
         return JetValues(at=complex(x), values=tuple(vals))
 
+    def jets_array(self, x: np.ndarray):
+        with np.errstate(all="ignore"):
+            e = np.exp(self.delta * x)
+        if not np.isfinite(e).all():
+            raise FloatOverflow(f"exp({self.delta} * x) overflows on the batch")
+        d = self.alpha * e
+        return d + self.beta, d * self.delta, np.zeros(x.shape, int)
+
     def antiderivative(self, x: complex) -> complex:
         x = complex(x)
         return self.alpha / self.delta * self._exp(x) + self.beta * x
@@ -103,6 +120,9 @@ class Linear:
         vals = [self.alpha * complex(x) + self.beta, self.alpha] + [0j] * max(0, order - 1)
         return JetValues(at=complex(x), values=tuple(vals[: order + 1]))
 
+    def jets_array(self, x: np.ndarray):
+        return self.alpha * x + self.beta, np.full(x.shape, complex(self.alpha)), np.zeros(x.shape, int)
+
     def antiderivative(self, x: complex) -> complex:
         x = complex(x)
         return self.alpha * x * x / 2.0 + self.beta * x
@@ -114,6 +134,9 @@ class Constant:
 
     def jets(self, x: complex, order: int = 5) -> JetValues:
         return JetValues(at=complex(x), values=(complex(self.value),) + (0j,) * order)
+
+    def jets_array(self, x: np.ndarray):
+        return np.full(x.shape, complex(self.value)), np.zeros(x.shape, complex), np.zeros(x.shape, int)
 
     def antiderivative(self, x: complex) -> complex:
         return complex(self.value) * complex(x)
@@ -157,40 +180,100 @@ def residual(
     ff: FunctionFamily,
     fg: FunctionFamily,
     fh: FunctionFamily,
-    x: complex,
-    y: complex,
-    z: complex | None = None,
-) -> float:
-    """Scale-normalised determinant residual at (x, y, z = -x-y)."""
+    x: complex | np.ndarray,
+    y: complex | np.ndarray,
+    z: complex | np.ndarray | None = None,
+):
+    """Scale-normalised determinant residual at (x, y, z = -x-y).
+
+    For complex arrays x, y (and z) it scores the whole batch and returns
+    (residuals, faults): faults[i] is nonzero where the scalar path would
+    raise a skip at triple i (the first failing family's, see `_SKIPS`).
+    """
+    if np.ndim(x) == 0:
+        if z is None:
+            z = -(complex(x) + complex(y))
+        return residual_from_jets(ff.jets(x, 1), fg.jets(y, 1), fh.jets(z, 1))
     if z is None:
-        z = -(complex(x) + complex(y))
-    return residual_from_jets(ff.jets(x, 1), fg.jets(y, 1), fh.jets(z, 1))
+        z = -(x + y)
+    (fv, fp, f1), (gv, gp, f2), (hv, hp, f3) = ff.jets_array(x), fg.jets_array(y), fh.jets_array(z)
+    with np.errstate(all="ignore"):
+        det = (gv - fv) * hp - (gp - fp) * hv + (fv * gp - gv * fp)
+        row1 = np.maximum(np.maximum(np.abs(fv), np.abs(gv)), np.maximum(np.abs(hv), 1.0))
+        row2 = np.maximum(np.maximum(np.abs(fp), np.abs(gp)), np.maximum(np.abs(hp), 1.0))
+        return np.abs(det) / (row1 * row2), _first_fault(f1, f2, f3)
 
 
 # -- sampling ----------------------------------------------------------------------
 
+# why a batch element was not scored, by fault code; 0: it was. Codes 1 and 2
+# are the fault codes of `elliptic._wp_dp_array`
+_SKIPS = ("", "PoleProximity", "SeriesNoConverge", "guard")
 
-def _draws(seed: int, indices, budget: int, draw, accept):
-    """Yield (draw, value) for the first accepted draw of every sample index.
 
-    Attempt k of sample i draws from the generator seeded with (seed, i, k).
-    `accept` maps a draw to its value, or to None (or PoleProximity or
-    SeriesNoConverge) to reject it. All indices share one budget of draws.
+def _first_fault(*faults: np.ndarray) -> np.ndarray:
+    """Elementwise the first nonzero fault, as the first raising call wins."""
+    out = faults[-1]
+    for fault in reversed(faults[:-1]):
+        out = np.where(fault != 0, fault, out)
+    return out
+
+
+def _per_triple(evaluate):
+    """Batch form of a scalar evaluate(x, y, z) -> residual, or None to decline.
+
+    The batch form maps arrays of x, y and z to (residuals, faults); a triple
+    whose evaluation raises PoleProximity or SeriesNoConverge, or declines,
+    gets that fault.
     """
-    spent = 0
-    for index in indices:
-        for attempt in itertools.count():
-            if spent == budget:
-                raise SamplerExhausted(f"no accepted draw for sample {index} within {budget} draws")
-            spent += 1
-            drawn = draw(np.random.default_rng((seed, index, attempt)))
+
+    def batch(xs, ys, zs):
+        values = np.zeros(len(xs))
+        faults = np.zeros(len(xs), int)
+        for i, triple in enumerate(zip(xs.tolist(), ys.tolist(), zs.tolist())):
             try:
-                value = accept(drawn)
-            except (PoleProximity, SeriesNoConverge):
-                value = None
-            if value is not None:
-                yield drawn, value
-                break
+                value = evaluate(*triple)
+            except (PoleProximity, SeriesNoConverge) as exc:
+                faults[i] = _SKIPS.index(type(exc).__name__)
+                continue
+            if value is None:
+                faults[i] = _SKIPS.index("guard")
+            else:
+                values[i] = value
+        return values, faults
+
+    return batch
+
+
+def _draws(seed: int, count: int, draw, accept, budget: int, rounds: int | None = None):
+    """(draws, values) of the first accepted draw of samples 0..count-1, in order.
+
+    Round k draws one block, draw(rng, n), from the generator seeded with
+    (seed, k), and sample i takes row i of it: a draw depends only on (seed,
+    sample, attempt). accept(samples, rows) scores the rows of the samples
+    still pending as (values, faults) and rejects a row with a nonzero fault.
+    Every draw spends one unit of a pooled budget, so the budget runs out
+    exactly when drawing sample by sample would; with `rounds`, a sample
+    also runs out after that many attempts.
+    """
+    pending = np.arange(count)
+    drawn = values = None
+    spent = 0
+    for attempt in itertools.count():
+        if not pending.size:
+            return drawn, values
+        if spent + pending.size > budget or attempt == rounds:
+            limit = rounds if attempt == rounds else budget
+            raise SamplerExhausted(f"no accepted draw for sample {pending[0]} within {limit} draws")
+        spent += pending.size
+        rows = draw(np.random.default_rng((seed, attempt)), pending[-1] + 1)[pending]
+        value, fault = accept(pending, rows)
+        if drawn is None:
+            drawn = np.empty((count,) + rows.shape[1:], rows.dtype)
+            values = np.empty(count, value.dtype)
+        ok = fault == 0
+        drawn[pending[ok]], values[pending[ok]] = rows[ok], value[ok]
+        pending = pending[~ok]
 
 
 @dataclass(frozen=True)
@@ -200,8 +283,10 @@ class TripleSampler:
     Points are drawn in lattice coordinates (s, t) uniform on
     [margin, 1-margin]^2 when a periodic context is available, otherwise in
     a complex box of half-width `box`. z is -x-y unless `unconstrained`,
-    in which case all three points are independent. Pole-proximal draws are
-    rejected and retried with a budget of 100 per sample on average.
+    in which case all three points are independent. Triple i is row i of a
+    block drawn by the generator seeded with (seed, round). Pole-proximal
+    draws are rejected and redrawn in the next round, with a budget of 100
+    draws per sample on average.
     """
 
     seed: int = 0
@@ -211,12 +296,13 @@ class TripleSampler:
     unconstrained: bool = False
     box: float = 1.0
 
-    def _draw(self, rng, ctx: EllipticContext | None) -> complex:
+    def _points(self, rng, n: int, k: int, ctx: EllipticContext | None) -> np.ndarray:
+        """An (n, k) block of points, each from two uniform draws (s, t) or (re, im)."""
         if ctx is not None and ctx.periods is not None:
-            s, t = rng.uniform(self.margin, 1.0 - self.margin, 2)
-            return complex(s * ctx.periods.omega1 + t * ctx.periods.omega2)
-        re, im = rng.uniform(-self.box, self.box, 2)
-        return complex(re, im)
+            st = rng.uniform(self.margin, 1.0 - self.margin, (n, k, 2))
+            return st[..., 0] * ctx.periods.omega1 + st[..., 1] * ctx.periods.omega2
+        # the (re, im) pairs, viewed as complex numbers
+        return rng.uniform(-self.box, self.box, (n, k, 2)).view(complex)[..., 0]
 
     def effective_pole_radius(self, ctx: EllipticContext | None) -> float:
         if self.pole_radius is not None:
@@ -225,10 +311,11 @@ class TripleSampler:
             return max(ctx.tol.pole, 0.03 * ctx.lambda_min)
         return 1e-6
 
-    def admissible(self, ctx: EllipticContext | None, shift: complex, z: complex) -> bool:
+    def admissible(self, ctx: EllipticContext | None, shift: complex, z):
+        """Elementwise: z + shift lies farther than the pole radius from the lattice."""
         if ctx is None or ctx.periods is None:
-            return True
-        return elliptic.lattice_distance(ctx, z + shift) > self.effective_pole_radius(ctx)
+            return np.ones(np.shape(z), bool)
+        return elliptic._lattice_distance_array(ctx, z + shift) > self.effective_pole_radius(ctx)
 
     def triples(self, families: Sequence[FunctionFamily]):
         """Yield `count` admissible (x, y, z); raises SamplerExhausted."""
@@ -238,18 +325,21 @@ class TripleSampler:
             for fam in families
         ]
 
-        def draw(rng):
-            x = self._draw(rng, ctx)
-            y = self._draw(rng, ctx)
-            return x, y, self._draw(rng, ctx) if self.unconstrained else -(x + y)
+        def draw(rng, n):
+            points = self._points(rng, n, 3 if self.unconstrained else 2, ctx)
+            if self.unconstrained:
+                return points
+            return np.column_stack((points, -(points[:, 0] + points[:, 1])))
 
-        def accept(points):
-            return all(
-                self.admissible(fctx, shift, p) for (fctx, shift), p in zip(shifts, points)
-            ) or None
+        def accept(_, points):
+            ok = np.ones(len(points), bool)
+            for i, (fctx, shift) in enumerate(shifts):
+                ok &= self.admissible(fctx, shift, points[:, i])
+            return np.zeros(len(points)), (~ok).astype(int)
 
-        drawn = _draws(self.seed, range(self.count), 100 * self.count, draw, accept)
-        yield from (points for points, _ in drawn)
+        drawn, _ = _draws(self.seed, self.count, draw, accept, 100 * self.count)
+        if drawn is not None:
+            yield from map(tuple, drawn.tolist())
 
 
 def _first_context(families) -> EllipticContext | None:
@@ -297,30 +387,24 @@ def _aggregate(residuals, triples, tol, note="", details=None) -> ResidualReport
 
 
 def _collect(triples, evaluate, tol, note="") -> ResidualReport:
-    """Report of evaluate(x, y, z) over the triples, skipping the ones it cannot score.
+    """Report of evaluate over the triples as one batch, skipping what it cannot score.
 
-    A triple is skipped when `evaluate` raises PoleProximity or
-    SeriesNoConverge, or returns None; the skips are counted in `details`.
+    evaluate(x, y, z) takes the triples' columns as complex arrays and returns
+    (residuals, faults); a triple with a nonzero fault is skipped, and the
+    skips are counted in `details` by their `_SKIPS` name.
     """
-    residuals: list[float] = []
-    kept: list[tuple[complex, complex, complex]] = []
-    skipped: Counter = Counter()
-    for triple in triples:
-        try:
-            r = evaluate(*triple)
-        except (PoleProximity, SeriesNoConverge) as exc:
-            skipped[type(exc).__name__] += 1
-            continue
-        if r is None:
-            skipped["guard"] += 1
-            continue
-        residuals.append(r)
-        kept.append(triple)
-    if not residuals:
+    points = np.array(list(triples), dtype=complex).reshape(-1, 3)
+    residuals, faults = evaluate(*points.T)
+    kept = faults == 0
+    if not kept.any():
         raise SamplerExhausted("no admissible triples survived evaluation")
-    details = {"skipped": sum(skipped.values())}
-    details.update((f"skipped_{why}", n) for why, n in sorted(skipped.items()))
-    return _aggregate(residuals, kept, tol, note, details)
+    counts = np.bincount(faults, minlength=len(_SKIPS))
+    details = {"skipped": int(counts[1:].sum())}
+    details.update(
+        (f"skipped_{why}", int(n)) for why, n in sorted(zip(_SKIPS[1:], counts[1:])) if n
+    )
+    kept_points = list(map(tuple, points[kept].tolist()))
+    return _aggregate(residuals[kept].tolist(), kept_points, tol, note, details)
 
 
 def scan(
@@ -350,20 +434,24 @@ def grid_scan(
     ctx = _first_context((fam,))
     shift = fam.shift if ctx is not None else 0j
     lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if ctx is not None else (-1.0, 2.0)
-    ticks = [lo + width * i / max(grid - 1, 1) for i in range(grid)]
+    ticks = lo + width * np.arange(grid) / max(grid - 1, 1)
+    s, t = np.repeat(ticks, grid), np.tile(ticks, grid)
+    xs = s * ctx.periods.omega1 + t * ctx.periods.omega2 if ctx is not None else s + 1j * t
 
-    def row(index: int, s: float, t: float):
-        x = s * ctx.periods.omega1 + t * ctx.periods.omega2 if ctx is not None else complex(s, t)
+    def accept(index, y):
+        x = xs[index]
+        z = -(x + y)
+        ok = sampler.admissible(ctx, shift, x) & sampler.admissible(ctx, shift, y)
+        ok &= sampler.admissible(ctx, shift, z)
+        r, fault = np.zeros(len(y)), np.full(len(y), _SKIPS.index("guard"))
+        r[ok], fault[ok] = residual(fam, fam, fam, x[ok], y[ok], z[ok])
+        return r, fault
 
-        def accept(y):
-            z = -(x + y)
-            ok = all(sampler.admissible(ctx, shift, p) for p in (x, y, z))
-            return residual(fam, fam, fam, x, y, z) if ok else None
+    def draw(rng, n):
+        return sampler._points(rng, n, 1, ctx)[:, 0]
 
-        ((y, r),) = _draws(sampler.seed, (index,), 200, lambda rng: sampler._draw(rng, ctx), accept)
-        return x, y, r
-
-    return [row(i * grid + j, s, t) for i, s in enumerate(ticks) for j, t in enumerate(ticks)]
+    ys, rs = _draws(sampler.seed, len(xs), draw, accept, 200 * len(xs), rounds=200)
+    return list(zip(xs.tolist(), ys.tolist(), rs.tolist()))
 
 
 # -- closed-form cross-checks ----------------------------------------------------------
@@ -427,19 +515,23 @@ def sigma_identity_scan(
     w1, w2 = ctx.periods.omega1, ctx.periods.omega2
     pole = max(ctx.tol.pole, 0.04 * ctx.lambda_min)
 
-    def draw(rng):
-        st = rng.uniform(-spread, spread, 6)
-        return st[0] * w1 + st[1] * w2, st[2] * w1 + st[3] * w2, st[4] * w1 + st[5] * w2
+    def draw(rng, n):
+        st = rng.uniform(-spread, spread, (n, 3, 2))
+        return st[..., 0] * w1 + st[..., 1] * w2
 
-    def accept(abc):
-        a, b, c = abc
-        probes = (a, b, c, a - b, b - c, c - a, a + b + c)
-        if any(elliptic.lattice_distance(ctx, p) <= pole for p in probes):
-            return None
-        return _det_vs_sigma(ctx, a, b, c)
+    score = _per_triple(lambda a, b, c: _det_vs_sigma(ctx, a, b, c))
 
-    triples, residuals = zip(*_draws(seed, range(count), 200 * count, draw, accept))
-    return _aggregate(residuals, triples, tol, "det3 vs sigma quotient", {"skipped": 0})
+    def accept(_, abc):
+        a, b, c = abc.T
+        probes = np.stack((a, b, c, a - b, b - c, c - a, a + b + c))
+        near = (elliptic._lattice_distance_array(ctx, probes) <= pole).any(axis=0)
+        values, faults = np.zeros(len(abc)), near.astype(int)
+        values[~near], faults[~near] = score(*abc[~near].T)
+        return values, faults
+
+    drawn, residuals = _draws(seed, count, draw, accept, 200 * count)
+    triples = list(map(tuple, drawn.tolist()))
+    return _aggregate(residuals.tolist(), triples, tol, "det3 vs sigma quotient", {"skipped": 0})
 
 
 def shifted_det_vs_sigma_scan(
@@ -460,7 +552,7 @@ def shifted_det_vs_sigma_scan(
     fam = WeierstrassShifted(ctx, shift)
     return _collect(
         sampler.triples((fam, fam, fam)),
-        lambda x, y, z: _det_vs_sigma(ctx, x + shift, y + shift, z + shift),
+        _per_triple(lambda x, y, z: _det_vs_sigma(ctx, x + shift, y + shift, z + shift)),
         tol,
         note="shifted determinant vs sigma quotient",
     )
@@ -543,7 +635,7 @@ def derived_determinant_check(
         return abs(value) / max(jetpoly.evaluate(poly, fv, gv, absolute=True), 1e-100)
 
     label = f"columns ({k}, {l}, {s})" if s is not None else f"columns ({k}, {l})"
-    return _collect(sampler.triples((ff, fg, fh)), evaluate, tol, note=label)
+    return _collect(sampler.triples((ff, fg, fh)), _per_triple(evaluate), tol, note=label)
 
 
 def _third_order_operator(S, x: complex, y: complex, h: float) -> complex:
@@ -593,7 +685,7 @@ def factfun_check(
         return abs(value) / det3_scale(*(fam.jets(t, 1) for t in (x, y, z)))
 
     note = f"h = {h_step:g}, one Richardson level"
-    return _collect(sampler.triples((fam, fam, fam)), evaluate, tol, note)
+    return _collect(sampler.triples((fam, fam, fam)), _per_triple(evaluate), tol, note)
 
 
 def constant_case_check(
@@ -611,9 +703,10 @@ def constant_case_check(
     """
 
     def evaluate(x, y, z):
-        fv, gv = ff.jets(x, 1).values, fg.jets(y, 1).values
-        p, q = fv[0] * gv[1], fv[1] * gv[0]
-        return abs(p - q) / max(1.0, abs(p), abs(q))
+        (fv, fp, f1), (gv, gp, f2) = ff.jets_array(x), fg.jets_array(y)
+        with np.errstate(all="ignore"):
+            p, q = fv * gp, fp * gv
+            return np.abs(p - q) / np.maximum(np.maximum(np.abs(p), np.abs(q)), 1.0), _first_fault(f1, f2)
 
     return _collect(sampler.triples((ff, fg, Constant(0j))), evaluate, tol)
 

@@ -115,6 +115,16 @@ class ThetaOracle:
             ratio = mp.jtheta(1, v, self.q, 1) / mp.jtheta(1, v, self.q)
             return complex(self.eta1 * z / self.w + (mp.pi / (2 * self.w)) * ratio)
 
+    def wp_dp(self, z):
+        """(pe, pe') = (-zeta', -zeta''), differentiating zeta above through v."""
+        mp = self.mp
+        with mp.workdps(30):
+            a = mp.pi / (2 * self.w)
+            t0, t1, t2, t3 = (mp.jtheta(1, a * mp.mpc(z), self.q, d) for d in range(4))
+            r1, r2, r3 = t1 / t0, t2 / t0, t3 / t0
+            pe = -self.eta1 / self.w - a**2 * (r2 - r1**2)
+            return complex(pe), complex(-(a**3) * (r3 - 3 * r2 * r1 + 2 * r1**3))
+
 
 class TestConstruction:
     @pytest.mark.parametrize("w", [0.1, 0.05])
@@ -268,6 +278,105 @@ class TestWp:
             diff = abs(el.wp(ctx, z) - target)
             # leading correction is (g2/20) z^2
             assert diff <= 1.5 * eps * abs(z) ** 2 / 20.0 + 1e-13
+
+
+def cell_points(ctx, count, seed, im_cap=None):
+    """Points over a 2x2 block of cells about the origin, lattice points included."""
+    rng = np.random.default_rng(seed)
+    w1, w2 = ctx.periods.omega1, ctx.periods.omega2
+    st = rng.uniform(-1.0, 1.0, (count, 2))
+    z = st[:, 0] * w1 + st[:, 1] * w2
+    if im_cap is not None:
+        z = z.real + 1j * np.clip(z.imag, -im_cap, im_cap)
+    return np.concatenate((z, [0j, w1, w1 + w2, -w2]))
+
+
+class TestWpArray:
+    """The batch evaluator against scalar `_wp_dp` and the theta oracle."""
+
+    @staticmethod
+    def assert_matches_scalar(ctx, z):
+        p, dp, fault = el._wp_dp_array(ctx, z)
+        for zi, pi, dpi, fi in zip(z.tolist(), p.tolist(), dp.tolist(), fault.tolist()):
+            try:
+                sp, sdp = el._wp_dp(ctx, zi)
+            except PoleProximity:
+                assert fi == el._POLE and math.isnan(pi.real) and math.isnan(dpi.real)
+                continue
+            assert fi == 0
+            assert abs(pi - sp) <= 1e-12 * max(1.0, abs(sp))
+            assert abs(dpi - sdp) <= 1e-12 * max(1.0, abs(sdp))
+        return fault
+
+    @pytest.mark.parametrize("name", ["square_ctx", "hex_ctx", "generic_ctx", "tall_ctx"])
+    def test_matches_scalar_over_cells(self, name, request):
+        ctx = request.getfixturevalue(name)
+        # on the tall lattice both paths lose digits deep in the cell, where
+        # repeated duplication amplifies round-off: compare within |Im z| <= 1.2
+        z = cell_points(ctx, 300, 1, im_cap=1.2 if name == "tall_ctx" else None)
+        fault = self.assert_matches_scalar(ctx, z)
+        assert (fault == el._POLE).sum() == 4  # the four lattice points
+        if name == "tall_ctx":  # the others' cells lie inside the series disc
+            reduced = np.array([el._reduce_near_zero(ctx, zi)[0] for zi in z.tolist()])
+            assert (np.abs(reduced) > ctx.r_safe).sum() >= 10
+
+    @pytest.mark.parametrize("name", ["normal_form_ctx", "degenerate_ctx"])
+    def test_matches_scalar_without_periods(self, name, request):
+        ctx = request.getfixturevalue(name)
+        rng = np.random.default_rng(2)
+        z = rng.uniform(-2.0, 2.0, (300, 2)).view(complex)[:, 0]
+        fault = self.assert_matches_scalar(ctx, np.append(z, 0j))
+        assert fault[-1] == el._POLE
+        if ctx.r_safe < 2.0:
+            assert (np.abs(z) > ctx.r_safe).sum() >= 10
+
+    @pytest.mark.parametrize("tau, scale", [(1j, 1.0), (cmath.exp(1j * math.pi / 3), 3.0), (0.3 + 1.4j, 0.7)])
+    def test_matches_theta_oracle(self, tau, scale):
+        ctx = el.from_periods(scale, scale * tau)
+        oracle = ThetaOracle(scale, scale * tau)
+        z = cell_points(ctx, 12, 3)[:12]
+        p, dp, fault = el._wp_dp_array(ctx, z)
+        assert not fault.any()
+        for zi, pi, dpi in zip(z.tolist(), p.tolist(), dp.tolist()):
+            op, odp = oracle.wp_dp(zi)
+            assert abs(pi - op) <= 1e-12 * max(1.0, abs(op))
+            assert abs(dpi - odp) <= 1e-12 * max(1.0, abs(odp))
+
+    def test_symmetric_lattices_sum_past_zero_coefficients(self, square_ctx, hex_ctx):
+        # every second c_k vanishes on the square lattice, two of three on the
+        # hexagonal one (to round-off): the terms that matter follow small ones
+        for ctx in (square_ctx, hex_ctx):
+            u = (0.74 * ctx.r_safe) ** 2
+            size = [abs(c) * u ** (i + 2) for i, c in enumerate(ctx.laurent_coeffs)]
+            last = max(i for i, m in enumerate(size) if m >= 1e-18)
+            assert sum(m < 1e-18 for m in size[:last]) >= 10
+            z = 0.74 * ctx.r_safe * np.exp(1j * np.linspace(0.1, 3.0, 7))
+            self.assert_matches_scalar(ctx, z)
+
+    def test_non_finite_value_is_pole_fault(self):
+        # with no pole tolerance, 1/z^3 overflows next to the origin
+        ctx = el.from_periods(2.0, 2.0j, pole_tol=0.0)
+        p, dp, fault = el._wp_dp_array(ctx, np.array([1e-150 + 0j, 0.5 + 0.5j]))
+        assert fault.tolist() == [el._POLE, 0]
+        assert math.isnan(p[0].real) and math.isnan(dp[0].real) and math.isfinite(p[1].real)
+
+    @pytest.mark.parametrize("name", ["square_ctx", "hex_ctx", "generic_ctx", "tall_ctx"])
+    def test_lattice_distance_matches_scalar(self, name, request):
+        ctx = request.getfixturevalue(name)
+        z = cell_points(ctx, 500, 4)
+        got = el._lattice_distance_array(ctx, z)
+        assert got.tolist() == pytest.approx([el.lattice_distance(ctx, zi) for zi in z.tolist()], rel=1e-14)
+
+    def test_empty_batch(self, square_ctx):
+        p, dp, fault = el._wp_dp_array(square_ctx, np.empty(0, complex))
+        assert p.shape == dp.shape == fault.shape == (0,)
+
+    def test_too_many_halvings_is_series_fault(self, normal_form_ctx):
+        z = np.array([0.5, 1e30 + 0j])
+        with pytest.raises(SeriesNoConverge):
+            el._wp_dp(normal_form_ctx, 1e30)
+        _, _, fault = el._wp_dp_array(normal_form_ctx, z)
+        assert fault.tolist() == [0, el._NO_CONVERGE]
 
 
 class TestWpPrime:

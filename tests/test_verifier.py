@@ -42,6 +42,41 @@ class TestFamilies:
             vr.Exponential().antiderivative(800)
 
 
+class TestFamilyArrays:
+    @pytest.mark.parametrize(
+        "fam",
+        [vr.Exponential(2.0, 0.5j, 1.0 - 0.5j), vr.Linear(1.5 - 1j, 2.0), vr.Constant(0.7 + 0.1j)],
+        ids=["exp", "linear", "constant"],
+    )
+    def test_closed_forms_match_jets(self, fam):
+        x = np.random.default_rng(9).uniform(-1.0, 1.0, (40, 2)).view(complex)[:, 0]
+        f, df, fault = fam.jets_array(x)
+        assert not fault.any()
+        for xi, fi, dfi in zip(x.tolist(), f.tolist(), df.tolist()):
+            assert (fi, dfi) == pytest.approx(fam.jets(xi, 1).values, rel=1e-15, abs=1e-15)
+
+    def test_shifted_wp_matches_jets(self, generic_ctx):
+        fam = vr.WeierstrassShifted(generic_ctx, 0.4 - 0.3j)
+        x = np.append(np.random.default_rng(10).uniform(-2.0, 2.0, (40, 2)).view(complex)[:, 0], 0.3j - 0.4)
+        f, df, fault = fam.jets_array(x)
+        assert fault.tolist() == [0] * 40 + [1]
+        for xi, fi, dfi in zip(x[:40].tolist(), f.tolist(), df.tolist()):
+            want = fam.jets(xi, 1).values
+            assert abs(fi - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
+            assert abs(dfi - want[1]) <= 1e-12 * max(1.0, abs(want[1]))
+
+    def test_batch_residual_matches_scalar(self, hex_ctx):
+        ff, fg = vr.WeierstrassShifted(hex_ctx, 0.2), vr.WeierstrassShifted(hex_ctx, 0.5j)
+        fh = vr.WeierstrassShifted(hex_ctx, -0.2 - 0.5j)
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(-2.0, 2.0, (2, 60, 2)).view(complex)[..., 0]
+        r, fault = vr.residual(ff, fg, fh, x, y)
+        assert not fault.any()
+        for xi, yi, ri in zip(x.tolist(), y.tolist(), r.tolist()):
+            want = vr.residual(ff, fg, fh, xi, yi)
+            assert abs(ri - want) <= 1e-12 * max(1.0, want)
+
+
 class TestDet3:
     def test_repeated_columns_vanish(self):
         j = vr.Exponential().jets(0.37, 1)
@@ -131,17 +166,75 @@ class TestResidualAndScan:
 
 
 class TestSampling:
-    def test_stream_is_keyed_by_seed_index_attempt(self):
-        # without poles every first attempt is accepted: sample i comes from
-        # the generator seeded with (seed, i, 0), drawing x then y in the box
+    def test_stream_is_keyed_by_seed_index_attempt(self, square_ctx):
+        # round k draws one block from the generator seeded with (seed, k);
+        # sample i takes row i, (s, t) of x then of y, until x, y and z all
+        # clear the pole radius
+        fam = vr.WeierstrassShifted(square_ctx, 0j)
+        sampler = vr.TripleSampler(seed=4, count=30, pole_radius=0.5)
+        got = list(sampler.triples((fam, fam, fam)))
+        w1, w2 = square_ctx.periods.omega1, square_ctx.periods.omega2
+        blocks = [np.random.default_rng((4, k)).uniform(0.05, 0.95, (30, 2, 2)) for k in range(40)]
+        want, rounds = [], []
+        for index in range(30):
+            for k, block in enumerate(blocks):
+                x, y = (s * w1 + t * w2 for s, t in block[index])
+                triple = (x, y, -(x + y))
+                if all(el.lattice_distance(square_ctx, p) > 0.5 for p in triple):
+                    want.append(triple)
+                    rounds.append(k)
+                    break
+        assert got == want
+        assert max(rounds) >= 2  # some samples were redrawn, in later rounds
+
+    def test_box_stream_reads_re_im_pairs(self):
         fam = vr.Exponential()
         got = list(vr.TripleSampler(seed=4, count=3).triples((fam, fam, fam)))
-        want = []
-        for index in range(3):
-            rng = np.random.default_rng((4, index, 0))
-            x, y = (complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2))
-            want.append((x, y, -(x + y)))
+        block = np.random.default_rng((4, 0)).uniform(-1.0, 1.0, (3, 2, 2))
+        want = [(complex(*x), complex(*y), -(complex(*x) + complex(*y))) for x, y in block]
         assert got == want
+
+    def test_prefix_stable(self, square_ctx):
+        fam = vr.WeierstrassShifted(square_ctx, 0.3j)
+        long = list(vr.TripleSampler(seed=8, count=100, pole_radius=0.4).triples((fam, fam, fam)))
+        short = list(vr.TripleSampler(seed=8, count=50, pole_radius=0.4).triples((fam, fam, fam)))
+        assert long[:50] == short
+
+    @pytest.mark.parametrize("budget, exhausted", [(6, False), (5, True)])
+    def test_budget_is_pooled_as_sample_by_sample(self, budget, exhausted):
+        # sample i is accepted at attempt i: drawing sample by sample spends
+        # 1 + 2 + 3 = 6 draws on three samples
+        attempts = []
+
+        def accept(samples, rows):
+            attempts.append(samples.size)
+            return rows.astype(float), (samples >= len(attempts)).astype(int)
+
+        run = lambda: vr._draws(0, 3, lambda rng, n: rng.uniform(size=n), accept, budget)  # noqa: E731
+        if exhausted:
+            with pytest.raises(SamplerExhausted):
+                run()
+            assert sum(attempts) == 3 + 2  # the third round would overspend
+        else:
+            drawn, values = run()
+            assert attempts == [3, 2, 1] and drawn.tolist() == values.tolist()
+
+    def test_starved_sampler_spends_the_pooled_budget(self, square_ctx, monkeypatch):
+        spent = []
+        draws = vr._draws
+
+        def counted(seed, count, draw, accept, budget, rounds=None):
+            def counting(samples, rows):
+                spent.append(samples.size)
+                return accept(samples, rows)
+
+            return draws(seed, count, draw, counting, budget, rounds)
+
+        monkeypatch.setattr(vr, "_draws", counted)
+        fam = vr.WeierstrassShifted(square_ctx, 0j)
+        with pytest.raises(SamplerExhausted):
+            list(vr.TripleSampler(count=7, pole_radius=10.0).triples((fam, fam, fam)))
+        assert sum(spent) == 700
 
     def test_pole_radius_beyond_the_cell_starves(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
@@ -150,7 +243,8 @@ class TestSampling:
 
     def test_skip_counts_add_up(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
-        rep = vr.factfun_check(fam, vr.TripleSampler(seed=10, count=80))
+        # h = 0.1 widens the stencil guard to 0.46, so about a third of the draws hit it
+        rep = vr.factfun_check(fam, vr.TripleSampler(seed=10, count=80), h_step=0.1)
         skipped = {k: v for k, v in rep.details.items() if k.startswith("skipped_")}
         assert rep.details["skipped_guard"] > 0
         assert rep.details["skipped"] == sum(skipped.values())
@@ -160,6 +254,24 @@ class TestSampling:
         fam = vr.Exponential()
         rep = vr.scan(fam, fam, fam, vr.TripleSampler(seed=0, count=50), tol=1e-8)
         assert rep.details == {"skipped": 0}
+
+    def test_triple_on_a_pole_is_skipped(self, square_ctx):
+        class Fixed:
+            def triples(self, families):
+                yield (0.3 + 0.4j, 0.5 - 0.2j, -0.8 - 0.2j)
+                yield (2.0 + 0j, 0.4j, -2.0 - 0.4j)  # x on the lattice
+                yield (0.5 + 0.3j, 1.5 - 0.3j, -2.0 + 0j)  # z on the lattice
+
+        fam = vr.WeierstrassShifted(square_ctx, 0j)
+        rep = vr.scan(fam, fam, fam, Fixed(), tol=1e-8)
+        assert rep.samples == 1 and rep.passed
+        assert rep.details == {"skipped": 2, "skipped_PoleProximity": 2}
+        assert rep.worst_triple == (0.3 + 0.4j, 0.5 - 0.2j, -0.8 - 0.2j)
+
+    def test_overflow_in_a_batch_raises(self):
+        sampler = vr.TripleSampler(count=50, unconstrained=True)
+        with pytest.raises(FloatOverflow):
+            vr.constant_case_check(vr.Exponential(delta=800), vr.Exponential(), sampler)
 
 
 class TestInvarianceClosure:
