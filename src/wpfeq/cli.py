@@ -593,7 +593,7 @@ def _cmd_eval(args, parser) -> int:
     }[args.fn]
     try:
         value = fn(ctx, z)
-    except (PoleProximity, SeriesNoConverge) as exc:
+    except PoleProximity as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     print(f"{format(value.real, '.17g')} {format(value.imag, '.17g')}")

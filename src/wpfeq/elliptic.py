@@ -1,28 +1,34 @@
 """Numerical evaluation of the Weierstrass functions from periods or invariants.
 
-Generators are Gauss-reduced; g2, g3 and the discriminant come from the
-q-series in r = exp(2 pi i tau) of the reduced tau (DLMF 23.8). pe is
-evaluated through its Laurent expansion about the origin,
+Generators are Gauss-reduced to (b1, b2) with tau = b2/b1 in the fundamental
+domain; g2, g3 and the discriminant come from the q-series in
+r = exp(2 pi i tau) (DLMF 23.8). pe, pe', zeta and sigma all come from one
+series of Jacobi's theta1 in the nome q = exp(i pi tau) (DLMF 20.5, 23.6).
+With k = pi/b1, v = k z and a_n = q^(2n)/(1 - q^(2n)),
 
-    pe(z) = 1/z^2 + sum_{k>=2} c_k z^(2k-2),
-    c_2 = g2/20,  c_3 = g3/28,
-    c_k = 3/((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_{k-m}   (k >= 4),
+    L(v) = theta1'(v)/theta1(v) = cot v + 4 sum_n a_n sin 2nv,
+    pe = -2 eta1/b1 - k^2 L'(v),   pe' = -k^3 L''(v),
+    zeta = 2 eta1 z/b1 + k L(v),
+    sigma = exp(eta1 z^2/b1) (sin v / k) prod_n (1 + a_n (1 - e^(2iv))) (1 + a_n (1 - e^(-2iv))),
 
-inside a safe disc, extended to the rest of the plane by repeated argument
-halving plus the duplication formula, and, when period generators are known,
-by first translating the argument to its representative nearest the origin.
-Higher derivatives come from successive differentiation of the normal-form
-ODE  pe'^2 = 4 pe^3 - g2 pe - g3,  never from numerical differentiation.
-The sampled checks take pe and pe' a whole batch at a time, by the same
-method on numpy arrays (`_wp_dp_array`); the scalar functions answer point
-queries and are its reference.
+where eta1 = zeta(b1/2) = (pi^2/(6 b1)) (1 - 24 sum_n n a_n) is the E2
+series. The argument is first reduced by rounding both of its lattice
+coordinates; zeta and sigma restore the shift through the quasi-period
+constants, the second from Legendre's relation, sigma in log space so that
+only a value beyond the float range raises. cot v, 1/sin^2 v and sin v are
+written in e = e^(2iu), u = +-v with |e| <= 1, and e - 1 from expm1, so no
+lattice is too tall to evaluate (see `_point`). Higher derivatives come from
+differentiating the normal-form ODE  pe'^2 = 4 pe^3 - g2 pe - g3, never from
+numerical differentiation. The scalar functions answer point queries in
+plain complex arithmetic; the sampled checks take pe and pe' a whole batch
+at a time over the same coefficients (`_wp_dp_array`).
 
-zeta integrates -pe termwise (principal part 1/z, odd), takes one
-duplication step beyond the safe disc and extends over the plane by its
-quasi-period constants, the second from Legendre's relation.
-sigma comes from a Taylor table on a validated disc whose coefficients are
-exact polynomials in g2, g3 from Weierstrass's integer recurrence (DLMF
-23.9.7-23.9.8), built once per process.
+A context built from invariants alone takes its generators from the complex
+AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
+Theory 133, 2013) and keeps them only when their q-series invariants give
+(g2, g3) back. With zero discriminant the same series runs at q = 0:
+pe = k^2/sin^2(kz) - k^2/3 with k^2 = 9 g3/(2 g2), or pe = 1/z^2 when
+g2 = g3 = 0.
 
 A slow, Richardson-accelerated lattice double sum is included as an
 independent cross-check oracle for pe. The lattice convention throughout:
@@ -33,9 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,17 +51,18 @@ from .errors import (
     SeriesNoConverge,
 )
 
-# c_k table length: within the 0.78 lambda_min cap on r_safe the k-th term over
-# the principal part is at most (2k-1) N 0.78^(2k), N <= 6: below 1e-16 by k = 90
-_LAURENT_TERMS = 100
+# theta-series length: a Gauss-reduced tau has |q| <= exp(-pi sqrt(3)/2) < 0.066,
+# and rounding both lattice coordinates keeps |Im v| <= pi Im(tau)/2, so term n
+# of the pe' sum is at most 8 n^2 |q|^n k^3: below 2e-17 k^3 from n = 17 on
+_THETA_TERMS = 16
 _DISC_REL_TOL = 1e-9  # relative tolerance classifying the discriminant
+_INVARIANT_TOL = 1e-12  # round trip of the AGM generators, relative to the scale
 
 
 @dataclass(frozen=True)
 class ToleranceSet:
-    """Evaluation tolerances: series truncation, pole exclusion, lattice test."""
+    """Evaluation tolerances: pole exclusion, lattice test."""
 
-    series: float = 1e-12
     pole: float = 1e-6
     lattice: float = 1e-9
 
@@ -94,23 +99,23 @@ class JetValues:
 class EllipticContext:
     """Immutable evaluation context; safe to share across concurrent readers.
 
-    laurent_coeffs[i] holds c_(i+2) of the pe expansion; sigma_coeffs[n] is
-    the coefficient of u^n in sigma(z)/z with u = z^2. The remaining fields
-    are derived once at construction: a Gauss-reduced generator pair, the
-    lattice minimum, the safe series disc, the sigma validity radius and the
-    zeta quasi-period constants for the reduced generators.
+    `reduced` is a Gauss-reduced generator pair (b1, b2) with Im(b2/b1) > 0,
+    from the periods or, for invariants only, from the AGM; it is None when
+    the discriminant vanishes. The theta series runs on k = pi/b1 (0 when
+    g2 = g3 = 0) and theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut where
+    q^(2n) underflows; eta holds the quasi-period constants
+    (zeta(b1/2), zeta(b2/2)). lambda_min is |b1|, the distance to the
+    nearest lattice point (pi/|k| when the discriminant vanishes).
     """
 
     invariants: Invariants
     periods: Periods | None
-    laurent_coeffs: tuple[complex, ...]
-    sigma_coeffs: tuple[complex, ...]
     tol: ToleranceSet
     reduced: tuple[complex, complex] | None
     lambda_min: float
-    r_safe: float
-    r_sigma: float
-    eta_half: tuple[complex, complex] | None
+    k: complex
+    theta_coeffs: tuple[complex, ...]
+    eta: tuple[complex, complex]
 
 
 # -- small lattice helpers ----------------------------------------------------
@@ -152,172 +157,14 @@ def _reduce_near_zero(ctx: EllipticContext, z: complex) -> tuple[complex, int, i
     return best
 
 
-# -- series machinery ----------------------------------------------------------
-
-
-def laurent_coefficients(g2: complex, g3: complex, count: int = _LAURENT_TERMS) -> tuple[complex, ...]:
-    """Table (c_2, c_3, ..., c_(count+1)) from the standard recurrence."""
-    c = [0j] * (count + 2)
-    if count >= 1:
-        c[2] = g2 / 20.0
-    if count >= 2:
-        c[3] = g3 / 28.0
-    for k in range(4, count + 2):
-        acc = 0j
-        for m in range(2, k - 1):
-            acc += c[m] * c[k - m]
-        c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
-    return tuple(c[2:])
-
-
-def _lambda_min_estimate(ctable) -> float:
-    """Nearest-lattice-point distance inferred from coefficient decay.
-
-    c_k ~ (2k-1) * N * lambda^(-2k) with N >= 2 minimal vectors; using N = 2
-    slightly underestimates the true distance, which is the safe direction.
-    """
-    best = math.inf
-    for i in range(len(ctable) - 1, max(len(ctable) - 12, 0), -1):
-        k = i + 2
-        mag = abs(ctable[i])
-        if mag > 0.0:
-            best = min(best, (2.0 * (2 * k - 1) / mag) ** (1.0 / (2 * k)))
-    return best
-
-
-def _safe_radius(ctable, eps: float, cap: float) -> float:
-    """Largest series radius whose 60-term tail bound stays below eps.
-
-    The bound is relative to the principal part: the k-th term contributes
-    |c_k| r^(2k) compared with r^(-2), so the 60th term must satisfy
-    |c_60| r^120 <= eps.
-    """
-    k = min(60, len(ctable) + 1)
-    mag = abs(ctable[k - 2])
-    if mag == 0.0:
-        return cap
-    r = (eps / mag) ** (1.0 / (2.0 * k))
-    return min(r, cap)
-
-
-def _wp_series(ctable, z: complex, eps: float) -> tuple[complex, complex]:
-    u = z * z
-    p = 1.0 / u
-    dp = -2.0 / (u * z)
-    scale = abs(p)
-    # sum past the requested tolerance to the machine floor: downstream
-    # identities amplify the truncated tail by roughly the invariant size
-    cut = max(1e-16, 1e-4 * eps)
-    zpow = 1.0 + 0j
-    good = 0
-    for i, ck in enumerate(ctable):
-        k = i + 2
-        zpow *= u
-        term = ck * zpow
-        p += term
-        dp += (2 * k - 2) * ck * zpow / z
-        if abs(term) <= cut * max(abs(p), scale):
-            good += 1
-            if good >= 3:
-                return p, dp
-        else:
-            good = 0
-    raise SeriesNoConverge("pe series did not converge within the coefficient table")
-
-
-def _zeta_series(ctable, z: complex, eps: float) -> complex:
-    acc = 1.0 / z
-    u = z * z
-    cut = max(1e-16, 1e-4 * eps)
-    zpow = z
-    good = 0
-    for i, ck in enumerate(ctable):
-        k = i + 2
-        zpow *= u
-        term = ck * zpow / (2 * k - 1)
-        acc -= term
-        if abs(term) <= cut * max(1.0, abs(acc)):
-            good += 1
-            if good >= 3:
-                return acc
-        else:
-            good = 0
-    raise SeriesNoConverge("zeta series did not converge; argument too far from the origin")
-
-
-_SIGMA_TERMS = 100
-
-
-@lru_cache(maxsize=2)
-def _sigma_exact_table(n_max: int = _SIGMA_TERMS):
-    """Exact u-coefficients of sigma(z)/z as sparse polynomials in (g2, g3).
-
-    Row N maps (m, n), standing for g2^m g3^n with 2m + 3n = N, to
-    a_(m,n) 2^(n-m) / (2N+1)! with Weierstrass's integers (DLMF 23.9.7-23.9.8):
-    a_(0,0) = 1, 3 a_(m,n) = 9(m+1) a_(m+1,n-1) + 16(n+1) a_(m-2,n+1)
-    - (2m+3n-1)(4m+6n-1) a_(m-1,n), negative indices counting as zero. Exact:
-    a float recurrence has a noise floor far above the superexponentially
-    decaying coefficients. Built once per process, shared by every context.
-    """
-    a = {(0, 0): 1}
-    rows: list[dict[tuple[int, int], Fraction]] = [{(0, 0): Fraction(1)}]
-    for weight in range(1, n_max + 1):
-        row = {}
-        for n in range(weight % 2, weight // 3 + 1, 2):
-            m = (weight - 3 * n) // 2
-            a[m, n] = (
-                9 * (m + 1) * a.get((m + 1, n - 1), 0)
-                + 16 * (n + 1) * a.get((m - 2, n + 1), 0)
-                - (2 * m + 3 * n - 1) * (4 * m + 6 * n - 1) * a.get((m - 1, n), 0)
-            ) // 3
-            row[m, n] = Fraction(a[m, n] * 2**n, 2**m * math.factorial(2 * weight + 1))
-        rows.append(row)
-    return tuple(rows)
-
-
-@lru_cache(maxsize=1)
-def _sigma_float_table():
-    """The exact table's coefficients as floats, (m, n, a) in the rows' order."""
-    return tuple(tuple((m, n, float(q)) for (m, n), q in row.items()) for row in _sigma_exact_table())
-
-
-def _sigma_table(g2: complex, g3: complex, r_target: float, eps: float):
-    """Numeric Taylor table of sigma(z)/z in u = z^2 with a validated radius.
-
-    Evaluates the exact coefficient table at the context invariants, then
-    truncates where the terms at the target radius fall below eps relative
-    to the largest term; if the table is too short for that radius, the
-    radius is shrunk to where the trailing terms are safe.
-    """
-    coeffs = []
-    for poly in _sigma_float_table():
-        val = 0j
-        for m, n, q in poly:
-            try:
-                val += q * g2**m * g3**n
-            except OverflowError as exc:
-                raise FloatOverflow(f"sigma table overflows at g2 = {g2:.3g}; lattice too small") from exc
-        # a row near underflow may pass for a converged tail: the table ends
-        # there (a stopgap until scale normalisation, ROADMAP 4(b))
-        if abs(val) < 1e-292 and any((g2 or not m) and (g3 or not n) for m, n, _ in poly):
-            break
-        coeffs.append(val)
-    log_mags = [math.log(abs(v)) if abs(v) > 0.0 else -math.inf for v in coeffs]
-    log_eps = math.log(eps) - math.log(100.0)
-    r = r_target
-    for _ in range(200):
-        lr2 = 2.0 * math.log(r)
-        logs = [log_mags[n] + n * lr2 for n in range(len(log_mags))]
-        top = max(range(len(logs)), key=logs.__getitem__)
-        small = [lt <= log_eps + logs[top] for lt in logs]
-        # truncate at the first run of five small terms past the largest one
-        for n in range(max(top + 5, 10), len(logs)):
-            if all(small[n - 4 : n + 1]):
-                return tuple(coeffs[: n + 1]), r
-        if all(small[-5:]):
-            return tuple(coeffs), r
-        r *= 0.95
-    raise SeriesNoConverge("sigma table does not stabilise at any useful radius")
+def _reduce(ctx: EllipticContext, z: complex) -> tuple[complex, int, int]:
+    """(z0, m, n) with z = z0 + m*b1 + n*b2, both lattice coordinates of z0 rounded away."""
+    if ctx.reduced is None:
+        return z, 0, 0
+    b1, b2 = ctx.reduced
+    s, t = _lattice_coords(z, b1, b2)
+    m, n = round(s), round(t)
+    return z - m * b1 - n * b2, m, n
 
 
 # -- the reference lattice sum ---------------------------------------------------
@@ -435,11 +282,34 @@ def _classify_invariants(g2: complex, g3: complex) -> Invariants:
     return Invariants(complex(g2), complex(g3), disc, tag)
 
 
+def _oriented_basis(w1: complex, w2: complex) -> tuple[complex, complex]:
+    """Gauss-reduced pair of the lattice, b2 negated if need be so that Im(b2/b1) > 0."""
+    b1, b2 = _gauss_reduce(w1, w2)
+    return (b1, b2) if (b2 / b1).imag > 0 else (b1, -b2)
+
+
+def _lattice_context(
+    invariants: Invariants, periods: Periods | None, tol: ToleranceSet, b1: complex, b2: complex
+) -> EllipticContext:
+    """Context on the oriented reduced basis: theta coefficients and eta constants."""
+    r = cmath.exp(2j * math.pi * b2 / b1)
+    coeffs, rn = [], 1.0 + 0j
+    for _ in range(_THETA_TERMS):
+        rn *= r
+        if rn == 0:
+            break
+        coeffs.append(rn / (1.0 - rn))
+    k = math.pi / b1
+    # the E2 series gives zeta(b1/2); Legendre's relation (DLMF 23.2.14) zeta(b2/2)
+    eta1 = math.pi * k / 6.0 * (1.0 - 24.0 * sum(n * a for n, a in enumerate(coeffs, 1)))
+    eta2 = (eta1 * b2 - math.pi * 1j) / b1
+    return EllipticContext(invariants, periods, tol, (b1, b2), abs(b1), k, tuple(coeffs), (eta1, eta2))
+
+
 def from_periods(
     omega1: complex,
     omega2: complex,
     *,
-    series_tol: float = 1e-12,
     lattice_tol: float = 1e-9,
     pole_tol: float | None = None,
 ) -> EllipticContext:
@@ -452,79 +322,84 @@ def from_periods(
         raise DegenerateLattice("period ratio is real within tolerance")
     if ratio.imag < 0:
         w1, w2 = w2, w1
-    b1, b2 = _gauss_reduce(w1, w2)
-    lam_min = abs(b1)
-    orient = math.copysign(1.0, (b2 / b1).imag)
-    g2, g3, disc = _q_series_invariants(b1, orient * b2 / b1)
-    ctable = laurent_coefficients(g2, g3)
+    b1, b2 = _oriented_basis(w1, w2)
+    g2, g3, disc = _q_series_invariants(b1, b2 / b1)
     tol = ToleranceSet(
-        series=series_tol,
         pole=pole_tol if pole_tol is not None else 1e-3 * min(abs(w1), abs(w2)),
         lattice=lattice_tol,
     )
-    # the 0.78 lambda cap covers the reduced cell of rectangles up to Im tau ~ 1.1;
-    # beyond it wp halves and zeta takes one duplication step
-    r_safe = _safe_radius(ctable, series_tol, 0.78 * lam_min)
-    sigma_coeffs, r_sigma = _sigma_table(g2, g3, 1.3 * (abs(w1) + abs(w2)), series_tol)
-    # b2/2 may leave the zeta series disc: Legendre's relation (DLMF 23.2.14)
-    e1 = _zeta_series(ctable, b1 / 2.0, series_tol)
-    eta_half = (e1, (e1 * b2 - orient * math.pi * 1j) / b1)
-    return EllipticContext(
-        invariants=Invariants(g2, g3, disc, "generic"),
-        periods=Periods(w1, w2),
-        laurent_coeffs=ctable,
-        sigma_coeffs=sigma_coeffs,
-        tol=tol,
-        reduced=(b1, b2),
-        lambda_min=lam_min,
-        r_safe=r_safe,
-        r_sigma=r_sigma,
-        eta_half=eta_half,
-    )
+    return _lattice_context(Invariants(g2, g3, disc, "generic"), Periods(w1, w2), tol, b1, b2)
+
+
+def _agm(a: complex, b: complex) -> complex:
+    """Arithmetic-geometric mean by principal square roots.
+
+    For a and b in the right half-plane, as principal square roots are, the
+    principal root is the optimal choice at every step (Cremona and
+    Thongjunthug).
+    """
+    for _ in range(64):
+        if abs(a - b) <= 1e-15 * abs(a):
+            break
+        a, b = 0.5 * (a + b), cmath.sqrt(a * b)
+    return a
+
+
+def _agm_basis(g2: complex, g3: complex) -> tuple[complex, complex]:
+    """Oriented reduced generators of the lattice with invariants (g2, g3).
+
+    With e1, e2, e3 the roots of 4t^3 - g2 t - g3, pi/M(sqrt(e1 - e3),
+    sqrt(e1 - e2)) and pi i/M(sqrt(e1 - e3), sqrt(e2 - e3)) span the lattice,
+    M the optimal AGM (Cremona and Thongjunthug). The basis must give
+    (g2, g3) back through the q-series to 1e-12 of the scale, or this raises:
+    on tall lattices the float invariants no longer fix tau, so that round
+    trip, not the basis, is what is guaranteed.
+    """
+    e1, e2, e3 = np.roots([4.0, 0.0, -g2, -g3]).tolist()
+    m1 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
+    m2 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
+    # the generators' ratio i m1/m2 must not be real
+    if not (m2 and abs((m1 / m2).real) > 1e-9 * abs(m1 / m2)):
+        raise SeriesNoConverge("the AGM periods of the invariants span no lattice")
+    b1, b2 = _oriented_basis(math.pi / m1, math.pi * 1j / m2)
+    h2, h3, _ = _q_series_invariants(b1, b2 / b1)
+    scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+    err = max(abs(h2 - g2) / scale**4, abs(h3 - g3) / scale**6)
+    if not err <= _INVARIANT_TOL:
+        raise SeriesNoConverge(f"the AGM lattice misses the invariants by {err:.3g} of the scale")
+    return b1, b2
 
 
 def from_invariants(
     g2: complex,
     g3: complex,
     *,
-    series_tol: float = 1e-12,
     lattice_tol: float = 1e-9,
     pole_tol: float | None = None,
 ) -> EllipticContext:
     """Context from invariants only; lattice queries are unavailable.
 
-    The implied nearest-pole distance is inferred from the decay of the
-    Laurent coefficients, so series evaluation keeps honest error control
-    even though the lattice itself is unknown.
+    A nonzero discriminant gets its generators from the AGM (`_agm_basis`),
+    which raises SeriesNoConverge rather than return a lattice with other
+    invariants. Otherwise the theta series runs at q = 0 with
+    k^2 = 9 g3/(2 g2), or k = 0 when g2 = g3 = 0.
     """
-    g2, g3 = complex(g2), complex(g3)
-    ctable = laurent_coefficients(g2, g3)
-    lam_est = _lambda_min_estimate(ctable)
-    if math.isinf(lam_est):
-        r_safe = r_sigma = 1e18
-        pole_default = 0.0
-        sigma_coeffs: tuple[complex, ...] = (1.0 + 0j,)
+    invariants = _classify_invariants(complex(g2), complex(g3))
+    g2, g3 = invariants.g2, invariants.g3
+    # g2^3 = 27 g3^2 tested on invariants rescaled by a power of two: the
+    # same roundings as the discriminant, without its underflow
+    scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+    t = 2.0 ** -math.frexp(scale)[1]
+    lattice = (g2 * t**4) ** 3 != 27.0 * (g3 * t**6) ** 2
+    if lattice:
+        ctx = _lattice_context(invariants, None, ToleranceSet(), *_agm_basis(g2, g3))
     else:
-        r_safe = _safe_radius(ctable, series_tol, 0.6 * lam_est)
-        pole_default = 1e-3 * lam_est
-        sigma_coeffs, r_sigma = _sigma_table(g2, g3, 2.5 * lam_est, series_tol)
-    tol = ToleranceSet(
-        series=series_tol,
-        pole=pole_tol if pole_tol is not None else pole_default,
-        lattice=lattice_tol,
-    )
-    return EllipticContext(
-        invariants=_classify_invariants(g2, g3),
-        periods=None,
-        laurent_coeffs=ctable,
-        sigma_coeffs=sigma_coeffs,
-        tol=tol,
-        reduced=None,
-        lambda_min=lam_est,
-        r_safe=r_safe,
-        r_sigma=r_sigma,
-        eta_half=None,
-    )
+        k = cmath.sqrt(4.5 * g3 / g2) if g2 else 0j
+        lam = math.pi / abs(k) if k else math.inf
+        ctx = EllipticContext(invariants, None, ToleranceSet(), None, lam, k, (), (math.pi * k / 6.0, 0j))
+    pole = 1e-3 * ctx.lambda_min if math.isfinite(ctx.lambda_min) else 0.0
+    tol = ToleranceSet(pole=pole_tol if pole_tol is not None else pole, lattice=lattice_tol)
+    return replace(ctx, tol=tol)
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -534,36 +409,73 @@ def _finite(*vals: complex) -> bool:
     return all(math.isfinite(v.real) and math.isfinite(v.imag) for v in vals)
 
 
-def _wp_dp(ctx: EllipticContext, z: complex) -> tuple[complex, complex]:
-    """(pe, pe') by series inside the safe disc, halving + duplication outside."""
-    z = complex(z)
-    if ctx.periods is not None:
-        z, _, _ = _reduce_near_zero(ctx, z)
-    if abs(z) <= ctx.tol.pole:
+def _point(ctx: EllipticContext, z: complex, pole: bool = True):
+    """(z0, m, n, k, sign, iu, e, d) at v = k*z0, with (z0, m, n) from `_reduce`.
+
+    u = sign*v is oriented so that Im u >= 0; then e = e^(2iu) has |e| <= 1
+    and d = e - 1 comes from expm1. The callers build cot u = i(e + 1)/d,
+    1/sin^2 u = -4e/d^2 and sin u = e^(-iu) d/(2i) from them, so nothing
+    overflows however tall the lattice, and nothing cancels next to a lattice
+    point. pe is even in v and pe', zeta and sigma of z0 are odd, so `sign`
+    alone maps back from u. With g2 = g3 = 0 the same forms give the k -> 0
+    limit: k = 1, iu = 0, e = 1, d = 2i z0 (cot = 1/z0, 1/sin^2 = 1/z0^2,
+    sin = z0), and no series terms. With `pole`, raises PoleProximity within
+    the pole tolerance of a lattice point, and where d^3 underflows to zero.
+    """
+    z0, m, n = _reduce(ctx, z)
+    if not ctx.k:
+        k, sign, iu, e, d = 1.0, 1.0, 0j, 1.0 + 0j, 2j * z0
+    else:
+        k, v = ctx.k, ctx.k * z0
+        # on the real axis too, v and -v share u, so the parities hold bit for bit
+        sign = -1.0 if (v.imag, v.real) < (0.0, 0.0) else 1.0
+        iu = 1j * (sign * v)
+        e, d = _exp_expm1(2.0 * iu)
+    if pole and (abs(z0) <= ctx.tol.pole or d * d * d == 0):
         raise PoleProximity(z)
-    zz = z
-    halvings = 0
-    while abs(zz) > ctx.r_safe:
-        zz *= 0.5
-        halvings += 1
-        if halvings > 60:
-            raise SeriesNoConverge("argument cannot be halved into the series disc")
-    p, dp = _wp_series(ctx.laurent_coeffs, zz, ctx.tol.series)
-    g2 = ctx.invariants.g2
-    for _ in range(halvings):
-        if dp == 0:
-            raise SeriesNoConverge("duplication passed through a critical point")
-        w = 6.0 * p * p - 0.5 * g2
-        dp2 = dp * dp
-        p, dp = (w * w) / (4.0 * dp2) - 2.0 * p, 3.0 * p * w / dp - w**3 / (4.0 * dp2 * dp) - dp
+    return z0, m, n, k, sign, iu, e, d
+
+
+def _exp_expm1(x: complex) -> tuple[complex, complex]:
+    """(e^x, e^x - 1) for Re x <= 0, the second without cancellation near x = 0."""
+    ea, c, s = math.exp(x.real), math.cos(x.imag), math.sin(x.imag)
+    return complex(ea * c, ea * s), complex(math.expm1(x.real) * c - 2.0 * math.sin(0.5 * x.imag) ** 2, ea * s)
+
+
+def _theta_sums(ctx: EllipticContext, e: complex) -> tuple[complex, complex, complex]:
+    """sum a_n (e^n - e^-n), sum n a_n (e^n + e^-n) and sum n^2 a_n (e^n - e^-n).
+
+    That is 2i sum a_n sin 2nu, 2 sum n a_n cos 2nu and 2i sum n^2 a_n sin 2nu
+    at e = e^(2iu). |e| >= |q| after rounding, so e^-n stays finite wherever
+    a_n is nonzero.
+    """
+    odd = even = odd2 = 0j
+    en, eni, ei = 1.0 + 0j, 1.0 + 0j, 1.0 / e if ctx.theta_coeffs else 0j
+    for n, a in enumerate(ctx.theta_coeffs, 1):
+        en *= e
+        eni *= ei
+        minus = a * (en - eni)
+        odd += minus
+        even += n * a * (en + eni)
+        odd2 += n * n * minus
+    return odd, even, odd2
+
+
+def _wp_dp(ctx: EllipticContext, z: complex) -> tuple[complex, complex]:
+    """(pe, pe') = (-2 eta1/b1 - k^2 L'(v), -k^3 L''(v)) at the rounded representative."""
+    _, _, _, k, sign, _, e, d = _point(ctx, complex(z))
+    _, even, odd2 = _theta_sums(ctx, e)
+    csc2 = -4.0 * e / (d * d)
+    p = k * k * (csc2 - 4.0 * even) - 2.0 * ctx.eta[0] * k / math.pi
+    dp = -2.0 * sign * k**3 * (1j * (e + 1.0) / d * csc2 + 4j * odd2)
     if not _finite(p, dp):
         raise PoleProximity(z, "evaluation landed on a lattice pole")
     return p, dp
 
 
-# fault codes of the array path, per element: 0 where it evaluated, else the
-# error the scalar path raises there
-_POLE, _NO_CONVERGE = 1, 2
+# fault code of the array path, per element: 0 where it evaluated, _POLE
+# where the scalar path raises PoleProximity
+_POLE = 1
 # the 3x3 neighbour shifts (dm, dn), in the scalar loop's order
 _NEAR_DM, _NEAR_DN = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
 
@@ -571,9 +483,7 @@ _NEAR_DM, _NEAR_DN = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
 def _reduce_array(ctx: EllipticContext, z: np.ndarray) -> np.ndarray:
     """`_reduce_near_zero` elementwise: each representative nearest the origin."""
     b1, b2 = ctx.reduced
-    det = b1.real * b2.imag - b1.imag * b2.real
-    s = (z.real * b2.imag - z.imag * b2.real) / det
-    t = (b1.real * z.imag - b1.imag * z.real) / det
+    s, t = _lattice_coords(z, b1, b2)
     m = np.round(s)[..., None] + _NEAR_DM
     n = np.round(t)[..., None] + _NEAR_DN
     cand = z[..., None] - m * b1 - n * b2
@@ -589,59 +499,35 @@ def _lattice_distance_array(ctx: EllipticContext, z) -> np.ndarray:
 def _wp_dp_array(ctx: EllipticContext, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pe, pe', fault) at every element of z: `_wp_dp` for a whole batch.
 
-    Reduces to the nearest representative, counts each element's halvings,
-    sums one Horner pass over the Laurent table for the batch and undoes the
-    halvings by masked duplication steps. The sum stops after the last term
-    with |c_k| |u|^k >= 1e-18 at the batch's largest |u| = |z|^2, relative to
-    the principal part 1/u; it looks past the zero coefficients of symmetric
-    lattices. fault is _POLE where `_wp_dp` raises PoleProximity (a pole, or
-    a non-finite value), _NO_CONVERGE where it raises SeriesNoConverge (more
-    than 60 halvings, a critical point, a table too short); pe and pe' are
-    nan there. Scalar `_wp_dp` stays the path for single points: a batch of
-    one costs several times more here.
+    Rounds both lattice coordinates of every element and sums the theta
+    series with the powers e^(2inu) from one cumulative product. fault is
+    _POLE where `_wp_dp` raises PoleProximity (within the pole tolerance, or
+    a non-finite value); pe and pe' are nan there. Scalar `_wp_dp` stays the
+    path for single points: a batch of one costs more here.
     """
     z = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        if ctx.periods is not None:
-            z = _reduce_array(ctx, z)
+        if ctx.reduced is not None:
+            b1, b2 = ctx.reduced
+            s, t = _lattice_coords(z, b1, b2)
+            z = z - np.round(s) * b1 - np.round(t) * b2
         fault = np.where(np.abs(z) <= ctx.tol.pole, _POLE, 0)
-        halvings = np.zeros(z.shape, int)
-        for _ in range(61):
-            out = np.abs(z * 0.5**halvings) > ctx.r_safe
-            if not out.any():
-                break
-            halvings += out
-        fault[(fault == 0) & (halvings > 60)] = _NO_CONVERGE
-        halvings[fault != 0] = 0
-        zz = z * 0.5**halvings
-        u = zz * zz
-        log_u = np.log(np.abs(u))
-        coeffs = np.array(ctx.laurent_coeffs)
-        k = np.arange(2, len(coeffs) + 2)
-        log_c = np.log(np.abs(coeffs))
-        top = log_u[fault == 0].max(initial=-np.inf)
-        used = np.flatnonzero(log_c + k * top >= math.log(1e-18))
-        terms = used[-1] + 1 if used.size else 0
-        # the table falls short where its last three terms still matter
-        tail = (log_c[-3:, None] + k[-3:, None] * log_u.ravel()).max(axis=0)
-        fault[(fault == 0) & (tail.reshape(z.shape) > math.log(1e-16))] = _NO_CONVERGE
-        # Horner for sum c_k u^(k-2) and sum (k-1) c_k u^(k-2) together
-        stacked = np.stack((coeffs, (k - 1) * coeffs)).reshape((2, -1) + (1,) * z.ndim)
-        acc = np.zeros((2,) + z.shape, dtype=complex)
-        for i in range(terms - 1, -1, -1):
-            acc *= u
-            acc += stacked[:, i]
-        p = 1.0 / u + u * acc[0]
-        dp = -2.0 / (u * zz) + 2.0 * zz * acc[1]
-        g2 = ctx.invariants.g2
-        for step in range(halvings.max(initial=0)):
-            on = halvings > step
-            fault[on & (fault == 0) & (dp == 0)] = _NO_CONVERGE
-            q, d = p[on], dp[on]
-            w = 6.0 * q * q - 0.5 * g2
-            d2 = d * d
-            p[on] = (w * w) / (4.0 * d2) - 2.0 * q
-            dp[on] = 3.0 * q * w / d - w * w * w / (4.0 * d2 * d) - d
+        # u, e and d as in `_point`, with its k -> 0 limit
+        if ctx.k:
+            k, v = ctx.k, ctx.k * z
+            sign = np.where((v.imag < 0) | ((v.imag == 0) & (v.real < 0)), -1.0, 1.0)
+            e, d = np.exp(2j * (sign * v)), np.expm1(2j * (sign * v))
+        else:
+            k, sign, e, d = 1.0, 1.0, np.ones_like(z), 2j * z
+        a = np.array(ctx.theta_coeffs, dtype=complex)
+        n = np.arange(1, len(a) + 1)
+        # columns e^n and e^-n, n = 1..len(a)
+        en, eni = (np.cumprod(np.repeat(w[..., None], len(a), axis=-1), axis=-1) for w in (e, 1.0 / e))
+        even = (en + eni) @ (n * a)
+        odd2 = (en - eni) @ (n * n * a)
+        csc2 = -4.0 * e / (d * d)
+        p = k * k * (csc2 - 4.0 * even) - 2.0 * ctx.eta[0] * k / math.pi
+        dp = -2.0 * sign * k**3 * (1j * (e + 1.0) / d * csc2 + 4j * odd2)
         fault[(fault == 0) & ~(np.isfinite(p) & np.isfinite(dp))] = _POLE
         p[fault != 0] = dp[fault != 0] = np.nan
     return p, dp, fault
@@ -681,51 +567,41 @@ def jets(ctx: EllipticContext, z: complex, order: int = 5) -> JetValues:
 
 
 def sigma(ctx: EllipticContext, z: complex) -> complex:
-    """Entire odd sigma, zero on the lattice; raises where its table falls short."""
+    """Entire odd sigma, zero on the lattice; FloatOverflow beyond the float range.
+
+    sigma(z0 + lam) = (-1)^(m+n+mn) exp(H (z0 + lam/2)) sigma(z0) for
+    lam = m b1 + n b2 and H = 2 m eta1 + 2 n eta2; the exponent and
+    log|sigma(z0)| are added before anything is exponentiated, and the
+    parity sign is applied exactly, so sigma(-z) = -sigma(z) bit for bit.
+    """
     z = complex(z)
-    if abs(z) > ctx.r_sigma:
-        raise SeriesNoConverge(
-            f"|z| = {abs(z):.3g} outside the sigma validity radius {ctx.r_sigma:.3g}"
-        )
-    u = z * z
-    au = abs(u)
-    acc, mag = 0j, 0.0
-    for c in reversed(ctx.sigma_coeffs):
-        acc = acc * u + c
-        mag = mag * au + abs(c)
-    # S = sigma(z)/z errs by at most `rate` times its sum of |terms| (Horner
-    # rounding, Higham eq. 5.3, plus the tail). Off the real axis of tall
-    # lattices the terms cancel far below both S and sigma' = S + 2u S'(u)
-    # and sigma raises; next to a lattice point only S is small, so it answers
-    rate = 2 * len(ctx.sigma_coeffs) * 2.0**-53 + ctx.tol.series / 100.0
-    target = 100.0 * ctx.tol.series
-    if rate * mag > target * abs(acc):
-        slope = sum(n * c * u ** (n - 1) for n, c in enumerate(ctx.sigma_coeffs) if n)
-        if rate * mag > target * max(abs(acc), abs(acc + 2.0 * u * slope)):
-            raise SeriesNoConverge(f"sigma series cancels at z = {z:.3g}; too few digits remain")
-    return z * acc
+    z0, m, n, k, sign, iu, e, d = _point(ctx, z, pole=False)
+    # sin u = e^(-iu) d/(2i): the factor e^(-iu) joins the exponent
+    lead, ei = d / (2j * k), 1.0 / e if ctx.theta_coeffs else 0j
+    for a in ctx.theta_coeffs:
+        lead *= (1.0 + a * (1.0 - e)) * (1.0 + a * (1.0 - ei))
+    if lead == 0:
+        return 0j
+    eta1, eta2 = ctx.eta
+    power = eta1 * k * z0 * z0 / math.pi + (m * eta1 + n * eta2) * (z + z0) - iu
+    try:
+        size = math.exp(power.real + math.log(abs(lead)))
+    except OverflowError as exc:
+        raise FloatOverflow(f"|sigma({z:.3g})| exceeds the float range") from exc
+    sign *= -1.0 if (m + n + m * n) % 2 else 1.0
+    return sign * size * (lead / abs(lead)) * cmath.exp(1j * power.imag)
 
 
 def zeta(ctx: EllipticContext, z: complex) -> complex:
     """Odd zeta function with zeta' = -pe and principal part 1/z.
 
-    With periods available the argument is reduced to the representative
-    nearest the origin and the quasi-period constants restore the value.
-    Beyond the safe disc, zeta(2u) = 2 zeta(u) + pe''(u)/(2 pe'(u)) at u = z/2;
-    only once, as pe'' cancels to round-off where pe is flat on tall lattices.
+    zeta(z0) = 2 eta1 z0/b1 + k L(v) at the rounded representative; the
+    lattice shift m b1 + n b2 adds 2 m eta1 + 2 n eta2.
     """
-    z = complex(z)
-    zred, m, n = _reduce_near_zero(ctx, z) if ctx.periods is not None else (z, 0, 0)
-    if abs(zred) <= ctx.tol.pole:
-        raise PoleProximity(z)
-    if abs(zred) <= ctx.r_safe:
-        base = _zeta_series(ctx.laurent_coeffs, zred, ctx.tol.series)
-    else:
-        u = 0.5 * zred
-        _, dp, d2p = jets(ctx, u, 2).values
-        base = 2.0 * _zeta_series(ctx.laurent_coeffs, u, ctx.tol.series) + d2p / (2.0 * dp)
-    e1, e2 = ctx.eta_half or (0j, 0j)
-    return base + 2.0 * m * e1 + 2.0 * n * e2
+    z0, m, n, k, sign, _, e, d = _point(ctx, complex(z))
+    odd, _, _ = _theta_sums(ctx, e)
+    eta1, eta2 = ctx.eta
+    return sign * k * (1j * (e + 1.0) / d - 2j * odd) + 2.0 * eta1 * k * z0 / math.pi + 2.0 * (m * eta1 + n * eta2)
 
 
 def reduce_to_cell(ctx: EllipticContext, z: complex) -> complex:

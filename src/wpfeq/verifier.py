@@ -33,7 +33,6 @@ from .errors import (
     FloatOverflow,
     PoleProximity,
     SamplerExhausted,
-    SeriesNoConverge,
 )
 
 
@@ -206,9 +205,9 @@ def residual(
 
 # -- sampling ----------------------------------------------------------------------
 
-# why a batch element was not scored, by fault code; 0: it was. Codes 1 and 2
-# are the fault codes of `elliptic._wp_dp_array`
-_SKIPS = ("", "PoleProximity", "SeriesNoConverge", "guard")
+# why a batch element was not scored, by fault code; 0: it was. Code 1 is
+# the fault code of `elliptic._wp_dp_array`
+_SKIPS = ("", "PoleProximity", "guard")
 
 
 def _first_fault(*faults: np.ndarray) -> np.ndarray:
@@ -223,8 +222,7 @@ def _per_triple(evaluate):
     """Batch form of a scalar evaluate(x, y, z) -> residual, or None to decline.
 
     The batch form maps arrays of x, y and z to (residuals, faults); a triple
-    whose evaluation raises PoleProximity or SeriesNoConverge, or declines,
-    gets that fault.
+    whose evaluation raises PoleProximity, or declines, gets that fault.
     """
 
     def batch(xs, ys, zs):
@@ -233,8 +231,8 @@ def _per_triple(evaluate):
         for i, triple in enumerate(zip(xs.tolist(), ys.tolist(), zs.tolist())):
             try:
                 value = evaluate(*triple)
-            except (PoleProximity, SeriesNoConverge) as exc:
-                faults[i] = _SKIPS.index(type(exc).__name__)
+            except PoleProximity:
+                faults[i] = _SKIPS.index("PoleProximity")
                 continue
             if value is None:
                 faults[i] = _SKIPS.index("guard")
@@ -433,10 +431,11 @@ def grid_scan(
     """
     ctx = _first_context((fam,))
     shift = fam.shift if ctx is not None else 0j
-    lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if ctx is not None else (-1.0, 2.0)
+    periodic = ctx is not None and ctx.periods is not None
+    lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if periodic else (-1.0, 2.0)
     ticks = lo + width * np.arange(grid) / max(grid - 1, 1)
     s, t = np.repeat(ticks, grid), np.tile(ticks, grid)
-    xs = s * ctx.periods.omega1 + t * ctx.periods.omega2 if ctx is not None else s + 1j * t
+    xs = s * ctx.periods.omega1 + t * ctx.periods.omega2 if periodic else s + 1j * t
 
     def accept(index, y):
         x = xs[index]
@@ -475,24 +474,44 @@ def sigma_quotient(ctx: EllipticContext, a: complex, b: complex, c: complex) -> 
             points[i], points[i + 1] = points[i + 1], points[i]
             sign = -sign
     a, b, c = points
-    num = (
-        2.0
-        * elliptic.sigma(ctx, a + b + c)
-        * elliptic.sigma(ctx, a - b)
-        * elliptic.sigma(ctx, b - c)
-        * elliptic.sigma(ctx, c - a)
-    )
-    den = (elliptic.sigma(ctx, a) * elliptic.sigma(ctx, b) * elliptic.sigma(ctx, c)) ** 3
+    # each sigma is split as mantissa * 2^exponent, so the products below
+    # cannot underflow or overflow where the quotient itself does not; the
+    # power-of-two scaling is exact, so elsewhere the result is unchanged
+    parts = [_split(elliptic.sigma(ctx, p)) for p in (a + b + c, a - b, b - c, c - a, a, b, c)]
+    (n1, e1), (n2, e2), (n3, e3), (n4, e4), (da, ea), (db, eb), (dc, ec) = parts
+    num = 2.0 * n1 * n2 * n3 * n4
+    den = (da * db * dc) ** 3
     if den == 0:
         raise PoleProximity(a, "sigma quotient denominator vanished")
-    return sign * num / den
+    return _scale(sign * num / den, e1 + e2 + e3 + e4 - 3 * (ea + eb + ec))
+
+
+def _split(value: complex) -> tuple[complex, int]:
+    """(mantissa, exponent) with value = mantissa * 2^exponent and |mantissa| in [0.5, 1)."""
+    exponent = math.frexp(abs(value))[1]
+    return _scale(value, -exponent), exponent
+
+
+def _scale(value: complex, exponent: int) -> complex:
+    """value * 2^exponent; FloatOverflow beyond the float range."""
+    try:
+        return complex(math.ldexp(value.real, exponent), math.ldexp(value.imag, exponent))
+    except OverflowError as exc:
+        raise FloatOverflow(f"sigma quotient {value:.3g} * 2^{exponent} exceeds the float range") from exc
 
 
 def _det_vs_sigma(ctx: EllipticContext, a: complex, b: complex, c: complex) -> float:
-    """Relative gap between det3 on pe jets at (a, b, c) and the sigma quotient."""
-    det = det3(*(elliptic.jets(ctx, p, 1) for p in (a, b, c)))
-    quo = sigma_quotient(ctx, a, b, c)
-    return abs(det - quo) / max(abs(det), abs(quo), 1e-300)
+    """Gap between det3 on pe jets at (a, b, c) and the sigma quotient.
+
+    The gap is taken relative to det3's cancellation scale, the sum of the
+    magnitudes of its six terms: where pe is flat, deep in the cell of a
+    tall lattice, det3 cancels far below its terms and keeps only their
+    round-off, so a gap relative to det3 itself would fail a true identity.
+    """
+    jf, jg, jh = (elliptic.jets(ctx, p, 1) for p in (a, b, c))
+    (f, fp), (g, gp), (h, hp) = jf.values, jg.values, jh.values
+    scale = sum(map(abs, (g * hp, f * hp, gp * h, fp * h, f * gp, g * fp)))
+    return abs(det3(jf, jg, jh) - sigma_quotient(ctx, a, b, c)) / max(scale, 1e-300)
 
 
 def sigma_identity_scan(
@@ -502,13 +521,13 @@ def sigma_identity_scan(
     tol: float = 1e-8,
     spread: float = 0.35,
 ) -> ResidualReport:
-    """Relative agreement of det3 on pe jets with the sigma quotient.
+    """Agreement of det3 on pe jets with the sigma quotient (see `_det_vs_sigma`).
 
     Points a, b, c are drawn in lattice coordinates uniform on
     [-spread, spread]^2 about the origin. Draws are rejected and redrawn
     when any point, any pairwise difference, or the sum lies near the
-    lattice (where both sides vanish and relative comparison is
-    meaningless) or outside the sigma validity radius, so none is skipped.
+    lattice (where the quotient divides by a vanishing sigma or both sides
+    vanish), so none is skipped.
     """
     if ctx.periods is None:
         raise ValueError("the sigma identity scan needs a periodic context")
@@ -544,9 +563,11 @@ def shifted_det_vs_sigma_scan(
 
     For f = g = h = pe(. + shift) at (x, y, z = -x-y) the determinant equals
     the sigma quotient at (x+shift, y+shift, z+shift); the shift sum 3*shift
-    controls whether the value vanishes. This is the oracle that pins the
-    residual floor of non-lattice shifts. Triples that take sigma beyond its
-    validity radius are skipped.
+    controls whether the value vanishes. The gap is measured as in
+    `_det_vs_sigma`, so where both sides vanish they agree to round-off.
+    This is the oracle that pins the residual floor of non-lattice shifts.
+    Triples whose sigma quotient has a zero denominator, at a lattice point
+    or by underflow, are skipped.
     """
     shift = complex(shift)
     fam = WeierstrassShifted(ctx, shift)

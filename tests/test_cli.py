@@ -208,9 +208,15 @@ class TestEval:
     def test_pole_exit_1(self):
         assert run(["eval", "--fn", "wp", "--periods", "2,0,0,2", "--z", "0,0"]) == 1
 
-    def test_small_lattice_overflow_exit_65(self, capsys):
-        assert run(["eval", "--fn", "wp", "--periods", "0.1,0,0,0.1", "--z", "0.03,0.01"]) == 65
-        assert "configuration error" in capsys.readouterr().err
+    def test_small_lattice_evaluates(self, capsys):
+        # pe(t z; t Lambda) = pe(z; Lambda) / t^2 with t = 1/20
+        small = ["--periods", "0.1,0,0,0.1", "--z", "0.03,0.01"]
+        for fn in ("wp-prime", "zeta", "sigma", "wp"):
+            assert run(["eval", "--fn", fn, *small]) == 0
+        assert run(["eval", "--fn", "wp", "--periods", "2,0,0,2", "--z", "0.6,0.2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        got, ref = (complex(*map(float, line.split())) for line in lines[-2:])
+        assert abs(got - 400.0 * ref) <= 1e-12 * abs(got)
 
     def test_needs_context(self):
         assert run(["eval", "--fn", "wp", "--z", "1,0"]) == 65

@@ -3,7 +3,6 @@ functions, finite differences, the normal-form ODE, and symmetry."""
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,37 +35,6 @@ def brute_eisenstein_g2(w1, w2, cutoffs=(300, 600)):
     extrapolated = (ratio * s_big - s_small) / (ratio - 1.0)
     tail = abs(extrapolated - s_big)
     return 60.0 * extrapolated, 60.0 * tail
-
-
-def convolution_sigma_table(n_max):
-    """Reference: sigma(z)/z = exp(L(u)) by exact Fraction-dict convolutions.
-
-    L(u) = sum_{k>=2} ell_k u^k with ell_k = -c_k/((2k-1)(2k)) integrates
-    zeta - 1/z termwise, the c_k being the pe Laurent coefficients as
-    polynomials in (g2, g3), and S = exp(L) obeys n s_n = sum_k k ell_k s_{n-k}.
-    """
-    zero = Fraction(0)
-    c = [None, None, {(1, 0): Fraction(1, 20)}, {(0, 1): Fraction(1, 28)}]
-    for k in range(4, n_max + 1):
-        acc = {}
-        for m in range(2, k - 1):
-            for (a1, b1), q1 in c[m].items():
-                for (a2, b2), q2 in c[k - m].items():
-                    key = (a1 + a2, b1 + b2)
-                    acc[key] = acc.get(key, zero) + q1 * q2
-        scale = Fraction(3, (2 * k + 1) * (k - 3))
-        c.append({key: q * scale for key, q in acc.items() if q})
-    s = [{(0, 0): Fraction(1)}]
-    for n in range(1, n_max + 1):
-        acc = {}
-        for k in range(2, n + 1):
-            factor = Fraction(-k, (2 * k - 1) * (2 * k))
-            for (a1, b1), q1 in c[k].items():
-                for (a2, b2), q2 in s[n - k].items():
-                    key = (a1 + a2, b1 + b2)
-                    acc[key] = acc.get(key, zero) + factor * q1 * q2
-        s.append({key: q / n for key, q in acc.items() if q})
-    return s
 
 
 class ThetaOracle:
@@ -117,21 +85,24 @@ class ThetaOracle:
 
     def wp_dp(self, z):
         """(pe, pe') = (-zeta', -zeta''), differentiating zeta above through v."""
+        return self.values(z)[:2]
+
+    def values(self, z):
+        """(pe, pe', zeta, sigma) at z from one set of theta1 derivatives."""
         mp = self.mp
         with mp.workdps(30):
+            z = mp.mpc(z)
             a = mp.pi / (2 * self.w)
-            t0, t1, t2, t3 = (mp.jtheta(1, a * mp.mpc(z), self.q, d) for d in range(4))
+            t0, t1, t2, t3 = (mp.jtheta(1, a * z, self.q, d) for d in range(4))
             r1, r2, r3 = t1 / t0, t2 / t0, t3 / t0
             pe = -self.eta1 / self.w - a**2 * (r2 - r1**2)
-            return complex(pe), complex(-(a**3) * (r3 - 3 * r2 * r1 + 2 * r1**3))
+            dpe = -(a**3) * (r3 - 3 * r2 * r1 + 2 * r1**3)
+            zeta = self.eta1 * z / self.w + a * r1
+            sigma = mp.exp(self.eta1 * z * z / (2 * self.w)) * t0 / (a * self.t1)
+            return tuple(complex(v) for v in (pe, dpe, zeta, sigma))
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("w", [0.1, 0.05])
-    def test_small_lattice_overflow_is_typed(self, w):
-        with pytest.raises(FloatOverflow):
-            el.from_periods(w, w * 1j)
-
     def test_square_lattice_kills_g3(self, square_ctx):
         scale = square_ctx.lambda_min ** -6
         assert abs(square_ctx.invariants.g3) <= 1e-10 * scale
@@ -181,19 +152,6 @@ class TestConstruction:
         assert ctx.invariants.discriminant == pytest.approx(64.0)
         assert el.from_invariants(3, 1).invariants.degeneracy == "semi-degenerate"
 
-    def test_laurent_coefficients_recomputable(self, square_ctx):
-        g2, g3 = square_ctx.invariants.g2, square_ctx.invariants.g3
-        table = square_ctx.laurent_coeffs
-        assert table[0] == g2 / 20.0
-        assert table[1] == g3 / 28.0
-        for i in range(2, 12):
-            k = i + 2
-            acc = sum(table[m - 2] * table[k - m - 2] for m in range(2, k - 1))
-            assert table[i] == pytest.approx(3.0 * acc / ((2 * k + 1) * (k - 3)), rel=1e-12)
-        # the recurrence is prefix-stable: a longer table only appends
-        assert len(table) == 100
-        assert el.laurent_coefficients(g2, g3, 300)[:100] == table
-
     @pytest.mark.parametrize("tau", [1.9j, 3j, 8j, 0.5 + 8j])
     @pytest.mark.parametrize("scale", [0.5, 1.0, 100.0])
     @pytest.mark.parametrize("flipped", [False, True])
@@ -203,9 +161,9 @@ class TestConstruction:
         periods = (scale * tau, -scale) if flipped else (scale, scale * tau)
         ctx = el.from_periods(*periods)
         oracle = ThetaOracle(scale, scale * tau)
-        for half, eta in zip(ctx.reduced, ctx.eta_half):
+        for half, eta in zip(ctx.reduced, ctx.eta):
             ref = oracle.zeta(half / 2.0)
-            assert abs(eta - ref) <= 1e-9 * abs(ref)
+            assert abs(eta - ref) <= 1e-13 * abs(ref)
 
     def test_invariant_context_has_no_lattice_queries(self, normal_form_ctx):
         with pytest.raises(NoPeriods):
@@ -214,6 +172,95 @@ class TestConstruction:
             el.is_lattice_point(normal_form_ctx, 0.5)
         with pytest.raises(NoPeriods):
             el.lattice_sum_reference(normal_form_ctx, 0.5)
+
+
+SHAPES = [1j, cmath.exp(1j * math.pi / 3), 1.9j, 3j, 8j, 0.5 + 8j]
+
+
+class TestThetaSeries:
+    """pe, pe', zeta and sigma from the one theta series, against ThetaOracle."""
+
+    @pytest.mark.parametrize("tau", SHAPES)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_theta_oracle_over_the_cells(self, tau, scale):
+        # rotated generators; points over +-1.3 cells, deep in the tall cells too
+        w1 = scale * cmath.exp(0.4j)
+        ctx = el.from_periods(w1, w1 * tau)
+        oracle = ThetaOracle(w1, w1 * tau)
+        rng = np.random.default_rng(5)
+        for s, t in rng.uniform(-1.3, 1.3, (25, 2)):
+            z = complex(s * w1 + t * w1 * tau)
+            p, dp, zt, sg = oracle.values(z)
+            got = (*el._wp_dp(ctx, z), el.zeta(ctx, z))
+            for value, ref in zip(got, (p, dp, zt)):
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(el.sigma(ctx, z) - sg) <= 1e-12 * abs(sg)
+
+    @pytest.mark.parametrize("tau", SHAPES)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_invariants_round_trip_through_the_agm(self, tau, scale):
+        w1 = scale * cmath.exp(0.4j)
+        lattice = el.from_periods(w1, w1 * tau)
+        g2, g3 = lattice.invariants.g2, lattice.invariants.g3
+        ctx = el.from_invariants(g2, g3)
+        assert ctx.periods is None
+        if ctx.reduced is not None:  # at tau = 8i the float discriminant may be 0
+            b1, b2 = ctx.reduced
+            h2, h3, _ = el._q_series_invariants(b1, b2 / b1)
+            s = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+            assert abs(h2 - g2) <= 1e-12 * s**4 and abs(h3 - g3) <= 1e-12 * s**6
+        # the float invariants do not fix a tall tau, but pe near the origin
+        for z in (0.1 + 0.07j, 0.3 - 0.2j, 0.05 + 0.3j, 0.4 * cmath.exp(2j)):
+            z *= lattice.lambda_min
+            for value, ref in zip(el._wp_dp(ctx, z), el._wp_dp(lattice, z)):
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_failed_round_trip_raises(self, monkeypatch):
+        # a basis whose invariants miss is never returned
+        monkeypatch.setattr(el, "_INVARIANT_TOL", 0.0)
+        with pytest.raises(SeriesNoConverge):
+            el.from_invariants(4.0, 1.0)
+
+    def test_invariants_only_context_is_periodic(self, normal_form_ctx):
+        b1, b2 = normal_form_ctx.reduced
+        z = 0.31 + 0.17j
+        p = el.wp(normal_form_ctx, z)
+        for lam in (b1, b2, 2 * b1 - 3 * b2):
+            assert abs(el.wp(normal_form_ctx, z + lam) - p) <= 1e-12 * abs(p)
+        with pytest.raises(PoleProximity):
+            el.wp(normal_form_ctx, b1 + b2)
+
+    def test_tiny_invariants_keep_their_lattice(self):
+        # g2^3 - 27 g3^2 underflows to 0 here, yet the discriminant is not 0
+        ctx = el.from_invariants(1e-300, 1e-300, pole_tol=0.0)
+        assert ctx.reduced is not None
+        assert el.wp(ctx, 0.3) == pytest.approx(1.0 / 0.09, rel=1e-14)
+
+    def test_trigonometric_degeneration(self):
+        # Delta = 0: pe = k^2/sin^2(kz) - k^2/3, sigma = exp(k^2 z^2/6) sin(kz)/k
+        ctx = el.from_invariants(3.0, 1.0)
+        k = cmath.sqrt(1.5)
+        assert ctx.reduced is None and ctx.lambda_min == pytest.approx(math.pi / abs(k))
+        for z in (0.5, 0.37 - 1.21j, 1.4 + 0.2j, 0.8 + 0.3j):
+            p = k * k / cmath.sin(k * z) ** 2 - k * k / 3.0
+            dp = -2.0 * k**3 * cmath.cos(k * z) / cmath.sin(k * z) ** 3
+            zt = k * cmath.cos(k * z) / cmath.sin(k * z) + k * k * z / 3.0
+            sg = cmath.exp(k * k * z * z / 6.0) * cmath.sin(k * z) / k
+            for value, ref in zip((*el._wp_dp(ctx, z), el.zeta(ctx, z), el.sigma(ctx, z)), (p, dp, zt, sg)):
+                assert abs(value - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("height", [300.0, 500.0])
+    def test_very_tall_lattice_is_the_trigonometric_limit(self, height):
+        # every a_n underflows and |Im kz| passes 450 (sin overflows past 710):
+        # pe = -pi^2/3, pe' underflows, zeta = pi^2 z/3 + pi cot(pi z), sigma underflows
+        ctx = el.from_periods(1.0, height * 1j)
+        for z in (0.3 + 0.48j * height, -0.3 - 0.48j * height):
+            p, dp = el._wp_dp(ctx, z)
+            assert p == pytest.approx(-math.pi**2 / 3.0, rel=1e-15) and dp == 0
+            cot = -1j * math.copysign(1.0, z.imag)
+            assert el.zeta(ctx, z) == pytest.approx(math.pi**2 * z / 3.0 + math.pi * cot, rel=1e-15)
+            assert el.sigma(ctx, z) == 0
+            assert [a[0] for a in el._wp_dp_array(ctx, np.array([z]))] == [p, dp, 0]
 
 
 class TestWp:
@@ -237,20 +284,34 @@ class TestWp:
         assert abs(el.wp(square_ctx, z) - ref) <= 1e-9 * abs(ref)
 
     @pytest.mark.parametrize("name", ["square_ctx", "hex_ctx", "generic_ctx", "tall_ctx"])
-    def test_series_converges_on_disc_rim(self, name, request):
-        # the Laurent table must reach round-off at |z| = r_safe
+    def test_matches_lattice_sum_across_the_cell(self, name, request):
+        # an oracle free of theta functions, out to the edges of the reduced cell
         ctx = request.getfixturevalue(name)
-        for z in (ctx.r_safe * cmath.exp(0.3j), ctx.r_safe * cmath.exp(2.0j)):
-            ref = el.lattice_sum_reference(ctx, z)
-            series, _ = el._wp_series(ctx.laurent_coeffs, z, ctx.tol.series)
-            assert abs(series - ref) <= 1e-11 * abs(ref)
-            assert abs(el.wp(ctx, z) - ref) <= 1e-11 * abs(ref)
+        b1, b2 = ctx.reduced
+        for z in (0.45 * b1 * cmath.exp(0.3j), 0.4 * b1 + 0.45 * b2, -0.3 * b1 + 0.5 * b2):
+            ref, tail = el.lattice_sum_reference(ctx, z, return_tail=True)
+            assert abs(el.wp(ctx, z) - ref) <= tail
 
     def test_pole_proximity(self, square_ctx):
         with pytest.raises(PoleProximity):
             el.wp(square_ctx, 1e-9)
         with pytest.raises(PoleProximity):
             el.wp(square_ctx, 2.0 + 2.0j + 1e-9)
+
+    def test_zero_pole_tolerance_is_pole_proximity(self):
+        # with no pole tolerance, 1/z^3 overflows next to a lattice point
+        ctx = el.from_periods(2.0, 2.0j, pole_tol=0.0)
+        for z in (1e-150, 2.0 + 2.0j):
+            with pytest.raises(PoleProximity):
+                el._wp_dp(ctx, z)
+
+    def test_accurate_next_to_a_pole(self):
+        # pe(lam + h) = 1/h^2 + g2 h^2/20 + O(h^4): nothing cancels as h -> 0
+        ctx = el.from_periods(2.0, 2.0j, pole_tol=0.0)
+        g2 = ctx.invariants.g2
+        for lam, h in ((0.0, 1e-5), (0.0, 3e-7 * (1 + 2j)), (2.0 + 2.0j, -(2.0**-19) * 1j)):
+            ref = 1.0 / h**2 + g2 * h**2 / 20.0
+            assert abs(el.wp(ctx, lam + h) - ref) <= 1e-14 * abs(ref)
 
     def test_evenness_property(self, square_ctx):
         rng = np.random.default_rng(11)
@@ -280,15 +341,12 @@ class TestWp:
             assert diff <= 1.5 * eps * abs(z) ** 2 / 20.0 + 1e-13
 
 
-def cell_points(ctx, count, seed, im_cap=None):
+def cell_points(ctx, count, seed):
     """Points over a 2x2 block of cells about the origin, lattice points included."""
     rng = np.random.default_rng(seed)
     w1, w2 = ctx.periods.omega1, ctx.periods.omega2
     st = rng.uniform(-1.0, 1.0, (count, 2))
-    z = st[:, 0] * w1 + st[:, 1] * w2
-    if im_cap is not None:
-        z = z.real + 1j * np.clip(z.imag, -im_cap, im_cap)
-    return np.concatenate((z, [0j, w1, w1 + w2, -w2]))
+    return np.concatenate((st[:, 0] * w1 + st[:, 1] * w2, [0j, w1, w1 + w2, -w2]))
 
 
 class TestWpArray:
@@ -311,14 +369,8 @@ class TestWpArray:
     @pytest.mark.parametrize("name", ["square_ctx", "hex_ctx", "generic_ctx", "tall_ctx"])
     def test_matches_scalar_over_cells(self, name, request):
         ctx = request.getfixturevalue(name)
-        # on the tall lattice both paths lose digits deep in the cell, where
-        # repeated duplication amplifies round-off: compare within |Im z| <= 1.2
-        z = cell_points(ctx, 300, 1, im_cap=1.2 if name == "tall_ctx" else None)
-        fault = self.assert_matches_scalar(ctx, z)
+        fault = self.assert_matches_scalar(ctx, cell_points(ctx, 300, 1))
         assert (fault == el._POLE).sum() == 4  # the four lattice points
-        if name == "tall_ctx":  # the others' cells lie inside the series disc
-            reduced = np.array([el._reduce_near_zero(ctx, zi)[0] for zi in z.tolist()])
-            assert (np.abs(reduced) > ctx.r_safe).sum() >= 10
 
     @pytest.mark.parametrize("name", ["normal_form_ctx", "degenerate_ctx"])
     def test_matches_scalar_without_periods(self, name, request):
@@ -327,8 +379,6 @@ class TestWpArray:
         z = rng.uniform(-2.0, 2.0, (300, 2)).view(complex)[:, 0]
         fault = self.assert_matches_scalar(ctx, np.append(z, 0j))
         assert fault[-1] == el._POLE
-        if ctx.r_safe < 2.0:
-            assert (np.abs(z) > ctx.r_safe).sum() >= 10
 
     @pytest.mark.parametrize("tau, scale", [(1j, 1.0), (cmath.exp(1j * math.pi / 3), 3.0), (0.3 + 1.4j, 0.7)])
     def test_matches_theta_oracle(self, tau, scale):
@@ -341,17 +391,6 @@ class TestWpArray:
             op, odp = oracle.wp_dp(zi)
             assert abs(pi - op) <= 1e-12 * max(1.0, abs(op))
             assert abs(dpi - odp) <= 1e-12 * max(1.0, abs(odp))
-
-    def test_symmetric_lattices_sum_past_zero_coefficients(self, square_ctx, hex_ctx):
-        # every second c_k vanishes on the square lattice, two of three on the
-        # hexagonal one (to round-off): the terms that matter follow small ones
-        for ctx in (square_ctx, hex_ctx):
-            u = (0.74 * ctx.r_safe) ** 2
-            size = [abs(c) * u ** (i + 2) for i, c in enumerate(ctx.laurent_coeffs)]
-            last = max(i for i, m in enumerate(size) if m >= 1e-18)
-            assert sum(m < 1e-18 for m in size[:last]) >= 10
-            z = 0.74 * ctx.r_safe * np.exp(1j * np.linspace(0.1, 3.0, 7))
-            self.assert_matches_scalar(ctx, z)
 
     def test_non_finite_value_is_pole_fault(self):
         # with no pole tolerance, 1/z^3 overflows next to the origin
@@ -370,14 +409,6 @@ class TestWpArray:
     def test_empty_batch(self, square_ctx):
         p, dp, fault = el._wp_dp_array(square_ctx, np.empty(0, complex))
         assert p.shape == dp.shape == fault.shape == (0,)
-
-    def test_too_many_halvings_is_series_fault(self, normal_form_ctx):
-        z = np.array([0.5, 1e30 + 0j])
-        with pytest.raises(SeriesNoConverge):
-            el._wp_dp(normal_form_ctx, 1e30)
-        _, _, fault = el._wp_dp_array(normal_form_ctx, z)
-        assert fault.tolist() == [0, el._NO_CONVERGE]
-
 
 class TestWpPrime:
     def test_degenerate_closed_form(self, degenerate_ctx):
@@ -418,30 +449,6 @@ class TestJets:
 
 
 class TestSigma:
-    def test_exact_table_matches_convolution(self):
-        table = el._sigma_exact_table()
-        assert len(table) == 101
-        assert list(table[:51]) == convolution_sigma_table(50)
-
-    def test_weierstrass_coefficients_are_integers(self):
-        # the table divides by 3 in integers; over the rationals nothing is lost
-        a = {(0, 0): Fraction(1)}
-        for weight in range(1, 101):
-            for n in range(weight % 2, weight // 3 + 1, 2):
-                m = (weight - 3 * n) // 2
-                a[m, n] = Fraction(
-                    9 * (m + 1) * a.get((m + 1, n - 1), 0)
-                    + 16 * (n + 1) * a.get((m - 2, n + 1), 0)
-                    - (2 * m + 3 * n - 1) * (4 * m + 6 * n - 1) * a.get((m - 1, n), 0),
-                    3,
-                )
-        assert all(q.denominator == 1 for q in a.values())
-        table = el._sigma_exact_table()
-        for (m, n), q in a.items():
-            weight = 2 * m + 3 * n
-            expected = q * 2**n / (2**m * math.factorial(2 * weight + 1))
-            assert table[weight].get((m, n), 0) == expected
-
     @pytest.mark.parametrize("name", ["square_ctx", "hex_ctx", "generic_ctx"])
     def test_matches_theta_oracle(self, name, request):
         ctx = request.getfixturevalue(name)
@@ -449,32 +456,8 @@ class TestSigma:
         oracle = ThetaOracle(w1, w2)
         for s, t in ((0.13, 0.29), (0.5, 0.5), (-0.71, 0.38), (1.37, 0.41), (-0.62, -1.45)):
             z = s * w1 + t * w2
-            assert abs(z) < ctx.r_sigma
             ref = oracle.sigma(z)
-            assert abs(el.sigma(ctx, z) - ref) <= 1e-10 * abs(ref)
-
-    @pytest.mark.parametrize(
-        "tau, scale",
-        [(1.9j, 1.0), (3j, 1.0), (8j, 1.0), (0.5 + 8j, 1.0), (3j, 100.0), (8j, 100.0), (0.5 + 1.2j, 1e4)],
-    )
-    def test_tall_or_large_lattice_accurate_or_loud(self, tau, scale):
-        # tall shapes make the terms cancel off the real axis, large scales
-        # underflow the rows: sigma must be accurate there or raise, never wrong
-        ctx = el.from_periods(scale, scale * tau)
-        oracle = ThetaOracle(scale, scale * tau)
-        evaluated = 0
-        for frac in (0.3, 0.6, 0.9):
-            for angle in (0.1, 0.7, 1.5):
-                z = frac * ctx.r_sigma * cmath.exp(1j * angle)
-                try:
-                    value = el.sigma(ctx, z)
-                except SeriesNoConverge:
-                    continue
-                ref = oracle.sigma(z)
-                assert abs(value - ref) <= 1e-10 * abs(ref)
-                evaluated += 1
-        # near the real generator the terms do not cancel, so these evaluate
-        assert evaluated >= 3
+            assert abs(el.sigma(ctx, z) - ref) <= 1e-12 * abs(ref)
 
     def test_normalisation_at_origin(self, square_ctx):
         z = 1e-6
@@ -492,9 +475,18 @@ class TestSigma:
         scale = max(1.0, max(values))
         assert min(values) <= 1e-8 * scale
 
-    def test_outside_validity_region(self, square_ctx):
-        with pytest.raises(SeriesNoConverge):
-            el.sigma(square_ctx, 8.0)
+    def test_quasi_periodicity_far_from_the_origin(self, square_ctx):
+        # sigma(z + w) = -exp(2 zeta(w/2) (z + w/2)) sigma(z), attached in log space
+        w1, w2 = square_ctx.periods.omega1, square_ctx.periods.omega2
+        oracle = ThetaOracle(w1, w2)
+        for z in (8.3 + 0.1j, 8.0 + 7.3j, -11.1 + 0.4j):
+            ref = oracle.sigma(z)
+            assert abs(el.sigma(square_ctx, z) - ref) <= 1e-12 * abs(ref)
+
+    def test_beyond_the_float_range_is_typed(self, square_ctx):
+        # |sigma| grows like exp(pi |z|^2 / (2 area)): beyond 1e308 here
+        with pytest.raises(FloatOverflow):
+            el.sigma(square_ctx, 45.3 + 1.1j)
 
     def test_fully_degenerate_sigma_is_identity(self, degenerate_ctx):
         assert el.sigma(degenerate_ctx, 1.7 - 0.4j) == 1.7 - 0.4j

@@ -268,6 +268,13 @@ class TestSampling:
         assert rep.details == {"skipped": 2, "skipped_PoleProximity": 2}
         assert rep.worst_triple == (0.3 + 0.4j, 0.5 - 0.2j, -0.8 - 0.2j)
 
+    def test_grid_scan_without_periods_uses_the_box(self, normal_form_ctx):
+        # an invariants-only family has no cell: x runs over the box [-1, 1]^2
+        fam = vr.WeierstrassShifted(normal_form_ctx)
+        rows = vr.grid_scan(fam, vr.TripleSampler(count=4), 2)
+        assert [x for x, _, _ in rows] == [-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]
+        assert max(r for _, _, r in rows) <= 1e-8
+
     def test_overflow_in_a_batch_raises(self):
         sampler = vr.TripleSampler(count=50, unconstrained=True)
         with pytest.raises(FloatOverflow):
@@ -322,22 +329,26 @@ class TestSigmaQuotient:
         rep = vr.sigma_identity_scan(square_ctx, count=200, seed=0, tol=1e-8)
         assert rep.passed
 
-    def test_tall_lattice_scan_passes_or_raises(self):
-        # on a tall lattice sigma cancels badly off the real axis; the scan
-        # must drop those draws or give up, never fail a true identity
-        ctx = el.from_periods(1.0, 8j)
-        try:
-            rep = vr.sigma_identity_scan(ctx, count=50, seed=1)
-        except SamplerExhausted:
-            return
-        assert rep.passed
+    def test_tall_lattice_scan_passes(self):
+        # deep in the cell of a tall lattice pe is flat and det3 cancels far
+        # below its terms; measured against their sizes it still agrees
+        rep = vr.sigma_identity_scan(el.from_periods(1.0, 8j), count=50, seed=1)
+        assert rep.passed and rep.max_residual <= 1e-12
+
+    def test_tall_lattice_shifted_scan_scores_every_draw(self):
+        # products of sigma values that underflow there are scaled, not skipped
+        rep = vr.shifted_det_vs_sigma_scan(
+            el.from_periods(1.0, 8j), 0.9 + 0.9j, vr.TripleSampler(seed=7, count=100)
+        )
+        assert rep.details == {"skipped": 0}
+        assert rep.passed and rep.max_residual <= 1e-12
 
     def test_det_and_quotient_agree_at_zero_shift(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
         rep = vr.shifted_det_vs_sigma_scan(square_ctx, 0j, vr.TripleSampler(seed=1, count=100))
-        # both sides are ~0 here; the relative gap is meaningless, so this
-        # exercises the scan plumbing while the meat lives in the shifted case
-        assert rep.samples > 0
+        # both sides vanish here and agree to the round-off of det3's terms
+        assert rep.samples == 100
+        assert rep.passed
 
     def test_shifted_residual_floor_agrees(self, square_ctx):
         rep = vr.shifted_det_vs_sigma_scan(
@@ -345,15 +356,13 @@ class TestSigmaQuotient:
         )
         assert rep.passed
 
-
-    def test_shifted_scan_drops_draws_outside_sigma_radius(self, square_ctx):
-        # shifted points beyond r_sigma raise SeriesNoConverge and are dropped
+    def test_shifted_scan_scores_every_draw(self, square_ctx):
+        # sigma evaluates on the whole plane: shifted points far out are scored
         rep = vr.shifted_det_vs_sigma_scan(
             square_ctx, 0.9 + 0.9j, vr.TripleSampler(seed=0, count=200)
         )
-        assert rep.samples < 200
-        assert rep.details["skipped_SeriesNoConverge"] > 0
-        assert rep.samples + rep.details["skipped"] == 200
+        assert rep.samples == 200
+        assert rep.details == {"skipped": 0}
         assert rep.passed
 
 
