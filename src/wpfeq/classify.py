@@ -74,7 +74,7 @@ class Thresholds:
 
     tau_lin: float = 1e-6
     tau_cub: float = 1e-6
-    coeff_eps: float = 1e-8  # significance, relative to the largest coefficient
+    coeff_eps: float = 1e-8  # significance of a term (linear fit: of a coefficient)
     spread_eps: float = 1e-10  # constant detection
     cond_equilibrate: float = 1e10
     cond_reject: float = 1e14
@@ -82,12 +82,19 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Least-squares ODE coefficients with the relative RMS equation misfit."""
+    """Least-squares ODE coefficients with the relative RMS equation misfit.
+
+    term_sizes[k] is the largest magnitude of term k over the samples, such
+    as max |p3 w^3|; target_size is that of the left-hand side, max |w'^2|
+    or max |w'|.
+    """
 
     model: str  # "cubic" | "linear"
     coefficients: tuple[complex, ...]  # (p0, p1, p2, p3) or (l0, l1)
     residual: float
     condition: float
+    term_sizes: tuple[float, ...]
+    target_size: float
 
 
 @dataclass(frozen=True)
@@ -160,11 +167,17 @@ def fit_cubic(pairs, thresholds: Thresholds = Thresholds()) -> FitResult:
         raise DegenerateInput("w values are all one constant; nothing to fit")
     A = np.column_stack([np.ones_like(w), w, w**2, w**3])
     b = dw**2
+    return _fit("cubic", A, b, thresholds)
+
+
+def _fit(model: str, A: np.ndarray, b: np.ndarray, thresholds: Thresholds) -> FitResult:
+    """Least squares A p = b, with the misfit relative to the RMS of b (clamped at 1)."""
     coeffs, cond = _solve_normal(A, b, thresholds)
     misfit = A @ coeffs - b
     rms = float(np.sqrt(np.mean(np.abs(misfit) ** 2)))
     scale = max(1.0, float(np.sqrt(np.mean(np.abs(b) ** 2))))
-    return FitResult("cubic", tuple(coeffs), rms / scale, cond)
+    sizes = tuple(np.abs(A * coeffs).max(axis=0).tolist())
+    return FitResult(model, tuple(coeffs), rms / scale, cond, sizes, float(np.abs(b).max()))
 
 
 def fit_linear(pairs, thresholds: Thresholds = Thresholds()) -> FitResult:
@@ -174,24 +187,20 @@ def fit_linear(pairs, thresholds: Thresholds = Thresholds()) -> FitResult:
         raise TooFewPoints("linear fit needs at least 3 (w, w') pairs")
     w = np.array([complex(p[0]) for p in pairs])
     dw = np.array([complex(p[1]) for p in pairs])
-    A = np.column_stack([np.ones_like(w), w])
-    coeffs, cond = _solve_normal(A, dw, thresholds)
-    misfit = A @ coeffs - dw
-    rms = float(np.sqrt(np.mean(np.abs(misfit) ** 2)))
-    scale = max(1.0, float(np.sqrt(np.mean(np.abs(dw) ** 2))))
-    return FitResult("linear", tuple(coeffs), rms / scale, cond)
+    return _fit("linear", np.column_stack([np.ones_like(w), w]), dw, thresholds)
 
 
-def to_normal_form(p0: complex, p1: complex, p2: complex, p3: complex, eps: float = 1e-12):
+def to_normal_form(p0: complex, p1: complex, p2: complex, p3: complex):
     """Affine change w = a W + b mapping the cubic onto W'^2 = 4W^3 - g2 W - g3.
 
     a = 4/p3 kills the leading coefficient mismatch and b = -p2/(3 p3)
     removes the quadratic term; returns (g2, g3, a, b). Exactness is the
-    caller's to confirm by re-expansion (see reexpand_normal_form).
+    caller's to confirm by re-expansion (see reexpand_normal_form). Only
+    p3 = 0 raises: whether a nonzero p3 is significant depends on the
+    samples, which `classify` weighs.
     """
-    scale = max(abs(p0), abs(p1), abs(p2), abs(p3), 1e-300)
-    if abs(p3) <= eps * scale:
-        raise DegenerateCubic("leading coefficient p3 is not significant")
+    if p3 == 0:
+        raise DegenerateCubic("leading coefficient p3 is zero")
     a = 4.0 / p3
     b = -p2 / (3.0 * p3)
     g2 = -(3.0 * p3 * b * b + 2.0 * p2 * b + p1) / a
@@ -224,8 +233,11 @@ def classify(
     linear fit gives Linear (l1 insignificant) or Exponential(delta = l1).
     A good cubic fit with significant p3 is the Weierstrass family in normal
     form; with p3 insignificant but p2 significant it is the trigonometric
-    sector, folded into Exponential with delta = sqrt(p2). Everything else
-    is NotASolution, which is a valid outcome, not an error.
+    sector, folded into Exponential with delta = sqrt(p2). A cubic term is
+    significant where its largest size over the samples passes coeff_eps of
+    the largest w'^2: the raw coefficients span scales like |omega|^-6
+    (p0 ~ -g3) against 4 (p3) on small lattices. Everything else is
+    NotASolution, which is a valid outcome, not an error.
     """
     evidence = tuple(r for r in (cubic, linear) if r is not None)
     if sample_spread is not None and sample_spread < thresholds.spread_eps:
@@ -237,13 +249,13 @@ def classify(
         return Classification("exponential", {"delta": l1}, evidence)
     if cubic is not None and cubic.residual <= thresholds.tau_cub:
         p0, p1, p2, p3 = cubic.coefficients
-        scale = max(abs(p0), abs(p1), abs(p2), abs(p3), 1e-300)
-        if abs(p3) > thresholds.coeff_eps * scale:
+        significant = [size > thresholds.coeff_eps * cubic.target_size for size in cubic.term_sizes]
+        if significant[3]:
             g2, g3, a, b = to_normal_form(p0, p1, p2, p3)
             return Classification(
                 "weierstrass", {"g2": g2, "g3": g3, "a": a, "b": b}, evidence
             )
-        if abs(p2) > thresholds.coeff_eps * scale:
+        if significant[2]:
             return Classification("exponential", {"delta": cmath.sqrt(p2)}, evidence)
     return Classification("not_a_solution", {}, evidence)
 

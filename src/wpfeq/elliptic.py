@@ -19,9 +19,11 @@ only a value beyond the float range raises. cot v, 1/sin^2 v and sin v are
 written in e = e^(2iu), u = +-v with |e| <= 1, and e - 1 from expm1, so no
 lattice is too tall to evaluate (see `_point`). Higher derivatives come from
 differentiating the normal-form ODE  pe'^2 = 4 pe^3 - g2 pe - g3, never from
-numerical differentiation. The scalar functions answer point queries in
-plain complex arithmetic; the sampled checks take pe and pe' a whole batch
-at a time over the same coefficients (`_wp_dp_array`).
+numerical differentiation. On a number, the functions answer in plain
+complex arithmetic; `jets`, `zeta`, `sigma` and `lattice_distance` also take
+an ndarray and evaluate it elementwise over the same coefficients, which is
+how the sampled checks score a whole batch at a time (`_point_array`,
+`_wp_dp_array`).
 
 A context built from invariants alone takes its generators from the complex
 AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
@@ -85,10 +87,10 @@ class Invariants:
 
 @dataclass(frozen=True)
 class JetValues:
-    """Function value and derivatives (f, f', ..., f^(order)) at one point."""
+    """Function value and derivatives (f, f', ..., f^(order)) at a point or elementwise."""
 
-    at: complex
-    values: tuple[complex, ...]
+    at: complex | np.ndarray
+    values: tuple[complex, ...] | tuple[np.ndarray, ...]
 
     @property
     def order(self) -> int:
@@ -442,29 +444,41 @@ def _exp_expm1(x: complex) -> tuple[complex, complex]:
     return complex(ea * c, ea * s), complex(math.expm1(x.real) * c - 2.0 * math.sin(0.5 * x.imag) ** 2, ea * s)
 
 
-def _theta_sums(ctx: EllipticContext, e: complex) -> tuple[complex, complex, complex]:
-    """sum a_n (e^n - e^-n), sum n a_n (e^n + e^-n) and sum n^2 a_n (e^n - e^-n).
+def _theta_sums(ctx: EllipticContext, e: complex) -> tuple[complex, complex]:
+    """sum n a_n (e^n + e^-n) and sum n^2 a_n (e^n - e^-n).
 
-    That is 2i sum a_n sin 2nu, 2 sum n a_n cos 2nu and 2i sum n^2 a_n sin 2nu
-    at e = e^(2iu). |e| >= |q| after rounding, so e^-n stays finite wherever
-    a_n is nonzero.
+    That is 2 sum n a_n cos 2nu and 2i sum n^2 a_n sin 2nu at e = e^(2iu).
+    |e| >= |q| after rounding, so e^-n stays finite wherever a_n is nonzero.
     """
-    odd = even = odd2 = 0j
+    even = odd2 = 0j
     en, eni, ei = 1.0 + 0j, 1.0 + 0j, 1.0 / e if ctx.theta_coeffs else 0j
     for n, a in enumerate(ctx.theta_coeffs, 1):
         en *= e
         eni *= ei
-        minus = a * (en - eni)
-        odd += minus
         even += n * a * (en + eni)
-        odd2 += n * n * minus
-    return odd, even, odd2
+        odd2 += n * n * (a * (en - eni))
+    return even, odd2
+
+
+def _theta_odd(ctx: EllipticContext, e):
+    """sum a_n (e^n - e^-n) = 2i sum a_n sin 2nu at e = e^(2iu), a number or an array.
+
+    The powers come from a running product, one array step per term, not
+    from a (points x terms) matrix.
+    """
+    odd = 0j
+    en, eni, ei = 1.0 + 0j, 1.0 + 0j, 1.0 / e if ctx.theta_coeffs else 0j
+    for a in ctx.theta_coeffs:
+        en = en * e
+        eni = eni * ei
+        odd = odd + a * (en - eni)
+    return odd
 
 
 def _wp_dp(ctx: EllipticContext, z: complex) -> tuple[complex, complex]:
     """(pe, pe') = (-2 eta1/b1 - k^2 L'(v), -k^3 L''(v)) at the rounded representative."""
     _, _, _, k, sign, _, e, d = _point(ctx, complex(z))
-    _, even, odd2 = _theta_sums(ctx, e)
+    even, odd2 = _theta_sums(ctx, e)
     csc2 = -4.0 * e / (d * d)
     p = k * k * (csc2 - 4.0 * even) - 2.0 * ctx.eta[0] * k / math.pi
     dp = -2.0 * sign * k**3 * (1j * (e + 1.0) / d * csc2 + 4j * odd2)
@@ -491,9 +505,21 @@ def _reduce_array(ctx: EllipticContext, z: np.ndarray) -> np.ndarray:
     return np.take_along_axis(cand, np.abs(cand).argmin(axis=-1)[..., None], axis=-1)[..., 0]
 
 
-def _lattice_distance_array(ctx: EllipticContext, z) -> np.ndarray:
-    """`lattice_distance` elementwise."""
-    return np.abs(_reduce_array(ctx, np.asarray(z, dtype=complex)))
+def _point_array(ctx: EllipticContext, z: np.ndarray):
+    """`_point` elementwise, without the pole test: (z0, m, n, k, sign, iu, e, d)."""
+    if ctx.reduced is None:
+        m = n = np.zeros(z.shape)
+    else:
+        b1, b2 = ctx.reduced
+        s, t = _lattice_coords(z, b1, b2)
+        m, n = np.round(s), np.round(t)
+        z = z - m * b1 - n * b2
+    if not ctx.k:
+        return z, m, n, 1.0, 1.0, np.zeros_like(z), np.ones_like(z), 2j * z
+    v = ctx.k * z
+    sign = np.where((v.imag < 0) | ((v.imag == 0) & (v.real < 0)), -1.0, 1.0)
+    iu = 1j * (sign * v)
+    return z, m, n, ctx.k, sign, iu, np.exp(2.0 * iu), np.expm1(2.0 * iu)
 
 
 def _wp_dp_array(ctx: EllipticContext, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -507,18 +533,8 @@ def _wp_dp_array(ctx: EllipticContext, z) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     z = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        if ctx.reduced is not None:
-            b1, b2 = ctx.reduced
-            s, t = _lattice_coords(z, b1, b2)
-            z = z - np.round(s) * b1 - np.round(t) * b2
+        z, _, _, k, sign, _, e, d = _point_array(ctx, z)
         fault = np.where(np.abs(z) <= ctx.tol.pole, _POLE, 0)
-        # u, e and d as in `_point`, with its k -> 0 limit
-        if ctx.k:
-            k, v = ctx.k, ctx.k * z
-            sign = np.where((v.imag < 0) | ((v.imag == 0) & (v.real < 0)), -1.0, 1.0)
-            e, d = np.exp(2j * (sign * v)), np.expm1(2j * (sign * v))
-        else:
-            k, sign, e, d = 1.0, 1.0, np.ones_like(z), 2j * z
         a = np.array(ctx.theta_coeffs, dtype=complex)
         n = np.arange(1, len(a) + 1)
         # columns e^n and e^-n, n = 1..len(a)
@@ -543,16 +559,30 @@ def wp_prime(ctx: EllipticContext, z: complex) -> complex:
     return _wp_dp(ctx, z)[1]
 
 
-def jets(ctx: EllipticContext, z: complex, order: int = 5) -> JetValues:
-    """(pe, pe', ..., pe^(order)) at z with order <= 5.
+def jets(ctx: EllipticContext, z, order: int = 5) -> JetValues:
+    """(pe, pe', ..., pe^(order)) at z with order <= 5; elementwise on an array.
 
-    Everything above pe' comes from differentiating the normal-form ODE:
-    pe'' = 6 pe^2 - g2/2, pe''' = 12 pe pe', pe'''' = 12 pe'^2 + 12 pe pe'',
-    pe''''' = 36 pe' pe'' + 12 pe pe'''.
+    Everything above pe' comes from differentiating the normal-form ODE
+    (`_ode_jets`). On an array every value is nan where the scalar call
+    raises PoleProximity.
     """
     if not 0 <= order <= 5:
         raise ValueError("jet order must be between 0 and 5")
-    p, dp = _wp_dp(ctx, z)
+    if np.ndim(z) == 0:
+        z = complex(z)
+        p, dp = _wp_dp(ctx, z)
+    else:
+        z = np.asarray(z, dtype=complex)
+        p, dp, _ = _wp_dp_array(ctx, z)
+    return JetValues(at=z, values=tuple(_ode_jets(ctx, p, dp, order)))
+
+
+def _ode_jets(ctx: EllipticContext, p, dp, order: int) -> list:
+    """[pe, pe', ..., pe^(order)] from pe and pe', numbers or arrays, order <= 5.
+
+    pe'' = 6 pe^2 - g2/2, pe''' = 12 pe pe', pe'''' = 12 pe'^2 + 12 pe pe'',
+    pe''''' = 36 pe' pe'' + 12 pe pe'''.
+    """
     vals = [p, dp]
     g2 = ctx.invariants.g2
     if order >= 2:
@@ -563,27 +593,25 @@ def jets(ctx: EllipticContext, z: complex, order: int = 5) -> JetValues:
         vals.append(12.0 * dp * dp + 12.0 * p * vals[2])
     if order >= 5:
         vals.append(36.0 * dp * vals[2] + 12.0 * p * vals[3])
-    return JetValues(at=complex(z), values=tuple(vals[: order + 1]))
+    return vals[: order + 1]
 
 
-def sigma(ctx: EllipticContext, z: complex) -> complex:
+def sigma(ctx: EllipticContext, z):
     """Entire odd sigma, zero on the lattice; FloatOverflow beyond the float range.
 
     sigma(z0 + lam) = (-1)^(m+n+mn) exp(H (z0 + lam/2)) sigma(z0) for
     lam = m b1 + n b2 and H = 2 m eta1 + 2 n eta2; the exponent and
     log|sigma(z0)| are added before anything is exponentiated, and the
     parity sign is applied exactly, so sigma(-z) = -sigma(z) bit for bit.
+    Elementwise on an array, which raises FloatOverflow if any value does.
     """
+    if np.ndim(z) != 0:
+        return _sigma_array(ctx, np.asarray(z, dtype=complex))
     z = complex(z)
     z0, m, n, k, sign, iu, e, d = _point(ctx, z, pole=False)
-    # sin u = e^(-iu) d/(2i): the factor e^(-iu) joins the exponent
-    lead, ei = d / (2j * k), 1.0 / e if ctx.theta_coeffs else 0j
-    for a in ctx.theta_coeffs:
-        lead *= (1.0 + a * (1.0 - e)) * (1.0 + a * (1.0 - ei))
+    lead, power = _sigma_terms(ctx, z, z0, m, n, k, iu, e, d)
     if lead == 0:
         return 0j
-    eta1, eta2 = ctx.eta
-    power = eta1 * k * z0 * z0 / math.pi + (m * eta1 + n * eta2) * (z + z0) - iu
     try:
         size = math.exp(power.real + math.log(abs(lead)))
     except OverflowError as exc:
@@ -592,15 +620,57 @@ def sigma(ctx: EllipticContext, z: complex) -> complex:
     return sign * size * (lead / abs(lead)) * cmath.exp(1j * power.imag)
 
 
-def zeta(ctx: EllipticContext, z: complex) -> complex:
+def _sigma_terms(ctx: EllipticContext, z, z0, m, n, k, iu, e, d):
+    """(lead, power) with sigma(z) = +-lead e^power from the pieces of `_point`.
+
+    lead is sin(u)/k e^(iu) times the theta product, one step per
+    coefficient, and power the quasi-periodic exponent; numbers or arrays.
+    """
+    # sin u = e^(-iu) d/(2i): the factor e^(-iu) joins the exponent
+    lead, ei = d / (2j * k), 1.0 / e if ctx.theta_coeffs else 0j
+    for a in ctx.theta_coeffs:
+        lead *= (1.0 + a * (1.0 - e)) * (1.0 + a * (1.0 - ei))
+    eta1, eta2 = ctx.eta
+    power = eta1 * k * z0 * z0 / math.pi + (m * eta1 + n * eta2) * (z + z0) - iu
+    return lead, power
+
+
+def _sigma_array(ctx: EllipticContext, z: np.ndarray) -> np.ndarray:
+    """`sigma` elementwise; FloatOverflow if any value leaves the float range."""
+    with np.errstate(all="ignore"):
+        z0, m, n, k, sign, iu, e, d = _point_array(ctx, z)
+        lead, power = _sigma_terms(ctx, z, z0, m, n, k, iu, e, d)
+        size = np.exp(power.real + np.log(np.abs(lead)))
+        zero = lead == 0
+        if np.isinf(size[~zero]).any():
+            raise FloatOverflow("|sigma| exceeds the float range on the batch")
+        sign = np.where((m + n + m * n) % 2 != 0, -sign, sign)
+        out = sign * size * (lead / np.abs(lead)) * np.exp(1j * power.imag)
+    out[zero] = 0
+    return out
+
+
+def zeta(ctx: EllipticContext, z):
     """Odd zeta function with zeta' = -pe and principal part 1/z.
 
     zeta(z0) = 2 eta1 z0/b1 + k L(v) at the rounded representative; the
-    lattice shift m b1 + n b2 adds 2 m eta1 + 2 n eta2.
+    lattice shift m b1 + n b2 adds 2 m eta1 + 2 n eta2. Elementwise on an
+    array, nan where the scalar call raises PoleProximity.
     """
-    z0, m, n, k, sign, _, e, d = _point(ctx, complex(z))
-    odd, _, _ = _theta_sums(ctx, e)
+    if np.ndim(z) == 0:
+        z0, m, n, k, sign, _, e, d = _point(ctx, complex(z))
+        return _zeta_at(ctx, z0, m, n, k, sign, e, d)
+    with np.errstate(all="ignore"):
+        z0, m, n, k, sign, _, e, d = _point_array(ctx, np.asarray(z, dtype=complex))
+        out = _zeta_at(ctx, z0, m, n, k, sign, e, d)
+        out[(np.abs(z0) <= ctx.tol.pole) | (d * d * d == 0)] = np.nan
+    return out
+
+
+def _zeta_at(ctx: EllipticContext, z0, m, n, k, sign, e, d):
+    """zeta from the pieces of `_point`, scalars or arrays alike."""
     eta1, eta2 = ctx.eta
+    odd = _theta_odd(ctx, e)
     return sign * k * (1j * (e + 1.0) / d - 2j * odd) + 2.0 * eta1 * k * z0 / math.pi + 2.0 * (m * eta1 + n * eta2)
 
 
@@ -626,9 +696,11 @@ def is_lattice_point(ctx: EllipticContext, z: complex) -> bool:
     return max(abs(s - round(s)), abs(t - round(t))) <= ctx.tol.lattice
 
 
-def lattice_distance(ctx: EllipticContext, z: complex) -> float:
-    """Euclidean distance from z to the nearest lattice point."""
+def lattice_distance(ctx: EllipticContext, z):
+    """Euclidean distance from z to the nearest lattice point; elementwise on an array."""
     if ctx.periods is None:
         raise NoPeriods("lattice distance needs period generators")
+    if np.ndim(z) != 0:
+        return np.abs(_reduce_array(ctx, np.asarray(z, dtype=complex)))
     zred, _, _ = _reduce_near_zero(ctx, complex(z))
     return abs(zred)

@@ -193,6 +193,22 @@ class TestClassify:
         assert dec.family == "weierstrass"
         assert dec.roundtrip_residual <= 1e-10
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["fd", "exact"])
+    @pytest.mark.parametrize("scale", [0.05, 0.01, 1e-3])
+    def test_tiny_lattice_is_weierstrass(self, scale, exact):
+        # p0 ~ -g3 grows like scale^-6 while p3 stays 4: significance must
+        # weigh each term over the samples, not the raw coefficients
+        w1, w2 = scale, scale * (0.3 + 1.1j)
+        ctx = el.from_periods(w1, w2)
+        xs = tuple(w1 * (0.2 + 0.005 * i) + 0.1 * w2 for i in range(41))
+        dws = tuple(el.wp_prime(ctx, x) for x in xs) if exact else None
+        dec = cl.classify_samples(cl.SampleSet(xs, tuple(el.wp(ctx, x) for x in xs), dws), seed=3)
+        assert dec.family == "weierstrass"
+        g2, g3 = ctx.invariants.g2, ctx.invariants.g3
+        assert abs(dec.params["g2"] - g2) <= 1e-3 * abs(g2)
+        assert abs(dec.params["g3"] - g3) <= 1e-3 * abs(g3)
+        assert dec.roundtrip_residual <= 1e-10
+
     def test_absolute_value_rejected(self):
         s = _samples(abs, -1.0, 1.0, 0.05)
         assert cl.classify_samples(s).family == "not_a_solution"

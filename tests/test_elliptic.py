@@ -403,12 +403,79 @@ class TestWpArray:
     def test_lattice_distance_matches_scalar(self, name, request):
         ctx = request.getfixturevalue(name)
         z = cell_points(ctx, 500, 4)
-        got = el._lattice_distance_array(ctx, z)
+        got = el.lattice_distance(ctx, z)
         assert got.tolist() == pytest.approx([el.lattice_distance(ctx, zi) for zi in z.tolist()], rel=1e-14)
 
     def test_empty_batch(self, square_ctx):
         p, dp, fault = el._wp_dp_array(square_ctx, np.empty(0, complex))
         assert p.shape == dp.shape == fault.shape == (0,)
+
+def _jet_scales(ctx, values):
+    """Per order n, the size a jet value's round-off is relative to.
+
+    That is the ODE formula of `jets` on magnitudes, its cancellation scale,
+    but at least |k|^(n+2), the lattice's own size of pe^(n), since pe and
+    pe' themselves have zeros.
+    """
+    p, dp = abs(values[0]), abs(values[1])
+    s2 = 6.0 * p * p + 0.5 * abs(ctx.invariants.g2)
+    s3 = 12.0 * p * dp
+    sizes = (p, dp, s2, s3, 12.0 * dp * dp + 12.0 * p * s2, 36.0 * dp * s2 + 12.0 * p * s3)
+    return [max(size, abs(ctx.k) ** (n + 2)) for n, size in enumerate(sizes)]
+
+
+class TestArrayEntryPoints:
+    """zeta, sigma, jets and lattice_distance on arrays against their scalar calls."""
+
+    @pytest.mark.parametrize("tau", [1j, cmath.exp(1j * math.pi / 3.0), 8j], ids=["square", "hex", "tall"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_scalar_over_cells(self, tau, scale):
+        ctx = el.from_periods(scale, scale * tau)
+        w1, w2 = ctx.periods.omega1, ctx.periods.omega2
+        st = np.random.default_rng(12).uniform(-1.3, 1.3, (150, 2))
+        z = np.concatenate((st[:, 0] * w1 + st[:, 1] * w2, [0j, w1, w1 + w2, -w2]))
+        zeta, sigma, jets = el.zeta(ctx, z), el.sigma(ctx, z), el.jets(ctx, z, 5)
+        assert jets.at is not None and len(jets.values) == 6
+        poles = 0
+        for i, zi in enumerate(z.tolist()):
+            s = el.sigma(ctx, zi)
+            assert abs(sigma[i] - s) <= 1e-13 * abs(s)
+            try:
+                sz, sj = el.zeta(ctx, zi), el.jets(ctx, zi, 5).values
+            except PoleProximity:
+                poles += 1
+                assert np.isnan(zeta[i]) and all(np.isnan(v[i]) for v in jets.values)
+                with pytest.raises(PoleProximity):
+                    el.jets(ctx, zi, 5)
+                continue
+            assert abs(zeta[i] - sz) <= 1e-13 * max(abs(sz), 1.0 / scale)
+            for v, want, size in zip(jets.values, sj, _jet_scales(ctx, sj)):
+                assert abs(v[i] - want) <= 1e-13 * size
+        assert poles == 4  # the four lattice points
+
+    def test_sigma_overflow_raises_for_the_batch(self, square_ctx):
+        with pytest.raises(FloatOverflow):
+            el.sigma(square_ctx, np.array([0.5 + 0.5j, 45.3 + 1.1j]))
+
+    def test_invariants_only_contexts(self, normal_form_ctx, degenerate_ctx):
+        z = np.random.default_rng(13).uniform(-1.0, 1.0, (50, 2)).view(complex)[:, 0]
+        for ctx in (normal_form_ctx, degenerate_ctx):
+            zeta, sigma, jets = el.zeta(ctx, z), el.sigma(ctx, z), el.jets(ctx, z, 3)
+            for i, zi in enumerate(z.tolist()):
+                sz, ss = el.zeta(ctx, zi), el.sigma(ctx, zi)
+                assert abs(zeta[i] - sz) <= 1e-13 * abs(sz)
+                assert abs(sigma[i] - ss) <= 1e-13 * abs(ss)
+                want = el.jets(ctx, zi, 3).values
+                for v, w, size in zip(jets.values, want, _jet_scales(ctx, want)):
+                    assert abs(v[i] - w) <= 1e-13 * size
+            with pytest.raises(NoPeriods):
+                el.lattice_distance(ctx, z)
+
+    def test_empty_batch(self, square_ctx):
+        empty = np.empty(0, complex)
+        assert el.zeta(square_ctx, empty).shape == el.sigma(square_ctx, empty).shape == (0,)
+        assert el.lattice_distance(square_ctx, empty).shape == (0,)
+
 
 class TestWpPrime:
     def test_degenerate_closed_form(self, degenerate_ctx):

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wpfeq import elliptic as el
+from wpfeq import jetpoly as jp
 from wpfeq import verifier as vr
 from wpfeq.errors import DegenerateProbe, FloatOverflow, PoleProximity, SamplerExhausted
 
@@ -489,3 +491,164 @@ class TestCFunctions:
         x = 0.4 + 0.3j
         with pytest.raises(DegenerateProbe):
             vr.c_function_check(square_ctx, x, [-x])
+
+
+# -- batched checks against test-local scalar references ---------------------------
+
+CONTEXTS = ["square_ctx", "hex_ctx", "generic_ctx"]
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """(points, residuals, faults) of every batch a sampled check scores through `_collect`."""
+    seen = []
+    collect = vr._collect
+
+    def spy(triples, evaluate, tol, note=""):
+        points = np.array(list(triples), dtype=complex).reshape(-1, 3)
+        seen.append((points, *evaluate(*points.T)))
+        return collect(map(tuple, points.tolist()), evaluate, tol, note)
+
+    monkeypatch.setattr(vr, "_collect", spy)
+    return seen
+
+
+def scalar_det_vs_sigma(ctx, a, b, c):
+    """det3 on scalar jets against the quotient of scalar sigma values, plainly multiplied."""
+    (f, fp), (g, gp), (h, hp) = (el.jets(ctx, p, 1).values for p in (a, b, c))
+    s1, s2, s3, s4, sa, sb, sc = (el.sigma(ctx, p) for p in (a + b + c, a - b, b - c, c - a, a, b, c))
+    quotient = 2.0 * s1 * s2 * s3 * s4 / (sa * sb * sc) ** 3
+    det = (g - f) * hp - (gp - fp) * h + (f * gp - g * fp)
+    return abs(det - quotient) / sum(abs(t) for t in (g * hp, f * hp, gp * h, fp * h, f * gp, g * fp))
+
+
+def scalar_derived(poly, fam, x, y, order):
+    fv, gv = fam.jets(x, order).values, fam.jets(y, order).values
+    return abs(jp.evaluate(poly, fv, gv)) / max(jp.evaluate(poly, fv, gv, absolute=True), 1e-100)
+
+
+def scalar_factfun(fam, x, y, z, h):
+    """The operator by nested scalar differences, one antiderivative call per stencil value."""
+
+    def S(a, b):
+        Fa, Fb, Fc = (fam.antiderivative(t) for t in (a, b, -(a + b)))
+        return Fa * Fb + Fb * Fc + Fc * Fa
+
+    def operator(h):
+        def mixed(a, b):
+            return (S(a + h, b + h) - S(a + h, b - h) - S(a - h, b + h) + S(a - h, b - h)) / (4.0 * h * h)
+
+        return (mixed(x + h, y) - mixed(x - h, y) - mixed(x, y + h) + mixed(x, y - h)) / (2.0 * h)
+
+    value = (4.0 * operator(h / 2.0) - operator(h)) / 3.0
+    jets = [fam.jets(t, 1).values for t in (x, y, z)]
+    return abs(value) / (max(1.0, *(abs(j[0]) for j in jets)) * max(1.0, *(abs(j[1]) for j in jets)))
+
+
+class TestBatchedChecks:
+    @pytest.mark.parametrize("name", CONTEXTS)
+    def test_sigma_gap_matches_scalar(self, name, request):
+        ctx = request.getfixturevalue(name)
+        w1, w2 = ctx.periods.omega1, ctx.periods.omega2
+        st = np.random.default_rng(20).uniform(-0.35, 0.35, (3, 80, 2))
+        a, b, c = st[..., 0] * w1 + st[..., 1] * w2
+        gaps, faults = vr._det_vs_sigma(ctx, a, b, c)
+        assert not faults.any()
+        for i, triple in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
+            assert abs(gaps[i] - scalar_det_vs_sigma(ctx, *triple)) <= 1e-12
+
+    @pytest.mark.parametrize("name", CONTEXTS)
+    def test_shifted_sigma_scan_matches_scalar(self, name, request, batches):
+        ctx = request.getfixturevalue(name)
+        shift = 0.37 * ctx.periods.omega1
+        vr.shifted_det_vs_sigma_scan(ctx, shift, vr.TripleSampler(seed=21, count=60), tol=1e-6)
+        [(points, gaps, faults)] = batches
+        assert not faults.any()
+        for (x, y, z), gap in zip(points.tolist(), gaps.tolist()):
+            assert abs(gap - scalar_det_vs_sigma(ctx, x + shift, y + shift, z + shift)) <= 1e-12
+
+    def test_sigma_gap_faults_where_the_denominator_vanishes(self, square_ctx):
+        gaps, faults = vr._det_vs_sigma(square_ctx, np.array([0.5 + 0.3j, 2.0 + 0j]), np.array([0.2j] * 2), np.array([0.7] * 2))
+        assert faults.tolist() == [0, vr._POLE] and math.isfinite(gaps[0])
+
+    @pytest.mark.parametrize("name", CONTEXTS)
+    @pytest.mark.parametrize("s", [3, None])
+    def test_derived_matches_scalar(self, name, s, request, batches):
+        fam = vr.WeierstrassShifted(request.getfixturevalue(name), 0j)
+        vr.derived_determinant_check(fam, fam, fam, 1, 2, s, vr.TripleSampler(seed=22, count=40))
+        poly = jp.abc_det(1, 2, s) if s is not None else jp.build_addet(1, 2)
+        order = max(poly.jet_order("f"), poly.jet_order("g"), 1)
+        [(points, residuals, faults)] = batches
+        assert not faults.any()
+        for (x, y, _), r in zip(points.tolist(), residuals.tolist()):
+            assert abs(r - scalar_derived(poly, fam, x, y, order)) <= 1e-12
+
+    @pytest.mark.parametrize("name", CONTEXTS)
+    @pytest.mark.parametrize("third", [0.0, 1.0 / 3.0])
+    def test_factfun_matches_scalar(self, name, third, request, batches):
+        ctx = request.getfixturevalue(name)
+        fam = vr.WeierstrassShifted(ctx, third * ctx.periods.omega1)
+        vr.factfun_check(fam, vr.TripleSampler(seed=23, count=30), h_step=1e-2)
+        [(points, residuals, faults)] = batches
+        assert (faults != vr._POLE).all()
+        for (x, y, z), r, fault in zip(points.tolist(), residuals.tolist(), faults.tolist()):
+            if fault != vr._GUARD:
+                assert abs(r - scalar_factfun(fam, x, y, z, 1e-2)) <= 1e-8
+
+    @pytest.mark.parametrize("fam", [vr.Exponential(0.5, 1.0, 0.7 - 0.2j), vr.Linear(1.5, 0.5j), vr.Constant(2.0)], ids=["exp", "linear", "constant"])
+    def test_closed_form_families_match_scalar(self, fam, batches):
+        vr.factfun_check(fam, vr.TripleSampler(seed=24, count=30), h_step=2e-2, tol=1e-9)
+        vr.derived_determinant_check(fam, fam, fam, 1, 2, None, vr.TripleSampler(seed=25, count=30), tol=1e-10)
+        (points, residuals, faults), (dpoints, dresiduals, dfaults) = batches
+        assert not faults.any() and not dfaults.any()
+        for (x, y, z), r in zip(points.tolist(), residuals.tolist()):
+            assert abs(r - scalar_factfun(fam, x, y, z, 2e-2)) <= 1e-8
+        poly = jp.build_addet(1, 2)
+        order = max(poly.jet_order("f"), poly.jet_order("g"), 1)
+        for (x, y, _), r in zip(dpoints.tolist(), dresiduals.tolist()):
+            assert abs(r - scalar_derived(poly, fam, x, y, order)) <= 1e-12
+
+    @pytest.mark.parametrize("fam", [vr.Exponential(2.0, 0.5j, 1.0 - 0.5j), vr.Linear(1.5 - 1j, 2.0), vr.Constant(0.7 + 0.1j)], ids=["exp", "linear", "constant"])
+    def test_array_jets_and_antiderivative_match_scalar(self, fam):
+        x = np.random.default_rng(26).uniform(-1.0, 1.0, (30, 2)).view(complex)[:, 0]
+        *values, fault = fam.jets_array(x, 5)
+        F = fam.antiderivative(x)
+        assert not fault.any() and len(values) == 6
+        for i, xi in enumerate(x.tolist()):
+            assert [v[i] for v in values] == pytest.approx(fam.jets(xi, 5).values, rel=1e-15, abs=1e-15)
+            assert F[i] == pytest.approx(fam.antiderivative(xi), rel=1e-15)
+
+    def test_shifted_wp_antiderivative_is_nan_at_poles(self, square_ctx):
+        fam = vr.WeierstrassShifted(square_ctx, 0.5)
+        F = fam.antiderivative(np.array([-0.5 + 0j, 0.3 + 0.4j]))
+        assert math.isnan(F[0].real) and F[1] == fam.antiderivative(0.3 + 0.4j)
+        *values, fault = fam.jets_array(np.array([-0.5 + 0j, 0.3 + 0.4j]), 5)
+        assert fault.tolist() == [vr._POLE, 0] and len(values) == 6
+
+
+# lattice coordinates on a 0.01 grid: lattice points (where the quotient is
+# nan) come up, but nothing so close to one that the quotient overflows
+_coords = st.integers(min_value=-130, max_value=130).map(lambda k: k / 100.0)
+_points = st.lists(st.tuples(_coords, _coords), min_size=3, max_size=3)
+
+
+class TestSigmaQuotientArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_points, min_size=1, max_size=12))
+    def test_exact_antisymmetry_and_zero(self, square_ctx, rows):
+        coords = np.array(rows)
+        a, b, c = (coords[:, i, 0] * 2.0 + coords[:, i, 1] * 2.0j for i in range(3))
+        q = vr.sigma_quotient(square_ctx, a, b, c)
+        for other in (vr.sigma_quotient(square_ctx, b, a, c), vr.sigma_quotient(square_ctx, a, c, b),
+                      vr.sigma_quotient(square_ctx, c, b, a)):
+            assert np.array_equal(q, -other, equal_nan=True)
+        for zero in (vr.sigma_quotient(square_ctx, a, a, c), vr.sigma_quotient(square_ctx, a, b, b)):
+            assert ((zero == 0) | np.isnan(zero)).all()
+        on_lattice = [el.lattice_distance(square_ctx, p) == 0 for p in (a, c)]
+        assert np.array_equal(np.isnan(vr.sigma_quotient(square_ctx, a, a, c)), on_lattice[0] | on_lattice[1])
+
+    def test_scalar_call_matches_the_array(self, square_ctx):
+        a, b, c = 0.5 + 0.3j, 1.1 + 0.9j, 0.4 + 1.3j
+        assert vr.sigma_quotient(square_ctx, a, b, c) == vr.sigma_quotient(square_ctx, *(np.array([p]) for p in (a, b, c)))[0]
+        with pytest.raises(PoleProximity):
+            vr.sigma_quotient(square_ctx, 2.0, b, c)
