@@ -19,11 +19,17 @@ only a value beyond the float range raises. cot v, 1/sin^2 v and sin v are
 written in e = e^(2iu), u = +-v with |e| <= 1, and e - 1 from expm1, so no
 lattice is too tall to evaluate (see `_point`). Higher derivatives come from
 differentiating the normal-form ODE  pe'^2 = 4 pe^3 - g2 pe - g3, never from
-numerical differentiation. On a number, the functions answer in plain
-complex arithmetic; `jets`, `zeta`, `sigma` and `lattice_distance` also take
-an ndarray and evaluate it elementwise over the same coefficients, which is
-how the sampled checks score a whole batch at a time (`_point_array`,
-`_wp_dp_array`).
+numerical differentiation.
+
+Each evaluator has one body for a complex number and for an ndarray,
+evaluated elementwise, which is how the sampled checks score a whole batch
+at a time. The two part in three leaves only: the rounding and e, e - 1 in
+`_point` (`round` and `_exp_expm1` for a number, numpy's for an array), the
+power sums in `_theta_sums` (a loop, or a cumulative product and a matrix
+product), and `_pole_edge`, where a pole raises PoleProximity for a number
+and is nan in an array. `sigma` and `lattice_distance` take a number as an
+array of one. The reference for both is a theta oracle at 30 digits (the
+tests' `ThetaOracle`, and `perfbench/oracle.py`).
 
 A context built from invariants alone takes its generators from the complex
 AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
@@ -40,6 +46,7 @@ the generators span the lattice directly, Lambda = {m*omega1 + n*omega2}.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -144,31 +151,6 @@ def _lattice_coords(z: complex, w1: complex, w2: complex) -> tuple[float, float]
     return s, t
 
 
-def _reduce_near_zero(ctx: EllipticContext, z: complex) -> tuple[complex, int, int]:
-    """Representative of z mod Lambda nearest the origin, with the shift."""
-    b1, b2 = ctx.reduced
-    s, t = _lattice_coords(z, b1, b2)
-    m0, n0 = round(s), round(t)
-    best = None
-    for dm in (-1, 0, 1):
-        for dn in (-1, 0, 1):
-            m, n = m0 + dm, n0 + dn
-            cand = z - m * b1 - n * b2
-            if best is None or abs(cand) < abs(best[0]):
-                best = (cand, m, n)
-    return best
-
-
-def _reduce(ctx: EllipticContext, z: complex) -> tuple[complex, int, int]:
-    """(z0, m, n) with z = z0 + m*b1 + n*b2, both lattice coordinates of z0 rounded away."""
-    if ctx.reduced is None:
-        return z, 0, 0
-    b1, b2 = ctx.reduced
-    s, t = _lattice_coords(z, b1, b2)
-    m, n = round(s), round(t)
-    return z - m * b1 - n * b2, m, n
-
-
 # -- the reference lattice sum ---------------------------------------------------
 
 
@@ -225,8 +207,7 @@ def lattice_sum_reference(
     if ctx.periods is None:
         raise NoPeriods("the reference sum needs period generators")
     z = complex(z)
-    zred, _, _ = _reduce_near_zero(ctx, z)
-    if abs(zred) <= ctx.tol.pole:
+    if lattice_distance(ctx, z) <= ctx.tol.pole:
         raise PoleProximity(z)
     w1, w2 = ctx.periods.omega1, ctx.periods.omega2
     acc = 1.0 / (z * z)
@@ -407,13 +388,35 @@ def from_invariants(
 # -- evaluation -------------------------------------------------------------------
 
 
-def _finite(*vals: complex) -> bool:
-    return all(math.isfinite(v.real) and math.isfinite(v.imag) for v in vals)
+def _elementwise(arrays_only: bool = False):
+    """Decorator: a public evaluator body(ctx, z, ...) for a number and elementwise for an ndarray.
+
+    A number, or an array of no dimensions, goes in as one complex number.
+    Any other ndarray goes in as a complex array with numpy's floating-point
+    warnings off, since its poles come out as nan (see `_pole_edge`). With
+    `arrays_only`, the body takes arrays alone, and a number is evaluated as
+    an array of one.
+    """
+
+    def wrap(body):
+        @functools.wraps(body)
+        def evaluate(ctx, z, *args, **kwargs):
+            if not (isinstance(z, np.ndarray) and z.ndim):
+                if not arrays_only:
+                    return body(ctx, complex(z), *args, **kwargs)
+                return evaluate(ctx, np.array([complex(z)]), *args, **kwargs)[0].item()
+            with np.errstate(all="ignore"):
+                return body(ctx, np.asarray(z, dtype=complex), *args, **kwargs)
+
+        return evaluate
+
+    return wrap
 
 
-def _point(ctx: EllipticContext, z: complex, pole: bool = True):
-    """(z0, m, n, k, sign, iu, e, d) at v = k*z0, with (z0, m, n) from `_reduce`.
+def _point(ctx: EllipticContext, z):
+    """(z0, m, n, k, sign, iu, e, d, near) at v = k*z0, for a number or elementwise.
 
+    z = z0 + m*b1 + n*b2 with both lattice coordinates of z rounded away.
     u = sign*v is oriented so that Im u >= 0; then e = e^(2iu) has |e| <= 1
     and d = e - 1 comes from expm1. The callers build cot u = i(e + 1)/d,
     1/sin^2 u = -4e/d^2 and sin u = e^(-iu) d/(2i) from them, so nothing
@@ -421,21 +424,28 @@ def _point(ctx: EllipticContext, z: complex, pole: bool = True):
     point. pe is even in v and pe', zeta and sigma of z0 are odd, so `sign`
     alone maps back from u. With g2 = g3 = 0 the same forms give the k -> 0
     limit: k = 1, iu = 0, e = 1, d = 2i z0 (cot = 1/z0, 1/sin^2 = 1/z0^2,
-    sin = z0), and no series terms. With `pole`, raises PoleProximity within
-    the pole tolerance of a lattice point, and where d^3 underflows to zero.
+    sin = z0), and no series terms. `near` holds within the pole tolerance of
+    a lattice point and where d^3 underflows to zero. The rounding and e, d
+    are where a number and an array part: `round` and `_exp_expm1` for a
+    number, numpy's elementwise functions for an array.
     """
-    z0, m, n = _reduce(ctx, z)
+    batch = isinstance(z, np.ndarray)
+    z0, m, n = z, 0, 0
+    if ctx.reduced is not None:
+        b1, b2 = ctx.reduced
+        s, t = _lattice_coords(z, b1, b2)
+        m, n = (np.round(s), np.round(t)) if batch else (round(s), round(t))
+        z0 = z - m * b1 - n * b2
     if not ctx.k:
         k, sign, iu, e, d = 1.0, 1.0, 0j, 1.0 + 0j, 2j * z0
     else:
         k, v = ctx.k, ctx.k * z0
         # on the real axis too, v and -v share u, so the parities hold bit for bit
-        sign = -1.0 if (v.imag, v.real) < (0.0, 0.0) else 1.0
+        sign = 1.0 - 2.0 * ((v.imag < 0.0) | ((v.imag == 0.0) & (v.real < 0.0)))
         iu = 1j * (sign * v)
-        e, d = _exp_expm1(2.0 * iu)
-    if pole and (abs(z0) <= ctx.tol.pole or d * d * d == 0):
-        raise PoleProximity(z)
-    return z0, m, n, k, sign, iu, e, d
+        e, d = (np.exp(2.0 * iu), np.expm1(2.0 * iu)) if batch else _exp_expm1(2.0 * iu)
+    near = (abs(z0) <= ctx.tol.pole) | (d * d * d == 0)
+    return z0, m, n, k, sign, iu, e, d, near
 
 
 def _exp_expm1(x: complex) -> tuple[complex, complex]:
@@ -444,12 +454,35 @@ def _exp_expm1(x: complex) -> tuple[complex, complex]:
     return complex(ea * c, ea * s), complex(math.expm1(x.real) * c - 2.0 * math.sin(0.5 * x.imag) ** 2, ea * s)
 
 
-def _theta_sums(ctx: EllipticContext, e: complex) -> tuple[complex, complex]:
-    """sum n a_n (e^n + e^-n) and sum n^2 a_n (e^n - e^-n).
+def _pole_edge(z, pole, *values) -> tuple:
+    """values at z, where `pole` holds a pole: a number raises PoleProximity, an array holds nan.
+
+    pole is a bool for a number and a mask for an array. A caller passes
+    `near` from `_point` before anything divides by d, so that a number
+    stops there.
+    """
+    if isinstance(pole, np.ndarray):
+        for v in values:
+            v[pole] = np.nan
+    elif pole:
+        raise PoleProximity(z)
+    return values
+
+
+def _theta_sums(ctx: EllipticContext, e):
+    """sum n a_n (e^n + e^-n) and sum n^2 a_n (e^n - e^-n), at a number or elementwise.
 
     That is 2 sum n a_n cos 2nu and 2i sum n^2 a_n sin 2nu at e = e^(2iu).
     |e| >= |q| after rounding, so e^-n stays finite wherever a_n is nonzero.
+    A number runs a loop of running powers; an array takes the powers from
+    one cumulative product and the sums from a matrix product.
     """
+    if isinstance(e, np.ndarray):
+        a = np.array(ctx.theta_coeffs, dtype=complex)
+        n = np.arange(1, len(a) + 1)
+        # columns e^n and e^-n, n = 1..len(a)
+        en, eni = (np.cumprod(np.repeat(w[..., None], len(a), axis=-1), axis=-1) for w in (e, 1.0 / e))
+        return (en + eni) @ (n * a), (en - eni) @ (n * n * a)
     even = odd2 = 0j
     en, eni, ei = 1.0 + 0j, 1.0 + 0j, 1.0 / e if ctx.theta_coeffs else 0j
     for n, a in enumerate(ctx.theta_coeffs, 1):
@@ -475,105 +508,47 @@ def _theta_odd(ctx: EllipticContext, e):
     return odd
 
 
-def _wp_dp(ctx: EllipticContext, z: complex) -> tuple[complex, complex]:
-    """(pe, pe') = (-2 eta1/b1 - k^2 L'(v), -k^3 L''(v)) at the rounded representative."""
-    _, _, _, k, sign, _, e, d = _point(ctx, complex(z))
+def _wp_dp(ctx: EllipticContext, z) -> tuple:
+    """(pe, pe') = (-2 eta1/b1 - k^2 L'(v), -k^3 L''(v)) at the rounded representative.
+
+    A value that overflows next to a lattice point is a pole too.
+    """
+    _, _, _, k, sign, _, e, d, near = _point(ctx, z)
+    _pole_edge(z, near)
     even, odd2 = _theta_sums(ctx, e)
     csc2 = -4.0 * e / (d * d)
     p = k * k * (csc2 - 4.0 * even) - 2.0 * ctx.eta[0] * k / math.pi
     dp = -2.0 * sign * k**3 * (1j * (e + 1.0) / d * csc2 + 4j * odd2)
-    if not _finite(p, dp):
-        raise PoleProximity(z, "evaluation landed on a lattice pole")
-    return p, dp
+    # x - x is 0 exactly where x is finite
+    return _pole_edge(z, near | (p - p != 0) | (dp - dp != 0), p, dp)
 
 
-# fault code of the array path, per element: 0 where it evaluated, _POLE
-# where the scalar path raises PoleProximity
-_POLE = 1
-# the 3x3 neighbour shifts (dm, dn), in the scalar loop's order
-_NEAR_DM, _NEAR_DN = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
+@_elementwise()
+def wp(ctx: EllipticContext, z):
+    """Weierstrass pe at z for the context invariants.
 
-
-def _reduce_array(ctx: EllipticContext, z: np.ndarray) -> np.ndarray:
-    """`_reduce_near_zero` elementwise: each representative nearest the origin."""
-    b1, b2 = ctx.reduced
-    s, t = _lattice_coords(z, b1, b2)
-    m = np.round(s)[..., None] + _NEAR_DM
-    n = np.round(t)[..., None] + _NEAR_DN
-    cand = z[..., None] - m * b1 - n * b2
-    # argmin keeps the first of equal candidates, as the scalar loop does
-    return np.take_along_axis(cand, np.abs(cand).argmin(axis=-1)[..., None], axis=-1)[..., 0]
-
-
-def _point_array(ctx: EllipticContext, z: np.ndarray):
-    """`_point` elementwise, without the pole test: (z0, m, n, k, sign, iu, e, d)."""
-    if ctx.reduced is None:
-        m = n = np.zeros(z.shape)
-    else:
-        b1, b2 = ctx.reduced
-        s, t = _lattice_coords(z, b1, b2)
-        m, n = np.round(s), np.round(t)
-        z = z - m * b1 - n * b2
-    if not ctx.k:
-        return z, m, n, 1.0, 1.0, np.zeros_like(z), np.ones_like(z), 2j * z
-    v = ctx.k * z
-    sign = np.where((v.imag < 0) | ((v.imag == 0) & (v.real < 0)), -1.0, 1.0)
-    iu = 1j * (sign * v)
-    return z, m, n, ctx.k, sign, iu, np.exp(2.0 * iu), np.expm1(2.0 * iu)
-
-
-def _wp_dp_array(ctx: EllipticContext, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pe, pe', fault) at every element of z: `_wp_dp` for a whole batch.
-
-    Rounds both lattice coordinates of every element and sums the theta
-    series with the powers e^(2inu) from one cumulative product. fault is
-    _POLE where `_wp_dp` raises PoleProximity (within the pole tolerance, or
-    a non-finite value); pe and pe' are nan there. Scalar `_wp_dp` stays the
-    path for single points: a batch of one costs more here.
+    Elementwise on an array, nan where a number raises PoleProximity.
     """
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(all="ignore"):
-        z, _, _, k, sign, _, e, d = _point_array(ctx, z)
-        fault = np.where(np.abs(z) <= ctx.tol.pole, _POLE, 0)
-        a = np.array(ctx.theta_coeffs, dtype=complex)
-        n = np.arange(1, len(a) + 1)
-        # columns e^n and e^-n, n = 1..len(a)
-        en, eni = (np.cumprod(np.repeat(w[..., None], len(a), axis=-1), axis=-1) for w in (e, 1.0 / e))
-        even = (en + eni) @ (n * a)
-        odd2 = (en - eni) @ (n * n * a)
-        csc2 = -4.0 * e / (d * d)
-        p = k * k * (csc2 - 4.0 * even) - 2.0 * ctx.eta[0] * k / math.pi
-        dp = -2.0 * sign * k**3 * (1j * (e + 1.0) / d * csc2 + 4j * odd2)
-        fault[(fault == 0) & ~(np.isfinite(p) & np.isfinite(dp))] = _POLE
-        p[fault != 0] = dp[fault != 0] = np.nan
-    return p, dp, fault
-
-
-def wp(ctx: EllipticContext, z: complex) -> complex:
-    """Weierstrass pe at z for the context invariants."""
     return _wp_dp(ctx, z)[0]
 
 
-def wp_prime(ctx: EllipticContext, z: complex) -> complex:
+@_elementwise()
+def wp_prime(ctx: EllipticContext, z):
     """Derivative pe'(z); odd, satisfies pe'^2 = 4 pe^3 - g2 pe - g3."""
     return _wp_dp(ctx, z)[1]
 
 
+@_elementwise()
 def jets(ctx: EllipticContext, z, order: int = 5) -> JetValues:
-    """(pe, pe', ..., pe^(order)) at z with order <= 5; elementwise on an array.
+    """(pe, pe', ..., pe^(order)) at z with order <= 5.
 
     Everything above pe' comes from differentiating the normal-form ODE
-    (`_ode_jets`). On an array every value is nan where the scalar call
+    (`_ode_jets`). Elementwise on an array, every value nan where a number
     raises PoleProximity.
     """
     if not 0 <= order <= 5:
         raise ValueError("jet order must be between 0 and 5")
-    if np.ndim(z) == 0:
-        z = complex(z)
-        p, dp = _wp_dp(ctx, z)
-    else:
-        z = np.asarray(z, dtype=complex)
-        p, dp, _ = _wp_dp_array(ctx, z)
+    p, dp = _wp_dp(ctx, z)
     return JetValues(at=z, values=tuple(_ode_jets(ctx, p, dp, order)))
 
 
@@ -596,6 +571,7 @@ def _ode_jets(ctx: EllipticContext, p, dp, order: int) -> list:
     return vals[: order + 1]
 
 
+@_elementwise(arrays_only=True)
 def sigma(ctx: EllipticContext, z):
     """Entire odd sigma, zero on the lattice; FloatOverflow beyond the float range.
 
@@ -605,73 +581,41 @@ def sigma(ctx: EllipticContext, z):
     parity sign is applied exactly, so sigma(-z) = -sigma(z) bit for bit.
     Elementwise on an array, which raises FloatOverflow if any value does.
     """
-    if np.ndim(z) != 0:
-        return _sigma_array(ctx, np.asarray(z, dtype=complex))
-    z = complex(z)
-    z0, m, n, k, sign, iu, e, d = _point(ctx, z, pole=False)
-    lead, power = _sigma_terms(ctx, z, z0, m, n, k, iu, e, d)
-    if lead == 0:
-        return 0j
-    try:
-        size = math.exp(power.real + math.log(abs(lead)))
-    except OverflowError as exc:
-        raise FloatOverflow(f"|sigma({z:.3g})| exceeds the float range") from exc
-    sign *= -1.0 if (m + n + m * n) % 2 else 1.0
-    return sign * size * (lead / abs(lead)) * cmath.exp(1j * power.imag)
-
-
-def _sigma_terms(ctx: EllipticContext, z, z0, m, n, k, iu, e, d):
-    """(lead, power) with sigma(z) = +-lead e^power from the pieces of `_point`.
-
-    lead is sin(u)/k e^(iu) times the theta product, one step per
-    coefficient, and power the quasi-periodic exponent; numbers or arrays.
-    """
-    # sin u = e^(-iu) d/(2i): the factor e^(-iu) joins the exponent
+    z0, m, n, k, sign, iu, e, d, _ = _point(ctx, z)
+    # sin u = e^(-iu) d/(2i): the factor e^(-iu) joins the exponent, and
+    # the theta product takes one step per coefficient
     lead, ei = d / (2j * k), 1.0 / e if ctx.theta_coeffs else 0j
     for a in ctx.theta_coeffs:
         lead *= (1.0 + a * (1.0 - e)) * (1.0 + a * (1.0 - ei))
     eta1, eta2 = ctx.eta
     power = eta1 * k * z0 * z0 / math.pi + (m * eta1 + n * eta2) * (z + z0) - iu
-    return lead, power
-
-
-def _sigma_array(ctx: EllipticContext, z: np.ndarray) -> np.ndarray:
-    """`sigma` elementwise; FloatOverflow if any value leaves the float range."""
-    with np.errstate(all="ignore"):
-        z0, m, n, k, sign, iu, e, d = _point_array(ctx, z)
-        lead, power = _sigma_terms(ctx, z, z0, m, n, k, iu, e, d)
-        size = np.exp(power.real + np.log(np.abs(lead)))
-        zero = lead == 0
-        if np.isinf(size[~zero]).any():
-            raise FloatOverflow("|sigma| exceeds the float range on the batch")
-        sign = np.where((m + n + m * n) % 2 != 0, -sign, sign)
-        out = sign * size * (lead / np.abs(lead)) * np.exp(1j * power.imag)
+    size = np.exp(power.real + np.log(np.abs(lead)))
+    zero = lead == 0
+    if np.isinf(size[~zero]).any():
+        raise FloatOverflow("|sigma| exceeds the float range")
+    sign = np.where((m + n + m * n) % 2 != 0, -sign, sign)
+    out = sign * size * (lead / np.abs(lead)) * np.exp(1j * power.imag)
     out[zero] = 0
     return out
 
 
+@_elementwise()
 def zeta(ctx: EllipticContext, z):
     """Odd zeta function with zeta' = -pe and principal part 1/z.
 
     zeta(z0) = 2 eta1 z0/b1 + k L(v) at the rounded representative; the
     lattice shift m b1 + n b2 adds 2 m eta1 + 2 n eta2. Elementwise on an
-    array, nan where the scalar call raises PoleProximity.
+    array, nan where a number raises PoleProximity.
     """
-    if np.ndim(z) == 0:
-        z0, m, n, k, sign, _, e, d = _point(ctx, complex(z))
-        return _zeta_at(ctx, z0, m, n, k, sign, e, d)
-    with np.errstate(all="ignore"):
-        z0, m, n, k, sign, _, e, d = _point_array(ctx, np.asarray(z, dtype=complex))
-        out = _zeta_at(ctx, z0, m, n, k, sign, e, d)
-        out[(np.abs(z0) <= ctx.tol.pole) | (d * d * d == 0)] = np.nan
-    return out
-
-
-def _zeta_at(ctx: EllipticContext, z0, m, n, k, sign, e, d):
-    """zeta from the pieces of `_point`, scalars or arrays alike."""
+    z0, m, n, k, sign, _, e, d, near = _point(ctx, z)
+    _pole_edge(z, near)
     eta1, eta2 = ctx.eta
-    odd = _theta_odd(ctx, e)
-    return sign * k * (1j * (e + 1.0) / d - 2j * odd) + 2.0 * eta1 * k * z0 / math.pi + 2.0 * (m * eta1 + n * eta2)
+    value = (
+        sign * k * (1j * (e + 1.0) / d - 2j * _theta_odd(ctx, e))
+        + 2.0 * eta1 * k * z0 / math.pi
+        + 2.0 * (m * eta1 + n * eta2)
+    )
+    return _pole_edge(z, near, value)[0]
 
 
 def reduce_to_cell(ctx: EllipticContext, z: complex) -> complex:
@@ -696,11 +640,21 @@ def is_lattice_point(ctx: EllipticContext, z: complex) -> bool:
     return max(abs(s - round(s)), abs(t - round(t))) <= ctx.tol.lattice
 
 
+# the 3x3 neighbour shifts (dm, dn) of the rounded lattice coordinates
+_NEAR_DM, _NEAR_DN = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
+
+
+@_elementwise(arrays_only=True)
 def lattice_distance(ctx: EllipticContext, z):
-    """Euclidean distance from z to the nearest lattice point; elementwise on an array."""
+    """Euclidean distance from z to the nearest lattice point; elementwise on an array.
+
+    The nearest point is one of the 3x3 about the rounded lattice
+    coordinates in the reduced basis.
+    """
     if ctx.periods is None:
         raise NoPeriods("lattice distance needs period generators")
-    if np.ndim(z) != 0:
-        return np.abs(_reduce_array(ctx, np.asarray(z, dtype=complex)))
-    zred, _, _ = _reduce_near_zero(ctx, complex(z))
-    return abs(zred)
+    b1, b2 = ctx.reduced
+    s, t = _lattice_coords(z, b1, b2)
+    m = np.round(s)[..., None] + _NEAR_DM
+    n = np.round(t)[..., None] + _NEAR_DN
+    return np.abs(z[..., None] - m * b1 - n * b2).min(axis=-1)

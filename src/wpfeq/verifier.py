@@ -40,16 +40,20 @@ from .errors import (
 
 # -- function families ---------------------------------------------------------
 #
-# Each family gives exact jets at one point, `jets(x, order)`, and over a
-# whole array of points, `jets_array(x, order=1)` -> (f, f', ..., f^(order),
-# fault); fault is nonzero where `jets` raises a skip (see `_SKIPS`).
-# `antiderivative(x)` takes a number or an array; on an array it is nan
-# where the scalar call raises PoleProximity.
+# Each family gives exact jets, `jets(x, order)` -> (f, f', ..., f^(order)),
+# and an antiderivative, `antiderivative(x)`, at a number or elementwise over
+# an ndarray, by one body. Where a number raises PoleProximity, an array
+# holds nan, and a batch reads its faults from that (`_pole_faults`).
 
 
 def _as_complex(x):
-    """A number as complex, anything else as a complex array."""
-    return complex(x) if np.ndim(x) == 0 else np.asarray(x, dtype=complex)
+    """An ndarray of one or more dimensions as it is, anything else as one complex number."""
+    return x if isinstance(x, np.ndarray) and x.ndim else complex(x)
+
+
+def _filled(x, value: complex):
+    """value at x: the number itself, or an array of x's shape."""
+    return np.full(x.shape, value, dtype=complex) if isinstance(x, np.ndarray) else value
 
 
 @dataclass(frozen=True)
@@ -59,13 +63,9 @@ class WeierstrassShifted:
     ctx: EllipticContext
     shift: complex = 0j
 
-    def jets(self, x: complex, order: int = 5) -> JetValues:
-        inner = elliptic.jets(self.ctx, complex(x) + self.shift, order)
-        return JetValues(at=complex(x), values=inner.values)
-
-    def jets_array(self, x: np.ndarray, order: int = 1):
-        p, dp, fault = elliptic._wp_dp_array(self.ctx, x + self.shift)
-        return (*elliptic._ode_jets(self.ctx, p, dp, order), fault)
+    def jets(self, x, order: int = 5) -> JetValues:
+        x = _as_complex(x)
+        return JetValues(at=x, values=elliptic.jets(self.ctx, x + self.shift, order).values)
 
     def antiderivative(self, x):
         # F with F' = pe(. + shift) is -zeta(. + shift)
@@ -88,7 +88,7 @@ class Exponential:
 
     def _exp(self, x):
         """exp(delta x) of a number or elementwise; FloatOverflow if any value overflows."""
-        if np.ndim(x) == 0:
+        if not isinstance(x, np.ndarray):
             try:
                 return cmath.exp(self.delta * x)
             except OverflowError as exc:
@@ -99,19 +99,14 @@ class Exponential:
             raise FloatOverflow(f"exp({self.delta} * x) overflows on the batch")
         return e
 
-    def _jet_values(self, x, order: int) -> list:
+    def jets(self, x, order: int = 5) -> JetValues:
+        x = _as_complex(x)
         d = self.alpha * self._exp(x)
         vals = [d + self.beta]
         for _ in range(order):
             d = d * self.delta
             vals.append(d)
-        return vals
-
-    def jets(self, x: complex, order: int = 5) -> JetValues:
-        return JetValues(at=complex(x), values=tuple(self._jet_values(complex(x), order)))
-
-    def jets_array(self, x: np.ndarray, order: int = 1):
-        return (*self._jet_values(x, order), np.zeros(x.shape, int))
+        return JetValues(at=x, values=tuple(vals))
 
     def antiderivative(self, x):
         x = _as_complex(x)
@@ -129,14 +124,10 @@ class Linear:
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero; use Constant instead")
 
-    def jets(self, x: complex, order: int = 5) -> JetValues:
-        vals = [self.alpha * complex(x) + self.beta, self.alpha] + [0j] * max(0, order - 1)
-        return JetValues(at=complex(x), values=tuple(vals[: order + 1]))
-
-    def jets_array(self, x: np.ndarray, order: int = 1):
-        vals = [self.alpha * x + self.beta, np.full(x.shape, complex(self.alpha))]
-        vals += [np.zeros(x.shape, complex)] * max(0, order - 1)
-        return (*vals[: order + 1], np.zeros(x.shape, int))
+    def jets(self, x, order: int = 5) -> JetValues:
+        x = _as_complex(x)
+        vals = [self.alpha * x + self.beta, _filled(x, self.alpha)] + [_filled(x, 0j)] * max(0, order - 1)
+        return JetValues(at=x, values=tuple(vals[: order + 1]))
 
     def antiderivative(self, x):
         x = _as_complex(x)
@@ -147,12 +138,9 @@ class Linear:
 class Constant:
     value: complex = 0j
 
-    def jets(self, x: complex, order: int = 5) -> JetValues:
-        return JetValues(at=complex(x), values=(complex(self.value),) + (0j,) * order)
-
-    def jets_array(self, x: np.ndarray, order: int = 1):
-        zero = np.zeros(x.shape, complex)
-        return (np.full(x.shape, complex(self.value)), *[zero] * order, np.zeros(x.shape, int))
+    def jets(self, x, order: int = 5) -> JetValues:
+        x = _as_complex(x)
+        return JetValues(at=x, values=(_filled(x, complex(self.value)),) + (_filled(x, 0j),) * order)
 
     def antiderivative(self, x):
         return complex(self.value) * _as_complex(x)
@@ -183,8 +171,9 @@ def det3(jf: JetValues, jg: JetValues, jh: JetValues) -> complex:
 
 def det3_scale(jf: JetValues, jg: JetValues, jh: JetValues) -> float:
     """Row-magnitude normalisation, each row clamped below by one."""
-    row1 = max(1.0, abs(jf.values[0]), abs(jg.values[0]), abs(jh.values[0]))
-    row2 = max(1.0, abs(jf.values[1]), abs(jg.values[1]), abs(jh.values[1]))
+    (fv, fp), (gv, gp), (hv, hp) = (j.values[:2] for j in (jf, jg, jh))
+    row1 = np.maximum(np.maximum(abs(fv), abs(gv)), np.maximum(abs(hv), 1.0))
+    row2 = np.maximum(np.maximum(abs(fp), abs(gp)), np.maximum(abs(hp), 1.0))
     return row1 * row2
 
 
@@ -203,37 +192,28 @@ def residual(
     """Scale-normalised determinant residual at (x, y, z = -x-y).
 
     For complex arrays x, y (and z) it scores the whole batch and returns
-    (residuals, faults): faults[i] is nonzero where the scalar path would
-    raise a skip at triple i (the first failing family's, see `_SKIPS`).
+    (residuals, faults): faults[i] is nonzero where the number call would
+    raise a skip at triple i (see `_pole_faults`).
     """
-    if np.ndim(x) == 0:
-        if z is None:
-            z = -(complex(x) + complex(y))
-        return residual_from_jets(ff.jets(x, 1), fg.jets(y, 1), fh.jets(z, 1))
     if z is None:
-        z = -(x + y)
-    (fv, fp, f1), (gv, gp, f2), (hv, hp, f3) = ff.jets_array(x), fg.jets_array(y), fh.jets_array(z)
+        z = -(_as_complex(x) + _as_complex(y))
+    jets = ff.jets(x, 1), fg.jets(y, 1), fh.jets(z, 1)
     with np.errstate(all="ignore"):
-        det = (gv - fv) * hp - (gp - fp) * hv + (fv * gp - gv * fp)
-        row1 = np.maximum(np.maximum(np.abs(fv), np.abs(gv)), np.maximum(np.abs(hv), 1.0))
-        row2 = np.maximum(np.maximum(np.abs(fp), np.abs(gp)), np.maximum(np.abs(hp), 1.0))
-        return np.abs(det) / (row1 * row2), _first_fault(f1, f2, f3)
+        r = residual_from_jets(*jets)
+    return (r, _pole_faults(*(j.values[0] for j in jets))) if isinstance(r, np.ndarray) else r
 
 
 # -- sampling ----------------------------------------------------------------------
 
 # why a batch element was not scored, by fault code; 0: it was. _POLE
-# marks where the scalar call raises PoleProximity
+# marks where a number call raises PoleProximity
 _SKIPS = ("", "PoleProximity", "guard")
 _POLE, _GUARD = 1, 2
 
 
-def _first_fault(*faults: np.ndarray) -> np.ndarray:
-    """Elementwise the first nonzero fault, as the first raising call wins."""
-    out = faults[-1]
-    for fault in reversed(faults[:-1]):
-        out = np.where(fault != 0, fault, out)
-    return out
+def _pole_faults(*values: np.ndarray) -> np.ndarray:
+    """Elementwise _POLE where any of the families' values is nan, else 0."""
+    return np.where(np.logical_or.reduce([np.isnan(v) for v in values]), _POLE, 0)
 
 
 def _draws(seed: int, count: int, draw, accept, budget: int, rounds: int | None = None):
@@ -247,6 +227,8 @@ def _draws(seed: int, count: int, draw, accept, budget: int, rounds: int | None 
     exactly when drawing sample by sample would; with `rounds`, a sample
     also runs out after that many attempts.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     pending = np.arange(count)
     drawn = values = None
     spent = 0
@@ -329,8 +311,7 @@ class TripleSampler:
             return np.zeros(len(points)), (~ok).astype(int)
 
         drawn, _ = _draws(self.seed, self.count, draw, accept, 100 * self.count)
-        if drawn is not None:
-            yield from map(tuple, drawn.tolist())
+        yield from map(tuple, drawn.tolist())
 
 
 def _first_context(families) -> EllipticContext | None:
@@ -460,7 +441,7 @@ def sigma_quotient(ctx: EllipticContext, a, b, c):
     a lattice point or by underflow, a number raises PoleProximity and an
     array holds nan; a quotient beyond the float range raises FloatOverflow.
     """
-    scalar = np.ndim(a) == np.ndim(b) == np.ndim(c) == 0
+    scalar = not any(isinstance(p, np.ndarray) and p.ndim for p in (a, b, c))
     # a number runs as an array of one, so both take the same arithmetic
     points = list(np.broadcast_arrays(*(np.atleast_1d(np.asarray(p, dtype=complex)) for p in (a, b, c))))
     sign = np.ones(points[0].shape)
@@ -658,12 +639,11 @@ def derived_determinant_check(
     order = max(poly.jet_order("f"), poly.jet_order("g"), 1)
 
     def evaluate(x, y, z):
-        *fv, f1 = ff.jets_array(x, order)
-        *gv, f2 = fg.jets_array(y, order)
+        fv, gv = ff.jets(x, order).values, fg.jets(y, order).values
         with np.errstate(all="ignore"):
             value = jetpoly.evaluate(poly, fv, gv)
             scale = jetpoly.evaluate(poly, fv, gv, absolute=True)
-            return np.abs(value) / np.maximum(scale, 1e-100), _first_fault(f1, f2)
+            return np.abs(value) / np.maximum(scale, 1e-100), _pole_faults(fv[0], gv[0])
 
     label = f"columns ({k}, {l}, {s})" if s is not None else f"columns ({k}, {l})"
     return _collect(sampler.triples((ff, fg, fh)), evaluate, tol, note=label)
@@ -722,7 +702,7 @@ def factfun_check(
             near = np.abs(shifted) if ctx.periods is None else elliptic.lattice_distance(ctx, shifted)
             faults[(near <= clearance).any(axis=0)] = _GUARD
         ok = faults == 0
-        fv, fp, fault = fam.jets_array(points[:, ok])
+        fv, fp = fam.jets(points[:, ok], 1).values
         with np.errstate(all="ignore"):
             d1, pole1 = _third_order_operator(fam.antiderivative, x[ok], y[ok], h_step)
             d2, pole2 = _third_order_operator(fam.antiderivative, x[ok], y[ok], h_step / 2.0)
@@ -730,7 +710,7 @@ def factfun_check(
             row1 = np.maximum(np.abs(fv).max(axis=0), 1.0)
             row2 = np.maximum(np.abs(fp).max(axis=0), 1.0)
             values[ok] = np.abs(value) / (row1 * row2)
-        faults[ok] = np.where(pole1 | pole2 | (fault != 0).any(axis=0), _POLE, 0)
+        faults[ok] = np.where(pole1 | pole2 | np.isnan(fv).any(axis=0), _POLE, 0)
         return values, faults
 
     note = f"h = {h_step:g}, one Richardson level"
@@ -752,10 +732,10 @@ def constant_case_check(
     """
 
     def evaluate(x, y, z):
-        (fv, fp, f1), (gv, gp, f2) = ff.jets_array(x), fg.jets_array(y)
+        (fv, fp), (gv, gp) = ff.jets(x, 1).values, fg.jets(y, 1).values
         with np.errstate(all="ignore"):
             p, q = fv * gp, fp * gv
-            return np.abs(p - q) / np.maximum(np.maximum(np.abs(p), np.abs(q)), 1.0), _first_fault(f1, f2)
+            return np.abs(p - q) / np.maximum(np.maximum(np.abs(p), np.abs(q)), 1.0), _pole_faults(fv, gv)
 
     return _collect(sampler.triples((ff, fg, Constant(0j))), evaluate, tol)
 
@@ -777,6 +757,8 @@ def c_function_check(
     (f' f'''' - f'' f''')/(3 f'^2) at x. Linear branch on an exponential
     family: (f'(x) - g'(y))/(f(x) - g(y)) must equal delta for every probe.
     """
+    if len(probes) == 0:
+        raise ValueError("probes must hold at least one point")
     x = complex(x)
     jf = elliptic.jets(ctx, x, 4)
     f0, f1, f2, f3, f4 = jf.values
@@ -796,9 +778,9 @@ def c_function_check(
     mismatch = max(abs(v - target) for v in values) / scale
     exp_fam = exp_family if exp_family is not None else Exponential(delta=1.0)
     exp_dev = 0.0
+    jx = exp_fam.jets(x, 1)
     for y in probes:
         je = exp_fam.jets(complex(y), 1)
-        jx = exp_fam.jets(x, 1)
         diff = jx.values[0] - je.values[0]
         if abs(diff) <= 1e-12 * max(1.0, abs(jx.values[0])):
             raise DegenerateProbe("exponential probe coincides with the base point")

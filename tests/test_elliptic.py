@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wpfeq import elliptic as el
+from wpfeq import verifier as vr
 from wpfeq.errors import (
     DegenerateLattice,
     FloatOverflow,
@@ -260,7 +261,7 @@ class TestThetaSeries:
             cot = -1j * math.copysign(1.0, z.imag)
             assert el.zeta(ctx, z) == pytest.approx(math.pi**2 * z / 3.0 + math.pi * cot, rel=1e-15)
             assert el.sigma(ctx, z) == 0
-            assert [a[0] for a in el._wp_dp_array(ctx, np.array([z]))] == [p, dp, 0]
+            assert [el.wp(ctx, np.array([z]))[0], el.wp_prime(ctx, np.array([z]))[0]] == [p, dp]
 
 
 class TestWp:
@@ -350,43 +351,43 @@ def cell_points(ctx, count, seed):
 
 
 class TestWpArray:
-    """The batch evaluator against scalar `_wp_dp` and the theta oracle."""
+    """pe and pe' on arrays against the number calls and the theta oracle."""
 
     @staticmethod
     def assert_matches_scalar(ctx, z):
-        p, dp, fault = el._wp_dp_array(ctx, z)
-        for zi, pi, dpi, fi in zip(z.tolist(), p.tolist(), dp.tolist(), fault.tolist()):
+        """Returns where the array holds nan; exactly where the number call raises."""
+        p, dp = el.wp(ctx, z), el.wp_prime(ctx, z)
+        for zi, pi, dpi in zip(z.tolist(), p.tolist(), dp.tolist()):
             try:
-                sp, sdp = el._wp_dp(ctx, zi)
+                sp, sdp = el.wp(ctx, zi), el.wp_prime(ctx, zi)
             except PoleProximity:
-                assert fi == el._POLE and math.isnan(pi.real) and math.isnan(dpi.real)
+                assert math.isnan(pi.real) and math.isnan(dpi.real)
                 continue
-            assert fi == 0
             assert abs(pi - sp) <= 1e-12 * max(1.0, abs(sp))
             assert abs(dpi - sdp) <= 1e-12 * max(1.0, abs(sdp))
-        return fault
+        return np.isnan(p)
 
     @pytest.mark.parametrize("name", ["square_ctx", "hex_ctx", "generic_ctx", "tall_ctx"])
     def test_matches_scalar_over_cells(self, name, request):
         ctx = request.getfixturevalue(name)
-        fault = self.assert_matches_scalar(ctx, cell_points(ctx, 300, 1))
-        assert (fault == el._POLE).sum() == 4  # the four lattice points
+        poles = self.assert_matches_scalar(ctx, cell_points(ctx, 300, 1))
+        assert poles.sum() == 4  # the four lattice points
 
     @pytest.mark.parametrize("name", ["normal_form_ctx", "degenerate_ctx"])
     def test_matches_scalar_without_periods(self, name, request):
         ctx = request.getfixturevalue(name)
         rng = np.random.default_rng(2)
         z = rng.uniform(-2.0, 2.0, (300, 2)).view(complex)[:, 0]
-        fault = self.assert_matches_scalar(ctx, np.append(z, 0j))
-        assert fault[-1] == el._POLE
+        poles = self.assert_matches_scalar(ctx, np.append(z, 0j))
+        assert poles[-1]
 
     @pytest.mark.parametrize("tau, scale", [(1j, 1.0), (cmath.exp(1j * math.pi / 3), 3.0), (0.3 + 1.4j, 0.7)])
     def test_matches_theta_oracle(self, tau, scale):
         ctx = el.from_periods(scale, scale * tau)
         oracle = ThetaOracle(scale, scale * tau)
         z = cell_points(ctx, 12, 3)[:12]
-        p, dp, fault = el._wp_dp_array(ctx, z)
-        assert not fault.any()
+        p, dp = el.wp(ctx, z), el.wp_prime(ctx, z)
+        assert not np.isnan(p).any()
         for zi, pi, dpi in zip(z.tolist(), p.tolist(), dp.tolist()):
             op, odp = oracle.wp_dp(zi)
             assert abs(pi - op) <= 1e-12 * max(1.0, abs(op))
@@ -395,8 +396,9 @@ class TestWpArray:
     def test_non_finite_value_is_pole_fault(self):
         # with no pole tolerance, 1/z^3 overflows next to the origin
         ctx = el.from_periods(2.0, 2.0j, pole_tol=0.0)
-        p, dp, fault = el._wp_dp_array(ctx, np.array([1e-150 + 0j, 0.5 + 0.5j]))
-        assert fault.tolist() == [el._POLE, 0]
+        z = np.array([1e-150 + 0j, 0.5 + 0.5j])
+        p, dp = el.wp(ctx, z), el.wp_prime(ctx, z)
+        assert np.isnan(p).tolist() == [True, False]
         assert math.isnan(p[0].real) and math.isnan(dp[0].real) and math.isfinite(p[1].real)
 
     @pytest.mark.parametrize("name", ["square_ctx", "hex_ctx", "generic_ctx", "tall_ctx"])
@@ -407,8 +409,8 @@ class TestWpArray:
         assert got.tolist() == pytest.approx([el.lattice_distance(ctx, zi) for zi in z.tolist()], rel=1e-14)
 
     def test_empty_batch(self, square_ctx):
-        p, dp, fault = el._wp_dp_array(square_ctx, np.empty(0, complex))
-        assert p.shape == dp.shape == fault.shape == (0,)
+        empty = np.empty(0, complex)
+        assert el.wp(square_ctx, empty).shape == el.wp_prime(square_ctx, empty).shape == (0,)
 
 def _jet_scales(ctx, values):
     """Per order n, the size a jet value's round-off is relative to.
@@ -475,6 +477,99 @@ class TestArrayEntryPoints:
         empty = np.empty(0, complex)
         assert el.zeta(square_ctx, empty).shape == el.sigma(square_ctx, empty).shape == (0,)
         assert el.lattice_distance(square_ctx, empty).shape == (0,)
+
+
+def _sample_points(ctx):
+    """Points over +-1.3 cells with four lattice points, or a box about the origin and its poles."""
+    rng = np.random.default_rng(14)
+    if ctx.periods is not None:
+        w1, w2 = ctx.periods.omega1, ctx.periods.omega2
+        st = rng.uniform(-1.3, 1.3, (60, 2))
+        return np.concatenate((st[:, 0] * w1 + st[:, 1] * w2, [0j, w1, w1 + w2, -w2]))
+    scale = ctx.lambda_min if math.isfinite(ctx.lambda_min) else 1.0
+    z = scale * rng.uniform(-0.8, 0.8, (60, 2)).view(complex)[:, 0]
+    poles = [0j] + ([sum(ctx.reduced)] if ctx.reduced is not None else [])
+    return np.concatenate((z, poles))
+
+
+def _family_jets(family):
+    """(ctx, z) -> the jets to order 5 of the family that family(ctx) gives."""
+    return lambda ctx, z: family(ctx).jets(z, 5).values
+
+
+def _residual(ctx, x):
+    """residual of (pe, exp, pe) at (x, y, -x-y) with y = 0.37 x + 0.21i; a batch faults exactly at nan."""
+    fam = vr.WeierstrassShifted(ctx, 0j)
+    out = vr.residual(fam, vr.Exponential(delta=0.5), fam, x, 0.37 * x + 0.21j)
+    if not isinstance(out, tuple):
+        return out
+    assert np.array_equal(out[1] != 0, np.isnan(out[0]))
+    return out[0]
+
+
+# each evaluator as (ctx, z) -> a value or a tuple of values
+ELEMENTWISE = {
+    "wp": el.wp,
+    "wp_prime": el.wp_prime,
+    "jets": lambda ctx, z: el.jets(ctx, z, 5).values,
+    "zeta": el.zeta,
+    "sigma": el.sigma,
+    "lattice_distance": el.lattice_distance,
+    "WeierstrassShifted.jets": _family_jets(lambda ctx: vr.WeierstrassShifted(ctx, 0.1 - 0.05j)),
+    "Exponential.jets": _family_jets(lambda ctx: vr.Exponential(2.0, 0.5j, 1.0 - 0.5j)),
+    "Linear.jets": _family_jets(lambda ctx: vr.Linear(1.5 - 1j, 2.0)),
+    "Constant.jets": _family_jets(lambda ctx: vr.Constant(0.7 + 0.1j)),
+    "residual": _residual,
+}
+# those that raise PoleProximity at a lattice point
+POLED = {"wp", "wp_prime", "jets", "zeta", "residual"}
+
+
+class TestArrayCallsMatchNumberCalls:
+    """Every evaluator on an array equals its number calls, with nan where a number raises PoleProximity."""
+
+    @pytest.mark.parametrize("name", list(ELEMENTWISE))
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            el.from_periods(2.0, 2.0j),
+            el.from_periods(1.0, 8.0j),
+            el.from_periods(0.01, 0.003 + 0.011j),
+            el.from_invariants(4.0, 0.0),
+            el.from_invariants(3.0, 1.0),
+            el.from_invariants(12.0, 8.0),
+            el.from_invariants(0.0, 0.0),
+        ],
+        ids=["square", "tall", "small", "agm", "trig-3-1", "trig-12-8", "g2-g3-0"],
+    )
+    def test_array_equals_elementwise_calls(self, name, ctx):
+        call = ELEMENTWISE[name]
+        z = _sample_points(ctx)
+        if name == "lattice_distance" and ctx.periods is None:
+            for arg in (z, complex(z[0])):
+                with pytest.raises(NoPeriods):
+                    call(ctx, arg)
+            return
+        batch = call(ctx, z)
+        batch = batch if isinstance(batch, tuple) else (batch,)
+        assert all(np.shape(v) == z.shape for v in batch)
+        poles = 0
+        for i, zi in enumerate(z.tolist()):
+            try:
+                want = call(ctx, zi)
+            except PoleProximity:
+                poles += 1
+                assert all(np.isnan(v[i]) for v in batch)
+                continue
+            if name in ("sigma", "lattice_distance"):
+                # a number runs as an array of one
+                assert want == call(ctx, z[i : i + 1])[0]
+            want = want if isinstance(want, tuple) else (want,)
+            pe_jets = name in ("jets", "WeierstrassShifted.jets")
+            sizes = _jet_scales(ctx, want) if pe_jets else [max(1.0, abs(w)) for w in want]
+            for v, w, size in zip(batch, want, sizes):
+                assert abs(v[i] - w) <= 1e-12 * size
+        assert (poles > 0) == (name in POLED)
 
 
 class TestWpPrime:

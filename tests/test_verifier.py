@@ -52,16 +52,16 @@ class TestFamilyArrays:
     )
     def test_closed_forms_match_jets(self, fam):
         x = np.random.default_rng(9).uniform(-1.0, 1.0, (40, 2)).view(complex)[:, 0]
-        f, df, fault = fam.jets_array(x)
-        assert not fault.any()
+        f, df = fam.jets(x, 1).values
+        assert not np.isnan(f).any()
         for xi, fi, dfi in zip(x.tolist(), f.tolist(), df.tolist()):
             assert (fi, dfi) == pytest.approx(fam.jets(xi, 1).values, rel=1e-15, abs=1e-15)
 
     def test_shifted_wp_matches_jets(self, generic_ctx):
         fam = vr.WeierstrassShifted(generic_ctx, 0.4 - 0.3j)
         x = np.append(np.random.default_rng(10).uniform(-2.0, 2.0, (40, 2)).view(complex)[:, 0], 0.3j - 0.4)
-        f, df, fault = fam.jets_array(x)
-        assert fault.tolist() == [0] * 40 + [1]
+        f, df = fam.jets(x, 1).values
+        assert np.isnan(f).tolist() == [False] * 40 + [True]
         for xi, fi, dfi in zip(x[:40].tolist(), f.tolist(), df.tolist()):
             want = fam.jets(xi, 1).values
             assert abs(fi - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
@@ -492,6 +492,26 @@ class TestCFunctions:
         with pytest.raises(DegenerateProbe):
             vr.c_function_check(square_ctx, x, [-x])
 
+    def test_empty_probes_rejected(self, square_ctx):
+        with pytest.raises(ValueError, match="probes"):
+            vr.c_function_check(square_ctx, 0.4 + 0.3j, [])
+
+
+class TestEmptyRequests:
+    def test_sigma_identity_scan_count_zero(self, square_ctx):
+        with pytest.raises(ValueError, match="count"):
+            vr.sigma_identity_scan(square_ctx, count=0)
+
+    def test_grid_scan_count_zero(self, square_ctx):
+        fam = vr.WeierstrassShifted(square_ctx, 0j)
+        with pytest.raises(ValueError, match="count"):
+            vr.grid_scan(fam, vr.TripleSampler(count=0), 0)
+
+    def test_scan_count_zero(self, square_ctx):
+        fam = vr.WeierstrassShifted(square_ctx, 0j)
+        with pytest.raises(ValueError, match="count"):
+            vr.scan(fam, fam, fam, vr.TripleSampler(count=0), 1e-8)
+
 
 # -- batched checks against test-local scalar references ---------------------------
 
@@ -611,9 +631,9 @@ class TestBatchedChecks:
     @pytest.mark.parametrize("fam", [vr.Exponential(2.0, 0.5j, 1.0 - 0.5j), vr.Linear(1.5 - 1j, 2.0), vr.Constant(0.7 + 0.1j)], ids=["exp", "linear", "constant"])
     def test_array_jets_and_antiderivative_match_scalar(self, fam):
         x = np.random.default_rng(26).uniform(-1.0, 1.0, (30, 2)).view(complex)[:, 0]
-        *values, fault = fam.jets_array(x, 5)
+        values = fam.jets(x, 5).values
         F = fam.antiderivative(x)
-        assert not fault.any() and len(values) == 6
+        assert not np.isnan(values[0]).any() and len(values) == 6
         for i, xi in enumerate(x.tolist()):
             assert [v[i] for v in values] == pytest.approx(fam.jets(xi, 5).values, rel=1e-15, abs=1e-15)
             assert F[i] == pytest.approx(fam.antiderivative(xi), rel=1e-15)
@@ -622,8 +642,8 @@ class TestBatchedChecks:
         fam = vr.WeierstrassShifted(square_ctx, 0.5)
         F = fam.antiderivative(np.array([-0.5 + 0j, 0.3 + 0.4j]))
         assert math.isnan(F[0].real) and F[1] == fam.antiderivative(0.3 + 0.4j)
-        *values, fault = fam.jets_array(np.array([-0.5 + 0j, 0.3 + 0.4j]), 5)
-        assert fault.tolist() == [vr._POLE, 0] and len(values) == 6
+        values = fam.jets(np.array([-0.5 + 0j, 0.3 + 0.4j]), 5).values
+        assert np.isnan(values[0]).tolist() == [True, False] and len(values) == 6
 
 
 # lattice coordinates on a 0.01 grid: lattice points (where the quotient is
