@@ -297,22 +297,18 @@ def classify_samples(
 
 
 def roundtrip_residual(decision: Classification, count: int = 64, seed: int = 0) -> float:
-    """Max functional-equation residual of the reconstructed family."""
+    """Max functional-equation residual of the reconstructed family, on its lattice or the box."""
     from . import verifier
     from .elliptic import from_invariants
 
     if decision.family == "exponential":
         fam = verifier.Exponential(delta=decision.params["delta"])
-        sampler = verifier.TripleSampler(seed=seed, count=count, box=0.8)
     elif decision.family == "linear":
         fam = verifier.Linear(alpha=decision.params.get("alpha", 1.0) or 1.0)
-        sampler = verifier.TripleSampler(seed=seed, count=count, box=0.8)
     elif decision.family == "weierstrass":
-        ctx = from_invariants(decision.params["g2"], decision.params["g3"])
-        fam = verifier.WeierstrassShifted(ctx, 0j)
-        box = 0.45 * ctx.lambda_min if math.isfinite(ctx.lambda_min) else 1.0
-        sampler = verifier.TripleSampler(seed=seed, count=count, box=box)
+        fam = verifier.WeierstrassShifted(from_invariants(decision.params["g2"], decision.params["g3"]), 0j)
     else:
         return 0.0
+    sampler = verifier.TripleSampler(seed=seed, count=count, box=0.8)
     report = verifier.scan(fam, fam, fam, sampler, tol=math.inf)
     return report.max_residual

@@ -5,8 +5,10 @@ verification), fit (classify samples from CSV), scan (residual grid to CSV),
 gen (sample generator for round trips), eval (point evaluation).
 
 Conventions: complex flags are comma-separated re,im pairs; --periods takes
-four reals (omega1 then omega2); shift and gamma flags take lattice
-fractions, with rational strings like 1/3 accepted. Selected numeric flags
+four reals (omega1 then omega2), or --g2/--g3 the invariants, whose AGM
+basis then spans the lattice; shift and gamma flags take lattice fractions,
+with rational strings like 1/3 accepted. A zero discriminant has no lattice:
+what needs one exits 65, the rest samples a box. Selected numeric flags
 fall back to WPFEQ_* environment variables (flags > environment > defaults).
 Exit codes: 0 success or expected outcome, 1 verification failure, 2
 internal error, 64 usage, 65 configuration, 66 unreadable input.
@@ -32,6 +34,7 @@ from .errors import (
     GridNotUniform,
     PoleProximity,
     SamplerExhausted,
+    NoPeriods,
     SeriesNoConverge,
     TooFewPoints,
     WpfeqError,
@@ -136,10 +139,7 @@ def _shift_from_args(args, ctx) -> complex:
     frac = getattr(args, "shift_frac", None)
     absolute = getattr(args, "shift", None)
     if frac is not None:
-        if ctx.periods is None:
-            raise ConfigError("--shift-frac needs --periods")
-        s, t = _parse_fractions(frac, 2)
-        return s * ctx.periods.omega1 + t * ctx.periods.omega2
+        return elliptic.lattice_point(ctx, *_parse_fractions(frac, 2))
     if absolute is not None:
         return _parse_complex(absolute)
     return 0j
@@ -298,8 +298,6 @@ def _cmd_verify(args, parser) -> int:
 
     if args.kind == "theorem1":
         ctx = _context_from_args(args)
-        if ctx.periods is None:
-            raise ConfigError("theorem1 verification needs --periods")
         tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
         shift = _shift_from_args(args, ctx)
         params.update({"shift": shift, "tol": tol})
@@ -314,14 +312,11 @@ def _cmd_verify(args, parser) -> int:
 
     elif args.kind == "theorem2":
         ctx = _context_from_args(args)
-        if ctx.periods is None:
-            raise ConfigError("theorem2 verification needs --periods")
         if args.gammas is None:
             raise ConfigError("theorem2 verification needs --gammas s1,t1,s2,t2,s3,t3")
         tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
         vals = _parse_fractions(args.gammas, 6)
-        w1, w2 = ctx.periods.omega1, ctx.periods.omega2
-        gammas = [vals[0] * w1 + vals[1] * w2, vals[2] * w1 + vals[3] * w2, vals[4] * w1 + vals[5] * w2]
+        gammas = [elliptic.lattice_point(ctx, *vals[i : i + 2]) for i in (0, 2, 4)]
         params.update({"gammas": gammas, "tol": tol})
         sampler = verifier.TripleSampler(seed=seed, count=count, margin=margin)
         rep = verifier.theorem2_shift_test(ctx, *gammas, sampler, tol)
@@ -336,8 +331,6 @@ def _cmd_verify(args, parser) -> int:
 
     elif args.kind == "sigma":
         ctx = _context_from_args(args)
-        if ctx.periods is None:
-            raise ConfigError("sigma verification needs --periods")
         tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
         params["tol"] = tol
         rep = verifier.sigma_identity_scan(ctx, count=count, seed=seed, tol=tol)
@@ -400,8 +393,6 @@ def _family_for_verify(args) -> verifier.FunctionFamily:
     family = args.family or "wp"
     if family == "wp":
         ctx = _context_from_args(args)
-        if ctx.periods is None:
-            raise ConfigError("the wp family needs --periods here")
         return verifier.WeierstrassShifted(ctx, _shift_from_args(args, ctx))
     if family == "exp":
         delta = _parse_complex(args.delta) if args.delta else 1.0 + 0j
@@ -625,7 +616,7 @@ def build_parser() -> _Parser:
     p.add_argument("--periods", help="four reals: w1_re,w1_im,w2_re,w2_im")
     p.add_argument("--g2", help="re,im")
     p.add_argument("--g3", help="re,im")
-    p.add_argument("--shift-frac", help="shift as lattice fractions s,t (rationals allowed)")
+    p.add_argument("--shift-frac", help="shift in fractions s,t of the periods or AGM basis (1/3 allowed)")
     p.add_argument("--shift", help="absolute shift re,im")
     p.add_argument("--gammas", help="six lattice fractions s1,t1,s2,t2,s3,t3")
     p.add_argument("--family", choices=["wp", "exp", "linear"])
@@ -654,7 +645,7 @@ def build_parser() -> _Parser:
     p.add_argument("--periods", help="four reals: w1_re,w1_im,w2_re,w2_im")
     p.add_argument("--g2", help="re,im")
     p.add_argument("--g3", help="re,im")
-    p.add_argument("--shift-frac", help="shift as lattice fractions s,t")
+    p.add_argument("--shift-frac", help="shift as lattice fractions s,t of the periods or the AGM basis")
     p.add_argument("--shift", help="absolute shift re,im")
     p.add_argument("--delta", help="exponential rate re,im")
     p.add_argument("--grid", type=int, default=32)
@@ -708,10 +699,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SamplerExhausted, SeriesNoConverge, DegenerateLattice, FloatOverflow) as exc:
+    except (ConfigError, DegenerateLattice, FloatOverflow, NoPeriods, SamplerExhausted,
+            SeriesNoConverge) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WpfeqError as exc:

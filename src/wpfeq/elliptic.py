@@ -33,8 +33,9 @@ tests' `ThetaOracle`, and `perfbench/oracle.py`).
 
 A context built from invariants alone takes its generators from the complex
 AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
-Theory 133, 2013) and keeps them only when their q-series invariants give
-(g2, g3) back. With zero discriminant the same series runs at q = 0:
+Theory 133, 2013), kept as its periods when their q-series invariants give
+(g2, g3) back. With zero discriminant there is no lattice: the lattice
+queries raise NoPeriods, and the series runs at q = 0, where
 pe = k^2/sin^2(kz) - k^2/3 with k^2 = 9 g3/(2 g2), or pe = 1/z^2 when
 g2 = g3 = 0.
 
@@ -108,10 +109,10 @@ class JetValues:
 class EllipticContext:
     """Immutable evaluation context; safe to share across concurrent readers.
 
-    `reduced` is a Gauss-reduced generator pair (b1, b2) with Im(b2/b1) > 0,
-    from the periods or, for invariants only, from the AGM; it is None when
-    the discriminant vanishes. The theta series runs on k = pi/b1 (0 when
-    g2 = g3 = 0) and theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut where
+    `periods` are the generators given or the AGM basis of the invariants,
+    and `reduced` a Gauss-reduced pair (b1, b2) of them with Im(b2/b1) > 0;
+    both are None when the discriminant vanishes. The theta series runs on
+    k = pi/b1 (0 when g2 = g3 = 0) and theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut where
     q^(2n) underflows; eta holds the quasi-period constants
     (zeta(b1/2), zeta(b2/2)). lambda_min is |b1|, the distance to the
     nearest lattice point (pi/|k| when the discriminant vanishes).
@@ -204,10 +205,8 @@ def lattice_sum_reference(
     (cutoff, 2*cutoff, ...), Richardson-extrapolated; the reported tail
     estimate is the last extrapolation improvement.
     """
-    if ctx.periods is None:
-        raise NoPeriods("the reference sum needs period generators")
     z = complex(z)
-    if lattice_distance(ctx, z) <= ctx.tol.pole:
+    if lattice_distance(ctx, z) <= ctx.tol.pole:  # NoPeriods without a lattice
         raise PoleProximity(z)
     w1, w2 = ctx.periods.omega1, ctx.periods.omega2
     acc = 1.0 / (z * z)
@@ -271,9 +270,7 @@ def _oriented_basis(w1: complex, w2: complex) -> tuple[complex, complex]:
     return (b1, b2) if (b2 / b1).imag > 0 else (b1, -b2)
 
 
-def _lattice_context(
-    invariants: Invariants, periods: Periods | None, tol: ToleranceSet, b1: complex, b2: complex
-) -> EllipticContext:
+def _lattice_context(invariants: Invariants, periods: Periods, b1: complex, b2: complex) -> EllipticContext:
     """Context on the oriented reduced basis: theta coefficients and eta constants."""
     r = cmath.exp(2j * math.pi * b2 / b1)
     coeffs, rn = [], 1.0 + 0j
@@ -285,8 +282,15 @@ def _lattice_context(
     k = math.pi / b1
     # the E2 series gives zeta(b1/2); Legendre's relation (DLMF 23.2.14) zeta(b2/2)
     eta1 = math.pi * k / 6.0 * (1.0 - 24.0 * sum(n * a for n, a in enumerate(coeffs, 1)))
-    eta2 = (eta1 * b2 - math.pi * 1j) / b1
-    return EllipticContext(invariants, periods, tol, (b1, b2), abs(b1), k, tuple(coeffs), (eta1, eta2))
+    eta = (eta1, (eta1 * b2 - math.pi * 1j) / b1)
+    return EllipticContext(invariants, periods, ToleranceSet(), (b1, b2), abs(b1), k, tuple(coeffs), eta)
+
+
+def _with_tolerances(ctx: EllipticContext, lattice_tol: float, pole_tol: float | None) -> EllipticContext:
+    """ctx with its tolerances; the default pole tolerance is 1e-3 lambda_min, 0 when g2 = g3 = 0."""
+    if pole_tol is None:
+        pole_tol = 1e-3 * ctx.lambda_min if math.isfinite(ctx.lambda_min) else 0.0
+    return replace(ctx, tol=ToleranceSet(pole=pole_tol, lattice=lattice_tol))
 
 
 def from_periods(
@@ -307,11 +311,8 @@ def from_periods(
         w1, w2 = w2, w1
     b1, b2 = _oriented_basis(w1, w2)
     g2, g3, disc = _q_series_invariants(b1, b2 / b1)
-    tol = ToleranceSet(
-        pole=pole_tol if pole_tol is not None else 1e-3 * min(abs(w1), abs(w2)),
-        lattice=lattice_tol,
-    )
-    return _lattice_context(Invariants(g2, g3, disc, "generic"), Periods(w1, w2), tol, b1, b2)
+    ctx = _lattice_context(Invariants(g2, g3, disc, "generic"), Periods(w1, w2), b1, b2)
+    return _with_tolerances(ctx, lattice_tol, pole_tol)
 
 
 def _agm(a: complex, b: complex) -> complex:
@@ -360,12 +361,12 @@ def from_invariants(
     lattice_tol: float = 1e-9,
     pole_tol: float | None = None,
 ) -> EllipticContext:
-    """Context from invariants only; lattice queries are unavailable.
+    """Context from invariants; periodic unless the discriminant vanishes.
 
-    A nonzero discriminant gets its generators from the AGM (`_agm_basis`),
+    A nonzero discriminant takes its periods from the AGM (`_agm_basis`),
     which raises SeriesNoConverge rather than return a lattice with other
-    invariants. Otherwise the theta series runs at q = 0 with
-    k^2 = 9 g3/(2 g2), or k = 0 when g2 = g3 = 0.
+    invariants. Otherwise periods is None, and the theta series runs at
+    q = 0 with k^2 = 9 g3/(2 g2), or k = 0 when g2 = g3 = 0.
     """
     invariants = _classify_invariants(complex(g2), complex(g3))
     g2, g3 = invariants.g2, invariants.g3
@@ -375,14 +376,13 @@ def from_invariants(
     t = 2.0 ** -math.frexp(scale)[1]
     lattice = (g2 * t**4) ** 3 != 27.0 * (g3 * t**6) ** 2
     if lattice:
-        ctx = _lattice_context(invariants, None, ToleranceSet(), *_agm_basis(g2, g3))
+        b1, b2 = _agm_basis(g2, g3)
+        ctx = _lattice_context(invariants, Periods(b1, b2), b1, b2)
     else:
         k = cmath.sqrt(4.5 * g3 / g2) if g2 else 0j
         lam = math.pi / abs(k) if k else math.inf
         ctx = EllipticContext(invariants, None, ToleranceSet(), None, lam, k, (), (math.pi * k / 6.0, 0j))
-    pole = 1e-3 * ctx.lambda_min if math.isfinite(ctx.lambda_min) else 0.0
-    tol = ToleranceSet(pole=pole_tol if pole_tol is not None else pole, lattice=lattice_tol)
-    return replace(ctx, tol=tol)
+    return _with_tolerances(ctx, lattice_tol, pole_tol)
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -618,20 +618,29 @@ def zeta(ctx: EllipticContext, z):
     return _pole_edge(z, near, value)[0]
 
 
-def reduce_to_cell(ctx: EllipticContext, z: complex) -> complex:
-    """Representative s*omega1 + t*omega2 with s, t in [0, 1)."""
+def _periods(ctx: EllipticContext) -> Periods:
+    """The context's generators; NoPeriods when its discriminant vanishes."""
     if ctx.periods is None:
-        raise NoPeriods("cell reduction needs period generators")
-    w1, w2 = ctx.periods.omega1, ctx.periods.omega2
-    s, t = _lattice_coords(complex(z), w1, w2)
-    return (s - math.floor(s)) * w1 + (t - math.floor(t)) * w2
+        raise NoPeriods("a context of zero discriminant has no lattice")
+    return ctx.periods
+
+
+def lattice_point(ctx: EllipticContext, s, t):
+    """s*omega1 + t*omega2 from lattice fractions, numbers or elementwise arrays."""
+    periods = _periods(ctx)
+    return s * periods.omega1 + t * periods.omega2
 
 
 def lattice_coordinates(ctx: EllipticContext, z: complex) -> tuple[float, float]:
     """Coordinates of z in the stored generator basis."""
-    if ctx.periods is None:
-        raise NoPeriods("lattice coordinates need period generators")
-    return _lattice_coords(complex(z), ctx.periods.omega1, ctx.periods.omega2)
+    periods = _periods(ctx)
+    return _lattice_coords(complex(z), periods.omega1, periods.omega2)
+
+
+def reduce_to_cell(ctx: EllipticContext, z: complex) -> complex:
+    """Representative s*omega1 + t*omega2 with s, t in [0, 1)."""
+    s, t = lattice_coordinates(ctx, z)
+    return lattice_point(ctx, s - math.floor(s), t - math.floor(t))
 
 
 def is_lattice_point(ctx: EllipticContext, z: complex) -> bool:
@@ -651,8 +660,7 @@ def lattice_distance(ctx: EllipticContext, z):
     The nearest point is one of the 3x3 about the rounded lattice
     coordinates in the reduced basis.
     """
-    if ctx.periods is None:
-        raise NoPeriods("lattice distance needs period generators")
+    _periods(ctx)
     b1, b2 = ctx.reduced
     s, t = _lattice_coords(z, b1, b2)
     m = np.round(s)[..., None] + _NEAR_DM

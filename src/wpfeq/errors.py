@@ -26,7 +26,7 @@ class FloatOverflow(WpfeqError):
 
 
 class NoPeriods(WpfeqError):
-    """Operation needs period generators but the context has invariants only."""
+    """Operation needs a lattice, but the context's discriminant vanishes."""
 
 
 class JetOrderOverflow(WpfeqError):

@@ -254,8 +254,8 @@ class TripleSampler:
     """Deterministic rejection sampler for admissible triples.
 
     Points are drawn in lattice coordinates (s, t) uniform on
-    [margin, 1-margin]^2 when a periodic context is available, otherwise in
-    a complex box of half-width `box`. z is -x-y unless `unconstrained`,
+    [margin, 1-margin]^2 when a family's context has a lattice, otherwise
+    in a complex box of half-width `box`. z is -x-y unless `unconstrained`,
     in which case all three points are independent. Triple i is row i of a
     block drawn by the generator seeded with (seed, round). Pole-proximal
     draws are rejected and redrawn in the next round, with a budget of 100
@@ -271,22 +271,22 @@ class TripleSampler:
 
     def _points(self, rng, n: int, k: int, ctx: EllipticContext | None) -> np.ndarray:
         """An (n, k) block of points, each from two uniform draws (s, t) or (re, im)."""
-        if ctx is not None and ctx.periods is not None:
+        if _periodic(ctx):
             st = rng.uniform(self.margin, 1.0 - self.margin, (n, k, 2))
-            return st[..., 0] * ctx.periods.omega1 + st[..., 1] * ctx.periods.omega2
+            return elliptic.lattice_point(ctx, st[..., 0], st[..., 1])
         # the (re, im) pairs, viewed as complex numbers
         return rng.uniform(-self.box, self.box, (n, k, 2)).view(complex)[..., 0]
 
     def effective_pole_radius(self, ctx: EllipticContext | None) -> float:
         if self.pole_radius is not None:
             return self.pole_radius
-        if ctx is not None and ctx.periods is not None:
+        if _periodic(ctx):
             return max(ctx.tol.pole, 0.03 * ctx.lambda_min)
         return 1e-6
 
     def admissible(self, ctx: EllipticContext | None, shift: complex, z):
         """Elementwise: z + shift lies farther than the pole radius from the lattice."""
-        if ctx is None or ctx.periods is None:
+        if not _periodic(ctx):
             return np.ones(np.shape(z), bool)
         return elliptic.lattice_distance(ctx, z + shift) > self.effective_pole_radius(ctx)
 
@@ -319,6 +319,11 @@ def _first_context(families) -> EllipticContext | None:
         if isinstance(fam, WeierstrassShifted):
             return fam.ctx
     return None
+
+
+def _periodic(ctx: EllipticContext | None) -> bool:
+    """Whether sampling runs on the lattice of ctx rather than on the box."""
+    return ctx is not None and ctx.periods is not None
 
 
 # -- reports ------------------------------------------------------------------------
@@ -398,18 +403,22 @@ def grid_scan(
     """Rows (x, y, residual) of the triple (fam, fam, fam) with x on a grid.
 
     x runs over a grid x grid mesh: [margin, 1-margin]^2 in lattice
-    coordinates for a periodic family, else the box [-1, 1]^2. Grid point
+    coordinates where the family has a lattice, else the box [-1, 1]^2; a
+    grid point on a pole of the family raises SamplerExhausted. Grid point
     (i, j) is sample i*grid + j of the sampler's stream: its partner y is
     redrawn, at most 200 times, while a point of (x, y, -x-y) lies near a
     pole or the residual cannot be evaluated; SamplerExhausted then.
     """
     ctx = _first_context((fam,))
     shift = fam.shift if ctx is not None else 0j
-    periodic = ctx is not None and ctx.periods is not None
+    periodic = _periodic(ctx)
     lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if periodic else (-1.0, 2.0)
     ticks = lo + width * np.arange(grid) / max(grid - 1, 1)
     s, t = np.repeat(ticks, grid), np.tile(ticks, grid)
-    xs = s * ctx.periods.omega1 + t * ctx.periods.omega2 if periodic else s + 1j * t
+    xs = elliptic.lattice_point(ctx, s, t) if periodic else s + 1j * t
+    poles = np.flatnonzero(np.isnan(fam.jets(xs, 0).values[0]))
+    if poles.size:
+        raise SamplerExhausted(f"grid point {poles[0]} at x = {xs[poles[0]]} is a pole of the family")
 
     def accept(index, y):
         x = xs[index]
@@ -519,14 +528,11 @@ def sigma_identity_scan(
     lattice (where the quotient divides by a vanishing sigma or both sides
     vanish), so none is skipped.
     """
-    if ctx.periods is None:
-        raise ValueError("the sigma identity scan needs a periodic context")
-    w1, w2 = ctx.periods.omega1, ctx.periods.omega2
     pole = max(ctx.tol.pole, 0.04 * ctx.lambda_min)
 
     def draw(rng, n):
         st = rng.uniform(-spread, spread, (n, 3, 2))
-        return st[..., 0] * w1 + st[..., 1] * w2
+        return elliptic.lattice_point(ctx, st[..., 0], st[..., 1])
 
     def accept(_, abc):
         a, b, c = abc.T
@@ -697,9 +703,9 @@ def factfun_check(
         values, faults = np.zeros(len(x)), np.zeros(len(x), int)
         if ctx is not None:
             # the finite-difference stencil must stay clear of the poles;
-            # without periods the origin is the only known one
+            # without a lattice the origin is the only known one
             shifted = points + fam.shift
-            near = np.abs(shifted) if ctx.periods is None else elliptic.lattice_distance(ctx, shifted)
+            near = elliptic.lattice_distance(ctx, shifted) if _periodic(ctx) else np.abs(shifted)
             faults[(near <= clearance).any(axis=0)] = _GUARD
         ok = faults == 0
         fv, fp = fam.jets(points[:, ok], 1).values

@@ -95,6 +95,21 @@ class TestVerify:
     def test_missing_periods_is_config_error(self):
         assert run(["verify", "theorem1", "--shift-frac", "1/3,0"]) == 65
 
+    def test_invariants_give_their_agm_lattice(self):
+        # the shift fraction is of the AGM basis: 3 * omega1/3 is a lattice point
+        argv = ["verify", "theorem1", "--g2", "4,0", "--g3", "0,0", "--shift-frac", "1/3,0", "--n", "200"]
+        assert run(argv) == 0
+        assert run(["verify", "derived", "--family", "wp", "--g2", "4,0", "--g3", "0,0", "--n", "100"]) == 0
+
+    def test_zero_discriminant_has_no_lattice(self, tmp_path):
+        assert run(["verify", "sigma", "--g2", "3,0", "--g3", "1,0"]) == 65
+        assert run(["verify", "theorem1", "--g2", "0,0", "--g3", "0,0", "--n", "50"]) == 65
+        # an odd box grid holds the pole x = 0 of 1/z^2
+        assert run(["scan", "--family", "wp", "--g2", "0,0", "--g3", "0,0", "--grid", "5",
+                    "--out", str(tmp_path / "s.csv")]) == 65
+        # a check that needs no lattice samples the box
+        assert run(["verify", "factfun", "--family", "wp", "--g2", "3,0", "--g3", "1,0", "--n", "50"]) == 0
+
     def test_env_override_cycles(self, monkeypatch):
         monkeypatch.setenv("WPFEQ_N", "50")
         assert run(["verify", "constant", "--case", "exp"]) == 0

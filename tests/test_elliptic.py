@@ -135,6 +135,18 @@ class TestConstruction:
         assert abs(ctx.invariants.discriminant - disc) <= 1e-13 * abs(disc)
         assert ctx.invariants.degeneracy == "generic"
 
+    def test_default_pole_tolerance_follows_the_shortest_vector(self):
+        # (1, 0.999+0.001i) is far from reduced: its shortest vector has
+        # length 1.41e-3, so 1e-3 of a given generator would cover b1/2
+        ctx = el.from_periods(1.0, 0.999 + 0.001j)
+        b1, b2 = ctx.reduced
+        assert ctx.tol.pole == 1e-3 * ctx.lambda_min == 1e-3 * abs(b1)
+        value = el.wp(ctx, b1 / 2.0)
+        assert value == el.wp(el.from_periods(b1, b2), b1 / 2.0)
+        same = el.from_invariants(ctx.invariants.g2, ctx.invariants.g3)
+        assert same.tol.pole == 1e-3 * same.lambda_min
+        assert abs(el.wp(same, b1 / 2.0) - value) <= 1e-9 * abs(value)
+
     def test_orientation_swap(self):
         ctx = el.from_periods(2.0j, 2.0)
         w1, w2 = ctx.periods.omega1, ctx.periods.omega2
@@ -166,13 +178,23 @@ class TestConstruction:
             ref = oracle.zeta(half / 2.0)
             assert abs(eta - ref) <= 1e-13 * abs(ref)
 
-    def test_invariant_context_has_no_lattice_queries(self, normal_form_ctx):
+    def test_only_a_zero_discriminant_has_no_lattice_queries(self, normal_form_ctx, degenerate_ctx):
+        for query in (el.reduce_to_cell, el.is_lattice_point, el.lattice_sum_reference, el.lattice_coordinates):
+            with pytest.raises(NoPeriods):
+                query(degenerate_ctx, 0.5)
         with pytest.raises(NoPeriods):
-            el.reduce_to_cell(normal_form_ctx, 0.5)
-        with pytest.raises(NoPeriods):
-            el.is_lattice_point(normal_form_ctx, 0.5)
-        with pytest.raises(NoPeriods):
-            el.lattice_sum_reference(normal_form_ctx, 0.5)
+            el.lattice_point(degenerate_ctx, 0.5, 0.25)
+        # invariants (4, 0) keep their AGM basis as periods
+        ctx = normal_form_ctx
+        w1, w2 = ctx.periods.omega1, ctx.periods.omega2
+        assert (w1, w2) == ctx.reduced
+        assert el.lattice_point(ctx, 0.5, 0.25) == 0.5 * w1 + 0.25 * w2
+        assert el.lattice_coordinates(ctx, 0.5 * w1 + 0.25 * w2) == pytest.approx((0.5, 0.25), abs=1e-15)
+        assert el.is_lattice_point(ctx, 2 * w1 - 5 * w2) and not el.is_lattice_point(ctx, 0.5 * w1)
+        assert el.reduce_to_cell(ctx, 3 * w1 + 0.2 * w2) == pytest.approx(0.2 * w2, abs=1e-12)
+        z = 0.31 + 0.17j
+        ref = el.lattice_sum_reference(ctx, z)
+        assert abs(el.wp(ctx, z) - ref) <= 1e-10 * abs(ref)
 
 
 SHAPES = [1j, cmath.exp(1j * math.pi / 3), 1.9j, 3j, 8j, 0.5 + 8j]
@@ -204,12 +226,17 @@ class TestThetaSeries:
         lattice = el.from_periods(w1, w1 * tau)
         g2, g3 = lattice.invariants.g2, lattice.invariants.g3
         ctx = el.from_invariants(g2, g3)
-        assert ctx.periods is None
-        if ctx.reduced is not None:  # at tau = 8i the float discriminant may be 0
-            b1, b2 = ctx.reduced
-            h2, h3, _ = el._q_series_invariants(b1, b2 / b1)
-            s = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
-            assert abs(h2 - g2) <= 1e-12 * s**4 and abs(h3 - g3) <= 1e-12 * s**6
+        b1, b2 = ctx.reduced
+        assert ctx.periods == el.Periods(b1, b2)
+        h2, h3, _ = el._q_series_invariants(b1, b2 / b1)
+        s = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+        assert abs(h2 - g2) <= 1e-12 * s**4 and abs(h3 - g3) <= 1e-12 * s**6
+        if tau.imag < 5:
+            # the same lattice: each basis has integer coordinates in the other
+            for a, b in ((ctx, lattice), (lattice, ctx)):
+                for w in (b.periods.omega1, b.periods.omega2):
+                    c = el.lattice_coordinates(a, w)
+                    assert max(abs(x - round(x)) for x in c) <= 1e-9
         # the float invariants do not fix a tall tau, but pe near the origin
         for z in (0.1 + 0.07j, 0.3 - 0.2j, 0.05 + 0.3j, 0.4 * cmath.exp(2j)):
             z *= lattice.lambda_min
@@ -461,6 +488,10 @@ class TestArrayEntryPoints:
 
     def test_invariants_only_contexts(self, normal_form_ctx, degenerate_ctx):
         z = np.random.default_rng(13).uniform(-1.0, 1.0, (50, 2)).view(complex)[:, 0]
+        got = el.lattice_distance(normal_form_ctx, z)
+        assert got.tolist() == [el.lattice_distance(normal_form_ctx, zi) for zi in z.tolist()]
+        with pytest.raises(NoPeriods):
+            el.lattice_distance(degenerate_ctx, z)
         for ctx in (normal_form_ctx, degenerate_ctx):
             zeta, sigma, jets = el.zeta(ctx, z), el.sigma(ctx, z), el.jets(ctx, z, 3)
             for i, zi in enumerate(z.tolist()):
@@ -470,8 +501,6 @@ class TestArrayEntryPoints:
                 want = el.jets(ctx, zi, 3).values
                 for v, w, size in zip(jets.values, want, _jet_scales(ctx, want)):
                     assert abs(v[i] - w) <= 1e-13 * size
-            with pytest.raises(NoPeriods):
-                el.lattice_distance(ctx, z)
 
     def test_empty_batch(self, square_ctx):
         empty = np.empty(0, complex)

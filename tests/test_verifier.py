@@ -270,12 +270,27 @@ class TestSampling:
         assert rep.details == {"skipped": 2, "skipped_PoleProximity": 2}
         assert rep.worst_triple == (0.3 + 0.4j, 0.5 - 0.2j, -0.8 - 0.2j)
 
-    def test_grid_scan_without_periods_uses_the_box(self, normal_form_ctx):
-        # an invariants-only family has no cell: x runs over the box [-1, 1]^2
-        fam = vr.WeierstrassShifted(normal_form_ctx)
+    def test_grid_scan_without_a_lattice_uses_the_box(self, degenerate_ctx):
+        # a zero discriminant has no cell: x runs over the box [-1, 1]^2
+        fam = vr.WeierstrassShifted(degenerate_ctx)
         rows = vr.grid_scan(fam, vr.TripleSampler(count=4), 2)
         assert [x for x, _, _ in rows] == [-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]
         assert max(r for _, _, r in rows) <= 1e-8
+
+    def test_grid_scan_on_the_agm_lattice(self, normal_form_ctx):
+        fam = vr.WeierstrassShifted(normal_form_ctx)
+        rows = vr.grid_scan(fam, vr.TripleSampler(seed=4), 5)
+        w1, w2 = normal_form_ctx.periods.omega1, normal_form_ctx.periods.omega2
+        assert len(rows) == 25
+        assert rows[0][0] == pytest.approx(0.05 * (w1 + w2), rel=1e-15)
+        assert rows[-1][0] == pytest.approx(0.95 * (w1 + w2), rel=1e-15)
+        assert max(r for _, _, r in rows) <= 1e-8
+
+    def test_grid_point_on_a_pole_raises_at_once(self, degenerate_ctx):
+        # an odd box grid holds x = 0, the pole of 1/z^2: no partner y can help
+        fam = vr.WeierstrassShifted(degenerate_ctx)
+        with pytest.raises(SamplerExhausted, match="grid point 12 at x = 0j"):
+            vr.grid_scan(fam, vr.TripleSampler(count=25), 5)
 
     def test_overflow_in_a_batch_raises(self):
         sampler = vr.TripleSampler(count=50, unconstrained=True)
@@ -306,8 +321,7 @@ class TestInvarianceClosure:
         g2, g3 = square_ctx.invariants.g2, square_ctx.invariants.g3
         scaled = el.from_invariants(16.0 * g2, 64.0 * g3)
         fam = vr.WeierstrassShifted(scaled, 0j)
-        box = 0.4 * scaled.lambda_min
-        rep = vr.scan(fam, fam, fam, vr.TripleSampler(seed=6, count=100, box=box), tol=1e-8)
+        rep = vr.scan(fam, fam, fam, vr.TripleSampler(seed=6, count=100), tol=1e-8)
         assert rep.passed
 
 
@@ -434,9 +448,9 @@ class TestFactfun:
         assert rep.max_residual > 1e-3
 
     def test_invariants_only_context(self, normal_form_ctx):
-        # no lattice is known: the stencil guard keeps clear of the origin
+        # the AGM lattice: triples are drawn on it and the stencil guard keeps clear of it
         fam = vr.WeierstrassShifted(normal_form_ctx, 0j)
-        sampler = vr.TripleSampler(count=20, box=0.4 * normal_form_ctx.lambda_min)
+        sampler = vr.TripleSampler(count=20)
         rep = vr.factfun_check(fam, sampler)
         assert rep.passed
         assert rep.samples + rep.details["skipped"] == 20
