@@ -6,9 +6,9 @@ gen (sample generator for round trips), eval (point evaluation).
 
 Conventions: complex flags are comma-separated re,im pairs; --periods takes
 four reals (omega1 then omega2), or --g2/--g3 the invariants, whose AGM
-basis then spans the lattice; shift and gamma flags take lattice fractions,
-with rational strings like 1/3 accepted. A zero discriminant has no lattice:
-what needs one exits 65, the rest samples a box. Selected numeric flags
+basis then spans the lattice, or with zero discriminant (pi/k)Z or {0};
+shift and gamma flags take lattice fractions (1/3 accepted), and one beyond
+the lattice's rank exits 65. Selected numeric flags
 fall back to WPFEQ_* environment variables (flags > environment > defaults).
 Exit codes: 0 success or expected outcome, 1 verification failure, 2
 internal error, 64 usage, 65 configuration, 66 unreadable input.
@@ -108,7 +108,10 @@ def _resolve_float(flag_value, env_name: str, default: float) -> float:
 
 
 def _resolve_int(flag_value, env_name: str, default: int) -> int:
-    return int(_resolve_float(flag_value, env_name, default))
+    value = _resolve_float(flag_value, env_name, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"{_ENV_PREFIX}{env_name.upper()} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _positive(value: float, name: str) -> float:
@@ -526,7 +529,7 @@ def _parse_grid(text: str):
         raise ConfigError(f"bad grid range {text!r}") from exc
     if step <= 0 or stop <= start:
         raise ConfigError("grid needs stop > start and step > 0")
-    n = int(math.floor((stop - start) / step + 0.5)) + 1
+    n = int(math.floor((stop - start) / step * (1.0 + 1e-12))) + 1
     return [start + i * step for i in range(n)]
 
 
@@ -616,7 +619,7 @@ def build_parser() -> _Parser:
     p.add_argument("--periods", help="four reals: w1_re,w1_im,w2_re,w2_im")
     p.add_argument("--g2", help="re,im")
     p.add_argument("--g3", help="re,im")
-    p.add_argument("--shift-frac", help="shift in fractions s,t of the periods or AGM basis (1/3 allowed)")
+    p.add_argument("--shift-frac", help="shift in fractions s,t of the periods, the AGM basis or pi/k (1/3 allowed)")
     p.add_argument("--shift", help="absolute shift re,im")
     p.add_argument("--gammas", help="six lattice fractions s1,t1,s2,t2,s3,t3")
     p.add_argument("--family", choices=["wp", "exp", "linear"])
@@ -645,7 +648,7 @@ def build_parser() -> _Parser:
     p.add_argument("--periods", help="four reals: w1_re,w1_im,w2_re,w2_im")
     p.add_argument("--g2", help="re,im")
     p.add_argument("--g3", help="re,im")
-    p.add_argument("--shift-frac", help="shift as lattice fractions s,t of the periods or the AGM basis")
+    p.add_argument("--shift-frac", help="shift as lattice fractions s,t of the periods, the AGM basis or pi/k")
     p.add_argument("--shift", help="absolute shift re,im")
     p.add_argument("--delta", help="exponential rate re,im")
     p.add_argument("--grid", type=int, default=32)
@@ -699,7 +702,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, DegenerateLattice, FloatOverflow, NoPeriods, SamplerExhausted,
+    except (ConfigError, DegenerateLattice, FloatOverflow, NoPeriods, PoleProximity, SamplerExhausted,
             SeriesNoConverge) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,10 +34,9 @@ tests' `ThetaOracle`, and `perfbench/oracle.py`).
 A context built from invariants alone takes its generators from the complex
 AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
 Theory 133, 2013), kept as its periods when their q-series invariants give
-(g2, g3) back. With zero discriminant there is no lattice: the lattice
-queries raise NoPeriods, and the series runs at q = 0, where
-pe = k^2/sin^2(kz) - k^2/3 with k^2 = 9 g3/(2 g2), or pe = 1/z^2 when
-g2 = g3 = 0.
+(g2, g3) back. With zero discriminant the series runs at q = 0, where
+pe = k^2/sin^2(kz) - k^2/3 with k^2 = 9 g3/(2 g2), on the lattice (pi/k)Z
+of rank one, or pe = 1/z^2 on the lattice {0} when g2 = g3 = 0.
 
 A slow, Richardson-accelerated lattice double sum is included as an
 independent cross-check oracle for pe. The lattice convention throughout:
@@ -111,17 +110,17 @@ class EllipticContext:
 
     `periods` are the generators given or the AGM basis of the invariants,
     and `reduced` a Gauss-reduced pair (b1, b2) of them with Im(b2/b1) > 0;
-    both are None when the discriminant vanishes. The theta series runs on
-    k = pi/b1 (0 when g2 = g3 = 0) and theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut where
-    q^(2n) underflows; eta holds the quasi-period constants
-    (zeta(b1/2), zeta(b2/2)). lambda_min is |b1|, the distance to the
-    nearest lattice point (pi/|k| when the discriminant vanishes).
+    at zero discriminant periods is None and reduced is (pi/k,), or () if
+    g2 = g3 = 0. The theta series runs on k = pi/b1 (0 if g2 = g3 = 0) and
+    theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut where q^(2n) underflows;
+    eta holds the quasi-period constants (zeta(b1/2), zeta(b2/2)). lambda_min
+    is the distance to the nearest lattice point: |b1|, pi/|k| or inf.
     """
 
     invariants: Invariants
     periods: Periods | None
     tol: ToleranceSet
-    reduced: tuple[complex, complex] | None
+    reduced: tuple[complex, ...]
     lambda_min: float
     k: complex
     theta_coeffs: tuple[complex, ...]
@@ -152,6 +151,12 @@ def _lattice_coords(z: complex, w1: complex, w2: complex) -> tuple[float, float]
     return s, t
 
 
+def _frame(basis: tuple[complex, ...]) -> tuple[complex, complex]:
+    """The generators completed to a real basis of the plane: (w, i w) at rank one, (1, i) at rank zero."""
+    w = basis[0] if basis else 1.0 + 0j
+    return basis if len(basis) == 2 else (w, 1j * w)
+
+
 # -- the reference lattice sum ---------------------------------------------------
 
 
@@ -176,7 +181,7 @@ def _richardson_best(values, p: int, step: float = 2.0):
     return diag[-1], err
 
 
-def _annulus_points(w1: complex, w2: complex, inner: int, outer: int):
+def _annulus_points(ctx: EllipticContext, inner: int, outer: int):
     """Yield numpy arrays of lattice points with inner < max(|m|,|n|) <= outer."""
     m = np.arange(-outer, outer + 1)
     block = max(1, int(2.0e5 / len(m)))
@@ -189,7 +194,7 @@ def _annulus_points(w1: complex, w2: complex, inner: int, outer: int):
             mask = (mm != 0) | (nn != 0)
         if not mask.any():
             continue
-        yield mm[mask] * w1 + nn[mask] * w2
+        yield lattice_point(ctx, mm[mask], nn[mask])
 
 
 def lattice_sum_reference(
@@ -203,18 +208,17 @@ def lattice_sum_reference(
 
     z^-2 + sum'[(z-lambda)^-2 - lambda^-2] over rectangular cutoffs
     (cutoff, 2*cutoff, ...), Richardson-extrapolated; the reported tail
-    estimate is the last extrapolation improvement.
+    estimate is the last extrapolation improvement. NoPeriods below rank two.
     """
     z = complex(z)
-    if lattice_distance(ctx, z) <= ctx.tol.pole:  # NoPeriods without a lattice
+    if lattice_distance(ctx, z) <= ctx.tol.pole:
         raise PoleProximity(z)
-    w1, w2 = ctx.periods.omega1, ctx.periods.omega2
     acc = 1.0 / (z * z)
     vals = []
     inner = 0
     for i in range(levels):
         outer = cutoff * 2**i
-        for lam in _annulus_points(w1, w2, inner, outer):
+        for lam in _annulus_points(ctx, inner, outer):
             d = z - lam
             acc += (1.0 / (d * d) - 1.0 / (lam * lam)).sum()
         inner = outer
@@ -361,12 +365,12 @@ def from_invariants(
     lattice_tol: float = 1e-9,
     pole_tol: float | None = None,
 ) -> EllipticContext:
-    """Context from invariants; periodic unless the discriminant vanishes.
+    """Context from invariants; a lattice of rank two unless the discriminant vanishes.
 
     A nonzero discriminant takes its periods from the AGM (`_agm_basis`),
     which raises SeriesNoConverge rather than return a lattice with other
     invariants. Otherwise periods is None, and the theta series runs at
-    q = 0 with k^2 = 9 g3/(2 g2), or k = 0 when g2 = g3 = 0.
+    q = 0 with k^2 = 9 g3/(2 g2), on (pi/k)Z, or k = 0 when g2 = g3 = 0.
     """
     invariants = _classify_invariants(complex(g2), complex(g3))
     g2, g3 = invariants.g2, invariants.g3
@@ -381,7 +385,8 @@ def from_invariants(
     else:
         k = cmath.sqrt(4.5 * g3 / g2) if g2 else 0j
         lam = math.pi / abs(k) if k else math.inf
-        ctx = EllipticContext(invariants, None, ToleranceSet(), None, lam, k, (), (math.pi * k / 6.0, 0j))
+        reduced = (math.pi / k,) if k else ()
+        ctx = EllipticContext(invariants, None, ToleranceSet(), reduced, lam, k, (), (math.pi * k / 6.0, 0j))
     return _with_tolerances(ctx, lattice_tol, pole_tol)
 
 
@@ -416,7 +421,7 @@ def _elementwise(arrays_only: bool = False):
 def _point(ctx: EllipticContext, z):
     """(z0, m, n, k, sign, iu, e, d, near) at v = k*z0, for a number or elementwise.
 
-    z = z0 + m*b1 + n*b2 with both lattice coordinates of z rounded away.
+    z = z0 + m*b1 + n*b2 with the lattice coordinates of z within the rank rounded away.
     u = sign*v is oriented so that Im u >= 0; then e = e^(2iu) has |e| <= 1
     and d = e - 1 comes from expm1. The callers build cot u = i(e + 1)/d,
     1/sin^2 u = -4e/d^2 and sin u = e^(-iu) d/(2i) from them, so nothing
@@ -431,11 +436,14 @@ def _point(ctx: EllipticContext, z):
     """
     batch = isinstance(z, np.ndarray)
     z0, m, n = z, 0, 0
-    if ctx.reduced is not None:
+    if len(ctx.reduced) == 2:
         b1, b2 = ctx.reduced
         s, t = _lattice_coords(z, b1, b2)
         m, n = (np.round(s), np.round(t)) if batch else (round(s), round(t))
         z0 = z - m * b1 - n * b2
+    elif ctx.reduced:  # rank one: the coordinate along pi/k
+        m = (np.round if batch else round)((z / ctx.reduced[0]).real)
+        z0 = z - m * ctx.reduced[0]
     if not ctx.k:
         k, sign, iu, e, d = 1.0, 1.0, 0j, 1.0 + 0j, 2j * z0
     else:
@@ -618,35 +626,42 @@ def zeta(ctx: EllipticContext, z):
     return _pole_edge(z, near, value)[0]
 
 
-def _periods(ctx: EllipticContext) -> Periods:
-    """The context's generators; NoPeriods when its discriminant vanishes."""
-    if ctx.periods is None:
-        raise NoPeriods("a context of zero discriminant has no lattice")
-    return ctx.periods
+def _generators(ctx: EllipticContext) -> tuple[complex, ...]:
+    """The generators that lattice fractions refer to: the periods at rank two, else `reduced`."""
+    return (ctx.periods.omega1, ctx.periods.omega2) if ctx.periods is not None else ctx.reduced
 
 
 def lattice_point(ctx: EllipticContext, s, t):
-    """s*omega1 + t*omega2 from lattice fractions, numbers or elementwise arrays."""
-    periods = _periods(ctx)
-    return s * periods.omega1 + t * periods.omega2
+    """s*omega1 + t*omega2 from lattice fractions, numbers or arrays; NoPeriods for one beyond the rank."""
+    gens = _generators(ctx)
+    if any(np.any(f) for f in (s, t)[len(gens) :]):
+        raise NoPeriods(f"a nonzero lattice fraction beyond the rank {len(gens)} of the lattice")
+    w1, w2 = _frame(gens)
+    return s * w1 + t * w2
 
 
 def lattice_coordinates(ctx: EllipticContext, z: complex) -> tuple[float, float]:
-    """Coordinates of z in the stored generator basis."""
-    periods = _periods(ctx)
-    return _lattice_coords(complex(z), periods.omega1, periods.omega2)
+    """Coordinates of z in the generators of lattice fractions, by `_frame` below rank two."""
+    return _lattice_coords(complex(z), *_frame(_generators(ctx)))
+
+
+def lattice_offset(ctx: EllipticContext, z: complex) -> float:
+    """Largest distance of a lattice coordinate of z from an integer, or length of those beyond the rank."""
+    coords, rank = lattice_coordinates(ctx, z), len(ctx.reduced)
+    return max([abs(c - round(c)) for c in coords[:rank]] + [math.hypot(*coords[rank:])])
 
 
 def reduce_to_cell(ctx: EllipticContext, z: complex) -> complex:
-    """Representative s*omega1 + t*omega2 with s, t in [0, 1)."""
-    s, t = lattice_coordinates(ctx, z)
-    return lattice_point(ctx, s - math.floor(s), t - math.floor(t))
+    """Representative s*omega1 + t*omega2 of z with its coordinates within the rank in [0, 1)."""
+    coords, rank = lattice_coordinates(ctx, z), len(ctx.reduced)
+    s, t = [c - math.floor(c) for c in coords[:rank]] + list(coords[rank:])
+    w1, w2 = _frame(_generators(ctx))
+    return s * w1 + t * w2
 
 
 def is_lattice_point(ctx: EllipticContext, z: complex) -> bool:
-    """True when both lattice coordinates are integers within the tolerance."""
-    s, t = lattice_coordinates(ctx, z)
-    return max(abs(s - round(s)), abs(t - round(t))) <= ctx.tol.lattice
+    """True when z is a lattice point within the lattice tolerance (`lattice_offset`)."""
+    return lattice_offset(ctx, z) <= ctx.tol.lattice
 
 
 # the 3x3 neighbour shifts (dm, dn) of the rounded lattice coordinates
@@ -657,12 +672,11 @@ _NEAR_DM, _NEAR_DN = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
 def lattice_distance(ctx: EllipticContext, z):
     """Euclidean distance from z to the nearest lattice point; elementwise on an array.
 
-    The nearest point is one of the 3x3 about the rounded lattice
-    coordinates in the reduced basis.
+    The nearest point is one of the 3x3 about the rounded coordinates of z
+    in `_frame` of the reduced basis, with the generators beyond the rank 0.
     """
-    _periods(ctx)
-    b1, b2 = ctx.reduced
-    s, t = _lattice_coords(z, b1, b2)
+    b1, b2 = (*ctx.reduced, 0j, 0j)[:2]
+    s, t = _lattice_coords(z, *_frame(ctx.reduced))
     m = np.round(s)[..., None] + _NEAR_DM
     n = np.round(t)[..., None] + _NEAR_DN
     return np.abs(z[..., None] - m * b1 - n * b2).min(axis=-1)

@@ -26,7 +26,7 @@ class FloatOverflow(WpfeqError):
 
 
 class NoPeriods(WpfeqError):
-    """Operation needs a lattice, but the context's discriminant vanishes."""
+    """A lattice fraction beyond the lattice's rank: a second one on (pi/k)Z, any on {0}."""
 
 
 class JetOrderOverflow(WpfeqError):

@@ -254,12 +254,12 @@ class TripleSampler:
     """Deterministic rejection sampler for admissible triples.
 
     Points are drawn in lattice coordinates (s, t) uniform on
-    [margin, 1-margin]^2 when a family's context has a lattice, otherwise
-    in a complex box of half-width `box`. z is -x-y unless `unconstrained`,
-    in which case all three points are independent. Triple i is row i of a
-    block drawn by the generator seeded with (seed, round). Pole-proximal
-    draws are rejected and redrawn in the next round, with a budget of 100
-    draws per sample on average.
+    [margin, 1-margin]^2 when a family's lattice has rank two, otherwise in
+    a complex box of half-width `box`. z is -x-y unless `unconstrained`, in
+    which case all three points are independent. Triple i is row i of a
+    block drawn by the generator seeded with (seed, round). Draws near the
+    lattice, of any rank, are rejected and redrawn in the next round, with
+    a budget of 100 draws per sample on average.
     """
 
     seed: int = 0
@@ -271,32 +271,35 @@ class TripleSampler:
 
     def _points(self, rng, n: int, k: int, ctx: EllipticContext | None) -> np.ndarray:
         """An (n, k) block of points, each from two uniform draws (s, t) or (re, im)."""
-        if _periodic(ctx):
+        if ctx is not None and len(ctx.reduced) == 2:
             st = rng.uniform(self.margin, 1.0 - self.margin, (n, k, 2))
             return elliptic.lattice_point(ctx, st[..., 0], st[..., 1])
         # the (re, im) pairs, viewed as complex numbers
         return rng.uniform(-self.box, self.box, (n, k, 2)).view(complex)[..., 0]
 
     def effective_pole_radius(self, ctx: EllipticContext | None) -> float:
+        """The given radius, else max(tol.pole, 0.03 lambda_min); 1e-6 without a context or finite lambda_min."""
         if self.pole_radius is not None:
             return self.pole_radius
-        if _periodic(ctx):
-            return max(ctx.tol.pole, 0.03 * ctx.lambda_min)
-        return 1e-6
+        if ctx is None or math.isinf(ctx.lambda_min):
+            return 1e-6
+        return max(ctx.tol.pole, 0.03 * ctx.lambda_min)
 
-    def admissible(self, ctx: EllipticContext | None, shift: complex, z):
-        """Elementwise: z + shift lies farther than the pole radius from the lattice."""
-        if not _periodic(ctx):
-            return np.ones(np.shape(z), bool)
-        return elliptic.lattice_distance(ctx, z + shift) > self.effective_pole_radius(ctx)
+    def admissible(self, families: Sequence[FunctionFamily], points: np.ndarray) -> np.ndarray:
+        """Rows of the (n, len(families)) points where point j + shift lies beyond the pole radius of family j.
+
+        One `lattice_distance` call per context; a family without one admits everything.
+        """
+        ok = np.ones(len(points), bool)
+        for ctx in {getattr(fam, "ctx", None) for fam in families} - {None}:
+            cols = [j for j, fam in enumerate(families) if getattr(fam, "ctx", None) == ctx]
+            shifted = points[:, cols] + [families[j].shift for j in cols]
+            ok &= (elliptic.lattice_distance(ctx, shifted) > self.effective_pole_radius(ctx)).all(axis=1)
+        return ok
 
     def triples(self, families: Sequence[FunctionFamily]):
         """Yield `count` admissible (x, y, z); raises SamplerExhausted."""
-        ctx = _first_context(families)
-        shifts = [
-            (fam.ctx, fam.shift) if isinstance(fam, WeierstrassShifted) else (None, 0j)
-            for fam in families
-        ]
+        ctx = next((fam.ctx for fam in families if isinstance(fam, WeierstrassShifted)), None)
 
         def draw(rng, n):
             points = self._points(rng, n, 3 if self.unconstrained else 2, ctx)
@@ -305,25 +308,10 @@ class TripleSampler:
             return np.column_stack((points, -(points[:, 0] + points[:, 1])))
 
         def accept(_, points):
-            ok = np.ones(len(points), bool)
-            for i, (fctx, shift) in enumerate(shifts):
-                ok &= self.admissible(fctx, shift, points[:, i])
-            return np.zeros(len(points)), (~ok).astype(int)
+            return np.zeros(len(points)), (~self.admissible(families, points)).astype(int)
 
         drawn, _ = _draws(self.seed, self.count, draw, accept, 100 * self.count)
         yield from map(tuple, drawn.tolist())
-
-
-def _first_context(families) -> EllipticContext | None:
-    for fam in families:
-        if isinstance(fam, WeierstrassShifted):
-            return fam.ctx
-    return None
-
-
-def _periodic(ctx: EllipticContext | None) -> bool:
-    """Whether sampling runs on the lattice of ctx rather than on the box."""
-    return ctx is not None and ctx.periods is not None
 
 
 # -- reports ------------------------------------------------------------------------
@@ -403,19 +391,18 @@ def grid_scan(
     """Rows (x, y, residual) of the triple (fam, fam, fam) with x on a grid.
 
     x runs over a grid x grid mesh: [margin, 1-margin]^2 in lattice
-    coordinates where the family has a lattice, else the box [-1, 1]^2; a
-    grid point on a pole of the family raises SamplerExhausted. Grid point
+    coordinates where the family's lattice has rank two, else the box
+    [-1, 1]^2; a grid point on a pole raises SamplerExhausted. Grid point
     (i, j) is sample i*grid + j of the sampler's stream: its partner y is
     redrawn, at most 200 times, while a point of (x, y, -x-y) lies near a
     pole or the residual cannot be evaluated; SamplerExhausted then.
     """
-    ctx = _first_context((fam,))
-    shift = fam.shift if ctx is not None else 0j
-    periodic = _periodic(ctx)
-    lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if periodic else (-1.0, 2.0)
+    ctx = getattr(fam, "ctx", None)
+    cell = ctx is not None and len(ctx.reduced) == 2
+    lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if cell else (-1.0, 2.0)
     ticks = lo + width * np.arange(grid) / max(grid - 1, 1)
     s, t = np.repeat(ticks, grid), np.tile(ticks, grid)
-    xs = elliptic.lattice_point(ctx, s, t) if periodic else s + 1j * t
+    xs = elliptic.lattice_point(ctx, s, t) if cell else s + 1j * t
     poles = np.flatnonzero(np.isnan(fam.jets(xs, 0).values[0]))
     if poles.size:
         raise SamplerExhausted(f"grid point {poles[0]} at x = {xs[poles[0]]} is a pole of the family")
@@ -423,8 +410,7 @@ def grid_scan(
     def accept(index, y):
         x = xs[index]
         z = -(x + y)
-        ok = sampler.admissible(ctx, shift, x) & sampler.admissible(ctx, shift, y)
-        ok &= sampler.admissible(ctx, shift, z)
+        ok = sampler.admissible((fam,) * 3, np.column_stack((x, y, z)))
         r, fault = np.zeros(len(y)), np.full(len(y), _GUARD)
         r[ok], fault[ok] = residual(fam, fam, fam, x[ok], y[ok], z[ok])
         return r, fault
@@ -574,13 +560,12 @@ def shifted_det_vs_sigma_scan(
 
 
 def theorem_shift_expectation(ctx: EllipticContext, total_shift: complex) -> str:
-    """'pass' / 'fail' / 'indeterminate' from lattice membership of the shift sum.
+    """'pass' / 'fail' / 'indeterminate' from lattice membership of the shift sum (`lattice_offset`).
 
     Borderline sums within a factor ten of the lattice tolerance are
     reported indeterminate instead of being forced to a side.
     """
-    s, t = elliptic.lattice_coordinates(ctx, total_shift)
-    dist = max(abs(s - round(s)), abs(t - round(t)))
+    dist = elliptic.lattice_offset(ctx, total_shift)
     if dist <= ctx.tol.lattice:
         return "pass"
     if dist <= 10.0 * ctx.tol.lattice:
@@ -695,17 +680,15 @@ def factfun_check(
     the triple (f, f, f), so it must vanish for solutions; the residual is
     normalised by the same row scale as the determinant.
     """
-    ctx = _first_context((fam,))
+    ctx = getattr(fam, "ctx", None)
     clearance = sampler.effective_pole_radius(ctx) + 4.0 * h_step
 
     def evaluate(x, y, z):
         points = np.stack((x, y, z))
         values, faults = np.zeros(len(x)), np.zeros(len(x), int)
         if ctx is not None:
-            # the finite-difference stencil must stay clear of the poles;
-            # without a lattice the origin is the only known one
-            shifted = points + fam.shift
-            near = elliptic.lattice_distance(ctx, shifted) if _periodic(ctx) else np.abs(shifted)
+            # the finite-difference stencil must stay clear of the poles
+            near = elliptic.lattice_distance(ctx, points + fam.shift)
             faults[(near <= clearance).any(axis=0)] = _GUARD
         ok = faults == 0
         fv, fp = fam.jets(points[:, ok], 1).values

@@ -1,6 +1,7 @@
 """Exit codes, report schemas, file formats, and determinism of the CLI."""
 
 import json
+import math
 import os
 
 import pytest
@@ -101,19 +102,44 @@ class TestVerify:
         assert run(argv) == 0
         assert run(["verify", "derived", "--family", "wp", "--g2", "4,0", "--g3", "0,0", "--n", "100"]) == 0
 
-    def test_zero_discriminant_has_no_lattice(self, tmp_path):
+    def test_zero_discriminant_has_a_lattice_of_lower_rank(self, tmp_path):
+        # sigma draws two lattice fractions, which a lattice of rank one lacks
         assert run(["verify", "sigma", "--g2", "3,0", "--g3", "1,0"]) == 65
-        assert run(["verify", "theorem1", "--g2", "0,0", "--g3", "0,0", "--n", "50"]) == 65
+        # the poles of 1/z^2 are the lattice {0}: a zero shift sum lies on it
+        assert run(["verify", "theorem1", "--g2", "0,0", "--g3", "0,0", "--n", "50"]) == 0
         # an odd box grid holds the pole x = 0 of 1/z^2
         assert run(["scan", "--family", "wp", "--g2", "0,0", "--g3", "0,0", "--grid", "5",
                     "--out", str(tmp_path / "s.csv")]) == 65
-        # a check that needs no lattice samples the box
         assert run(["verify", "factfun", "--family", "wp", "--g2", "3,0", "--g3", "1,0", "--n", "50"]) == 0
+
+    @pytest.mark.parametrize("fracs, code", [("1/3,0", 0), ("1/3,1/2", 65)])
+    def test_theorem1_on_the_rank_one_lattice(self, fracs, code):
+        # (12, 8) has poles (pi/sqrt 3)Z: fractions are of pi/k, and a second one has no generator
+        argv = ["verify", "theorem1", "--g2", "12,0", "--g3", "8,0", "--shift-frac", fracs, "--n", "100"]
+        assert run(argv) == code
+
+    @pytest.mark.parametrize("third, expected", [(-0.8, "pass"), (-0.8 + math.pi / math.sqrt(3.0), "pass"),
+                                                 (-0.7, "fail")])
+    def test_theorem2_on_the_rank_one_lattice(self, tmp_path, third, expected):
+        # gammas 0.3, 0.5 and `third` as fractions of the generator pi/sqrt(3) of (12, 8)
+        out = tmp_path / "t2.json"
+        fracs = [repr(g * math.sqrt(3.0) / math.pi) + ",0" for g in (0.3, 0.5, third)]
+        argv = ["verify", "theorem2", "--g2", "12,0", "--g3", "8,0", "--n", "200", "--seed", "2",
+                "--gammas", ",".join(fracs), "--out", str(out)]
+        assert run(argv) == 0
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["expected"] == expected and check["observed_pass"] == (expected == "pass")
 
     def test_env_override_cycles(self, monkeypatch):
         monkeypatch.setenv("WPFEQ_N", "50")
         assert run(["verify", "constant", "--case", "exp"]) == 0
         monkeypatch.setenv("WPFEQ_N", "banana")
+        assert run(["verify", "constant", "--case", "exp"]) == 65
+
+    @pytest.mark.parametrize("name", ["WPFEQ_N", "WPFEQ_SEED"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "2.5"])
+    def test_env_integer_must_be_a_finite_integer(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
         assert run(["verify", "constant", "--case", "exp"]) == 65
 
 
@@ -173,6 +199,20 @@ class TestGenAndFit:
     def test_bad_grid_spec_exit_65(self, tmp_path):
         assert run(["gen", "--family", "exp", "--grid", "nope", "--out",
                     str(tmp_path / "x.csv")]) == 65
+
+    @pytest.mark.parametrize(
+        "grid, count", [("0:1:0.4", 3), ("0.6:1.6:0.01", 101), ("0:2:0.05", 41), ("0:1:0.1", 11)]
+    )
+    def test_grid_stops_at_stop(self, tmp_path, grid, count):
+        out = tmp_path / "g.csv"
+        assert run(["gen", "--family", "linear", "--grid", grid, "--out", str(out)]) == 0
+        xs = [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]]
+        assert len(xs) == count
+        assert xs[-1] <= float(grid.split(":")[1]) * (1.0 + 1e-12)
+
+    def test_wp_grid_point_on_a_pole_exit_65(self, tmp_path):
+        assert run(["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid", "0:1:0.5",
+                    "--out", str(tmp_path / "x.csv")]) == 65
 
 
 class TestScan:

@@ -178,12 +178,20 @@ class TestConstruction:
             ref = oracle.zeta(half / 2.0)
             assert abs(eta - ref) <= 1e-13 * abs(ref)
 
-    def test_only_a_zero_discriminant_has_no_lattice_queries(self, normal_form_ctx, degenerate_ctx):
-        for query in (el.reduce_to_cell, el.is_lattice_point, el.lattice_sum_reference, el.lattice_coordinates):
+    def test_lattice_queries_answer_at_every_rank(self, normal_form_ctx, degenerate_ctx):
+        # rank zero: the lattice {0}, measured by |z|
+        assert el.reduce_to_cell(degenerate_ctx, 0.5) == 0.5
+        assert el.lattice_coordinates(degenerate_ctx, 0.3 - 0.4j) == (0.3, -0.4)
+        assert el.lattice_offset(degenerate_ctx, 0.3 - 0.4j) == pytest.approx(0.5, rel=1e-15)
+        assert el.is_lattice_point(degenerate_ctx, 0j) and not el.is_lattice_point(degenerate_ctx, 1e-6)
+        assert el.lattice_point(degenerate_ctx, 0.0, 0.0) == 0
+        # only a nonzero fraction beyond the rank has no answer
+        rank_one = el.from_invariants(3, 1)
+        for ctx, fracs in ((degenerate_ctx, (0.5, 0.0)), (degenerate_ctx, (0.0, 0.5)), (rank_one, (0.5, 0.25))):
             with pytest.raises(NoPeriods):
-                query(degenerate_ctx, 0.5)
+                el.lattice_point(ctx, *fracs)
         with pytest.raises(NoPeriods):
-            el.lattice_point(degenerate_ctx, 0.5, 0.25)
+            el.lattice_sum_reference(degenerate_ctx, 0.5)
         # invariants (4, 0) keep their AGM basis as periods
         ctx = normal_form_ctx
         w1, w2 = ctx.periods.omega1, ctx.periods.omega2
@@ -261,14 +269,14 @@ class TestThetaSeries:
     def test_tiny_invariants_keep_their_lattice(self):
         # g2^3 - 27 g3^2 underflows to 0 here, yet the discriminant is not 0
         ctx = el.from_invariants(1e-300, 1e-300, pole_tol=0.0)
-        assert ctx.reduced is not None
+        assert len(ctx.reduced) == 2
         assert el.wp(ctx, 0.3) == pytest.approx(1.0 / 0.09, rel=1e-14)
 
     def test_trigonometric_degeneration(self):
         # Delta = 0: pe = k^2/sin^2(kz) - k^2/3, sigma = exp(k^2 z^2/6) sin(kz)/k
         ctx = el.from_invariants(3.0, 1.0)
         k = cmath.sqrt(1.5)
-        assert ctx.reduced is None and ctx.lambda_min == pytest.approx(math.pi / abs(k))
+        assert ctx.reduced == (math.pi / k,) and ctx.lambda_min == pytest.approx(math.pi / abs(k))
         for z in (0.5, 0.37 - 1.21j, 1.4 + 0.2j, 0.8 + 0.3j):
             p = k * k / cmath.sin(k * z) ** 2 - k * k / 3.0
             dp = -2.0 * k**3 * cmath.cos(k * z) / cmath.sin(k * z) ** 3
@@ -488,10 +496,10 @@ class TestArrayEntryPoints:
 
     def test_invariants_only_contexts(self, normal_form_ctx, degenerate_ctx):
         z = np.random.default_rng(13).uniform(-1.0, 1.0, (50, 2)).view(complex)[:, 0]
-        got = el.lattice_distance(normal_form_ctx, z)
-        assert got.tolist() == [el.lattice_distance(normal_form_ctx, zi) for zi in z.tolist()]
-        with pytest.raises(NoPeriods):
-            el.lattice_distance(degenerate_ctx, z)
+        for ctx in (normal_form_ctx, degenerate_ctx):
+            got = el.lattice_distance(ctx, z)
+            assert got.tolist() == [el.lattice_distance(ctx, zi) for zi in z.tolist()]
+        assert got.tolist() == np.abs(z).tolist()  # the lattice {0} of 1/z^2
         for ctx in (normal_form_ctx, degenerate_ctx):
             zeta, sigma, jets = el.zeta(ctx, z), el.sigma(ctx, z), el.jets(ctx, z, 3)
             for i, zi in enumerate(z.tolist()):
@@ -517,7 +525,7 @@ def _sample_points(ctx):
         return np.concatenate((st[:, 0] * w1 + st[:, 1] * w2, [0j, w1, w1 + w2, -w2]))
     scale = ctx.lambda_min if math.isfinite(ctx.lambda_min) else 1.0
     z = scale * rng.uniform(-0.8, 0.8, (60, 2)).view(complex)[:, 0]
-    poles = [0j] + ([sum(ctx.reduced)] if ctx.reduced is not None else [])
+    poles = [0j] + ([sum(ctx.reduced)] if ctx.reduced else [])
     return np.concatenate((z, poles))
 
 
@@ -574,11 +582,6 @@ class TestArrayCallsMatchNumberCalls:
     def test_array_equals_elementwise_calls(self, name, ctx):
         call = ELEMENTWISE[name]
         z = _sample_points(ctx)
-        if name == "lattice_distance" and ctx.periods is None:
-            for arg in (z, complex(z[0])):
-                with pytest.raises(NoPeriods):
-                    call(ctx, arg)
-            return
         batch = call(ctx, z)
         batch = batch if isinstance(batch, tuple) else (batch,)
         assert all(np.shape(v) == z.shape for v in batch)
@@ -753,6 +756,23 @@ class TestLatticeOps:
             a = el.wp(square_ctx, z)
             b = el.wp(square_ctx, el.reduce_to_cell(square_ctx, z))
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("g2, g3", [(12.0, 8.0), (3.0, 1.0), (-3.0, -1j)])
+    def test_rank_one_is_the_pole_line_of_the_trigonometric_form(self, g2, g3):
+        # pe = k^2/sin^2(kz) - k^2/3 with k^2 = 9 g3/(2 g2) has its poles at (pi/k)Z
+        ctx = el.from_invariants(g2, g3)
+        w = math.pi / cmath.sqrt(4.5 * g3 / g2)
+        assert ctx.reduced == (w,)
+        z = np.random.default_rng(3).uniform(-6.0, 6.0, (200, 2)).view(complex)[:, 0]
+        brute = np.abs(z[:, None] - np.arange(-40, 41) * w).min(axis=1)
+        assert el.lattice_distance(ctx, z) == pytest.approx(brute, rel=1e-14)
+        assert el.lattice_point(ctx, 2.5, 0) == 2.5 * w
+        assert el.lattice_coordinates(ctx, (2.5 + 0.5j) * w) == pytest.approx((2.5, 0.5), abs=1e-15)
+        assert el.reduce_to_cell(ctx, (3.2 + 0.4j) * w) == pytest.approx((0.2 + 0.4j) * w, abs=1e-14)
+        assert el.is_lattice_point(ctx, -3 * w)
+        assert not el.is_lattice_point(ctx, 0.5 * w) and not el.is_lattice_point(ctx, 1j * w)
+        with pytest.raises(PoleProximity):
+            el.wp(ctx, -3 * w)
 
     def test_is_lattice_point_examples(self, square_ctx):
         w1, w2 = square_ctx.periods.omega1, square_ctx.periods.omega2

@@ -189,6 +189,26 @@ class TestSampling:
         assert got == want
         assert max(rounds) >= 2  # some samples were redrawn, in later rounds
 
+    def test_one_lattice_distance_call_per_context_and_round(self, square_ctx, hex_ctx, monkeypatch):
+        calls, rounds = [], []
+        distance, points = el.lattice_distance, vr.TripleSampler._points
+        monkeypatch.setattr(el, "lattice_distance", lambda *a: calls.append(a[0]) or distance(*a))
+        monkeypatch.setattr(vr.TripleSampler, "_points", lambda *a: rounds.append(1) or points(*a))
+        sampler = vr.TripleSampler(seed=4, count=30, pole_radius=0.5)
+        # three shifts on one context, then two contexts and a family with none
+        for families, per_round in (
+            ([vr.WeierstrassShifted(square_ctx, s) for s in (0j, 0.3, 0.2j)], 1),
+            ([vr.WeierstrassShifted(square_ctx), vr.WeierstrassShifted(hex_ctx), vr.Exponential()], 2),
+        ):
+            calls.clear()
+            rounds.clear()
+            list(sampler.triples(families))
+            assert len(rounds) > 1 and len(calls) == per_round * len(rounds)
+        calls.clear()
+        rounds.clear()
+        vr.grid_scan(vr.WeierstrassShifted(square_ctx), vr.TripleSampler(pole_radius=0.13), 8)
+        assert len(rounds) > 1 and len(calls) == len(rounds)
+
     def test_box_stream_reads_re_im_pairs(self):
         fam = vr.Exponential()
         got = list(vr.TripleSampler(seed=4, count=3).triples((fam, fam, fam)))
@@ -270,12 +290,17 @@ class TestSampling:
         assert rep.details == {"skipped": 2, "skipped_PoleProximity": 2}
         assert rep.worst_triple == (0.3 + 0.4j, 0.5 - 0.2j, -0.8 - 0.2j)
 
-    def test_grid_scan_without_a_lattice_uses_the_box(self, degenerate_ctx):
-        # a zero discriminant has no cell: x runs over the box [-1, 1]^2
-        fam = vr.WeierstrassShifted(degenerate_ctx)
-        rows = vr.grid_scan(fam, vr.TripleSampler(count=4), 2)
+    @pytest.mark.parametrize("invariants", [(0.0, 0.0), (3.0, 1.0)], ids=["rank-0", "rank-1"])
+    def test_grid_scan_below_rank_two_uses_the_box(self, invariants):
+        # a lattice of rank below two has no cell: x runs over the box [-1, 1]^2,
+        # and y is redrawn clear of the lattice's poles
+        ctx = el.from_invariants(*invariants)
+        sampler = vr.TripleSampler(count=4)
+        rows = vr.grid_scan(vr.WeierstrassShifted(ctx), sampler, 2)
         assert [x for x, _, _ in rows] == [-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]
         assert max(r for _, _, r in rows) <= 1e-8
+        for x, y, _ in rows:
+            assert min(el.lattice_distance(ctx, np.array([x, y, -x - y]))) > sampler.effective_pole_radius(ctx)
 
     def test_grid_scan_on_the_agm_lattice(self, normal_form_ctx):
         fam = vr.WeierstrassShifted(normal_form_ctx)
@@ -403,6 +428,33 @@ class TestTheorem2:
         rep = vr.theorem2_shift_test(square_ctx, 0.2 * w1, 0.3 * w2, 0j, vr.TripleSampler(seed=2, count=200))
         assert rep.details["expected"] == "fail"
         assert not rep.passed
+
+    @pytest.mark.parametrize(
+        "invariants, s, expected",
+        [
+            ((12.0, 8.0), 0.0, "pass"),
+            ((12.0, 8.0), math.pi / math.sqrt(3.0), "pass"),
+            ((12.0, 8.0), -2.0 * math.pi / math.sqrt(3.0), "pass"),
+            ((12.0, 8.0), 0.1, "fail"),
+            ((12.0, 8.0), 0.5j, "fail"),
+            ((12.0, 8.0), math.pi / (2.0 * math.sqrt(3.0)), "fail"),
+            ((12.0, 8.0), 1e-3, "fail"),
+            ((3.0, 1.0), 0.0, "pass"),
+            ((3.0, 1.0), math.pi / math.sqrt(1.5), "pass"),
+            ((3.0, 1.0), 0.2, "fail"),
+            ((0.0, 0.0), 0.0, "pass"),
+            ((0.0, 0.0), 0.1, "fail"),
+            ((0.0, 0.0), 1e-4, "fail"),
+            ((0.0, 0.0), 0.3j, "fail"),
+        ],
+    )
+    def test_degenerations_decide_by_their_lattice(self, invariants, s, expected):
+        # the poles of k^2/sin^2(kz) - k^2/3 are (pi/k)Z, those of 1/z^2 are {0}
+        ctx = el.from_invariants(*invariants)
+        sampler = vr.TripleSampler(seed=2, count=200, box=0.8)
+        rep = vr.theorem2_shift_test(ctx, 0.3, 0.5, -0.8 + s, sampler)
+        assert rep.details["expected"] == expected
+        assert rep.passed == (expected == "pass")
 
     def test_borderline_shift_is_indeterminate(self, square_ctx):
         w1 = square_ctx.periods.omega1
