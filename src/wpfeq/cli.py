@@ -108,7 +108,15 @@ def _resolve_float(flag_value, env_name: str, default: float) -> float:
 
 
 def _resolve_int(flag_value, env_name: str, default: int) -> int:
-    value = _resolve_float(flag_value, env_name, default)
+    # argparse parses the flag exactly, and so does int() a plain-integer
+    # variable; a double would round above 2**53
+    if flag_value is not None:
+        return flag_value
+    env = _env(env_name)
+    try:
+        return default if env is None else int(env)
+    except ValueError:
+        value = _resolve_float(None, env_name, default)
     if not float(value).is_integer():
         raise ConfigError(f"{_ENV_PREFIX}{env_name.upper()} must be an integer, got {value!r}")
     return int(value)

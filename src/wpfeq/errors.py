@@ -33,6 +33,10 @@ class JetOrderOverflow(WpfeqError):
     """A derivation would create a jet variable beyond the supported order."""
 
 
+class ExponentOverflow(WpfeqError):
+    """A monomial exponent would pass 255, the largest its packed field holds."""
+
+
 class TruncationTooLow(WpfeqError):
     """Requested series truncation order is too small for the check."""
 

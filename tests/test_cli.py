@@ -142,6 +142,23 @@ class TestVerify:
         monkeypatch.setenv(name, value)
         assert run(["verify", "constant", "--case", "exp"]) == 65
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_seed_above_two_to_the_53_is_exact(self, monkeypatch, tmp_path, source):
+        seed = 2**53 + 1  # the nearest double is 2**53
+        out = tmp_path / "seed.json"
+        argv = ["verify", "constant", "--case", "exp", "--n", "20", "--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            monkeypatch.setenv("WPFEQ_SEED", str(seed))
+        assert run(argv) == 0
+        assert json.loads(out.read_text())["params"]["seed"] == seed
+
+    def test_resolve_int_keeps_every_digit(self, monkeypatch):
+        assert cli._resolve_int(2**53 + 1, "seed", 0) == 2**53 + 1
+        monkeypatch.setenv("WPFEQ_SEED", "1e3")
+        assert cli._resolve_int(None, "seed", 0) == 1000
+
 
 class TestGenAndFit:
     def test_roundtrip_weierstrass(self, tmp_path, capsys):
