@@ -357,8 +357,8 @@ def _cmd_verify(args, parser) -> int:
 
     elif args.kind == "factfun":
         tol = _positive(_resolve_float(args.tol, "tol", 1e-6), "tol")
-        h_step = _positive(_resolve_float(args.h_step, "h_step", 1e-2), "h-step")
         fam = _family_for_verify(args)
+        h_step = _positive(_resolve_float(args.h_step, "h_step", verifier.factfun_step(fam)), "h-step")
         params.update({"family": args.family, "h_step": h_step, "tol": tol})
         sampler = verifier.TripleSampler(seed=seed, count=count, margin=margin)
         rep = verifier.factfun_check(fam, sampler, h_step=h_step, tol=tol)

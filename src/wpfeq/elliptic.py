@@ -233,6 +233,10 @@ def lattice_sum_reference(
 # -- construction ----------------------------------------------------------------
 
 
+# sigma_3(n) and sigma_5(n), the divisor sums of the q-series, for n = 1..11
+_SIGMA3, _SIGMA5 = (tuple(sum(d**k for d in range(1, n + 1) if n % d == 0) for n in range(1, 12)) for k in (3, 5))
+
+
 def _q_series_invariants(b1: complex, tau: complex) -> tuple[complex, complex, complex]:
     """(g2, g3, discriminant) of the lattice spanned by b1 and b1*tau (DLMF 23.8).
 
@@ -246,10 +250,10 @@ def _q_series_invariants(b1: complex, tau: complex) -> tuple[complex, complex, c
     """
     r = cmath.exp(2j * math.pi * tau)
     e4 = e6 = prod = rn = 1.0 + 0j
-    for n in range(1, 12):
+    for s3, s5 in zip(_SIGMA3, _SIGMA5):
         rn *= r
-        e4 += 240 * sum(d**3 for d in range(1, n + 1) if n % d == 0) * rn
-        e6 -= 504 * sum(d**5 for d in range(1, n + 1) if n % d == 0) * rn
+        e4 += 240 * s3 * rn
+        e6 -= 504 * s5 * rn
         prod *= 1.0 - rn
     g2 = 60.0 * (math.pi**4 / 45.0) * e4 / b1**4
     g3 = 140.0 * (2.0 * math.pi**6 / 945.0) * e6 / b1**6

@@ -12,16 +12,19 @@ poles, and the clamp keeps near-pole triples from passing or failing
 trivially. Sampling is deterministic: round k of rejection draws one block
 from the generator seeded with (seed, k), and sample i takes row i of it,
 so a draw depends only on (seed, sample, attempt) and reports are
-reproducible. Every sampled check scores a batch at a time, on numpy
-arrays of triples: the determinant residuals, the sigma-quotient gaps, the
-derived determinants on arrays of jets, and the operator check on the
-antiderivative over its whole finite-difference stencil.
+reproducible. Rejection rounds test the geometry alone, the distance to
+the lattice; a check that evaluates while it samples scores the admitted
+block once, and redraws a row whose evaluation faults from its next
+attempt. Every sampled check scores a batch at a time, on numpy arrays of
+triples, in as few evaluator calls as the batch allows: pe families on one
+context share one `elliptic.jets` call on the stacked points, and the
+operator check evaluates the antiderivative once, on the 22 distinct
+points of its two-level finite-difference stencil.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -197,10 +200,23 @@ def residual(
     """
     if z is None:
         z = -(_as_complex(x) + _as_complex(y))
-    jets = ff.jets(x, 1), fg.jets(y, 1), fh.jets(z, 1)
+    jets = _family_jets((ff, fg, fh), (x, y, z), 1)
     with np.errstate(all="ignore"):
         r = residual_from_jets(*jets)
     return (r, _pole_faults(*(j.values[0] for j in jets))) if isinstance(r, np.ndarray) else r
+
+
+def _family_jets(families: Sequence[FunctionFamily], points: Sequence, order: int) -> list[JetValues]:
+    """Jets of family j at points[j]; pe families on one context share one `elliptic.jets` call on arrays.
+
+    That call takes the stacked points plus shifts; it works elementwise, so
+    the values are the per-family calls'.
+    """
+    ctx, arrays = getattr(families[0], "ctx", None), all(isinstance(p, np.ndarray) and p.ndim for p in points)
+    if not arrays or not all(isinstance(fam, WeierstrassShifted) and fam.ctx is ctx for fam in families):
+        return [fam.jets(p, order) for fam, p in zip(families, points)]
+    values = elliptic.jets(ctx, np.stack(points) + np.array([[fam.shift] for fam in families]), order).values
+    return [JetValues(at=p, values=tuple(v[j] for v in values)) for j, p in enumerate(points)]
 
 
 # -- sampling ----------------------------------------------------------------------
@@ -216,37 +232,45 @@ def _pole_faults(*values: np.ndarray) -> np.ndarray:
     return np.where(np.logical_or.reduce([np.isnan(v) for v in values]), _POLE, 0)
 
 
-def _draws(seed: int, count: int, draw, accept, budget: int, rounds: int | None = None):
-    """(draws, values) of the first accepted draw of samples 0..count-1, in order.
+def _draws(seed: int, count: int, draw, admit, budget: int, rounds: int | None = None, evaluate=None):
+    """(draws, values) of the first draw of samples 0..count-1 that is admitted and evaluates.
 
     Round k draws one block, draw(rng, n), from the generator seeded with
     (seed, k), and sample i takes row i of it: a draw depends only on (seed,
-    sample, attempt). accept(samples, rows) scores the rows of the samples
-    still pending as (values, faults) and rejects a row with a nonzero fault.
-    Every draw spends one unit of a pooled budget, so the budget runs out
-    exactly when drawing sample by sample would; with `rounds`, a sample
-    also runs out after that many attempts.
+    sample, attempt). admit(samples, rows), a bool per row, is the geometric
+    test, and the samples it rejects are redrawn until every one holds an
+    admitted row; evaluate(samples, rows) then scores those rows once as
+    (values, faults), and a sample whose row faults is redrawn from its next
+    attempt (values is None without `evaluate`). Every draw spends one unit
+    of a pooled budget, so the budget runs out exactly when drawing sample
+    by sample would; with `rounds`, a sample also runs out after that many
+    attempts.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    pending = np.arange(count)
-    drawn = values = None
-    spent = 0
-    for attempt in itertools.count():
-        if not pending.size:
-            return drawn, values
-        if spent + pending.size > budget or attempt == rounds:
-            limit = rounds if attempt == rounds else budget
-            raise SamplerExhausted(f"no accepted draw for sample {pending[0]} within {limit} draws")
-        spent += pending.size
-        rows = draw(np.random.default_rng((seed, attempt)), pending[-1] + 1)[pending]
-        value, fault = accept(pending, rows)
+    spent, attempt = 0, np.zeros(count, int)  # draws spent, and each sample's next attempt
+    waiting, unscored = np.ones(count, bool), np.arange(count)  # samples without an admitted draw, or a score
+    drawn, values = None, None if evaluate is None else np.empty(count)
+    while waiting.any():
+        pending = np.flatnonzero(waiting)
+        k = attempt[pending].min()
+        now = pending[attempt[pending] == k]
+        if spent + now.size > budget or k == rounds:
+            limit = rounds if k == rounds else budget
+            raise SamplerExhausted(f"no accepted draw for sample {now[0]} within {limit} draws")
+        spent += now.size
+        rows = draw(np.random.default_rng((seed, int(k))), now[-1] + 1)[now]
         if drawn is None:
             drawn = np.empty((count,) + rows.shape[1:], rows.dtype)
-            values = np.empty(count, value.dtype)
-        ok = fault == 0
-        drawn[pending[ok]], values[pending[ok]] = rows[ok], value[ok]
-        pending = pending[~ok]
+        ok = admit(now, rows)
+        drawn[now[ok]] = rows[ok]
+        attempt[now] += 1
+        waiting[now[ok]] = False
+        if not waiting.any() and evaluate is not None:
+            values[unscored], fault = evaluate(unscored, drawn[unscored])
+            unscored = unscored[fault != 0]
+            waiting[unscored] = True
+    return drawn, values
 
 
 @dataclass(frozen=True)
@@ -307,10 +331,9 @@ class TripleSampler:
                 return points
             return np.column_stack((points, -(points[:, 0] + points[:, 1])))
 
-        def accept(_, points):
-            return np.zeros(len(points)), (~self.admissible(families, points)).astype(int)
-
-        drawn, _ = _draws(self.seed, self.count, draw, accept, 100 * self.count)
+        drawn, _ = _draws(
+            self.seed, self.count, draw, lambda _, points: self.admissible(families, points), 100 * self.count
+        )
         yield from map(tuple, drawn.tolist())
 
 
@@ -337,13 +360,15 @@ class ResidualReport:
 
 
 def _aggregate(residuals, triples, tol, note="", details=None) -> ResidualReport:
-    worst = max(range(len(residuals)), key=lambda i: (not math.isfinite(residuals[i]), residuals[i]))
-    mx = residuals[worst]
+    """Report of residuals at the rows of triples; the worst is the first non-finite, else the first largest."""
+    r = np.asarray(residuals, dtype=float)
+    worst = np.argmax(np.where(np.isfinite(r), r, np.inf))
+    mx = float(r[worst])
     return ResidualReport(
-        samples=len(residuals),
+        samples=len(r),
         max_residual=mx,
-        mean_residual=sum(residuals) / len(residuals),
-        worst_triple=triples[worst],
+        mean_residual=sum(r.tolist()) / len(r),
+        worst_triple=tuple(np.asarray(triples)[worst].tolist()),
         tol=tol,
         passed=mx <= tol,
         note=note,
@@ -368,8 +393,7 @@ def _collect(triples, evaluate, tol, note="") -> ResidualReport:
     details.update(
         (f"skipped_{why}", int(n)) for why, n in sorted(zip(_SKIPS[1:], counts[1:])) if n
     )
-    kept_points = list(map(tuple, points[kept].tolist()))
-    return _aggregate(residuals[kept].tolist(), kept_points, tol, note, details)
+    return _aggregate(residuals[kept], points[kept], tol, note, details)
 
 
 def scan(
@@ -395,7 +419,8 @@ def grid_scan(
     [-1, 1]^2; a grid point on a pole raises SamplerExhausted. Grid point
     (i, j) is sample i*grid + j of the sampler's stream: its partner y is
     redrawn, at most 200 times, while a point of (x, y, -x-y) lies near a
-    pole or the residual cannot be evaluated; SamplerExhausted then.
+    pole or the residual cannot be evaluated; SamplerExhausted then. The
+    residuals of the admitted rows are evaluated once, as one batch.
     """
     ctx = getattr(fam, "ctx", None)
     cell = ctx is not None and len(ctx.reduced) == 2
@@ -407,18 +432,17 @@ def grid_scan(
     if poles.size:
         raise SamplerExhausted(f"grid point {poles[0]} at x = {xs[poles[0]]} is a pole of the family")
 
-    def accept(index, y):
+    def admit(index, y):
         x = xs[index]
-        z = -(x + y)
-        ok = sampler.admissible((fam,) * 3, np.column_stack((x, y, z)))
-        r, fault = np.zeros(len(y)), np.full(len(y), _GUARD)
-        r[ok], fault[ok] = residual(fam, fam, fam, x[ok], y[ok], z[ok])
-        return r, fault
+        return sampler.admissible((fam,) * 3, np.column_stack((x, y, -(x + y))))
+
+    def evaluate(index, y):
+        return residual(fam, fam, fam, xs[index], y, -(xs[index] + y))
 
     def draw(rng, n):
         return sampler._points(rng, n, 1, ctx)[:, 0]
 
-    ys, rs = _draws(sampler.seed, len(xs), draw, accept, 200 * len(xs), rounds=200)
+    ys, rs = _draws(sampler.seed, len(xs), draw, admit, 200 * len(xs), rounds=200, evaluate=evaluate)
     return list(zip(xs.tolist(), ys.tolist(), rs.tolist()))
 
 
@@ -512,7 +536,8 @@ def sigma_identity_scan(
     [-spread, spread]^2 about the origin. Draws are rejected and redrawn
     when any point, any pairwise difference, or the sum lies near the
     lattice (where the quotient divides by a vanishing sigma or both sides
-    vanish), so none is skipped.
+    vanish), or when the admitted triple's gap cannot be evaluated, so none
+    is skipped.
     """
     pole = max(ctx.tol.pole, 0.04 * ctx.lambda_min)
 
@@ -520,17 +545,15 @@ def sigma_identity_scan(
         st = rng.uniform(-spread, spread, (n, 3, 2))
         return elliptic.lattice_point(ctx, st[..., 0], st[..., 1])
 
-    def accept(_, abc):
+    def admit(_, abc):
         a, b, c = abc.T
         probes = np.stack((a, b, c, a - b, b - c, c - a, a + b + c))
-        near = (elliptic.lattice_distance(ctx, probes) <= pole).any(axis=0)
-        values, faults = np.zeros(len(abc)), np.where(near, _POLE, 0)
-        values[~near], faults[~near] = _det_vs_sigma(ctx, *abc[~near].T)
-        return values, faults
+        return ~(elliptic.lattice_distance(ctx, probes) <= pole).any(axis=0)
 
-    drawn, residuals = _draws(seed, count, draw, accept, 200 * count)
-    triples = list(map(tuple, drawn.tolist()))
-    return _aggregate(residuals.tolist(), triples, tol, "det3 vs sigma quotient", {"skipped": 0})
+    drawn, residuals = _draws(
+        seed, count, draw, admit, 200 * count, evaluate=lambda _, abc: _det_vs_sigma(ctx, *abc.T)
+    )
+    return _aggregate(residuals, drawn, tol, "det3 vs sigma quotient", {"skipped": 0})
 
 
 def shifted_det_vs_sigma_scan(
@@ -630,7 +653,7 @@ def derived_determinant_check(
     order = max(poly.jet_order("f"), poly.jet_order("g"), 1)
 
     def evaluate(x, y, z):
-        fv, gv = ff.jets(x, order).values, fg.jets(y, order).values
+        fv, gv = (j.values for j in _family_jets((ff, fg), (x, y), order))
         with np.errstate(all="ignore"):
             value = jetpoly.evaluate(poly, fv, gv)
             scale = jetpoly.evaluate(poly, fv, gv, absolute=True)
@@ -640,35 +663,50 @@ def derived_determinant_check(
     return _collect(sampler.triples((ff, fg, fh)), evaluate, tol, note=label)
 
 
-# the operator's stencil: (d/dx - d/dy) takes mixed differences about the
-# centres (x+h, y), (x-h, y), (x, y+h), (x, y-h), and d/dx d/dy each from
-# its corners (+h, +h), (+h, -h), (-h, +h), (-h, -h), in units of h
-_CENTRES = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)], dtype=float)
-_CORNERS = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
+# the operator's stencil in units of h/2: at the steps h and h/2 alike,
+# (d/dx - d/dy) takes mixed differences about 4 centres and d/dx d/dy each
+# from 4 corners, (a, b) = centre + corner in units of the step; a = x + A h/2
+# and b = y + B h/2 take A, B from _AB, and c = z + C h/2 takes C = -A-B
+# from _C. _STENCIL holds the rows of (a, b, c) per step, centre and corner
+_AB, _C = np.array([-4, -2, -1, 0, 1, 2, 4]), np.array([-6, -3, -2, -1, 1, 2, 3, 6])
+_AB_OFFSETS = np.array([2, 1])[:, None, None, None] * (
+    np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])[:, None] + np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+)
+_STENCIL = np.stack((
+    np.searchsorted(_AB, _AB_OFFSETS[..., 0]),
+    len(_AB) + np.searchsorted(_AB, _AB_OFFSETS[..., 1]),
+    2 * len(_AB) + np.searchsorted(_C, -_AB_OFFSETS.sum(axis=-1)),
+))
 
 
-def _third_order_operator(F, x: np.ndarray, y: np.ndarray, h: float):
+def _third_order_operator(F, x: np.ndarray, y: np.ndarray, z: np.ndarray, h: float):
     """(d/dx - d/dy) d/dx d/dy of S(a, b) = F(a)F(b) + F(b)F(c) + F(c)F(a), c = -a-b.
 
-    Second-order central differences of step h at every (x, y), all stencil
-    points in one call of the array antiderivative F, and the differences
-    nested as the mixed ones first, then the outer one. Returns the values
-    and where any stencil value of F is nan.
+    Second-order central differences of steps h and h/2 at every (x, y, z),
+    the mixed ones first, then the outer one, combined by one Richardson
+    level; F takes the 22 stencil points in one call. Returns the values and
+    where any stencil value of F is nan.
     """
-    a = (x + _CENTRES[:, 0, None] * h)[:, None] + _CORNERS[:, 0, None] * h
-    b = (y + _CENTRES[:, 1, None] * h)[:, None] + _CORNERS[:, 1, None] * h
-    values = F(np.stack((a, b, -(a + b))))
-    Fa, Fb, Fc = values
+    half = h / 2.0
+    values = F(np.concatenate((x + _AB[:, None] * half, y + _AB[:, None] * half, z + _C[:, None] * half)))
+    Fa, Fb, Fc = values[_STENCIL]
     S = Fa * Fb + Fb * Fc + Fc * Fa
-    mixed = (S[:, 0] - S[:, 1] - S[:, 2] + S[:, 3]) / (4.0 * h * h)
-    value = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (2.0 * h)
-    return value, np.isnan(values).any(axis=(0, 1, 2))
+    step = np.array([h, half])[:, None, None]
+    mixed = (S[:, :, 0] - S[:, :, 1] - S[:, :, 2] + S[:, :, 3]) / (4.0 * step * step)
+    d1, d2 = (mixed[:, 0] - mixed[:, 1] - mixed[:, 2] + mixed[:, 3]) / (2.0 * step[:, 0])
+    return (4.0 * d2 - d1) / 3.0, np.isnan(values).any(axis=0)
+
+
+def factfun_step(fam: FunctionFamily) -> float:
+    """factfun's default step: 5e-3 lambda_min of the family's lattice where that is finite, else 1e-2."""
+    ctx = getattr(fam, "ctx", None)
+    return 1e-2 if ctx is None or math.isinf(ctx.lambda_min) else 5e-3 * ctx.lambda_min
 
 
 def factfun_check(
     fam: FunctionFamily,
     sampler: TripleSampler,
-    h_step: float = 1e-2,
+    h_step: float | None = None,
     tol: float = 1e-6,
 ) -> ResidualReport:
     """Annihilation test for the paired-product form of the equation.
@@ -678,9 +716,11 @@ def factfun_check(
     third-order operator (d/dx - d/dy) d/dx d/dy by central differences with
     one Richardson level. The operator value equals minus the determinant of
     the triple (f, f, f), so it must vanish for solutions; the residual is
-    normalised by the same row scale as the determinant.
+    normalised by the same row scale as the determinant. The step defaults
+    to `factfun_step`, so that the stencil scales with the lattice.
     """
     ctx = getattr(fam, "ctx", None)
+    h_step = factfun_step(fam) if h_step is None else h_step
     clearance = sampler.effective_pole_radius(ctx) + 4.0 * h_step
 
     def evaluate(x, y, z):
@@ -693,13 +733,11 @@ def factfun_check(
         ok = faults == 0
         fv, fp = fam.jets(points[:, ok], 1).values
         with np.errstate(all="ignore"):
-            d1, pole1 = _third_order_operator(fam.antiderivative, x[ok], y[ok], h_step)
-            d2, pole2 = _third_order_operator(fam.antiderivative, x[ok], y[ok], h_step / 2.0)
-            value = (4.0 * d2 - d1) / 3.0
+            value, pole = _third_order_operator(fam.antiderivative, x[ok], y[ok], z[ok], h_step)
             row1 = np.maximum(np.abs(fv).max(axis=0), 1.0)
             row2 = np.maximum(np.abs(fp).max(axis=0), 1.0)
             values[ok] = np.abs(value) / (row1 * row2)
-        faults[ok] = np.where(pole1 | pole2 | np.isnan(fv).any(axis=0), _POLE, 0)
+        faults[ok] = np.where(pole | np.isnan(fv).any(axis=0), _POLE, 0)
         return values, faults
 
     note = f"h = {h_step:g}, one Richardson level"

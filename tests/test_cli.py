@@ -312,6 +312,14 @@ class TestReportFormat:
         assert isinstance(check["skipped"], int)
         assert check["samples"] + check["skipped"] == 40
 
+    def test_factfun_default_step_scales_with_the_lattice(self, tmp_path):
+        # an absolute step of 1e-2 would guard every triple out of this cell
+        out = tmp_path / "r.json"
+        assert run(["verify", "factfun", "--periods", "0.01,0,0.003,0.011", "--n", "40", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["params"]["h_step"] == pytest.approx(5e-5, rel=1e-12)
+        assert report["checks"][0]["samples"] >= 35
+
     def test_complex_params_serialise_as_pairs(self, tmp_path):
         out = tmp_path / "r.json"
         run(["verify", "theorem1", "--periods", "2,0,0,2", "--shift-frac", "1/3,0",

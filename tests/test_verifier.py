@@ -1,6 +1,7 @@
 """Determinant residuals, sampling determinism, and the closed-form cross-checks."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -228,11 +229,14 @@ class TestSampling:
         # 1 + 2 + 3 = 6 draws on three samples
         attempts = []
 
-        def accept(samples, rows):
+        def admit(samples, rows):
             attempts.append(samples.size)
-            return rows.astype(float), (samples >= len(attempts)).astype(int)
+            return samples < len(attempts)
 
-        run = lambda: vr._draws(0, 3, lambda rng, n: rng.uniform(size=n), accept, budget)  # noqa: E731
+        def evaluate(samples, rows):
+            return rows, np.zeros(len(rows), int)
+
+        run = lambda: vr._draws(0, 3, lambda rng, n: rng.uniform(size=n), admit, budget, evaluate=evaluate)  # noqa: E731
         if exhausted:
             with pytest.raises(SamplerExhausted):
                 run()
@@ -245,12 +249,12 @@ class TestSampling:
         spent = []
         draws = vr._draws
 
-        def counted(seed, count, draw, accept, budget, rounds=None):
+        def counted(seed, count, draw, admit, budget, rounds=None, evaluate=None):
             def counting(samples, rows):
                 spent.append(samples.size)
-                return accept(samples, rows)
+                return admit(samples, rows)
 
-            return draws(seed, count, draw, counting, budget, rounds)
+            return draws(seed, count, draw, counting, budget, rounds, evaluate)
 
         monkeypatch.setattr(vr, "_draws", counted)
         fam = vr.WeierstrassShifted(square_ctx, 0j)
@@ -738,3 +742,156 @@ class TestSigmaQuotientArrays:
         assert vr.sigma_quotient(square_ctx, a, b, c) == vr.sigma_quotient(square_ctx, *(np.array([p]) for p in (a, b, c)))[0]
         with pytest.raises(PoleProximity):
             vr.sigma_quotient(square_ctx, 2.0, b, c)
+
+
+# -- each admitted point evaluated once ---------------------------------------------
+
+
+def reference_draws(singles: set):
+    """`_draws` as it was before geometry-first rounds: every round evaluates its admitted rows.
+
+    Sample by sample it accepts the same draws. It adds to `singles` the
+    samples it scored in a round of one row: numpy's matrix product in
+    `elliptic._theta_sums` takes another path for a single row, so those
+    values may differ in the last bits.
+    """
+
+    def draws(seed, count, draw, admit, budget, rounds=None, evaluate=None):
+        pending, drawn, values, spent = np.arange(count), None, np.zeros(count), 0
+        for attempt in itertools.count():
+            if not pending.size:
+                return drawn, values
+            if spent + pending.size > budget or attempt == rounds:
+                raise SamplerExhausted(f"sample {pending[0]}")
+            spent += pending.size
+            rows = draw(np.random.default_rng((seed, attempt)), pending[-1] + 1)[pending]
+            if drawn is None:
+                drawn = np.empty((count,) + rows.shape[1:], rows.dtype)
+            ok = admit(pending, rows)
+            if ok.sum() == 1:
+                singles.update(pending[ok].tolist())
+            value, fault = evaluate(pending[ok], rows[ok])
+            ok[ok] = fault == 0
+            drawn[pending[ok]], values[pending[ok]] = rows[ok], value[fault == 0]
+            pending = pending[~ok]
+
+    return draws
+
+
+class TestEvaluatedOnce:
+    @staticmethod
+    def compare(monkeypatch, run, loose=()):
+        """The draws of run(), checked with their values against `reference_draws`.
+
+        Values must be equal bit for bit, except at the samples in `loose` and
+        those the reference scored alone, where they may differ in the last bits.
+        """
+        draws, singles, seen = vr._draws, set(loose), []
+        for d in (draws, reference_draws(singles)):
+            monkeypatch.setattr(vr, "_draws", lambda *a, d=d, **kw: seen.append(d(*a, **kw)) or seen[-1])
+            run()
+        monkeypatch.setattr(vr, "_draws", draws)
+        (drawn, values), (ref_drawn, ref_values) = seen
+        assert np.array_equal(drawn, ref_drawn)
+        exact = np.setdiff1d(np.arange(len(values)), list(singles))
+        assert np.array_equal(values[exact], ref_values[exact])
+        assert np.allclose(values, ref_values, rtol=0.0, atol=1e-15)
+        return drawn
+
+    @pytest.mark.parametrize("name", CONTEXTS)
+    def test_sigma_identity_scan_matches_evaluating_every_round(self, name, request, monkeypatch):
+        ctx = request.getfixturevalue(name)
+        run = lambda: vr.sigma_identity_scan(ctx, count=60, seed=3)  # noqa: E731
+        clean = self.compare(monkeypatch, run)
+        # an admitted triple whose gap faults is redrawn from its next attempt
+        chosen, gap = clean[7, 0], vr._det_vs_sigma
+
+        def faulting(ctx, a, b, c):
+            gaps, faults = gap(ctx, a, b, c)
+            return gaps, np.where(a == chosen, vr._POLE, faults)
+
+        monkeypatch.setattr(vr, "_det_vs_sigma", faulting)
+        redrawn = self.compare(monkeypatch, run, loose=(7,))
+        others = np.arange(60) != 7
+        assert np.array_equal(redrawn[others], clean[others]) and redrawn[7, 0] != chosen
+
+    @pytest.mark.parametrize("name", CONTEXTS)
+    def test_grid_scan_matches_evaluating_every_round(self, name, request, monkeypatch):
+        fam = vr.WeierstrassShifted(request.getfixturevalue(name), 0j)
+        run = lambda: vr.grid_scan(fam, vr.TripleSampler(seed=2, margin=0.2, pole_radius=0.3), 6)  # noqa: E731
+        clean = self.compare(monkeypatch, run)
+        chosen, res = clean[9], vr.residual
+
+        def faulting(ff, fg, fh, x, y, z=None):
+            r, faults = res(ff, fg, fh, x, y, z)
+            return r, np.where(y == chosen, vr._POLE, faults)
+
+        monkeypatch.setattr(vr, "residual", faulting)
+        redrawn = self.compare(monkeypatch, run, loose=(9,))
+        others = np.arange(36) != 9
+        assert np.array_equal(redrawn[others], clean[others]) and redrawn[9] != chosen
+
+    def test_draws_are_evaluated_in_one_call(self, square_ctx, monkeypatch):
+        calls, gap = [], vr._det_vs_sigma
+        monkeypatch.setattr(vr, "_det_vs_sigma", lambda ctx, *abc: calls.append(len(abc[0])) or gap(ctx, *abc))
+        vr.sigma_identity_scan(square_ctx, count=50, seed=4)
+        assert calls == [50]
+
+    def test_stacked_residual_matches_per_family_calls(self, square_ctx, monkeypatch):
+        fams = [vr.WeierstrassShifted(square_ctx, s) for s in (0j, 0.3 + 0.1j, -0.7j)]
+        x, y = np.random.default_rng(27).uniform(-1.5, 1.5, (2, 40, 2)).view(complex)[..., 0]
+        x[0] = 2.0  # on the lattice: a pole of the first family
+        z = -(x + y)
+        calls, jets = [], el.jets
+        monkeypatch.setattr(el, "jets", lambda ctx, p, order: calls.append(np.shape(p)) or jets(ctx, p, order))
+        r, faults = vr.residual(*fams, x, y, z)
+        assert calls == [(3, 40)]
+        for families in (fams, [fams[0], vr.Exponential(delta=0.5j), fams[2]]):
+            r, faults = vr.residual(*families, x, y, z)
+            per_family = [fam.jets(p, 1) for fam, p in zip(families, (x, y, z))]
+            assert np.array_equal(r, vr.residual_from_jets(*per_family), equal_nan=True)
+            assert np.array_equal(faults, vr._pole_faults(*(j.values[0] for j in per_family)))
+            assert faults[0] == vr._POLE and not faults[1:].any()
+
+    def test_derived_takes_one_stacked_call(self, square_ctx, monkeypatch):
+        fam = vr.WeierstrassShifted(square_ctx, 0.2j)
+        calls, jets = [], el.jets
+        monkeypatch.setattr(el, "jets", lambda ctx, p, order: calls.append(np.shape(p)) or jets(ctx, p, order))
+        rep = vr.derived_determinant_check(fam, fam, fam, 1, 2, None, vr.TripleSampler(seed=5, count=30))
+        assert rep.passed and calls == [(2, 30)]
+
+    def test_factfun_evaluates_22_points_per_triple_in_one_call(self, square_ctx, monkeypatch):
+        seen, anti = [], vr.WeierstrassShifted.antiderivative
+        monkeypatch.setattr(vr.WeierstrassShifted, "antiderivative", lambda self, x: seen.append(x) or anti(self, x))
+        rep = vr.factfun_check(vr.WeierstrassShifted(square_ctx, 0j), vr.TripleSampler(seed=23, count=30))
+        [points] = seen
+        assert rep.details.get("skipped_PoleProximity", 0) == 0 and points.shape == (22, rep.samples)
+        assert all(len(set(column)) == 22 for column in points.T.tolist())
+
+    @pytest.mark.parametrize(
+        "residuals, worst",
+        [([1e-14, 2e-14, 2e-14], 1), ([1e-14, math.nan, 3.0, math.inf], 1), ([1e-14, math.inf, math.nan], 1)],
+    )
+    def test_worst_is_the_first_non_finite_else_the_first_largest(self, residuals, worst):
+        triples = np.arange(3 * len(residuals)).reshape(-1, 3) * 1j
+        rep = vr._aggregate(residuals, triples, tol=1e-8)
+        assert rep.worst_triple == tuple(triples[worst].tolist())
+        assert rep.mean_residual == sum(residuals) / len(residuals) or not math.isfinite(rep.mean_residual)
+
+
+class TestFactfunStep:
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 0.01, 1e-3])
+    def test_default_step_scales_with_the_lattice(self, scale):
+        # an absolute step of 1e-2 guards every triple out of a cell of size 0.01
+        ctx = el.from_periods(scale, scale * (0.3 + 1.1j))
+        rep = vr.factfun_check(vr.WeierstrassShifted(ctx, 0j), vr.TripleSampler(seed=3, count=40))
+        assert rep.passed and rep.samples >= 35
+        assert rep.note == f"h = {5e-3 * ctx.lambda_min:g}, one Richardson level"
+
+    def test_default_step(self, square_ctx, hex_ctx, generic_ctx, degenerate_ctx):
+        for ctx in (square_ctx, hex_ctx, generic_ctx):
+            assert vr.factfun_step(vr.WeierstrassShifted(ctx)) == pytest.approx(1e-2, rel=1e-15)
+        assert vr.factfun_step(vr.WeierstrassShifted(degenerate_ctx)) == 1e-2
+        assert vr.factfun_step(vr.Exponential()) == 1e-2
+        rank_one = el.from_invariants(3.0, 1.0)
+        assert vr.factfun_step(vr.WeierstrassShifted(rank_one)) == 5e-3 * rank_one.lambda_min
