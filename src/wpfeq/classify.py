@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import verifier
+from .elliptic import from_invariants
 from .errors import (
     DegenerateCubic,
     DegenerateInput,
@@ -52,10 +54,8 @@ class SampleSet:
             raise DegenerateInput("sample points must be distinct")
 
     def spread(self) -> float:
-        """Largest deviation of w from its mean, relative to its scale."""
-        mean = sum(self.ws) / len(self.ws)
-        dev = max(abs(w - mean) for w in self.ws)
-        return dev / max(1.0, abs(mean))
+        """Largest deviation of w from its mean, relative to max |w|."""
+        return _spread(np.array(self.ws, dtype=complex))
 
     def grid_step(self, rel_tol: float = 1e-9) -> complex:
         if len(self.xs) < 2:
@@ -74,7 +74,7 @@ class Thresholds:
 
     tau_lin: float = 1e-6
     tau_cub: float = 1e-6
-    coeff_eps: float = 1e-8  # significance of a term (linear fit: of a coefficient)
+    coeff_eps: float = 1e-8  # significance of a term, against the left-hand side
     spread_eps: float = 1e-10  # constant detection
     cond_equilibrate: float = 1e10
     cond_reject: float = 1e14
@@ -86,7 +86,7 @@ class FitResult:
 
     term_sizes[k] is the largest magnitude of term k over the samples, such
     as max |p3 w^3|; target_size is that of the left-hand side, max |w'^2|
-    or max |w'|.
+    or max |w'|. The misfit is relative to the RMS of the left-hand side.
     """
 
     model: str  # "cubic" | "linear"
@@ -96,6 +96,10 @@ class FitResult:
     term_sizes: tuple[float, ...]
     target_size: float
 
+    def significant(self, eps: float) -> list[bool]:
+        """Per term, whether its size passes eps of the target's."""
+        return [size > eps * self.target_size for size in self.term_sizes]
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -103,6 +107,10 @@ class Classification:
     params: dict = field(default_factory=dict)
     evidence: tuple[FitResult, ...] = ()
     roundtrip_residual: float | None = None
+
+
+def _spread(w: np.ndarray) -> float:
+    return float(verifier.relative(np.abs(w - w.mean()).max(), np.abs(w).max()))
 
 
 def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> list[tuple[complex, complex, complex]]:
@@ -163,7 +171,7 @@ def fit_cubic(pairs, thresholds: Thresholds = Thresholds()) -> FitResult:
         raise TooFewPoints("cubic fit needs at least 5 (w, w') pairs")
     w = np.array([complex(p[0]) for p in pairs])
     dw = np.array([complex(p[1]) for p in pairs])
-    if float(np.max(np.abs(w - w.mean()))) <= thresholds.spread_eps * max(1.0, abs(w.mean())):
+    if _spread(w) <= thresholds.spread_eps:
         raise DegenerateInput("w values are all one constant; nothing to fit")
     A = np.column_stack([np.ones_like(w), w, w**2, w**3])
     b = dw**2
@@ -171,13 +179,12 @@ def fit_cubic(pairs, thresholds: Thresholds = Thresholds()) -> FitResult:
 
 
 def _fit(model: str, A: np.ndarray, b: np.ndarray, thresholds: Thresholds) -> FitResult:
-    """Least squares A p = b, with the misfit relative to the RMS of b (clamped at 1)."""
+    """Least squares A p = b, with the misfit relative to the RMS of b."""
     coeffs, cond = _solve_normal(A, b, thresholds)
-    misfit = A @ coeffs - b
-    rms = float(np.sqrt(np.mean(np.abs(misfit) ** 2)))
-    scale = max(1.0, float(np.sqrt(np.mean(np.abs(b) ** 2))))
+    misfit, size = (np.sqrt(np.mean(np.abs(v) ** 2)) for v in (A @ coeffs - b, b))
+    residual = float(verifier.relative(misfit, size))
     sizes = tuple(np.abs(A * coeffs).max(axis=0).tolist())
-    return FitResult(model, tuple(coeffs), rms / scale, cond, sizes, float(np.abs(b).max()))
+    return FitResult(model, tuple(coeffs), residual, cond, sizes, float(np.abs(b).max()))
 
 
 def fit_linear(pairs, thresholds: Thresholds = Thresholds()) -> FitResult:
@@ -230,26 +237,26 @@ def classify(
     """Decision tree over the two fits.
 
     Constant samples are decided by spread before any fit is trusted. A good
-    linear fit gives Linear (l1 insignificant) or Exponential(delta = l1).
+    linear fit gives Linear (l1 w insignificant) or Exponential(delta = l1).
     A good cubic fit with significant p3 is the Weierstrass family in normal
     form; with p3 insignificant but p2 significant it is the trigonometric
-    sector, folded into Exponential with delta = sqrt(p2). A cubic term is
-    significant where its largest size over the samples passes coeff_eps of
-    the largest w'^2: the raw coefficients span scales like |omega|^-6
-    (p0 ~ -g3) against 4 (p3) on small lattices. Everything else is
-    NotASolution, which is a valid outcome, not an error.
+    sector, folded into Exponential with delta = sqrt(p2). A term of either
+    fit is significant where its largest size over the samples passes
+    coeff_eps of the largest left-hand side: the raw coefficients span
+    scales like |omega|^-6 (p0 ~ -g3) against 4 (p3) on small lattices.
+    Everything else is NotASolution, a valid outcome, not an error.
     """
     evidence = tuple(r for r in (cubic, linear) if r is not None)
     if sample_spread is not None and sample_spread < thresholds.spread_eps:
         return Classification("constant", {}, evidence)
     if linear is not None and linear.residual <= thresholds.tau_lin:
         l0, l1 = linear.coefficients
-        if abs(l1) <= thresholds.coeff_eps * max(1.0, abs(l0)):
+        if not linear.significant(thresholds.coeff_eps)[1]:
             return Classification("linear", {"alpha": l0}, evidence)
         return Classification("exponential", {"delta": l1}, evidence)
     if cubic is not None and cubic.residual <= thresholds.tau_cub:
         p0, p1, p2, p3 = cubic.coefficients
-        significant = [size > thresholds.coeff_eps * cubic.target_size for size in cubic.term_sizes]
+        significant = cubic.significant(thresholds.coeff_eps)
         if significant[3]:
             g2, g3, a, b = to_normal_form(p0, p1, p2, p3)
             return Classification(
@@ -298,9 +305,6 @@ def classify_samples(
 
 def roundtrip_residual(decision: Classification, count: int = 64, seed: int = 0) -> float:
     """Max functional-equation residual of the reconstructed family, on its lattice or the box."""
-    from . import verifier
-    from .elliptic import from_invariants
-
     if decision.family == "exponential":
         fam = verifier.Exponential(delta=decision.params["delta"])
     elif decision.family == "linear":

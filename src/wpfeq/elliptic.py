@@ -23,13 +23,13 @@ numerical differentiation.
 
 Each evaluator has one body for a complex number and for an ndarray,
 evaluated elementwise, which is how the sampled checks score a whole batch
-at a time. The two part in three leaves only: the rounding and e, e - 1 in
-`_point` (`round` and `_exp_expm1` for a number, numpy's for an array), the
-power sums in `_theta_sums` (a loop, or a cumulative product and a matrix
-product), and `_pole_edge`, where a pole raises PoleProximity for a number
-and is nan in an array. `sigma` and `lattice_distance` take a number as an
-array of one. The reference for both is a theta oracle at 30 digits (the
-tests' `ThetaOracle`, and `perfbench/oracle.py`).
+at a time; a point's value does not depend on its batch. The two part in two
+leaves only, so they may differ in the last bits: the rounding and e, e - 1
+in `_point` (`round` and `_exp_expm1` for a number, numpy's for an array),
+and `_pole_edge`, where a pole raises PoleProximity for a number and is nan
+in an array. `sigma` and `lattice_distance` take a number as an array of
+one. The reference for both is a theta oracle at 30 digits (the tests'
+`ThetaOracle`, and `perfbench/oracle.py`).
 
 A context built from invariants alone takes its generators from the complex
 AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
@@ -486,22 +486,16 @@ def _theta_sums(ctx: EllipticContext, e):
 
     That is 2 sum n a_n cos 2nu and 2i sum n^2 a_n sin 2nu at e = e^(2iu).
     |e| >= |q| after rounding, so e^-n stays finite wherever a_n is nonzero.
-    A number runs a loop of running powers; an array takes the powers from
-    one cumulative product and the sums from a matrix product.
+    Running powers, one array step per term as in `_theta_odd`, never in place:
+    numpy's in-place complex product rounds otherwise in a batch than alone.
     """
-    if isinstance(e, np.ndarray):
-        a = np.array(ctx.theta_coeffs, dtype=complex)
-        n = np.arange(1, len(a) + 1)
-        # columns e^n and e^-n, n = 1..len(a)
-        en, eni = (np.cumprod(np.repeat(w[..., None], len(a), axis=-1), axis=-1) for w in (e, 1.0 / e))
-        return (en + eni) @ (n * a), (en - eni) @ (n * n * a)
     even = odd2 = 0j
     en, eni, ei = 1.0 + 0j, 1.0 + 0j, 1.0 / e if ctx.theta_coeffs else 0j
     for n, a in enumerate(ctx.theta_coeffs, 1):
-        en *= e
-        eni *= ei
-        even += n * a * (en + eni)
-        odd2 += n * n * (a * (en - eni))
+        en = en * e
+        eni = eni * ei
+        even = even + n * a * (en + eni)
+        odd2 = odd2 + n * n * (a * (en - eni))
     return even, odd2
 
 
@@ -598,7 +592,7 @@ def sigma(ctx: EllipticContext, z):
     # the theta product takes one step per coefficient
     lead, ei = d / (2j * k), 1.0 / e if ctx.theta_coeffs else 0j
     for a in ctx.theta_coeffs:
-        lead *= (1.0 + a * (1.0 - e)) * (1.0 + a * (1.0 - ei))
+        lead = lead * ((1.0 + a * (1.0 - e)) * (1.0 + a * (1.0 - ei)))
     eta1, eta2 = ctx.eta
     power = eta1 * k * z0 * z0 / math.pi + (m * eta1 + n * eta2) * (z + z0) - iu
     size = np.exp(power.real + np.log(np.abs(lead)))

@@ -6,20 +6,21 @@ x + y + z = 0. Candidate solutions are closed-form function families
 (shifted pe, exponential, linear, constant) whose jets are exact, so any
 residual measures the identity itself rather than differentiation noise.
 
-Residuals are normalised by the product over rows of the largest entry
-magnitude clamped below by one: the determinant grows like |pe|*|pe'| near
-poles, and the clamp keeps near-pole triples from passing or failing
-trivially. Sampling is deterministic: round k of rejection draws one block
-from the generator seeded with (seed, k), and sample i takes row i of it,
-so a draw depends only on (seed, sample, attempt) and reports are
-reproducible. Rejection rounds test the geometry alone, the distance to
-the lattice; a check that evaluates while it samples scores the admitted
-block once, and redraws a row whose evaluation faults from its next
-attempt. Every sampled check scores a batch at a time, on numpy arrays of
-triples, in as few evaluator calls as the batch allows: pe families on one
-context share one `elliptic.jets` call on the stacked points, and the
-operator check evaluates the antiderivative once, on the 22 distinct
-points of its two-level finite-difference stencil.
+Residuals are relative to the size of their own terms (`relative`; the
+operator check's, see `factfun_check`, excepted); det3's is the sum of the
+magnitudes of its six terms, homogeneous in alpha and delta of
+alpha f(delta x) + beta, so no verdict depends on the unit of f or x.
+Sampling is deterministic: round k of rejection draws one block from the
+generator seeded with (seed, k), and sample i takes row i of it, so a draw
+depends only on (seed, sample, attempt) and reports are reproducible.
+Rejection rounds test the geometry alone, the distance to the lattice; a
+check that evaluates while it samples scores the admitted block once, and
+redraws a row whose evaluation faults from its next attempt. Every sampled
+check scores a batch at a time, on numpy arrays of triples, in as few
+evaluator calls as the batch allows: pe families on one context share one
+`elliptic.jets` call on the stacked points, and the operator check
+evaluates the antiderivative once, on the 22 distinct points of its
+two-level finite-difference stencil.
 """
 
 from __future__ import annotations
@@ -172,16 +173,19 @@ def det3(jf: JetValues, jg: JetValues, jh: JetValues) -> complex:
     return (gv - fv) * hp - (gp - fp) * hv + (fv * gp - gv * fp)
 
 
-def det3_scale(jf: JetValues, jg: JetValues, jh: JetValues) -> float:
-    """Row-magnitude normalisation, each row clamped below by one."""
+def det3_terms(jf: JetValues, jg: JetValues, jh: JetValues):
+    """det3's cancellation scale: the sum of the magnitudes of its six terms."""
     (fv, fp), (gv, gp), (hv, hp) = (j.values[:2] for j in (jf, jg, jh))
-    row1 = np.maximum(np.maximum(abs(fv), abs(gv)), np.maximum(abs(hv), 1.0))
-    row2 = np.maximum(np.maximum(abs(fp), abs(gp)), np.maximum(abs(hp), 1.0))
-    return row1 * row2
+    return abs(gv * hp) + abs(fv * hp) + abs(gp * hv) + abs(fp * hv) + abs(fv * gp) + abs(gv * fp)
 
 
-def residual_from_jets(jf: JetValues, jg: JetValues, jh: JetValues) -> float:
-    return abs(det3(jf, jg, jh)) / det3_scale(jf, jg, jh)
+def relative(value, scale):
+    """|value| / scale elementwise, scale being the size of value's terms; all-zero terms give 0."""
+    return np.abs(value) / np.maximum(scale, 1e-300)
+
+
+def residual_from_jets(jf: JetValues, jg: JetValues, jh: JetValues):
+    return relative(det3(jf, jg, jh), det3_terms(jf, jg, jh))
 
 
 def residual(
@@ -192,7 +196,7 @@ def residual(
     y: complex | np.ndarray,
     z: complex | np.ndarray | None = None,
 ):
-    """Scale-normalised determinant residual at (x, y, z = -x-y).
+    """Determinant residual at (x, y, z = -x-y), relative to its six terms.
 
     For complex arrays x, y (and z) it scores the whole batch and returns
     (residuals, faults): faults[i] is nonzero where the number call would
@@ -506,21 +510,16 @@ def _ldexp(value: np.ndarray, exponent: np.ndarray) -> np.ndarray:
 def _det_vs_sigma(ctx: EllipticContext, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """(gaps, faults): det3 on pe jets at (a, b, c) against the sigma quotient.
 
-    The gap is taken relative to det3's cancellation scale, the sum of the
-    magnitudes of its six terms: where pe is flat, deep in the cell of a
-    tall lattice, det3 cancels far below its terms and keeps only their
-    round-off, so a gap relative to det3 itself would fail a true identity.
-    A triple next to a pole, or whose quotient has no denominator, gets the
-    PoleProximity fault.
+    The gap is relative to `det3_terms`: where pe is flat, deep in the cell
+    of a tall lattice, det3 cancels far below its terms to their round-off,
+    so a gap relative to det3 itself would fail a true identity. A triple
+    next to a pole, or whose quotient has no denominator, gets PoleProximity.
     """
-    (f, g, h), (fp, gp, hp) = elliptic.jets(ctx, np.stack((a, b, c)), 1).values
+    jets = _family_jets((WeierstrassShifted(ctx),) * 3, (a, b, c), 1)
     quotient = sigma_quotient(ctx, a, b, c)
     with np.errstate(all="ignore"):
-        scale = sum(map(np.abs, (g * hp, f * hp, gp * h, fp * h, f * gp, g * fp)))
-        det = (g - f) * hp - (gp - fp) * h + (f * gp - g * fp)
-        gap = np.abs(det - quotient) / np.maximum(scale, 1e-300)
-    pole = np.isnan(f) | np.isnan(g) | np.isnan(h) | np.isnan(quotient)
-    return gap, np.where(pole, _POLE, 0)
+        gap = relative(det3(*jets) - quotient, det3_terms(*jets))
+    return gap, _pole_faults(*(j.values[0] for j in jets), quotient)
 
 
 def sigma_identity_scan(
@@ -657,7 +656,7 @@ def derived_determinant_check(
         with np.errstate(all="ignore"):
             value = jetpoly.evaluate(poly, fv, gv)
             scale = jetpoly.evaluate(poly, fv, gv, absolute=True)
-            return np.abs(value) / np.maximum(scale, 1e-100), _pole_faults(fv[0], gv[0])
+            return relative(value, scale), _pole_faults(fv[0], gv[0])
 
     label = f"columns ({k}, {l}, {s})" if s is not None else f"columns ({k}, {l})"
     return _collect(sampler.triples((ff, fg, fh)), evaluate, tol, note=label)
@@ -716,8 +715,8 @@ def factfun_check(
     third-order operator (d/dx - d/dy) d/dx d/dy by central differences with
     one Richardson level. The operator value equals minus the determinant of
     the triple (f, f, f), so it must vanish for solutions; the residual is
-    normalised by the same row scale as the determinant. The step defaults
-    to `factfun_step`, so that the stencil scales with the lattice.
+    relative to the row maxima of |f| and |f'|, each clamped below by one.
+    The step defaults to `factfun_step`, so the stencil scales with the lattice.
     """
     ctx = getattr(fam, "ctx", None)
     h_step = factfun_step(fam) if h_step is None else h_step
@@ -734,9 +733,11 @@ def factfun_check(
         fv, fp = fam.jets(points[:, ok], 1).values
         with np.errstate(all="ignore"):
             value, pole = _third_order_operator(fam.antiderivative, x[ok], y[ok], z[ok], h_step)
+            # not det3_terms: against it, stencil round-off fails true solutions on Im tau 5 to 8
+            # until factfun has a noise floor
             row1 = np.maximum(np.abs(fv).max(axis=0), 1.0)
             row2 = np.maximum(np.abs(fp).max(axis=0), 1.0)
-            values[ok] = np.abs(value) / (row1 * row2)
+            values[ok] = relative(value, row1 * row2)
         faults[ok] = np.where(pole | np.isnan(fv).any(axis=0), _POLE, 0)
         return values, faults
 
@@ -750,7 +751,7 @@ def constant_case_check(
     sampler: TripleSampler,
     tol: float = 1e-12,
 ) -> ResidualReport:
-    """Residual of (d/dy - d/dx) f(x) g(y) = f(x) g'(y) - f'(x) g(y), normalised.
+    """Residual of (d/dy - d/dx) f(x) g(y) = f(x) g'(y) - f'(x) g(y), relative to |f g'| + |f' g|.
 
     This is the two-function reduction that remains when the third function
     is the zero constant: it vanishes when f and g are proportional
@@ -762,7 +763,7 @@ def constant_case_check(
         (fv, fp), (gv, gp) = ff.jets(x, 1).values, fg.jets(y, 1).values
         with np.errstate(all="ignore"):
             p, q = fv * gp, fp * gv
-            return np.abs(p - q) / np.maximum(np.maximum(np.abs(p), np.abs(q)), 1.0), _pole_faults(fv, gv)
+            return relative(p - q, np.abs(p) + np.abs(q)), _pole_faults(fv, gv)
 
     return _collect(sampler.triples((ff, fg, Constant(0j))), evaluate, tol)
 

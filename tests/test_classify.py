@@ -209,6 +209,22 @@ class TestClassify:
         assert abs(dec.params["g3"] - g3) <= 1e-3 * abs(g3)
         assert dec.roundtrip_residual <= 1e-10
 
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, cmath.exp(1j * math.pi / 3.0)])
+    @pytest.mark.parametrize("scale", [1e2, 1e3])
+    def test_large_lattice_is_weierstrass(self, scale, tau):
+        # w'^2 is about scale^-6: a misfit against a scale clamped at one lets the linear fit pass
+        w1, w2 = scale, scale * tau
+        ctx = el.from_periods(w1, w2)
+        xs = tuple(w1 * (0.2 + 0.005 * i) + 0.1 * w2 for i in range(41))
+        dec = cl.classify_samples(cl.SampleSet(xs, tuple(el.wp(ctx, x) for x in xs)), seed=3)
+        assert dec.family == "weierstrass"
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e-3, 1e-6])
+    def test_cube_is_no_solution_at_any_amplitude(self, alpha):
+        # w'^2 = 9 alpha^(2/3) w^(4/3) is no cubic and no linear ODE, whatever alpha
+        s = _samples(lambda x: alpha * x**3, 0.0, 2.0, 0.05)
+        assert cl.classify_samples(s).family == "not_a_solution"
+
     def test_absolute_value_rejected(self):
         s = _samples(abs, -1.0, 1.0, 0.05)
         assert cl.classify_samples(s).family == "not_a_solution"

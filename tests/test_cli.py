@@ -57,6 +57,12 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("periods", ["1,0,0,1", "1000,0,0,1000", "100,0,0,800"])
+    def test_theorem1_verdict_does_not_depend_on_the_period_scale(self, periods):
+        # 3 * 0.49 omega1 is off the lattice at every scale, so the scan must fail as expected
+        argv = ["verify", "theorem1", "--periods", periods, "--shift-frac", "0.49,0", "--n", "200"]
+        assert run(argv) == 0
+
     def test_expect_flag_overrides(self):
         code = run(
             [

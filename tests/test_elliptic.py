@@ -603,6 +603,24 @@ class TestArrayCallsMatchNumberCalls:
                 assert abs(v[i] - w) <= 1e-12 * size
         assert (poles > 0) == (name in POLED)
 
+    @pytest.mark.parametrize("name", list(ELEMENTWISE))
+    @pytest.mark.parametrize(
+        "ctx",
+        [el.from_periods(2.0, 2.0j), el.from_periods(2.0, 2.0 * cmath.exp(1j * math.pi / 3)), el.from_periods(1.0, 8.0j)],
+        ids=["square", "hexagonal", "tall"],
+    )
+    def test_value_does_not_depend_on_the_batch(self, name, ctx):
+        # every step is elementwise and none is in place, so a point alone
+        # equals the same point in a batch, bit for bit
+        call = ELEMENTWISE[name]
+        z = _sample_points(ctx)
+        batch = call(ctx, z)
+        batch = batch if isinstance(batch, tuple) else (batch,)
+        for i in range(len(z)):
+            alone = call(ctx, z[i : i + 1])
+            alone = alone if isinstance(alone, tuple) else (alone,)
+            assert all(np.array_equal(a, v[i : i + 1], equal_nan=True) for a, v in zip(alone, batch))
+
 
 class TestWpPrime:
     def test_degenerate_closed_form(self, degenerate_ctx):
