@@ -8,8 +8,10 @@ Conventions: complex flags are comma-separated re,im pairs; --periods takes
 four reals (omega1 then omega2), or --g2/--g3 the invariants, whose AGM
 basis then spans the lattice, or with zero discriminant (pi/k)Z or {0};
 shift and gamma flags take lattice fractions (1/3 accepted), and one beyond
-the lattice's rank exits 65. Selected numeric flags
-fall back to WPFEQ_* environment variables (flags > environment > defaults).
+the lattice's rank exits 65. verify theorem1 runs as theorem2 with three
+equal shifts, and --expect overrides each verify kind's own expectation.
+Selected numeric flags fall back to WPFEQ_* environment variables (flags >
+environment > defaults).
 Exit codes: 0 success or expected outcome, 1 verification failure, 2
 internal error, 64 usage, 65 configuration, 66 unreadable input.
 """
@@ -22,6 +24,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -229,13 +232,13 @@ def _report(command: str, params: dict, checks: list[dict], wall_time: float | N
     return report
 
 
-def _residual_check(name: str, rep: verifier.ResidualReport, expected_pass: bool = True) -> dict:
-    ok = rep.passed if expected_pass else not rep.passed
+def _residual_check(name: str, rep: verifier.ResidualReport, expected: str) -> dict:
+    """Check entry; it passes if the outcome is `expected` ("pass" or "fail"), always if "indeterminate"."""
     out = {
         "name": name,
-        "pass": bool(ok),
+        "pass": expected == "indeterminate" or bool(rep.passed) == (expected == "pass"),
         "observed_pass": bool(rep.passed),
-        "expected": "pass" if expected_pass else "fail",
+        "expected": expected,
         "max_residual": rep.max_residual,
         "mean_residual": rep.mean_residual,
         "samples": rep.samples,
@@ -243,9 +246,10 @@ def _residual_check(name: str, rep: verifier.ResidualReport, expected_pass: bool
     }
     if rep.note:
         out["note"] = rep.note
+    # the check's own keys win over the report's details
     for key, value in rep.details.items():
         if isinstance(value, (int, float, complex, str, bool)):
-            out[key] = value
+            out.setdefault(key, value)
     return out
 
 
@@ -284,133 +288,100 @@ def _cmd_symbolic(args, parser) -> int:
 
 # -- verify -------------------------------------------------------------------------
 
+# default tolerance of each verify kind
+_TOLERANCES = {"theorem1": 1e-8, "theorem2": 1e-8, "sigma": 1e-8, "derived": 1e-7, "factfun": 1e-6, "constant": 1e-12}
 
-def _expectation(args, internal: str) -> bool:
-    """Expected scan outcome: explicit --expect wins over the lattice-implied one."""
-    if args.expect is not None:
-        return args.expect == "pass"
-    if internal == "indeterminate":
-        raise ConfigError(
-            "the shift sum is borderline relative to the lattice tolerance; "
-            "state --expect explicitly"
-        )
-    return internal == "pass"
+# the constant-third-function cases: (f, g, expected outcome)
+_CONSTANT_CASES = {
+    "exp": (verifier.Exponential(), verifier.Exponential(), "pass"),
+    "zero": (verifier.Constant(0j), verifier.Exponential(delta=2.0), "pass"),
+    "mismatch": (verifier.Exponential(), verifier.Exponential(delta=2.0), "fail"),
+}
+
+
+def _sampling(args) -> tuple[int, float]:
+    """Seed and lattice-fraction margin from the flags, the environment or the defaults."""
+    seed = _resolve_int(args.seed, "seed", 0)
+    margin = _resolve_float(args.margin, "margin", 0.05)
+    if not 0.0 < margin < 0.5:
+        raise ConfigError(f"margin must lie in (0, 0.5), got {margin!r}")
+    return seed, margin
+
+
+def _family(args, name: str) -> verifier.FunctionFamily:
+    """Family `name` from the verb's flags; absent --alpha, --beta, --delta, --c read 1, 0, 1, 1."""
+
+    def value(flag: str, default: complex) -> complex:
+        text = getattr(args, flag, None)
+        return _parse_complex(text) if text else default
+
+    if name == "wp":
+        ctx = _context_from_args(args)
+        return verifier.WeierstrassShifted(ctx, _shift_from_args(args, ctx))
+    if name == "exp":
+        return verifier.Exponential(value("alpha", 1.0 + 0j), value("beta", 0j), value("delta", 1.0 + 0j))
+    if name == "linear":
+        return verifier.Linear(value("alpha", 1.0 + 0j), value("beta", 0j))
+    if name == "constant":
+        return verifier.Constant(value("c", 1.0 + 0j))
+    raise ConfigError(f"unknown family {name!r}")
 
 
 def _cmd_verify(args, parser) -> int:
     start = time.perf_counter()
-    seed = _resolve_int(args.seed, "seed", 0)
+    seed, margin = _sampling(args)
     count = int(_positive(_resolve_int(args.n, "n", 1000), "sample count"))
-    margin = _resolve_float(args.margin, "margin", 0.05)
-    if not 0.0 < margin < 0.5:
-        raise ConfigError(f"margin must lie in (0, 0.5), got {margin!r}")
-    checks: list[dict] = []
+    tol = _positive(_resolve_float(args.tol, "tol", _TOLERANCES[args.kind]), "tol")
+    sampler = verifier.TripleSampler(seed=seed, count=count, margin=margin)
     params: dict = {"kind": args.kind, "seed": seed, "n": count, "margin": margin}
+    name, expected = args.kind, "pass"
 
-    if args.kind == "theorem1":
+    if args.kind in ("theorem1", "theorem2"):
+        # theorem 1 is theorem 2 with f = g = h: three equal shifts
         ctx = _context_from_args(args)
-        tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
-        shift = _shift_from_args(args, ctx)
-        params.update({"shift": shift, "tol": tol})
-        expected_tag = verifier.theorem_shift_expectation(ctx, 3.0 * shift)
-        sampler = verifier.TripleSampler(seed=seed, count=count, margin=margin)
-        fam = verifier.WeierstrassShifted(ctx, shift)
-        rep = verifier.scan(fam, fam, fam, sampler, tol)
-        expected = _expectation(args, expected_tag)
-        check = _residual_check("theorem1", rep, expected_pass=expected)
-        check["lattice_expectation"] = expected_tag
-        checks.append(check)
-
-    elif args.kind == "theorem2":
-        ctx = _context_from_args(args)
-        if args.gammas is None:
+        if args.kind == "theorem1":
+            params["shift"] = _shift_from_args(args, ctx)
+            gammas = [params["shift"]] * 3
+        elif args.gammas is None:
             raise ConfigError("theorem2 verification needs --gammas s1,t1,s2,t2,s3,t3")
-        tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
-        vals = _parse_fractions(args.gammas, 6)
-        gammas = [elliptic.lattice_point(ctx, *vals[i : i + 2]) for i in (0, 2, 4)]
-        params.update({"gammas": gammas, "tol": tol})
-        sampler = verifier.TripleSampler(seed=seed, count=count, margin=margin)
+        else:
+            vals = _parse_fractions(args.gammas, 6)
+            gammas = params["gammas"] = [elliptic.lattice_point(ctx, *vals[i : i + 2]) for i in (0, 2, 4)]
         rep = verifier.theorem2_shift_test(ctx, *gammas, sampler, tol)
-        internal = rep.details.get("expected", "pass")
-        if internal == "indeterminate" and args.expect is None:
-            check = _residual_check("theorem2", rep, expected_pass=rep.passed)
-            check["outcome"] = "indeterminate"
-            checks.append(check)
-        else:
-            expected = _expectation(args, internal)
-            checks.append(_residual_check("theorem2", rep, expected_pass=expected))
-
+        expected = rep.details["expected"]
     elif args.kind == "sigma":
-        ctx = _context_from_args(args)
-        tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
-        params["tol"] = tol
-        rep = verifier.sigma_identity_scan(ctx, count=count, seed=seed, tol=tol)
-        checks.append(_residual_check("sigma-identity", rep, expected_pass=args.expect != "fail"))
-
+        name = "sigma-identity"
+        rep = verifier.sigma_identity_scan(_context_from_args(args), count=count, seed=seed, tol=tol)
     elif args.kind == "derived":
-        tol = _positive(_resolve_float(args.tol, "tol", 1e-7), "tol")
-        fam = _family_for_verify(args)
-        params.update({"family": args.family, "k": args.k, "l": args.l, "s": args.s, "tol": tol})
-        sampler = verifier.TripleSampler(seed=seed, count=count, margin=margin)
+        name = "derived-determinant"
+        fam = _family(args, args.family or "wp")
+        params.update({"family": args.family, "k": args.k, "l": args.l, "s": args.s})
         rep = verifier.derived_determinant_check(fam, fam, fam, args.k, args.l, args.s, sampler, tol)
-        checks.append(_residual_check("derived-determinant", rep, expected_pass=args.expect != "fail"))
-
     elif args.kind == "factfun":
-        tol = _positive(_resolve_float(args.tol, "tol", 1e-6), "tol")
-        fam = _family_for_verify(args)
+        name = "factfun-operator"
+        fam = _family(args, args.family or "wp")
         h_step = _positive(_resolve_float(args.h_step, "h_step", verifier.factfun_step(fam)), "h-step")
-        params.update({"family": args.family, "h_step": h_step, "tol": tol})
-        sampler = verifier.TripleSampler(seed=seed, count=count, margin=margin)
+        params.update({"family": args.family, "h_step": h_step})
         rep = verifier.factfun_check(fam, sampler, h_step=h_step, tol=tol)
-        checks.append(_residual_check("factfun-operator", rep, expected_pass=args.expect != "fail"))
-
-    elif args.kind == "constant":
-        tol = _positive(_resolve_float(args.tol, "tol", 1e-12), "tol")
+    else:
         case = args.case or "exp"
-        if case == "exp":
-            ff = fg = verifier.Exponential()
-            expect_internal = True
-        elif case == "zero":
-            ff, fg = verifier.Constant(0j), verifier.Exponential(delta=2.0)
-            expect_internal = True
-        elif case == "mismatch":
-            ff, fg = verifier.Exponential(), verifier.Exponential(delta=2.0)
-            expect_internal = False
-        else:
-            raise ConfigError(f"unknown constant case {case!r}")
-        params.update({"case": case, "tol": tol})
-        sampler = verifier.TripleSampler(seed=seed, count=count, unconstrained=True)
-        rep = verifier.constant_case_check(ff, fg, sampler, tol)
-        expected = args.expect == "pass" if args.expect else expect_internal
-        checks.append(_residual_check(f"constant-{case}", rep, expected_pass=expected))
+        name = f"constant-{case}"
+        ff, fg, expected = _CONSTANT_CASES[case]
+        params["case"] = case
+        rep = verifier.constant_case_check(ff, fg, replace(sampler, unconstrained=True), tol)
+    params["tol"] = tol
 
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown verify kind {args.kind!r}")
-
-    wall = time.perf_counter() - start
-    report = _report("verify", params, checks, wall)
+    check = _residual_check(name, rep, args.expect or expected)
+    if name in ("theorem1", "theorem2"):
+        check["lattice_expectation"] = expected
+        if check["expected"] == "indeterminate":
+            check["outcome"] = "indeterminate"
+    report = _report("verify", params, [check], time.perf_counter() - start)
     if args.out:
         _write_report(args.out, report)
-    for check in checks:
-        status = "PASS" if check["pass"] else "FAIL"
-        print(
-            f"{check['name']:22s} {status}  max={check.get('max_residual', 0.0):.3e} "
-            f"expected={check.get('expected')}"
-        )
+    status = "PASS" if check["pass"] else "FAIL"
+    print(f"{name:22s} {status}  max={check['max_residual']:.3e} expected={check['expected']}")
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
-
-
-def _family_for_verify(args) -> verifier.FunctionFamily:
-    family = args.family or "wp"
-    if family == "wp":
-        ctx = _context_from_args(args)
-        return verifier.WeierstrassShifted(ctx, _shift_from_args(args, ctx))
-    if family == "exp":
-        delta = _parse_complex(args.delta) if args.delta else 1.0 + 0j
-        return verifier.Exponential(delta=delta)
-    if family == "linear":
-        return verifier.Linear()
-    raise ConfigError(f"unknown family {family!r}")
 
 
 # -- fit ----------------------------------------------------------------------------
@@ -475,13 +446,10 @@ def _cmd_fit(args, parser) -> int:
 
 
 def _cmd_scan(args, parser) -> int:
-    seed = _resolve_int(args.seed, "seed", 0)
-    margin = _resolve_float(args.margin, "margin", 0.05)
-    if not 0.0 < margin < 0.5:
-        raise ConfigError(f"margin must lie in (0, 0.5), got {margin!r}")
+    seed, margin = _sampling(args)
     tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
     grid = int(_positive(args.grid, "grid"))
-    fam = _family_for_verify(args)
+    fam = _family(args, args.family)
     sampler = verifier.TripleSampler(seed=seed, count=grid * grid, margin=margin)
     rows = verifier.grid_scan(fam, sampler, grid)
     residuals = [r for _, _, r in rows]
@@ -542,29 +510,9 @@ def _parse_grid(text: str):
 
 
 def _cmd_gen(args, parser) -> int:
-    family = args.family
     grid = _parse_grid(args.grid)
-    if family == "wp":
-        ctx = _context_from_args(args)
-        values = [elliptic.wp(ctx, x) for x in grid]
-    elif family == "exp":
-        fam = verifier.Exponential(
-            alpha=_parse_complex(args.alpha) if args.alpha else 1.0 + 0j,
-            beta=_parse_complex(args.beta) if args.beta else 0j,
-            delta=_parse_complex(args.delta) if args.delta else 1.0 + 0j,
-        )
-        values = [fam.jets(x, 0).values[0] for x in grid]
-    elif family == "linear":
-        fam = verifier.Linear(
-            alpha=_parse_complex(args.alpha) if args.alpha else 1.0 + 0j,
-            beta=_parse_complex(args.beta) if args.beta else 0j,
-        )
-        values = [fam.jets(x, 0).values[0] for x in grid]
-    elif family == "constant":
-        c = _parse_complex(args.c) if args.c else 1.0 + 0j
-        values = [c for _ in grid]
-    else:
-        raise ConfigError(f"unknown family {family!r}")
+    fam = _family(args, args.family)
+    values = [fam.jets(x, 0).values[0] for x in grid]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x_re", "x_im", "w_re", "w_im"])
@@ -617,72 +565,63 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # flag groups shared between verbs
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--periods", help="four reals: w1_re,w1_im,w2_re,w2_im")
+    lattice.add_argument("--g2", help="re,im")
+    lattice.add_argument("--g3", help="re,im")
+    shift = argparse.ArgumentParser(add_help=False)
+    shift.add_argument("--shift-frac", help="shift in fractions s,t of the periods, the AGM basis or pi/k (1/3 allowed)")
+    shift.add_argument("--shift", help="absolute shift re,im")
+    delta = argparse.ArgumentParser(add_help=False)
+    delta.add_argument("--delta", help="exponential rate re,im")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    sampling = argparse.ArgumentParser(add_help=False, parents=[seed])
+    sampling.add_argument("--margin", type=float, default=None)
+    sampling.add_argument("--tol", type=float, default=None)
+
     p = sub.add_parser("symbolic", help="run the exact identity certifications")
     p.add_argument("--which", default="all", help="all or a comma list of "
                    + ",".join(identities.CHECK_NAMES))
     p.add_argument("--out", help="write the JSON report here")
 
-    p = sub.add_parser("verify", help="numerical verification on sampled triples")
-    p.add_argument("kind", choices=["theorem1", "theorem2", "sigma", "derived", "factfun", "constant"])
-    p.add_argument("--periods", help="four reals: w1_re,w1_im,w2_re,w2_im")
-    p.add_argument("--g2", help="re,im")
-    p.add_argument("--g3", help="re,im")
-    p.add_argument("--shift-frac", help="shift in fractions s,t of the periods, the AGM basis or pi/k (1/3 allowed)")
-    p.add_argument("--shift", help="absolute shift re,im")
+    p = sub.add_parser("verify", help="numerical verification on sampled triples",
+                       parents=[lattice, shift, delta, sampling])
+    p.add_argument("kind", choices=list(_TOLERANCES))
     p.add_argument("--gammas", help="six lattice fractions s1,t1,s2,t2,s3,t3")
     p.add_argument("--family", choices=["wp", "exp", "linear"])
-    p.add_argument("--delta", help="exponential rate re,im")
-    p.add_argument("--case", choices=["exp", "zero", "mismatch"], help="constant-third-function case")
+    p.add_argument("--case", choices=list(_CONSTANT_CASES), help="constant-third-function case")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="sample count")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--h-step", dest="h_step", type=float, default=None)
     p.add_argument("--expect", choices=["pass", "fail"], default=None)
     p.add_argument("--out", help="write the JSON report here")
 
-    p = sub.add_parser("fit", help="classify CSV samples")
+    p = sub.add_parser("fit", help="classify CSV samples", parents=[seed])
     p.add_argument("--input", required=True)
     p.add_argument("--stencil-order", dest="stencil_order", type=int, choices=[2, 4], default=4)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--expect", choices=["weierstrass", "exponential", "linear", "constant", "not_a_solution"])
     p.add_argument("--out", help="write the classification JSON here (default stdout)")
 
-    p = sub.add_parser("scan", help="per-triple residual CSV over a grid")
+    p = sub.add_parser("scan", help="per-triple residual CSV over a grid", parents=[lattice, shift, delta, sampling])
     p.add_argument("--family", choices=["wp", "exp", "linear"], default="wp")
-    p.add_argument("--periods", help="four reals: w1_re,w1_im,w2_re,w2_im")
-    p.add_argument("--g2", help="re,im")
-    p.add_argument("--g3", help="re,im")
-    p.add_argument("--shift-frac", help="shift as lattice fractions s,t of the periods, the AGM basis or pi/k")
-    p.add_argument("--shift", help="absolute shift re,im")
-    p.add_argument("--delta", help="exponential rate re,im")
     p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", required=True, help="residual CSV path")
     p.add_argument("--summary", help="summary JSON path")
 
-    p = sub.add_parser("gen", help="generate sample CSV for a family")
+    p = sub.add_parser("gen", help="generate sample CSV for a family", parents=[lattice, delta])
     p.add_argument("--family", required=True, choices=["wp", "exp", "linear", "constant"])
-    p.add_argument("--g2", help="re,im")
-    p.add_argument("--g3", help="re,im")
-    p.add_argument("--periods", help="four reals")
     p.add_argument("--alpha", help="re,im")
     p.add_argument("--beta", help="re,im")
-    p.add_argument("--delta", help="re,im")
     p.add_argument("--c", help="re,im")
     p.add_argument("--grid", required=True, help="start:stop:step (real axis)")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("eval", help="point evaluation for debugging")
+    p = sub.add_parser("eval", help="point evaluation for debugging", parents=[lattice])
     p.add_argument("--fn", required=True, choices=["wp", "wp-prime", "sigma", "zeta"])
-    p.add_argument("--periods", help="four reals")
-    p.add_argument("--g2", help="re,im")
-    p.add_argument("--g3", help="re,im")
     p.add_argument("--z", required=True, help="re,im")
     return parser
 

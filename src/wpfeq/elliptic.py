@@ -64,7 +64,6 @@ from .errors import (
 # and rounding both lattice coordinates keeps |Im v| <= pi Im(tau)/2, so term n
 # of the pe' sum is at most 8 n^2 |q|^n k^3: below 2e-17 k^3 from n = 17 on
 _THETA_TERMS = 16
-_DISC_REL_TOL = 1e-9  # relative tolerance classifying the discriminant
 _INVARIANT_TOL = 1e-12  # round trip of the AGM generators, relative to the scale
 
 
@@ -89,7 +88,6 @@ class Invariants:
     g2: complex
     g3: complex
     discriminant: complex  # g2^3 - 27 g3^2; from the q-product for a lattice
-    degeneracy: str  # "generic" | "semi-degenerate" | "fully-degenerate"
 
 
 @dataclass(frozen=True)
@@ -260,18 +258,6 @@ def _q_series_invariants(b1: complex, tau: complex) -> tuple[complex, complex, c
     return g2, g3, (2.0 * math.pi / b1) ** 12 * r * prod**24
 
 
-def _classify_invariants(g2: complex, g3: complex) -> Invariants:
-    disc = g2**3 - 27.0 * g3**2
-    scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
-    if scale == 0.0:
-        tag = "fully-degenerate"
-    elif abs(disc) <= _DISC_REL_TOL * scale**12:
-        tag = "semi-degenerate"
-    else:
-        tag = "generic"
-    return Invariants(complex(g2), complex(g3), disc, tag)
-
-
 def _oriented_basis(w1: complex, w2: complex) -> tuple[complex, complex]:
     """Gauss-reduced pair of the lattice, b2 negated if need be so that Im(b2/b1) > 0."""
     b1, b2 = _gauss_reduce(w1, w2)
@@ -319,7 +305,7 @@ def from_periods(
         w1, w2 = w2, w1
     b1, b2 = _oriented_basis(w1, w2)
     g2, g3, disc = _q_series_invariants(b1, b2 / b1)
-    ctx = _lattice_context(Invariants(g2, g3, disc, "generic"), Periods(w1, w2), b1, b2)
+    ctx = _lattice_context(Invariants(g2, g3, disc), Periods(w1, w2), b1, b2)
     return _with_tolerances(ctx, lattice_tol, pole_tol)
 
 
@@ -337,13 +323,14 @@ def _agm(a: complex, b: complex) -> complex:
     return a
 
 
-def _agm_basis(g2: complex, g3: complex) -> tuple[complex, complex]:
+def _agm_basis(g2: complex, g3: complex, scale: float) -> tuple[complex, complex]:
     """Oriented reduced generators of the lattice with invariants (g2, g3).
 
     With e1, e2, e3 the roots of 4t^3 - g2 t - g3, pi/M(sqrt(e1 - e3),
     sqrt(e1 - e2)) and pi i/M(sqrt(e1 - e3), sqrt(e2 - e3)) span the lattice,
     M the optimal AGM (Cremona and Thongjunthug). The basis must give
-    (g2, g3) back through the q-series to 1e-12 of the scale, or this raises:
+    (g2, g3) back through the q-series to 1e-12 of the scale
+    max(|g2|^(1/4), |g3|^(1/6)), or this raises:
     on tall lattices the float invariants no longer fix tau, so that round
     trip, not the basis, is what is guaranteed.
     """
@@ -355,7 +342,6 @@ def _agm_basis(g2: complex, g3: complex) -> tuple[complex, complex]:
         raise SeriesNoConverge("the AGM periods of the invariants span no lattice")
     b1, b2 = _oriented_basis(math.pi / m1, math.pi * 1j / m2)
     h2, h3, _ = _q_series_invariants(b1, b2 / b1)
-    scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
     err = max(abs(h2 - g2) / scale**4, abs(h3 - g3) / scale**6)
     if not err <= _INVARIANT_TOL:
         raise SeriesNoConverge(f"the AGM lattice misses the invariants by {err:.3g} of the scale")
@@ -376,15 +362,15 @@ def from_invariants(
     invariants. Otherwise periods is None, and the theta series runs at
     q = 0 with k^2 = 9 g3/(2 g2), on (pi/k)Z, or k = 0 when g2 = g3 = 0.
     """
-    invariants = _classify_invariants(complex(g2), complex(g3))
-    g2, g3 = invariants.g2, invariants.g3
+    g2, g3 = complex(g2), complex(g3)
+    invariants = Invariants(g2, g3, g2**3 - 27.0 * g3**2)
     # g2^3 = 27 g3^2 tested on invariants rescaled by a power of two: the
-    # same roundings as the discriminant, without its underflow
+    # same roundings as the discriminant, without its underflow; this alone
+    # decides the rank
     scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
     t = 2.0 ** -math.frexp(scale)[1]
-    lattice = (g2 * t**4) ** 3 != 27.0 * (g3 * t**6) ** 2
-    if lattice:
-        b1, b2 = _agm_basis(g2, g3)
+    if (g2 * t**4) ** 3 != 27.0 * (g3 * t**6) ** 2:
+        b1, b2 = _agm_basis(g2, g3, scale)
         ctx = _lattice_context(invariants, Periods(b1, b2), b1, b2)
     else:
         k = cmath.sqrt(4.5 * g3 / g2) if g2 else 0j

@@ -1,5 +1,6 @@
 """Exit codes, report schemas, file formats, and determinism of the CLI."""
 
+import argparse
 import json
 import math
 import os
@@ -87,6 +88,28 @@ class TestVerify:
             ]
         )
         assert bad == 0
+
+    def test_theorem2_expect_flag_is_the_reported_expectation(self, tmp_path):
+        # the lattice's own expectation is reported apart, and does not replace --expect
+        out = tmp_path / "t2.json"
+        argv = ["verify", "theorem2", "--periods", "2,0,0,2", "--gammas", "0.2,0,0,0.3,0.8,0.7",
+                "--n", "50", "--expect", "fail", "--out", str(out)]
+        assert run(argv) == 1
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["expected"] == "fail" and check["lattice_expectation"] == "pass"
+        assert check["pass"] is False and check["observed_pass"] is True
+
+    @pytest.mark.parametrize("kind, flags", [("theorem1", ["--shift-frac", "1e-9,0"]),
+                                             ("theorem2", ["--gammas", "3e-9,0,0,0,0,0"])])
+    def test_borderline_shift_sum_is_indeterminate(self, tmp_path, kind, flags):
+        # a shift sum of 6e-9 on the lattice 2Z + 2iZ lies within ten lattice tolerances of 0
+        out = tmp_path / "t.json"
+        argv = ["verify", kind, "--periods", "2,0,0,2", *flags, "--n", "100", "--out", str(out)]
+        assert run(argv) == 0
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["outcome"] == check["expected"] == "indeterminate"
+        assert check["pass"] is True
+        assert check["shift_sum"] == pytest.approx([6e-9, 0], rel=1e-12)
 
     def test_sigma_identity(self, tmp_path):
         out = tmp_path / "sigma.json"
@@ -298,6 +321,28 @@ class TestEval:
 
     def test_needs_context(self):
         assert run(["eval", "--fn", "wp", "--z", "1,0"]) == 65
+
+
+class TestParser:
+    # each verb's option strings: a shared flag group must add none to a verb
+    OPTIONS = {
+        "symbolic": {"--which", "--out"},
+        "verify": {"--periods", "--g2", "--g3", "--shift-frac", "--shift", "--gammas", "--family", "--delta",
+                   "--case", "--k", "--l", "--s", "--n", "--seed", "--margin", "--tol", "--h-step", "--expect",
+                   "--out"},
+        "fit": {"--input", "--stencil-order", "--seed", "--expect", "--out"},
+        "scan": {"--family", "--periods", "--g2", "--g3", "--shift-frac", "--shift", "--delta", "--grid", "--seed",
+                 "--margin", "--tol", "--out", "--summary"},
+        "gen": {"--family", "--g2", "--g3", "--periods", "--alpha", "--beta", "--delta", "--c", "--grid", "--out"},
+        "eval": {"--fn", "--periods", "--g2", "--g3", "--z"},
+    }
+
+    def test_each_verb_keeps_its_flags(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.OPTIONS)
+        for verb, parser in sub.choices.items():
+            flags = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+            assert flags == self.OPTIONS[verb], verb
 
 
 class TestReportFormat:

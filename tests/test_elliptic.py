@@ -131,9 +131,9 @@ class TestConstruction:
         s = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
         assert abs(ctx.invariants.g2 - g2) <= 1e-13 * s**4
         assert abs(ctx.invariants.g3 - g3) <= 1e-13 * s**6
-        # a lattice is never degenerate, and its discriminant does not cancel
+        # a lattice has rank two, and its discriminant does not cancel
         assert abs(ctx.invariants.discriminant - disc) <= 1e-13 * abs(disc)
-        assert ctx.invariants.degeneracy == "generic"
+        assert len(ctx.reduced) == 2
 
     def test_default_pole_tolerance_follows_the_shortest_vector(self):
         # (1, 0.999+0.001i) is far from reduced: its shortest vector has
@@ -158,12 +158,18 @@ class TestConstruction:
         with pytest.raises(DegenerateLattice):
             el.from_periods(1.0, 0.0)
 
-    def test_invariants_only_degeneracy_tags(self):
-        assert el.from_invariants(0, 0).invariants.degeneracy == "fully-degenerate"
+    def test_invariants_only_rank(self):
+        assert len(el.from_invariants(0, 0).reduced) == 0
         ctx = el.from_invariants(4, 0)
-        assert ctx.invariants.degeneracy == "generic"
+        assert len(ctx.reduced) == 2
         assert ctx.invariants.discriminant == pytest.approx(64.0)
-        assert el.from_invariants(3, 1).invariants.degeneracy == "semi-degenerate"
+        assert len(el.from_invariants(3, 1).reduced) == 1
+
+    @pytest.mark.parametrize("tau", [5j, 6j])
+    def test_tall_lattice_invariants_have_rank_two(self, tau):
+        # the discriminant is below 1e-9 of scale^12 here, yet nonzero: one rank decision, two generators
+        inv = el.from_periods(1.0, tau).invariants
+        assert len(el.from_invariants(inv.g2, inv.g3).reduced) == 2
 
     @pytest.mark.parametrize("tau", [1.9j, 3j, 8j, 0.5 + 8j])
     @pytest.mark.parametrize("scale", [0.5, 1.0, 100.0])
