@@ -10,8 +10,8 @@ classification reduces to comparing equation residuals and testing which
 coefficients are significant. Recovered cubic coefficients map onto the
 normal form W'^2 = 4 W^3 - g2 W - g3 through an affine substitution, which
 identifies the invariants of the underlying function up to the manifest
-scaling invariance. The shift parameter is unobservable from local samples
-(it would need global pole localisation) and is not reported.
+scaling invariance. The shift parameter is not yet recovered from the
+samples and is not reported.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class Thresholds:
     tau_cub: float = 1e-6
     coeff_eps: float = 1e-8  # significance of a term, against the left-hand side
     spread_eps: float = 1e-10  # constant detection
-    cond_equilibrate: float = 1e10
     cond_reject: float = 1e14
 
 
@@ -141,27 +140,20 @@ def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> list[tuple[comp
 
 
 def _solve_normal(A: np.ndarray, b: np.ndarray, thresholds: Thresholds) -> tuple[np.ndarray, float]:
-    """Normal-equation solve with condition estimate and column equilibration.
+    """Normal-equation solve on unit-norm columns, with its condition number.
 
-    Columns span scales like w^3 versus 1, so the normal matrix is
-    re-equilibrated to unit column norms whenever its condition passes the
-    threshold; a fit that stays above the rejection bound raises.
+    Columns span scales like w^3 versus 1, so each is scaled to unit norm
+    first; the condition is that of the scaled normal matrix, which does not
+    depend on the unit of w. A fit above the rejection bound raises.
     """
-    gram = A.conj().T @ A
-    rhs = A.conj().T @ b
+    scales = np.linalg.norm(A, axis=0)
+    scales[scales == 0.0] = 1.0
+    Aeq = A / scales
+    gram = Aeq.conj().T @ Aeq
     cond = float(np.linalg.cond(gram))
-    scales = np.ones(A.shape[1])
-    if cond > thresholds.cond_equilibrate:
-        scales = np.linalg.norm(A, axis=0)
-        scales[scales == 0.0] = 1.0
-        Aeq = A / scales
-        gram = Aeq.conj().T @ Aeq
-        rhs = Aeq.conj().T @ b
-        cond = float(np.linalg.cond(gram))
-        if cond > thresholds.cond_reject:
-            raise IllConditionedFit(f"normal-equation condition {cond:.3g}")
-    coeffs = np.linalg.solve(gram, rhs) / scales
-    return coeffs, cond
+    if cond > thresholds.cond_reject:
+        raise IllConditionedFit(f"normal-equation condition {cond:.3g}")
+    return np.linalg.solve(gram, Aeq.conj().T @ b) / scales, cond
 
 
 def fit_cubic(pairs, thresholds: Thresholds = Thresholds()) -> FitResult:

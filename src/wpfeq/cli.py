@@ -431,8 +431,6 @@ def _cmd_fit(args, parser) -> int:
     for fit in decision.evidence:
         check[f"{fit.model}_residual"] = fit.residual
         check[f"{fit.model}_condition"] = fit.condition
-        if fit.condition > cls.Thresholds().cond_equilibrate:
-            check["warning"] = "normal equations were equilibrated"
     params = {"input": args.input, "stencil_order": stencil, "seed": seed}
     if args.expect:
         params["expect"] = args.expect

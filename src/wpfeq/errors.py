@@ -37,10 +37,6 @@ class ExponentOverflow(WpfeqError):
     """A monomial exponent would pass 255, the largest its packed field holds."""
 
 
-class TruncationTooLow(WpfeqError):
-    """Requested series truncation order is too small for the check."""
-
-
 class MissingJet(WpfeqError):
     """A polynomial refers to a jet value that was not supplied."""
 

@@ -1,10 +1,11 @@
 """Certified symbolic identities behind the elimination argument.
 
 Every check builds both sides of an identity as exact jet polynomials and
-reports whether one side exactly divides the other. The discovered cofactor
-is part of the report, never assumed, because the source identities are
-stated as "0 = product" without fixing an overall scale. A report with
-holds=False is a valid outcome, not an error.
+follows one rule: divide exactly, then confirm the division by re-expanding
+lhs - cofactor*rhs to zero. The cofactor is reported, never assumed, because
+the source identities are stated as "0 = product" without fixing a scale.
+(The ODE coefficient block reduces each formula to zero instead.) A report
+with holds=False is a valid outcome, not an error.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import JetOrderOverflow, TruncationTooLow
 from .jetpoly import (
-    MAX_JET_ORDER,
     DiffPolynomial,
     abc_det,
     build_abc,
@@ -45,6 +44,18 @@ class CofactorReport:
 
     def cofactor_text(self) -> str:
         return str(self.cofactor) if self.cofactor is not None else ""
+
+
+def _certify(lhs: DiffPolynomial, rhs: DiffPolynomial, holds_note: str, fails_note: str) -> CofactorReport:
+    """Divide lhs by rhs exactly and confirm by re-expansion.
+
+    holds=True only when lhs - cofactor*rhs re-expands to zero; holds_note
+    may name the cofactor as {cofactor}.
+    """
+    cofactor = divide_exact(lhs, rhs)
+    if cofactor is None or not (lhs - cofactor * rhs).is_zero():
+        return CofactorReport(False, None, fails_note)
+    return CofactorReport(True, cofactor, holds_note.format(cofactor=cofactor))
 
 
 # -- quadratic-in-g2 factorization -------------------------------------------
@@ -90,13 +101,10 @@ def factorization_check(factors: tuple[DiffPolynomial, DiffPolynomial] | None = 
     computed cofactor; holds=False simply reports a failed division.
     """
     t1, t2 = factors if factors is not None else (factor_one(), factor_two())
-    lhs = elimination_polynomial()
-    product = t1 * t2
-    cofactor = divide_exact(lhs, product)
-    if cofactor is None:
-        return CofactorReport(False, None, "no exact cofactor exists")
-    assert (lhs - cofactor * product).is_zero()
-    return CofactorReport(True, cofactor, f"eliminated determinant = ({cofactor}) * factor1 * factor2")
+    return _certify(
+        elimination_polynomial(), t1 * t2,
+        "eliminated determinant = ({cofactor}) * factor1 * factor2", "no exact cofactor exists",
+    )
 
 
 # -- quotient-rule rewrites of the two factors --------------------------------
@@ -119,13 +127,6 @@ def factor_rewrite_check(direction: str = "y") -> tuple[CofactorReport, Cofactor
     # d/dy[(f1-g1)/(f0-g0)] multiplied through by (f0-g0)^2
     num1 = f(1) - g(1)
     lhs1 = derive(num1, direction) * den - num1 * derive(den, direction)
-    rhs1 = factor_one()
-    cof1 = divide_exact(lhs1, rhs1)
-    ok1 = cof1 is not None and (lhs1 - cof1 * rhs1).is_zero()
-    rep1 = CofactorReport(
-        bool(ok1), cof1 if ok1 else None,
-        "first factor rewrite" + ("" if ok1 else " does not hold"),
-    )
 
     # inner rational function has denominator (f0-g0)^3; after the quotient
     # rule and multiplication by (f0-g0)^4/g1 the cleared comparison is
@@ -136,14 +137,10 @@ def factor_rewrite_check(direction: str = "y") -> tuple[CofactorReport, Cofactor
         + f(3) * den**2
     )
     lhs2 = derive(num2, direction) * den - 3 * num2 * derive(den, direction)
-    rhs2 = g(1) * factor_two()
-    cof2 = divide_exact(lhs2, rhs2)
-    ok2 = cof2 is not None and (lhs2 - cof2 * rhs2).is_zero()
-    rep2 = CofactorReport(
-        bool(ok2), cof2 if ok2 else None,
-        "second factor rewrite" + ("" if ok2 else " does not hold"),
+    return (
+        _certify(lhs1, factor_one(), "first factor rewrite", "first factor rewrite does not hold"),
+        _certify(lhs2, g(1) * factor_two(), "second factor rewrite", "second factor rewrite does not hold"),
     )
-    return rep1, rep2
 
 
 # -- single-function specialisation of the (2, 4) determinant ------------------
@@ -174,13 +171,10 @@ def diagonal_product_check() -> CofactorReport:
 
     up to a rational-constant-times-monomial cofactor found by division.
     """
-    lhs = substitute_g_to_f(build_addet(2, 4))
-    product = diagonal_first_factor() * diagonal_second_factor()
-    cofactor = divide_exact(lhs, product)
-    if cofactor is None:
-        return CofactorReport(False, None, "no exact cofactor exists")
-    assert (lhs - cofactor * product).is_zero()
-    return CofactorReport(True, cofactor, f"diagonal determinant = ({cofactor}) * product form")
+    return _certify(
+        substitute_g_to_f(build_addet(2, 4)), diagonal_first_factor() * diagonal_second_factor(),
+        "diagonal determinant = ({cofactor}) * product form", "no exact cofactor exists",
+    )
 
 
 # -- ODE coefficient block -----------------------------------------------------
@@ -255,84 +249,36 @@ def ode_coefficient_check() -> CofactorReport:
     exactly. Linear branch: same for l0 and l1 under w' = l1 w + l0. The
     coefficient symbols are carried as extra polynomial variables.
     """
-    failures = []
-    for name, cleared in cubic_block_formulas().items():
-        if not cubic_branch_reduce(cleared).is_zero():
-            failures.append(name)
-    for name, cleared in linear_block_formulas().items():
-        if not linear_branch_reduce(cleared).is_zero():
-            failures.append(name)
+    branches = (
+        (cubic_block_formulas(), cubic_branch_reduce),
+        (linear_block_formulas(), linear_branch_reduce),
+    )
+    failures = [name for formulas, reduce in branches for name, cleared in formulas.items()
+                if not reduce(cleared).is_zero()]
     if failures:
         return CofactorReport(False, None, "formulas failed: " + ", ".join(failures))
-    return CofactorReport(
-        True,
-        DiffPolynomial.constant(1),
-        "all six coefficient formulas reduce exactly to their symbols",
-    )
+    note = "all six coefficient formulas reduce exactly to their symbols"
+    return CofactorReport(True, DiffPolynomial.constant(1), note)
 
 
 # -- central-difference expansion ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaSeries:
-    """Truncated power series in the half-difference variable.
+def central_difference_series(order: int, derivative: int = 0) -> tuple[list, list]:
+    """(difference, average) coefficient lists for the derivative-th jet.
 
-    Coefficients are jet polynomials of the single function at the midpoint;
-    coefficients[j] multiplies eta^j.
+    Entry j multiplies eta^j. The Taylor list f_(j+derivative)/j! of
+    f(xi+eta) and its sign-flipped copy for f(xi-eta) give their difference
+    and mean, so the parity (odd difference, even mean) comes out of the
+    subtraction, which the parity test exercises.
     """
-
-    coefficients: tuple[DiffPolynomial, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __sub__(self, other: "EtaSeries") -> "EtaSeries":
-        n = min(self.order, other.order)
-        return EtaSeries(
-            tuple(self.coefficients[j] - other.coefficients[j] for j in range(n + 1))
-        )
-
-    def __mul__(self, other: "EtaSeries") -> "EtaSeries":
-        n = min(self.order, other.order)
-        coeffs = []
-        for j in range(n + 1):
-            acc = DiffPolynomial.zero()
-            for i in range(j + 1):
-                acc = acc + self.coefficients[i] * other.coefficients[j - i]
-            coeffs.append(acc)
-        return EtaSeries(tuple(coeffs))
-
-    def scaled(self, q) -> "EtaSeries":
-        return EtaSeries(tuple(c * DiffPolynomial.constant(q) for c in self.coefficients))
-
-
-def shifted_jet_series(order: int, derivative: int = 0, sign: int = 1) -> EtaSeries:
-    """Taylor series of the derivative-th jet at midpoint +/- eta."""
-    coeffs = []
-    for j in range(order + 1):
-        idx = j + derivative
-        if idx > MAX_JET_ORDER:
-            raise JetOrderOverflow(f"expansion needs jet f{idx}")
-        coeffs.append(f(idx) * DiffPolynomial.constant(Fraction(sign**j, math.factorial(j))))
-    return EtaSeries(tuple(coeffs))
-
-
-def central_difference_series(order: int, derivative: int = 0) -> tuple[EtaSeries, EtaSeries]:
-    """(difference, average) operator series for the derivative-th jet.
-
-    difference(eta) = f(xi+eta) - f(xi-eta); average = the mean of the two.
-    The difference of any series even in eta has identically zero even
-    coefficients, which the parity test exercises.
-    """
-    plus = shifted_jet_series(order, derivative, +1)
-    minus = shifted_jet_series(order, derivative, -1)
+    plus = [f(j + derivative) * Fraction(1, math.factorial(j)) for j in range(order + 1)]
+    minus = [(-1) ** j * c for j, c in enumerate(plus)]
     half = Fraction(1, 2)
-    return plus - minus, (plus - minus.scaled(-1)).scaled(half)
+    return [p - m for p, m in zip(plus, minus)], [(p + m) * half for p, m in zip(plus, minus)]
 
 
-def central_difference_check(order: int = 5) -> CofactorReport:
+def central_difference_check() -> CofactorReport:
     """Certify the two lowest relations of the central-difference expansion.
 
     Expanding  diff(f)*avg(f') - diff(f')*avg(f)  in powers of eta yields,
@@ -343,58 +289,41 @@ def central_difference_check(order: int = 5) -> CofactorReport:
 
         A_1 = f1, B_1 = f2, C_1 = f0 f2 - f1^2,
         A_2 = f3, B_2 = f4, C_2 = -4 f1 f3 + f0 f4 + 3 f2^2.
-    """
-    if order < 5:
-        raise TruncationTooLow("expansion order must be at least 5")
-    if order > MAX_JET_ORDER - 1:
-        raise JetOrderOverflow(f"expansion order {order} needs jets beyond f{MAX_JET_ORDER}")
-    diff0, avg0 = central_difference_series(order, 0)
-    diff1, avg1 = central_difference_series(order, 1)
-    lhs = diff0 * avg1 - diff1 * avg0
 
-    expected = {
-        1: (f(1), f(2), f(0) * f(2) - f(1) ** 2),
-        2: (f(3), f(4), -4 * f(1) * f(3) + f(0) * f(4) + 3 * f(2) ** 2),
-    }
+    Both relations sit at eta^1 and eta^3, so the series stop at eta^3.
+    """
+    diff0, avg0 = central_difference_series(3, 0)
+    diff1, avg1 = central_difference_series(3, 1)
+    expected = (
+        (f(1), f(2), f(0) * f(2) - f(1) ** 2),
+        (f(3), f(4), -4 * f(1) * f(3) + f(0) * f(4) + 3 * f(2) ** 2),
+    )
     norms = []
-    for k in (1, 2):
+    for k, (exp_a, exp_b, exp_c) in enumerate(expected, start=1):
         j = 2 * k - 1
-        a_raw = diff0.coefficients[j]
-        b_raw = diff1.coefficients[j]
-        c_raw = -lhs.coefficients[j]
-        exp_a, exp_b, exp_c = expected[k]
-        q = divide_exact(a_raw, exp_a)
+        # eta^j coefficient of diff(f')*avg(f) - diff(f)*avg(f')
+        terms = (diff1[i] * avg0[j - i] - diff0[i] * avg1[j - i] for i in range(j + 1))
+        c_raw = sum(terms, DiffPolynomial.zero())
+        q = divide_exact(diff0[j], exp_a)
         if q is None or q.total_degree() != 0:
             return CofactorReport(False, None, f"order {k}: no constant normalisation")
-        if b_raw != q * exp_b or c_raw != q * exp_c:
+        if diff1[j] != q * exp_b or c_raw != q * exp_c:
             return CofactorReport(False, None, f"order {k}: coefficients do not match")
         norms.append(f"order {k}: {q}")
-    return CofactorReport(
-        True,
-        DiffPolynomial.constant(1),
-        "coefficients confirmed; per-order normalisations " + "; ".join(norms),
-    )
+    note = "coefficients confirmed; per-order normalisations " + "; ".join(norms)
+    return CofactorReport(True, DiffPolynomial.constant(1), note)
 
 
-CHECK_NAMES = ("factorization", "rewrites", "eqf", "coefficients", "eta")
+_ROWS = {
+    "factorization": lambda: [("factorization", factorization_check())],
+    "rewrites": lambda: list(zip(("rewrites/first", "rewrites/second"), factor_rewrite_check())),
+    "eqf": lambda: [("eqf", diagonal_product_check())],
+    "coefficients": lambda: [("coefficients", ode_coefficient_check())],
+    "eta": lambda: [("eta", central_difference_check())],
+}
+CHECK_NAMES = tuple(_ROWS)
 
 
 def run_checks(names=CHECK_NAMES) -> list[tuple[str, CofactorReport]]:
-    """Run the named certifications and return (label, report) rows."""
-    rows: list[tuple[str, CofactorReport]] = []
-    for name in names:
-        if name == "factorization":
-            rows.append((name, factorization_check()))
-        elif name == "rewrites":
-            first, second = factor_rewrite_check()
-            rows.append(("rewrites/first", first))
-            rows.append(("rewrites/second", second))
-        elif name == "eqf":
-            rows.append((name, diagonal_product_check()))
-        elif name == "coefficients":
-            rows.append((name, ode_coefficient_check()))
-        elif name == "eta":
-            rows.append((name, central_difference_check()))
-        else:
-            raise KeyError(name)
-    return rows
+    """Run the named certifications and return (label, report) rows; an unknown name raises KeyError."""
+    return [row for name in names for row in _ROWS[name]()]

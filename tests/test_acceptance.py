@@ -58,7 +58,7 @@ def test_criterion_04_symbolic_coefficient_block():
 
 
 def test_criterion_05_central_difference_coefficients():
-    rep = idn.central_difference_check(order=5)
+    rep = idn.central_difference_check()
     ok = rep.holds and "order 1: 2" in rep.note and "order 2: 1/3" in rep.note
     _line(5, ok, f"expansion coefficients confirmed ({rep.note})")
 

@@ -113,7 +113,7 @@ class TestFits:
             cl.fit_linear([(1.0, 1.0)] * 2)
 
     def test_equilibration_on_wild_scales(self, normal_form_ctx):
-        # samples near the pole blow the w^3 column scale past the trigger
+        # samples near the pole spread the column scales over many decades
         pairs = []
         for i in range(60):
             j = el.jets(normal_form_ctx, 0.03 + 0.004 * i, 1)
@@ -122,6 +122,22 @@ class TestFits:
         assert fit.condition > 0
         p3 = fit.coefficients[3]
         assert abs(p3 - 4.0) <= 1e-6 * 4.0
+
+    def test_condition_does_not_depend_on_the_unit_of_w(self):
+        # alpha * wp satisfies the same kind of ODE whatever alpha: with the
+        # columns scaled to unit norm, both fits report one condition number
+        ctx = el.from_periods(2, 2j)
+        xs = tuple(0.3 + 0.01 * k + 0.2j for k in range(41))
+        conditions = []
+        for alpha in (1e-3, 1.0, 1e3):
+            samples = cl.SampleSet(xs, tuple(alpha * el.wp(ctx, x) for x in xs))
+            dec = cl.classify_samples(samples, roundtrip=False)
+            assert dec.family == "weierstrass"
+            conditions.append({fit.model: fit.condition for fit in dec.evidence})
+        for model in ("cubic", "linear"):
+            ref = conditions[0][model]
+            for other in conditions[1:]:
+                assert other[model] == pytest.approx(ref, rel=1e-6)
 
 
 class TestNormalForm:

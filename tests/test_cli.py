@@ -30,6 +30,10 @@ class TestSymbolic:
         assert run(["symbolic", "--which", "eqf", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["checks"][0]["cofactor"] == "24"
+        assert run(["symbolic", "--which", "eta,rewrites", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [c["name"] for c in report["checks"]] == ["eta", "rewrites/first", "rewrites/second"]
+        assert all(c["cofactor"] == "1" for c in report["checks"])
 
     def test_bogus_check_is_usage_error(self):
         assert run(["symbolic", "--which", "bogus"]) == 64
