@@ -224,23 +224,21 @@ def classify(
     cubic: FitResult | None,
     linear: FitResult | None,
     thresholds: Thresholds = Thresholds(),
-    sample_spread: float | None = None,
 ) -> Classification:
     """Decision tree over the two fits.
 
-    Constant samples are decided by spread before any fit is trusted. A good
-    linear fit gives Linear (l1 w insignificant) or Exponential(delta = l1).
-    A good cubic fit with significant p3 is the Weierstrass family in normal
-    form; with p3 insignificant but p2 significant it is the trigonometric
-    sector, folded into Exponential with delta = sqrt(p2). A term of either
-    fit is significant where its largest size over the samples passes
-    coeff_eps of the largest left-hand side: the raw coefficients span
-    scales like |omega|^-6 (p0 ~ -g3) against 4 (p3) on small lattices.
-    Everything else is NotASolution, a valid outcome, not an error.
+    A good linear fit gives Linear (l1 w insignificant) or
+    Exponential(delta = l1). A good cubic fit with significant p3 is the
+    Weierstrass family in normal form; with p3 insignificant but p2
+    significant it is the trigonometric sector, folded into Exponential
+    with delta = sqrt(p2). A term of either fit is significant where its
+    largest size over the samples passes coeff_eps of the largest left-hand
+    side: the raw coefficients span scales like |omega|^-6 (p0 ~ -g3)
+    against 4 (p3) on small lattices. Everything else is NotASolution, a
+    valid outcome, not an error. Constant samples never get here:
+    `classify_samples` decides them by spread first.
     """
     evidence = tuple(r for r in (cubic, linear) if r is not None)
-    if sample_spread is not None and sample_spread < thresholds.spread_eps:
-        return Classification("constant", {}, evidence)
     if linear is not None and linear.residual <= thresholds.tau_lin:
         l0, l1 = linear.coefficients
         if not linear.significant(thresholds.coeff_eps)[1]:
@@ -288,8 +286,8 @@ def classify_samples(
         linear = fit_linear(pairs, thresholds)
     except (DegenerateInput, IllConditionedFit):
         pass
-    decision = classify(cubic, linear, thresholds, sample_spread=spread)
-    if roundtrip and decision.family not in ("not_a_solution", "constant"):
+    decision = classify(cubic, linear, thresholds)
+    if roundtrip and decision.family != "not_a_solution":
         rt = roundtrip_residual(decision, seed=seed)
         return Classification(decision.family, decision.params, decision.evidence, rt)
     return decision

@@ -1,10 +1,11 @@
 """Numerical evaluation of the Weierstrass functions from periods or invariants.
 
 Generators are Gauss-reduced to (b1, b2) with tau = b2/b1 in the fundamental
-domain; g2, g3 and the discriminant come from the q-series in
-r = exp(2 pi i tau) (DLMF 23.8). pe, pe', zeta and sigma all come from one
-series of Jacobi's theta1 in the nome q = exp(i pi tau) (DLMF 20.5, 23.6).
-With k = pi/b1, v = k z and a_n = q^(2n)/(1 - q^(2n)),
+domain. pe, pe', zeta and sigma all come from one series of Jacobi's theta1
+in the nome q = exp(i pi tau) (DLMF 20.5, 23.6), and g2, g3 and the
+discriminant from Lambert series in its coefficients (DLMF 23.8; see
+`_context`), all in one loop. With k = pi/b1, v = k z and
+a_n = q^(2n)/(1 - q^(2n)),
 
     L(v) = theta1'(v)/theta1(v) = cot v + 4 sum_n a_n sin 2nv,
     pe = -2 eta1/b1 - k^2 L'(v),   pe' = -k^3 L''(v),
@@ -33,7 +34,7 @@ one. The reference for both is a theta oracle at 30 digits (the tests'
 
 A context built from invariants alone takes its generators from the complex
 AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
-Theory 133, 2013), kept as its periods when their q-series invariants give
+Theory 133, 2013), kept as its periods when their series invariants give
 (g2, g3) back. With zero discriminant the series runs at q = 0, where
 pe = k^2/sin^2(kz) - k^2/3 with k^2 = 9 g3/(2 g2), on the lattice (pi/k)Z
 of rank one, or pe = 1/z^2 on the lattice {0} when g2 = g3 = 0.
@@ -65,6 +66,7 @@ from .errors import (
 # of the pe' sum is at most 8 n^2 |q|^n k^3: below 2e-17 k^3 from n = 17 on
 _THETA_TERMS = 16
 _INVARIANT_TOL = 1e-12  # round trip of the AGM generators, relative to the scale
+_LATTICE_TOL = 1e-9  # lattice membership, and how near to real a period ratio may come
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ class ToleranceSet:
     """Evaluation tolerances: pole exclusion, lattice test."""
 
     pole: float = 1e-6
-    lattice: float = 1e-9
+    lattice: float = _LATTICE_TOL
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class EllipticContext:
 
 
 def _gauss_reduce(b1: complex, b2: complex) -> tuple[complex, complex]:
-    """Lagrange-Gauss reduction: shortest generator pair of the same lattice."""
+    """Lagrange-Gauss reduction: shortest generator pair of the same lattice, with Im(b2/b1) > 0."""
     if abs(b1) > abs(b2):
         b1, b2 = b2, b1
     while True:
@@ -138,7 +140,7 @@ def _gauss_reduce(b1: complex, b2: complex) -> tuple[complex, complex]:
         if abs(b2) < abs(b1):
             b1, b2 = b2, b1
         else:
-            return b1, b2
+            return (b1, b2) if (b2 / b1).imag > 0 else (b1, -b2)
 
 
 def _lattice_coords(z: complex, w1: complex, w2: complex) -> tuple[float, float]:
@@ -231,82 +233,59 @@ def lattice_sum_reference(
 # -- construction ----------------------------------------------------------------
 
 
-# sigma_3(n) and sigma_5(n), the divisor sums of the q-series, for n = 1..11
-_SIGMA3, _SIGMA5 = (tuple(sum(d**k for d in range(1, n + 1) if n % d == 0) for n in range(1, 12)) for k in (3, 5))
-
-
-def _q_series_invariants(b1: complex, tau: complex) -> tuple[complex, complex, complex]:
-    """(g2, g3, discriminant) of the lattice spanned by b1 and b1*tau (DLMF 23.8).
-
-    With r = exp(2 pi i tau) and sigma_k(n) = sum of d^k over the divisors
-    of n: E4 = 1 + 240 sum sigma_3(n) r^n, E6 = 1 - 504 sum sigma_5(n) r^n,
-    g2 = 60 (pi^4/45) E4/b1^4, g3 = 140 (2 pi^6/945) E6/b1^6, and the
-    discriminant (2 pi/b1)^12 r prod (1 - r^n)^24, which does not cancel the
-    way g2^3 - 27 g3^2 does on tall lattices. For a Gauss-reduced tau,
-    |r| <= exp(-pi sqrt(3)) < 0.0044, so the 11th E6 term is below 1e-18:
-    under the round-off of the O(1) sums.
-    """
-    r = cmath.exp(2j * math.pi * tau)
-    e4 = e6 = prod = rn = 1.0 + 0j
-    for s3, s5 in zip(_SIGMA3, _SIGMA5):
-        rn *= r
-        e4 += 240 * s3 * rn
-        e6 -= 504 * s5 * rn
-        prod *= 1.0 - rn
-    g2 = 60.0 * (math.pi**4 / 45.0) * e4 / b1**4
-    g3 = 140.0 * (2.0 * math.pi**6 / 945.0) * e6 / b1**6
-    return g2, g3, (2.0 * math.pi / b1) ** 12 * r * prod**24
-
-
-def _oriented_basis(w1: complex, w2: complex) -> tuple[complex, complex]:
-    """Gauss-reduced pair of the lattice, b2 negated if need be so that Im(b2/b1) > 0."""
-    b1, b2 = _gauss_reduce(w1, w2)
-    return (b1, b2) if (b2 / b1).imag > 0 else (b1, -b2)
-
-
-def _lattice_context(invariants: Invariants, periods: Periods, b1: complex, b2: complex) -> EllipticContext:
-    """Context on the oriented reduced basis: theta coefficients and eta constants."""
-    r = cmath.exp(2j * math.pi * b2 / b1)
-    coeffs, rn = [], 1.0 + 0j
-    for _ in range(_THETA_TERMS):
-        rn *= r
-        if rn == 0:
-            break
-        coeffs.append(rn / (1.0 - rn))
-    k = math.pi / b1
-    # the E2 series gives zeta(b1/2); Legendre's relation (DLMF 23.2.14) zeta(b2/2)
-    eta1 = math.pi * k / 6.0 * (1.0 - 24.0 * sum(n * a for n, a in enumerate(coeffs, 1)))
-    eta = (eta1, (eta1 * b2 - math.pi * 1j) / b1)
-    return EllipticContext(invariants, periods, ToleranceSet(), (b1, b2), abs(b1), k, tuple(coeffs), eta)
-
-
-def _with_tolerances(ctx: EllipticContext, lattice_tol: float, pole_tol: float | None) -> EllipticContext:
-    """ctx with its tolerances; the default pole tolerance is 1e-3 lambda_min, 0 when g2 = g3 = 0."""
-    if pole_tol is None:
-        pole_tol = 1e-3 * ctx.lambda_min if math.isfinite(ctx.lambda_min) else 0.0
-    return replace(ctx, tol=ToleranceSet(pole=pole_tol, lattice=lattice_tol))
-
-
-def from_periods(
-    omega1: complex,
-    omega2: complex,
-    *,
-    lattice_tol: float = 1e-9,
-    pole_tol: float | None = None,
+def _context(
+    invariants: Invariants | None, periods: Periods | None, reduced: tuple, k: complex, pole_tol: float | None
 ) -> EllipticContext:
+    """The context on a reduced basis (`_gauss_reduce`) with k = pi/b1 (0 at rank zero); None: series invariants.
+
+    At rank two one loop over r^n, r = exp(2 pi i tau), gives the theta
+    coefficients a_n = r^n/(1 - r^n) and the Lambert sums S_p = sum n^p a_n
+    (DLMF 23.8): eta1 = (pi k/6)(1 - 24 S_1), g2 = (4/3) k^4 (1 + 240 S_3),
+    g3 = (8/27) k^6 (1 - 504 S_5), and the discriminant (2k)^12 r
+    prod (1 - r^n)^24, which does not cancel the way g2^3 - 27 g3^2 does on
+    tall lattices; eta2 = zeta(b2/2) is Legendre's relation (DLMF 23.2.14).
+    Below rank two the series runs at q = 0: no coefficients, eta =
+    (pi k/6, 0), lambda_min = pi/|k| or inf, and the invariants must be
+    given. The default pole tolerance is 1e-3 lambda_min, 0 when g2 = g3 = 0.
+    """
+    coeffs, s1, s3, s5, prod = [], 0, 0, 0, 1.0
+    eta = (math.pi * k / 6.0, 0j)
+    lam = math.pi / abs(k) if k else math.inf
+    if len(reduced) == 2:
+        b1, b2 = reduced
+        r, rn = cmath.exp(2j * math.pi * b2 / b1), 1.0 + 0j
+        for n in range(1, _THETA_TERMS + 1):
+            rn *= r
+            if rn == 0:
+                break
+            a = rn / (1.0 - rn)
+            coeffs.append(a)
+            s1 += n * a
+            s3 += n**3 * a
+            s5 += n**5 * a
+            prod *= 1.0 - rn
+        eta1 = math.pi * k / 6.0 * (1.0 - 24.0 * s1)
+        eta, lam = (eta1, (eta1 * b2 - math.pi * 1j) / b1), abs(b1)
+        if invariants is None:
+            g2, g3 = 4.0 / 3.0 * k**4 * (1.0 + 240.0 * s3), 8.0 / 27.0 * k**6 * (1.0 - 504.0 * s5)
+            invariants = Invariants(g2, g3, (2.0 * k) ** 12 * r * prod**24)
+    if pole_tol is None:
+        pole_tol = 1e-3 * lam if math.isfinite(lam) else 0.0
+    return EllipticContext(invariants, periods, ToleranceSet(pole=pole_tol), reduced, lam, k, tuple(coeffs), eta)
+
+
+def from_periods(omega1: complex, omega2: complex, *, pole_tol: float | None = None) -> EllipticContext:
     """Context from lattice generators; invariants from the q-series of the reduced tau."""
     w1, w2 = complex(omega1), complex(omega2)
     if w1 == 0 or w2 == 0:
         raise DegenerateLattice("zero period generator")
     ratio = w2 / w1
-    if abs(ratio.imag) <= lattice_tol:
+    if abs(ratio.imag) <= _LATTICE_TOL:
         raise DegenerateLattice("period ratio is real within tolerance")
     if ratio.imag < 0:
         w1, w2 = w2, w1
-    b1, b2 = _oriented_basis(w1, w2)
-    g2, g3, disc = _q_series_invariants(b1, b2 / b1)
-    ctx = _lattice_context(Invariants(g2, g3, disc), Periods(w1, w2), b1, b2)
-    return _with_tolerances(ctx, lattice_tol, pole_tol)
+    b1, b2 = _gauss_reduce(w1, w2)
+    return _context(None, Periods(w1, w2), (b1, b2), math.pi / b1, pole_tol)
 
 
 def _agm(a: complex, b: complex) -> complex:
@@ -323,13 +302,13 @@ def _agm(a: complex, b: complex) -> complex:
     return a
 
 
-def _agm_basis(g2: complex, g3: complex, scale: float) -> tuple[complex, complex]:
-    """Oriented reduced generators of the lattice with invariants (g2, g3).
+def _agm_context(g2: complex, g3: complex, scale: float, pole_tol: float | None) -> EllipticContext:
+    """Context on the oriented reduced generators of the lattice with invariants (g2, g3).
 
     With e1, e2, e3 the roots of 4t^3 - g2 t - g3, pi/M(sqrt(e1 - e3),
     sqrt(e1 - e2)) and pi i/M(sqrt(e1 - e3), sqrt(e2 - e3)) span the lattice,
-    M the optimal AGM (Cremona and Thongjunthug). The basis must give
-    (g2, g3) back through the q-series to 1e-12 of the scale
+    M the optimal AGM (Cremona and Thongjunthug). The context's series
+    invariants must give (g2, g3) back to 1e-12 of the scale
     max(|g2|^(1/4), |g3|^(1/6)), or this raises:
     on tall lattices the float invariants no longer fix tau, so that round
     trip, not the basis, is what is guaranteed.
@@ -338,29 +317,24 @@ def _agm_basis(g2: complex, g3: complex, scale: float) -> tuple[complex, complex
     m1 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
     m2 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
     # the generators' ratio i m1/m2 must not be real
-    if not (m2 and abs((m1 / m2).real) > 1e-9 * abs(m1 / m2)):
+    if not (m2 and abs((m1 / m2).real) > _LATTICE_TOL * abs(m1 / m2)):
         raise SeriesNoConverge("the AGM periods of the invariants span no lattice")
-    b1, b2 = _oriented_basis(math.pi / m1, math.pi * 1j / m2)
-    h2, h3, _ = _q_series_invariants(b1, b2 / b1)
-    err = max(abs(h2 - g2) / scale**4, abs(h3 - g3) / scale**6)
+    b1, b2 = _gauss_reduce(math.pi / m1, math.pi * 1j / m2)
+    ctx = _context(None, Periods(b1, b2), (b1, b2), math.pi / b1, pole_tol)
+    err = max(abs(ctx.invariants.g2 - g2) / scale**4, abs(ctx.invariants.g3 - g3) / scale**6)
     if not err <= _INVARIANT_TOL:
         raise SeriesNoConverge(f"the AGM lattice misses the invariants by {err:.3g} of the scale")
-    return b1, b2
+    return ctx
 
 
-def from_invariants(
-    g2: complex,
-    g3: complex,
-    *,
-    lattice_tol: float = 1e-9,
-    pole_tol: float | None = None,
-) -> EllipticContext:
+def from_invariants(g2: complex, g3: complex, *, pole_tol: float | None = None) -> EllipticContext:
     """Context from invariants; a lattice of rank two unless the discriminant vanishes.
 
-    A nonzero discriminant takes its periods from the AGM (`_agm_basis`),
+    A nonzero discriminant takes its periods from the AGM (`_agm_context`),
     which raises SeriesNoConverge rather than return a lattice with other
     invariants. Otherwise periods is None, and the theta series runs at
     q = 0 with k^2 = 9 g3/(2 g2), on (pi/k)Z, or k = 0 when g2 = g3 = 0.
+    The context carries the invariants given.
     """
     g2, g3 = complex(g2), complex(g3)
     invariants = Invariants(g2, g3, g2**3 - 27.0 * g3**2)
@@ -370,14 +344,9 @@ def from_invariants(
     scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
     t = 2.0 ** -math.frexp(scale)[1]
     if (g2 * t**4) ** 3 != 27.0 * (g3 * t**6) ** 2:
-        b1, b2 = _agm_basis(g2, g3, scale)
-        ctx = _lattice_context(invariants, Periods(b1, b2), b1, b2)
-    else:
-        k = cmath.sqrt(4.5 * g3 / g2) if g2 else 0j
-        lam = math.pi / abs(k) if k else math.inf
-        reduced = (math.pi / k,) if k else ()
-        ctx = EllipticContext(invariants, None, ToleranceSet(), reduced, lam, k, (), (math.pi * k / 6.0, 0j))
-    return _with_tolerances(ctx, lattice_tol, pole_tol)
+        return replace(_agm_context(g2, g3, scale, pole_tol), invariants=invariants)
+    k = cmath.sqrt(4.5 * g3 / g2) if g2 else 0j
+    return _context(invariants, None, (math.pi / k,) if k else (), k, pole_tol)
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -233,14 +233,20 @@ class DiffPolynomial:
         return f"DiffPolynomial({self})"
 
 
+def _jet(block: str, i: int) -> DiffPolynomial:
+    if i > MAX_JET_ORDER:
+        raise JetOrderOverflow(f"{block}{i} exceeds jet order {MAX_JET_ORDER}")
+    return DiffPolynomial.variable(f"{block}{i}")
+
+
 def f(i: int) -> DiffPolynomial:
-    """Jet variable f_i (i-th derivative of the x-function)."""
-    return DiffPolynomial.variable(f"f{i}")
+    """Jet variable f_i (i-th derivative of the x-function); JetOrderOverflow past MAX_JET_ORDER."""
+    return _jet("f", i)
 
 
 def g(i: int) -> DiffPolynomial:
-    """Jet variable g_i (i-th derivative of the y-function)."""
-    return DiffPolynomial.variable(f"g{i}")
+    """Jet variable g_i (i-th derivative of the y-function); JetOrderOverflow past MAX_JET_ORDER."""
+    return _jet("g", i)
 
 
 def param(name: str) -> DiffPolynomial:

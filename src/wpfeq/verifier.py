@@ -522,26 +522,23 @@ def _det_vs_sigma(ctx: EllipticContext, a: np.ndarray, b: np.ndarray, c: np.ndar
     return gap, _pole_faults(*(j.values[0] for j in jets), quotient)
 
 
-def sigma_identity_scan(
-    ctx: EllipticContext,
-    count: int = 500,
-    seed: int = 0,
-    tol: float = 1e-8,
-    spread: float = 0.35,
-) -> ResidualReport:
+_SIGMA_SPREAD = 0.35
+
+
+def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, tol: float = 1e-8) -> ResidualReport:
     """Agreement of det3 on pe jets with the sigma quotient (see `_det_vs_sigma`).
 
     Points a, b, c are drawn in lattice coordinates uniform on
-    [-spread, spread]^2 about the origin. Draws are rejected and redrawn
-    when any point, any pairwise difference, or the sum lies near the
-    lattice (where the quotient divides by a vanishing sigma or both sides
-    vanish), or when the admitted triple's gap cannot be evaluated, so none
-    is skipped.
+    [-0.35, 0.35]^2 (`_SIGMA_SPREAD`) about the origin. Draws are rejected
+    and redrawn when any point, any pairwise difference, or the sum lies
+    near the lattice (where the quotient divides by a vanishing sigma or
+    both sides vanish), or when the admitted triple's gap cannot be
+    evaluated, so none is skipped.
     """
     pole = max(ctx.tol.pole, 0.04 * ctx.lambda_min)
 
     def draw(rng, n):
-        st = rng.uniform(-spread, spread, (n, 3, 2))
+        st = rng.uniform(-_SIGMA_SPREAD, _SIGMA_SPREAD, (n, 3, 2))
         return elliptic.lattice_point(ctx, st[..., 0], st[..., 1])
 
     def admit(_, abc):

@@ -165,6 +165,29 @@ class TestConstruction:
         assert ctx.invariants.discriminant == pytest.approx(64.0)
         assert len(el.from_invariants(3, 1).reduced) == 1
 
+    def test_rank_one_and_zero_contexts(self):
+        # the theta series at q = 0: no coefficients, eta = (pi k/6, 0)
+        ctx = el.from_invariants(12, 8)
+        k = cmath.sqrt(4.5 * (8 + 0j) / (12 + 0j))
+        assert ctx.k == k and ctx.reduced == (math.pi / k,) and ctx.periods is None
+        assert ctx.lambda_min == math.pi / abs(k)
+        assert ctx.eta == (math.pi * k / 6.0, 0j) and ctx.theta_coeffs == ()
+        assert ctx.tol == el.ToleranceSet(pole=1e-3 * math.pi / abs(k), lattice=1e-9)
+        assert ctx.invariants == el.Invariants(12, 8, 0)
+        ctx = el.from_invariants(0, 0)
+        assert ctx.k == 0 and ctx.reduced == () and ctx.periods is None
+        assert ctx.lambda_min == math.inf
+        assert ctx.eta == (0j, 0j) and ctx.theta_coeffs == ()
+        assert ctx.tol == el.ToleranceSet(pole=0.0, lattice=1e-9)
+
+    @pytest.mark.parametrize("g2, g3", [(4, 1), (4, 0), (1 + 2j, 0.3 - 1j), (7e5, 2e8)])
+    def test_invariants_and_periods_build_one_series(self, g2, g3):
+        # the AGM basis, given as periods, gives the same theta series bit for bit
+        ctx = el.from_invariants(g2, g3)
+        same = el.from_periods(*ctx.reduced)
+        assert same.reduced == ctx.reduced
+        assert same.theta_coeffs == ctx.theta_coeffs and same.eta == ctx.eta
+
     @pytest.mark.parametrize("tau", [5j, 6j])
     def test_tall_lattice_invariants_have_rank_two(self, tau):
         # the discriminant is below 1e-9 of scale^12 here, yet nonzero: one rank decision, two generators
@@ -242,7 +265,8 @@ class TestThetaSeries:
         ctx = el.from_invariants(g2, g3)
         b1, b2 = ctx.reduced
         assert ctx.periods == el.Periods(b1, b2)
-        h2, h3, _ = el._q_series_invariants(b1, b2 / b1)
+        series = el.from_periods(b1, b2).invariants
+        h2, h3 = series.g2, series.g3
         s = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
         assert abs(h2 - g2) <= 1e-12 * s**4 and abs(h3 - g3) <= 1e-12 * s**6
         if tau.imag < 5:

@@ -78,6 +78,13 @@ class TestDerive:
         with pytest.raises(JetOrderOverflow):
             jp.derive(jp.f(jp.MAX_JET_ORDER), "x")
 
+    def test_variable_past_the_jet_order(self):
+        # the same overflow as deriving f_MAX, not a bare KeyError from the variable table
+        for var in (jp.f, jp.g):
+            assert var(jp.MAX_JET_ORDER).total_degree() == 1
+            with pytest.raises(JetOrderOverflow):
+                var(jp.MAX_JET_ORDER + 1)
+
 
 class TestBuilders:
     def test_abc_k1(self):
