@@ -261,7 +261,6 @@ def classify_samples(
     samples: SampleSet,
     thresholds: Thresholds = Thresholds(),
     stencil_order: int = 4,
-    roundtrip: bool = True,
     seed: int = 0,
 ) -> Classification:
     """Full pipeline: jets, both fits, decision, and the round-trip residual.
@@ -287,7 +286,7 @@ def classify_samples(
     except (DegenerateInput, IllConditionedFit):
         pass
     decision = classify(cubic, linear, thresholds)
-    if roundtrip and decision.family != "not_a_solution":
+    if decision.family != "not_a_solution":
         rt = roundtrip_residual(decision, seed=seed)
         return Classification(decision.family, decision.params, decision.evidence, rt)
     return decision

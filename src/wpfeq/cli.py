@@ -450,7 +450,7 @@ def _cmd_scan(args, parser) -> int:
     fam = _family(args, args.family)
     sampler = verifier.TripleSampler(seed=seed, count=grid * grid, margin=margin)
     rows = verifier.grid_scan(fam, sampler, grid)
-    residuals = [r for _, _, r in rows]
+    rep = verifier._aggregate([r for _, _, r in rows], [(x, y, -(x + y)) for x, y, _ in rows], tol)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -465,12 +465,11 @@ def _cmd_scan(args, parser) -> int:
                     format(r, ".17g"),
                 ]
             )
-    mx = max(residuals)
     check = {
         "name": "scan",
-        "pass": mx <= tol,
-        "max_residual": mx,
-        "mean_residual": sum(residuals) / len(residuals),
+        "pass": rep.passed,
+        "max_residual": rep.max_residual,
+        "mean_residual": rep.mean_residual,
         "rows": len(rows),
         "tol": tol,
     }
@@ -486,7 +485,7 @@ def _cmd_scan(args, parser) -> int:
     report = _report("scan", params, [check], None)
     if args.summary:
         _write_report(args.summary, report)
-    print(f"scan: {len(rows)} rows, max residual {mx:.3e}")
+    print(f"scan: {len(rows)} rows, max residual {rep.max_residual:.3e}")
     return EXIT_OK if check["pass"] else EXIT_VERIFY_FAIL
 
 

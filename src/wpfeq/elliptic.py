@@ -244,9 +244,11 @@ def _context(
     g3 = (8/27) k^6 (1 - 504 S_5), and the discriminant (2k)^12 r
     prod (1 - r^n)^24, which does not cancel the way g2^3 - 27 g3^2 does on
     tall lattices; eta2 = zeta(b2/2) is Legendre's relation (DLMF 23.2.14).
-    Below rank two the series runs at q = 0: no coefficients, eta =
-    (pi k/6, 0), lambda_min = pi/|k| or inf, and the invariants must be
-    given. The default pole tolerance is 1e-3 lambda_min, 0 when g2 = g3 = 0.
+    Invariants beyond the float range (|b1| below about 1e-26) raise
+    FloatOverflow. Below rank two the series runs at q = 0: no coefficients,
+    eta = (pi k/6, 0), lambda_min = pi/|k| or inf, and the invariants must
+    be given. The default pole tolerance is 1e-3 lambda_min, 0 when
+    g2 = g3 = 0.
     """
     coeffs, s1, s3, s5, prod = [], 0, 0, 0, 1.0
     eta = (math.pi * k / 6.0, 0j)
@@ -267,8 +269,11 @@ def _context(
         eta1 = math.pi * k / 6.0 * (1.0 - 24.0 * s1)
         eta, lam = (eta1, (eta1 * b2 - math.pi * 1j) / b1), abs(b1)
         if invariants is None:
-            g2, g3 = 4.0 / 3.0 * k**4 * (1.0 + 240.0 * s3), 8.0 / 27.0 * k**6 * (1.0 - 504.0 * s5)
-            invariants = Invariants(g2, g3, (2.0 * k) ** 12 * r * prod**24)
+            try:
+                g2, g3 = 4.0 / 3.0 * k**4 * (1.0 + 240.0 * s3), 8.0 / 27.0 * k**6 * (1.0 - 504.0 * s5)
+                invariants = Invariants(g2, g3, (2.0 * k) ** 12 * r * prod**24)
+            except OverflowError as exc:
+                raise FloatOverflow(f"the invariants of the lattice on {b1} exceed the float range") from exc
     if pole_tol is None:
         pole_tol = 1e-3 * lam if math.isfinite(lam) else 0.0
     return EllipticContext(invariants, periods, ToleranceSet(pole=pole_tol), reduced, lam, k, tuple(coeffs), eta)
@@ -334,10 +339,14 @@ def from_invariants(g2: complex, g3: complex, *, pole_tol: float | None = None) 
     which raises SeriesNoConverge rather than return a lattice with other
     invariants. Otherwise periods is None, and the theta series runs at
     q = 0 with k^2 = 9 g3/(2 g2), on (pi/k)Z, or k = 0 when g2 = g3 = 0.
-    The context carries the invariants given.
+    The context carries the invariants given; a discriminant beyond the
+    float range raises FloatOverflow.
     """
     g2, g3 = complex(g2), complex(g3)
-    invariants = Invariants(g2, g3, g2**3 - 27.0 * g3**2)
+    try:
+        invariants = Invariants(g2, g3, g2**3 - 27.0 * g3**2)
+    except OverflowError as exc:
+        raise FloatOverflow("the discriminant g2^3 - 27 g3^2 exceeds the float range") from exc
     # g2^3 = 27 g3^2 tested on invariants rescaled by a power of two: the
     # same roundings as the discriminant, without its underflow; this alone
     # decides the rank

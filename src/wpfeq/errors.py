@@ -45,10 +45,6 @@ class SamplerExhausted(WpfeqError):
     """Rejection sampling ran out of retry budget."""
 
 
-class DegenerateProbe(WpfeqError):
-    """Probe point makes the two function values coincide."""
-
-
 class GridNotUniform(WpfeqError):
     """Finite differences need a uniform sample grid."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .jetpoly import (
     DiffPolynomial,
@@ -180,6 +181,22 @@ def diagonal_product_check() -> CofactorReport:
 # -- ODE coefficient block -----------------------------------------------------
 
 
+@cache
+def _cubic_rules() -> tuple[tuple[dict, ...], dict[str, DiffPolynomial]]:
+    """The cubic ODE's substitutions, highest order first, and the cubic in f0 and in g0; built once."""
+    p0, p1, p2, p3 = (param(n) for n in ("p0", "p1", "p2", "p3"))
+    substitutions = (
+        {"f4": (3 * p3 * f(0) + p2) * f(2) + 3 * p3 * f(1) ** 2},
+        {"f3": (3 * p3 * f(0) + p2) * f(1)},
+        {"f2": Fraction(1, 2) * (3 * p3 * f(0) ** 2 + 2 * p2 * f(0) + p1)},
+    )
+    squares = {
+        "f1": p3 * f(0) ** 3 + p2 * f(0) ** 2 + p1 * f(0) + p0,
+        "g1": p3 * g(0) ** 3 + p2 * g(0) ** 2 + p1 * g(0) + p0,
+    }
+    return substitutions, squares
+
+
 def cubic_branch_reduce(p: DiffPolynomial) -> DiffPolynomial:
     """Reduce a polynomial modulo the cubic first-order ODE.
 
@@ -190,22 +207,22 @@ def cubic_branch_reduce(p: DiffPolynomial) -> DiffPolynomial:
         f4 -> (3 p3 f0 + p2) f2 + 3 p3 f1^2
 
     (highest order first, so each replacement is itself reduced), then
-    rewrites every f1^2 as the cubic itself.
+    rewrites every f1^2 as the cubic itself, and every g1^2 as the cubic in
+    g0: the second function follows the same ODE.
     """
-    p0, p1, p2, p3 = (param(n) for n in ("p0", "p1", "p2", "p3"))
-    half = Fraction(1, 2)
-    p = substitute(p, {"f4": (3 * p3 * f(0) + p2) * f(2) + 3 * p3 * f(1) ** 2})
-    p = substitute(p, {"f3": (3 * p3 * f(0) + p2) * f(1)})
-    p = substitute(p, {"f2": half * (3 * p3 * f(0) ** 2 + 2 * p2 * f(0) + p1)})
-    cubic = p3 * f(0) ** 3 + p2 * f(0) ** 2 + p1 * f(0) + p0
-    return reduce_power(p, "f1", cubic)
+    substitutions, squares = _cubic_rules()
+    for mapping in substitutions:
+        p = substitute(p, mapping)
+    for name, square in squares.items():
+        p = reduce_power(p, name, square)
+    return p
 
 
 def linear_branch_reduce(p: DiffPolynomial) -> DiffPolynomial:
-    """Reduce modulo the linear first-order ODE w' = l1 w + l0."""
+    """Reduce modulo the linear first-order ODE w' = l1 w + l0, followed by both functions."""
     l0, l1 = param("l0"), param("l1")
     p = substitute(p, {"f2": l1 * f(1)})
-    return substitute(p, {"f1": l1 * f(0) + l0})
+    return substitute(p, {"f1": l1 * f(0) + l0, "g1": l1 * g(0) + l0})
 
 
 def cubic_block_formulas() -> dict[str, DiffPolynomial]:
@@ -213,10 +230,17 @@ def cubic_block_formulas() -> dict[str, DiffPolynomial]:
 
     Each entry is (formula minus its coefficient symbol) multiplied through
     by the power of f1 that clears it, so that reduction modulo the ODE must
-    yield the zero polynomial.
+    yield the zero polynomial. The entry "B" is the integration function of
+    the second factor rewrite (`factor_rewrite_check`),
+
+        B = f1(f1^2 - g1^2)/(f0-g0)^3 - 2 f1 f2/(f0-g0)^2 + f3/(f0-g0),
+
+    cleared by (f0-g0)^3: B = p3 f1 for every g on the same cubic, which
+    the "p3" entry turns into the closed form (f1 f4 - f2 f3)/(3 f1^2).
     """
     p0, p1, p2, p3 = (param(n) for n in ("p0", "p1", "p2", "p3"))
     bracket = f(1) * f(4) - f(2) * f(3)
+    den = f(0) - g(0)
     return {
         "p3": bracket - 3 * p3 * f(1) ** 3,
         "p2": p2 * f(1) ** 3 - (f(3) * f(1) ** 2 - f(0) * bracket),
@@ -229,24 +253,32 @@ def cubic_block_formulas() -> dict[str, DiffPolynomial]:
             + 3 * f(0) ** 2 * f(3) * f(1) ** 2
             - f(0) ** 3 * bracket
         ),
+        "B": f(1) * (f(1) ** 2 - g(1) ** 2) - 2 * f(1) * f(2) * den + f(3) * den**2 - p3 * f(1) * den**3,
     }
 
 
 def linear_block_formulas() -> dict[str, DiffPolynomial]:
-    """Cleared coefficient formulas of the linear branch."""
+    """Cleared coefficient formulas of the linear branch.
+
+    The entry "ratio" is the integration function of the first factor
+    rewrite, (f1 - g1)/(f0 - g0) = l1, cleared by f0 - g0.
+    """
     l0, l1 = param("l0"), param("l1")
     return {
         "l1": l1 * f(1) - f(2),
         "l0": l0 * f(1) - (f(1) ** 2 - f(0) * f(2)),
+        "ratio": (f(1) - g(1)) - l1 * (f(0) - g(0)),
     }
 
 
 def ode_coefficient_check() -> CofactorReport:
-    """Certify that all six coefficient formulas reduce to their symbols.
+    """Certify the six coefficient formulas and the two integration functions.
 
     Cubic branch: each cleared formula for p0..p3 reduces to zero under the
     ODE substitutions, so the quotient formula equals the constant symbol
-    exactly. Linear branch: same for l0 and l1 under w' = l1 w + l0. The
+    exactly, and so does the bracket B of the second factor rewrite, which
+    equals p3 f1. Linear branch: same for l0 and l1 under w' = l1 w + l0,
+    and for the ratio (f1 - g1)/(f0 - g0) = l1 of the first rewrite. The
     coefficient symbols are carried as extra polynomial variables.
     """
     branches = (
@@ -257,7 +289,7 @@ def ode_coefficient_check() -> CofactorReport:
                 if not reduce(cleared).is_zero()]
     if failures:
         return CofactorReport(False, None, "formulas failed: " + ", ".join(failures))
-    note = "all six coefficient formulas reduce exactly to their symbols"
+    note = "all six coefficient formulas reduce exactly to their symbols, B to p3 f1 and the ratio to l1"
     return CofactorReport(True, DiffPolynomial.constant(1), note)
 
 

@@ -34,12 +34,7 @@ import numpy as np
 
 from . import elliptic, jetpoly
 from .elliptic import EllipticContext, JetValues
-from .errors import (
-    DegenerateProbe,
-    FloatOverflow,
-    PoleProximity,
-    SamplerExhausted,
-)
+from .errors import FloatOverflow, PoleProximity, SamplerExhausted
 
 
 # -- function families ---------------------------------------------------------
@@ -356,7 +351,7 @@ class ResidualReport:
     samples: int
     max_residual: float
     mean_residual: float
-    worst_triple: tuple[complex, complex, complex] | None
+    worst_triple: tuple[complex, complex, complex]
     tol: float
     passed: bool
     note: str = ""
@@ -763,67 +758,3 @@ def constant_case_check(
             return relative(p - q, np.abs(p) + np.abs(q)), _pole_faults(fv, gv)
 
     return _collect(sampler.triples((ff, fg, Constant(0j))), evaluate, tol)
-
-
-def c_function_check(
-    ctx: EllipticContext,
-    x: complex,
-    probes: Sequence[complex],
-    exp_family: Exponential | None = None,
-    tol: float = 1e-6,
-) -> ResidualReport:
-    """Constancy checks for the two integration functions of the elimination.
-
-    Cubic branch, f = g = pe: for every probe y the bracket
-
-        B(x, y) = f'(f'^2 - g'^2)/(f-g)^3 - 2 f' f''/(f-g)^2 + f'''/(f-g)
-
-    must not depend on y, and must equal the closed form
-    (f' f'''' - f'' f''')/(3 f'^2) at x. Linear branch on an exponential
-    family: (f'(x) - g'(y))/(f(x) - g(y)) must equal delta for every probe.
-    """
-    if len(probes) == 0:
-        raise ValueError("probes must hold at least one point")
-    x = complex(x)
-    jf = elliptic.jets(ctx, x, 4)
-    f0, f1, f2, f3, f4 = jf.values
-    target = (f1 * f4 - f2 * f3) / (3.0 * f1 * f1)
-    values = []
-    for y in probes:
-        jg = elliptic.jets(ctx, complex(y), 1)
-        g0, g1 = jg.values
-        diff = f0 - g0
-        if abs(diff) <= 1e-9 * max(1.0, abs(f0)):
-            raise DegenerateProbe(f"pe({x}) and pe({y}) coincide")
-        values.append(
-            f1 * (f1 * f1 - g1 * g1) / diff**3 - 2.0 * f1 * f2 / diff**2 + f3 / diff
-        )
-    scale = max(1.0, abs(target))
-    spread = max(abs(v - w) for v in values for w in values) / scale
-    mismatch = max(abs(v - target) for v in values) / scale
-    exp_fam = exp_family if exp_family is not None else Exponential(delta=1.0)
-    exp_dev = 0.0
-    jx = exp_fam.jets(x, 1)
-    for y in probes:
-        je = exp_fam.jets(complex(y), 1)
-        diff = jx.values[0] - je.values[0]
-        if abs(diff) <= 1e-12 * max(1.0, abs(jx.values[0])):
-            raise DegenerateProbe("exponential probe coincides with the base point")
-        ratio = (jx.values[1] - je.values[1]) / diff
-        exp_dev = max(exp_dev, abs(ratio - exp_fam.delta) / max(1.0, abs(exp_fam.delta)))
-    worst = max(spread, mismatch, exp_dev)
-    return ResidualReport(
-        samples=len(values),
-        max_residual=worst,
-        mean_residual=worst,
-        worst_triple=None,
-        tol=tol,
-        passed=worst <= tol,
-        note="constancy of the integration functions",
-        details={
-            "bracket_spread": spread,
-            "bracket_vs_closed_form": mismatch,
-            "exponential_ratio_deviation": exp_dev,
-            "closed_form": target,
-        },
-    )

@@ -131,7 +131,7 @@ class TestFits:
         conditions = []
         for alpha in (1e-3, 1.0, 1e3):
             samples = cl.SampleSet(xs, tuple(alpha * el.wp(ctx, x) for x in xs))
-            dec = cl.classify_samples(samples, roundtrip=False)
+            dec = cl.classify_samples(samples)
             assert dec.family == "weierstrass"
             conditions.append({fit.model: fit.condition for fit in dec.evidence})
         for model in ("cubic", "linear"):

@@ -326,6 +326,11 @@ class TestEval:
     def test_needs_context(self):
         assert run(["eval", "--fn", "wp", "--z", "1,0"]) == 65
 
+    @pytest.mark.parametrize("lattice", [["--periods", "1e-27,0,0,1e-27"], ["--g2", "1e103,0", "--g3", "0,0"]])
+    def test_lattice_beyond_the_float_range_exit_65(self, lattice, capsys):
+        assert run(["eval", "--fn", "wp", *lattice, "--z", "1e-28,0"]) == 65
+        assert "internal error" not in capsys.readouterr().err
+
 
 class TestParser:
     # each verb's option strings: a shared flag group must add none to a verb

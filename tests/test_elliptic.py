@@ -158,6 +158,18 @@ class TestConstruction:
         with pytest.raises(DegenerateLattice):
             el.from_periods(1.0, 0.0)
 
+    @pytest.mark.parametrize("s", [1e-26, 1e-27, 1e-30])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j])
+    def test_invariants_beyond_the_float_range_are_typed(self, s, tau):
+        # (2k)^12 of the discriminant passes 1e308 for k = pi/|omega| above about 3e25
+        with pytest.raises(FloatOverflow):
+            el.from_periods(s, s * tau)
+
+    @pytest.mark.parametrize("g2, g3", [(1e103, 0), (12 * 2.0**340, 8 * 2.0**510), (0, 1e155)])
+    def test_discriminant_beyond_the_float_range_is_typed(self, g2, g3):
+        with pytest.raises(FloatOverflow):
+            el.from_invariants(g2, g3)
+
     def test_invariants_only_rank(self):
         assert len(el.from_invariants(0, 0).reduced) == 0
         ctx = el.from_invariants(4, 0)

@@ -85,6 +85,43 @@ class TestOdeCoefficients:
         bad = jp.substitute(idn.cubic_block_formulas()["p3"], {"f4": jp.f(4) + jp.f(1)})
         assert not idn.cubic_branch_reduce(bad).is_zero()
 
+    def test_integration_bracket_reduces_exactly(self):
+        # B (f0-g0)^3 - p3 f1 (f0-g0)^3 with f and g on one cubic
+        cleared = idn.cubic_block_formulas()["B"]
+        assert idn.cubic_branch_reduce(cleared).is_zero()
+
+    def test_bracket_over_the_square_fails(self):
+        # (f0-g0)^2 in place of (f0-g0)^3 under p3 f1
+        den, p3f1 = jp.f(0) - jp.g(0), jp.param("p3") * jp.f(1)
+        bad = idn.cubic_block_formulas()["B"] + p3f1 * den**3 - p3f1 * den**2
+        assert not idn.cubic_branch_reduce(bad).is_zero()
+
+    def test_bracket_is_the_closed_form_on_inverse_square_jets(self):
+        # pe = 1/x^2 solves w'^2 = 4 w^3: at x = 1 the bracket is p3 f1 = -8 = (f1 f4 - f2 f3)/(3 f1^2)
+        fj = [1.0, -2.0, 6.0, -24.0, 120.0]
+        assert (fj[1] * fj[4] - fj[2] * fj[3]) / (3 * fj[1] ** 2) == -8.0
+        ys = (0.7, 1.4 + 0.5j, 2.0 - 0.3j, 0.5 + 0.8j)
+        gj = [[y**-2 for y in ys], [-2 * y**-3 for y in ys]]
+        params = {"p0": 0.0, "p1": 0.0, "p2": 0.0, "p3": 4.0}
+        values = jp.evaluate(idn.cubic_block_formulas()["B"], fj, gj, params)
+        assert max(abs(values)) <= 1e-12
+
+    def test_integration_ratio_reduces_exactly(self):
+        cleared = idn.linear_block_formulas()["ratio"]
+        assert idn.linear_branch_reduce(cleared).is_zero()
+
+    def test_ratio_against_l0_fails(self):
+        bad = jp.substitute(idn.linear_block_formulas()["ratio"], {"l1": jp.param("l0")})
+        assert not idn.linear_branch_reduce(bad).is_zero()
+
+    @pytest.mark.parametrize("block, name", [("cubic_block_formulas", "B"), ("linear_block_formulas", "ratio")])
+    def test_corrupted_integration_function_fails_the_row(self, monkeypatch, block, name):
+        formulas = getattr(idn, block)()
+        formulas[name] = formulas[name] + jp.f(0) - jp.g(0)
+        monkeypatch.setattr(idn, block, lambda: formulas)
+        rep = idn.ode_coefficient_check()
+        assert (rep.holds, rep.cofactor, rep.note) == (False, None, f"formulas failed: {name}")
+
 
 class TestCentralDifference:
     def test_confirms_both_levels(self):
@@ -117,7 +154,10 @@ def test_run_checks_all_pass():
         ("rewrites/first", True, "1", "first factor rewrite"),
         ("rewrites/second", True, "1", "second factor rewrite"),
         ("eqf", True, "24", "diagonal determinant = (24) * product form"),
-        ("coefficients", True, "1", "all six coefficient formulas reduce exactly to their symbols"),
+        (
+            "coefficients", True, "1",
+            "all six coefficient formulas reduce exactly to their symbols, B to p3 f1 and the ratio to l1",
+        ),
         ("eta", True, "1", "coefficients confirmed; per-order normalisations order 1: 2; order 2: 1/3"),
     ]
 

@@ -166,7 +166,8 @@ class TestEvaluateMatrix:
 
 
 # sha256 of the rendered polynomials and of every run_checks() row's repr,
-# as the tuple-keyed Fraction implementation printed them
+# as the tuple-keyed Fraction implementation printed them; the coefficients
+# row's note has since come to name the two integration functions
 GOLDEN = {
     "elimination_polynomial": "09e47d751a492f97a6ebb5511c8986ea8943a9f60846a3390071db530fc7b30a",
     "build_addet(2, 4)": "725accee2d9e25173a51ff8b55823b4ed1c2936e787597f96c9976671986e36a",
@@ -175,7 +176,7 @@ GOLDEN = {
     "row rewrites/first": "f12a3543995572a8c837113cb4d43db617a73487ac7a35f7af132b782297e6b3",
     "row rewrites/second": "38e81997e5a6b8df38ea8b1e9a83f2f446d29b6675e07633df284dcf0e179cf0",
     "row eqf": "3b9c6bfed3a1c7cf663647ce3c7290320952edf51f4e3b9743ece6064f55916d",
-    "row coefficients": "710a83a58c16a05326f51af060b84483d7397c3dc80095ac92267d04a701d492",
+    "row coefficients": "1979bb0b768e518d9a7b4b0aca4cb6a15b353f5cb86cc364c2488efed48c082b",
     "row eta": "08e4203b4b16117f84775b2a6d3d3c8f2f5d793d01377fbc6dfaf0dc11c6ee34",
 }
 

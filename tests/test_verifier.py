@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from wpfeq import elliptic as el
 from wpfeq import jetpoly as jp
 from wpfeq import verifier as vr
-from wpfeq.errors import DegenerateProbe, FloatOverflow, PoleProximity, SamplerExhausted
+from wpfeq.errors import FloatOverflow, PoleProximity, SamplerExhausted
 
 
 class TestFamilies:
@@ -579,37 +579,6 @@ class TestConstantCase:
         )
         assert not rep.passed
         assert rep.max_residual > 1e-3
-
-
-class TestCFunctions:
-    PROBES = [0.9 + 0.2j, 0.3 + 1.1j, 1.3 + 0.8j, 0.7 + 1.5j, 1.1 + 1.2j, 0.5 + 0.9j, 1.5 + 0.4j, 0.8 + 0.6j]
-
-    def test_exponential_ratio_is_delta(self, square_ctx):
-        rep = vr.c_function_check(
-            square_ctx, 0.4 + 0.3j, self.PROBES, exp_family=vr.Exponential(delta=3.0)
-        )
-        assert rep.details["exponential_ratio_deviation"] <= 1e-12
-
-    def test_degenerate_context_closed_form(self, degenerate_ctx):
-        # pe = 1/x^2 at x=1: the closed form evaluates to -8
-        probes = [0.7, 1.4 + 0.5j, 2.0 - 0.3j, 0.5 + 0.8j]
-        rep = vr.c_function_check(degenerate_ctx, 1.0, probes)
-        assert rep.details["closed_form"] == pytest.approx(-8.0)
-        assert rep.details["bracket_vs_closed_form"] <= 1e-9
-
-    def test_generic_context_constancy(self, square_ctx):
-        rep = vr.c_function_check(square_ctx, 0.4 + 0.3j, self.PROBES)
-        assert rep.details["bracket_spread"] <= 1e-6
-        assert rep.passed
-
-    def test_degenerate_probe_rejected(self, square_ctx):
-        x = 0.4 + 0.3j
-        with pytest.raises(DegenerateProbe):
-            vr.c_function_check(square_ctx, x, [-x])
-
-    def test_empty_probes_rejected(self, square_ctx):
-        with pytest.raises(ValueError, match="probes"):
-            vr.c_function_check(square_ctx, 0.4 + 0.3j, [])
 
 
 class TestEmptyRequests:
