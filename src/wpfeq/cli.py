@@ -449,8 +449,7 @@ def _cmd_scan(args, parser) -> int:
     grid = int(_positive(args.grid, "grid"))
     fam = _family(args, args.family)
     sampler = verifier.TripleSampler(seed=seed, count=grid * grid, margin=margin)
-    rows = verifier.grid_scan(fam, sampler, grid)
-    rep = verifier._aggregate([r for _, _, r in rows], [(x, y, -(x + y)) for x, y, _ in rows], tol)
+    rows, rep = verifier.grid_scan(fam, sampler, grid, tol)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

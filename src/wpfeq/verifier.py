@@ -13,11 +13,11 @@ alpha f(delta x) + beta, so no verdict depends on the unit of f or x.
 Sampling is deterministic: round k of rejection draws one block from the
 generator seeded with (seed, k), and sample i takes row i of it, so a draw
 depends only on (seed, sample, attempt) and reports are reproducible.
-Rejection rounds test the geometry alone, the distance to the lattice; a
-check that evaluates while it samples scores the admitted block once, and
-redraws a row whose evaluation faults from its next attempt. Every sampled
-check scores a batch at a time, on numpy arrays of triples, in as few
-evaluator calls as the batch allows: pe families on one context share one
+Rejection rounds test the geometry alone, the distance to the lattice.
+Every sampled check then scores its admitted triples once, by one path: its
+evaluation gives (value, scale, faults), `_score` divides, and `_report`
+skips and counts a faulted triple, picks the worst and decides. A batch is
+scored in as few evaluator calls as it allows: pe families on one context share one
 `elliptic.jets` call on the stacked points, and the operator check
 evaluates the antiderivative once, on the 22 distinct points of its
 two-level finite-difference stencil.
@@ -179,30 +179,35 @@ def relative(value, scale):
     return np.abs(value) / np.maximum(scale, 1e-300)
 
 
-def residual_from_jets(jf: JetValues, jg: JetValues, jh: JetValues):
-    return relative(det3(jf, jg, jh), det3_terms(jf, jg, jh))
+def _score(evaluate, *args):
+    """(residuals, faults) of evaluate(*args), which gives (value, scale, faults): |value| / scale.
+
+    The one place a sampled check divides; evaluate runs under one errstate,
+    so an overflow or a nan it meets lands in the residual or the faults.
+    """
+    with np.errstate(all="ignore"):
+        value, scale, faults = evaluate(*args)
+        return relative(value, scale), faults
 
 
 def residual(
     ff: FunctionFamily,
     fg: FunctionFamily,
     fh: FunctionFamily,
-    x: complex | np.ndarray,
-    y: complex | np.ndarray,
-    z: complex | np.ndarray | None = None,
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray | None = None,
 ):
-    """Determinant residual at (x, y, z = -x-y), relative to its six terms.
+    """(residuals, faults) of det3 at the triples (x, y, z = -x-y) of complex arrays, relative to its six terms.
 
-    For complex arrays x, y (and z) it scores the whole batch and returns
-    (residuals, faults): faults[i] is nonzero where the number call would
-    raise a skip at triple i (see `_pole_faults`).
+    faults[i] is nonzero where a family's value at triple i is nan (see `_pole_faults`).
     """
-    if z is None:
-        z = -(_as_complex(x) + _as_complex(y))
-    jets = _family_jets((ff, fg, fh), (x, y, z), 1)
-    with np.errstate(all="ignore"):
-        r = residual_from_jets(*jets)
-    return (r, _pole_faults(*(j.values[0] for j in jets))) if isinstance(r, np.ndarray) else r
+
+    def evaluate(x, y, z):
+        jets = _family_jets((ff, fg, fh), (x, y, z), 1)
+        return det3(*jets), det3_terms(*jets), _pole_faults(*(j.values[0] for j in jets))
+
+    return _score(evaluate, x, y, -(x + y) if z is None else z)
 
 
 def _family_jets(families: Sequence[FunctionFamily], points: Sequence, order: int) -> list[JetValues]:
@@ -211,8 +216,8 @@ def _family_jets(families: Sequence[FunctionFamily], points: Sequence, order: in
     That call takes the stacked points plus shifts; it works elementwise, so
     the values are the per-family calls'.
     """
-    ctx, arrays = getattr(families[0], "ctx", None), all(isinstance(p, np.ndarray) and p.ndim for p in points)
-    if not arrays or not all(isinstance(fam, WeierstrassShifted) and fam.ctx is ctx for fam in families):
+    ctx = getattr(families[0], "ctx", None)
+    if not all(isinstance(fam, WeierstrassShifted) and fam.ctx is ctx for fam in families):
         return [fam.jets(p, order) for fam, p in zip(families, points)]
     values = elliptic.jets(ctx, np.stack(points) + np.array([[fam.shift] for fam in families]), order).values
     return [JetValues(at=p, values=tuple(v[j] for v in values)) for j, p in enumerate(points)]
@@ -231,45 +236,32 @@ def _pole_faults(*values: np.ndarray) -> np.ndarray:
     return np.where(np.logical_or.reduce([np.isnan(v) for v in values]), _POLE, 0)
 
 
-def _draws(seed: int, count: int, draw, admit, budget: int, rounds: int | None = None, evaluate=None):
-    """(draws, values) of the first draw of samples 0..count-1 that is admitted and evaluates.
+def _draws(seed: int, count: int, draw, admit, budget: int, rounds: int | None = None) -> np.ndarray:
+    """The first admitted draw of each of samples 0..count-1.
 
     Round k draws one block, draw(rng, n), from the generator seeded with
     (seed, k), and sample i takes row i of it: a draw depends only on (seed,
     sample, attempt). admit(samples, rows), a bool per row, is the geometric
-    test, and the samples it rejects are redrawn until every one holds an
-    admitted row; evaluate(samples, rows) then scores those rows once as
-    (values, faults), and a sample whose row faults is redrawn from its next
-    attempt (values is None without `evaluate`). Every draw spends one unit
-    of a pooled budget, so the budget runs out exactly when drawing sample
-    by sample would; with `rounds`, a sample also runs out after that many
-    attempts.
+    test, and the samples it rejects are redrawn in the next round until
+    every one holds an admitted row. Every draw spends one unit of a pooled
+    budget, so the budget runs out exactly when drawing sample by sample
+    would; with `rounds`, a sample also runs out after that many attempts.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    spent, attempt = 0, np.zeros(count, int)  # draws spent, and each sample's next attempt
-    waiting, unscored = np.ones(count, bool), np.arange(count)  # samples without an admitted draw, or a score
-    drawn, values = None, None if evaluate is None else np.empty(count)
-    while waiting.any():
-        pending = np.flatnonzero(waiting)
-        k = attempt[pending].min()
-        now = pending[attempt[pending] == k]
-        if spent + now.size > budget or k == rounds:
+    pending, drawn, spent, k = np.arange(count), None, 0, 0
+    while pending.size:
+        if spent + pending.size > budget or k == rounds:
             limit = rounds if k == rounds else budget
-            raise SamplerExhausted(f"no accepted draw for sample {now[0]} within {limit} draws")
-        spent += now.size
-        rows = draw(np.random.default_rng((seed, int(k))), now[-1] + 1)[now]
+            raise SamplerExhausted(f"no accepted draw for sample {pending[0]} within {limit} draws")
+        spent += pending.size
+        rows = draw(np.random.default_rng((seed, k)), pending[-1] + 1)[pending]
         if drawn is None:
             drawn = np.empty((count,) + rows.shape[1:], rows.dtype)
-        ok = admit(now, rows)
-        drawn[now[ok]] = rows[ok]
-        attempt[now] += 1
-        waiting[now[ok]] = False
-        if not waiting.any() and evaluate is not None:
-            values[unscored], fault = evaluate(unscored, drawn[unscored])
-            unscored = unscored[fault != 0]
-            waiting[unscored] = True
-    return drawn, values
+        ok = admit(pending, rows)
+        drawn[pending[ok]] = rows[ok]
+        pending, k = pending[~ok], k + 1
+    return drawn
 
 
 @dataclass(frozen=True)
@@ -330,9 +322,7 @@ class TripleSampler:
                 return points
             return np.column_stack((points, -(points[:, 0] + points[:, 1])))
 
-        drawn, _ = _draws(
-            self.seed, self.count, draw, lambda _, points: self.admissible(families, points), 100 * self.count
-        )
+        drawn = _draws(self.seed, self.count, draw, lambda _, points: self.admissible(families, points), 100 * self.count)
         yield from map(tuple, drawn.tolist())
 
 
@@ -358,32 +348,13 @@ class ResidualReport:
     details: dict = field(default_factory=dict)
 
 
-def _aggregate(residuals, triples, tol, note="", details=None) -> ResidualReport:
-    """Report of residuals at the rows of triples; the worst is the first non-finite, else the first largest."""
-    r = np.asarray(residuals, dtype=float)
-    worst = np.argmax(np.where(np.isfinite(r), r, np.inf))
-    mx = float(r[worst])
-    return ResidualReport(
-        samples=len(r),
-        max_residual=mx,
-        mean_residual=sum(r.tolist()) / len(r),
-        worst_triple=tuple(np.asarray(triples)[worst].tolist()),
-        tol=tol,
-        passed=mx <= tol,
-        note=note,
-        details=dict(details or {}),
-    )
+def _report(points: np.ndarray, residuals: np.ndarray, faults: np.ndarray, tol: float, note: str) -> ResidualReport:
+    """Report of the residuals at the rows of points; pass iff the max is within tol.
 
-
-def _collect(triples, evaluate, tol, note="") -> ResidualReport:
-    """Report of evaluate over the triples as one batch, skipping what it cannot score.
-
-    evaluate(x, y, z) takes the triples' columns as complex arrays and returns
-    (residuals, faults); a triple with a nonzero fault is skipped, and the
-    skips are counted in `details` by their `_SKIPS` name.
+    A row with a nonzero fault is skipped, and the skips are counted in
+    `details` by their `_SKIPS` name. Of the rest, the worst is the first
+    non-finite residual, else the first largest.
     """
-    points = np.array(list(triples), dtype=complex).reshape(-1, 3)
-    residuals, faults = evaluate(*points.T)
     kept = faults == 0
     if not kept.any():
         raise SamplerExhausted("no admissible triples survived evaluation")
@@ -392,7 +363,30 @@ def _collect(triples, evaluate, tol, note="") -> ResidualReport:
     details.update(
         (f"skipped_{why}", int(n)) for why, n in sorted(zip(_SKIPS[1:], counts[1:])) if n
     )
-    return _aggregate(residuals[kept], points[kept], tol, note, details)
+    r = residuals[kept]
+    worst = np.argmax(np.where(np.isfinite(r), r, np.inf))
+    mx = float(r[worst])
+    return ResidualReport(
+        samples=len(r),
+        max_residual=mx,
+        mean_residual=sum(r.tolist()) / len(r),
+        worst_triple=tuple(points[kept][worst].tolist()),
+        tol=tol,
+        passed=mx <= tol,
+        note=note,
+        details=details,
+    )
+
+
+def _stacked(triples) -> np.ndarray:
+    """The sampled triples as an (n, 3) complex array."""
+    return np.array(list(triples), dtype=complex).reshape(-1, 3)
+
+
+def _collect(triples, evaluate, tol: float, note: str) -> ResidualReport:
+    """Report of evaluate(x, y, z) over the triples' columns as one batch (see `_score`)."""
+    points = _stacked(triples)
+    return _report(points, *_score(evaluate, *points.T), tol, note)
 
 
 def scan(
@@ -403,23 +397,23 @@ def scan(
     tol: float,
 ) -> ResidualReport:
     """Residual report over sampled admissible triples; pass iff max <= tol."""
-    return _collect(
-        sampler.triples((ff, fg, fh)), lambda x, y, z: residual(ff, fg, fh, x, y, z), tol
-    )
+    points = _stacked(sampler.triples((ff, fg, fh)))
+    return _report(points, *residual(ff, fg, fh, *points.T), tol, "")
 
 
 def grid_scan(
-    fam: FunctionFamily, sampler: TripleSampler, grid: int
-) -> list[tuple[complex, complex, float]]:
-    """Rows (x, y, residual) of the triple (fam, fam, fam) with x on a grid.
+    fam: FunctionFamily, sampler: TripleSampler, grid: int, tol: float
+) -> tuple[list[tuple[complex, complex, float]], ResidualReport]:
+    """Rows (x, y, residual) of the triple (fam, fam, fam) with x on a grid, and their report.
 
     x runs over a grid x grid mesh: [margin, 1-margin]^2 in lattice
     coordinates where the family's lattice has rank two, else the box
     [-1, 1]^2; a grid point on a pole raises SamplerExhausted. Grid point
     (i, j) is sample i*grid + j of the sampler's stream: its partner y is
     redrawn, at most 200 times, while a point of (x, y, -x-y) lies near a
-    pole or the residual cannot be evaluated; SamplerExhausted then. The
-    residuals of the admitted rows are evaluated once, as one batch.
+    pole; SamplerExhausted then. The admitted triples are scored once, as
+    one batch; a triple whose residual faults has no row, and the report
+    counts it as skipped.
     """
     ctx = getattr(fam, "ctx", None)
     cell = ctx is not None and len(ctx.reduced) == 2
@@ -435,14 +429,15 @@ def grid_scan(
         x = xs[index]
         return sampler.admissible((fam,) * 3, np.column_stack((x, y, -(x + y))))
 
-    def evaluate(index, y):
-        return residual(fam, fam, fam, xs[index], y, -(xs[index] + y))
-
     def draw(rng, n):
         return sampler._points(rng, n, 1, ctx)[:, 0]
 
-    ys, rs = _draws(sampler.seed, len(xs), draw, admit, 200 * len(xs), rounds=200, evaluate=evaluate)
-    return list(zip(xs.tolist(), ys.tolist(), rs.tolist()))
+    ys = _draws(sampler.seed, len(xs), draw, admit, 200 * len(xs), rounds=200)
+    zs = -(xs + ys)
+    residuals, faults = residual(fam, fam, fam, xs, ys, zs)
+    report = _report(np.column_stack((xs, ys, zs)), residuals, faults, tol, "")
+    kept = faults == 0
+    return list(zip(xs[kept].tolist(), ys[kept].tolist(), residuals[kept].tolist())), report
 
 
 # -- closed-form cross-checks ----------------------------------------------------------
@@ -503,18 +498,16 @@ def _ldexp(value: np.ndarray, exponent: np.ndarray) -> np.ndarray:
 
 
 def _det_vs_sigma(ctx: EllipticContext, a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """(gaps, faults): det3 on pe jets at (a, b, c) against the sigma quotient.
+    """(gap, scale, faults): det3 on pe jets at (a, b, c) minus the sigma quotient, scaled by `det3_terms`.
 
-    The gap is relative to `det3_terms`: where pe is flat, deep in the cell
-    of a tall lattice, det3 cancels far below its terms to their round-off,
-    so a gap relative to det3 itself would fail a true identity. A triple
-    next to a pole, or whose quotient has no denominator, gets PoleProximity.
+    Not by det3 itself: where pe is flat, deep in the cell of a tall
+    lattice, det3 cancels far below its terms to their round-off, so a gap
+    relative to det3 would fail a true identity. A triple next to a pole,
+    or whose quotient has no denominator, gets PoleProximity.
     """
     jets = _family_jets((WeierstrassShifted(ctx),) * 3, (a, b, c), 1)
     quotient = sigma_quotient(ctx, a, b, c)
-    with np.errstate(all="ignore"):
-        gap = relative(det3(*jets) - quotient, det3_terms(*jets))
-    return gap, _pole_faults(*(j.values[0] for j in jets), quotient)
+    return det3(*jets) - quotient, det3_terms(*jets), _pole_faults(*(j.values[0] for j in jets), quotient)
 
 
 _SIGMA_SPREAD = 0.35
@@ -527,8 +520,7 @@ def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, t
     [-0.35, 0.35]^2 (`_SIGMA_SPREAD`) about the origin. Draws are rejected
     and redrawn when any point, any pairwise difference, or the sum lies
     near the lattice (where the quotient divides by a vanishing sigma or
-    both sides vanish), or when the admitted triple's gap cannot be
-    evaluated, so none is skipped.
+    both sides vanish). An admitted triple whose gap faults is skipped.
     """
     pole = max(ctx.tol.pole, 0.04 * ctx.lambda_min)
 
@@ -541,10 +533,9 @@ def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, t
         probes = np.stack((a, b, c, a - b, b - c, c - a, a + b + c))
         return ~(elliptic.lattice_distance(ctx, probes) <= pole).any(axis=0)
 
-    drawn, residuals = _draws(
-        seed, count, draw, admit, 200 * count, evaluate=lambda _, abc: _det_vs_sigma(ctx, *abc.T)
-    )
-    return _aggregate(residuals, drawn, tol, "det3 vs sigma quotient", {"skipped": 0})
+    drawn = _draws(seed, count, draw, admit, 200 * count)
+    residuals, faults = _score(lambda a, b, c: _det_vs_sigma(ctx, a, b, c), *drawn.T)
+    return _report(drawn, residuals, faults, tol, "det3 vs sigma quotient")
 
 
 def shifted_det_vs_sigma_scan(
@@ -569,7 +560,7 @@ def shifted_det_vs_sigma_scan(
         sampler.triples((fam, fam, fam)),
         lambda x, y, z: _det_vs_sigma(ctx, x + shift, y + shift, z + shift),
         tol,
-        note="shifted determinant vs sigma quotient",
+        "shifted determinant vs sigma quotient",
     )
 
 
@@ -645,13 +636,11 @@ def derived_determinant_check(
 
     def evaluate(x, y, z):
         fv, gv = (j.values for j in _family_jets((ff, fg), (x, y), order))
-        with np.errstate(all="ignore"):
-            value = jetpoly.evaluate(poly, fv, gv)
-            scale = jetpoly.evaluate(poly, fv, gv, absolute=True)
-            return relative(value, scale), _pole_faults(fv[0], gv[0])
+        value = jetpoly.evaluate(poly, fv, gv)
+        return value, jetpoly.evaluate(poly, fv, gv, absolute=True), _pole_faults(fv[0], gv[0])
 
     label = f"columns ({k}, {l}, {s})" if s is not None else f"columns ({k}, {l})"
-    return _collect(sampler.triples((ff, fg, fh)), evaluate, tol, note=label)
+    return _collect(sampler.triples((ff, fg, fh)), evaluate, tol, label)
 
 
 # the operator's stencil in units of h/2: at the steps h and h/2 alike,
@@ -716,22 +705,19 @@ def factfun_check(
 
     def evaluate(x, y, z):
         points = np.stack((x, y, z))
-        values, faults = np.zeros(len(x)), np.zeros(len(x), int)
+        value, scale, faults = np.zeros(len(x), complex), np.zeros(len(x)), np.zeros(len(x), int)
         if ctx is not None:
             # the finite-difference stencil must stay clear of the poles
             near = elliptic.lattice_distance(ctx, points + fam.shift)
             faults[(near <= clearance).any(axis=0)] = _GUARD
         ok = faults == 0
         fv, fp = fam.jets(points[:, ok], 1).values
-        with np.errstate(all="ignore"):
-            value, pole = _third_order_operator(fam.antiderivative, x[ok], y[ok], z[ok], h_step)
-            # not det3_terms: against it, stencil round-off fails true solutions on Im tau 5 to 8
-            # until factfun has a noise floor
-            row1 = np.maximum(np.abs(fv).max(axis=0), 1.0)
-            row2 = np.maximum(np.abs(fp).max(axis=0), 1.0)
-            values[ok] = relative(value, row1 * row2)
+        value[ok], pole = _third_order_operator(fam.antiderivative, x[ok], y[ok], z[ok], h_step)
+        # not det3_terms: against it, stencil round-off fails true solutions on Im tau 5 to 8
+        # until factfun has a noise floor
+        scale[ok] = np.maximum(np.abs(fv).max(axis=0), 1.0) * np.maximum(np.abs(fp).max(axis=0), 1.0)
         faults[ok] = np.where(pole | np.isnan(fv).any(axis=0), _POLE, 0)
-        return values, faults
+        return value, scale, faults
 
     note = f"h = {h_step:g}, one Richardson level"
     return _collect(sampler.triples((fam, fam, fam)), evaluate, tol, note)
@@ -753,8 +739,7 @@ def constant_case_check(
 
     def evaluate(x, y, z):
         (fv, fp), (gv, gp) = ff.jets(x, 1).values, fg.jets(y, 1).values
-        with np.errstate(all="ignore"):
-            p, q = fv * gp, fp * gv
-            return relative(p - q, np.abs(p) + np.abs(q)), _pole_faults(fv, gv)
+        p, q = fv * gp, fp * gv
+        return p - q, np.abs(p) + np.abs(q), _pole_faults(fv, gv)
 
-    return _collect(sampler.triples((ff, fg, Constant(0j))), evaluate, tol)
+    return _collect(sampler.triples((ff, fg, Constant(0j))), evaluate, tol, "")

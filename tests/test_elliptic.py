@@ -577,13 +577,19 @@ def _family_jets(family):
 
 
 def _residual(ctx, x):
-    """residual of (pe, exp, pe) at (x, y, -x-y) with y = 0.37 x + 0.21i; a batch faults exactly at nan."""
+    """residual of (pe, exp, pe) at (x, y, -x-y) with y = 0.37 x + 0.21i; a batch faults exactly at nan.
+
+    `residual` takes arrays only: a number runs as an array of one and raises PoleProximity where it faults.
+    """
     fam = vr.WeierstrassShifted(ctx, 0j)
-    out = vr.residual(fam, vr.Exponential(delta=0.5), fam, x, 0.37 * x + 0.21j)
-    if not isinstance(out, tuple):
-        return out
-    assert np.array_equal(out[1] != 0, np.isnan(out[0]))
-    return out[0]
+    xs = np.atleast_1d(np.asarray(x, dtype=complex))
+    r, faults = vr.residual(fam, vr.Exponential(delta=0.5), fam, xs, 0.37 * xs + 0.21j)
+    assert np.array_equal(faults != 0, np.isnan(r))
+    if np.ndim(x):
+        return r
+    if faults[0]:
+        raise PoleProximity(complex(x), "residual faults")
+    return float(r[0])
 
 
 # each evaluator as (ctx, z) -> a value or a tuple of values

@@ -1,7 +1,7 @@
 """Determinant residuals, sampling determinism, and the closed-form cross-checks."""
 
 import cmath
-import itertools
+import inspect
 import math
 
 import numpy as np
@@ -76,7 +76,8 @@ class TestFamilyArrays:
         r, fault = vr.residual(ff, fg, fh, x, y)
         assert not fault.any()
         for xi, yi, ri in zip(x.tolist(), y.tolist(), r.tolist()):
-            want = vr.residual(ff, fg, fh, xi, yi)
+            jets = [fam.jets(p, 1) for fam, p in zip((ff, fg, fh), (xi, yi, -(xi + yi)))]
+            want = abs(vr.det3(*jets)) / vr.det3_terms(*jets)
             assert abs(ri - want) <= 1e-12 * max(1.0, want)
 
 
@@ -124,7 +125,8 @@ class TestDet3:
 class TestResidualAndScan:
     def test_wp_triple_solves(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
-        assert vr.residual(fam, fam, fam, 0.31 + 0.35j, 0.83 + 1.12j) <= 1e-8
+        r, faults = vr.residual(fam, fam, fam, np.array([0.31 + 0.35j]), np.array([0.83 + 1.12j]))
+        assert faults.tolist() == [0] and r[0] <= 1e-8
 
     def test_lattice_third_shift_solves(self, square_ctx):
         d = square_ctx.periods.omega1 / 3.0
@@ -162,7 +164,7 @@ class TestResidualAndScan:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_residual_fails_and_is_named(self, bad):
         triples = [(0.1j, 0.2j, 0.3j), (0.4j, 0.5j, 0.6j), (0.7j, 0.8j, 0.9j)]
-        rep = vr._aggregate([1e-15, bad, 1e-14], triples, tol=1e-8)
+        rep = vr._report(np.array(triples), np.array([1e-15, bad, 1e-14]), np.zeros(3, int), 1e-8, "")
         assert not rep.passed
         assert rep.worst_triple == triples[1]
         assert not math.isfinite(rep.max_residual)
@@ -207,7 +209,7 @@ class TestSampling:
             assert len(rounds) > 1 and len(calls) == per_round * len(rounds)
         calls.clear()
         rounds.clear()
-        vr.grid_scan(vr.WeierstrassShifted(square_ctx), vr.TripleSampler(pole_radius=0.13), 8)
+        vr.grid_scan(vr.WeierstrassShifted(square_ctx), vr.TripleSampler(pole_radius=0.13), 8, 1e-8)
         assert len(rounds) > 1 and len(calls) == len(rounds)
 
     def test_box_stream_reads_re_im_pairs(self):
@@ -233,28 +235,26 @@ class TestSampling:
             attempts.append(samples.size)
             return samples < len(attempts)
 
-        def evaluate(samples, rows):
-            return rows, np.zeros(len(rows), int)
-
-        run = lambda: vr._draws(0, 3, lambda rng, n: rng.uniform(size=n), admit, budget, evaluate=evaluate)  # noqa: E731
+        run = lambda: vr._draws(0, 3, lambda rng, n: rng.uniform(size=n), admit, budget)  # noqa: E731
         if exhausted:
             with pytest.raises(SamplerExhausted):
                 run()
             assert sum(attempts) == 3 + 2  # the third round would overspend
         else:
-            drawn, values = run()
-            assert attempts == [3, 2, 1] and drawn.tolist() == values.tolist()
+            drawn = run()
+            assert attempts == [3, 2, 1]
+            assert drawn.tolist() == [np.random.default_rng((0, i)).uniform(size=i + 1)[i] for i in range(3)]
 
     def test_starved_sampler_spends_the_pooled_budget(self, square_ctx, monkeypatch):
         spent = []
         draws = vr._draws
 
-        def counted(seed, count, draw, admit, budget, rounds=None, evaluate=None):
+        def counted(seed, count, draw, admit, budget, rounds=None):
             def counting(samples, rows):
                 spent.append(samples.size)
                 return admit(samples, rows)
 
-            return draws(seed, count, draw, counting, budget, rounds, evaluate)
+            return draws(seed, count, draw, counting, budget, rounds)
 
         monkeypatch.setattr(vr, "_draws", counted)
         fam = vr.WeierstrassShifted(square_ctx, 0j)
@@ -300,7 +300,8 @@ class TestSampling:
         # and y is redrawn clear of the lattice's poles
         ctx = el.from_invariants(*invariants)
         sampler = vr.TripleSampler(count=4)
-        rows = vr.grid_scan(vr.WeierstrassShifted(ctx), sampler, 2)
+        rows, rep = vr.grid_scan(vr.WeierstrassShifted(ctx), sampler, 2, 1e-8)
+        assert rep.passed and rep.samples == 4
         assert [x for x, _, _ in rows] == [-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]
         assert max(r for _, _, r in rows) <= 1e-8
         for x, y, _ in rows:
@@ -308,18 +309,18 @@ class TestSampling:
 
     def test_grid_scan_on_the_agm_lattice(self, normal_form_ctx):
         fam = vr.WeierstrassShifted(normal_form_ctx)
-        rows = vr.grid_scan(fam, vr.TripleSampler(seed=4), 5)
+        rows, rep = vr.grid_scan(fam, vr.TripleSampler(seed=4), 5, 1e-8)
         w1, w2 = normal_form_ctx.periods.omega1, normal_form_ctx.periods.omega2
         assert len(rows) == 25
         assert rows[0][0] == pytest.approx(0.05 * (w1 + w2), rel=1e-15)
         assert rows[-1][0] == pytest.approx(0.95 * (w1 + w2), rel=1e-15)
-        assert max(r for _, _, r in rows) <= 1e-8
+        assert max(r for _, _, r in rows) == rep.max_residual <= 1e-8
 
     def test_grid_point_on_a_pole_raises_at_once(self, degenerate_ctx):
         # an odd box grid holds x = 0, the pole of 1/z^2: no partner y can help
         fam = vr.WeierstrassShifted(degenerate_ctx)
         with pytest.raises(SamplerExhausted, match="grid point 12 at x = 0j"):
-            vr.grid_scan(fam, vr.TripleSampler(count=25), 5)
+            vr.grid_scan(fam, vr.TripleSampler(count=25), 5, 1e-8)
 
     def test_overflow_in_a_batch_raises(self):
         sampler = vr.TripleSampler(count=50, unconstrained=True)
@@ -342,7 +343,7 @@ class TestInvarianceClosure:
                     continue
                 jets = [base.jets(delta * p, 1) for p in (x, y, z)]
                 tj = [vr.transform_jets(j, alpha, beta, delta) for j in jets]
-                assert vr.residual_from_jets(*tj) <= 1e-8
+                assert vr.relative(vr.det3(*tj), vr.det3_terms(*tj)) <= 1e-8
 
     def test_delta_rescaling_through_homogeneity(self, square_ctx):
         # delta != 1 folds into the invariants: pe(2z; g2, g3) scales onto
@@ -392,11 +393,11 @@ class TestScaleFreeResiduals:
     def test_residual_is_homogeneous_in_alpha_and_delta(self, square_ctx):
         base = vr.WeierstrassShifted(square_ctx, 0.37)
         jets = [base.jets(p, 1) for p in (0.3 + 0.4j, 1.1 + 0.2j, -1.4 - 0.6j)]
-        unit = vr.residual_from_jets(*jets)
+        unit = vr.relative(vr.det3(*jets), vr.det3_terms(*jets))
         assert unit > 1e-3
         for alpha, delta in ((2.0**-30, 1.0), (2.0**40, 2.0**-5), (1.0, 2.0**20)):
             scaled = [vr.transform_jets(j, alpha, 0j, delta) for j in jets]
-            assert vr.residual_from_jets(*scaled) == unit
+            assert vr.relative(vr.det3(*scaled), vr.det3_terms(*scaled)) == unit
 
 
 class TestSigmaQuotient:
@@ -589,7 +590,7 @@ class TestEmptyRequests:
     def test_grid_scan_count_zero(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
         with pytest.raises(ValueError, match="count"):
-            vr.grid_scan(fam, vr.TripleSampler(count=0), 0)
+            vr.grid_scan(fam, vr.TripleSampler(count=0), 0, 1e-8)
 
     def test_scan_count_zero(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
@@ -604,16 +605,16 @@ CONTEXTS = ["square_ctx", "hex_ctx", "generic_ctx"]
 
 @pytest.fixture
 def batches(monkeypatch):
-    """(points, residuals, faults) of every batch a sampled check scores through `_collect`."""
+    """(points, residuals, faults) of every batch a sampled check scores through `_score`."""
     seen = []
-    collect = vr._collect
+    score = vr._score
 
-    def spy(triples, evaluate, tol, note=""):
-        points = np.array(list(triples), dtype=complex).reshape(-1, 3)
-        seen.append((points, *evaluate(*points.T)))
-        return collect(map(tuple, points.tolist()), evaluate, tol, note)
+    def spy(evaluate, x, y, z):
+        residuals, faults = score(evaluate, x, y, z)
+        seen.append((np.column_stack((x, y, z)), residuals, faults))
+        return residuals, faults
 
-    monkeypatch.setattr(vr, "_collect", spy)
+    monkeypatch.setattr(vr, "_score", spy)
     return seen
 
 
@@ -656,7 +657,7 @@ class TestBatchedChecks:
         w1, w2 = ctx.periods.omega1, ctx.periods.omega2
         st = np.random.default_rng(20).uniform(-0.35, 0.35, (3, 80, 2))
         a, b, c = st[..., 0] * w1 + st[..., 1] * w2
-        gaps, faults = vr._det_vs_sigma(ctx, a, b, c)
+        gaps, faults = vr._score(vr._det_vs_sigma, ctx, a, b, c)
         assert not faults.any()
         for i, triple in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
             assert abs(gaps[i] - scalar_det_vs_sigma(ctx, *triple)) <= 1e-12
@@ -672,7 +673,8 @@ class TestBatchedChecks:
             assert abs(gap - scalar_det_vs_sigma(ctx, x + shift, y + shift, z + shift)) <= 1e-12
 
     def test_sigma_gap_faults_where_the_denominator_vanishes(self, square_ctx):
-        gaps, faults = vr._det_vs_sigma(square_ctx, np.array([0.5 + 0.3j, 2.0 + 0j]), np.array([0.2j] * 2), np.array([0.7] * 2))
+        a, b, c = np.array([0.5 + 0.3j, 2.0 + 0j]), np.array([0.2j] * 2), np.array([0.7] * 2)
+        gaps, faults = vr._score(vr._det_vs_sigma, square_ctx, a, b, c)
         assert faults.tolist() == [0, vr._POLE] and math.isfinite(gaps[0])
 
     @pytest.mark.parametrize("name", CONTEXTS)
@@ -758,83 +760,59 @@ class TestSigmaQuotientArrays:
             vr.sigma_quotient(square_ctx, 2.0, b, c)
 
 
-# -- each admitted point evaluated once ---------------------------------------------
-
-
-def reference_draws(seed, count, draw, admit, budget, rounds=None, evaluate=None):
-    """`_draws` as it was before geometry-first rounds: every round evaluates its admitted rows.
-
-    Sample by sample it accepts the same draws.
-    """
-    pending, drawn, values, spent = np.arange(count), None, np.zeros(count), 0
-    for attempt in itertools.count():
-        if not pending.size:
-            return drawn, values
-        if spent + pending.size > budget or attempt == rounds:
-            raise SamplerExhausted(f"sample {pending[0]}")
-        spent += pending.size
-        rows = draw(np.random.default_rng((seed, attempt)), pending[-1] + 1)[pending]
-        if drawn is None:
-            drawn = np.empty((count,) + rows.shape[1:], rows.dtype)
-        ok = admit(pending, rows)
-        value, fault = evaluate(pending[ok], rows[ok])
-        ok[ok] = fault == 0
-        drawn[pending[ok]], values[pending[ok]] = rows[ok], value[fault == 0]
-        pending = pending[~ok]
+# -- each admitted point evaluated once; a faulted one skipped and counted ----------------
 
 
 class TestEvaluatedOnce:
-    @staticmethod
-    def compare(monkeypatch, run):
-        """The draws of run(), checked with their values, bit for bit, against `reference_draws`."""
-        draws, seen = vr._draws, []
-        for d in (draws, reference_draws):
-            monkeypatch.setattr(vr, "_draws", lambda *a, d=d, **kw: seen.append(d(*a, **kw)) or seen[-1])
-            run()
-        monkeypatch.setattr(vr, "_draws", draws)
-        (drawn, values), (ref_drawn, ref_values) = seen
-        assert np.array_equal(drawn, ref_drawn)
-        assert np.array_equal(values, ref_values)
-        return drawn
-
     @pytest.mark.parametrize("name", CONTEXTS)
-    def test_sigma_identity_scan_matches_evaluating_every_round(self, name, request, monkeypatch):
+    def test_sigma_identity_scan_skips_and_counts_a_faulted_triple(self, name, request, monkeypatch, batches):
         ctx = request.getfixturevalue(name)
-        run = lambda: vr.sigma_identity_scan(ctx, count=60, seed=3)  # noqa: E731
-        clean = self.compare(monkeypatch, run)
-        # an admitted triple whose gap faults is redrawn from its next attempt
-        chosen, gap = clean[7, 0], vr._det_vs_sigma
+        clean = vr.sigma_identity_scan(ctx, count=60, seed=3)
+        [(points, residuals, faults)] = batches
+        assert clean.details == {"skipped": 0} and not faults.any()
+        chosen, gap = points[7, 0], vr._det_vs_sigma
 
         def faulting(ctx, a, b, c):
-            gaps, faults = gap(ctx, a, b, c)
-            return gaps, np.where(a == chosen, vr._POLE, faults)
+            value, scale, faults = gap(ctx, a, b, c)
+            return value, scale, np.where(a == chosen, vr._POLE, faults)
 
         monkeypatch.setattr(vr, "_det_vs_sigma", faulting)
-        redrawn = self.compare(monkeypatch, run)
+        rep = vr.sigma_identity_scan(ctx, count=60, seed=3)
+        # nothing is redrawn: the same triples and residuals, with the chosen one skipped
+        (again, again_residuals, again_faults) = batches[1]
         others = np.arange(60) != 7
-        assert np.array_equal(redrawn[others], clean[others]) and redrawn[7, 0] != chosen
+        assert np.array_equal(again, points) and np.array_equal(again_residuals, residuals)
+        assert np.flatnonzero(again_faults).tolist() == [7]
+        assert rep.details == {"skipped": 1, "skipped_PoleProximity": 1} and rep.samples == 59
+        assert rep.max_residual == residuals[others].max()
+        assert rep.mean_residual == sum(residuals[others].tolist()) / 59
 
     @pytest.mark.parametrize("name", CONTEXTS)
-    def test_grid_scan_matches_evaluating_every_round(self, name, request, monkeypatch):
+    def test_grid_scan_skips_and_counts_a_faulted_triple(self, name, request, monkeypatch):
         fam = vr.WeierstrassShifted(request.getfixturevalue(name), 0j)
-        run = lambda: vr.grid_scan(fam, vr.TripleSampler(seed=2, margin=0.2, pole_radius=0.3), 6)  # noqa: E731
-        clean = self.compare(monkeypatch, run)
-        chosen, res = clean[9], vr.residual
+        run = lambda: vr.grid_scan(fam, vr.TripleSampler(seed=2, margin=0.2, pole_radius=0.3), 6, 1e-8)  # noqa: E731
+        clean_rows, clean = run()
+        assert clean.details == {"skipped": 0} and clean.samples == len(clean_rows) == 36
+        chosen, res = clean_rows[9][1], vr.residual
 
         def faulting(ff, fg, fh, x, y, z=None):
             r, faults = res(ff, fg, fh, x, y, z)
             return r, np.where(y == chosen, vr._POLE, faults)
 
         monkeypatch.setattr(vr, "residual", faulting)
-        redrawn = self.compare(monkeypatch, run)
-        others = np.arange(36) != 9
-        assert np.array_equal(redrawn[others], clean[others]) and redrawn[9] != chosen
+        rows, rep = run()
+        # the faulted triple has no row; every other row is as it was
+        assert rows == clean_rows[:9] + clean_rows[10:]
+        assert rep.details == {"skipped": 1, "skipped_PoleProximity": 1} and rep.samples == 35
+        assert rep.max_residual == max(r for _, _, r in rows)
 
     @pytest.mark.parametrize("name", CONTEXTS)
     def test_grid_scan_rows_match_points_scored_alone(self, name, request):
         ctx = request.getfixturevalue(name)
         fam = vr.WeierstrassShifted(ctx, 0.37 * ctx.periods.omega1)
-        for x, y, r in vr.grid_scan(fam, vr.TripleSampler(seed=2), 8):
+        rows, rep = vr.grid_scan(fam, vr.TripleSampler(seed=2), 8, 1e-8)
+        assert len(rows) == rep.samples == 64
+        for x, y, r in rows:
             alone, faults = vr.residual(fam, fam, fam, np.array([x]), np.array([y]))
             assert faults[0] == 0 and alone[0] == r
 
@@ -856,7 +834,8 @@ class TestEvaluatedOnce:
         for families in (fams, [fams[0], vr.Exponential(delta=0.5j), fams[2]]):
             r, faults = vr.residual(*families, x, y, z)
             per_family = [fam.jets(p, 1) for fam, p in zip(families, (x, y, z))]
-            assert np.array_equal(r, vr.residual_from_jets(*per_family), equal_nan=True)
+            want = vr.relative(vr.det3(*per_family), vr.det3_terms(*per_family))
+            assert np.array_equal(r, want, equal_nan=True)
             assert np.array_equal(faults, vr._pole_faults(*(j.values[0] for j in per_family)))
             assert faults[0] == vr._POLE and not faults[1:].any()
 
@@ -881,9 +860,34 @@ class TestEvaluatedOnce:
     )
     def test_worst_is_the_first_non_finite_else_the_first_largest(self, residuals, worst):
         triples = np.arange(3 * len(residuals)).reshape(-1, 3) * 1j
-        rep = vr._aggregate(residuals, triples, tol=1e-8)
+        rep = vr._report(triples, np.array(residuals), np.zeros(len(residuals), int), 1e-8, "")
         assert rep.worst_triple == tuple(triples[worst].tolist())
         assert rep.mean_residual == sum(residuals) / len(residuals) or not math.isfinite(rep.mean_residual)
+
+    def test_faulted_rows_are_counted_not_scored(self):
+        triples = np.arange(12).reshape(-1, 3) * 1j
+        faults = np.array([vr._POLE, 0, vr._GUARD, 0])
+        rep = vr._report(triples, np.array([math.nan, 2e-14, 1.0, 1e-14]), faults, 1e-8, "")
+        assert rep.passed and rep.samples == 2 and rep.worst_triple == tuple(triples[1].tolist())
+        assert rep.details == {"skipped": 2, "skipped_PoleProximity": 1, "skipped_guard": 1}
+        with pytest.raises(SamplerExhausted):
+            vr._report(triples, np.zeros(4), np.full(4, vr._POLE), 1e-8, "")
+
+
+class TestTracerContract:
+    # perfbench/tracing.py wraps `verifier.residual` by its module name and
+    # `TripleSampler.triples` as a generator, and reads a span of each
+
+    def test_scan_calls_residual_once_per_batch(self, square_ctx, monkeypatch):
+        calls, res = [], vr.residual
+        monkeypatch.setattr(vr, "residual", lambda *a: calls.append(len(a[3])) or res(*a))
+        fam = vr.WeierstrassShifted(square_ctx, 0j)
+        vr.scan(fam, fam, fam, vr.TripleSampler(seed=1, count=40), 1e-8)
+        vr.theorem2_shift_test(square_ctx, 0j, 0j, 0j, vr.TripleSampler(seed=2, count=30))
+        assert calls == [40, 30]
+
+    def test_triples_is_a_generator(self):
+        assert inspect.isgeneratorfunction(vr.TripleSampler.triples)
 
 
 class TestFactfunStep:
