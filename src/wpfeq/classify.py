@@ -37,8 +37,8 @@ from .errors import (
 class SampleSet:
     """Samples (x_i, w_i), optionally with provided derivative values.
 
-    Cubic fitting needs at least 8 points with distinct x values; uniform
-    grids enable finite-difference jets when derivatives are absent.
+    The x values must be distinct, and on a uniform grid when derivatives
+    are absent; `classify_samples` says how many it needs.
     """
 
     xs: tuple[complex, ...]
@@ -46,25 +46,14 @@ class SampleSet:
     dws: tuple[complex, ...] | None = None
 
     def __post_init__(self):
+        if len(self.xs) == 0:
+            raise DegenerateInput("no samples")
         if len(self.xs) != len(self.ws):
             raise DegenerateInput("xs and ws must have equal length")
         if self.dws is not None and len(self.dws) != len(self.xs):
             raise DegenerateInput("dws must match xs in length")
         if len(set(self.xs)) != len(self.xs):
             raise DegenerateInput("sample points must be distinct")
-
-    def spread(self) -> float:
-        """Largest deviation of w from its mean, relative to max |w|."""
-        return _spread(np.array(self.ws, dtype=complex))
-
-    def grid_step(self, rel_tol: float = 1e-9) -> complex:
-        if len(self.xs) < 2:
-            raise TooFewPoints("need at least two points for a grid step")
-        h = self.xs[1] - self.xs[0]
-        for a, b in zip(self.xs, self.xs[1:]):
-            if abs((b - a) - h) > rel_tol * max(abs(h), 1e-300):
-                raise GridNotUniform("sample grid is not uniform")
-        return h
 
 
 @dataclass(frozen=True)
@@ -112,31 +101,31 @@ def _spread(w: np.ndarray) -> float:
     return float(verifier.relative(np.abs(w - w.mean()).max(), np.abs(w).max()))
 
 
-def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> list[tuple[complex, complex, complex]]:
-    """(x, w, w') triples by central differences on a uniform grid.
+def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays x, w and w' by central differences on a uniform grid.
 
     Provided derivatives pass straight through. Boundary points without a
     full stencil are dropped; the truncation error is O(h^stencil_order).
     """
+    xs, ws = np.array(samples.xs, dtype=complex), np.array(samples.ws, dtype=complex)
     if samples.dws is not None:
-        return list(zip(samples.xs, samples.ws, samples.dws))
+        return xs, ws, np.array(samples.dws, dtype=complex)
     if stencil_order not in (2, 4):
         raise ValueError("stencil_order must be 2 or 4")
+    if len(xs) < stencil_order + 1:
+        raise TooFewPoints(f"need at least {stencil_order + 1} points for the order-{stencil_order} stencil")
+    h = complex(xs[1] - xs[0])
+    if np.any(np.abs(np.diff(xs) - h) > 1e-9 * max(abs(h), 1e-300)):
+        raise GridNotUniform("sample grid is not uniform")
+    if stencil_order == 2:
+        diff, step = ws[2:] - ws[:-2], 2.0 * h
+    else:
+        diff, step = -ws[4:] + 8.0 * ws[3:-1] - 8.0 * ws[1:-3] + ws[:-4], 12.0 * h
+    # divide as Python complex numbers: numpy's complex division rounds otherwise in the
+    # last bit, and the fits' normal matrices amplify that
+    dw = np.array([d / step for d in diff.tolist()], dtype=complex)
     half = stencil_order // 2
-    if len(samples.xs) < stencil_order + 1:
-        raise TooFewPoints(
-            f"need at least {stencil_order + 1} points for the order-{stencil_order} stencil"
-        )
-    h = samples.grid_step()
-    out = []
-    ws = samples.ws
-    for i in range(half, len(ws) - half):
-        if stencil_order == 2:
-            dw = (ws[i + 1] - ws[i - 1]) / (2.0 * h)
-        else:
-            dw = (-ws[i + 2] + 8.0 * ws[i + 1] - 8.0 * ws[i - 1] + ws[i - 2]) / (12.0 * h)
-        out.append((samples.xs[i], ws[i], dw))
-    return out
+    return xs[half:-half], ws[half:-half], dw
 
 
 def _solve_normal(A: np.ndarray, b: np.ndarray, thresholds: Thresholds) -> tuple[np.ndarray, float]:
@@ -156,37 +145,28 @@ def _solve_normal(A: np.ndarray, b: np.ndarray, thresholds: Thresholds) -> tuple
     return np.linalg.solve(gram, Aeq.conj().T @ b) / scales, cond
 
 
-def fit_cubic(pairs, thresholds: Thresholds = Thresholds()) -> FitResult:
+def fit_cubic(w: np.ndarray, dw: np.ndarray, thresholds: Thresholds = Thresholds()) -> FitResult:
     """Least squares for w'^2 = p3 w^3 + p2 w^2 + p1 w + p0."""
-    pairs = list(pairs)
-    if len(pairs) < 5:
-        raise TooFewPoints("cubic fit needs at least 5 (w, w') pairs")
-    w = np.array([complex(p[0]) for p in pairs])
-    dw = np.array([complex(p[1]) for p in pairs])
     if _spread(w) <= thresholds.spread_eps:
         raise DegenerateInput("w values are all one constant; nothing to fit")
     A = np.column_stack([np.ones_like(w), w, w**2, w**3])
-    b = dw**2
-    return _fit("cubic", A, b, thresholds)
+    return _fit("cubic", A, dw**2, thresholds)
+
+
+def fit_linear(w: np.ndarray, dw: np.ndarray, thresholds: Thresholds = Thresholds()) -> FitResult:
+    """Least squares for w' = l1 w + l0."""
+    return _fit("linear", np.column_stack([np.ones_like(w), w]), dw, thresholds)
 
 
 def _fit(model: str, A: np.ndarray, b: np.ndarray, thresholds: Thresholds) -> FitResult:
     """Least squares A p = b, with the misfit relative to the RMS of b."""
+    if len(b) <= A.shape[1]:
+        raise TooFewPoints(f"{model} fit needs at least {A.shape[1] + 1} (w, w') pairs")
     coeffs, cond = _solve_normal(A, b, thresholds)
     misfit, size = (np.sqrt(np.mean(np.abs(v) ** 2)) for v in (A @ coeffs - b, b))
     residual = float(verifier.relative(misfit, size))
     sizes = tuple(np.abs(A * coeffs).max(axis=0).tolist())
     return FitResult(model, tuple(coeffs), residual, cond, sizes, float(np.abs(b).max()))
-
-
-def fit_linear(pairs, thresholds: Thresholds = Thresholds()) -> FitResult:
-    """Least squares for w' = l1 w + l0."""
-    pairs = list(pairs)
-    if len(pairs) < 3:
-        raise TooFewPoints("linear fit needs at least 3 (w, w') pairs")
-    w = np.array([complex(p[0]) for p in pairs])
-    dw = np.array([complex(p[1]) for p in pairs])
-    return _fit("linear", np.column_stack([np.ones_like(w), w]), dw, thresholds)
 
 
 def to_normal_form(p0: complex, p1: complex, p2: complex, p3: complex):
@@ -265,27 +245,28 @@ def classify_samples(
 ) -> Classification:
     """Full pipeline: jets, both fits, decision, and the round-trip residual.
 
+    Constant samples are decided by their spread first. Otherwise the fits
+    need 5 (w, w') pairs, and the stencil drops stencil_order of the samples:
+    so 5 samples with derivatives, 7 at order 2 and 9 at order 4.
+
     The round trip rebuilds the decided family and scans the functional
     equation on it, attaching the max residual as independent evidence that
     the classified family really solves the equation.
     """
-    if len(samples.xs) < 8:
-        raise TooFewPoints("classification needs at least 8 samples")
-    spread = samples.spread()
-    if spread < thresholds.spread_eps:
+    if _spread(np.array(samples.ws, dtype=complex)) < thresholds.spread_eps:
         return Classification("constant", {"c": sum(samples.ws) / len(samples.ws)}, ())
-    jets = estimate_jets(samples, stencil_order)
-    pairs = [(w, dw) for _, w, dw in jets]
-    cubic = linear = None
-    try:
-        cubic = fit_cubic(pairs, thresholds)
-    except (DegenerateInput, IllConditionedFit):
-        pass
-    try:
-        linear = fit_linear(pairs, thresholds)
-    except (DegenerateInput, IllConditionedFit):
-        pass
-    decision = classify(cubic, linear, thresholds)
+    need = 5 if samples.dws is not None else 5 + stencil_order
+    if len(samples.xs) < need:
+        stencil = "" if samples.dws is not None else f" after the order-{stencil_order} stencil"
+        raise TooFewPoints(f"classification needs at least {need} samples, to leave 5 (w, w') pairs{stencil}")
+    _, w, dw = estimate_jets(samples, stencil_order)
+    fits = []
+    for fit in (fit_cubic, fit_linear):
+        try:
+            fits.append(fit(w, dw, thresholds))
+        except (DegenerateInput, IllConditionedFit):
+            fits.append(None)
+    decision = classify(*fits, thresholds)
     if decision.family != "not_a_solution":
         rt = roundtrip_residual(decision, seed=seed)
         return Classification(decision.family, decision.params, decision.evidence, rt)

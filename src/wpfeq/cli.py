@@ -32,6 +32,7 @@ import numpy as np
 from . import classify as cls
 from . import elliptic, identities, verifier
 from .errors import (
+    DegenerateInput,
     DegenerateLattice,
     FloatOverflow,
     GridNotUniform,
@@ -405,20 +406,20 @@ def _read_samples_csv(path: str) -> cls.SampleSet:
                     raise InputError(f"{path}: bad sample row {row!r}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if len(xs) < 8:
-        raise InputError(f"{path}: TooFewPoints - classification needs at least 8 samples")
+    if not np.isfinite(xs + ws).all():
+        raise InputError(f"{path}: non-finite x or w")
     return cls.SampleSet(tuple(xs), tuple(ws))
 
 
 def _cmd_fit(args, parser) -> int:
     start = time.perf_counter()
-    samples = _read_samples_csv(args.input)
     stencil = args.stencil_order
-    seed = _resolve_int(args.seed, "seed", 0)
     try:
+        samples = _read_samples_csv(args.input)
+        seed = _resolve_int(args.seed, "seed", 0)
         decision = cls.classify_samples(samples, stencil_order=stencil, seed=seed)
-    except (TooFewPoints, GridNotUniform) as exc:
-        raise InputError(str(exc)) from exc
+    except (DegenerateInput, TooFewPoints, GridNotUniform) as exc:
+        raise InputError(f"{args.input}: {exc}") from exc
     wall = time.perf_counter() - start
     check = {
         "name": "classification",

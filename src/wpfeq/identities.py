@@ -226,7 +226,7 @@ def linear_branch_reduce(p: DiffPolynomial) -> DiffPolynomial:
 
 
 def cubic_block_formulas() -> dict[str, DiffPolynomial]:
-    """Cleared-denominator coefficient formulas of the cubic branch.
+    """Cleared-denominator coefficient formulas of the cubic branch, as a fresh dict.
 
     Each entry is (formula minus its coefficient symbol) multiplied through
     by the power of f1 that clears it, so that reduction modulo the ODE must
@@ -238,6 +238,12 @@ def cubic_block_formulas() -> dict[str, DiffPolynomial]:
     cleared by (f0-g0)^3: B = p3 f1 for every g on the same cubic, which
     the "p3" entry turns into the closed form (f1 f4 - f2 f3)/(3 f1^2).
     """
+    return dict(_cubic_formulas())
+
+
+@cache
+def _cubic_formulas() -> dict[str, DiffPolynomial]:
+    """The formulas of `cubic_block_formulas`, built once; `DiffPolynomial` is immutable."""
     p0, p1, p2, p3 = (param(n) for n in ("p0", "p1", "p2", "p3"))
     bracket = f(1) * f(4) - f(2) * f(3)
     den = f(0) - g(0)

@@ -23,25 +23,48 @@ def _samples(fn, lo, hi, h):
     return cl.SampleSet(xs, tuple(complex(fn(x)) for x in xs))
 
 
+def _exact_jets(ctx, xs):
+    """Arrays w and w' of wp at the points xs."""
+    jets = [el.jets(ctx, x, 1).values for x in xs.tolist()]
+    return np.array([j[0] for j in jets], dtype=complex), np.array([j[1] for j in jets], dtype=complex)
+
+
 class TestEstimateJets:
     def test_linear_exact(self):
         s = _samples(lambda x: x, 0.0, 2.0, 0.1)
-        for _, w, dw in cl.estimate_jets(s, 2):
-            assert dw == pytest.approx(1.0, abs=1e-13)
+        _, _, dw = cl.estimate_jets(s, 2)
+        for d in dw:
+            assert d == pytest.approx(1.0, abs=1e-13)
 
     def test_quadratic_exact_at_order_2(self):
         s = _samples(lambda x: x * x, 0.0, 2.0, 0.1)
-        for x, w, dw in cl.estimate_jets(s, 2):
+        for x, w, dw in zip(*cl.estimate_jets(s, 2)):
             assert dw == pytest.approx(2.0 * x.real, abs=1e-12)
 
     def test_exponential_order4_error_bound(self):
         s = _samples(math.exp, 0.0, 2.0, 1e-2)
-        worst = max(abs(dw - cmath.exp(x)) for x, _, dw in cl.estimate_jets(s, 4))
+        x, _, dw = cl.estimate_jets(s, 4)
+        worst = np.abs(dw - np.exp(x)).max()
         assert worst <= 1e-8
 
     def test_boundary_points_dropped(self):
         s = _samples(lambda x: x, 0.0, 1.0, 0.1)
-        assert len(cl.estimate_jets(s, 4)) == len(s.xs) - 4
+        assert all(len(a) == len(s.xs) - 4 for a in cl.estimate_jets(s, 4))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("step", [0.01, 0.01 + 0.003j])
+    def test_matches_the_pointwise_stencil(self, generic_ctx, order, step):
+        # the same arithmetic as a loop over points in Python complex numbers, bit for bit
+        xs = tuple(0.3 + 0.2j + step * i for i in range(21))
+        ws = tuple(el.wp(generic_ctx, x) for x in xs)
+        h, half = xs[1] - xs[0], order // 2
+        if order == 2:
+            want = [(ws[i + 1] - ws[i - 1]) / (2.0 * h) for i in range(1, 20)]
+        else:
+            want = [(-ws[i + 2] + 8.0 * ws[i + 1] - 8.0 * ws[i - 1] + ws[i - 2]) / (12.0 * h) for i in range(2, 19)]
+        x, w, dw = cl.estimate_jets(cl.SampleSet(xs, ws), order)
+        assert x.tolist() == list(xs[half:-half]) and w.tolist() == list(ws[half:-half])
+        assert dw.tolist() == want
 
     def test_non_uniform_grid_rejected(self):
         s = cl.SampleSet((0.0, 0.1, 0.25, 0.3, 0.4), (0.0,) * 5)
@@ -55,14 +78,13 @@ class TestEstimateJets:
 
     def test_provided_derivatives_pass_through(self):
         s = cl.SampleSet((0.0, 1.0), (1.0, 2.0), (5.0, 6.0))
-        assert cl.estimate_jets(s) == [(0.0, 1.0, 5.0), (1.0, 2.0, 6.0)]
+        assert [a.tolist() for a in cl.estimate_jets(s)] == [[0.0, 1.0], [1.0, 2.0], [5.0, 6.0]]
 
 
 class TestFits:
     def test_exponential_cubic(self):
         s = _samples(math.exp, 0.0, 2.0, 0.05)
-        pairs = [(w, dw) for _, w, dw in cl.estimate_jets(s, 4)]
-        fit = cl.fit_cubic(pairs)
+        fit = cl.fit_cubic(*cl.estimate_jets(s, 4)[1:])
         p0, p1, p2, p3 = fit.coefficients
         assert fit.residual <= 1e-10
         assert abs(p2 - 1.0) <= 1e-6
@@ -70,17 +92,12 @@ class TestFits:
 
     def test_linear_function_cubic(self):
         s = _samples(lambda x: x, 0.0, 2.0, 0.05)
-        pairs = [(w, dw) for _, w, dw in cl.estimate_jets(s, 2)]
-        fit = cl.fit_cubic(pairs)
+        fit = cl.fit_cubic(*cl.estimate_jets(s, 2)[1:])
         assert fit.coefficients[0] == pytest.approx(1.0, abs=1e-9)
         assert max(abs(c) for c in fit.coefficients[1:]) <= 1e-9
 
     def test_wp_exact_jets(self, normal_form_ctx):
-        pairs = []
-        for i in range(40):
-            j = el.jets(normal_form_ctx, 0.4 + 0.025 * i, 1)
-            pairs.append((j.values[0], j.values[1]))
-        fit = cl.fit_cubic(pairs)
+        fit = cl.fit_cubic(*_exact_jets(normal_form_ctx, 0.4 + 0.025 * np.arange(40)))
         p0, p1, p2, p3 = fit.coefficients
         assert abs(p3 - 4.0) <= 1e-8
         assert abs(p1 + 4.0) <= 1e-8
@@ -88,37 +105,31 @@ class TestFits:
 
     def test_linear_fit_examples(self):
         s = _samples(lambda x: math.exp(3.0 * x), 0.0, 1.0, 0.01)
-        pairs = [(w, dw) for _, w, dw in cl.estimate_jets(s, 4)]
-        l0, l1 = cl.fit_linear(pairs).coefficients
+        l0, l1 = cl.fit_linear(*cl.estimate_jets(s, 4)[1:]).coefficients
         assert abs(l0) <= 1e-6 and abs(l1 - 3.0) <= 1e-6
 
         s = _samples(lambda x: x, 0.0, 1.0, 0.02)
-        pairs = [(w, dw) for _, w, dw in cl.estimate_jets(s, 2)]
-        l0, l1 = cl.fit_linear(pairs).coefficients
+        l0, l1 = cl.fit_linear(*cl.estimate_jets(s, 2)[1:]).coefficients
         assert abs(l0 - 1.0) <= 1e-10 and abs(l1) <= 1e-10
 
         s = _samples(lambda x: 2.0 * math.exp(x) + 5.0, 0.0, 1.0, 0.02)
-        pairs = [(w, dw) for _, w, dw in cl.estimate_jets(s, 4)]
-        l0, l1 = cl.fit_linear(pairs).coefficients
+        l0, l1 = cl.fit_linear(*cl.estimate_jets(s, 4)[1:]).coefficients
         assert abs(l0 + 5.0) <= 1e-5 and abs(l1 - 1.0) <= 1e-6
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInput):
-            cl.fit_cubic([(1.0, 0.0)] * 10)
+            cl.fit_cubic(np.ones(10, complex), np.zeros(10, complex))
 
     def test_too_few_pairs(self):
-        with pytest.raises(TooFewPoints):
-            cl.fit_cubic([(1.0, 1.0)] * 4)
-        with pytest.raises(TooFewPoints):
-            cl.fit_linear([(1.0, 1.0)] * 2)
+        # distinct w: the cubic fit refuses one constant w before counting
+        with pytest.raises(TooFewPoints, match="at least 5"):
+            cl.fit_cubic(np.arange(4.0) + 0j, np.ones(4, complex))
+        with pytest.raises(TooFewPoints, match="at least 3"):
+            cl.fit_linear(np.ones(2, complex), np.ones(2, complex))
 
     def test_equilibration_on_wild_scales(self, normal_form_ctx):
         # samples near the pole spread the column scales over many decades
-        pairs = []
-        for i in range(60):
-            j = el.jets(normal_form_ctx, 0.03 + 0.004 * i, 1)
-            pairs.append((j.values[0], j.values[1]))
-        fit = cl.fit_cubic(pairs)
+        fit = cl.fit_cubic(*_exact_jets(normal_form_ctx, 0.03 + 0.004 * np.arange(60)))
         assert fit.condition > 0
         p3 = fit.coefficients[3]
         assert abs(p3 - 4.0) <= 1e-6 * 4.0
@@ -245,11 +256,27 @@ class TestClassify:
         s = _samples(abs, -1.0, 1.0, 0.05)
         assert cl.classify_samples(s).family == "not_a_solution"
 
-    def test_constant_detected_before_fitting(self):
-        s = cl.SampleSet(tuple(float(i) for i in range(12)), (3.7 + 0j,) * 12)
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_constant_detected_before_fitting(self, n):
+        # eight samples leave four pairs after the order-4 stencil: too few to fit, but constant
+        s = cl.SampleSet(tuple(float(i) for i in range(n)), (3.7 + 0j,) * n)
         dec = cl.classify_samples(s)
         assert dec.family == "constant"
         assert dec.params["c"] == pytest.approx(3.7)
+
+    @pytest.mark.parametrize("stencil, given, need", [(4, False, 9), (2, False, 7), (4, True, 5)],
+                             ids=["order-4", "order-2", "given-derivatives"])
+    def test_sample_count_rule(self, normal_form_ctx, stencil, given, need):
+        # the fits take five (w, w') pairs, and the stencil drops stencil_order samples
+        def samples(n):
+            xs = tuple(0.6 + 0.01 * i for i in range(n))
+            ws = tuple(el.wp(normal_form_ctx, x) for x in xs)
+            dws = tuple(el.wp_prime(normal_form_ctx, x) for x in xs) if given else None
+            return cl.SampleSet(xs, ws, dws)
+
+        with pytest.raises(TooFewPoints, match=f"at least {need} samples"):
+            cl.classify_samples(samples(need - 1), stencil_order=stencil)
+        assert cl.classify_samples(samples(need), stencil_order=stencil).family == "weierstrass"
 
     def test_exact_jets_beat_fd_jets(self, normal_form_ctx):
         xs = tuple(0.6 + 0.01 * i for i in range(101))

@@ -237,6 +237,46 @@ class TestGenAndFit:
     def test_unreadable_input_exit_66(self, tmp_path):
         assert run(["fit", "--input", str(tmp_path / "missing.csv")]) == 66
 
+    def test_empty_csv_exit_66(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("x_re,x_im,w_re,w_im\n")
+        assert run(["fit", "--input", str(p)]) == 66
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,0,1,0", "0.1,0,2,0", "0.1,0,3,0"], "sample points must be distinct"),
+            (["0,0,1,0", "0.1,0,nan,0", "0.2,0,3,0"], "non-finite"),
+            (["0,0,1,0", "inf,0,2,0", "0.2,0,3,0"], "non-finite"),
+            (["0,0,1,0", "0.1,nan,2,0", "0.2,0,3,-inf"], "non-finite"),
+        ],
+        ids=["repeated-x", "nan-w", "inf-x", "nan-x"],
+    )
+    def test_bad_samples_exit_66(self, tmp_path, capsys, rows, message):
+        # nine rows, so only the bad ones can refuse the file
+        p = tmp_path / "bad.csv"
+        good = [f"{0.3 + 0.1 * i},0,{i},0" for i in range(6)]
+        p.write_text("\n".join(["x_re,x_im,w_re,w_im", *rows, *good]) + "\n")
+        assert run(["fit", "--input", str(p)]) == 66
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "grid, stencil, code",
+        [("0.5:0.57:0.01", "4", 66), ("0.5:0.58:0.01", "4", 0), ("0.5:0.56:0.01", "2", 0),
+         ("0.5:0.55:0.01", "2", 66)],
+        ids=["8-at-order-4", "9-at-order-4", "7-at-order-2", "6-at-order-2"],
+    )
+    def test_sample_count_rule(self, tmp_path, capsys, grid, stencil, code):
+        csv_path = tmp_path / "wp.csv"
+        assert run(["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid", grid,
+                    "--out", str(csv_path)]) == 0
+        assert run(["fit", "--input", str(csv_path), "--stencil-order", stencil,
+                    "--expect", "weierstrass"]) == code
+        if code == 66:
+            need = "9" if stencil == "4" else "7"
+            assert f"at least {need} samples" in capsys.readouterr().err
+
     def test_expectation_mismatch_exit_1(self, tmp_path):
         p = tmp_path / "absval.csv"
         rows = ["x_re,x_im,w_re,w_im"]

@@ -73,6 +73,12 @@ class TestOdeCoefficients:
     def test_all_six_reduce(self):
         assert idn.ode_coefficient_check().holds
 
+    def test_cubic_formulas_are_a_fresh_dict_per_call(self):
+        corrupted = idn.cubic_block_formulas()
+        corrupted["p3"] = jp.f(0)
+        assert idn.cubic_block_formulas()["p3"] != jp.f(0)
+        assert idn.ode_coefficient_check().holds
+
     def test_p3_formula_reduces_exactly(self):
         cleared = idn.cubic_block_formulas()["p3"]
         assert idn.cubic_branch_reduce(cleared).is_zero()
