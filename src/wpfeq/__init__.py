@@ -5,9 +5,7 @@ equation on triples with x + y + z = 0."""
 from .elliptic import (
     EllipticContext,
     Invariants,
-    JetValues,
     Periods,
-    ToleranceSet,
     from_invariants,
     from_periods,
     is_lattice_point,
@@ -41,11 +39,9 @@ __all__ = [
     "EllipticContext",
     "Exponential",
     "Invariants",
-    "JetValues",
     "Linear",
     "Periods",
     "ResidualReport",
-    "ToleranceSet",
     "TripleSampler",
     "WeierstrassShifted",
     "__version__",

@@ -32,13 +32,21 @@ from .errors import (
     TooFewPoints,
 )
 
+# decision thresholds, an order of magnitude above the residuals observed with exact jets
+TAU_LIN = 1e-6  # misfit of a linear-sector fit
+TAU_CUB = 1e-6  # misfit of a cubic fit
+COEFF_EPS = 1e-8  # significance of a term, against the left-hand side
+SPREAD_EPS = 1e-10  # constant detection
+COND_REJECT = 1e14  # normal-equation condition above which a fit is refused
+
 
 @dataclass(frozen=True)
 class SampleSet:
     """Samples (x_i, w_i), optionally with provided derivative values.
 
-    The x values must be distinct, and on a uniform grid when derivatives
-    are absent; `classify_samples` says how many it needs.
+    Every value must be finite and the x values distinct, and on a uniform
+    grid when derivatives are absent; `classify_samples` says how many it
+    needs.
     """
 
     xs: tuple[complex, ...]
@@ -52,20 +60,10 @@ class SampleSet:
             raise DegenerateInput("xs and ws must have equal length")
         if self.dws is not None and len(self.dws) != len(self.xs):
             raise DegenerateInput("dws must match xs in length")
+        if not np.isfinite(np.array([*self.xs, *self.ws, *(self.dws or ())], dtype=complex)).all():
+            raise DegenerateInput("non-finite x, w or w'")
         if len(set(self.xs)) != len(self.xs):
             raise DegenerateInput("sample points must be distinct")
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Decision thresholds; defaults sit an order of magnitude above the
-    residuals observed with exact jets."""
-
-    tau_lin: float = 1e-6
-    tau_cub: float = 1e-6
-    coeff_eps: float = 1e-8  # significance of a term, against the left-hand side
-    spread_eps: float = 1e-10  # constant detection
-    cond_reject: float = 1e14
 
 
 @dataclass(frozen=True)
@@ -128,41 +126,41 @@ def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> tuple[np.ndarra
     return xs[half:-half], ws[half:-half], dw
 
 
-def _solve_normal(A: np.ndarray, b: np.ndarray, thresholds: Thresholds) -> tuple[np.ndarray, float]:
+def _solve_normal(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Normal-equation solve on unit-norm columns, with its condition number.
 
     Columns span scales like w^3 versus 1, so each is scaled to unit norm
     first; the condition is that of the scaled normal matrix, which does not
-    depend on the unit of w. A fit above the rejection bound raises.
+    depend on the unit of w. A fit above COND_REJECT raises.
     """
     scales = np.linalg.norm(A, axis=0)
     scales[scales == 0.0] = 1.0
     Aeq = A / scales
     gram = Aeq.conj().T @ Aeq
     cond = float(np.linalg.cond(gram))
-    if cond > thresholds.cond_reject:
+    if cond > COND_REJECT:
         raise IllConditionedFit(f"normal-equation condition {cond:.3g}")
     return np.linalg.solve(gram, Aeq.conj().T @ b) / scales, cond
 
 
-def fit_cubic(w: np.ndarray, dw: np.ndarray, thresholds: Thresholds = Thresholds()) -> FitResult:
+def fit_cubic(w: np.ndarray, dw: np.ndarray) -> FitResult:
     """Least squares for w'^2 = p3 w^3 + p2 w^2 + p1 w + p0."""
-    if _spread(w) <= thresholds.spread_eps:
+    if _spread(w) <= SPREAD_EPS:
         raise DegenerateInput("w values are all one constant; nothing to fit")
     A = np.column_stack([np.ones_like(w), w, w**2, w**3])
-    return _fit("cubic", A, dw**2, thresholds)
+    return _fit("cubic", A, dw**2)
 
 
-def fit_linear(w: np.ndarray, dw: np.ndarray, thresholds: Thresholds = Thresholds()) -> FitResult:
+def fit_linear(w: np.ndarray, dw: np.ndarray) -> FitResult:
     """Least squares for w' = l1 w + l0."""
-    return _fit("linear", np.column_stack([np.ones_like(w), w]), dw, thresholds)
+    return _fit("linear", np.column_stack([np.ones_like(w), w]), dw)
 
 
-def _fit(model: str, A: np.ndarray, b: np.ndarray, thresholds: Thresholds) -> FitResult:
+def _fit(model: str, A: np.ndarray, b: np.ndarray) -> FitResult:
     """Least squares A p = b, with the misfit relative to the RMS of b."""
     if len(b) <= A.shape[1]:
         raise TooFewPoints(f"{model} fit needs at least {A.shape[1] + 1} (w, w') pairs")
-    coeffs, cond = _solve_normal(A, b, thresholds)
+    coeffs, cond = _solve_normal(A, b)
     misfit, size = (np.sqrt(np.mean(np.abs(v) ** 2)) for v in (A @ coeffs - b, b))
     residual = float(verifier.relative(misfit, size))
     sizes = tuple(np.abs(A * coeffs).max(axis=0).tolist())
@@ -200,33 +198,30 @@ def reexpand_normal_form(g2: complex, g3: complex, a: complex, b: complex):
     return p0, p1, p2, p3
 
 
-def classify(
-    cubic: FitResult | None,
-    linear: FitResult | None,
-    thresholds: Thresholds = Thresholds(),
-) -> Classification:
+def classify(cubic: FitResult | None, linear: FitResult | None) -> Classification:
     """Decision tree over the two fits.
 
-    A good linear fit gives Linear (l1 w insignificant) or
-    Exponential(delta = l1). A good cubic fit with significant p3 is the
-    Weierstrass family in normal form; with p3 insignificant but p2
-    significant it is the trigonometric sector, folded into Exponential
-    with delta = sqrt(p2). A term of either fit is significant where its
-    largest size over the samples passes coeff_eps of the largest left-hand
-    side: the raw coefficients span scales like |omega|^-6 (p0 ~ -g3)
-    against 4 (p3) on small lattices. Everything else is NotASolution, a
-    valid outcome, not an error. Constant samples never get here:
-    `classify_samples` decides them by spread first.
+    A fit is good when its misfit is within TAU_LIN or TAU_CUB. A good
+    linear fit gives Linear (l1 w insignificant) or Exponential(delta = l1).
+    A good cubic fit with significant p3 is the Weierstrass family in
+    normal form; with p3 insignificant but p2 significant it is the
+    trigonometric sector, folded into Exponential with delta = sqrt(p2).
+    A term of either fit is significant where its largest size over the
+    samples passes COEFF_EPS of the largest left-hand side: the raw
+    coefficients span scales like |omega|^-6 (p0 ~ -g3) against 4 (p3) on
+    small lattices. Everything else is NotASolution, a valid outcome, not
+    an error. Constant samples never get here: `classify_samples` decides
+    them by spread first.
     """
     evidence = tuple(r for r in (cubic, linear) if r is not None)
-    if linear is not None and linear.residual <= thresholds.tau_lin:
+    if linear is not None and linear.residual <= TAU_LIN:
         l0, l1 = linear.coefficients
-        if not linear.significant(thresholds.coeff_eps)[1]:
+        if not linear.significant(COEFF_EPS)[1]:
             return Classification("linear", {"alpha": l0}, evidence)
         return Classification("exponential", {"delta": l1}, evidence)
-    if cubic is not None and cubic.residual <= thresholds.tau_cub:
+    if cubic is not None and cubic.residual <= TAU_CUB:
         p0, p1, p2, p3 = cubic.coefficients
-        significant = cubic.significant(thresholds.coeff_eps)
+        significant = cubic.significant(COEFF_EPS)
         if significant[3]:
             g2, g3, a, b = to_normal_form(p0, p1, p2, p3)
             return Classification(
@@ -237,23 +232,19 @@ def classify(
     return Classification("not_a_solution", {}, evidence)
 
 
-def classify_samples(
-    samples: SampleSet,
-    thresholds: Thresholds = Thresholds(),
-    stencil_order: int = 4,
-    seed: int = 0,
-) -> Classification:
+def classify_samples(samples: SampleSet, stencil_order: int = 4, seed: int = 0) -> Classification:
     """Full pipeline: jets, both fits, decision, and the round-trip residual.
 
-    Constant samples are decided by their spread first. Otherwise the fits
-    need 5 (w, w') pairs, and the stencil drops stencil_order of the samples:
-    so 5 samples with derivatives, 7 at order 2 and 9 at order 4.
+    Constant samples are decided by their spread (SPREAD_EPS) first.
+    Otherwise the fits need 5 (w, w') pairs, and the stencil drops
+    stencil_order of the samples: so 5 samples with derivatives, 7 at order
+    2 and 9 at order 4.
 
     The round trip rebuilds the decided family and scans the functional
     equation on it, attaching the max residual as independent evidence that
     the classified family really solves the equation.
     """
-    if _spread(np.array(samples.ws, dtype=complex)) < thresholds.spread_eps:
+    if _spread(np.array(samples.ws, dtype=complex)) < SPREAD_EPS:
         return Classification("constant", {"c": sum(samples.ws) / len(samples.ws)}, ())
     need = 5 if samples.dws is not None else 5 + stencil_order
     if len(samples.xs) < need:
@@ -263,10 +254,10 @@ def classify_samples(
     fits = []
     for fit in (fit_cubic, fit_linear):
         try:
-            fits.append(fit(w, dw, thresholds))
+            fits.append(fit(w, dw))
         except (DegenerateInput, IllConditionedFit):
             fits.append(None)
-    decision = classify(*fits, thresholds)
+    decision = classify(*fits)
     if decision.family != "not_a_solution":
         rt = roundtrip_residual(decision, seed=seed)
         return Classification(decision.family, decision.params, decision.evidence, rt)

@@ -72,12 +72,19 @@ class _Parser(argparse.ArgumentParser):
 # -- flag parsing helpers --------------------------------------------------------
 
 
+def _finite(values: list[float], text: str) -> list[float]:
+    """values, parsed from text, if each is finite; nan, inf and values beyond the float range raise."""
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"non-finite value in {text!r}")
+    return values
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"expected re,im but got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(*_finite([float(p) for p in parts], text))
     except ValueError as exc:
         raise ConfigError(f"bad complex value {text!r}") from exc
 
@@ -90,7 +97,7 @@ def _parse_fractions(text: str, expect: int) -> list[float]:
     for part in parts:
         try:
             out.append(float(Fraction(part.strip())))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"bad numeric value {part!r}") from exc
     return out
 
@@ -406,8 +413,6 @@ def _read_samples_csv(path: str) -> cls.SampleSet:
                     raise InputError(f"{path}: bad sample row {row!r}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if not np.isfinite(xs + ws).all():
-        raise InputError(f"{path}: non-finite x or w")
     return cls.SampleSet(tuple(xs), tuple(ws))
 
 
@@ -497,19 +502,20 @@ def _parse_grid(text: str):
     if len(parts) != 3:
         raise ConfigError(f"expected start:stop:step, got {text!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _finite([float(p) for p in parts], text)
     except ValueError as exc:
         raise ConfigError(f"bad grid range {text!r}") from exc
     if step <= 0 or stop <= start:
         raise ConfigError("grid needs stop > start and step > 0")
-    n = int(math.floor((stop - start) / step * (1.0 + 1e-12))) + 1
+    span = _finite([(stop - start) / step * (1.0 + 1e-12)], text)[0]
+    n = int(math.floor(span)) + 1
     return [start + i * step for i in range(n)]
 
 
 def _cmd_gen(args, parser) -> int:
     grid = _parse_grid(args.grid)
     fam = _family(args, args.family)
-    values = [fam.jets(x, 0).values[0] for x in grid]
+    values = [fam.jets(x, 0)[0] for x in grid]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x_re", "x_im", "w_re", "w_im"])

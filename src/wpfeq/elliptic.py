@@ -66,15 +66,7 @@ from .errors import (
 # of the pe' sum is at most 8 n^2 |q|^n k^3: below 2e-17 k^3 from n = 17 on
 _THETA_TERMS = 16
 _INVARIANT_TOL = 1e-12  # round trip of the AGM generators, relative to the scale
-_LATTICE_TOL = 1e-9  # lattice membership, and how near to real a period ratio may come
-
-
-@dataclass(frozen=True)
-class ToleranceSet:
-    """Evaluation tolerances: pole exclusion, lattice test."""
-
-    pole: float = 1e-6
-    lattice: float = _LATTICE_TOL
+LATTICE_TOL = 1e-9  # lattice membership, and how near to real a period ratio may come
 
 
 @dataclass(frozen=True)
@@ -93,18 +85,6 @@ class Invariants:
 
 
 @dataclass(frozen=True)
-class JetValues:
-    """Function value and derivatives (f, f', ..., f^(order)) at a point or elementwise."""
-
-    at: complex | np.ndarray
-    values: tuple[complex, ...] | tuple[np.ndarray, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-
-@dataclass(frozen=True)
 class EllipticContext:
     """Immutable evaluation context; safe to share across concurrent readers.
 
@@ -114,12 +94,13 @@ class EllipticContext:
     g2 = g3 = 0. The theta series runs on k = pi/b1 (0 if g2 = g3 = 0) and
     theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut where q^(2n) underflows;
     eta holds the quasi-period constants (zeta(b1/2), zeta(b2/2)). lambda_min
-    is the distance to the nearest lattice point: |b1|, pi/|k| or inf.
+    is the distance to the nearest lattice point: |b1|, pi/|k| or inf, and
+    pole_tol the distance within which a lattice point counts as a pole.
     """
 
     invariants: Invariants
     periods: Periods | None
-    tol: ToleranceSet
+    pole_tol: float
     reduced: tuple[complex, ...]
     lambda_min: float
     k: complex
@@ -211,7 +192,7 @@ def lattice_sum_reference(
     estimate is the last extrapolation improvement. NoPeriods below rank two.
     """
     z = complex(z)
-    if lattice_distance(ctx, z) <= ctx.tol.pole:
+    if lattice_distance(ctx, z) <= ctx.pole_tol:
         raise PoleProximity(z)
     acc = 1.0 / (z * z)
     vals = []
@@ -276,7 +257,7 @@ def _context(
                 raise FloatOverflow(f"the invariants of the lattice on {b1} exceed the float range") from exc
     if pole_tol is None:
         pole_tol = 1e-3 * lam if math.isfinite(lam) else 0.0
-    return EllipticContext(invariants, periods, ToleranceSet(pole=pole_tol), reduced, lam, k, tuple(coeffs), eta)
+    return EllipticContext(invariants, periods, pole_tol, reduced, lam, k, tuple(coeffs), eta)
 
 
 def from_periods(omega1: complex, omega2: complex, *, pole_tol: float | None = None) -> EllipticContext:
@@ -285,7 +266,7 @@ def from_periods(omega1: complex, omega2: complex, *, pole_tol: float | None = N
     if w1 == 0 or w2 == 0:
         raise DegenerateLattice("zero period generator")
     ratio = w2 / w1
-    if abs(ratio.imag) <= _LATTICE_TOL:
+    if abs(ratio.imag) <= LATTICE_TOL:
         raise DegenerateLattice("period ratio is real within tolerance")
     if ratio.imag < 0:
         w1, w2 = w2, w1
@@ -322,7 +303,7 @@ def _agm_context(g2: complex, g3: complex, scale: float, pole_tol: float | None)
     m1 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
     m2 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
     # the generators' ratio i m1/m2 must not be real
-    if not (m2 and abs((m1 / m2).real) > _LATTICE_TOL * abs(m1 / m2)):
+    if not (m2 and abs((m1 / m2).real) > LATTICE_TOL * abs(m1 / m2)):
         raise SeriesNoConverge("the AGM periods of the invariants span no lattice")
     b1, b2 = _gauss_reduce(math.pi / m1, math.pi * 1j / m2)
     ctx = _context(None, Periods(b1, b2), (b1, b2), math.pi / b1, pole_tol)
@@ -420,7 +401,7 @@ def _point(ctx: EllipticContext, z):
         sign = 1.0 - 2.0 * ((v.imag < 0.0) | ((v.imag == 0.0) & (v.real < 0.0)))
         iu = 1j * (sign * v)
         e, d = (np.exp(2.0 * iu), np.expm1(2.0 * iu)) if batch else _exp_expm1(2.0 * iu)
-    near = (abs(z0) <= ctx.tol.pole) | (d * d * d == 0)
+    near = (abs(z0) <= ctx.pole_tol) | (d * d * d == 0)
     return z0, m, n, k, sign, iu, e, d, near
 
 
@@ -509,8 +490,8 @@ def wp_prime(ctx: EllipticContext, z):
 
 
 @_elementwise()
-def jets(ctx: EllipticContext, z, order: int = 5) -> JetValues:
-    """(pe, pe', ..., pe^(order)) at z with order <= 5.
+def jets(ctx: EllipticContext, z, order: int = 5) -> tuple:
+    """The tuple (pe, pe', ..., pe^(order)) at z with order <= 5.
 
     Everything above pe' comes from differentiating the normal-form ODE
     (`_ode_jets`). Elementwise on an array, every value nan where a number
@@ -519,11 +500,11 @@ def jets(ctx: EllipticContext, z, order: int = 5) -> JetValues:
     if not 0 <= order <= 5:
         raise ValueError("jet order must be between 0 and 5")
     p, dp = _wp_dp(ctx, z)
-    return JetValues(at=z, values=tuple(_ode_jets(ctx, p, dp, order)))
+    return _ode_jets(ctx, p, dp, order)
 
 
-def _ode_jets(ctx: EllipticContext, p, dp, order: int) -> list:
-    """[pe, pe', ..., pe^(order)] from pe and pe', numbers or arrays, order <= 5.
+def _ode_jets(ctx: EllipticContext, p, dp, order: int) -> tuple:
+    """(pe, pe', ..., pe^(order)) from pe and pe', numbers or arrays, order <= 5.
 
     pe'' = 6 pe^2 - g2/2, pe''' = 12 pe pe', pe'''' = 12 pe'^2 + 12 pe pe'',
     pe''''' = 36 pe' pe'' + 12 pe pe'''.
@@ -538,7 +519,7 @@ def _ode_jets(ctx: EllipticContext, p, dp, order: int) -> list:
         vals.append(12.0 * dp * dp + 12.0 * p * vals[2])
     if order >= 5:
         vals.append(36.0 * dp * vals[2] + 12.0 * p * vals[3])
-    return vals[: order + 1]
+    return tuple(vals[: order + 1])
 
 
 @_elementwise(arrays_only=True)
@@ -622,8 +603,8 @@ def reduce_to_cell(ctx: EllipticContext, z: complex) -> complex:
 
 
 def is_lattice_point(ctx: EllipticContext, z: complex) -> bool:
-    """True when z is a lattice point within the lattice tolerance (`lattice_offset`)."""
-    return lattice_offset(ctx, z) <= ctx.tol.lattice
+    """True when z is a lattice point within LATTICE_TOL (`lattice_offset`)."""
+    return lattice_offset(ctx, z) <= LATTICE_TOL
 
 
 # the 3x3 neighbour shifts (dm, dn) of the rounded lattice coordinates

@@ -33,16 +33,17 @@ from typing import Sequence
 import numpy as np
 
 from . import elliptic, jetpoly
-from .elliptic import EllipticContext, JetValues
+from .elliptic import EllipticContext
 from .errors import FloatOverflow, PoleProximity, SamplerExhausted
 
 
 # -- function families ---------------------------------------------------------
 #
-# Each family gives exact jets, `jets(x, order)` -> (f, f', ..., f^(order)),
-# and an antiderivative, `antiderivative(x)`, at a number or elementwise over
-# an ndarray, by one body. Where a number raises PoleProximity, an array
-# holds nan, and a batch reads its faults from that (`_pole_faults`).
+# Each family gives exact jets, `jets(x, order)` -> the tuple (f, f', ...,
+# f^(order)), and an antiderivative, `antiderivative(x)`, at a number or
+# elementwise over an ndarray, by one body. Where a number raises
+# PoleProximity, an array holds nan, and a batch reads its faults from that
+# (`_pole_faults`).
 
 
 def _as_complex(x):
@@ -62,9 +63,8 @@ class WeierstrassShifted:
     ctx: EllipticContext
     shift: complex = 0j
 
-    def jets(self, x, order: int = 5) -> JetValues:
-        x = _as_complex(x)
-        return JetValues(at=x, values=elliptic.jets(self.ctx, x + self.shift, order).values)
+    def jets(self, x, order: int = 5) -> tuple:
+        return elliptic.jets(self.ctx, _as_complex(x) + self.shift, order)
 
     def antiderivative(self, x):
         # F with F' = pe(. + shift) is -zeta(. + shift)
@@ -98,14 +98,13 @@ class Exponential:
             raise FloatOverflow(f"exp({self.delta} * x) overflows on the batch")
         return e
 
-    def jets(self, x, order: int = 5) -> JetValues:
-        x = _as_complex(x)
-        d = self.alpha * self._exp(x)
+    def jets(self, x, order: int = 5) -> tuple:
+        d = self.alpha * self._exp(_as_complex(x))
         vals = [d + self.beta]
         for _ in range(order):
             d = d * self.delta
             vals.append(d)
-        return JetValues(at=x, values=tuple(vals))
+        return tuple(vals)
 
     def antiderivative(self, x):
         x = _as_complex(x)
@@ -123,10 +122,10 @@ class Linear:
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero; use Constant instead")
 
-    def jets(self, x, order: int = 5) -> JetValues:
+    def jets(self, x, order: int = 5) -> tuple:
         x = _as_complex(x)
         vals = [self.alpha * x + self.beta, _filled(x, self.alpha)] + [_filled(x, 0j)] * max(0, order - 1)
-        return JetValues(at=x, values=tuple(vals[: order + 1]))
+        return tuple(vals[: order + 1])
 
     def antiderivative(self, x):
         x = _as_complex(x)
@@ -137,9 +136,9 @@ class Linear:
 class Constant:
     value: complex = 0j
 
-    def jets(self, x, order: int = 5) -> JetValues:
+    def jets(self, x, order: int = 5) -> tuple:
         x = _as_complex(x)
-        return JetValues(at=x, values=(_filled(x, complex(self.value)),) + (_filled(x, 0j),) * order)
+        return (_filled(x, complex(self.value)),) + (_filled(x, 0j),) * order
 
     def antiderivative(self, x):
         return complex(self.value) * _as_complex(x)
@@ -148,29 +147,28 @@ class Constant:
 FunctionFamily = WeierstrassShifted | Exponential | Linear | Constant
 
 
-def transform_jets(j: JetValues, alpha: complex = 1.0, beta: complex = 0j, delta: complex = 1.0) -> JetValues:
-    """Jets of alpha*f(delta x) + beta given jets of f at delta*x (chain rule)."""
-    vals = [alpha * j.values[0] + beta]
+def transform_jets(j: tuple, alpha: complex = 1.0, beta: complex = 0j, delta: complex = 1.0) -> tuple:
+    """Jets of alpha*f(delta x) + beta given jets j of f at delta*x (chain rule)."""
+    vals = [alpha * j[0] + beta]
     scale = alpha
-    for k in range(1, len(j.values)):
+    for v in j[1:]:
         scale = scale * delta
-        vals.append(scale * j.values[k])
-    return JetValues(at=j.at, values=tuple(vals))
+        vals.append(scale * v)
+    return tuple(vals)
 
 
 # -- determinant and residual ----------------------------------------------------
 
 
-def det3(jf: JetValues, jg: JetValues, jh: JetValues) -> complex:
-    """Determinant of rows (1,1,1), (f,g,h), (f',g',h') from first-order jets."""
-    fv, gv, hv = jf.values[0], jg.values[0], jh.values[0]
-    fp, gp, hp = jf.values[1], jg.values[1], jh.values[1]
+def det3(jf: tuple, jg: tuple, jh: tuple) -> complex:
+    """Determinant of rows (1,1,1), (f,g,h), (f',g',h') from jets (f, f', ...)."""
+    (fv, fp), (gv, gp), (hv, hp) = jf[:2], jg[:2], jh[:2]
     return (gv - fv) * hp - (gp - fp) * hv + (fv * gp - gv * fp)
 
 
-def det3_terms(jf: JetValues, jg: JetValues, jh: JetValues):
+def det3_terms(jf: tuple, jg: tuple, jh: tuple):
     """det3's cancellation scale: the sum of the magnitudes of its six terms."""
-    (fv, fp), (gv, gp), (hv, hp) = (j.values[:2] for j in (jf, jg, jh))
+    (fv, fp), (gv, gp), (hv, hp) = jf[:2], jg[:2], jh[:2]
     return abs(gv * hp) + abs(fv * hp) + abs(gp * hv) + abs(fp * hv) + abs(fv * gp) + abs(gv * fp)
 
 
@@ -205,12 +203,12 @@ def residual(
 
     def evaluate(x, y, z):
         jets = _family_jets((ff, fg, fh), (x, y, z), 1)
-        return det3(*jets), det3_terms(*jets), _pole_faults(*(j.values[0] for j in jets))
+        return det3(*jets), det3_terms(*jets), _pole_faults(*(j[0] for j in jets))
 
     return _score(evaluate, x, y, -(x + y) if z is None else z)
 
 
-def _family_jets(families: Sequence[FunctionFamily], points: Sequence, order: int) -> list[JetValues]:
+def _family_jets(families: Sequence[FunctionFamily], points: Sequence, order: int) -> list[tuple]:
     """Jets of family j at points[j]; pe families on one context share one `elliptic.jets` call on arrays.
 
     That call takes the stacked points plus shifts; it works elementwise, so
@@ -219,8 +217,8 @@ def _family_jets(families: Sequence[FunctionFamily], points: Sequence, order: in
     ctx = getattr(families[0], "ctx", None)
     if not all(isinstance(fam, WeierstrassShifted) and fam.ctx is ctx for fam in families):
         return [fam.jets(p, order) for fam, p in zip(families, points)]
-    values = elliptic.jets(ctx, np.stack(points) + np.array([[fam.shift] for fam in families]), order).values
-    return [JetValues(at=p, values=tuple(v[j] for v in values)) for j, p in enumerate(points)]
+    values = elliptic.jets(ctx, np.stack(points) + np.array([[fam.shift] for fam in families]), order)
+    return list(zip(*values))
 
 
 # -- sampling ----------------------------------------------------------------------
@@ -272,15 +270,15 @@ class TripleSampler:
     [margin, 1-margin]^2 when a family's lattice has rank two, otherwise in
     a complex box of half-width `box`. z is -x-y unless `unconstrained`, in
     which case all three points are independent. Triple i is row i of a
-    block drawn by the generator seeded with (seed, round). Draws near the
-    lattice, of any rank, are rejected and redrawn in the next round, with
-    a budget of 100 draws per sample on average.
+    block drawn by the generator seeded with (seed, round). Draws within
+    `effective_pole_radius` of the lattice, of any rank, are rejected and
+    redrawn in the next round, with a budget of 100 draws per sample on
+    average.
     """
 
     seed: int = 0
     count: int = 1000
     margin: float = 0.05
-    pole_radius: float | None = None
     unconstrained: bool = False
     box: float = 1.0
 
@@ -293,12 +291,10 @@ class TripleSampler:
         return rng.uniform(-self.box, self.box, (n, k, 2)).view(complex)[..., 0]
 
     def effective_pole_radius(self, ctx: EllipticContext | None) -> float:
-        """The given radius, else max(tol.pole, 0.03 lambda_min); 1e-6 without a context or finite lambda_min."""
-        if self.pole_radius is not None:
-            return self.pole_radius
+        """max(pole_tol, 0.03 lambda_min) of the context; 1e-6 without a context or finite lambda_min."""
         if ctx is None or math.isinf(ctx.lambda_min):
             return 1e-6
-        return max(ctx.tol.pole, 0.03 * ctx.lambda_min)
+        return max(ctx.pole_tol, 0.03 * ctx.lambda_min)
 
     def admissible(self, families: Sequence[FunctionFamily], points: np.ndarray) -> np.ndarray:
         """Rows of the (n, len(families)) points where point j + shift lies beyond the pole radius of family j.
@@ -421,7 +417,7 @@ def grid_scan(
     ticks = lo + width * np.arange(grid) / max(grid - 1, 1)
     s, t = np.repeat(ticks, grid), np.tile(ticks, grid)
     xs = elliptic.lattice_point(ctx, s, t) if cell else s + 1j * t
-    poles = np.flatnonzero(np.isnan(fam.jets(xs, 0).values[0]))
+    poles = np.flatnonzero(np.isnan(fam.jets(xs, 0)[0]))
     if poles.size:
         raise SamplerExhausted(f"grid point {poles[0]} at x = {xs[poles[0]]} is a pole of the family")
 
@@ -507,7 +503,7 @@ def _det_vs_sigma(ctx: EllipticContext, a: np.ndarray, b: np.ndarray, c: np.ndar
     """
     jets = _family_jets((WeierstrassShifted(ctx),) * 3, (a, b, c), 1)
     quotient = sigma_quotient(ctx, a, b, c)
-    return det3(*jets) - quotient, det3_terms(*jets), _pole_faults(*(j.values[0] for j in jets), quotient)
+    return det3(*jets) - quotient, det3_terms(*jets), _pole_faults(*(j[0] for j in jets), quotient)
 
 
 _SIGMA_SPREAD = 0.35
@@ -522,7 +518,7 @@ def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, t
     near the lattice (where the quotient divides by a vanishing sigma or
     both sides vanish). An admitted triple whose gap faults is skipped.
     """
-    pole = max(ctx.tol.pole, 0.04 * ctx.lambda_min)
+    pole = max(ctx.pole_tol, 0.04 * ctx.lambda_min)
 
     def draw(rng, n):
         st = rng.uniform(-_SIGMA_SPREAD, _SIGMA_SPREAD, (n, 3, 2))
@@ -567,13 +563,13 @@ def shifted_det_vs_sigma_scan(
 def theorem_shift_expectation(ctx: EllipticContext, total_shift: complex) -> str:
     """'pass' / 'fail' / 'indeterminate' from lattice membership of the shift sum (`lattice_offset`).
 
-    Borderline sums within a factor ten of the lattice tolerance are
+    Borderline sums within a factor ten of `elliptic.LATTICE_TOL` are
     reported indeterminate instead of being forced to a side.
     """
     dist = elliptic.lattice_offset(ctx, total_shift)
-    if dist <= ctx.tol.lattice:
+    if dist <= elliptic.LATTICE_TOL:
         return "pass"
-    if dist <= 10.0 * ctx.tol.lattice:
+    if dist <= 10.0 * elliptic.LATTICE_TOL:
         return "indeterminate"
     return "fail"
 
@@ -635,7 +631,7 @@ def derived_determinant_check(
     order = max(poly.jet_order("f"), poly.jet_order("g"), 1)
 
     def evaluate(x, y, z):
-        fv, gv = (j.values for j in _family_jets((ff, fg), (x, y), order))
+        fv, gv = _family_jets((ff, fg), (x, y), order)
         value = jetpoly.evaluate(poly, fv, gv)
         return value, jetpoly.evaluate(poly, fv, gv, absolute=True), _pole_faults(fv[0], gv[0])
 
@@ -711,7 +707,7 @@ def factfun_check(
             near = elliptic.lattice_distance(ctx, points + fam.shift)
             faults[(near <= clearance).any(axis=0)] = _GUARD
         ok = faults == 0
-        fv, fp = fam.jets(points[:, ok], 1).values
+        fv, fp = fam.jets(points[:, ok], 1)
         value[ok], pole = _third_order_operator(fam.antiderivative, x[ok], y[ok], z[ok], h_step)
         # not det3_terms: against it, stencil round-off fails true solutions on Im tau 5 to 8
         # until factfun has a noise floor
@@ -738,7 +734,7 @@ def constant_case_check(
     """
 
     def evaluate(x, y, z):
-        (fv, fp), (gv, gp) = ff.jets(x, 1).values, fg.jets(y, 1).values
+        (fv, fp), (gv, gp) = ff.jets(x, 1), fg.jets(y, 1)
         p, q = fv * gp, fp * gv
         return p - q, np.abs(p) + np.abs(q), _pole_faults(fv, gv)
 

@@ -1,0 +1,16 @@
+"""The package's public name list."""
+
+import wpfeq
+
+
+def test_every_public_name_resolves():
+    assert len(set(wpfeq.__all__)) == len(wpfeq.__all__)
+    for name in wpfeq.__all__:
+        assert getattr(wpfeq, name, None) is not None, name
+
+
+def test_star_import_exports_exactly_the_public_names():
+    namespace = {}
+    exec("from wpfeq import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(wpfeq.__all__)

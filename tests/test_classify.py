@@ -25,8 +25,21 @@ def _samples(fn, lo, hi, h):
 
 def _exact_jets(ctx, xs):
     """Arrays w and w' of wp at the points xs."""
-    jets = [el.jets(ctx, x, 1).values for x in xs.tolist()]
+    jets = [el.jets(ctx, x, 1) for x in xs.tolist()]
     return np.array([j[0] for j in jets], dtype=complex), np.array([j[1] for j in jets], dtype=complex)
+
+
+class TestSampleSet:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf)], ids=["nan", "inf", "inf-im"])
+    @pytest.mark.parametrize("where, given", [("x", False), ("w", False), ("x", True), ("w", True), ("dw", True)])
+    def test_non_finite_value_is_degenerate_input(self, where, given, bad):
+        # twelve samples of x^2: classify_samples would take them but for the one bad value
+        xs = [0.5 + 0.01 * i for i in range(12)]
+        cols = {"x": xs, "w": [x * x for x in xs], "dw": [2.0 * x for x in xs]}
+        cols[where][5] = complex(bad)
+        dws = tuple(cols["dw"]) if given else None
+        with pytest.raises(DegenerateInput, match="non-finite"):
+            cl.SampleSet(tuple(cols["x"]), tuple(cols["w"]), dws)
 
 
 class TestEstimateJets:
@@ -195,8 +208,8 @@ class TestClassify:
             x = 0.4 + 0.025 * i
             j = el.jets(normal_form_ctx, x, 1)
             xs.append(x)
-            ws.append(j.values[0])
-            dws.append(j.values[1])
+            ws.append(j[0])
+            dws.append(j[1])
         dec = cl.classify_samples(cl.SampleSet(tuple(xs), tuple(ws), tuple(dws)))
         assert dec.family == "weierstrass"
         assert abs(dec.params["g2"] - 4.0) <= 1e-6
@@ -297,18 +310,23 @@ class TestClassify:
             x = 0.8 + 0.05 * i
             j = el.jets(normal_form_ctx, delta * x, 1)
             xs.append(x)
-            ws.append(alpha * j.values[0] + beta)
-            dws.append(alpha * delta * j.values[1])
+            ws.append(alpha * j[0] + beta)
+            dws.append(alpha * delta * j[1])
         dec = cl.classify_samples(cl.SampleSet(tuple(xs), tuple(ws), tuple(dws)))
         assert dec.family == "weierstrass"
 
         s = _samples(lambda x: 3.0 * math.exp(0.7 * x) - 2.0, 0.0, 2.0, 0.05)
         assert cl.classify_samples(s).family == "exponential"
 
-    def test_threshold_monotonicity(self):
+    def test_threshold_monotonicity(self, monkeypatch):
         s = _samples(math.exp, 0.0, 2.0, 0.05)
-        tight = cl.classify_samples(s, thresholds=cl.Thresholds(tau_lin=1e-12, tau_cub=1e-12))
-        loose = cl.classify_samples(s, thresholds=cl.Thresholds(tau_lin=1e-3, tau_cub=1e-3))
+
+        def classify_at(tau):
+            monkeypatch.setattr(cl, "TAU_LIN", tau)
+            monkeypatch.setattr(cl, "TAU_CUB", tau)
+            return cl.classify_samples(s)
+
+        tight, loose = classify_at(1e-12), classify_at(1e-3)
         # loosening tau never turns an accepted family into a rejection
         if tight.family != "not_a_solution":
             assert loose.family != "not_a_solution"

@@ -372,6 +372,34 @@ class TestEval:
         assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--fn", "wp", "--periods", "1e400,0,0,1", "--z", "0.3,0.2"],
+        ["eval", "--fn", "wp", "--g2", "nan,0", "--g3", "1,0", "--z", "0.3,0.2"],
+        ["eval", "--fn", "wp", "--g2", "4,0", "--g3", "1,inf", "--z", "0.3,0.2"],
+        ["eval", "--fn", "wp", "--periods", "1,0,0,1", "--z", "nan,0"],
+        ["eval", "--fn", "wp", "--periods", "1,0,0,1", "--z", "0.3,1e309"],
+        ["verify", "theorem1", "--periods", "2,0,0,2", "--shift-frac", "1e400,0"],
+        ["verify", "theorem1", "--periods", "2,0,0,2", "--shift", "nan,0"],
+        ["verify", "theorem2", "--periods", "2,0,0,2", "--gammas", "1e999,0,0,0,0,0"],
+        ["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid", "nan:1:0.1"],
+        ["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid", "0:inf:1"],
+        ["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid=-1e308:1e308:1"],
+        ["gen", "--family", "exp", "--delta", "nan,0", "--grid", "0:1:0.1"],
+    ],
+    ids=["periods-overflow", "g2-nan", "g3-inf", "z-nan", "z-overflow", "shift-frac-overflow", "shift-nan",
+         "gammas-overflow", "grid-nan", "grid-inf", "grid-count-overflow", "delta-nan"],
+)
+def test_non_finite_flag_is_a_configuration_error(argv, tmp_path, capsys):
+    out = tmp_path / "samples.csv"
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(out)]
+    assert run(argv) == 65
+    assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestParser:
     # each verb's option strings: a shared flag group must add none to a verb
     OPTIONS = {

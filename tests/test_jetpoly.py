@@ -185,8 +185,8 @@ class TestEvaluate:
 
         p = jp.build_addet(1, 2)
         x, y = 0.43 + 0.31j, 0.91 + 1.17j
-        fj = elliptic.jets(square_ctx, x, 5).values
-        gj = elliptic.jets(square_ctx, y, 5).values
+        fj = elliptic.jets(square_ctx, x, 5)
+        gj = elliptic.jets(square_ctx, y, 5)
         value = jp.evaluate(p, fj, gj)
         scale = jp.evaluate(p, fj, gj, absolute=True)
         assert abs(value) <= 1e-9 * scale

@@ -17,15 +17,15 @@ from wpfeq.errors import FloatOverflow, PoleProximity, SamplerExhausted
 class TestFamilies:
     def test_linear_jets(self):
         j = vr.Linear(2.0, 1.0).jets(3.0, 3)
-        assert j.values == (7.0, 2.0, 0.0, 0.0)
+        assert j == (7.0, 2.0, 0.0, 0.0)
 
     def test_exponential_jets(self):
         j = vr.Exponential(1.0, 0.0, 1.0).jets(0.0, 3)
-        assert j.values == pytest.approx((1.0, 1.0, 1.0, 1.0))
+        assert j == pytest.approx((1.0, 1.0, 1.0, 1.0))
 
     def test_degenerate_wp_jets(self, degenerate_ctx):
         j = vr.WeierstrassShifted(degenerate_ctx, 0j).jets(0.5, 3)
-        assert j.values == pytest.approx((4.0, -16.0, 96.0, -768.0))
+        assert j == pytest.approx((4.0, -16.0, 96.0, -768.0))
 
     def test_invalid_families_rejected(self):
         with pytest.raises(ValueError):
@@ -53,18 +53,18 @@ class TestFamilyArrays:
     )
     def test_closed_forms_match_jets(self, fam):
         x = np.random.default_rng(9).uniform(-1.0, 1.0, (40, 2)).view(complex)[:, 0]
-        f, df = fam.jets(x, 1).values
+        f, df = fam.jets(x, 1)
         assert not np.isnan(f).any()
         for xi, fi, dfi in zip(x.tolist(), f.tolist(), df.tolist()):
-            assert (fi, dfi) == pytest.approx(fam.jets(xi, 1).values, rel=1e-15, abs=1e-15)
+            assert (fi, dfi) == pytest.approx(fam.jets(xi, 1), rel=1e-15, abs=1e-15)
 
     def test_shifted_wp_matches_jets(self, generic_ctx):
         fam = vr.WeierstrassShifted(generic_ctx, 0.4 - 0.3j)
         x = np.append(np.random.default_rng(10).uniform(-2.0, 2.0, (40, 2)).view(complex)[:, 0], 0.3j - 0.4)
-        f, df = fam.jets(x, 1).values
+        f, df = fam.jets(x, 1)
         assert np.isnan(f).tolist() == [False] * 40 + [True]
         for xi, fi, dfi in zip(x[:40].tolist(), f.tolist(), df.tolist()):
-            want = fam.jets(xi, 1).values
+            want = fam.jets(xi, 1)
             assert abs(fi - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
             assert abs(dfi - want[1]) <= 1e-12 * max(1.0, abs(want[1]))
 
@@ -100,7 +100,7 @@ class TestDet3:
             # a <-> b negates every operand, so it is exact; b <-> c regroups
             # the float sum, so it holds to a few units of round-off of the terms
             assert vr.det3(ja, jb, jc) == -vr.det3(jb, ja, jc)
-            (fv, fp), (gv, gp), (hv, hp) = (j.values for j in (ja, jb, jc))
+            (fv, fp), (gv, gp), (hv, hp) = ja, jb, jc
             pairs = ((gv, hp), (fv, hp), (gp, hv), (fp, hv), (fv, gp), (gv, fp))
             terms = sum(abs(u * v) for u, v in pairs)
             assert abs(vr.det3(ja, jb, jc) + vr.det3(ja, jc, jb)) <= 8 * 2.0**-53 * terms
@@ -170,13 +170,19 @@ class TestResidualAndScan:
         assert not math.isfinite(rep.max_residual)
 
 
+def _pole_radius(monkeypatch, radius: float):
+    """Give every sampler the pole radius `radius` on every context, to force redraws."""
+    monkeypatch.setattr(vr.TripleSampler, "effective_pole_radius", lambda self, ctx: radius)
+
+
 class TestSampling:
-    def test_stream_is_keyed_by_seed_index_attempt(self, square_ctx):
+    def test_stream_is_keyed_by_seed_index_attempt(self, square_ctx, monkeypatch):
         # round k draws one block from the generator seeded with (seed, k);
         # sample i takes row i, (s, t) of x then of y, until x, y and z all
         # clear the pole radius
         fam = vr.WeierstrassShifted(square_ctx, 0j)
-        sampler = vr.TripleSampler(seed=4, count=30, pole_radius=0.5)
+        _pole_radius(monkeypatch, 0.5)
+        sampler = vr.TripleSampler(seed=4, count=30)
         got = list(sampler.triples((fam, fam, fam)))
         w1, w2 = square_ctx.periods.omega1, square_ctx.periods.omega2
         blocks = [np.random.default_rng((4, k)).uniform(0.05, 0.95, (30, 2, 2)) for k in range(40)]
@@ -197,7 +203,8 @@ class TestSampling:
         distance, points = el.lattice_distance, vr.TripleSampler._points
         monkeypatch.setattr(el, "lattice_distance", lambda *a: calls.append(a[0]) or distance(*a))
         monkeypatch.setattr(vr.TripleSampler, "_points", lambda *a: rounds.append(1) or points(*a))
-        sampler = vr.TripleSampler(seed=4, count=30, pole_radius=0.5)
+        _pole_radius(monkeypatch, 0.5)
+        sampler = vr.TripleSampler(seed=4, count=30)
         # three shifts on one context, then two contexts and a family with none
         for families, per_round in (
             ([vr.WeierstrassShifted(square_ctx, s) for s in (0j, 0.3, 0.2j)], 1),
@@ -209,7 +216,8 @@ class TestSampling:
             assert len(rounds) > 1 and len(calls) == per_round * len(rounds)
         calls.clear()
         rounds.clear()
-        vr.grid_scan(vr.WeierstrassShifted(square_ctx), vr.TripleSampler(pole_radius=0.13), 8, 1e-8)
+        _pole_radius(monkeypatch, 0.13)
+        vr.grid_scan(vr.WeierstrassShifted(square_ctx), vr.TripleSampler(), 8, 1e-8)
         assert len(rounds) > 1 and len(calls) == len(rounds)
 
     def test_box_stream_reads_re_im_pairs(self):
@@ -219,10 +227,11 @@ class TestSampling:
         want = [(complex(*x), complex(*y), -(complex(*x) + complex(*y))) for x, y in block]
         assert got == want
 
-    def test_prefix_stable(self, square_ctx):
+    def test_prefix_stable(self, square_ctx, monkeypatch):
         fam = vr.WeierstrassShifted(square_ctx, 0.3j)
-        long = list(vr.TripleSampler(seed=8, count=100, pole_radius=0.4).triples((fam, fam, fam)))
-        short = list(vr.TripleSampler(seed=8, count=50, pole_radius=0.4).triples((fam, fam, fam)))
+        _pole_radius(monkeypatch, 0.4)
+        long = list(vr.TripleSampler(seed=8, count=100).triples((fam, fam, fam)))
+        short = list(vr.TripleSampler(seed=8, count=50).triples((fam, fam, fam)))
         assert long[:50] == short
 
     @pytest.mark.parametrize("budget, exhausted", [(6, False), (5, True)])
@@ -257,15 +266,17 @@ class TestSampling:
             return draws(seed, count, draw, counting, budget, rounds)
 
         monkeypatch.setattr(vr, "_draws", counted)
+        _pole_radius(monkeypatch, 10.0)
         fam = vr.WeierstrassShifted(square_ctx, 0j)
         with pytest.raises(SamplerExhausted):
-            list(vr.TripleSampler(count=7, pole_radius=10.0).triples((fam, fam, fam)))
+            list(vr.TripleSampler(count=7).triples((fam, fam, fam)))
         assert sum(spent) == 700
 
-    def test_pole_radius_beyond_the_cell_starves(self, square_ctx):
+    def test_pole_radius_beyond_the_cell_starves(self, square_ctx, monkeypatch):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
+        _pole_radius(monkeypatch, 10.0)
         with pytest.raises(SamplerExhausted):
-            vr.scan(fam, fam, fam, vr.TripleSampler(pole_radius=10.0), tol=1e-8)
+            vr.scan(fam, fam, fam, vr.TripleSampler(), tol=1e-8)
 
     def test_skip_counts_add_up(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
@@ -508,7 +519,7 @@ class TestTheorem2:
 
     def test_borderline_shift_is_indeterminate(self, square_ctx):
         w1 = square_ctx.periods.omega1
-        eps = square_ctx.tol.lattice
+        eps = el.LATTICE_TOL
         assert vr.theorem_shift_expectation(square_ctx, 3.0 * eps * w1) == "indeterminate"
         assert vr.theorem_shift_expectation(square_ctx, 0.1 * eps * w1) == "pass"
 
@@ -620,7 +631,7 @@ def batches(monkeypatch):
 
 def scalar_det_vs_sigma(ctx, a, b, c):
     """det3 on scalar jets against the quotient of scalar sigma values, plainly multiplied."""
-    (f, fp), (g, gp), (h, hp) = (el.jets(ctx, p, 1).values for p in (a, b, c))
+    (f, fp), (g, gp), (h, hp) = (el.jets(ctx, p, 1) for p in (a, b, c))
     s1, s2, s3, s4, sa, sb, sc = (el.sigma(ctx, p) for p in (a + b + c, a - b, b - c, c - a, a, b, c))
     quotient = 2.0 * s1 * s2 * s3 * s4 / (sa * sb * sc) ** 3
     det = (g - f) * hp - (gp - fp) * h + (f * gp - g * fp)
@@ -628,7 +639,7 @@ def scalar_det_vs_sigma(ctx, a, b, c):
 
 
 def scalar_derived(poly, fam, x, y, order):
-    fv, gv = fam.jets(x, order).values, fam.jets(y, order).values
+    fv, gv = fam.jets(x, order), fam.jets(y, order)
     return abs(jp.evaluate(poly, fv, gv)) / max(jp.evaluate(poly, fv, gv, absolute=True), 1e-100)
 
 
@@ -646,7 +657,7 @@ def scalar_factfun(fam, x, y, z, h):
         return (mixed(x + h, y) - mixed(x - h, y) - mixed(x, y + h) + mixed(x, y - h)) / (2.0 * h)
 
     value = (4.0 * operator(h / 2.0) - operator(h)) / 3.0
-    jets = [fam.jets(t, 1).values for t in (x, y, z)]
+    jets = [fam.jets(t, 1) for t in (x, y, z)]
     return abs(value) / (max(1.0, *(abs(j[0]) for j in jets)) * max(1.0, *(abs(j[1]) for j in jets)))
 
 
@@ -717,18 +728,18 @@ class TestBatchedChecks:
     @pytest.mark.parametrize("fam", [vr.Exponential(2.0, 0.5j, 1.0 - 0.5j), vr.Linear(1.5 - 1j, 2.0), vr.Constant(0.7 + 0.1j)], ids=["exp", "linear", "constant"])
     def test_array_jets_and_antiderivative_match_scalar(self, fam):
         x = np.random.default_rng(26).uniform(-1.0, 1.0, (30, 2)).view(complex)[:, 0]
-        values = fam.jets(x, 5).values
+        values = fam.jets(x, 5)
         F = fam.antiderivative(x)
         assert not np.isnan(values[0]).any() and len(values) == 6
         for i, xi in enumerate(x.tolist()):
-            assert [v[i] for v in values] == pytest.approx(fam.jets(xi, 5).values, rel=1e-15, abs=1e-15)
+            assert [v[i] for v in values] == pytest.approx(fam.jets(xi, 5), rel=1e-15, abs=1e-15)
             assert F[i] == pytest.approx(fam.antiderivative(xi), rel=1e-15)
 
     def test_shifted_wp_antiderivative_is_nan_at_poles(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0.5)
         F = fam.antiderivative(np.array([-0.5 + 0j, 0.3 + 0.4j]))
         assert math.isnan(F[0].real) and F[1] == fam.antiderivative(0.3 + 0.4j)
-        values = fam.jets(np.array([-0.5 + 0j, 0.3 + 0.4j]), 5).values
+        values = fam.jets(np.array([-0.5 + 0j, 0.3 + 0.4j]), 5)
         assert np.isnan(values[0]).tolist() == [True, False] and len(values) == 6
 
 
@@ -790,7 +801,8 @@ class TestEvaluatedOnce:
     @pytest.mark.parametrize("name", CONTEXTS)
     def test_grid_scan_skips_and_counts_a_faulted_triple(self, name, request, monkeypatch):
         fam = vr.WeierstrassShifted(request.getfixturevalue(name), 0j)
-        run = lambda: vr.grid_scan(fam, vr.TripleSampler(seed=2, margin=0.2, pole_radius=0.3), 6, 1e-8)  # noqa: E731
+        _pole_radius(monkeypatch, 0.3)
+        run = lambda: vr.grid_scan(fam, vr.TripleSampler(seed=2, margin=0.2), 6, 1e-8)  # noqa: E731
         clean_rows, clean = run()
         assert clean.details == {"skipped": 0} and clean.samples == len(clean_rows) == 36
         chosen, res = clean_rows[9][1], vr.residual
@@ -836,7 +848,7 @@ class TestEvaluatedOnce:
             per_family = [fam.jets(p, 1) for fam, p in zip(families, (x, y, z))]
             want = vr.relative(vr.det3(*per_family), vr.det3_terms(*per_family))
             assert np.array_equal(r, want, equal_nan=True)
-            assert np.array_equal(faults, vr._pole_faults(*(j.values[0] for j in per_family)))
+            assert np.array_equal(faults, vr._pole_faults(*(j[0] for j in per_family)))
             assert faults[0] == vr._POLE and not faults[1:].any()
 
     def test_derived_takes_one_stacked_call(self, square_ctx, monkeypatch):
