@@ -53,6 +53,10 @@ EXIT_INPUT = 66
 
 _ENV_PREFIX = "WPFEQ_"
 
+# the most points one command samples, evaluates or writes; a larger count
+# is refused before any list or array is sized by it
+MAX_POINTS = 1_000_000
+
 
 class ConfigError(WpfeqError):
     pass
@@ -137,6 +141,12 @@ def _positive(value: float, name: str) -> float:
     if not value > 0.0:
         raise ConfigError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def _within_ceiling(points: int, name: str) -> int:
+    if points > MAX_POINTS:
+        raise ConfigError(f"{name} asks for {points} points, more than the {MAX_POINTS} one command may take")
+    return points
 
 
 def _context_from_args(args) -> elliptic.EllipticContext:
@@ -338,7 +348,7 @@ def _family(args, name: str) -> verifier.FunctionFamily:
 def _cmd_verify(args, parser) -> int:
     start = time.perf_counter()
     seed, margin = _sampling(args)
-    count = int(_positive(_resolve_int(args.n, "n", 1000), "sample count"))
+    count = _within_ceiling(int(_positive(_resolve_int(args.n, "n", 1000), "sample count")), "sample count")
     tol = _positive(_resolve_float(args.tol, "tol", _TOLERANCES[args.kind]), "tol")
     sampler = verifier.TripleSampler(seed=seed, count=count, margin=margin)
     params: dict = {"kind": args.kind, "seed": seed, "n": count, "margin": margin}
@@ -453,6 +463,7 @@ def _cmd_scan(args, parser) -> int:
     seed, margin = _sampling(args)
     tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
     grid = int(_positive(args.grid, "grid"))
+    _within_ceiling(grid * grid, "grid")
     fam = _family(args, args.family)
     sampler = verifier.TripleSampler(seed=seed, count=grid * grid, margin=margin)
     rows, rep = verifier.grid_scan(fam, sampler, grid, tol)
@@ -508,7 +519,7 @@ def _parse_grid(text: str):
     if step <= 0 or stop <= start:
         raise ConfigError("grid needs stop > start and step > 0")
     span = _finite([(stop - start) / step * (1.0 + 1e-12)], text)[0]
-    n = int(math.floor(span)) + 1
+    n = _within_ceiling(int(math.floor(span)) + 1, "grid")
     return [start + i * step for i in range(n)]
 
 

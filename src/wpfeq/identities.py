@@ -6,6 +6,13 @@ lhs - cofactor*rhs to zero. The cofactor is reported, never assumed, because
 the source identities are stated as "0 = product" without fixing a scale.
 (The ODE coefficient block reduces each formula to zero instead.) A report
 with holds=False is a valid outcome, not an error.
+
+The hand-written statements (the factors, the rewrite quotients, the ODE
+rules and formulas, the central-difference relations) are built once per
+process; polynomials are immutable, so sharing them is safe. Everything
+that comes from the determinant definition is recomputed on every call:
+the columns, derivations, products, exact divisions, re-expansions and
+ODE reductions. No certified result is kept between calls.
 """
 
 from __future__ import annotations
@@ -17,9 +24,11 @@ from functools import cache
 
 from .jetpoly import (
     DiffPolynomial,
+    abc_columns,
     abc_det,
-    build_abc,
+    addet_matrix,
     build_addet,
+    det3_poly,
     derive,
     divide_exact,
     f,
@@ -68,18 +77,22 @@ def elimination_polynomial() -> DiffPolynomial:
     Linear combination of the differentiated two-column determinant for
     columns (1, 2) and -a_1 times the plain determinant over columns
     (1, 2, 3); the combination removes every g3 from the third column.
+    Both share one build of the three columns.
     """
-    a1 = build_abc(1)[0]
-    return build_addet(1, 2) - a1 * abc_det(1, 2, 3)
+    columns = abc_columns(3)
+    a1 = columns[0][0]
+    return build_addet(1, 2, columns) - a1 * abc_det(1, 2, 3, columns)
 
 
+@cache
 def factor_one() -> DiffPolynomial:
-    """First factor: quadratic in the jets, linear in g2."""
+    """First factor: quadratic in the jets, linear in g2; built once."""
     return f(1) * g(1) - g(1) ** 2 - f(0) * g(2) + g(0) * g(2)
 
 
+@cache
 def factor_two() -> DiffPolynomial:
-    """Second factor: cubic in the jets, carries the third x-derivative."""
+    """Second factor: cubic in the jets, carries the third x-derivative; built once."""
     return (
         3 * f(1) ** 3
         - 3 * f(1) * g(1) ** 2
@@ -111,6 +124,14 @@ def factorization_check(factors: tuple[DiffPolynomial, DiffPolynomial] | None = 
 # -- quotient-rule rewrites of the two factors --------------------------------
 
 
+@cache
+def _rewrite_quotients() -> tuple[DiffPolynomial, DiffPolynomial, DiffPolynomial]:
+    """f0 - g0 and the numerators over it of the two rewrites, as `factor_rewrite_check` states them; built once."""
+    den = f(0) - g(0)
+    num2 = f(1) * (f(1) ** 2 - g(1) ** 2) - 2 * f(1) * f(2) * den + f(3) * den**2
+    return den, f(1) - g(1), num2
+
+
 def factor_rewrite_check(direction: str = "y") -> tuple[CofactorReport, CofactorReport]:
     """Certify the derivative-quotient rewrites of the two factors.
 
@@ -123,20 +144,12 @@ def factor_rewrite_check(direction: str = "y") -> tuple[CofactorReport, Cofactor
     Passing direction='x' is the sanity control: the wrong derivation
     direction must break both identities.
     """
-    den = f(0) - g(0)
-
+    den, num1, num2 = _rewrite_quotients()
     # d/dy[(f1-g1)/(f0-g0)] multiplied through by (f0-g0)^2
-    num1 = f(1) - g(1)
     lhs1 = derive(num1, direction) * den - num1 * derive(den, direction)
-
     # inner rational function has denominator (f0-g0)^3; after the quotient
     # rule and multiplication by (f0-g0)^4/g1 the cleared comparison is
     #   derive(N)* (f0-g0) - 3*N*derive(f0-g0)  ==  g1 * factor two
-    num2 = (
-        f(1) * (f(1) ** 2 - g(1) ** 2)
-        - 2 * f(1) * f(2) * den
-        + f(3) * den**2
-    )
     lhs2 = derive(num2, direction) * den - 3 * num2 * derive(den, direction)
     return (
         _certify(lhs1, factor_one(), "first factor rewrite", "first factor rewrite does not hold"),
@@ -147,13 +160,15 @@ def factor_rewrite_check(direction: str = "y") -> tuple[CofactorReport, Cofactor
 # -- single-function specialisation of the (2, 4) determinant ------------------
 
 
+@cache
 def diagonal_first_factor() -> DiffPolynomial:
-    """Cleared numerator of (f''/f')' in the jets: f3 f1 - f2^2."""
+    """Cleared numerator of (f''/f')' in the jets: f3 f1 - f2^2; built once."""
     return f(3) * f(1) - f(2) ** 2
 
 
+@cache
 def diagonal_second_factor() -> DiffPolynomial:
-    """Cleared numerator of ((1/f')(f'''/f')')' in the jets."""
+    """Cleared numerator of ((1/f')(f'''/f')')' in the jets; built once."""
     return (
         f(5) * f(1) ** 2
         - f(3) ** 2 * f(1)
@@ -173,21 +188,35 @@ def diagonal_product_check() -> CofactorReport:
     up to a rational-constant-times-monomial cofactor found by division.
     """
     return _certify(
-        substitute_g_to_f(build_addet(2, 4)), diagonal_first_factor() * diagonal_second_factor(),
+        diagonal_determinant(), diagonal_first_factor() * diagonal_second_factor(),
         "diagonal determinant = ({cofactor}) * product form", "no exact cofactor exists",
     )
+
+
+def diagonal_determinant() -> DiffPolynomial:
+    """substitute_g_to_f(build_addet(2, 4)), with g_i -> f_i applied to the nine entries before expansion.
+
+    The substitution is a ring homomorphism, so it commutes with the
+    cofactor expansion, and the entries collapse before they are multiplied.
+    """
+    rows = addet_matrix(2, 4)
+    return det3_poly([[substitute_g_to_f(entry) for entry in row] for row in rows])
 
 
 # -- ODE coefficient block -----------------------------------------------------
 
 
 @cache
-def _cubic_rules() -> tuple[tuple[dict, ...], dict[str, DiffPolynomial]]:
-    """The cubic ODE's substitutions, highest order first, and the cubic in f0 and in g0; built once."""
+def _cubic_rules() -> tuple[tuple[dict[str, DiffPolynomial], ...], dict[str, DiffPolynomial]]:
+    """The cubic ODE's substitutions in two passes, and the cubic in f0 and in g0; built once.
+
+    No rule of the first pass holds f3 or f4, so f4 and f3 are replaced at
+    once. f2 goes last: the half in its rule brings Fractions, which then
+    meet the fewest products.
+    """
     p0, p1, p2, p3 = (param(n) for n in ("p0", "p1", "p2", "p3"))
     substitutions = (
-        {"f4": (3 * p3 * f(0) + p2) * f(2) + 3 * p3 * f(1) ** 2},
-        {"f3": (3 * p3 * f(0) + p2) * f(1)},
+        {"f4": (3 * p3 * f(0) + p2) * f(2) + 3 * p3 * f(1) ** 2, "f3": (3 * p3 * f(0) + p2) * f(1)},
         {"f2": Fraction(1, 2) * (3 * p3 * f(0) ** 2 + 2 * p2 * f(0) + p1)},
     )
     squares = {
@@ -206,9 +235,9 @@ def cubic_branch_reduce(p: DiffPolynomial) -> DiffPolynomial:
         f3 -> (3 p3 f0 + p2) f1
         f4 -> (3 p3 f0 + p2) f2 + 3 p3 f1^2
 
-    (highest order first, so each replacement is itself reduced), then
-    rewrites every f1^2 as the cubic itself, and every g1^2 as the cubic in
-    g0: the second function follows the same ODE.
+    (f4 and f3 first, so the f2 of f4's replacement is itself reduced),
+    then rewrites every f1^2 as the cubic itself, and every g1^2 as the
+    cubic in g0: the second function follows the same ODE.
     """
     substitutions, squares = _cubic_rules()
     for mapping in substitutions:
@@ -218,11 +247,17 @@ def cubic_branch_reduce(p: DiffPolynomial) -> DiffPolynomial:
     return p
 
 
+@cache
+def _linear_rules() -> dict[str, DiffPolynomial]:
+    """The linear ODE's substitution of f2, f1 and g1 in one pass, f2's rule already reduced; built once."""
+    l0, l1 = param("l0"), param("l1")
+    f1 = l1 * f(0) + l0
+    return {"f2": l1 * f1, "f1": f1, "g1": l1 * g(0) + l0}
+
+
 def linear_branch_reduce(p: DiffPolynomial) -> DiffPolynomial:
     """Reduce modulo the linear first-order ODE w' = l1 w + l0, followed by both functions."""
-    l0, l1 = param("l0"), param("l1")
-    p = substitute(p, {"f2": l1 * f(1)})
-    return substitute(p, {"f1": l1 * f(0) + l0, "g1": l1 * g(0) + l0})
+    return substitute(p, _linear_rules())
 
 
 def cubic_block_formulas() -> dict[str, DiffPolynomial]:
@@ -264,11 +299,17 @@ def _cubic_formulas() -> dict[str, DiffPolynomial]:
 
 
 def linear_block_formulas() -> dict[str, DiffPolynomial]:
-    """Cleared coefficient formulas of the linear branch.
+    """Cleared coefficient formulas of the linear branch, as a fresh dict.
 
     The entry "ratio" is the integration function of the first factor
     rewrite, (f1 - g1)/(f0 - g0) = l1, cleared by f0 - g0.
     """
+    return dict(_linear_formulas())
+
+
+@cache
+def _linear_formulas() -> dict[str, DiffPolynomial]:
+    """The formulas of `linear_block_formulas`, built once."""
     l0, l1 = param("l0"), param("l1")
     return {
         "l1": l1 * f(1) - f(2),
@@ -311,7 +352,7 @@ def central_difference_series(order: int, derivative: int = 0) -> tuple[list, li
     subtraction, which the parity test exercises.
     """
     plus = [f(j + derivative) * Fraction(1, math.factorial(j)) for j in range(order + 1)]
-    minus = [(-1) ** j * c for j, c in enumerate(plus)]
+    minus = [-c if j % 2 else c for j, c in enumerate(plus)]
     half = Fraction(1, 2)
     return [p - m for p, m in zip(plus, minus)], [(p + m) * half for p, m in zip(plus, minus)]
 
@@ -332,12 +373,8 @@ def central_difference_check() -> CofactorReport:
     """
     diff0, avg0 = central_difference_series(3, 0)
     diff1, avg1 = central_difference_series(3, 1)
-    expected = (
-        (f(1), f(2), f(0) * f(2) - f(1) ** 2),
-        (f(3), f(4), -4 * f(1) * f(3) + f(0) * f(4) + 3 * f(2) ** 2),
-    )
     norms = []
-    for k, (exp_a, exp_b, exp_c) in enumerate(expected, start=1):
+    for k, (exp_a, exp_b, exp_c) in enumerate(_central_difference_relations(), start=1):
         j = 2 * k - 1
         # eta^j coefficient of diff(f')*avg(f) - diff(f)*avg(f')
         terms = (diff1[i] * avg0[j - i] - diff0[i] * avg1[j - i] for i in range(j + 1))
@@ -350,6 +387,15 @@ def central_difference_check() -> CofactorReport:
         norms.append(f"order {k}: {q}")
     note = "coefficients confirmed; per-order normalisations " + "; ".join(norms)
     return CofactorReport(True, DiffPolynomial.constant(1), note)
+
+
+@cache
+def _central_difference_relations() -> tuple[tuple[DiffPolynomial, DiffPolynomial, DiffPolynomial], ...]:
+    """(A_k, B_k, C_k) for k = 1, 2 as `central_difference_check` states them; built once."""
+    return (
+        (f(1), f(2), f(0) * f(2) - f(1) ** 2),
+        (f(3), f(4), -4 * f(1) * f(3) + f(0) * f(4) + 3 * f(2) ** 2),
+    )
 
 
 _ROWS = {

@@ -14,7 +14,10 @@ Three derivations act on the ring:
 
 and the columns of the eliminated determinants are built from
 
-    a_k = bar^(k-1)(g0 - f0),  b_k = bar^k(g0 + f0),  c_k = bar^k(g0*f0).
+    a_k = bar^(k-1)(g0 - f0),  b_k = bar^k(g0 + f0),  c_k = bar^k(g0*f0),
+
+one bar derivation per column from the last (`abc_columns`), so the
+determinants that share columns share one build of them.
 
 The jet order is capped at 6: the deepest check needs f5, and one spare
 order gives the derivations headroom. A monomial is one int: variable i
@@ -25,6 +28,13 @@ Comparing the ints is the graded-lexicographic order with
 f0 < f1 < ... < f6 < g0 < ... < g6 < p0 < ... < l1, fixed once so that
 leading terms, exact division and rendered reports are reproducible.
 A coefficient is an int, or a Fraction where it is not integral.
+
+Per process, only the atoms (f_i, g_i and the parameters) are built once,
+and `evaluate` keeps a polynomial's exponent matrix and coefficient vector
+on the polynomial. Every other result is computed on every call. Sums and
+products hand over the dict they fill; zeros are dropped and integral
+Fractions turned into ints only where coefficients meet or a Fraction
+occurs, and the exponent guard is read only past total degree 255.
 """
 
 from __future__ import annotations
@@ -79,14 +89,44 @@ def _scalar(q) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
-def _poly(acc: dict, guard: bool = False) -> "DiffPolynomial":
-    # canonical form of accumulated terms: no zero coefficient, integral ones
-    # as ints; with guard (after adding monomials) no exponent past _EXP
-    if guard and reduce(or_, acc, 0) & _GUARD:
+def _new(terms: dict) -> "DiffPolynomial":
+    # trusted constructor: takes canonical terms as they are
+    p = object.__new__(DiffPolynomial)
+    p._terms = terms
+    return p
+
+
+def _poly(terms: dict, cancel: bool = True) -> "DiffPolynomial":
+    """Canonical form of freshly accumulated terms, in their order.
+
+    No exponent may pass _EXP, which needs a total degree past it first.
+    With cancel, zero coefficients are dropped; integral Fractions become
+    ints where a Fraction occurs at all.
+    """
+    if terms and max(terms) >> _DEG > _EXP and reduce(or_, terms) & _GUARD:
         raise ExponentOverflow(f"an exponent passes {_EXP}")
-    return DiffPolynomial._raw(
-        {m: q.numerator if type(q) is Fraction and q.denominator == 1 else q for m, q in acc.items() if q}
-    )
+    if cancel and 0 in terms.values():
+        terms = {m: q for m, q in terms.items() if q}
+    if Fraction in map(type, terms.values()):
+        for m, q in terms.items():
+            if type(q) is Fraction and q.denominator == 1:
+                terms[m] = q.numerator
+    return _new(terms)
+
+
+def _combine(terms: dict, other: dict, sign: int) -> "DiffPolynomial":
+    # terms (a fresh copy) plus sign * other; only where two coefficients
+    # meet can a zero or an integral Fraction arise
+    for m, q in other.items():
+        if m in terms:
+            q = terms[m] + q if sign > 0 else terms[m] - q
+            if not q:
+                del terms[m]
+            else:
+                terms[m] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
+        else:
+            terms[m] = q if sign > 0 else -q
+    return _new(terms)
 
 
 class DiffPolynomial:
@@ -94,34 +134,27 @@ class DiffPolynomial:
 
     Instances are immutable after construction and safe to share; all
     arithmetic returns new objects in canonical form (no zero coefficient is
-    ever stored, equality is structural).
+    ever stored, equality is structural). `evaluate` keeps a polynomial's
+    exponent matrix and coefficient vector on it after the first call.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_table")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
-        parts = (DiffPolynomial._raw({_pack(mono): _scalar(q)}) for mono, q in (terms or {}).items())
-        self._terms = _sum(parts)._terms
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "DiffPolynomial":
-        # trusted constructor: takes terms as they are
-        p = object.__new__(cls)
-        p._terms = terms
-        return p
+        self._terms = _poly({_pack(mono): _scalar(q) for mono, q in (terms or {}).items()})._terms
 
     @classmethod
     def zero(cls) -> "DiffPolynomial":
-        return cls._raw({})
+        return _new({})
 
     @classmethod
     def constant(cls, q: Scalar) -> "DiffPolynomial":
         q = _scalar(q)
-        return cls._raw({0: q} if q else {})
+        return _new({0: q} if q else {})
 
     @classmethod
     def variable(cls, name: str) -> "DiffPolynomial":
-        return cls._raw({1 << _SHIFTS[_VARIDX[name]] | 1 << _DEG: 1})
+        return _new({1 << _SHIFTS[_VARIDX[name]] | 1 << _DEG: 1})
 
     def terms(self) -> list[tuple[tuple, Scalar]]:
         return [(_unpack(m), q) for m, q in self._terms.items()]
@@ -155,41 +188,47 @@ class DiffPolynomial:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        terms = dict(self._terms)
-        for m, q in other._terms.items():
-            terms[m] = terms.get(m, 0) + q
-        return _poly(terms)
+        return _combine(dict(self._terms), other._terms, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPolynomial._raw({m: -q for m, q in self._terms.items()})
+        return _new({m: -q for m, q in self._terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else other + (-self)
-
-    def __mul__(self, other):
         if not isinstance(other, DiffPolynomial):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        big, small = self._terms, other._terms
-        if len(big) < len(small):
+        return _combine(dict(self._terms), other._terms, -1)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else _combine(dict(other._terms), self._terms, -1)
+
+    def __mul__(self, other):
+        if not isinstance(other, DiffPolynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            q2 = _scalar(other)
+            if q2 == 1 or not self._terms:
+                return self
+            if not q2:
+                return _new({})
+            return _poly({m1: q1 * q2 for m1, q1 in self._terms.items()}, cancel=False)
+        big, small = self, other
+        if len(big._terms) < len(small._terms):
             big, small = small, big
-        if len(small) == 1:
-            ((m2, q2),) = small.items()
-            return _poly({m1 + m2: q1 * q2 for m1, q1 in big.items()}, guard=True)
+        if len(small._terms) == 1:
+            ((m2, q2),) = small._terms.items()
+            if m2 == 0 and q2 == 1:
+                return big
+            # distinct monomials stay distinct and no product of two nonzero
+            # coefficients is zero: nothing cancels
+            return _poly({m1 + m2: q1 * q2 for m1, q1 in big._terms.items()}, cancel=False)
         terms: dict[int, Scalar] = {}
-        for m2, q2 in small.items():
-            for m1, q1 in big.items():
-                m = m1 + m2
-                terms[m] = terms.get(m, 0) + q1 * q2
-        return _poly(terms, guard=True)
+        _add_product(terms, big._terms, small._terms)
+        return _poly(terms)
 
     __rmul__ = __mul__
 
@@ -233,7 +272,12 @@ class DiffPolynomial:
         return f"DiffPolynomial({self})"
 
 
+_ONE = _new({0: 1})
+
+
+@cache
 def _jet(block: str, i: int) -> DiffPolynomial:
+    # the atoms are built once and shared, as every polynomial may be
     if i > MAX_JET_ORDER:
         raise JetOrderOverflow(f"{block}{i} exceeds jet order {MAX_JET_ORDER}")
     return DiffPolynomial.variable(f"{block}{i}")
@@ -249,18 +293,26 @@ def g(i: int) -> DiffPolynomial:
     return _jet("g", i)
 
 
+@cache
 def param(name: str) -> DiffPolynomial:
     if name not in PARAMETERS:
         raise KeyError(name)
     return DiffPolynomial.variable(name)
 
 
-def _sum(parts: Iterable[DiffPolynomial]) -> DiffPolynomial:
-    acc: dict[int, Scalar] = {}
-    for part in parts:
-        for m, q in part._terms.items():
-            acc[m] = acc.get(m, 0) + q
-    return _poly(acc)
+def _add_product(acc: dict, terms: dict, factor: dict, shift: int = 0) -> None:
+    """acc += terms * factor, every monomial moved by shift; factor's terms outermost."""
+    get = acc.get
+    items = terms.items()
+    for mf, qf in factor.items():
+        mf += shift
+        for m, q in items:
+            m += mf
+            acc[m] = get(m, 0) + q * qf
+
+
+# per derivation, (block, sign) of each shifted block, g before f
+_DIRECTIONS = {"x": ((_F_BLOCK, 1),), "y": ((_G_BLOCK, 1),), "bar": ((_G_BLOCK, 1), (_F_BLOCK, -1))}
 
 
 def derive(p: DiffPolynomial, direction: str) -> DiffPolynomial:
@@ -268,28 +320,35 @@ def derive(p: DiffPolynomial, direction: str) -> DiffPolynomial:
 
     Leibniz-linear; parameters differentiate to zero. Raises
     JetOrderOverflow if the shift would pass the supported jet order.
+    Only the fields that occur in some term are visited.
     """
-    signs = {"x": ((_F_BLOCK, 1),), "y": ((_G_BLOCK, 1),), "bar": ((_G_BLOCK, 1), (_F_BLOCK, -1))}
-    if direction not in signs:
+    if direction not in _DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
+    used = reduce(or_, p._terms, 0)
     terms: dict[int, Scalar] = {}
-    for block, sign in signs[direction]:
+    get = terms.get
+    for block, sign in _DIRECTIONS[direction]:
+        if used >> _SHIFTS[block + MAX_JET_ORDER] & _EXP:
+            name = VARIABLES[block + MAX_JET_ORDER]
+            raise JetOrderOverflow(f"derivative of {name} exceeds jet order {MAX_JET_ORDER}")
+        # one f_i becomes f_{i+1}, or g_i g_{i+1}: add the step to the monomial
+        fields = [(s, (1 << s + _W) - (1 << s)) for s in _SHIFTS[block : block + _JETS] if used >> s & _EXP]
         for mono, q in p._terms.items():
-            for i, s in enumerate(_SHIFTS[block : block + _JETS]):
+            for s, step in fields:
                 e = mono >> s & _EXP
-                if e and i == MAX_JET_ORDER:
-                    raise JetOrderOverflow(f"derivative of {VARIABLES[block + i]} exceeds jet order {i}")
                 if e:
-                    m = mono + (1 << s + _W) - (1 << s)  # one f_i becomes f_{i+1}, or g_i g_{i+1}
-                    terms[m] = terms.get(m, 0) + sign * e * q
-    return _poly(terms, guard=True)
+                    m = mono + step
+                    terms[m] = get(m, 0) + sign * e * q
+    return _poly(terms)
 
 
 def substitute(p: DiffPolynomial, mapping: Mapping[str, DiffPolynomial | Scalar]) -> DiffPolynomial:
     """Substitution homomorphism replacing whole variables by polynomials.
 
-    Terms are grouped by their exponents in the replaced variables, so each
-    replacement is raised to each power at most once per call.
+    The replacements act at once, so a replacement's own variables are not
+    replaced again. Terms are grouped by their exponents in the replaced
+    variables, so each replacement is raised to each power at most once per
+    call.
     """
     table = {
         _SHIFTS[_VARIDX[name]]: v if isinstance(v, DiffPolynomial) else DiffPolynomial.constant(v)
@@ -299,17 +358,20 @@ def substitute(p: DiffPolynomial, mapping: Mapping[str, DiffPolynomial | Scalar]
     groups: dict[int, dict[int, Scalar]] = {}
     for m, q in p._terms.items():
         groups.setdefault(m & mask, {})[m & ~mask] = q
-    power = cache(lambda s, e: table[s] ** e)
-    parts = []
+    powers: dict[tuple[int, int], DiffPolynomial] = {}
+    acc: dict[int, Scalar] = {}
     for key, rest in groups.items():
-        # key's fields left the monomials; so does their share of the degree
-        degree = sum(_unpack(key)) << _DEG
-        part = DiffPolynomial._raw({r - degree: q for r, q in rest.items()})
+        factor = _ONE
         for s in table:
-            if key >> s & _EXP:
-                part = part * power(s, key >> s & _EXP)
-        parts.append(part)
-    return _sum(parts)
+            e = key >> s & _EXP
+            if e:
+                if (s, e) not in powers:
+                    powers[s, e] = table[s] ** e
+                factor = factor * powers[s, e]
+        # key's fields left the monomials; so does their share of the degree
+        degree = sum(key >> s & _EXP for s in table) << _DEG
+        _add_product(acc, rest, factor._terms, -degree)
+    return _poly(acc)
 
 
 def substitute_g_to_f(p: DiffPolynomial) -> DiffPolynomial:
@@ -320,10 +382,11 @@ def substitute_g_to_f(p: DiffPolynomial) -> DiffPolynomial:
     """
     g_fields = sum(_EXP << s for s in _SHIFTS[_G_BLOCK:_PARAM_BLOCK])
     terms: dict[int, Scalar] = {}
+    get = terms.get
     for m, q in p._terms.items():
         k = (m & ~g_fields) + ((m & g_fields) >> _SHIFTS[_G_BLOCK])
-        terms[k] = terms.get(k, 0) + q
-    return _poly(terms, guard=True)
+        terms[k] = get(k, 0) + q
+    return _poly(terms)
 
 
 def reduce_power(p: DiffPolynomial, name: str, square: DiffPolynomial) -> DiffPolynomial:
@@ -337,7 +400,10 @@ def reduce_power(p: DiffPolynomial, name: str, square: DiffPolynomial) -> DiffPo
     for m, q in p._terms.items():
         even = m >> s & _EXP & ~1
         groups.setdefault(even, {})[m - (even << s) - (even << _DEG)] = q
-    return _sum(DiffPolynomial._raw(rest) * square ** (even // 2) for even, rest in groups.items())
+    acc: dict[int, Scalar] = {}
+    for even, rest in groups.items():
+        _add_product(acc, rest, (square ** (even // 2))._terms)
+    return _poly(acc)
 
 
 def divide_exact(numerator: DiffPolynomial, denominator: DiffPolynomial) -> DiffPolynomial | None:
@@ -360,12 +426,27 @@ def divide_exact(numerator: DiffPolynomial, denominator: DiffPolynomial) -> Diff
         if (m | _GUARD) - lead & _GUARD != _GUARD:
             return None
         qc = quotient[m - lead] = _scalar(Fraction(rem[m]) / divisor[lead])
-        step = _poly({m - lead + dm: qc * dq for dm, dq in divisor.items()}, guard=True)
+        step = _poly({m - lead + dm: qc * dq for dm, dq in divisor.items()}, cancel=False)
         for k, s in step._terms.items():
             left = rem.pop(k, 0) - s
             if left:
                 rem[k] = left
-    return DiffPolynomial._raw(quotient)
+    return _new(quotient)
+
+
+def _evaluation_table(p: DiffPolynomial) -> tuple:
+    """(used variables, exponent matrix, coefficients, |coefficients|, columns) of p, kept on p."""
+    try:
+        return p._table
+    except AttributeError:
+        pass
+    monos = list(p._terms)
+    used = [(n, s) for n, s, e in zip(VARIABLES, _SHIFTS, _unpack(reduce(or_, monos, 0))) if e]
+    exps = np.array([[m >> s & _EXP for _, s in used] for m in monos], dtype=np.intp)
+    coeffs = np.array([complex(q) for q in p._terms.values()], dtype=complex)
+    names = tuple(name for name, _ in used)
+    p._table = (names, exps.reshape(len(monos), len(used)), coeffs, np.abs(coeffs), np.arange(len(used)))
+    return p._table
 
 
 def evaluate(
@@ -382,46 +463,56 @@ def evaluate(
     the sum of |coefficient| * prod |value|^e is returned instead, which is
     the natural cancellation scale for residual normalisation. The
     (terms x variables) exponent matrix picks from a table of powers, and
-    one product and one sum finish every point at once.
+    one product and one sum finish every point at once. The matrix and the
+    coefficient vector are built at p's first evaluation and kept on p.
     """
     supplied = dict(zip(VARIABLES[:_G_BLOCK], [] if f_jets is None else f_jets))
     supplied.update(zip(VARIABLES[_G_BLOCK:_PARAM_BLOCK], [] if g_jets is None else g_jets))
     supplied.update((name, v) for name, v in (params or {}).items() if name in PARAMETERS)
-    monos = list(p._terms)
-    used = [(n, s) for n, s, e in zip(VARIABLES, _SHIFTS, _unpack(reduce(or_, monos, 0))) if e]
-    for name, _ in used:
+    names, exps, coeffs, abs_coeffs, columns = _evaluation_table(p)
+    for name in names:
         if name not in supplied:
             raise MissingJet(f"no value supplied for {name}")
-    exps = np.array([[m >> s & _EXP for _, s in used] for m in monos], dtype=np.intp)
     # the leading 0j fixes dtype and shape when no variable occurs
-    base = np.stack(np.broadcast_arrays(0j, *(supplied[name] for name, _ in used)))[1:]
-    coeffs = np.array([complex(q) for q in p._terms.values()], dtype=complex)
+    base = np.stack(np.broadcast_arrays(0j, *(supplied[name] for name in names)))[1:]
     if absolute:
-        base, coeffs = np.abs(base), np.abs(coeffs)
+        base, coeffs = np.abs(base), abs_coeffs
     # powers[k] = base**k by repeated products: a complex ** costs more
     powers = np.ones((exps.max(initial=0) + 1,) + base.shape, base.dtype)
     for k in range(1, len(powers)):
         powers[k] = powers[k - 1] * base
-    picked = powers[exps.reshape(len(monos), len(used)), np.arange(len(used))]
+    picked = powers[exps, columns]
     return np.tensordot(coeffs, picked.prod(axis=1), axes=1)[()]
 
 
 # -- building blocks of the eliminated determinants --------------------------
 
 
-def build_abc(k: int) -> tuple[DiffPolynomial, DiffPolynomial, DiffPolynomial]:
-    """The k-th column (a_k, b_k, c_k) of the derived linear relations."""
-    if k < 1:
+Column = tuple[DiffPolynomial, DiffPolynomial, DiffPolynomial]
+
+
+def abc_columns(n: int) -> tuple[Column, ...]:
+    """Columns 1..n, (a_k, b_k, c_k), of the derived linear relations.
+
+    The first column is (g0 - f0, bar(g0 + f0), bar(g0 f0)), and each next
+    one is the bar derivation of the last, entry by entry.
+    """
+    if n < 1:
         raise ValueError("k must be >= 1")
-    a = g(0) - f(0)
-    for _ in range(k - 1):
-        a = derive(a, "bar")
-    b = g(0) + f(0)
-    c = g(0) * f(0)
-    for _ in range(k):
-        b = derive(b, "bar")
-        c = derive(c, "bar")
-    return a, b, c
+    column = (g(0) - f(0), derive(g(0) + f(0), "bar"), derive(g(0) * f(0), "bar"))
+    columns = [column]
+    for _ in range(n - 1):
+        column = tuple(derive(p, "bar") for p in column)
+        columns.append(column)
+    return tuple(columns)
+
+
+def _pick(columns: tuple[Column, ...] | None, *indices: int) -> list[Column]:
+    # columns k of abc_columns, built up to the largest index when not given
+    if min(indices) < 1:
+        raise ValueError("k must be >= 1")
+    columns = columns or abc_columns(max(indices))
+    return [columns[k - 1] for k in indices]
 
 
 def det3_poly(rows) -> DiffPolynomial:
@@ -434,15 +525,23 @@ def det3_poly(rows) -> DiffPolynomial:
     )
 
 
-def abc_det(k: int, l: int, s: int) -> DiffPolynomial:
-    """Determinant over columns (k, l, s) of the (a, b, c) rows."""
-    ak, bk, ck = build_abc(k)
-    al, bl, cl = build_abc(l)
-    as_, bs, cs = build_abc(s)
-    return det3_poly([[ak, al, as_], [bk, bl, bs], [ck, cl, cs]])
+def abc_det(k: int, l: int, s: int, columns: tuple[Column, ...] | None = None) -> DiffPolynomial:
+    """Determinant over columns (k, l, s) of the (a, b, c) rows; `columns` from `abc_columns`, or built here."""
+    return det3_poly(zip(*_pick(columns, k, l, s)))
 
 
-def build_addet(k: int, l: int) -> DiffPolynomial:
+def addet_matrix(k: int, l: int, columns: tuple[Column, ...] | None = None) -> list[list[DiffPolynomial]]:
+    """The unexpanded 3x3 matrix of `build_addet`; `columns` from `abc_columns`, or built here."""
+    if k == l:
+        raise ValueError("column indices must differ")
+    (ak, bk, ck), (al, bl, cl) = _pick(columns, k, l)
+    t1 = ak * derive(al, "y") - al * derive(ak, "y")
+    t2 = ak * derive(bl, "y") - al * derive(bk, "y")
+    t3 = ak * derive(cl, "y") - al * derive(ck, "y") + bk * cl - bl * ck
+    return [[ak, al, t1], [bk, bl, t2], [ck, cl, t3]]
+
+
+def build_addet(k: int, l: int, columns: tuple[Column, ...] | None = None) -> DiffPolynomial:
     """Two-column eliminated determinant with the differentiated third column.
 
     Columns (a_k, b_k, c_k) and (a_l, b_l, c_l), third column
@@ -451,11 +550,4 @@ def build_addet(k: int, l: int) -> DiffPolynomial:
      a_k dy c_l - a_l dy c_k + b_k c_l - b_l c_k),
     expanded into a single exact polynomial.
     """
-    if k == l:
-        raise ValueError("column indices must differ")
-    ak, bk, ck = build_abc(k)
-    al, bl, cl = build_abc(l)
-    t1 = ak * derive(al, "y") - al * derive(ak, "y")
-    t2 = ak * derive(bl, "y") - al * derive(bk, "y")
-    t3 = ak * derive(cl, "y") - al * derive(ck, "y") + bk * cl - bl * ck
-    return det3_poly([[ak, al, t1], [bk, bl, t2], [ck, cl, t3]])
+    return det3_poly(addet_matrix(k, l, columns))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -608,6 +609,13 @@ def theorem2_shift_test(
     )
 
 
+@cache
+def _derived_determinant(k: int, l: int, s: int | None) -> tuple[jetpoly.DiffPolynomial, int]:
+    """The polynomial of `derived_determinant_check` and the jet order it needs; built once per (k, l, s)."""
+    poly = jetpoly.abc_det(k, l, s) if s is not None else jetpoly.build_addet(k, l)
+    return poly, max(poly.jet_order("f"), poly.jet_order("g"), 1)
+
+
 def derived_determinant_check(
     ff: FunctionFamily,
     fg: FunctionFamily,
@@ -625,10 +633,9 @@ def derived_determinant_check(
     are consequences of the functional equation, so they must vanish on
     solution families within tolerance. The residual is the evaluated value
     over the same polynomial evaluated on absolute values (the cancellation
-    scale).
+    scale). The polynomial is built once per (k, l, s) and process.
     """
-    poly = jetpoly.abc_det(k, l, s) if s is not None else jetpoly.build_addet(k, l)
-    order = max(poly.jet_order("f"), poly.jet_order("g"), 1)
+    poly, order = _derived_determinant(k, l, s)
 
     def evaluate(x, y, z):
         fv, gv = _family_jets((ff, fg), (x, y), order)

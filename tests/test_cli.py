@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -455,3 +456,37 @@ class TestReportFormat:
         report = json.loads(out.read_text())
         shift = report["params"]["shift"]
         assert isinstance(shift, list) and len(shift) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "linear", "--grid", "0:1e12:1"],
+        ["verify", "constant", "--n", "1000000000"],
+        ["scan", "--family", "linear", "--grid", "1001"],
+    ],
+    ids=["gen-grid", "verify-n", "scan-grid-squared"],
+)
+def test_a_count_past_the_point_ceiling_exits_65_before_allocating(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] != "verify":
+        argv = [*argv, "--out", str(out)]
+    tracemalloc.start()
+    try:
+        status = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 65
+    err = capsys.readouterr().err
+    assert f"more than the {cli.MAX_POINTS}" in err and "internal error" not in err
+    assert peak < 4 << 20
+    assert not out.exists()
+
+
+def test_the_point_ceiling_itself_is_accepted(monkeypatch):
+    assert len(cli._parse_grid(f"0:{cli.MAX_POINTS - 1}:1")) == cli.MAX_POINTS
+    with pytest.raises(cli.ConfigError):
+        cli._parse_grid(f"0:{cli.MAX_POINTS}:1")
+    monkeypatch.setenv("WPFEQ_N", str(cli.MAX_POINTS + 1))
+    assert run(["verify", "constant"]) == 65

@@ -69,6 +69,13 @@ class TestDiagonalProduct:
         assert jp.evaluate(idn.diagonal_second_factor(), jets, []) == pytest.approx(0.0, abs=1e-9)
 
 
+    def test_entrywise_substitution_equals_the_substituted_expansion(self):
+        # g_i -> f_i is a ring homomorphism, so it commutes with the expansion
+        early = idn.diagonal_determinant()
+        assert early == jp.substitute_g_to_f(jp.build_addet(2, 4))
+        assert not early.is_zero()
+
+
 class TestOdeCoefficients:
     def test_all_six_reduce(self):
         assert idn.ode_coefficient_check().holds
@@ -178,3 +185,30 @@ def test_failed_reexpansion_does_not_hold(monkeypatch):
 def test_run_checks_unknown_name():
     with pytest.raises(KeyError):
         idn.run_checks(["bogus"])
+
+
+def test_certifications_recompute_on_every_call(monkeypatch):
+    # nothing certified is kept: two calls derive the same number of times
+    derive_calls, column_calls = [], []
+
+    def counting(calls, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    counted_derive = counting(derive_calls, jp.derive)
+    counted_columns = counting(column_calls, jp.abc_columns)
+    for module in (jp, idn):
+        monkeypatch.setattr(module, "derive", counted_derive)
+        monkeypatch.setattr(module, "abc_columns", counted_columns)
+    first = idn.run_checks()
+    per_call = len(derive_calls)
+    second = idn.run_checks()
+    assert per_call > 0 and len(derive_calls) == 2 * per_call
+    assert repr(first) == repr(second)
+    # the columns are built once by each check that needs them, and only there
+    for name, builds in [("factorization", 1), ("rewrites", 0), ("eqf", 1), ("coefficients", 0), ("eta", 0)]:
+        column_calls.clear()
+        idn.run_checks([name])
+        assert len(column_calls) == builds, name

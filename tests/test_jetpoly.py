@@ -88,23 +88,31 @@ class TestDerive:
 
 class TestBuilders:
     def test_abc_k1(self):
-        a, b, c = jp.build_abc(1)
+        a, b, c = jp.abc_columns(1)[0]
         assert a == jp.g(0) - jp.f(0)
         assert b == jp.g(1) - jp.f(1)
         assert c == jp.g(1) * jp.f(0) - jp.g(0) * jp.f(1)
 
     def test_abc_k2(self):
-        a, b, c = jp.build_abc(2)
+        a, b, c = jp.abc_columns(2)[1]
         assert a == jp.g(1) + jp.f(1)
         assert c == jp.g(2) * jp.f(0) - 2 * jp.g(1) * jp.f(1) + jp.g(0) * jp.f(2)
 
     def test_abc_k3(self):
-        assert jp.build_abc(3)[0] == jp.g(2) - jp.f(2)
+        assert jp.abc_columns(3)[2][0] == jp.g(2) - jp.f(2)
 
     def test_bar_consistency(self):
-        for k in (1, 2, 3):
-            a_next = jp.build_abc(k + 1)[0]
-            assert a_next == jp.derive(jp.build_abc(k)[0], "bar")
+        # a_k = bar^(k-1)(g0 - f0), b_k = bar^k(g0 + f0), c_k = bar^k(g0 f0)
+        a, b, c = jp.g(0) - jp.f(0), jp.g(0) + jp.f(0), jp.g(0) * jp.f(0)
+        for column in jp.abc_columns(4):
+            b, c = jp.derive(b, "bar"), jp.derive(c, "bar")
+            assert column == (a, b, c)
+            a = jp.derive(a, "bar")
+        assert jp.abc_columns(4)[:2] == jp.abc_columns(2)
+        with pytest.raises(ValueError):
+            jp.abc_columns(0)
+        with pytest.raises(ValueError):
+            jp.abc_det(0, 1, 2)
 
     def test_det3_identity_and_repeats(self):
         one = jp.DiffPolynomial.constant(1)

@@ -165,6 +165,130 @@ class TestEvaluateMatrix:
             jp.evaluate(jp.param("l0") * jp.f(0), [1.0], [], {"p0": 1.0})
 
 
+# -- the ring operations against a plain-dict reference ------------------------
+
+# a few variables of each kind, small exponents, so that terms meet and cancel
+_REF_VARS = (0, 1, 7, 8, 14)
+ref_monos = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(_REF_VARS)).map(
+    lambda es: tuple(dict(zip(_REF_VARS, es)).get(i, 0) for i in range(jp.NVARS))
+)
+ref_coeffs = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+ref_polys = st.dictionaries(ref_monos, ref_coeffs, max_size=6)
+
+
+def ref_canonical(terms):
+    return {m: Fraction(q) for m, q in terms.items() if q}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, q in b.items():
+        out[m] = out.get(m, 0) + sign * q
+    return ref_canonical(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ma, qa in a.items():
+        for mb, qb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + qa * qb
+    return ref_canonical(out)
+
+
+def as_ref(p):
+    # the terms of p, after checking that p is canonical
+    for _, q in p.terms():
+        assert q != 0
+        assert type(q) is int or (type(q) is Fraction and q.denominator != 1)
+    return {m: Fraction(q) for m, q in p.terms()}
+
+
+class TestRingOperationsMatchAReference:
+    @settings(max_examples=200, deadline=None)
+    @given(ref_polys, ref_polys)
+    def test_sum_difference_and_product(self, a, b):
+        pa, pb = jp.DiffPolynomial(a), jp.DiffPolynomial(b)
+        ra, rb = ref_canonical(a), ref_canonical(b)
+        assert as_ref(pa + pb) == ref_add(ra, rb)
+        assert as_ref(pa - pb) == ref_add(ra, rb, -1)
+        assert as_ref(pa - pa) == {}
+        assert as_ref(-pa) == {m: -q for m, q in ra.items()}
+        assert as_ref(pa * pb) == ref_mul(ra, rb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ref_polys, st.one_of(ref_coeffs, st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(4, 2)])))
+    def test_scalar_operations(self, a, c):
+        pa, ra = jp.DiffPolynomial(a), ref_canonical(a)
+        const = {(0,) * jp.NVARS: Fraction(c)} if c else {}
+        assert as_ref(pa * c) == as_ref(c * pa) == ref_mul(ra, const)
+        assert as_ref(pa + c) == as_ref(c + pa) == ref_add(ra, const)
+        assert as_ref(pa - c) == ref_add(ra, const, -1)
+        assert as_ref(c - pa) == ref_add(const, ra, -1)
+
+    def test_halves_that_meet_become_ints(self):
+        half = Fraction(1, 2) * jp.f(0) * jp.g(1)
+        for p in (half + half, 2 * half, half * 2, (jp.f(0) + half) - (jp.f(0) - half),
+                  half * (2 * jp.f(1) + 4), jp.DiffPolynomial.constant(Fraction(4, 2)) * jp.f(0)):
+            assert all(type(q) is int for _, q in p.terms()), p
+
+
+# -- compiled evaluation -----------------------------------------------------------
+
+
+def rebuilt_evaluate(p, f_jets=None, g_jets=None, params=None, absolute=False):
+    # the formula that rebuilds the exponent matrix and coefficients on each call
+    from functools import reduce
+    from operator import or_
+
+    supplied = dict(zip(jp.VARIABLES[:7], [] if f_jets is None else f_jets))
+    supplied.update(zip(jp.VARIABLES[7:14], [] if g_jets is None else g_jets))
+    supplied.update((name, v) for name, v in (params or {}).items() if name in jp.PARAMETERS)
+    monos = list(p._terms)
+    used = [(n, s) for n, s, e in zip(jp.VARIABLES, jp._SHIFTS, jp._unpack(reduce(or_, monos, 0))) if e]
+    exps = np.array([[m >> s & jp._EXP for _, s in used] for m in monos], dtype=np.intp)
+    base = np.stack(np.broadcast_arrays(0j, *(supplied[name] for name, _ in used)))[1:]
+    coeffs = np.array([complex(q) for q in p._terms.values()], dtype=complex)
+    if absolute:
+        base, coeffs = np.abs(base), np.abs(coeffs)
+    powers = np.ones((exps.max(initial=0) + 1,) + base.shape, base.dtype)
+    for k in range(1, len(powers)):
+        powers[k] = powers[k - 1] * base
+    picked = powers[exps.reshape(len(monos), len(used)), np.arange(len(used))]
+    return np.tensordot(coeffs, picked.prod(axis=1), axes=1)[()]
+
+
+class TestCompiledEvaluation:
+    @pytest.mark.parametrize("absolute", [False, True])
+    @pytest.mark.parametrize("build", [lambda: jp.build_addet(1, 2), lambda: jp.abc_det(1, 2, 3),
+                                       lambda: identities.cubic_block_formulas()["p0"],
+                                       lambda: jp.DiffPolynomial.constant(Fraction(-3, 7)), jp.DiffPolynomial.zero])
+    def test_bit_identical_to_the_rebuilt_formula(self, build, absolute):
+        p = build()
+        rng = np.random.default_rng(8)
+        fv = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        gv = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        params = dict(zip(jp.PARAMETERS, rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+        want = rebuilt_evaluate(p, fv, gv, params, absolute)
+        # the first call builds the tables, the later ones reuse them
+        for _ in range(2):
+            got = jp.evaluate(p, fv, gv, params, absolute=absolute)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+        point = jp.evaluate(p, fv[:, 0], gv[:, 0], params, absolute=absolute)
+        assert point == rebuilt_evaluate(p, fv[:, 0], gv[:, 0], params, absolute)
+
+    def test_a_missing_jet_is_named_on_every_call(self):
+        p = jp.f(0) * jp.g(2)
+        assert jp.evaluate(p, [2.0], [0.0, 0.0, 3.0]) == 6.0
+        for _ in range(2):
+            with pytest.raises(MissingJet, match="g2"):
+                jp.evaluate(p, [2.0], [1.0])
+
+
 # sha256 of the rendered polynomials and of every run_checks() row's repr,
 # as the tuple-keyed Fraction implementation printed them; the coefficients
 # row's note has since come to name the two integration functions
