@@ -131,14 +131,17 @@ def _solve_normal(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
     Columns span scales like w^3 versus 1, so each is scaled to unit norm
     first; the condition is that of the scaled normal matrix, which does not
-    depend on the unit of w. A fit above COND_REJECT raises.
+    depend on the unit of w, from the eigenvalues of that Hermitian matrix.
+    A fit above COND_REJECT raises.
     """
     scales = np.linalg.norm(A, axis=0)
     scales[scales == 0.0] = 1.0
     Aeq = A / scales
     gram = Aeq.conj().T @ Aeq
-    cond = float(np.linalg.cond(gram))
-    if cond > COND_REJECT:
+    eigenvalues = np.linalg.eigvalsh(gram)
+    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
+    cond = high / low if low > 0.0 else math.inf
+    if not cond <= COND_REJECT:
         raise IllConditionedFit(f"normal-equation condition {cond:.3g}")
     return np.linalg.solve(gram, Aeq.conj().T @ b) / scales, cond
 
@@ -240,17 +243,30 @@ def classify_samples(samples: SampleSet, stencil_order: int = 4, seed: int = 0) 
     stencil_order of the samples: so 5 samples with derivatives, 7 at order
     2 and 9 at order 4.
 
+    w, and w' where given, are divided by 2^E with 2^(E-1) <= max |w| < 2^E
+    (E within +-1021) before the spread, the stencil and the fits, so that
+    no power of w leaves the float range: alpha w solves an ODE of the same
+    family with the same g2, g3 and delta, and a, b and a linear alpha are
+    scaled back. The power of two is exact, so nothing else moves; the
+    evidence holds the fits of w/2^E.
+
     The round trip rebuilds the decided family and scans the functional
     equation on it, attaching the max residual as independent evidence that
     the classified family really solves the equation.
     """
-    if _spread(np.array(samples.ws, dtype=complex)) < SPREAD_EPS:
+    ws = np.array(samples.ws, dtype=complex)
+    # 2^E and 2^-E stay normal floats, so both scalings are exact
+    exponent = min(max(math.frexp(np.abs(ws).max())[1], -1021), 1021)
+    unit = 2.0**-exponent
+    ws = ws * unit
+    if _spread(ws) < SPREAD_EPS:
         return Classification("constant", {"c": sum(samples.ws) / len(samples.ws)}, ())
     need = 5 if samples.dws is not None else 5 + stencil_order
     if len(samples.xs) < need:
         stencil = "" if samples.dws is not None else f" after the order-{stencil_order} stencil"
         raise TooFewPoints(f"classification needs at least {need} samples, to leave 5 (w, w') pairs{stencil}")
-    _, w, dw = estimate_jets(samples, stencil_order)
+    dws = None if samples.dws is None else tuple((np.array(samples.dws, dtype=complex) * unit).tolist())
+    _, w, dw = estimate_jets(SampleSet(samples.xs, tuple(ws.tolist()), dws), stencil_order)
     fits = []
     for fit in (fit_cubic, fit_linear):
         try:
@@ -258,9 +274,13 @@ def classify_samples(samples: SampleSet, stencil_order: int = 4, seed: int = 0) 
         except (DegenerateInput, IllConditionedFit):
             fits.append(None)
     decision = classify(*fits)
+    params = dict(decision.params)
+    for key in ("a", "b", "alpha"):
+        if key in params:
+            params[key] = params[key] / unit
     if decision.family != "not_a_solution":
-        rt = roundtrip_residual(decision, seed=seed)
-        return Classification(decision.family, decision.params, decision.evidence, rt)
+        rt = roundtrip_residual(Classification(decision.family, params), seed=seed)
+        return Classification(decision.family, params, decision.evidence, rt)
     return decision
 
 

@@ -1,36 +1,42 @@
 """Numerical evaluation of the Weierstrass functions from periods or invariants.
 
 Generators are Gauss-reduced to (b1, b2) with tau = b2/b1 in the fundamental
-domain. pe, pe', zeta and sigma all come from one series of Jacobi's theta1
-in the nome q = exp(i pi tau) (DLMF 20.5, 23.6), and g2, g3 and the
+domain. pe, pe', zeta and sigma all come from series of Jacobi's theta1 in
+the nome q = exp(i pi tau) (DLMF 20.2, 20.5, 23.6), and g2, g3 and the
 discriminant from Lambert series in its coefficients (DLMF 23.8; see
-`_context`), all in one loop. With k = pi/b1, v = k z and
-a_n = q^(2n)/(1 - q^(2n)),
+`_context`), all in one loop. With k = pi/b1, v = k z, r = q^2 and
+a_n = r^n/(1 - r^n),
 
     L(v) = theta1'(v)/theta1(v) = cot v + 4 sum_n a_n sin 2nv,
     pe = -2 eta1/b1 - k^2 L'(v),   pe' = -k^3 L''(v),
     zeta = 2 eta1 z/b1 + k L(v),
-    sigma = exp(eta1 z^2/b1) (sin v / k) prod_n (1 + a_n (1 - e^(2iv))) (1 + a_n (1 - e^(-2iv))),
+    sigma = exp(eta1 z^2/b1) (sin v / k) S(e)/S(1),
+    S(e) = sum_{n>=0} (-1)^n r^(n(n+1)/2) sum_{|j|<=n} e^j,   e = e^(2iv),
 
 where eta1 = zeta(b1/2) = (pi^2/(6 b1)) (1 - 24 sum_n n a_n) is the E2
-series. The argument is first reduced by rounding both of its lattice
-coordinates; zeta and sigma restore the shift through the quasi-period
-constants, the second from Legendre's relation, sigma in log space so that
-only a value beyond the float range raises. cot v, 1/sin^2 v and sin v are
-written in e = e^(2iu), u = +-v with |e| <= 1, and e - 1 from expm1, so no
-lattice is too tall to evaluate (see `_point`). Higher derivatives come from
-differentiating the normal-form ODE  pe'^2 = 4 pe^3 - g2 pe - g3, never from
-numerical differentiation.
+series, and S(e) sin v is theta1(v) up to a constant (DLMF 20.2.1). Every
+series is a polynomial in e and 1/e, summed by Horner's rule on both at
+once (`_horner`), and cut per context where its terms fall below the unit
+round-off (`_context`). The argument is first reduced by rounding both of
+its lattice coordinates; zeta and sigma restore the shift through the
+quasi-period constants, the second from Legendre's relation, sigma in log
+space so that only a value beyond the float range raises. cot v,
+1/sin^2 v and sin v are written in e = e^(2iu), u = +-v with |e| <= 1,
+and e - 1 from expm1, so no lattice is too tall to evaluate (see
+`_point`). Higher derivatives come from differentiating the normal-form
+ODE  pe'^2 = 4 pe^3 - g2 pe - g3, never from numerical differentiation.
 
 Each evaluator has one body for a complex number and for an ndarray,
 evaluated elementwise, which is how the sampled checks score a whole batch
-at a time; a point's value does not depend on its batch. The two part in two
-leaves only, so they may differ in the last bits: the rounding and e, e - 1
-in `_point` (`round` and `_exp_expm1` for a number, numpy's for an array),
-and `_pole_edge`, where a pole raises PoleProximity for a number and is nan
-in an array. `sigma` and `lattice_distance` take a number as an array of
-one. The reference for both is a theta oracle at 30 digits (the tests'
-`ThetaOracle`, and `perfbench/oracle.py`).
+at a time; a point's value does not depend on its batch. The two part in
+three leaves only, so they may differ in the last bits: the rounding and
+e, e - 1 in `_point` (`round` and `_exp_expm1` for a number, numpy's for an
+array), Horner's rule in `_horner` (Python arithmetic for a number, numpy's
+for an array), and the poles, where a number raises PoleProximity (in
+`_point` next to a lattice point, in `_pole_edge` where a value overflows)
+and an array holds nan. `sigma` and `lattice_distance` take a number
+as an array of one. The reference for both is a theta oracle at 30 digits
+(the tests' `ThetaOracle`, and `perfbench/oracle.py`).
 
 A context built from invariants alone takes its generators from the complex
 AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
@@ -61,10 +67,10 @@ from .errors import (
     SeriesNoConverge,
 )
 
-# theta-series length: a Gauss-reduced tau has |q| <= exp(-pi sqrt(3)/2) < 0.066,
-# and rounding both lattice coordinates keeps |Im v| <= pi Im(tau)/2, so term n
-# of the pe' sum is at most 8 n^2 |q|^n k^3: below 2e-17 k^3 from n = 17 on
-_THETA_TERMS = 16
+# where the theta series are cut: the unit round-off, against their first term
+_ROUNDOFF = 2.0**-53
+# (n, n^2, n^3, n^5) of the theta terms; a reduced basis keeps at most 16 (see `_context`)
+_TERMS = tuple((n, n * n, n**3, n**5) for n in range(1, 17))
 _INVARIANT_TOL = 1e-12  # round trip of the AGM generators, relative to the scale
 LATTICE_TOL = 1e-9  # lattice membership, and how near to real a period ratio may come
 
@@ -84,6 +90,63 @@ class Invariants:
     discriminant: complex  # g2^3 - 27 g3^2; from the q-product for a lattice
 
 
+class _Series:
+    """A context's theta_coeffs as Horner runs, with the constants its evaluators share.
+
+    The polynomial sum_n c_n x^n is held as the runs (c_N, ..., c_{L+1}) and
+    (c_L, ..., c_1), top term first, the second taken at e as well as at 1/e
+    (see `_horner`): na, n2a and a are those of n a_n, n^2 a_n and a_n, the
+    series of pe, pe' and zeta, on the N = len(theta_coeffs) terms. After
+    rounding |q| <= |e|, so term n is at most n^2 |q|^(2n-2) times term 1
+    at e, and the first L terms, where that is at least 2^-53, are taken at
+    e too: L = 8 at the hexagonal corner of the fundamental domain, 7 on
+    the square lattice, 5 at tau = 1.5i, 3 at 3i and 1 at 8i. With k that
+    of the evaluation forms (1 when g2 = g3 = 0, see `_point`), k2 = k^2,
+    k3 = -2 k^3 and pe0 = 2 eta1 k/pi. sigma's series is built on its first
+    use (`theta1`).
+    """
+
+    def __init__(self, ctx: EllipticContext):
+        coeffs, low, self.r = ctx.theta_coeffs, 0, 0j
+        if coeffs:
+            b1, b2 = ctx.reduced
+            self.r, qn = cmath.exp(2j * math.pi * b2 / b1), 1.0
+            q = math.sqrt(abs(self.r))
+            for _, n2, _, _ in _TERMS[: len(coeffs)]:
+                low += n2 * qn * qn >= _ROUNDOFF
+                qn *= q
+        na = [n * a for n, a in enumerate(coeffs, 1)]
+        n2a = [n * n * a for n, a in enumerate(coeffs, 1)]
+        self.a, self.na, self.n2a = (_Series._runs(row, low) for row in (list(coeffs), na, n2a))
+        k = ctx.k if ctx.k else 1.0
+        self.k2, self.k3, self.pe0 = k * k, -2.0 * k**3, 2.0 * ctx.eta[0] * k / math.pi
+
+    @staticmethod
+    def _runs(row: list, low: int) -> tuple[list, list]:
+        """The coefficients c_1, ..., c_N of row as the runs (c_N, ..., c_{low+1}) and (c_low, ..., c_1)."""
+        top = row[::-1]
+        return top[: len(top) - low], top[len(top) - low :]
+
+    @functools.cached_property
+    def theta1(self) -> tuple[complex, tuple[list, list]]:
+        """(S_0/S(1), the runs of S_j/S(1), j >= 1) of sigma's S(e) = sum_j S_j (e^j + e^-j) - S_0.
+
+        From theta1's terms t_n = (-1)^n r^(n(n+1)/2) (DLMF 20.2.1),
+        S_j = t_j + ... + t_M and S(1) = sum (2n + 1) t_n. After rounding
+        |e| >= |q|, so term j at 1/e is at most |q|^(j^2) against S_0, and
+        at e at most |q|^(j(j+1)); each keeps the terms where that is at
+        least 2^-53: 3 on the square and hexagonal lattices, 1 at tau = 8i.
+        """
+        t, rn, q = [1.0 + 0j], 1.0 + 0j, math.sqrt(abs(self.r))
+        while q ** (len(t) ** 2) >= _ROUNDOFF:
+            rn *= self.r
+            t.append(-t[-1] * rn)
+        tails = [sum(t[j:]) for j in range(len(t))]
+        norm = sum((2 * n + 1) * tn for n, tn in enumerate(t))
+        low = sum(q ** (j * (j + 1)) >= _ROUNDOFF for j in range(1, len(t)))
+        return tails[0] / norm, _Series._runs([sj / norm for sj in tails[1:]], low)
+
+
 @dataclass(frozen=True)
 class EllipticContext:
     """Immutable evaluation context; safe to share across concurrent readers.
@@ -92,10 +155,12 @@ class EllipticContext:
     and `reduced` a Gauss-reduced pair (b1, b2) of them with Im(b2/b1) > 0;
     at zero discriminant periods is None and reduced is (pi/k,), or () if
     g2 = g3 = 0. The theta series runs on k = pi/b1 (0 if g2 = g3 = 0) and
-    theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut where q^(2n) underflows;
-    eta holds the quasi-period constants (zeta(b1/2), zeta(b2/2)). lambda_min
-    is the distance to the nearest lattice point: |b1|, pi/|k| or inf, and
-    pole_tol the distance within which a lattice point counts as a pole.
+    theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut after the last n with
+    n^2 |q|^(n-1) >= 2^-53 (at most 16 terms; see `_context`), which `series`
+    holds as Horner runs. eta holds the quasi-period constants
+    (zeta(b1/2), zeta(b2/2)). lambda_min is the distance to the nearest
+    lattice point: |b1|, pi/|k| or inf, and pole_tol the distance within
+    which a lattice point counts as a pole.
     """
 
     invariants: Invariants
@@ -106,6 +171,11 @@ class EllipticContext:
     k: complex
     theta_coeffs: tuple[complex, ...]
     eta: tuple[complex, complex]
+
+    @functools.cached_property
+    def series(self) -> _Series:
+        """theta_coeffs as the evaluators' Horner runs, built on first use."""
+        return _Series(self)
 
 
 # -- small lattice helpers ----------------------------------------------------
@@ -220,11 +290,20 @@ def _context(
     """The context on a reduced basis (`_gauss_reduce`) with k = pi/b1 (0 at rank zero); None: series invariants.
 
     At rank two one loop over r^n, r = exp(2 pi i tau), gives the theta
-    coefficients a_n = r^n/(1 - r^n) and the Lambert sums S_p = sum n^p a_n
+    coefficients a_n = r^n/(1 - r^n), the Lambert sums S_p = sum n^p a_n
     (DLMF 23.8): eta1 = (pi k/6)(1 - 24 S_1), g2 = (4/3) k^4 (1 + 240 S_3),
     g3 = (8/27) k^6 (1 - 504 S_5), and the discriminant (2k)^12 r
     prod (1 - r^n)^24, which does not cancel the way g2^3 - 27 g3^2 does on
     tall lattices; eta2 = zeta(b2/2) is Legendre's relation (DLMF 23.2.14).
+
+    The series is cut per context. After rounding |q| <= |e| <= 1, so term
+    n of the pe, pe' and zeta sums is at most n^2 |q|^(n-1) times term 1 at
+    1/e; the coefficients stop at the last n where that is at least 2^-53:
+    N = 16 at the hexagonal corner of the fundamental domain, 14 on the
+    square lattice, 9 at tau = 1.5i, 5 at 3i and 2 at 8i (`_Series` cuts
+    the sums at e further). The Lambert sums run on the N terms, which
+    reach round-off sooner.
+
     Invariants beyond the float range (|b1| below about 1e-26) raise
     FloatOverflow. Below rank two the series runs at q = 0: no coefficients,
     eta = (pi k/6, 0), lambda_min = pi/|k| or inf, and the invariants must
@@ -236,17 +315,21 @@ def _context(
     lam = math.pi / abs(k) if k else math.inf
     if len(reduced) == 2:
         b1, b2 = reduced
-        r, rn = cmath.exp(2j * math.pi * b2 / b1), 1.0 + 0j
-        for n in range(1, _THETA_TERMS + 1):
+        r, rn, qn = cmath.exp(2j * math.pi * b2 / b1), 1.0 + 0j, 1.0
+        q = math.sqrt(abs(r))
+        for n, n2, n3, n5 in _TERMS:
+            if n2 * qn < _ROUNDOFF:
+                break
             rn *= r
             if rn == 0:
                 break
             a = rn / (1.0 - rn)
             coeffs.append(a)
             s1 += n * a
-            s3 += n**3 * a
-            s5 += n**5 * a
+            s3 += n3 * a
+            s5 += n5 * a
             prod *= 1.0 - rn
+            qn *= q
         eta1 = math.pi * k / 6.0 * (1.0 - 24.0 * s1)
         eta, lam = (eta1, (eta1 * b2 - math.pi * 1j) / b1), abs(b1)
         if invariants is None:
@@ -368,7 +451,7 @@ def _elementwise(arrays_only: bool = False):
 
 
 def _point(ctx: EllipticContext, z):
-    """(z0, m, n, k, sign, iu, e, d, near) at v = k*z0, for a number or elementwise.
+    """(z0, m, n, k, sign, 2iu, e, d, near) at v = k*z0, for a number or elementwise.
 
     z = z0 + m*b1 + n*b2 with the lattice coordinates of z within the rank rounded away.
     u = sign*v is oriented so that Im u >= 0; then e = e^(2iu) has |e| <= 1
@@ -379,44 +462,50 @@ def _point(ctx: EllipticContext, z):
     alone maps back from u. With g2 = g3 = 0 the same forms give the k -> 0
     limit: k = 1, iu = 0, e = 1, d = 2i z0 (cot = 1/z0, 1/sin^2 = 1/z0^2,
     sin = z0), and no series terms. `near` holds within the pole tolerance of
-    a lattice point and where d^3 underflows to zero. The rounding and e, d
-    are where a number and an array part: `round` and `_exp_expm1` for a
-    number, numpy's elementwise functions for an array.
+    a lattice point and where d^3 underflows to zero; a number there raises
+    PoleProximity at once, before anything divides by d. The rounding and
+    e, d are where a number and an array part: `round` and `_exp_expm1` for
+    a number, numpy's elementwise functions for an array.
     """
     batch = isinstance(z, np.ndarray)
     z0, m, n = z, 0, 0
     if len(ctx.reduced) == 2:
         b1, b2 = ctx.reduced
         s, t = _lattice_coords(z, b1, b2)
-        m, n = (np.round(s), np.round(t)) if batch else (round(s), round(t))
+        m, n = (s.round(), t.round()) if batch else (round(s), round(t))
         z0 = z - m * b1 - n * b2
     elif ctx.reduced:  # rank one: the coordinate along pi/k
-        m = (np.round if batch else round)((z / ctx.reduced[0]).real)
+        m = (z / ctx.reduced[0]).real
+        m = m.round() if batch else round(m)
         z0 = z - m * ctx.reduced[0]
     if not ctx.k:
-        k, sign, iu, e, d = 1.0, 1.0, 0j, 1.0 + 0j, 2j * z0
+        k, sign, iu2, e, d = 1.0, 1.0, 0j, 1.0 + 0j, 2j * z0
     else:
         k, v = ctx.k, ctx.k * z0
-        # on the real axis too, v and -v share u, so the parities hold bit for bit
-        sign = 1.0 - 2.0 * ((v.imag < 0.0) | ((v.imag == 0.0) & (v.real < 0.0)))
-        iu = 1j * (sign * v)
-        e, d = (np.exp(2.0 * iu), np.expm1(2.0 * iu)) if batch else _exp_expm1(2.0 * iu)
+        # the sign of Im v, or of Re v on the real axis, where v and -v then
+        # share u, so the parities hold bit for bit (v = 0 is a pole either way)
+        if batch:
+            sign = np.copysign(1.0, np.where(v.imag == 0.0, v.real, v.imag))
+        else:
+            sign = -1.0 if v.imag < 0.0 or (v.imag == 0.0 and v.real < 0.0) else 1.0
+        iu2 = 2j * (sign * v)
+        e, d = (np.exp(iu2), np.expm1(iu2)) if batch else _exp_expm1(iu2)
     near = (abs(z0) <= ctx.pole_tol) | (d * d * d == 0)
-    return z0, m, n, k, sign, iu, e, d, near
+    if near is True:
+        raise PoleProximity(z)
+    return z0, m, n, k, sign, iu2, e, d, near
 
 
 def _exp_expm1(x: complex) -> tuple[complex, complex]:
     """(e^x, e^x - 1) for Re x <= 0, the second without cancellation near x = 0."""
-    ea, c, s = math.exp(x.real), math.cos(x.imag), math.sin(x.imag)
-    return complex(ea * c, ea * s), complex(math.expm1(x.real) * c - 2.0 * math.sin(0.5 * x.imag) ** 2, ea * s)
+    e = cmath.exp(x)
+    return e, complex(math.expm1(x.real) * math.cos(x.imag) - 2.0 * math.sin(0.5 * x.imag) ** 2, e.imag)
 
 
 def _pole_edge(z, pole, *values) -> tuple:
     """values at z, where `pole` holds a pole: a number raises PoleProximity, an array holds nan.
 
-    pole is a bool for a number and a mask for an array. A caller passes
-    `near` from `_point` before anything divides by d, so that a number
-    stops there.
+    pole is a bool for a number and a mask for an array.
     """
     if isinstance(pole, np.ndarray):
         for v in values:
@@ -426,52 +515,61 @@ def _pole_edge(z, pole, *values) -> tuple:
     return values
 
 
-def _theta_sums(ctx: EllipticContext, e):
-    """sum n a_n (e^n + e^-n) and sum n^2 a_n (e^n - e^-n), at a number or elementwise.
+def _horner(rows: tuple, e) -> list:
+    """(P(e), P(1/e)) for each polynomial P(x) = sum_n c_n x^n of rows, a number or elementwise.
 
-    That is 2 sum n a_n cos 2nu and 2i sum n^2 a_n sin 2nu at e = e^(2iu).
-    |e| >= |q| after rounding, so e^-n stays finite wherever a_n is nonzero.
-    Running powers, one array step per term as in `_theta_odd`, never in place:
-    numpy's in-place complex product rounds otherwise in a batch than alone.
+    rows holds the runs of each polynomial (`_Series`): P(1/e) takes both,
+    P(e) the second alone, since |e| <= 1. Horner's rule, two steps per
+    term: an array runs the first run on 1/e and the second on e and 1/e as
+    one flat array, never in place (numpy's in-place complex product rounds
+    otherwise in a batch than alone), a number in Python arithmetic.
+    |e| >= |q| after rounding, so 1/e stays finite wherever a series has a
+    term, and Horner's partial sums stay below the terms. Without terms
+    both sums are 0j.
     """
-    even = odd2 = 0j
-    en, eni, ei = 1.0 + 0j, 1.0 + 0j, 1.0 / e if ctx.theta_coeffs else 0j
-    for n, a in enumerate(ctx.theta_coeffs, 1):
-        en = en * e
-        eni = eni * ei
-        even = even + n * a * (en + eni)
-        odd2 = odd2 + n * n * (a * (en - eni))
-    return even, odd2
+    if not (rows[0][0] or rows[0][1]):
+        return [(0j, 0j)] * len(rows)
+    if isinstance(e, np.ndarray):
+        flat = e.ravel()
+        ei = 1.0 / flat
+        x, sums = np.concatenate((flat, ei)), []
+        for top, low in rows:
+            t = 0
+            for c in top:
+                t = (t + c) * ei
+            s = np.concatenate((np.zeros_like(flat), t)) if top else 0
+            for c in low:
+                s = (s + c) * x
+            sums.append((s[: flat.size].reshape(e.shape), s[flat.size :].reshape(e.shape)))
+        return sums
+    ei, sums = 1.0 / e, []
+    for top, low in rows:
+        s = t = 0j
+        for c in top:
+            t = (t + c) * ei
+        for c in low:
+            s = (s + c) * e
+            t = (t + c) * ei
+        sums.append((s, t))
+    return sums
 
 
-def _theta_odd(ctx: EllipticContext, e):
-    """sum a_n (e^n - e^-n) = 2i sum a_n sin 2nu at e = e^(2iu), a number or an array.
+def _wp_dp(ctx: EllipticContext, z, prime: bool = True) -> tuple:
+    """(pe, pe') = (-2 eta1/b1 - k^2 L'(v), -k^3 L''(v)) at the rounded representative; (pe, None) without prime.
 
-    The powers come from a running product, one array step per term, not
-    from a (points x terms) matrix.
+    Without prime neither pe' nor its series is computed. A value that
+    overflows next to a lattice point is a pole too.
     """
-    odd = 0j
-    en, eni, ei = 1.0 + 0j, 1.0 + 0j, 1.0 / e if ctx.theta_coeffs else 0j
-    for a in ctx.theta_coeffs:
-        en = en * e
-        eni = eni * ei
-        odd = odd + a * (en - eni)
-    return odd
-
-
-def _wp_dp(ctx: EllipticContext, z) -> tuple:
-    """(pe, pe') = (-2 eta1/b1 - k^2 L'(v), -k^3 L''(v)) at the rounded representative.
-
-    A value that overflows next to a lattice point is a pole too.
-    """
-    _, _, _, k, sign, _, e, d, near = _point(ctx, z)
-    _pole_edge(z, near)
-    even, odd2 = _theta_sums(ctx, e)
+    _, _, _, _, sign, _, e, d, near = _point(ctx, z)
+    series = ctx.series
+    sums = _horner((series.na, series.n2a) if prime else (series.na,), e)
     csc2 = -4.0 * e / (d * d)
-    p = k * k * (csc2 - 4.0 * even) - 2.0 * ctx.eta[0] * k / math.pi
-    dp = -2.0 * sign * k**3 * (1j * (e + 1.0) / d * csc2 + 4j * odd2)
+    p = series.k2 * (csc2 - 4.0 * (sums[0][0] + sums[0][1])) - series.pe0
     # x - x is 0 exactly where x is finite
-    return _pole_edge(z, near | (p - p != 0) | (dp - dp != 0), p, dp)
+    if not prime:
+        return _pole_edge(z, near | (p - p != 0), p)[0], None
+    dp = sign * series.k3 * (1j * (e + 1.0) / d * csc2 + 4j * (sums[1][0] - sums[1][1]))
+    return _pole_edge(z, near | ((p - p) + (dp - dp) != 0), p, dp)
 
 
 @_elementwise()
@@ -480,7 +578,7 @@ def wp(ctx: EllipticContext, z):
 
     Elementwise on an array, nan where a number raises PoleProximity.
     """
-    return _wp_dp(ctx, z)[0]
+    return _wp_dp(ctx, z, False)[0]
 
 
 @_elementwise()
@@ -494,12 +592,12 @@ def jets(ctx: EllipticContext, z, order: int = 5) -> tuple:
     """The tuple (pe, pe', ..., pe^(order)) at z with order <= 5.
 
     Everything above pe' comes from differentiating the normal-form ODE
-    (`_ode_jets`). Elementwise on an array, every value nan where a number
-    raises PoleProximity.
+    (`_ode_jets`); order 0 computes no pe'. Elementwise on an array, every
+    value nan where a number raises PoleProximity.
     """
     if not 0 <= order <= 5:
         raise ValueError("jet order must be between 0 and 5")
-    p, dp = _wp_dp(ctx, z)
+    p, dp = _wp_dp(ctx, z, prime=order > 0)
     return _ode_jets(ctx, p, dp, order)
 
 
@@ -532,14 +630,14 @@ def sigma(ctx: EllipticContext, z):
     parity sign is applied exactly, so sigma(-z) = -sigma(z) bit for bit.
     Elementwise on an array, which raises FloatOverflow if any value does.
     """
-    z0, m, n, k, sign, iu, e, d, _ = _point(ctx, z)
-    # sin u = e^(-iu) d/(2i): the factor e^(-iu) joins the exponent, and
-    # the theta product takes one step per coefficient
-    lead, ei = d / (2j * k), 1.0 / e if ctx.theta_coeffs else 0j
-    for a in ctx.theta_coeffs:
-        lead = lead * ((1.0 + a * (1.0 - e)) * (1.0 + a * (1.0 - ei)))
+    z0, m, n, k, sign, iu2, e, d, _ = _point(ctx, z)
+    # sin u = e^(-iu) d/(2i): the factor e^(-iu) joins the exponent; S is
+    # even in e, so u and v share it
+    s0, runs = ctx.series.theta1
+    (s,) = _horner((runs,), e)
+    lead = d / (2j * k) * (s0 + s[0] + s[1])
     eta1, eta2 = ctx.eta
-    power = eta1 * k * z0 * z0 / math.pi + (m * eta1 + n * eta2) * (z + z0) - iu
+    power = eta1 * k * z0 * z0 / math.pi + (m * eta1 + n * eta2) * (z + z0) - 0.5 * iu2
     size = np.exp(power.real + np.log(np.abs(lead)))
     zero = lead == 0
     if np.isinf(size[~zero]).any():
@@ -559,10 +657,10 @@ def zeta(ctx: EllipticContext, z):
     array, nan where a number raises PoleProximity.
     """
     z0, m, n, k, sign, _, e, d, near = _point(ctx, z)
-    _pole_edge(z, near)
     eta1, eta2 = ctx.eta
+    (odd,) = _horner((ctx.series.a,), e)
     value = (
-        sign * k * (1j * (e + 1.0) / d - 2j * _theta_odd(ctx, e))
+        sign * k * (1j * (e + 1.0) / d - 2j * (odd[0] - odd[1]))
         + 2.0 * eta1 * k * z0 / math.pi
         + 2.0 * (m * eta1 + n * eta2)
     )
@@ -610,6 +708,13 @@ def is_lattice_point(ctx: EllipticContext, z: complex) -> bool:
 # the 3x3 neighbour shifts (dm, dn) of the rounded lattice coordinates
 _NEAR_DM, _NEAR_DN = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
 
+# Rounding finds the nearest lattice point of every point within this many
+# lambda_min of it. On a Gauss-reduced basis the angle between b1 and b2
+# lies in [60, 120] degrees, so an offset w = s b1 + t b2 has |s|, |t| <=
+# 2|w|/(sqrt(3) lambda_min): below sqrt(3)/4 = 0.433 lambda_min both round to
+# 0. 0.3 leaves a margin for the rounding of s and t.
+_ROUNDING_EXACT = 0.3
+
 
 @_elementwise(arrays_only=True)
 def lattice_distance(ctx: EllipticContext, z):
@@ -620,6 +725,22 @@ def lattice_distance(ctx: EllipticContext, z):
     """
     b1, b2 = (*ctx.reduced, 0j, 0j)[:2]
     s, t = _lattice_coords(z, *_frame(ctx.reduced))
-    m = np.round(s)[..., None] + _NEAR_DM
-    n = np.round(t)[..., None] + _NEAR_DN
+    m = s.round()[..., None] + _NEAR_DM
+    n = t.round()[..., None] + _NEAR_DN
     return np.abs(z[..., None] - m * b1 - n * b2).min(axis=-1)
+
+
+@_elementwise(arrays_only=True)
+def clear_of_lattice(ctx: EllipticContext, z, radius: float):
+    """lattice_distance(ctx, z) > radius elementwise, bit for bit, from the rounded lattice point alone where it decides.
+
+    At rank two with radius below `_ROUNDING_EXACT` lambda_min, a lattice
+    point within the radius of z is the one its rounded coordinates name,
+    and `lattice_distance` takes that candidate's distance by the same
+    arithmetic; elsewhere this asks `lattice_distance`.
+    """
+    if len(ctx.reduced) != 2 or not radius < _ROUNDING_EXACT * ctx.lambda_min:
+        return lattice_distance(ctx, z) > radius
+    b1, b2 = ctx.reduced
+    s, t = _lattice_coords(z, b1, b2)
+    return np.abs(z - s.round() * b1 - t.round() * b2) > radius

@@ -26,6 +26,7 @@ two-level finite-difference stencil.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -218,7 +219,7 @@ def _family_jets(families: Sequence[FunctionFamily], points: Sequence, order: in
     ctx = getattr(families[0], "ctx", None)
     if not all(isinstance(fam, WeierstrassShifted) and fam.ctx is ctx for fam in families):
         return [fam.jets(p, order) for fam, p in zip(families, points)]
-    values = elliptic.jets(ctx, np.stack(points) + np.array([[fam.shift] for fam in families]), order)
+    values = elliptic.jets(ctx, np.array([p + fam.shift for fam, p in zip(families, points)]), order)
     return list(zip(*values))
 
 
@@ -254,11 +255,14 @@ def _draws(seed: int, count: int, draw, admit, budget: int, rounds: int | None =
             limit = rounds if k == rounds else budget
             raise SamplerExhausted(f"no accepted draw for sample {pending[0]} within {limit} draws")
         spent += pending.size
-        rows = draw(np.random.default_rng((seed, k)), pending[-1] + 1)[pending]
-        if drawn is None:
-            drawn = np.empty((count,) + rows.shape[1:], rows.dtype)
+        block = draw(np.random.default_rng((seed, k)), pending[-1] + 1)
+        rows = block if drawn is None else block[pending]
         ok = admit(pending, rows)
-        drawn[pending[ok]] = rows[ok]
+        if drawn is None:
+            # round 0 draws a row for every sample; later rounds overwrite the rejected ones
+            drawn = block
+        else:
+            drawn[pending[ok]] = rows[ok]
         pending, k = pending[~ok], k + 1
     return drawn
 
@@ -300,13 +304,17 @@ class TripleSampler:
     def admissible(self, families: Sequence[FunctionFamily], points: np.ndarray) -> np.ndarray:
         """Rows of the (n, len(families)) points where point j + shift lies beyond the pole radius of family j.
 
-        One `lattice_distance` call per context; a family without one admits everything.
+        One `elliptic.clear_of_lattice` call per context object; a family without one admits everything.
         """
+        groups: dict = {}
+        for j, fam in enumerate(families):
+            ctx = getattr(fam, "ctx", None)
+            if ctx is not None:
+                groups.setdefault(id(ctx), (ctx, []))[1].append(j)
         ok = np.ones(len(points), bool)
-        for ctx in {getattr(fam, "ctx", None) for fam in families} - {None}:
-            cols = [j for j, fam in enumerate(families) if getattr(fam, "ctx", None) == ctx]
+        for ctx, cols in groups.values():
             shifted = points[:, cols] + [families[j].shift for j in cols]
-            ok &= (elliptic.lattice_distance(ctx, shifted) > self.effective_pole_radius(ctx)).all(axis=1)
+            ok &= elliptic.clear_of_lattice(ctx, shifted, self.effective_pole_radius(ctx)).all(axis=1)
         return ok
 
     def triples(self, families: Sequence[FunctionFamily]):
@@ -353,21 +361,20 @@ def _report(points: np.ndarray, residuals: np.ndarray, faults: np.ndarray, tol: 
     non-finite residual, else the first largest.
     """
     kept = faults == 0
-    if not kept.any():
+    r = residuals[kept].tolist()
+    if not r:
         raise SamplerExhausted("no admissible triples survived evaluation")
-    counts = np.bincount(faults, minlength=len(_SKIPS))
-    details = {"skipped": int(counts[1:].sum())}
-    details.update(
-        (f"skipped_{why}", int(n)) for why, n in sorted(zip(_SKIPS[1:], counts[1:])) if n
-    )
-    r = residuals[kept]
-    worst = np.argmax(np.where(np.isfinite(r), r, np.inf))
-    mx = float(r[worst])
+    counts = np.bincount(faults, minlength=len(_SKIPS)).tolist()
+    details = {"skipped": len(faults) - len(r)}
+    details.update((f"skipped_{why}", n) for why, n in sorted(zip(_SKIPS[1:], counts[1:])) if n)
+    # skipped rows rank below every kept one, a non-finite kept residual above
+    worst = int(np.argmax(np.where(kept, np.where(np.isfinite(residuals), residuals, np.inf), -np.inf)))
+    mx = float(residuals[worst])
     return ResidualReport(
         samples=len(r),
         max_residual=mx,
-        mean_residual=sum(r.tolist()) / len(r),
-        worst_triple=tuple(points[kept][worst].tolist()),
+        mean_residual=sum(r) / len(r),
+        worst_triple=tuple(points[worst].tolist()),
         tol=tol,
         passed=mx <= tol,
         note=note,
@@ -377,7 +384,7 @@ def _report(points: np.ndarray, residuals: np.ndarray, faults: np.ndarray, tol: 
 
 def _stacked(triples) -> np.ndarray:
     """The sampled triples as an (n, 3) complex array."""
-    return np.array(list(triples), dtype=complex).reshape(-1, 3)
+    return np.fromiter(itertools.chain.from_iterable(triples), complex).reshape(-1, 3)
 
 
 def _collect(triples, evaluate, tol: float, note: str) -> ResidualReport:

@@ -265,6 +265,48 @@ class TestClassify:
         s = _samples(lambda x: alpha * x**3, 0.0, 2.0, 0.05)
         assert cl.classify_samples(s).family == "not_a_solution"
 
+    @pytest.mark.parametrize("amplitude", [1e30, 1e-30, 1e100, 1e-100, 1e200, 1e-200, 1e300, 1e-300])
+    @pytest.mark.parametrize("given", [False, True], ids=["stencil", "given-derivatives"])
+    def test_verdict_does_not_depend_on_the_unit_of_w(self, amplitude, given):
+        # alpha pe solves the same kind of ODE with the same invariants, and
+        # w = a W + b maps back with a and b scaled by alpha. The samples
+        # alpha w are rounded, which the fit amplifies to about 1e-8 here, so
+        # the exact check is against the same samples in another unit: times
+        # the power of two 2^-E that brings them to [0.5, 1), exactly
+        ctx = el.from_periods(2.0, 2.0j)
+        xs = tuple(0.5 + 0.01 * i for i in range(12))
+        ws = [el.wp(ctx, x) for x in xs]
+        dws = [el.wp_prime(ctx, x) for x in xs] if given else None
+        unit = cl.classify_samples(cl.SampleSet(xs, tuple(ws), tuple(dws) if given else None))
+
+        def at(scale):
+            return cl.classify_samples(
+                cl.SampleSet(xs, tuple(scale * w for w in ws), tuple(scale * d for d in dws) if given else None)
+            )
+
+        dec = at(amplitude)
+        power = 2.0 ** -math.frexp(max(abs(amplitude * w) for w in ws))[1]
+        ref = cl.classify_samples(
+            cl.SampleSet(
+                xs,
+                tuple(amplitude * w * power for w in ws),
+                tuple(amplitude * d * power for d in dws) if given else None,
+            )
+        )
+        assert unit.family == dec.family == ref.family == "weierstrass"
+        for key, weight in (("g2", 1.0), ("g3", 1.5)):
+            assert abs(dec.params[key] - ref.params[key]) <= 1e-12 * abs(ref.params[key])
+            # g3 of the square lattice is 0: its fit error is measured in units of g2^(3/2)
+            assert abs(dec.params[key] - unit.params[key]) <= 1e-6 * abs(unit.params["g2"]) ** weight
+        for key in ("a", "b"):
+            assert abs(dec.params[key] * power - ref.params[key]) <= 1e-12 * abs(ref.params[key])
+
+    def test_linear_alpha_is_in_the_unit_of_w(self):
+        xs = tuple(0.1 * i for i in range(12))
+        for amplitude in (1.0, 2.0**-700, 2.0**700):
+            dec = cl.classify_samples(cl.SampleSet(xs, tuple(amplitude * (3.0 * x + 1.0) for x in xs)))
+            assert dec.family == "linear" and dec.params["alpha"] == pytest.approx(3.0 * amplitude, rel=1e-12)
+
     def test_absolute_value_rejected(self):
         s = _samples(abs, -1.0, 1.0, 0.05)
         assert cl.classify_samples(s).family == "not_a_solution"

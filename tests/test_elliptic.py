@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wpfeq import elliptic as el
 from wpfeq import verifier as vr
@@ -802,6 +803,124 @@ class TestZeta:
         richardson = (4.0 * ratio2 - ratio1) / 3.0
         target = el.zeta(square_ctx, z)
         assert abs(richardson - target) <= 1e-7 * abs(target)
+
+
+class TestThetaKernel:
+    """The per-context cut of the theta series, and pe without pe'."""
+
+    @pytest.mark.parametrize(
+        "tau, terms, sigma_terms",
+        [(1j, (14, 7), (3, 2)), (cmath.exp(1j * math.pi / 3), (16, 8), (3, 3)), (1.5j, (9, 5), (2, 2)),
+         (3j, (5, 3), (1, 1)), (8j, (2, 1), (1, 0))],
+        ids=["i", "hexagonal", "1.5i", "3i", "8i"],
+    )
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_kept_terms(self, tau, terms, sigma_terms, scale):
+        # after rounding |q| <= |e| <= 1: term n of the pe' sum is at most
+        # n^2 |q|^(n-1) times term 1 at 1/e and n^2 |q|^(2n-2) at e, and sigma's
+        # term j at most |q|^(j^2) and |q|^(j(j+1)); each keeps the terms where
+        # its bound is at least 2^-53
+        ctx = el.from_periods(scale, scale * tau)
+        q, u = math.exp(-math.pi * tau.imag), 2.0**-53
+        (n, low), (m, sigma_low) = terms, sigma_terms
+        top_run, low_run = ctx.series.n2a
+        assert len(ctx.theta_coeffs) == len(top_run) + len(low_run) == n and len(low_run) == low
+        assert n**2 * q ** (n - 1) >= u > (n + 1) ** 2 * q**n
+        assert low**2 * q ** (2 * low - 2) >= u > (low + 1) ** 2 * q ** (2 * low)
+        sigma_top, sigma_low_run = ctx.series.theta1[1]
+        assert len(sigma_top) + len(sigma_low_run) == m and len(sigma_low_run) == sigma_low
+        assert q ** (m**2) >= u > q ** ((m + 1) ** 2)
+        assert q ** ((sigma_low + 1) * (sigma_low + 2)) < u <= q ** (sigma_low * (sigma_low + 1))
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            el.from_periods(2.0, 2.0j),
+            el.from_periods(2.0, 2.0 * cmath.exp(1j * math.pi / 3)),
+            el.from_periods(2.0, 0.7 + 2.1j),
+            el.from_periods(1.0, 8.0j),
+            el.from_periods(1e-20, 1e-20 * (0.3 + 1.1j)),
+            el.from_periods(2.0, 2.0j, pole_tol=0.0),
+            el.from_invariants(3.0, 1.0),
+            el.from_invariants(0.0, 0.0),
+        ],
+        ids=["square", "hexagonal", "generic", "tall", "omega-1e-20", "no-pole-tol", "rank-1", "rank-0"],
+    )
+    def test_pe_alone_equals_the_jets_and_faults_with_them(self, ctx):
+        # over the cells, on lattice points, and next to them: just inside and
+        # just outside the pole tolerance, and at 1e-150 of a lattice point
+        z = _sample_points(ctx)
+        poles = [0j] + ([sum(ctx.reduced)] if ctx.reduced else [])
+        step = ctx.pole_tol or 1e-150
+        near = [lam + step * f * cmath.exp(1j * a) for lam in poles for f in (1 - 2**-40, 1 + 2**-40, 3.0) for a in (0.3, 2.0)]
+        z = np.concatenate((z, near))
+        alone, jets0, jets1 = el.wp(ctx, z), el.jets(ctx, z, 0)[0], el.jets(ctx, z, 1)[0]
+        assert np.array_equal(alone, jets1, equal_nan=True) and np.array_equal(alone, jets0, equal_nan=True)
+        assert np.isnan(alone).any() and not np.isnan(alone).all()
+        for zi in z.tolist():
+            try:
+                want = el.jets(ctx, zi, 1)[0]
+            except PoleProximity:
+                with pytest.raises(PoleProximity):
+                    el.wp(ctx, zi)
+                continue
+            assert el.wp(ctx, zi) == want
+
+
+# contexts of every rank and shape for the admission test
+_ADMISSION_CONTEXTS = {
+    "square": el.from_periods(2.0, 2.0j),
+    "hexagonal": el.from_periods(2.0, 2.0 * cmath.exp(1j * math.pi / 3)),
+    "generic": el.from_periods(2.0, 0.7 + 2.1j),
+    "8i": el.from_periods(1.0, 8.0j),
+    "0.5+8i": el.from_periods(1.0, 0.5 + 8.0j),
+    "rank-1": el.from_invariants(3.0, 1.0),
+    "rank-0": el.from_invariants(0.0, 0.0),
+}
+
+
+class TestClearOfLattice:
+    """clear_of_lattice(ctx, z, r) is lattice_distance(ctx, z) > r, elementwise and exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_ADMISSION_CONTEXTS)),
+        coords=st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)),
+            min_size=1,
+            max_size=12,
+        ),
+        radius=st.floats(0.0, 0.6),
+    )
+    def test_equals_the_lattice_distance_test(self, name, coords, radius):
+        # points anywhere, and points within radius-sized offsets of a lattice
+        # point; radii in units of lambda_min (of 1 where it is infinite) from 0
+        # to past the 0.3 where the rounded point stops deciding
+        ctx = _ADMISSION_CONTEXTS[name]
+        unit = ctx.lambda_min if math.isfinite(ctx.lambda_min) else 1.0
+        w1, w2 = el._frame(ctx.reduced)
+        z = np.array(
+            [s * w1 + t * w2 for s, t, _, _ in coords]
+            + [round(s) * w1 + round(t) * w2 + 1.5 * f * radius * unit * cmath.exp(1j * a) for s, t, f, a in coords]
+        )
+        r = radius * unit
+        assert np.array_equal(el.clear_of_lattice(ctx, z, r), el.lattice_distance(ctx, z) > r)
+
+    @pytest.mark.parametrize("name", sorted(_ADMISSION_CONTEXTS))
+    def test_exact_at_the_distance_itself(self, name):
+        # the rounded point's distance is lattice_distance's, bit for bit: a
+        # radius equal to it admits nothing, and the next float below admits
+        ctx = _ADMISSION_CONTEXTS[name]
+        unit = ctx.lambda_min if math.isfinite(ctx.lambda_min) else 1.0
+        w1, w2 = el._frame(ctx.reduced)
+        rng = np.random.default_rng(21)
+        st_ = rng.uniform(-2.0, 2.0, (200, 2))
+        offsets = 0.29 * unit * rng.uniform(0.0, 1.0, 200) * np.exp(2j * math.pi * rng.uniform(size=200))
+        z = np.round(st_[:, 0]) * w1 + np.round(st_[:, 1]) * w2 + offsets
+        dist = el.lattice_distance(ctx, z)
+        for zi, d in zip(z.tolist(), dist.tolist()):
+            assert el.clear_of_lattice(ctx, zi, d) is False
+            assert el.clear_of_lattice(ctx, zi, math.nextafter(d, -math.inf)) is True
 
 
 class TestLatticeOps:

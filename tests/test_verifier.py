@@ -199,9 +199,10 @@ class TestSampling:
         assert max(rounds) >= 2  # some samples were redrawn, in later rounds
 
     def test_one_lattice_distance_call_per_context_and_round(self, square_ctx, hex_ctx, monkeypatch):
+        # the admission test is `clear_of_lattice`, which stands for one lattice_distance call
         calls, rounds = [], []
-        distance, points = el.lattice_distance, vr.TripleSampler._points
-        monkeypatch.setattr(el, "lattice_distance", lambda *a: calls.append(a[0]) or distance(*a))
+        clear, points = el.clear_of_lattice, vr.TripleSampler._points
+        monkeypatch.setattr(el, "clear_of_lattice", lambda *a: calls.append(a[0]) or clear(*a))
         monkeypatch.setattr(vr.TripleSampler, "_points", lambda *a: rounds.append(1) or points(*a))
         _pole_radius(monkeypatch, 0.5)
         sampler = vr.TripleSampler(seed=4, count=30)
