@@ -10,8 +10,6 @@ from .elliptic import (
     from_periods,
     is_lattice_point,
     jets,
-    lattice_sum_reference,
-    reduce_to_cell,
     sigma,
     wp,
     wp_prime,
@@ -50,8 +48,6 @@ __all__ = [
     "from_periods",
     "is_lattice_point",
     "jets",
-    "lattice_sum_reference",
-    "reduce_to_cell",
     "residual",
     "scan",
     "sigma",

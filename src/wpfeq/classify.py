@@ -132,13 +132,17 @@ def _solve_normal(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     Columns span scales like w^3 versus 1, so each is scaled to unit norm
     first; the condition is that of the scaled normal matrix, which does not
     depend on the unit of w, from the eigenvalues of that Hermitian matrix.
-    A fit above COND_REJECT raises.
+    A fit above COND_REJECT raises, as does one whose normal matrix is not
+    finite, where LAPACK fails or gives eigenvalues that are not finite.
     """
     scales = np.linalg.norm(A, axis=0)
     scales[scales == 0.0] = 1.0
     Aeq = A / scales
     gram = Aeq.conj().T @ Aeq
-    eigenvalues = np.linalg.eigvalsh(gram)
+    try:
+        eigenvalues = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedFit("normal matrix beyond the float range") from exc
     low, high = float(eigenvalues[0]), float(eigenvalues[-1])
     cond = high / low if low > 0.0 else math.inf
     if not cond <= COND_REJECT:
@@ -150,13 +154,15 @@ def fit_cubic(w: np.ndarray, dw: np.ndarray) -> FitResult:
     """Least squares for w'^2 = p3 w^3 + p2 w^2 + p1 w + p0."""
     if _spread(w) <= SPREAD_EPS:
         raise DegenerateInput("w values are all one constant; nothing to fit")
-    A = np.column_stack([np.ones_like(w), w, w**2, w**3])
-    return _fit("cubic", A, dw**2)
+    # a power past the float range is refused by `_solve_normal`, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _fit("cubic", np.column_stack([np.ones_like(w), w, w**2, w**3]), dw**2)
 
 
 def fit_linear(w: np.ndarray, dw: np.ndarray) -> FitResult:
     """Least squares for w' = l1 w + l0."""
-    return _fit("linear", np.column_stack([np.ones_like(w), w]), dw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _fit("linear", np.column_stack([np.ones_like(w), w]), dw)
 
 
 def _fit(model: str, A: np.ndarray, b: np.ndarray) -> FitResult:
@@ -166,6 +172,8 @@ def _fit(model: str, A: np.ndarray, b: np.ndarray) -> FitResult:
     coeffs, cond = _solve_normal(A, b)
     misfit, size = (np.sqrt(np.mean(np.abs(v) ** 2)) for v in (A @ coeffs - b, b))
     residual = float(verifier.relative(misfit, size))
+    if not math.isfinite(residual):
+        raise IllConditionedFit(f"{model} fit: w' or the misfit beyond the float range")
     sizes = tuple(np.abs(A * coeffs).max(axis=0).tolist())
     return FitResult(model, tuple(coeffs), residual, cond, sizes, float(np.abs(b).max()))
 
@@ -174,10 +182,9 @@ def to_normal_form(p0: complex, p1: complex, p2: complex, p3: complex):
     """Affine change w = a W + b mapping the cubic onto W'^2 = 4W^3 - g2 W - g3.
 
     a = 4/p3 kills the leading coefficient mismatch and b = -p2/(3 p3)
-    removes the quadratic term; returns (g2, g3, a, b). Exactness is the
-    caller's to confirm by re-expansion (see reexpand_normal_form). Only
-    p3 = 0 raises: whether a nonzero p3 is significant depends on the
-    samples, which `classify` weighs.
+    removes the quadratic term; returns (g2, g3, a, b). Only p3 = 0 raises:
+    whether a nonzero p3 is significant depends on the samples, which
+    `classify` weighs.
     """
     if p3 == 0:
         raise DegenerateCubic("leading coefficient p3 is zero")
@@ -186,19 +193,6 @@ def to_normal_form(p0: complex, p1: complex, p2: complex, p3: complex):
     g2 = -(3.0 * p3 * b * b + 2.0 * p2 * b + p1) / a
     g3 = -(p3 * b**3 + p2 * b * b + p1 * b + p0) / (a * a)
     return g2, g3, a, b
-
-
-def reexpand_normal_form(g2: complex, g3: complex, a: complex, b: complex):
-    """Coefficients (p0, p1, p2, p3) of the cubic for w = a W + b.
-
-    Substituting W = (w - b)/a into W'^2 = 4W^3 - g2 W - g3 and scaling by
-    a^2 gives the round-trip oracle for to_normal_form.
-    """
-    p3 = 4.0 / a
-    p2 = -12.0 * b / a
-    p1 = 12.0 * b * b / a - g2 * a
-    p0 = -4.0 * b**3 / a + g2 * a * b - g3 * a * a
-    return p0, p1, p2, p3
 
 
 def classify(cubic: FitResult | None, linear: FitResult | None) -> Classification:

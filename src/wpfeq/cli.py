@@ -36,6 +36,7 @@ from .errors import (
     DegenerateLattice,
     FloatOverflow,
     GridNotUniform,
+    JetOrderOverflow,
     PoleProximity,
     SamplerExhausted,
     NoPeriods,
@@ -372,6 +373,8 @@ def _cmd_verify(args, parser) -> int:
         rep = verifier.sigma_identity_scan(_context_from_args(args), count=count, seed=seed, tol=tol)
     elif args.kind == "derived":
         name = "derived-determinant"
+        if min(args.k, args.l, 1 if args.s is None else args.s) < 1 or (args.s is None and args.k == args.l):
+            raise ConfigError("column indices must be at least 1, and --k and --l must differ without --s")
         fam = _family(args, args.family or "wp")
         params.update({"family": args.family, "k": args.k, "l": args.l, "s": args.s})
         rep = verifier.derived_determinant_check(fam, fam, fam, args.k, args.l, args.s, sampler, tol)
@@ -663,8 +666,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, DegenerateLattice, FloatOverflow, NoPeriods, PoleProximity, SamplerExhausted,
-            SeriesNoConverge) as exc:
+    except (ConfigError, DegenerateLattice, FloatOverflow, JetOrderOverflow, NoPeriods, PoleProximity,
+            SamplerExhausted, SeriesNoConverge) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WpfeqError as exc:

@@ -36,7 +36,7 @@ for an array), and the poles, where a number raises PoleProximity (in
 `_point` next to a lattice point, in `_pole_edge` where a value overflows)
 and an array holds nan. `sigma` and `lattice_distance` take a number
 as an array of one. The reference for both is a theta oracle at 30 digits
-(the tests' `ThetaOracle`, and `perfbench/oracle.py`).
+(`ThetaOracle` in tests/oracles.py, and perfbench/oracle.py).
 
 A context built from invariants alone takes its generators from the complex
 AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
@@ -45,9 +45,8 @@ Theory 133, 2013), kept as its periods when their series invariants give
 pe = k^2/sin^2(kz) - k^2/3 with k^2 = 9 g3/(2 g2), on the lattice (pi/k)Z
 of rank one, or pe = 1/z^2 on the lattice {0} when g2 = g3 = 0.
 
-A slow, Richardson-accelerated lattice double sum is included as an
-independent cross-check oracle for pe. The lattice convention throughout:
-the generators span the lattice directly, Lambda = {m*omega1 + n*omega2}.
+The lattice convention throughout: the generators span the lattice
+directly, Lambda = {m*omega1 + n*omega2}.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ from .errors import (
     PoleProximity,
     SeriesNoConverge,
 )
+from .jetpoly import MAX_JET_ORDER
 
 # where the theta series are cut: the unit round-off, against their first term
 _ROUNDOFF = 2.0**-53
@@ -206,79 +206,6 @@ def _frame(basis: tuple[complex, ...]) -> tuple[complex, complex]:
     """The generators completed to a real basis of the plane: (w, i w) at rank one, (1, i) at rank zero."""
     w = basis[0] if basis else 1.0 + 0j
     return basis if len(basis) == 2 else (w, 1j * w)
-
-
-# -- the reference lattice sum ---------------------------------------------------
-
-
-def _richardson_best(values, p: int, step: float = 2.0):
-    """Extrapolate cutoff-doubling partial results with error ~ M^(-p).
-
-    The tail of a rectangle-truncated lattice sum expands in all integer
-    powers M^(-p), M^(-p-1), ... (the odd powers enter through the boundary
-    sums of the rectangle), so successive stages remove one power each.
-    Returns the deepest diagonal entry and the last improvement as an error
-    estimate.
-    """
-    rows = [list(values)]
-    k = p
-    while len(rows[-1]) > 1:
-        fac = step**k
-        prev = rows[-1]
-        rows.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)])
-        k += 1
-    diag = [r[-1] for r in rows]
-    err = abs(diag[-1] - diag[-2]) if len(diag) > 1 else math.inf
-    return diag[-1], err
-
-
-def _annulus_points(ctx: EllipticContext, inner: int, outer: int):
-    """Yield numpy arrays of lattice points with inner < max(|m|,|n|) <= outer."""
-    m = np.arange(-outer, outer + 1)
-    block = max(1, int(2.0e5 / len(m)))
-    for n0 in range(-outer, outer + 1, block):
-        n = np.arange(n0, min(n0 + block, outer + 1))
-        mm, nn = np.meshgrid(m, n)
-        if inner:
-            mask = (np.abs(mm) > inner) | (np.abs(nn) > inner)
-        else:
-            mask = (mm != 0) | (nn != 0)
-        if not mask.any():
-            continue
-        yield lattice_point(ctx, mm[mask], nn[mask])
-
-
-def lattice_sum_reference(
-    ctx: EllipticContext,
-    z: complex,
-    cutoff: int = 200,
-    levels: int = 3,
-    return_tail: bool = False,
-):
-    """pe(z) through the defining lattice sum; slow, intended for tests.
-
-    z^-2 + sum'[(z-lambda)^-2 - lambda^-2] over rectangular cutoffs
-    (cutoff, 2*cutoff, ...), Richardson-extrapolated; the reported tail
-    estimate is the last extrapolation improvement. NoPeriods below rank two.
-    """
-    z = complex(z)
-    if lattice_distance(ctx, z) <= ctx.pole_tol:
-        raise PoleProximity(z)
-    acc = 1.0 / (z * z)
-    vals = []
-    inner = 0
-    for i in range(levels):
-        outer = cutoff * 2**i
-        for lam in _annulus_points(ctx, inner, outer):
-            d = z - lam
-            acc += (1.0 / (d * d) - 1.0 / (lam * lam)).sum()
-        inner = outer
-        vals.append(acc)
-    best, err = _richardson_best(vals, p=2)
-    if return_tail:
-        # conservative: twice the last extrapolation improvement plus roundoff
-        return complex(best), float(2.0 * err + 1e-14 * abs(best))
-    return complex(best)
 
 
 # -- construction ----------------------------------------------------------------
@@ -589,23 +516,23 @@ def wp_prime(ctx: EllipticContext, z):
 
 @_elementwise()
 def jets(ctx: EllipticContext, z, order: int = 5) -> tuple:
-    """The tuple (pe, pe', ..., pe^(order)) at z with order <= 5.
+    """The tuple (pe, pe', ..., pe^(order)) at z with order <= MAX_JET_ORDER, the jet polynomials' cap.
 
     Everything above pe' comes from differentiating the normal-form ODE
     (`_ode_jets`); order 0 computes no pe'. Elementwise on an array, every
     value nan where a number raises PoleProximity.
     """
-    if not 0 <= order <= 5:
-        raise ValueError("jet order must be between 0 and 5")
+    if not 0 <= order <= MAX_JET_ORDER:
+        raise ValueError(f"jet order must be between 0 and {MAX_JET_ORDER}")
     p, dp = _wp_dp(ctx, z, prime=order > 0)
     return _ode_jets(ctx, p, dp, order)
 
 
 def _ode_jets(ctx: EllipticContext, p, dp, order: int) -> tuple:
-    """(pe, pe', ..., pe^(order)) from pe and pe', numbers or arrays, order <= 5.
+    """(pe, pe', ..., pe^(order)) from pe and pe', numbers or arrays, order <= 6.
 
     pe'' = 6 pe^2 - g2/2, pe''' = 12 pe pe', pe'''' = 12 pe'^2 + 12 pe pe'',
-    pe''''' = 36 pe' pe'' + 12 pe pe'''.
+    pe''''' = 36 pe' pe'' + 12 pe pe''', pe^(6) = 36 pe''^2 + 48 pe' pe''' + 12 pe pe''''.
     """
     vals = [p, dp]
     g2 = ctx.invariants.g2
@@ -617,6 +544,8 @@ def _ode_jets(ctx: EllipticContext, p, dp, order: int) -> tuple:
         vals.append(12.0 * dp * dp + 12.0 * p * vals[2])
     if order >= 5:
         vals.append(36.0 * dp * vals[2] + 12.0 * p * vals[3])
+    if order >= 6:
+        vals.append(36.0 * vals[2] * vals[2] + 48.0 * dp * vals[3] + 12.0 * p * vals[4])
     return tuple(vals[: order + 1])
 
 
@@ -690,14 +619,6 @@ def lattice_offset(ctx: EllipticContext, z: complex) -> float:
     """Largest distance of a lattice coordinate of z from an integer, or length of those beyond the rank."""
     coords, rank = lattice_coordinates(ctx, z), len(ctx.reduced)
     return max([abs(c - round(c)) for c in coords[:rank]] + [math.hypot(*coords[rank:])])
-
-
-def reduce_to_cell(ctx: EllipticContext, z: complex) -> complex:
-    """Representative s*omega1 + t*omega2 of z with its coordinates within the rank in [0, 1)."""
-    coords, rank = lattice_coordinates(ctx, z), len(ctx.reduced)
-    s, t = [c - math.floor(c) for c in coords[:rank]] + list(coords[rank:])
-    w1, w2 = _frame(_generators(ctx))
-    return s * w1 + t * w2
 
 
 def is_lattice_point(ctx: EllipticContext, z: complex) -> bool:

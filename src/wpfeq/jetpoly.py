@@ -19,8 +19,9 @@ and the columns of the eliminated determinants are built from
 one bar derivation per column from the last (`abc_columns`), so the
 determinants that share columns share one build of them.
 
-The jet order is capped at 6: the deepest check needs f5, and one spare
-order gives the derivations headroom. A monomial is one int: variable i
+The jet order is capped at 6, and `elliptic.jets` takes the same cap: the
+deepest certification needs f5, and one spare order gives the derivations
+headroom. A monomial is one int: variable i
 owns the 9-bit field at bit 9*i, 8 bits of exponent under one guard bit,
 and the total degree sits above all 20 fields. Multiplying monomials adds
 their ints, and an exponent past 255 sets a guard bit (ExponentOverflow).
@@ -473,7 +474,11 @@ def evaluate(
     for name in names:
         if name not in supplied:
             raise MissingJet(f"no value supplied for {name}")
-    # the leading 0j fixes dtype and shape when no variable occurs
+    if not names:
+        # a constant, such as the zero of a repeated column, in the shape of the supplied batch
+        shape = np.broadcast(0j, *supplied.values()).shape
+        return np.full(shape, (abs_coeffs if absolute else coeffs).sum())[()]
+    # the leading 0j makes the stack complex
     base = np.stack(np.broadcast_arrays(0j, *(supplied[name] for name in names)))[1:]
     if absolute:
         base, coeffs = np.abs(base), abs_coeffs

@@ -149,16 +149,6 @@ class Constant:
 FunctionFamily = WeierstrassShifted | Exponential | Linear | Constant
 
 
-def transform_jets(j: tuple, alpha: complex = 1.0, beta: complex = 0j, delta: complex = 1.0) -> tuple:
-    """Jets of alpha*f(delta x) + beta given jets j of f at delta*x (chain rule)."""
-    vals = [alpha * j[0] + beta]
-    scale = alpha
-    for v in j[1:]:
-        scale = scale * delta
-        vals.append(scale * v)
-    return tuple(vals)
-
-
 # -- determinant and residual ----------------------------------------------------
 
 

@@ -16,6 +16,8 @@ from wpfeq.errors import (
     TooFewPoints,
 )
 
+from oracles import reexpand_normal_form
+
 
 def _samples(fn, lo, hi, h):
     n = int(round((hi - lo) / h)) + 1
@@ -94,6 +96,13 @@ class TestEstimateJets:
         assert [a.tolist() for a in cl.estimate_jets(s)] == [[0.0, 1.0], [1.0, 2.0], [5.0, 6.0]]
 
 
+def _scaled_wp_pairs(scale):
+    """(w, w') from the pe samples of `wpfeq gen --family wp --periods 2,0,0,2 --grid 0.5:0.61:0.01`, times scale."""
+    ctx = el.from_periods(2.0, 2.0j)
+    xs = tuple(0.5 + 0.01 * k for k in range(12))
+    return cl.estimate_jets(cl.SampleSet(xs, tuple(scale * el.wp(ctx, x) for x in xs)))[1:]
+
+
 class TestFits:
     def test_exponential_cubic(self):
         s = _samples(math.exp, 0.0, 2.0, 0.05)
@@ -164,6 +173,32 @@ class TestFits:
                 assert other[model] == pytest.approx(ref, rel=1e-6)
 
 
+    @pytest.mark.parametrize("scale", [1e100, 1e150, 1e160, 1e200, 1e250, 1e300, 1e-200, 1e-300])
+    @pytest.mark.parametrize("fit", [cl.fit_cubic, cl.fit_linear])
+    def test_powers_beyond_the_float_range_are_refused_not_warned(self, scale, fit):
+        # w^3 or w'^2 leaves the float range: a fit either holds finite
+        # numbers or raises IllConditionedFit, without a numpy warning
+        try:
+            result = fit(*_scaled_wp_pairs(scale))
+        except IllConditionedFit:
+            return
+        assert np.isfinite(result.coefficients).all()
+        assert math.isfinite(result.residual) and math.isfinite(result.condition)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150, 1e200])
+    def test_cubic_fit_past_the_float_range_is_ill_conditioned(self, scale):
+        with pytest.raises(IllConditionedFit):
+            cl.fit_cubic(*_scaled_wp_pairs(scale))
+
+    @pytest.mark.parametrize("fit", [cl.fit_cubic, cl.fit_linear])
+    def test_non_finite_left_hand_side_is_ill_conditioned(self, fit):
+        w, dw = _scaled_wp_pairs(1.0)
+        fit(w, dw)
+        dw[3] = complex(math.inf, 0.0)
+        with pytest.raises(IllConditionedFit):
+            fit(w, dw)
+
+
 class TestNormalForm:
     def test_example(self):
         g2, g3, a, b = cl.to_normal_form(0.0, -4.0, 0.0, 4.0)
@@ -180,7 +215,7 @@ class TestNormalForm:
             if abs(p[3]) < 0.1:
                 p[3] += 1.0
             g2, g3, a, b = cl.to_normal_form(*p)
-            back = cl.reexpand_normal_form(g2, g3, a, b)
+            back = reexpand_normal_form(g2, g3, a, b)
             for got, want in zip(back, p):
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 

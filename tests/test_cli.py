@@ -130,6 +130,28 @@ class TestVerify:
     def test_missing_periods_is_config_error(self):
         assert run(["verify", "theorem1", "--shift-frac", "1/3,0"]) == 65
 
+    @pytest.mark.parametrize(
+        "family, indices, code",
+        [
+            *((family, indices, 65) for family in ("wp", "exp") for indices in (
+                "--k 3 --l 3",  # the two-column determinant needs two columns
+                "--k 0",
+                "--k -1",
+                "--s 0",
+                "--k 1 --l 6",  # a column past the jet order cap
+            )),
+            ("wp", "--k 1 --l 2 --s 2", 0),  # a repeated column: the zero polynomial
+            ("exp", "--k 1 --l 2 --s 2", 0),
+            ("wp", "--k 1 --l 5", 0),  # sixth jets of pe
+            ("wp", "--k 4 --l 5 --s 6", 0),
+        ],
+    )
+    def test_derived_indices_are_refused_or_run(self, family, indices, code, capsys):
+        argv = ["verify", "derived", "--family", family, "--periods", "2,0,0,2", *indices.split(), "--n", "50"]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert ("configuration error" in err) == (code == 65) and "internal error" not in err
+
     def test_invariants_give_their_agm_lattice(self):
         # the shift fraction is of the AGM basis: 3 * omega1/3 is a lattice point
         argv = ["verify", "theorem1", "--g2", "4,0", "--g3", "0,0", "--shift-frac", "1/3,0", "--n", "200"]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpfeq import elliptic as el
+from wpfeq import jetpoly as jp
 from wpfeq import verifier as vr
 from wpfeq.errors import (
     DegenerateLattice,
@@ -18,90 +19,7 @@ from wpfeq.errors import (
     SeriesNoConverge,
 )
 
-
-def brute_eisenstein_g2(w1, w2, cutoffs=(300, 600)):
-    """Independent oracle: direct double sums at two cutoffs, Richardson tail."""
-
-    def partial(M):
-        s = 0j
-        for m in range(-M, M + 1):
-            for n in range(-M, M + 1):
-                if m == 0 and n == 0:
-                    continue
-                lam = m * w1 + n * w2
-                s += 1.0 / lam**4
-        return s
-
-    s_small, s_big = partial(cutoffs[0]), partial(cutoffs[1])
-    ratio = (cutoffs[1] / cutoffs[0]) ** 2
-    extrapolated = (ratio * s_big - s_small) / (ratio - 1.0)
-    tail = abs(extrapolated - s_big)
-    return 60.0 * extrapolated, 60.0 * tail
-
-
-class ThetaOracle:
-    """sigma and zeta at 30 digits from Jacobi's theta1 (DLMF 23.6.8-23.6.9).
-
-    With the half period w = omega1/2, q = exp(i pi omega2/omega1) and
-    v = pi z/(2w): sigma(z) = (2w/pi) exp(eta1 z^2/(2w)) theta1(v)/theta1'(0)
-    and zeta(z) = eta1 z/w + (pi/(2w)) theta1'(v)/theta1(v), where
-    eta1 = -pi^2 theta1'''(0)/(12 w theta1'(0)). The invariants come from the
-    theta constants (DLMF 23.6.2-23.6.3), not from the q-series under test.
-    """
-
-    def __init__(self, omega1, omega2):
-        self.mp = pytest.importorskip("mpmath")
-        self.omega1, self.omega2 = omega1, omega2
-        with self.mp.workdps(30):
-            self.w = self.mp.mpc(omega1) / 2
-            self.q = self.mp.exp(1j * self.mp.pi * self.mp.mpc(omega2) / self.mp.mpc(omega1))
-            self.t1 = self.mp.jtheta(1, 0, self.q, 1)
-            t3 = self.mp.jtheta(1, 0, self.q, 3)
-            self.eta1 = -(self.mp.pi**2) * t3 / (12 * self.w * self.t1)
-
-    def sigma(self, z):
-        mp = self.mp
-        with mp.workdps(30):
-            z = mp.mpc(z)
-            v = mp.pi * z / (2 * self.w)
-            value = (2 * self.w / mp.pi) * mp.exp(self.eta1 * z * z / (2 * self.w))
-            return complex(value * mp.jtheta(1, v, self.q) / self.t1)
-
-    def invariants(self):
-        mp = self.mp
-        # 60 digits: on tall lattices g2^3 - 27 g3^2 cancels to 1e-22 relative
-        with mp.workdps(60):
-            w, q = mp.mpc(self.omega1) / 2, mp.exp(1j * mp.pi * mp.mpc(self.omega2) / mp.mpc(self.omega1))
-            t2, t3, t4 = (mp.jtheta(k, 0, q) for k in (2, 3, 4))
-            g2 = mp.pi**4 / (24 * w**4) * (t2**8 + t3**8 + t4**8)
-            g3 = mp.pi**6 / (432 * w**6) * (t2**4 + t3**4) * (t3**4 + t4**4) * (t4**4 - t2**4)
-            return complex(g2), complex(g3), complex(g2**3 - 27 * g3**2)
-
-    def zeta(self, z):
-        mp = self.mp
-        with mp.workdps(30):
-            z = mp.mpc(z)
-            v = mp.pi * z / (2 * self.w)
-            ratio = mp.jtheta(1, v, self.q, 1) / mp.jtheta(1, v, self.q)
-            return complex(self.eta1 * z / self.w + (mp.pi / (2 * self.w)) * ratio)
-
-    def wp_dp(self, z):
-        """(pe, pe') = (-zeta', -zeta''), differentiating zeta above through v."""
-        return self.values(z)[:2]
-
-    def values(self, z):
-        """(pe, pe', zeta, sigma) at z from one set of theta1 derivatives."""
-        mp = self.mp
-        with mp.workdps(30):
-            z = mp.mpc(z)
-            a = mp.pi / (2 * self.w)
-            t0, t1, t2, t3 = (mp.jtheta(1, a * z, self.q, d) for d in range(4))
-            r1, r2, r3 = t1 / t0, t2 / t0, t3 / t0
-            pe = -self.eta1 / self.w - a**2 * (r2 - r1**2)
-            dpe = -(a**3) * (r3 - 3 * r2 * r1 + 2 * r1**3)
-            zeta = self.eta1 * z / self.w + a * r1
-            sigma = mp.exp(self.eta1 * z * z / (2 * self.w)) * t0 / (a * self.t1)
-            return tuple(complex(v) for v in (pe, dpe, zeta, sigma))
+from oracles import ThetaOracle, brute_eisenstein_g2, lattice_sum_reference, reduce_to_cell
 
 
 class TestConstruction:
@@ -222,7 +140,7 @@ class TestConstruction:
 
     def test_lattice_queries_answer_at_every_rank(self, normal_form_ctx, degenerate_ctx):
         # rank zero: the lattice {0}, measured by |z|
-        assert el.reduce_to_cell(degenerate_ctx, 0.5) == 0.5
+        assert reduce_to_cell(degenerate_ctx, 0.5) == 0.5
         assert el.lattice_coordinates(degenerate_ctx, 0.3 - 0.4j) == (0.3, -0.4)
         assert el.lattice_offset(degenerate_ctx, 0.3 - 0.4j) == pytest.approx(0.5, rel=1e-15)
         assert el.is_lattice_point(degenerate_ctx, 0j) and not el.is_lattice_point(degenerate_ctx, 1e-6)
@@ -233,7 +151,7 @@ class TestConstruction:
             with pytest.raises(NoPeriods):
                 el.lattice_point(ctx, *fracs)
         with pytest.raises(NoPeriods):
-            el.lattice_sum_reference(degenerate_ctx, 0.5)
+            lattice_sum_reference(degenerate_ctx, 0.5)
         # invariants (4, 0) keep their AGM basis as periods
         ctx = normal_form_ctx
         w1, w2 = ctx.periods.omega1, ctx.periods.omega2
@@ -241,9 +159,9 @@ class TestConstruction:
         assert el.lattice_point(ctx, 0.5, 0.25) == 0.5 * w1 + 0.25 * w2
         assert el.lattice_coordinates(ctx, 0.5 * w1 + 0.25 * w2) == pytest.approx((0.5, 0.25), abs=1e-15)
         assert el.is_lattice_point(ctx, 2 * w1 - 5 * w2) and not el.is_lattice_point(ctx, 0.5 * w1)
-        assert el.reduce_to_cell(ctx, 3 * w1 + 0.2 * w2) == pytest.approx(0.2 * w2, abs=1e-12)
+        assert reduce_to_cell(ctx, 3 * w1 + 0.2 * w2) == pytest.approx(0.2 * w2, abs=1e-12)
         z = 0.31 + 0.17j
-        ref = el.lattice_sum_reference(ctx, z)
+        ref = lattice_sum_reference(ctx, z)
         assert abs(el.wp(ctx, z) - ref) <= 1e-10 * abs(ref)
 
 
@@ -359,7 +277,7 @@ class TestWp:
 
     def test_matches_lattice_sum(self, square_ctx):
         z = 0.31 + 0.17j
-        ref = el.lattice_sum_reference(square_ctx, z)
+        ref = lattice_sum_reference(square_ctx, z)
         assert abs(el.wp(square_ctx, z) - ref) <= 1e-9 * abs(ref)
 
     @pytest.mark.parametrize("name", ["square_ctx", "hex_ctx", "generic_ctx", "tall_ctx"])
@@ -368,7 +286,7 @@ class TestWp:
         ctx = request.getfixturevalue(name)
         b1, b2 = ctx.reduced
         for z in (0.45 * b1 * cmath.exp(0.3j), 0.4 * b1 + 0.45 * b2, -0.3 * b1 + 0.5 * b2):
-            ref, tail = el.lattice_sum_reference(ctx, z, return_tail=True)
+            ref, tail = lattice_sum_reference(ctx, z, return_tail=True)
             assert abs(el.wp(ctx, z) - ref) <= tail
 
     def test_pole_proximity(self, square_ctx):
@@ -705,7 +623,18 @@ class TestJets:
         j = el.jets(square_ctx, 0.31 + 0.17j, 2)
         assert isinstance(j, tuple) and len(j) == 3
         with pytest.raises(ValueError):
-            el.jets(square_ctx, 0.3, 6)
+            el.jets(square_ctx, 0.3, 7)
+
+    def test_sixth_derivative_is_the_jet_polynomials_cap(self, degenerate_ctx, square_ctx):
+        # the cap of jetpoly's jet variables, so a derived determinant never asks for more
+        assert len(el.jets(square_ctx, 0.3, jp.MAX_JET_ORDER)) == jp.MAX_JET_ORDER + 1
+        assert el.jets(degenerate_ctx, 1.0, 6) == pytest.approx((1.0, -2.0, 6.0, -24.0, 120.0, -720.0, 5040.0))
+        z, h = 0.47 + 0.71j, 1e-4
+        fd = (el.jets(square_ctx, z + h, 5)[5] - el.jets(square_ctx, z - h, 5)[5]) / (2.0 * h)
+        exact = el.jets(square_ctx, z, 6)[6]
+        assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+        batch = el.jets(square_ctx, np.array([z, 0j]), 6)
+        assert abs(batch[6][0] - exact) <= 1e-12 * abs(exact) and np.isnan(batch[6][1])
 
 
 class TestSigma:
@@ -924,23 +853,6 @@ class TestClearOfLattice:
 
 
 class TestLatticeOps:
-    def test_reduce_identity(self, square_ctx):
-        assert el.reduce_to_cell(square_ctx, 0.0) == 0.0
-
-    def test_reduce_integer_shift(self, square_ctx):
-        z = 3 * 2.0 + 0.2 * 2.0j
-        assert el.reduce_to_cell(square_ctx, z) == pytest.approx(0.2 * 2.0j, abs=1e-12)
-
-    def test_reduce_preserves_wp(self, square_ctx):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            z = complex(rng.uniform(-9, 9), rng.uniform(-9, 9))
-            if el.lattice_distance(square_ctx, z) < 0.1:
-                continue
-            a = el.wp(square_ctx, z)
-            b = el.wp(square_ctx, el.reduce_to_cell(square_ctx, z))
-            assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
-
     @pytest.mark.parametrize("g2, g3", [(12.0, 8.0), (3.0, 1.0), (-3.0, -1j)])
     def test_rank_one_is_the_pole_line_of_the_trigonometric_form(self, g2, g3):
         # pe = k^2/sin^2(kz) - k^2/3 with k^2 = 9 g3/(2 g2) has its poles at (pi/k)Z
@@ -952,7 +864,7 @@ class TestLatticeOps:
         assert el.lattice_distance(ctx, z) == pytest.approx(brute, rel=1e-14)
         assert el.lattice_point(ctx, 2.5, 0) == 2.5 * w
         assert el.lattice_coordinates(ctx, (2.5 + 0.5j) * w) == pytest.approx((2.5, 0.5), abs=1e-15)
-        assert el.reduce_to_cell(ctx, (3.2 + 0.4j) * w) == pytest.approx((0.2 + 0.4j) * w, abs=1e-14)
+        assert reduce_to_cell(ctx, (3.2 + 0.4j) * w) == pytest.approx((0.2 + 0.4j) * w, abs=1e-14)
         assert el.is_lattice_point(ctx, -3 * w)
         assert not el.is_lattice_point(ctx, 0.5 * w) and not el.is_lattice_point(ctx, 1j * w)
         with pytest.raises(PoleProximity):
@@ -964,26 +876,3 @@ class TestLatticeOps:
         assert not el.is_lattice_point(square_ctx, 0.5 * w1)
         eps_lat = el.LATTICE_TOL
         assert el.is_lattice_point(square_ctx, w1 * (1.0 + eps_lat / 10.0))
-
-
-class TestLatticeSumReference:
-    def test_two_cutoffs_within_tail(self, square_ctx):
-        z = 0.31 + 0.17j
-        r1, tail1 = el.lattice_sum_reference(square_ctx, z, cutoff=100, return_tail=True)
-        r2, tail2 = el.lattice_sum_reference(square_ctx, z, cutoff=200, return_tail=True)
-        assert abs(r1 - r2) <= tail1
-        assert tail2 < tail1
-
-    def test_real_on_real_axis_of_square_lattice(self, square_ctx):
-        value = el.lattice_sum_reference(square_ctx, 0.5 * 2.0, cutoff=100)
-        assert abs(value.imag) <= 1e-9 * abs(value)
-
-    def test_matches_wp_tightly(self, square_ctx):
-        z = 0.31 + 0.17j
-        ref = el.lattice_sum_reference(square_ctx, z, cutoff=200)
-        w = el.wp(square_ctx, z)
-        assert abs(w - ref) <= 1e-12 * abs(ref)
-
-    def test_pole_rejected(self, square_ctx):
-        with pytest.raises(PoleProximity):
-            el.lattice_sum_reference(square_ctx, 2.0)

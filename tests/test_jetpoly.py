@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -172,6 +173,16 @@ class TestEvaluate:
 
     def test_zero_polynomial(self):
         assert jp.evaluate(jp.DiffPolynomial.zero(), [], []) == 0
+
+    @pytest.mark.parametrize("p, value, scale", [(jp.DiffPolynomial.zero(), 0, 0), (jp.DiffPolynomial.constant(-3), -3, 3)])
+    def test_polynomial_without_variables_keeps_the_batch_shape(self, p, value, scale):
+        batch = np.array([0.5, 1.0 + 2.0j, -3.0, 4.0j])
+        fj, gj = [batch, 2 * batch], [batch[::-1]]
+        for absolute, want in ((False, value), (True, scale)):
+            got = jp.evaluate(p, fj, gj, absolute=absolute)
+            assert got.shape == (4,) and (got == want).all()
+        assert jp.evaluate(p, [batch.reshape(2, 2)], []).shape == (2, 2)
+        assert jp.evaluate(p, [1.5], [2.0]) == value
 
     def test_missing_jet(self):
         with pytest.raises(MissingJet):

@@ -258,7 +258,11 @@ def rebuilt_evaluate(p, f_jets=None, g_jets=None, params=None, absolute=False):
     for k in range(1, len(powers)):
         powers[k] = powers[k - 1] * base
     picked = powers[exps.reshape(len(monos), len(used)), np.arange(len(used))]
-    return np.tensordot(coeffs, picked.prod(axis=1), axes=1)[()]
+    value = np.tensordot(coeffs, picked.prod(axis=1), axes=1)
+    if not used:
+        # a polynomial without variables takes the shape of the supplied batch
+        value = np.broadcast_to(value, np.broadcast(0j, *supplied.values()).shape)
+    return value[()]
 
 
 class TestCompiledEvaluation:

@@ -13,6 +13,8 @@ from wpfeq import jetpoly as jp
 from wpfeq import verifier as vr
 from wpfeq.errors import FloatOverflow, PoleProximity, SamplerExhausted
 
+from oracles import transform_jets
+
 
 class TestFamilies:
     def test_linear_jets(self):
@@ -354,7 +356,7 @@ class TestInvarianceClosure:
                 if el.lattice_distance(square_ctx, z) < 0.1:
                     continue
                 jets = [base.jets(delta * p, 1) for p in (x, y, z)]
-                tj = [vr.transform_jets(j, alpha, beta, delta) for j in jets]
+                tj = [transform_jets(j, alpha, beta, delta) for j in jets]
                 assert vr.relative(vr.det3(*tj), vr.det3_terms(*tj)) <= 1e-8
 
     def test_delta_rescaling_through_homogeneity(self, square_ctx):
@@ -408,7 +410,7 @@ class TestScaleFreeResiduals:
         unit = vr.relative(vr.det3(*jets), vr.det3_terms(*jets))
         assert unit > 1e-3
         for alpha, delta in ((2.0**-30, 1.0), (2.0**40, 2.0**-5), (1.0, 2.0**20)):
-            scaled = [vr.transform_jets(j, alpha, 0j, delta) for j in jets]
+            scaled = [transform_jets(j, alpha, 0j, delta) for j in jets]
             assert vr.relative(vr.det3(*scaled), vr.det3_terms(*scaled)) == unit
 
 
@@ -535,6 +537,22 @@ class TestDerivedDeterminants:
         fam = vr.WeierstrassShifted(square_ctx, 0j)
         rep = vr.derived_determinant_check(fam, fam, fam, 1, 2, None, vr.TripleSampler(seed=1, count=150))
         assert rep.passed
+
+    @pytest.mark.parametrize("name", ["square_ctx", "generic_ctx"])
+    def test_repeated_column_is_the_zero_polynomial(self, name, request):
+        # columns (1, 2, 2) expand to 0: every triple scores 0, none faults
+        fam = vr.WeierstrassShifted(request.getfixturevalue(name), 0j)
+        rep = vr.derived_determinant_check(fam, fam, fam, 1, 2, 2, vr.TripleSampler(seed=3, count=40))
+        assert rep.passed and rep.max_residual == 0 and rep.samples == 40
+
+    @pytest.mark.parametrize("k, l, s", [(1, 5, None), (2, 5, None), (4, 5, 6), (3, 4, 6)])
+    @pytest.mark.parametrize("ctx", [el.from_periods(2.0, 2.0j), el.from_periods(2.0, 0.7 + 2.1j), el.from_invariants(3, 1)],
+                             ids=["square", "generic", "rank-one"])
+    def test_wp_solves_the_determinants_of_sixth_jets(self, k, l, s, ctx):
+        fam = vr.WeierstrassShifted(ctx, 0j)
+        assert vr._derived_determinant(k, l, s)[1] == 6
+        rep = vr.derived_determinant_check(fam, fam, fam, k, l, s, vr.TripleSampler(seed=4, count=60))
+        assert rep.passed and rep.max_residual <= 1e-14
 
     def test_exponential_triple(self):
         fam = vr.Exponential()
