@@ -10,8 +10,11 @@ basis then spans the lattice, or with zero discriminant (pi/k)Z or {0};
 shift and gamma flags take lattice fractions (1/3 accepted), and one beyond
 the lattice's rank exits 65. verify theorem1 runs as theorem2 with three
 equal shifts, and --expect overrides each verify kind's own expectation.
-Selected numeric flags fall back to WPFEQ_* environment variables (flags >
-environment > defaults).
+A flag that the verb, verify kind or family does not read exits 64, as do
+--periods with --g2/--g3 and --shift-frac with --shift. Selected numeric
+flags fall back to WPFEQ_* environment variables (flags > environment >
+defaults). Reports are JSON with shortest round-trip floats; fit without
+--out writes its summary line to stderr; a closed stdout loses text only.
 Exit codes: 0 success or expected outcome, 1 verification failure, 2
 internal error, 64 usage, 65 configuration, 66 unreadable input.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import sys
@@ -72,6 +76,66 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+# -- the flags each run reads --------------------------------------------------------
+#
+# By argparse dest: a verb reads its own flags, a verify kind adds its own, and
+# a run that reads --family adds the family's. Any other flag given exits 64.
+
+_LATTICE = ("periods", "g2", "g3")
+
+# wp samples in lattice fractions with the margin; exp and linear take the dataclass fields
+_FAMILY_FLAGS = {
+    "wp": (*_LATTICE, "shift_frac", "shift", "margin"),
+    "exp": ("alpha", "beta", "delta"),
+    "linear": ("alpha", "beta"),
+    "constant": ("c",),
+}
+
+_VERB_FLAGS = {
+    "symbolic": ("which", "out"),
+    "verify": ("kind", "n", "seed", "tol", "expect", "out"),
+    "fit": ("input", "stencil_order", "seed", "expect", "out"),
+    "scan": ("family", "grid", "seed", "tol", "out", "summary"),
+    "gen": ("family", "grid", "out"),
+    "eval": (*_LATTICE, "fn", "z"),
+}
+
+# theorem1 is pe(x + shift) for f, g and h; sigma draws on its own spread, without the margin
+_KIND_FLAGS = {
+    "theorem1": _FAMILY_FLAGS["wp"],
+    "theorem2": (*_LATTICE, "gammas", "margin"),
+    "sigma": _LATTICE,
+    "derived": ("family", "k", "l", "s"),
+    "factfun": ("family", "h_step"),
+    "constant": ("case",),
+}
+
+
+def _reads(args) -> set[str]:
+    """The flags, by dest, that the run of `args` reads."""
+    reads = {"command", *_VERB_FLAGS[args.command]}
+    if args.command == "verify":
+        reads.update(_KIND_FLAGS[args.kind])
+    if "family" in reads:
+        reads.update(_FAMILY_FLAGS[args.family or "wp"])
+    return reads
+
+
+def _refuse_unread(args, parser) -> None:
+    """Exit 64 on a flag given that the run does not read, whatever its value."""
+    given = {dest for dest, value in vars(args).items() if value is not None}
+    if "periods" in given and given & {"g2", "g3"}:
+        parser.error("argument --g2/--g3: not allowed with argument --periods")
+    reads = _reads(args)
+    unread = sorted(given - reads)
+    if unread:
+        run = [args.command, *([args.kind] if args.command == "verify" else [])]
+        if "family" in reads:
+            run.append(f"--family {args.family or 'wp'}")
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in unread)
+        parser.error(f"{' '.join(run)} does not read {flags}")
 
 
 # -- flag parsing helpers --------------------------------------------------------
@@ -151,9 +215,7 @@ def _within_ceiling(points: int, name: str) -> int:
 
 
 def _context_from_args(args) -> elliptic.EllipticContext:
-    periods = getattr(args, "periods", None)
-    g2 = getattr(args, "g2", None)
-    g3 = getattr(args, "g3", None)
+    periods, g2, g3 = args.periods, args.g2, args.g3
     if periods is not None:
         vals = _parse_fractions(periods, 4)
         try:
@@ -161,16 +223,13 @@ def _context_from_args(args) -> elliptic.EllipticContext:
         except DegenerateLattice as exc:
             raise ConfigError(str(exc)) from exc
     if g2 is not None or g3 is not None:
-        return elliptic.from_invariants(
-            _parse_complex(g2) if g2 is not None else 0j,
-            _parse_complex(g3) if g3 is not None else 0j,
-        )
+        return elliptic.from_invariants(*(0j if value is None else _parse_complex(value) for value in (g2, g3)))
     raise ConfigError("provide either --periods or --g2/--g3")
 
 
 def _shift_from_args(args, ctx) -> complex:
-    frac = getattr(args, "shift_frac", None)
-    absolute = getattr(args, "shift", None)
+    # gen has no shift flags
+    frac, absolute = vars(args).get("shift_frac"), vars(args).get("shift")
     if frac is not None:
         return elliptic.lattice_point(ctx, *_parse_fractions(frac, 2))
     if absolute is not None:
@@ -181,71 +240,53 @@ def _shift_from_args(args, ctx) -> complex:
 # -- report serialisation ----------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    text = format(float(x), ".17g")
-    # .17g may emit bare integers; keep them valid JSON numbers as they are
-    return text
-
-
-def render_json(obj, indent: int = 0) -> str:
-    """Small JSON emitter with floats at 17 significant digits.
-
-    Complex numbers serialise as [re, im] pairs; NaN and infinities map to
-    null to keep the output standard JSON. Numpy scalars are coerced to
-    their Python equivalents first.
-    """
-    if isinstance(obj, np.bool_):
-        obj = bool(obj)
-    elif isinstance(obj, np.integer):
-        obj = int(obj)
-    elif isinstance(obj, np.floating):
-        obj = float(obj)
-    elif isinstance(obj, np.complexfloating):
-        obj = complex(obj)
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _plain(obj):
+    """obj with complex numbers as [re, im], numpy scalars as Python ones and nan or infinities as None."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{inner}"{k}": {render_json(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        return {key: _plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
+        return [_plain(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, complex):
-        return "[" + _fmt_float(obj.real) + ", " + _fmt_float(obj.imag) + "]"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return [_plain(obj.real), _plain(obj.imag)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _say(text: str) -> None:
+    """Write a line to stdout. A closed stdout drops it and points fd 1 at os.devnull, so no later write fails."""
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _write_report(path: str | None, report: dict):
-    text = render_json(report) + "\n"
+    """The report as JSON: floats in the shortest text that reads back to the same double."""
+    text = json.dumps(_plain(report), indent=2, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text)
+        _say(text)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """CSV of the header and rows of floats at 17 significant digits."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(value, ".17g") for value in row] for row in rows)
 
 
 def _report(command: str, params: dict, checks: list[dict], wall_time: float | None) -> dict:
-    report = {
-        "command": command,
-        "params": params,
-        "checks": checks,
-        "pass": all(c.get("pass", False) for c in checks),
-        "max_residual": max((c.get("max_residual", 0.0) for c in checks), default=0.0),
-    }
+    report = {"command": command, "params": params, "checks": checks, "pass": all(c.get("pass", False) for c in checks),
+              "max_residual": max((c.get("max_residual", 0.0) for c in checks), default=0.0)}
     if wall_time is not None:
         report["wall_time_s"] = wall_time
     return report
@@ -277,28 +318,17 @@ def _residual_check(name: str, rep: verifier.ResidualReport, expected: str) -> d
 
 def _cmd_symbolic(args, parser) -> int:
     which = [w.strip() for w in args.which.split(",")]
-    if which == ["all"]:
-        names = list(identities.CHECK_NAMES)
-    else:
-        bad = [w for w in which if w not in identities.CHECK_NAMES]
-        if bad:
-            parser.error(f"unknown check(s): {', '.join(bad)}")
-        names = which
+    names = list(identities.CHECK_NAMES) if which == ["all"] else which
+    bad = [w for w in names if w not in identities.CHECK_NAMES]
+    if bad:
+        parser.error(f"unknown check(s): {', '.join(bad)}")
     start = time.perf_counter()
     rows = identities.run_checks(names)
     wall = time.perf_counter() - start
-    checks = []
-    for name, rep in rows:
-        checks.append(
-            {
-                "name": name,
-                "pass": rep.holds,
-                "cofactor": rep.cofactor_text(),
-                "note": rep.note,
-                "max_residual": 0.0 if rep.holds else 1.0,
-            }
-        )
-        print(f"{name:18s} {'PASS' if rep.holds else 'FAIL'}  cofactor={rep.cofactor_text()!r}")
+    checks = [{"name": name, "pass": rep.holds, "cofactor": rep.cofactor_text(), "note": rep.note,
+               "max_residual": 0.0 if rep.holds else 1.0} for name, rep in rows]
+    for check in checks:
+        _say(f"{check['name']:18s} {'PASS' if check['pass'] else 'FAIL'}  cofactor={check['cofactor']!r}")
     report = _report("symbolic", {"which": names}, checks, wall)
     if args.out:
         _write_report(args.out, report)
@@ -318,41 +348,46 @@ _CONSTANT_CASES = {
 }
 
 
-def _sampling(args) -> tuple[int, float]:
-    """Seed and lattice-fraction margin from the flags, the environment or the defaults."""
+def _seed(args) -> int:
+    """The seed of verify, scan and fit: the flag, WPFEQ_SEED or 0; a negative one is refused."""
     seed = _resolve_int(args.seed, "seed", 0)
-    margin = _resolve_float(args.margin, "margin", 0.05)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _sampler(args, count: int) -> tuple[verifier.TripleSampler, dict]:
+    """The run's sampler, and its lattice-fraction margin as a report param where the run reads one."""
+    sampler = verifier.TripleSampler(seed=_seed(args), count=count)
+    if "margin" not in _reads(args):
+        return sampler, {}
+    margin = _resolve_float(args.margin, "margin", sampler.margin)
     if not 0.0 < margin < 0.5:
         raise ConfigError(f"margin must lie in (0, 0.5), got {margin!r}")
-    return seed, margin
+    return replace(sampler, margin=margin), {"margin": margin}
 
 
 def _family(args, name: str) -> verifier.FunctionFamily:
-    """Family `name` from the verb's flags; absent --alpha, --beta, --delta, --c read 1, 0, 1, 1."""
-
-    def value(flag: str, default: complex) -> complex:
-        text = getattr(args, flag, None)
-        return _parse_complex(text) if text else default
-
+    """Family `name` from its flags in _FAMILY_FLAGS; an absent --c reads 1."""
     if name == "wp":
         ctx = _context_from_args(args)
         return verifier.WeierstrassShifted(ctx, _shift_from_args(args, ctx))
-    if name == "exp":
-        return verifier.Exponential(value("alpha", 1.0 + 0j), value("beta", 0j), value("delta", 1.0 + 0j))
-    if name == "linear":
-        return verifier.Linear(value("alpha", 1.0 + 0j), value("beta", 0j))
     if name == "constant":
-        return verifier.Constant(value("c", 1.0 + 0j))
-    raise ConfigError(f"unknown family {name!r}")
+        return verifier.Constant(1.0 + 0j if args.c is None else _parse_complex(args.c))
+    given = {flag: vars(args).get(flag) for flag in _FAMILY_FLAGS[name]}
+    fields = {flag: _parse_complex(text) for flag, text in given.items() if text is not None}
+    try:
+        return {"exp": verifier.Exponential, "linear": verifier.Linear}[name](**fields)
+    except ValueError as exc:  # a zero rate or slope
+        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_verify(args, parser) -> int:
     start = time.perf_counter()
-    seed, margin = _sampling(args)
     count = _within_ceiling(int(_positive(_resolve_int(args.n, "n", 1000), "sample count")), "sample count")
     tol = _positive(_resolve_float(args.tol, "tol", _TOLERANCES[args.kind]), "tol")
-    sampler = verifier.TripleSampler(seed=seed, count=count, margin=margin)
-    params: dict = {"kind": args.kind, "seed": seed, "n": count, "margin": margin}
+    sampler, margin = _sampler(args, count)
+    params: dict = {"kind": args.kind, "seed": sampler.seed, "n": count, **margin}
     name, expected = args.kind, "pass"
 
     if args.kind in ("theorem1", "theorem2"):
@@ -370,19 +405,22 @@ def _cmd_verify(args, parser) -> int:
         expected = rep.details["expected"]
     elif args.kind == "sigma":
         name = "sigma-identity"
-        rep = verifier.sigma_identity_scan(_context_from_args(args), count=count, seed=seed, tol=tol)
+        rep = verifier.sigma_identity_scan(_context_from_args(args), count=count, seed=sampler.seed, tol=tol)
     elif args.kind == "derived":
         name = "derived-determinant"
-        if min(args.k, args.l, 1 if args.s is None else args.s) < 1 or (args.s is None and args.k == args.l):
+        k, l = 1 if args.k is None else args.k, 2 if args.l is None else args.l
+        if min(k, l, 1 if args.s is None else args.s) < 1 or (args.s is None and k == l):
             raise ConfigError("column indices must be at least 1, and --k and --l must differ without --s")
-        fam = _family(args, args.family or "wp")
-        params.update({"family": args.family, "k": args.k, "l": args.l, "s": args.s})
-        rep = verifier.derived_determinant_check(fam, fam, fam, args.k, args.l, args.s, sampler, tol)
+        family = args.family or "wp"
+        fam = _family(args, family)
+        params.update({"family": family, "k": k, "l": l, "s": args.s})
+        rep = verifier.derived_determinant_check(fam, fam, fam, k, l, args.s, sampler, tol)
     elif args.kind == "factfun":
         name = "factfun-operator"
-        fam = _family(args, args.family or "wp")
+        family = args.family or "wp"
+        fam = _family(args, family)
         h_step = _positive(_resolve_float(args.h_step, "h_step", verifier.factfun_step(fam)), "h-step")
-        params.update({"family": args.family, "h_step": h_step})
+        params.update({"family": family, "h_step": h_step})
         rep = verifier.factfun_check(fam, sampler, h_step=h_step, tol=tol)
     else:
         case = args.case or "exp"
@@ -401,7 +439,7 @@ def _cmd_verify(args, parser) -> int:
     if args.out:
         _write_report(args.out, report)
     status = "PASS" if check["pass"] else "FAIL"
-    print(f"{name:22s} {status}  max={check['max_residual']:.3e} expected={check['expected']}")
+    _say(f"{name:22s} {status}  max={check['max_residual']:.3e} expected={check['expected']}")
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
@@ -431,11 +469,10 @@ def _read_samples_csv(path: str) -> cls.SampleSet:
 
 def _cmd_fit(args, parser) -> int:
     start = time.perf_counter()
-    stencil = args.stencil_order
     try:
         samples = _read_samples_csv(args.input)
-        seed = _resolve_int(args.seed, "seed", 0)
-        decision = cls.classify_samples(samples, stencil_order=stencil, seed=seed)
+        seed = _seed(args)
+        decision = cls.classify_samples(samples, stencil_order=args.stencil_order, seed=seed)
     except (DegenerateInput, TooFewPoints, GridNotUniform) as exc:
         raise InputError(f"{args.input}: {exc}") from exc
     wall = time.perf_counter() - start
@@ -445,17 +482,21 @@ def _cmd_fit(args, parser) -> int:
         "pass": args.expect is None or decision.family == args.expect,
         "max_residual": decision.roundtrip_residual or 0.0,
     }
-    for key, value in decision.params.items():
-        check[key] = value
+    check.update(decision.params)
     for fit in decision.evidence:
         check[f"{fit.model}_residual"] = fit.residual
         check[f"{fit.model}_condition"] = fit.condition
-    params = {"input": args.input, "stencil_order": stencil, "seed": seed}
+    params = {"input": args.input, "stencil_order": args.stencil_order, "seed": seed}
     if args.expect:
         params["expect"] = args.expect
     report = _report("fit", params, [check], wall)
     _write_report(args.out, report)
-    print(f"family: {decision.family}  roundtrip={check['max_residual']:.3e}")
+    # stdout holds the report alone when there is no --out
+    summary = f"family: {decision.family}  roundtrip={check['max_residual']:.3e}"
+    if args.out:
+        _say(summary)
+    else:
+        print(summary, file=sys.stderr)
     return EXIT_OK if check["pass"] else EXIT_VERIFY_FAIL
 
 
@@ -463,48 +504,22 @@ def _cmd_fit(args, parser) -> int:
 
 
 def _cmd_scan(args, parser) -> int:
-    seed, margin = _sampling(args)
     tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
     grid = int(_positive(args.grid, "grid"))
     _within_ceiling(grid * grid, "grid")
+    sampler, margin = _sampler(args, grid * grid)
     fam = _family(args, args.family)
-    sampler = verifier.TripleSampler(seed=seed, count=grid * grid, margin=margin)
     rows, rep = verifier.grid_scan(fam, sampler, grid, tol)
-
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x_re", "x_im", "y_re", "y_im", "residual"])
-        for x, y, r in rows:
-            writer.writerow(
-                [
-                    format(x.real, ".17g"),
-                    format(x.imag, ".17g"),
-                    format(y.real, ".17g"),
-                    format(y.imag, ".17g"),
-                    format(r, ".17g"),
-                ]
-            )
-    check = {
-        "name": "scan",
-        "pass": rep.passed,
-        "max_residual": rep.max_residual,
-        "mean_residual": rep.mean_residual,
-        "rows": len(rows),
-        "tol": tol,
-    }
-    params = {
-        "family": args.family or "wp",
-        "grid": grid,
-        "seed": seed,
-        "margin": margin,
-        "tol": tol,
-        "out": args.out,
-    }
+    _write_csv(args.out, ["x_re", "x_im", "y_re", "y_im", "residual"],
+               ((x.real, x.imag, y.real, y.imag, r) for x, y, r in rows))
+    check = {"name": "scan", "pass": rep.passed, "max_residual": rep.max_residual,
+             "mean_residual": rep.mean_residual, "rows": len(rows), "tol": tol}
+    params = {"family": args.family, "grid": grid, "seed": sampler.seed, **margin, "tol": tol, "out": args.out}
     # no wall time here: scan outputs are specified to be byte reproducible
     report = _report("scan", params, [check], None)
     if args.summary:
         _write_report(args.summary, report)
-    print(f"scan: {len(rows)} rows, max residual {rep.max_residual:.3e}")
+    _say(f"scan: {len(rows)} rows, max residual {rep.max_residual:.3e}")
     return EXIT_OK if check["pass"] else EXIT_VERIFY_FAIL
 
 
@@ -530,19 +545,8 @@ def _cmd_gen(args, parser) -> int:
     grid = _parse_grid(args.grid)
     fam = _family(args, args.family)
     values = [fam.jets(x, 0)[0] for x in grid]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x_re", "x_im", "w_re", "w_im"])
-        for x, w in zip(grid, values):
-            writer.writerow(
-                [
-                    format(x, ".17g"),
-                    format(0.0, ".17g"),
-                    format(w.real, ".17g"),
-                    format(w.imag, ".17g"),
-                ]
-            )
-    print(f"wrote {len(grid)} samples to {args.out}")
+    _write_csv(args.out, ["x_re", "x_im", "w_re", "w_im"], ((x, 0.0, w.real, w.imag) for x, w in zip(grid, values)))
+    _say(f"wrote {len(grid)} samples to {args.out}")
     return EXIT_OK
 
 
@@ -552,18 +556,13 @@ def _cmd_gen(args, parser) -> int:
 def _cmd_eval(args, parser) -> int:
     ctx = _context_from_args(args)
     z = _parse_complex(args.z)
-    fn = {
-        "wp": elliptic.wp,
-        "wp-prime": elliptic.wp_prime,
-        "sigma": elliptic.sigma,
-        "zeta": elliptic.zeta,
-    }[args.fn]
+    fn = {"wp": elliptic.wp, "wp-prime": elliptic.wp_prime, "sigma": elliptic.sigma, "zeta": elliptic.zeta}[args.fn]
     try:
         value = fn(ctx, z)
     except PoleProximity as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    print(f"{format(value.real, '.17g')} {format(value.imag, '.17g')}")
+    _say(f"{format(value.real, '.17g')} {format(value.imag, '.17g')}")
     return EXIT_OK
 
 
@@ -575,10 +574,8 @@ def build_parser() -> _Parser:
         prog="wpfeq",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "environment overrides (flags > environment > defaults): "
-            "WPFEQ_TOL, WPFEQ_SEED, WPFEQ_N, WPFEQ_MARGIN, WPFEQ_H_STEP"
-        ),
+        epilog="environment overrides (flags > environment > defaults): "
+        "WPFEQ_TOL, WPFEQ_SEED, WPFEQ_N, WPFEQ_MARGIN, WPFEQ_H_STEP",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -588,8 +585,9 @@ def build_parser() -> _Parser:
     lattice.add_argument("--g2", help="re,im")
     lattice.add_argument("--g3", help="re,im")
     shift = argparse.ArgumentParser(add_help=False)
-    shift.add_argument("--shift-frac", help="shift in fractions s,t of the periods, the AGM basis or pi/k (1/3 allowed)")
-    shift.add_argument("--shift", help="absolute shift re,im")
+    shifts = shift.add_mutually_exclusive_group()
+    shifts.add_argument("--shift-frac", help="shift in fractions s,t of the periods, the AGM basis or pi/k (1/3 allowed)")
+    shifts.add_argument("--shift", help="absolute shift re,im")
     delta = argparse.ArgumentParser(add_help=False)
     delta.add_argument("--delta", help="exponential rate re,im")
     seed = argparse.ArgumentParser(add_help=False)
@@ -599,8 +597,7 @@ def build_parser() -> _Parser:
     sampling.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("symbolic", help="run the exact identity certifications")
-    p.add_argument("--which", default="all", help="all or a comma list of "
-                   + ",".join(identities.CHECK_NAMES))
+    p.add_argument("--which", default="all", help="all or a comma list of " + ",".join(identities.CHECK_NAMES))
     p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("verify", help="numerical verification on sampled triples",
@@ -609,8 +606,8 @@ def build_parser() -> _Parser:
     p.add_argument("--gammas", help="six lattice fractions s1,t1,s2,t2,s3,t3")
     p.add_argument("--family", choices=["wp", "exp", "linear"])
     p.add_argument("--case", choices=list(_CONSTANT_CASES), help="constant-third-function case")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--l", type=int, default=2)
+    p.add_argument("--k", type=int, default=None, help="derived's first column (default 1)")
+    p.add_argument("--l", type=int, default=None, help="derived's second column (default 2)")
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="sample count")
     p.add_argument("--h-step", dest="h_step", type=float, default=None)
@@ -657,16 +654,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        _refuse_unread(args, parser)
         return _COMMANDS[args.command](args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, DegenerateLattice, FloatOverflow, JetOrderOverflow, NoPeriods, PoleProximity,
+    except (ConfigError, DegenerateLattice, FloatOverflow, JetOrderOverflow, NoPeriods, OverflowError, PoleProximity,
             SamplerExhausted, SeriesNoConverge) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

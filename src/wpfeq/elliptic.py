@@ -317,7 +317,8 @@ def _agm_context(g2: complex, g3: complex, scale: float, pole_tol: float | None)
         raise SeriesNoConverge("the AGM periods of the invariants span no lattice")
     b1, b2 = _gauss_reduce(math.pi / m1, math.pi * 1j / m2)
     ctx = _context(None, Periods(b1, b2), (b1, b2), math.pi / b1, pole_tol)
-    err = max(abs(ctx.invariants.g2 - g2) / scale**4, abs(ctx.invariants.g3 - g3) / scale**6)
+    # in two divisions: scale**6 underflows for invariants near the float minimum
+    err = max(abs(ctx.invariants.g2 - g2) / scale**2 / scale**2, abs(ctx.invariants.g3 - g3) / scale**3 / scale**3)
     if not err <= _INVARIANT_TOL:
         raise SeriesNoConverge(f"the AGM lattice misses the invariants by {err:.3g} of the scale")
     return ctx
@@ -340,10 +341,10 @@ def from_invariants(g2: complex, g3: complex, *, pole_tol: float | None = None) 
         raise FloatOverflow("the discriminant g2^3 - 27 g3^2 exceeds the float range") from exc
     # g2^3 = 27 g3^2 tested on invariants rescaled by a power of two: the
     # same roundings as the discriminant, without its underflow; this alone
-    # decides the rank
+    # decides the rank (t**6 itself overflows for invariants near 1e-308)
     scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
     t = 2.0 ** -math.frexp(scale)[1]
-    if (g2 * t**4) ** 3 != 27.0 * (g3 * t**6) ** 2:
+    if (g2 * t**2 * t**2) ** 3 != 27.0 * (g3 * t**3 * t**3) ** 2:
         return replace(_agm_context(g2, g3, scale, pole_tol), invariants=invariants)
     k = cmath.sqrt(4.5 * g3 / g2) if g2 else 0j
     return _context(invariants, None, (math.pi / k,) if k else (), k, pole_tol)

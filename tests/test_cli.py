@@ -1,12 +1,18 @@
 """Exit codes, report schemas, file formats, and determinism of the CLI."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
+import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wpfeq import cli
 
@@ -147,7 +153,9 @@ class TestVerify:
         ],
     )
     def test_derived_indices_are_refused_or_run(self, family, indices, code, capsys):
-        argv = ["verify", "derived", "--family", family, "--periods", "2,0,0,2", *indices.split(), "--n", "50"]
+        # exp reads no lattice, and would refuse --periods
+        lattice = ["--periods", "2,0,0,2"] if family == "wp" else []
+        argv = ["verify", "derived", "--family", family, *lattice, *indices.split(), "--n", "50"]
         assert run(argv) == code
         err = capsys.readouterr().err
         assert ("configuration error" in err) == (code == 65) and "internal error" not in err
@@ -410,9 +418,14 @@ class TestEval:
         ["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid", "0:inf:1"],
         ["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid=-1e308:1e308:1"],
         ["gen", "--family", "exp", "--delta", "nan,0", "--grid", "0:1:0.1"],
+        ["gen", "--family", "exp", "--delta", "0,0", "--grid", "0:1:0.1"],
+        ["gen", "--family", "linear", "--alpha", "0,0", "--grid", "0:1:0.1"],
+        ["verify", "theorem1", "--periods", "1e300,0,0,1e300", "--n", "20"],
+        ["eval", "--fn", "wp", "--periods", "2,0,0,2", "--z", "1e308,0"],
     ],
     ids=["periods-overflow", "g2-nan", "g3-inf", "z-nan", "z-overflow", "shift-frac-overflow", "shift-nan",
-         "gammas-overflow", "grid-nan", "grid-inf", "grid-count-overflow", "delta-nan"],
+         "gammas-overflow", "grid-nan", "grid-inf", "grid-count-overflow", "delta-nan", "zero-rate", "zero-slope",
+         "periods-squared-overflow", "z-coordinate-overflow"],
 )
 def test_non_finite_flag_is_a_configuration_error(argv, tmp_path, capsys):
     out = tmp_path / "samples.csv"
@@ -446,15 +459,36 @@ class TestParser:
 
 
 class TestReportFormat:
-    def test_floats_have_17_significant_digits(self, tmp_path):
+    def test_floats_read_back_bit_identical(self, tmp_path):
+        floats = [0.05, 0.1 + 0.2, 1.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3]
         out = tmp_path / "r.json"
-        run(["verify", "sigma", "--periods", "2,0,0,2", "--n", "20", "--out", str(out)])
-        text = out.read_text()
-        # 0.05 is re-emitted with the full 17 digits
-        assert "0.050000000000000003" in text
-        report = json.loads(text)
-        assert isinstance(report["pass"], bool)
-        assert isinstance(report["max_residual"], float)
+        cli._write_report(str(out), {"f": floats, "np": [np.float64(x) for x in floats], "z": complex(1 / 3, -0.0)})
+        back = json.loads(out.read_text())
+        for read in (back["f"], back["np"], back["z"]):
+            assert all(isinstance(x, float) for x in read)
+        assert [x.hex() for x in back["f"]] == [x.hex() for x in back["np"]] == [x.hex() for x in floats]
+        assert [x.hex() for x in back["z"]] == [(1 / 3).hex(), (-0.0).hex()]
+        # and through a command: the margin and tolerance given are the doubles the report holds
+        out = tmp_path / "t1.json"
+        argv = ["verify", "theorem1", "--periods", "2,0,0,2", "--n", "20", "--margin", "0.05", "--tol", "1e-8",
+                "--out", str(out)]
+        assert run(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["params"]["margin"].hex() == (0.05).hex() and report["params"]["tol"].hex() == (1e-8).hex()
+        assert isinstance(report["pass"], bool) and isinstance(report["max_residual"], float)
+
+    def test_non_finite_numbers_are_null(self, tmp_path):
+        out = tmp_path / "r.json"
+        cli._write_report(str(out), {"nan": math.nan, "inf": np.float64(-math.inf), "z": complex(math.inf, 1.0)})
+        assert json.loads(out.read_text()) == {"nan": None, "inf": None, "z": [None, 1.0]}
+
+    def test_a_path_with_control_characters_gives_a_report_that_parses(self, tmp_path):
+        folder = tmp_path / "tab\there"
+        folder.mkdir()
+        samples, out = folder / "wp\n.csv", folder / 'fit "report".json'
+        assert run(["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid", "0.5:0.6:0.01", "--out", str(samples)]) == 0
+        assert run(["fit", "--input", str(samples), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"]["input"] == str(samples)
 
     def test_checks_count_skipped_triples(self, tmp_path):
         out = tmp_path / "r.json"
@@ -512,3 +546,262 @@ def test_the_point_ceiling_itself_is_accepted(monkeypatch):
         cli._parse_grid(f"0:{cli.MAX_POINTS}:1")
     monkeypatch.setenv("WPFEQ_N", str(cli.MAX_POINTS + 1))
     assert run(["verify", "constant"]) == 65
+
+
+# -- every flag given is read, or refused ----------------------------------------------------------
+
+
+def _verb_parsers():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _well_formed(action) -> str:
+    """A value argparse accepts for the flag, so that only the table can refuse it."""
+    if action.choices:
+        return str(action.choices[0])
+    return {int: "1", float: "0.1"}.get(action.type, "1,0")
+
+
+# (argv of a run, the flags it reads): each verify kind, and each family of verify, scan and gen
+_RUNS = [
+    *((["verify", kind], [*cli._VERB_FLAGS["verify"], *cli._KIND_FLAGS[kind]])
+      for kind in ("theorem1", "theorem2", "sigma", "constant")),
+    *((["verify", kind, "--family", family],
+       [*cli._VERB_FLAGS["verify"], *cli._KIND_FLAGS[kind], *cli._FAMILY_FLAGS[family]])
+      for kind in ("derived", "factfun") for family in ("wp", "exp", "linear")),
+    *((["scan", "--family", family], [*cli._VERB_FLAGS["scan"], *cli._FAMILY_FLAGS[family]])
+      for family in ("wp", "exp", "linear")),
+    *((["gen", "--family", family], [*cli._VERB_FLAGS["gen"], *cli._FAMILY_FLAGS[family]])
+      for family in ("wp", "exp", "linear", "constant")),
+]
+
+_UNREAD = [
+    (run, action)
+    for run, reads in _RUNS
+    for action in _verb_parsers()[run[0]]._actions
+    if action.option_strings and action.dest not in {"help", *reads}
+]
+
+
+@pytest.mark.parametrize("run_argv, action", _UNREAD, ids=[f"{' '.join(r)} {a.option_strings[0]}" for r, a in _UNREAD])
+def test_a_flag_the_run_does_not_read_exits_64(run_argv, action, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    required = {"scan": ["--out", str(out)], "gen": ["--grid", "0:1:0.5", "--out", str(out)]}.get(run_argv[0], [])
+    assert run([*run_argv, *required, action.option_strings[0], _well_formed(action)]) == 64
+    assert f"does not read {action.option_strings[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_table_names_flags_and_every_flag_has_a_run_that_reads_it():
+    parsers = _verb_parsers()
+    dests = {a.dest for parser in parsers.values() for a in parser._actions}
+    for table in (cli._VERB_FLAGS, cli._KIND_FLAGS, cli._FAMILY_FLAGS):
+        assert {flag for flags in table.values() for flag in flags} <= dests
+    for verb, parser in parsers.items():
+        reads = set(cli._VERB_FLAGS[verb]).union(*(reads for argv, reads in _RUNS if argv[0] == verb))
+        assert {a.dest for a in parser._actions} - {"help"} <= reads, verb
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "wp", "--periods", "2,0,0,2", "--alpha", "2,0", "--beta", "5,0", "--grid", "0.5:0.6:0.01"],
+        ["verify", "theorem1", "--periods", "2,0,0,2", "--delta", "3,0"],
+        ["verify", "sigma", "--periods", "2,0,0,2", "--margin", "0.4"],
+        ["gen", "--family", "exp", "--periods", "2,0,0,2", "--grid", "0:1:0.1"],
+        ["verify", "theorem1", "--periods", "2,0,0,2", "--k", "1"],
+        ["verify", "theorem2", "--periods", "2,0,0,2", "--gammas", "0,0,0,0,0,0", "--shift", "1,0"],
+        ["verify", "constant", "--periods", "2,0,0,2"],
+        ["scan", "--family", "exp", "--periods", "2,0,0,2"],
+        ["verify", "theorem1", "--periods", "2,0,0,2", "--g2", "4,0"],
+        ["eval", "--fn", "wp", "--periods", "2,0,0,2", "--g3", "0,0", "--z", "0.3,0.2"],
+        ["verify", "theorem1", "--periods", "2,0,0,2", "--shift-frac", "1/3,0", "--shift", "1,0"],
+        ["scan", "--periods", "2,0,0,2", "--shift", "1,0", "--shift-frac", "1/3,0"],
+    ],
+    ids=["gen-wp-alpha-beta", "theorem1-delta", "sigma-margin", "gen-exp-periods", "theorem1-k", "theorem2-shift",
+         "constant-periods", "scan-exp-periods", "periods-and-g2", "periods-and-g3", "shift-frac-and-shift",
+         "scan-shift-and-shift-frac"],
+)
+def test_an_ignored_or_conflicting_flag_exits_64(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] in ("gen", "scan"):
+        argv = [*argv, "--out", str(out)]
+    assert run(argv) == 64
+    assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, family", [("derived", None), ("factfun", None), ("factfun", "exp")])
+def test_the_report_names_the_family_that_ran(kind, family, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["verify", kind, *(["--family", family] if family else ["--periods", "2,0,0,2"]), "--n", "20",
+            "--out", str(out)]
+    assert run(argv) == 0
+    params = json.loads(out.read_text())["params"]
+    assert params["family"] == (family or "wp")
+    # the margin shapes the draws of the lattice fractions alone
+    assert ("margin" in params) == (family is None)
+
+
+def test_sigma_records_no_margin(tmp_path, monkeypatch):
+    monkeypatch.setenv("WPFEQ_MARGIN", "0.4")
+    out = tmp_path / "r.json"
+    assert run(["verify", "sigma", "--periods", "2,0,0,2", "--n", "20", "--out", str(out)]) == 0
+    assert "margin" not in json.loads(out.read_text())["params"]
+
+
+# -- seeds, stdout and a closed stdout --------------------------------------------------------------
+
+
+@pytest.fixture
+def wp_samples(tmp_path, capsys):
+    path = tmp_path / "wp.csv"
+    assert run(["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid", "0.5:0.6:0.01", "--out", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("verb", ["verify", "scan", "fit"])
+def test_a_negative_seed_exits_65(verb, source, wp_samples, tmp_path, monkeypatch, capsys):
+    argv = {
+        "verify": ["verify", "theorem1", "--periods", "2,0,0,2", "--n", "20"],
+        "scan": ["scan", "--periods", "2,0,0,2", "--grid", "4", "--out", str(tmp_path / "s.csv")],
+        "fit": ["fit", "--input", str(wp_samples)],
+    }[verb]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("WPFEQ_SEED", "-1")
+    assert run(argv) == 65
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_fit_without_out_writes_one_json_document_to_stdout(wp_samples, capsys):
+    assert run(["fit", "--input", str(wp_samples)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["checks"][0]["family"] == "weierstrass"
+    assert captured.err.startswith("family: weierstrass")
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "theorem1", "--periods", "2,0,0,2", "--n", "50", "--out", "{report}"], 0),
+    (["verify", "theorem1", "--periods", "2,0,0,2", "--shift-frac", "0.1,0", "--n", "50", "--expect", "pass",
+      "--out", "{report}"], 1),
+    (["symbolic", "--which", "eta,eqf", "--out", "{report}"], 0),
+    (["fit", "--input", "{samples}"], 0),  # the report itself goes to the closed stdout
+])
+def test_a_closed_stdout_loses_the_text_alone(argv, code, wp_samples, tmp_path, monkeypatch, capsys):
+    report = tmp_path / "report.json"
+    argv = [arg.format(report=report, samples=wp_samples) for arg in argv]
+    with open(tmp_path / "stdout", "w") as stdout:
+        monkeypatch.setattr("sys.stdout", _ClosedStdout(stdout.fileno()))
+        assert run(argv) == code
+        # fd 1's stand-in now discards what the interpreter flushes at exit
+        assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+    assert "internal error" not in capsys.readouterr().err
+    if "--out" in argv:
+        assert json.loads(report.read_text())["command"] == argv[0]
+
+
+# -- any argument list: a documented exit, and reports that parse -------------------------------------------
+
+_COMPLEX = st.sampled_from(["4,0", "0,0", "0.3,0.2", "1,-2", "1,inf", "nan,0", "1e308,0", "1e-308,0", "a,b", "1", ""])
+_REAL = st.sampled_from(["0.05", "0.3", "1e-8", "0", "-1", "nan", "inf", "1e300", "1e-300", "x"])
+_VALUES = {
+    "periods": st.sampled_from(["2,0,0,2", "1,0,0.3,1.1", "1,0,0,8", "1e-27,0,0,1e-27", "1e300,0,0,1e300",
+                                "nan,0,0,1", "2,0,4,0", "1/3,0,0,1", "x"]),
+    "shift_frac": st.sampled_from(["1/3,0", "0.49,0", "1/3,2/3", "0,0", "1e400,0", "1/0,0", "x"]),
+    "gammas": st.sampled_from(["0.2,0,0,0.3,0.8,0.7", "0,0,0,0,0,0", "1/3,0,1/3,0,1/3,0", "1,2", "nan,0,0,0,0,0"]),
+    "n": st.integers(-2, 50).map(str),
+    "seed": st.one_of(st.integers(-3, 10), st.just(2**64)).map(str),
+    "k": st.integers(-1, 3).map(str),
+    "l": st.integers(-1, 3).map(str),
+    "s": st.integers(-1, 3).map(str),
+    "which": st.sampled_from(["all", "eqf", "eta,rewrites", "bogus", ""]),
+    "grid": st.sampled_from(["0.5:0.6:0.02", "0.5:0.58:0.01", "0:1:0.5", "-1:1:0.3", "nan:1:0.1", "0:1:0",
+                             "1:0:0.1", "0:1e-300:1e-301", "-1e308:1e308:1", "x"]),
+}
+
+
+def _value(verb, action, folder):
+    if action.dest in ("out", "summary"):
+        return st.sampled_from(["plain", "tab\tname", "line\nbreak", 'quote"s\\']).map(lambda name: str(folder / name))
+    if action.dest == "input":
+        return st.sampled_from(["wp\t.csv", "missing.csv", "bad.csv"]).map(lambda name: str(folder / name))
+    if action.choices and action.dest != "which":
+        return st.sampled_from([str(c) for c in action.choices])
+    if verb == "scan" and action.dest == "grid":
+        return st.integers(-1, 8).map(str)
+    if action.dest in _VALUES:
+        return _VALUES[action.dest]
+    return _REAL if action.type is float else _COMPLEX
+
+
+@st.composite
+def _argument_lists(draw, verb, folder):
+    """An argument list of the verb: mostly flags that the run reads, now and then one that it refuses."""
+    actions = {a.dest: a for a in _verb_parsers()[verb]._actions if a.dest != "help"}
+    args = argparse.Namespace(command=verb, kind=None, family=None)
+    argv = [verb]
+    if "kind" in actions:
+        args.kind = draw(_value(verb, actions["kind"], folder))
+        argv.append(args.kind)
+
+    def given(dest):
+        return actions[dest].required or draw(st.integers(0, 2 if dest in cli._reads(args) else 30)) == 0
+
+    if "family" in actions and given("family"):
+        args.family = draw(_value(verb, actions["family"], folder))
+        argv += ["--family", args.family]
+    for dest, action in actions.items():
+        if dest not in ("kind", "family") and given(dest):
+            argv += [action.option_strings[0], draw(_value(verb, action, folder))]
+    return argv
+
+
+@pytest.mark.parametrize("verb", ["symbolic", "verify", "fit", "scan", "gen", "eval"])
+def test_any_argument_list_exits_as_documented(verb):
+    """Well-formed, malformed, non-finite, huge and tiny values, and paths with control characters."""
+    with tempfile.TemporaryDirectory() as name:
+        folder = pathlib.Path(name)
+        (folder / "bad.csv").write_text("x_re,x_im,w_re,w_im\n0,0,1,0\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid", "0.5:0.6:0.01",
+                        "--out", str(folder / "wp\t.csv")]) == 0
+
+        @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(_argument_lists(verb, folder))
+        def check(argv):
+            reports = [folder / name for name in ("plain", "tab\tname", "line\nbreak", 'quote"s\\')]
+            for path in reports:
+                path.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(argv)
+            assert code in (0, 1, 64, 65, 66), (argv, stderr.getvalue())
+            for path in reports:
+                # scan's --out may share the name: its CSV is no report
+                if path.exists() and path.read_text().startswith("{"):
+                    json.loads(path.read_text())
+            if verb == "fit" and "--out" not in argv and code in (0, 1):
+                json.loads(stdout.getvalue())
+
+        check()

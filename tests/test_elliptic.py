@@ -233,6 +233,15 @@ class TestThetaSeries:
         assert len(ctx.reduced) == 2
         assert el.wp(ctx, 0.3) == pytest.approx(1.0 / 0.09, rel=1e-14)
 
+    @pytest.mark.parametrize("g2, g3", [(2.0**-1020, 0.0), (0.0, 2.0**-1020)])
+    def test_invariants_near_the_float_minimum_build_their_lattice(self, g2, g3):
+        # the rank test's rescaling by 2^(4e), 2^(6e) and the AGM's error scale^6 both left the float range
+        unit = el.from_invariants(g2 and 1.0, g3 and 1.0)
+        c = 2.0 ** (255 if g2 else 170)  # g2(c L) = g2(L) / c^4, g3(c L) = g3(L) / c^6
+        ctx = el.from_invariants(g2, g3)
+        assert ctx.invariants.g2 == g2 and ctx.invariants.g3 == g3 and len(ctx.reduced) == 2
+        assert ctx.lambda_min == pytest.approx(c * unit.lambda_min, rel=1e-14)
+
     def test_trigonometric_degeneration(self):
         # Delta = 0: pe = k^2/sin^2(kz) - k^2/3, sigma = exp(k^2 z^2/6) sin(kz)/k
         ctx = el.from_invariants(3.0, 1.0)
