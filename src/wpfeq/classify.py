@@ -104,6 +104,11 @@ def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> tuple[np.ndarra
 
     Provided derivatives pass straight through. Boundary points without a
     full stencil are dropped; the truncation error is O(h^stencil_order).
+    The stencil's sums reach 18 times the largest component of w. Where
+    that could pass the float range, the stencil runs on w/2^E, the least
+    power of two that keeps it in, and w' is multiplied back by 2^E: the
+    powers are exact, so only a w' that itself passes the float range
+    moves, to inf, without a numpy warning.
     """
     xs, ws = np.array(samples.xs, dtype=complex), np.array(samples.ws, dtype=complex)
     if samples.dws is not None:
@@ -115,13 +120,20 @@ def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> tuple[np.ndarra
     h = complex(xs[1] - xs[0])
     if np.any(np.abs(np.diff(xs) - h) > 1e-9 * max(abs(h), 1e-300)):
         raise GridNotUniform("sample grid is not uniform")
+    # 18 max|w| < 2^1024 where every component is below 2^1019
+    exponent = max(math.frexp(np.abs(ws.view(float)).max())[1] - 1019, 0)
+    scaled = ws * 2.0**-exponent if exponent else ws
     if stencil_order == 2:
-        diff, step = ws[2:] - ws[:-2], 2.0 * h
+        diff, step = scaled[2:] - scaled[:-2], 2.0 * h
     else:
-        diff, step = -ws[4:] + 8.0 * ws[3:-1] - 8.0 * ws[1:-3] + ws[:-4], 12.0 * h
+        diff, step = -scaled[4:] + 8.0 * scaled[3:-1] - 8.0 * scaled[1:-3] + scaled[:-4], 12.0 * h
     # divide as Python complex numbers: numpy's complex division rounds otherwise in the
     # last bit, and the fits' normal matrices amplify that
     dw = np.array([d / step for d in diff.tolist()], dtype=complex)
+    if exponent:
+        # each component alone: a complex product would make inf * 0 a nan
+        with np.errstate(over="ignore"):
+            dw = np.ldexp(dw.view(float), exponent).view(complex)
     half = stencil_order // 2
     return xs[half:-half], ws[half:-half], dw
 

@@ -28,15 +28,18 @@ ODE  pe'^2 = 4 pe^3 - g2 pe - g3, never from numerical differentiation.
 
 Each evaluator has one body for a complex number and for an ndarray,
 evaluated elementwise, which is how the sampled checks score a whole batch
-at a time; a point's value does not depend on its batch. The two part in
-three leaves only, so they may differ in the last bits: the rounding and
-e, e - 1 in `_point` (`round` and `_exp_expm1` for a number, numpy's for an
-array), Horner's rule in `_horner` (Python arithmetic for a number, numpy's
-for an array), and the poles, where a number raises PoleProximity (in
-`_point` next to a lattice point, in `_pole_edge` where a value overflows)
-and an array holds nan. `sigma` and `lattice_distance` take a number
-as an array of one. The reference for both is a theta oracle at 30 digits
-(`ThetaOracle` in tests/oracles.py, and perfbench/oracle.py).
+at a time; a point's value does not depend on its batch. Horner's rule is
+one loop for both (`_horner`). The two part only in `_point` and at the
+poles, so they may differ in the last bits: the rounding and e, e - 1 in
+`_point` (`round` and `_exp_expm1` for a number, numpy's for an array),
+and the poles, where a number raises PoleProximity (in `_point` next to a
+lattice point, in `_pole_edge` where a value overflows) and an array holds
+nan. Past 2^52 a lattice coordinate holds no fraction, so z fixes no point
+of the cell: a number raises FloatOverflow there, and an array holds nan
+(sigma's raises, as it does beyond the float range). `sigma` and
+`lattice_distance` take a number as an array of one. The reference for
+both is a theta oracle at 30 digits (`ThetaOracle` in tests/oracles.py,
+and perfbench/oracle.py).
 
 A context built from invariants alone takes its generators from the complex
 AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
@@ -54,7 +57,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,33 +96,22 @@ class Invariants:
 class _Series:
     """A context's theta_coeffs as Horner runs, with the constants its evaluators share.
 
-    The polynomial sum_n c_n x^n is held as the runs (c_N, ..., c_{L+1}) and
-    (c_L, ..., c_1), top term first, the second taken at e as well as at 1/e
-    (see `_horner`): na, n2a and a are those of n a_n, n^2 a_n and a_n, the
-    series of pe, pe' and zeta, on the N = len(theta_coeffs) terms. After
-    rounding |q| <= |e|, so term n is at most n^2 |q|^(2n-2) times term 1
-    at e, and the first L terms, where that is at least 2^-53, are taken at
-    e too: L = 8 at the hexagonal corner of the fundamental domain, 7 on
-    the square lattice, 5 at tau = 1.5i, 3 at 3i and 1 at 8i. With k that
-    of the evaluation forms (1 when g2 = g3 = 0, see `_point`), k2 = k^2,
+    Built by `_context`, which also counts low, the terms taken at e as
+    well as at 1/e. The polynomial sum_n c_n x^n is held as the runs
+    (c_N, ..., c_{low+1}) and (c_low, ..., c_1), top term first, the second
+    taken at both (see `_horner`): na, n2a and a are those of n a_n,
+    n^2 a_n and a_n, the series of pe, pe' and zeta. With k that of the
+    evaluation forms (1 when g2 = g3 = 0, see `_point`), k2 = k^2,
     k3 = -2 k^3 and pe0 = 2 eta1 k/pi. sigma's series is built on its first
     use (`theta1`).
     """
 
-    def __init__(self, ctx: EllipticContext):
-        coeffs, low, self.r = ctx.theta_coeffs, 0, 0j
-        if coeffs:
-            b1, b2 = ctx.reduced
-            self.r, qn = cmath.exp(2j * math.pi * b2 / b1), 1.0
-            q = math.sqrt(abs(self.r))
-            for _, n2, _, _ in _TERMS[: len(coeffs)]:
-                low += n2 * qn * qn >= _ROUNDOFF
-                qn *= q
+    def __init__(self, coeffs: list, low: int, r: complex, k: complex, eta1: complex):
         na = [n * a for n, a in enumerate(coeffs, 1)]
         n2a = [n * n * a for n, a in enumerate(coeffs, 1)]
-        self.a, self.na, self.n2a = (_Series._runs(row, low) for row in (list(coeffs), na, n2a))
-        k = ctx.k if ctx.k else 1.0
-        self.k2, self.k3, self.pe0 = k * k, -2.0 * k**3, 2.0 * ctx.eta[0] * k / math.pi
+        self.a, self.na, self.n2a = (_Series._runs(row, low) for row in (coeffs, na, n2a))
+        self.r, k = r, k if k else 1.0
+        self.k2, self.k3, self.pe0 = k * k, -2.0 * k**3, 2.0 * eta1 * k / math.pi
 
     @staticmethod
     def _runs(row: list, low: int) -> tuple[list, list]:
@@ -155,9 +147,9 @@ class EllipticContext:
     and `reduced` a Gauss-reduced pair (b1, b2) of them with Im(b2/b1) > 0;
     at zero discriminant periods is None and reduced is (pi/k,), or () if
     g2 = g3 = 0. The theta series runs on k = pi/b1 (0 if g2 = g3 = 0) and
-    theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut after the last n with
-    n^2 |q|^(n-1) >= 2^-53 (at most 16 terms; see `_context`), which `series`
-    holds as Horner runs. eta holds the quasi-period constants
+    theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut where `_context`
+    says, which also builds `series`, the same coefficients as the
+    evaluators' Horner runs. eta holds the quasi-period constants
     (zeta(b1/2), zeta(b2/2)). lambda_min is the distance to the nearest
     lattice point: |b1|, pi/|k| or inf, and pole_tol the distance within
     which a lattice point counts as a pole.
@@ -171,27 +163,30 @@ class EllipticContext:
     k: complex
     theta_coeffs: tuple[complex, ...]
     eta: tuple[complex, complex]
-
-    @functools.cached_property
-    def series(self) -> _Series:
-        """theta_coeffs as the evaluators' Horner runs, built on first use."""
-        return _Series(self)
+    series: _Series = field(repr=False, compare=False)
 
 
 # -- small lattice helpers ----------------------------------------------------
 
 
 def _gauss_reduce(b1: complex, b2: complex) -> tuple[complex, complex]:
-    """Lagrange-Gauss reduction: shortest generator pair of the same lattice, with Im(b2/b1) > 0."""
-    if abs(b1) > abs(b2):
-        b1, b2 = b2, b1
-    while True:
-        m = round((b2 * b1.conjugate()).real / abs(b1) ** 2)
-        b2 = b2 - m * b1
-        if abs(b2) < abs(b1):
+    """Lagrange-Gauss reduction: shortest generator pair of the same lattice, with Im(b2/b1) > 0.
+
+    Generators whose squared lengths leave the float range (beyond about
+    1e154, or below 1e-162) raise FloatOverflow.
+    """
+    try:
+        if abs(b1) > abs(b2):
             b1, b2 = b2, b1
-        else:
-            return (b1, b2) if (b2 / b1).imag > 0 else (b1, -b2)
+        while True:
+            m = round((b2 * b1.conjugate()).real / abs(b1) ** 2)
+            b2 = b2 - m * b1
+            if abs(b2) < abs(b1):
+                b1, b2 = b2, b1
+            else:
+                return (b1, b2) if (b2 / b1).imag > 0 else (b1, -b2)
+    except (ArithmeticError, ValueError) as exc:
+        raise FloatOverflow(f"the lattice on {b1} and {b2} leaves the float range") from exc
 
 
 def _lattice_coords(z: complex, w1: complex, w2: complex) -> tuple[float, float]:
@@ -223,13 +218,15 @@ def _context(
     prod (1 - r^n)^24, which does not cancel the way g2^3 - 27 g3^2 does on
     tall lattices; eta2 = zeta(b2/2) is Legendre's relation (DLMF 23.2.14).
 
-    The series is cut per context. After rounding |q| <= |e| <= 1, so term
-    n of the pe, pe' and zeta sums is at most n^2 |q|^(n-1) times term 1 at
-    1/e; the coefficients stop at the last n where that is at least 2^-53:
-    N = 16 at the hexagonal corner of the fundamental domain, 14 on the
-    square lattice, 9 at tau = 1.5i, 5 at 3i and 2 at 8i (`_Series` cuts
-    the sums at e further). The Lambert sums run on the N terms, which
-    reach round-off sooner.
+    The series is cut here, per context, and built into the Horner runs of
+    `_Series`. After rounding |q| <= |e| <= 1, so term n of the pe, pe' and
+    zeta sums is at most n^2 |q|^(n-1) times term 1 at 1/e, and
+    n^2 |q|^(2n-2) times it at e. The coefficients stop at the last n where
+    the first is at least 2^-53: N = 16 at the hexagonal corner of the
+    fundamental domain, 14 on the square lattice, 9 at tau = 1.5i, 5 at 3i
+    and 2 at 8i. The low terms where the second is too are taken at e as
+    well: 8, 7, 5, 3 and 1 of them. The Lambert sums run on the N terms,
+    which reach round-off sooner.
 
     Invariants beyond the float range (|b1| below about 1e-26) raise
     FloatOverflow. Below rank two the series runs at q = 0: no coefficients,
@@ -237,7 +234,7 @@ def _context(
     be given. The default pole tolerance is 1e-3 lambda_min, 0 when
     g2 = g3 = 0.
     """
-    coeffs, s1, s3, s5, prod = [], 0, 0, 0, 1.0
+    coeffs, low, r, s1, s3, s5, prod = [], 0, 0j, 0, 0, 0, 1.0
     eta = (math.pi * k / 6.0, 0j)
     lam = math.pi / abs(k) if k else math.inf
     if len(reduced) == 2:
@@ -252,6 +249,7 @@ def _context(
                 break
             a = rn / (1.0 - rn)
             coeffs.append(a)
+            low += n2 * qn * qn >= _ROUNDOFF
             s1 += n * a
             s3 += n3 * a
             s5 += n5 * a
@@ -262,12 +260,17 @@ def _context(
         if invariants is None:
             try:
                 g2, g3 = 4.0 / 3.0 * k**4 * (1.0 + 240.0 * s3), 8.0 / 27.0 * k**6 * (1.0 - 504.0 * s5)
-                invariants = Invariants(g2, g3, (2.0 * k) ** 12 * r * prod**24)
-            except OverflowError as exc:
-                raise FloatOverflow(f"the invariants of the lattice on {b1} exceed the float range") from exc
+                disc = (2.0 * k) ** 12 * r * prod**24
+            except OverflowError:
+                disc = math.inf
+            # a complex power past the float range raises, or comes out nan
+            if not cmath.isfinite(disc):
+                raise FloatOverflow(f"the invariants of the lattice on {b1} exceed the float range")
+            invariants = Invariants(g2, g3, disc)
     if pole_tol is None:
         pole_tol = 1e-3 * lam if math.isfinite(lam) else 0.0
-    return EllipticContext(invariants, periods, pole_tol, reduced, lam, k, tuple(coeffs), eta)
+    series = _Series(coeffs, low, r, k, eta[0])
+    return EllipticContext(invariants, periods, pole_tol, reduced, lam, k, tuple(coeffs), eta, series)
 
 
 def from_periods(omega1: complex, omega2: complex, *, pole_tol: float | None = None) -> EllipticContext:
@@ -391,20 +394,33 @@ def _point(ctx: EllipticContext, z):
     limit: k = 1, iu = 0, e = 1, d = 2i z0 (cot = 1/z0, 1/sin^2 = 1/z0^2,
     sin = z0), and no series terms. `near` holds within the pole tolerance of
     a lattice point and where d^3 underflows to zero; a number there raises
-    PoleProximity at once, before anything divides by d. The rounding and
-    e, d are where a number and an array part: `round` and `_exp_expm1` for
-    a number, numpy's elementwise functions for an array.
+    PoleProximity at once, before anything divides by d. A coordinate that
+    is not below 2^52 fixes no point of the cell: a number raises
+    FloatOverflow, and an array rounds it to nan (`_cell_round`), so every
+    value there is nan. The rounding and e, d are where a number and an
+    array part: `round` and `_exp_expm1` for a number, numpy's elementwise
+    functions for an array.
     """
     batch = isinstance(z, np.ndarray)
     z0, m, n = z, 0, 0
     if len(ctx.reduced) == 2:
         b1, b2 = ctx.reduced
         s, t = _lattice_coords(z, b1, b2)
-        m, n = (s.round(), t.round()) if batch else (round(s), round(t))
+        if batch:
+            m, n = _cell_round(s), _cell_round(t)
+        elif -(2.0**52) < s < 2.0**52 and -(2.0**52) < t < 2.0**52:
+            m, n = round(s), round(t)
+        else:
+            raise FloatOverflow(f"{z} {_NO_POINT}")
         z0 = z - m * b1 - n * b2
     elif ctx.reduced:  # rank one: the coordinate along pi/k
         m = (z / ctx.reduced[0]).real
-        m = m.round() if batch else round(m)
+        if batch:
+            m = _cell_round(m)
+        elif -(2.0**52) < m < 2.0**52:
+            m = round(m)
+        else:
+            raise FloatOverflow(f"{z} {_NO_POINT}")
         z0 = z - m * ctx.reduced[0]
     if not ctx.k:
         k, sign, iu2, e, d = 1.0, 1.0, 0j, 1.0 + 0j, 2j * z0
@@ -422,6 +438,15 @@ def _point(ctx: EllipticContext, z):
     if near is True:
         raise PoleProximity(z)
     return z0, m, n, k, sign, iu2, e, d, near
+
+
+# past 2^52 a lattice coordinate holds no fraction (`_point`)
+_NO_POINT = "fixes no point of the cell: a lattice coordinate is not below 2^52"
+
+
+def _cell_round(x: np.ndarray) -> np.ndarray:
+    """x rounded to integers, nan where |x| is not below 2^52: there x holds no fraction, and z no point of the cell."""
+    return np.where(abs(x) < 2.0**52, x.round(), np.nan)
 
 
 def _exp_expm1(x: complex) -> tuple[complex, complex]:
@@ -447,29 +472,16 @@ def _horner(rows: tuple, e) -> list:
     """(P(e), P(1/e)) for each polynomial P(x) = sum_n c_n x^n of rows, a number or elementwise.
 
     rows holds the runs of each polynomial (`_Series`): P(1/e) takes both,
-    P(e) the second alone, since |e| <= 1. Horner's rule, two steps per
-    term: an array runs the first run on 1/e and the second on e and 1/e as
-    one flat array, never in place (numpy's in-place complex product rounds
-    otherwise in a batch than alone), a number in Python arithmetic.
-    |e| >= |q| after rounding, so 1/e stays finite wherever a series has a
-    term, and Horner's partial sums stay below the terms. Without terms
-    both sums are 0j.
+    P(e) the second alone, since |e| <= 1. Horner's rule, one body for both:
+    Python arithmetic for a number, numpy's elementwise for an array, never
+    in place (numpy's in-place complex product rounds otherwise in a batch
+    than alone). |e| >= |q| after rounding, so 1/e stays finite wherever a
+    series has a term, and Horner's partial sums stay below the terms.
+    Without terms both sums are 0j, and nothing divides by e, which
+    underflows to 0 on very tall lattices.
     """
     if not (rows[0][0] or rows[0][1]):
         return [(0j, 0j)] * len(rows)
-    if isinstance(e, np.ndarray):
-        flat = e.ravel()
-        ei = 1.0 / flat
-        x, sums = np.concatenate((flat, ei)), []
-        for top, low in rows:
-            t = 0
-            for c in top:
-                t = (t + c) * ei
-            s = np.concatenate((np.zeros_like(flat), t)) if top else 0
-            for c in low:
-                s = (s + c) * x
-            sums.append((s[: flat.size].reshape(e.shape), s[flat.size :].reshape(e.shape)))
-        return sums
     ei, sums = 1.0 / e, []
     for top, low in rows:
         s = t = 0j
@@ -558,9 +570,12 @@ def sigma(ctx: EllipticContext, z):
     lam = m b1 + n b2 and H = 2 m eta1 + 2 n eta2; the exponent and
     log|sigma(z0)| are added before anything is exponentiated, and the
     parity sign is applied exactly, so sigma(-z) = -sigma(z) bit for bit.
-    Elementwise on an array, which raises FloatOverflow if any value does.
+    Elementwise on an array, which raises FloatOverflow if any value does,
+    or if any point fixes no point of the cell (see `_point`).
     """
     z0, m, n, k, sign, iu2, e, d, _ = _point(ctx, z)
+    if np.isnan(z0).any():
+        raise FloatOverflow(f"z {_NO_POINT}")
     # sin u = e^(-iu) d/(2i): the factor e^(-iu) joins the exponent; S is
     # even in e, so u and v share it
     s0, runs = ctx.series.theta1

@@ -35,7 +35,7 @@ and `evaluate` keeps a polynomial's exponent matrix and coefficient vector
 on the polynomial. Every other result is computed on every call. Sums and
 products hand over the dict they fill; zeros are dropped and integral
 Fractions turned into ints only where coefficients meet or a Fraction
-occurs, and the exponent guard is read only past total degree 255.
+occurs.
 """
 
 from __future__ import annotations
@@ -100,11 +100,11 @@ def _new(terms: dict) -> "DiffPolynomial":
 def _poly(terms: dict, cancel: bool = True) -> "DiffPolynomial":
     """Canonical form of freshly accumulated terms, in their order.
 
-    No exponent may pass _EXP, which needs a total degree past it first.
+    No exponent may pass _EXP: a guard bit set raises ExponentOverflow.
     With cancel, zero coefficients are dropped; integral Fractions become
     ints where a Fraction occurs at all.
     """
-    if terms and max(terms) >> _DEG > _EXP and reduce(or_, terms) & _GUARD:
+    if terms and reduce(or_, terms) & _GUARD:
         raise ExponentOverflow(f"an exponent passes {_EXP}")
     if cancel and 0 in terms.values():
         terms = {m: q for m, q in terms.items() if q}
@@ -209,14 +209,9 @@ class DiffPolynomial:
 
     def __mul__(self, other):
         if not isinstance(other, DiffPolynomial):
-            if not isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+            if other is None:
                 return NotImplemented
-            q2 = _scalar(other)
-            if q2 == 1 or not self._terms:
-                return self
-            if not q2:
-                return _new({})
-            return _poly({m1: q1 * q2 for m1, q1 in self._terms.items()}, cancel=False)
         big, small = self, other
         if len(big._terms) < len(small._terms):
             big, small = small, big

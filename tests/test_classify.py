@@ -81,6 +81,29 @@ class TestEstimateJets:
         assert x.tolist() == list(xs[half:-half]) and w.tolist() == list(ws[half:-half])
         assert dw.tolist() == want
 
+    @pytest.mark.parametrize("scale", [1e306, 1e307])
+    def test_silent_at_every_amplitude(self, scale):
+        # the order-4 stencil's sums reach 18 max|w|: the pe samples times 1e307
+        # passed the float range in 8 w (warnings are errors here)
+        _, dw1 = _scaled_wp_pairs(1.0)
+        _, dw = _scaled_wp_pairs(scale)
+        assert np.abs(dw - scale * dw1).max() <= 1e-12 * np.abs(scale * dw1).max()
+
+    @pytest.mark.parametrize("scale", [1.5e307, 4e307])
+    def test_w_prime_beyond_the_float_range_is_inf(self, scale):
+        # max|w| is 4.1 and |w'| 9 to 14 on these samples: inf in the component that
+        # passes the float range, no nan, and no warning
+        _, dw = _scaled_wp_pairs(scale)
+        assert np.isinf(dw.real).any() and not np.isnan(dw).any()
+
+    @pytest.mark.parametrize("power", [0, 1000, 1018, 1019, 1020])
+    def test_powers_of_two_scale_w_prime_exactly(self, power):
+        # bit for bit: the stencil divides w by a power of two only where its sums
+        # could leave the float range, and multiplies w' back
+        w1, dw1 = _scaled_wp_pairs(1.0)
+        w, dw = _scaled_wp_pairs(2.0**power)
+        assert w.tolist() == (w1 * 2.0**power).tolist() and dw.tolist() == (dw1 * 2.0**power).tolist()
+
     def test_non_uniform_grid_rejected(self):
         s = cl.SampleSet((0.0, 0.1, 0.25, 0.3, 0.4), (0.0,) * 5)
         with pytest.raises(GridNotUniform):

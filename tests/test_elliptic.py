@@ -77,10 +77,18 @@ class TestConstruction:
         with pytest.raises(DegenerateLattice):
             el.from_periods(1.0, 0.0)
 
-    @pytest.mark.parametrize("s", [1e-26, 1e-27, 1e-30])
+    @pytest.mark.parametrize("s", [1e-26, 1e-27, 1e-30, 1e-160, 1e-300])
     @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j])
     def test_invariants_beyond_the_float_range_are_typed(self, s, tau):
-        # (2k)^12 of the discriminant passes 1e308 for k = pi/|omega| above about 3e25
+        # (2k)^12 of the discriminant passes 1e308 for k = pi/|omega| above about 3e25;
+        # past about 1e77 a complex power comes out nan rather than raise
+        with pytest.raises(FloatOverflow):
+            el.from_periods(s, s * tau)
+
+    @pytest.mark.parametrize("s", [1e155, 1e200, 1e308])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j])
+    def test_periods_at_the_top_of_the_float_range_are_typed(self, s, tau):
+        # the Gauss reduction squares |b1|
         with pytest.raises(FloatOverflow):
             el.from_periods(s, s * tau)
 
@@ -484,6 +492,50 @@ class TestArrayEntryPoints:
         empty = np.empty(0, complex)
         assert el.zeta(square_ctx, empty).shape == el.sigma(square_ctx, empty).shape == (0,)
         assert el.lattice_distance(square_ctx, empty).shape == (0,)
+
+
+# per context, points with a lattice coordinate that is at least 2^52 or not
+# finite: on (2, 2i) 5e307, 5e299 and 2^52 (2^53 + 0.3 rounds to 2^53); on the
+# rank-one lattice pi/k = 2.57, where 2^53 + 0.3 lies below 2^52 lattice steps
+_INF, _NAN = complex(math.inf, 0.0), complex(math.nan, 0.0)
+_FAR = {
+    "square": (el.from_periods(2.0, 2.0j), [1e308, 1e300, 2.0**53 + 0.3, 1e308 - 1e308j, _INF, _NAN]),
+    "rank-1": (el.from_invariants(3.0, 1.0), [1e308, 1e300, 2.0**54, 1e308 - 1e308j, _INF, _NAN]),
+}
+
+
+class TestFloatTop:
+    """Past 2^52 a lattice coordinate holds no fraction, so z fixes no point of the cell."""
+
+    @pytest.mark.parametrize("name, z", [(name, z) for name, (_, zs) in _FAR.items() for z in zs])
+    @pytest.mark.parametrize(
+        "fn", [el.wp, el.wp_prime, el.zeta, el.sigma, lambda ctx, z: el.jets(ctx, z, 3)],
+        ids=["wp", "wp_prime", "zeta", "sigma", "jets"],
+    )
+    def test_a_number_raises_float_overflow(self, fn, name, z):
+        with pytest.raises(FloatOverflow, match="fixes no point of the cell"):
+            fn(_FAR[name][0], z)
+
+    @pytest.mark.parametrize("name", _FAR)
+    def test_an_array_holds_nan_there(self, name):
+        ctx, far = _FAR[name]
+        z = np.array([0.3 + 0.2j, *far])
+        for got in (el.wp(ctx, z), el.wp_prime(ctx, z), el.zeta(ctx, z), *el.jets(ctx, z, 3)):
+            assert np.isfinite(got[0]) and np.isnan(got[1:]).all()
+
+    def test_sigma_of_an_array_raises_as_it_does_beyond_the_float_range(self, square_ctx):
+        with pytest.raises(FloatOverflow, match="fixes no point of the cell"):
+            el.sigma(square_ctx, np.array([0.3 + 0.2j, 1e300]))
+
+    @pytest.mark.parametrize(
+        "z, z0", [(2.0**53 - 2.0 + 0.5j, 0.5j), (2.0**52 + 1.0 + 0.5j, 1.0 + 0.5j)], ids=["2^52-1", "2^51+1/2"]
+    )
+    def test_a_coordinate_below_2_52_still_fixes_its_point(self, square_ctx, z, z0):
+        # z - m b1 is exact, so pe and pe' are their values at z0 bit for bit, for a
+        # number and for an array
+        for fn in (el.wp, el.wp_prime):
+            assert fn(square_ctx, z) == fn(square_ctx, z0)
+            assert fn(square_ctx, np.array([z])) == fn(square_ctx, np.array([z0]))
 
 
 def _sample_points(ctx):
