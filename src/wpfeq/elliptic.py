@@ -36,7 +36,8 @@ and the poles, where a number raises PoleProximity (in `_point` next to a
 lattice point, in `_pole_edge` where a value overflows) and an array holds
 nan. Past 2^52 a lattice coordinate holds no fraction, so z fixes no point
 of the cell: a number raises FloatOverflow there, and an array holds nan
-(sigma's raises, as it does beyond the float range). `sigma` and
+(sigma's raises, as it does beyond the float range); the lattice queries
+keep the same rule (`lattice_offset`, `lattice_distance`). `sigma` and
 `lattice_distance` take a number as an array of one. The reference for
 both is a theta oracle at 30 digits (`ThetaOracle` in tests/oracles.py,
 and perfbench/oracle.py).
@@ -396,7 +397,7 @@ def _point(ctx: EllipticContext, z):
     a lattice point and where d^3 underflows to zero; a number there raises
     PoleProximity at once, before anything divides by d. A coordinate that
     is not below 2^52 fixes no point of the cell: a number raises
-    FloatOverflow, and an array rounds it to nan (`_cell_round`), so every
+    FloatOverflow, and an array rounds it to nan (`_rounding`), so every
     value there is nan. The rounding and e, d are where a number and an
     array part: `round` and `_exp_expm1` for a number, numpy's elementwise
     functions for an array.
@@ -407,7 +408,8 @@ def _point(ctx: EllipticContext, z):
         b1, b2 = ctx.reduced
         s, t = _lattice_coords(z, b1, b2)
         if batch:
-            m, n = _cell_round(s), _cell_round(t)
+            rounding = _rounding(ctx, z)
+            m, n = rounding(s), rounding(t)
         elif -(2.0**52) < s < 2.0**52 and -(2.0**52) < t < 2.0**52:
             m, n = round(s), round(t)
         else:
@@ -416,7 +418,7 @@ def _point(ctx: EllipticContext, z):
     elif ctx.reduced:  # rank one: the coordinate along pi/k
         m = (z / ctx.reduced[0]).real
         if batch:
-            m = _cell_round(m)
+            m = _rounding(ctx, z)(m)
         elif -(2.0**52) < m < 2.0**52:
             m = round(m)
         else:
@@ -443,10 +445,25 @@ def _point(ctx: EllipticContext, z):
 # past 2^52 a lattice coordinate holds no fraction (`_point`)
 _NO_POINT = "fixes no point of the cell: a lattice coordinate is not below 2^52"
 
+# below this many lambda_min, |z| bounds every lattice coordinate within the rank below 2^52 (`_rounding`)
+_CELL_SCREEN = 0.8 * 2.0**52
+
 
 def _cell_round(x: np.ndarray) -> np.ndarray:
     """x rounded to integers, nan where |x| is not below 2^52: there x holds no fraction, and z no point of the cell."""
     return np.where(abs(x) < 2.0**52, x.round(), np.nan)
+
+
+def _rounding(ctx: EllipticContext, z: np.ndarray):
+    """How the array z rounds its lattice coordinates within the rank: plainly below the screen, else by `_cell_round`.
+
+    On a Gauss-reduced basis |s|, |t| <= 2|z|/(sqrt(3) lambda_min) (see
+    `_ROUNDING_EXACT`), and at rank one |s| <= |z|/lambda_min, so below
+    max |z| = `_CELL_SCREEN` lambda_min no such coordinate reaches 2^52 and
+    one abs-max replaces the test per coordinate. A nan in z fails the
+    screen.
+    """
+    return np.ndarray.round if np.abs(z).max(initial=0.0) < _CELL_SCREEN * ctx.lambda_min else _cell_round
 
 
 def _exp_expm1(x: complex) -> tuple[complex, complex]:
@@ -632,13 +649,19 @@ def lattice_coordinates(ctx: EllipticContext, z: complex) -> tuple[float, float]
 
 
 def lattice_offset(ctx: EllipticContext, z: complex) -> float:
-    """Largest distance of a lattice coordinate of z from an integer, or length of those beyond the rank."""
+    """Largest distance of a lattice coordinate of z from an integer, or length of those beyond the rank.
+
+    A coordinate within the rank that is not below 2^52 holds no fraction,
+    so z fixes no point of the cell: FloatOverflow, as in `_point`.
+    """
     coords, rank = lattice_coordinates(ctx, z), len(ctx.reduced)
+    if not all(-(2.0**52) < c < 2.0**52 for c in coords[:rank]):
+        raise FloatOverflow(f"{complex(z)} {_NO_POINT}")
     return max([abs(c - round(c)) for c in coords[:rank]] + [math.hypot(*coords[rank:])])
 
 
 def is_lattice_point(ctx: EllipticContext, z: complex) -> bool:
-    """True when z is a lattice point within LATTICE_TOL (`lattice_offset`)."""
+    """True when z is a lattice point within LATTICE_TOL (`lattice_offset`, which raises FloatOverflow past 2^52)."""
     return lattice_offset(ctx, z) <= LATTICE_TOL
 
 
@@ -659,11 +682,14 @@ def lattice_distance(ctx: EllipticContext, z):
 
     The nearest point is one of the 3x3 about the rounded coordinates of z
     in `_frame` of the reduced basis, with the generators beyond the rank 0.
+    nan where z fixes no point of the cell (`_rounding`); a coordinate beyond
+    the rank is unbounded.
     """
+    rank, rounding = len(ctx.reduced), _rounding(ctx, z)
     b1, b2 = (*ctx.reduced, 0j, 0j)[:2]
     s, t = _lattice_coords(z, *_frame(ctx.reduced))
-    m = s.round()[..., None] + _NEAR_DM
-    n = t.round()[..., None] + _NEAR_DN
+    m = (rounding(s) if rank else s.round())[..., None] + _NEAR_DM
+    n = (rounding(t) if rank == 2 else t.round())[..., None] + _NEAR_DN
     return np.abs(z[..., None] - m * b1 - n * b2).min(axis=-1)
 
 
@@ -674,10 +700,12 @@ def clear_of_lattice(ctx: EllipticContext, z, radius: float):
     At rank two with radius below `_ROUNDING_EXACT` lambda_min, a lattice
     point within the radius of z is the one its rounded coordinates name,
     and `lattice_distance` takes that candidate's distance by the same
-    arithmetic; elsewhere this asks `lattice_distance`.
+    arithmetic; elsewhere this asks `lattice_distance`. A z that fixes no
+    point of the cell is not clear, as its distance is nan.
     """
     if len(ctx.reduced) != 2 or not radius < _ROUNDING_EXACT * ctx.lambda_min:
         return lattice_distance(ctx, z) > radius
     b1, b2 = ctx.reduced
     s, t = _lattice_coords(z, b1, b2)
-    return np.abs(z - s.round() * b1 - t.round() * b2) > radius
+    rounding = _rounding(ctx, z)
+    return np.abs(z - rounding(s) * b1 - rounding(t) * b2) > radius

@@ -29,7 +29,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -223,7 +223,10 @@ _POLE, _GUARD = 1, 2
 
 def _pole_faults(*values: np.ndarray) -> np.ndarray:
     """Elementwise _POLE where any of the families' values is nan, else 0."""
-    return np.where(np.logical_or.reduce([np.isnan(v) for v in values]), _POLE, 0)
+    nan = np.isnan(values[0])
+    for v in values[1:]:
+        nan |= np.isnan(v)
+    return np.where(nan, _POLE, 0)
 
 
 def _draws(seed: int, count: int, draw, admit, budget: int, rounds: int | None = None) -> np.ndarray:
@@ -291,34 +294,54 @@ class TripleSampler:
             return 1e-6
         return max(ctx.pole_tol, 0.03 * ctx.lambda_min)
 
-    def admissible(self, families: Sequence[FunctionFamily], points: np.ndarray) -> np.ndarray:
-        """Rows of the (n, len(families)) points where point j + shift lies beyond the pole radius of family j.
+    def _admission(self, families: Sequence[FunctionFamily]):
+        """admit(points): the rows of the (n, len(families)) points where each point j + shift clears family j's poles.
 
-        One `elliptic.clear_of_lattice` call per context object; a family without one admits everything.
+        Worked out once per call of a sampler: one `elliptic.clear_of_lattice`
+        call per context object, on the columns of its families (a slice, not
+        a copy, where one context covers them all) plus their shifts as an
+        array. A family without a context admits everything.
         """
         groups: dict = {}
         for j, fam in enumerate(families):
             ctx = getattr(fam, "ctx", None)
             if ctx is not None:
                 groups.setdefault(id(ctx), (ctx, []))[1].append(j)
-        ok = np.ones(len(points), bool)
-        for ctx, cols in groups.values():
-            shifted = points[:, cols] + [families[j].shift for j in cols]
-            ok &= elliptic.clear_of_lattice(ctx, shifted, self.effective_pole_radius(ctx)).all(axis=1)
-        return ok
+        tests = [
+            (
+                ctx,
+                slice(None) if len(cols) == len(families) else cols,
+                np.array([families[j].shift for j in cols]),
+                self.effective_pole_radius(ctx),
+            )
+            for ctx, cols in groups.values()
+        ]
+
+        def admit(points: np.ndarray) -> np.ndarray:
+            clear = [
+                elliptic.clear_of_lattice(ctx, points[:, cols] + shifts, radius).all(axis=1)
+                for ctx, cols, shifts, radius in tests
+            ]
+            return reduce(np.logical_and, clear) if clear else np.ones(len(points), bool)
+
+        return admit
 
     def triples(self, families: Sequence[FunctionFamily]):
         """Yield `count` admissible (x, y, z); raises SamplerExhausted."""
         ctx = next((fam.ctx for fam in families if isinstance(fam, WeierstrassShifted)), None)
+        admit = self._admission(families)
 
         def draw(rng, n):
-            points = self._points(rng, n, 3 if self.unconstrained else 2, ctx)
             if self.unconstrained:
-                return points
-            return np.column_stack((points, -(points[:, 0] + points[:, 1])))
+                return self._points(rng, n, 3, ctx)
+            block = np.empty((n, 3), complex)
+            block[:, :2] = self._points(rng, n, 2, ctx)
+            np.negative(block[:, 0] + block[:, 1], out=block[:, 2])
+            return block
 
-        drawn = _draws(self.seed, self.count, draw, lambda _, points: self.admissible(families, points), 100 * self.count)
-        yield from map(tuple, drawn.tolist())
+        drawn = _draws(self.seed, self.count, draw, lambda _, points: admit(points), 100 * self.count)
+        # tuples from the columns' lists: one list per column, not one per row
+        yield from zip(*drawn.T.tolist())
 
 
 # -- reports ------------------------------------------------------------------------
@@ -350,15 +373,22 @@ def _report(points: np.ndarray, residuals: np.ndarray, faults: np.ndarray, tol: 
     `details` by their `_SKIPS` name. Of the rest, the worst is the first
     non-finite residual, else the first largest.
     """
-    kept = faults == 0
-    r = residuals[kept].tolist()
+    faulted = faults.any()
+    r = (residuals[faults == 0] if faulted else residuals).tolist()
     if not r:
         raise SamplerExhausted("no admissible triples survived evaluation")
-    counts = np.bincount(faults, minlength=len(_SKIPS)).tolist()
     details = {"skipped": len(faults) - len(r)}
-    details.update((f"skipped_{why}", n) for why, n in sorted(zip(_SKIPS[1:], counts[1:])) if n)
-    # skipped rows rank below every kept one, a non-finite kept residual above
-    worst = int(np.argmax(np.where(kept, np.where(np.isfinite(residuals), residuals, np.inf), -np.inf)))
+    if faulted:
+        counts = np.bincount(faults, minlength=len(_SKIPS)).tolist()
+        details.update((f"skipped_{why}", n) for why, n in sorted(zip(_SKIPS[1:], counts[1:])) if n)
+        # skipped rows rank below every kept one, a non-finite kept residual above
+        worst = int(np.argmax(np.where(faults == 0, np.where(np.isfinite(residuals), residuals, np.inf), -np.inf)))
+    else:
+        # argmax names the first largest residual (none is negative) or the
+        # first nan; where it names a nan or inf, the first of those is the worst
+        worst = int(np.argmax(residuals))
+        if not math.isfinite(residuals[worst]):
+            worst = int(np.argmax(~np.isfinite(residuals)))
     mx = float(residuals[worst])
     return ResidualReport(
         samples=len(r),
@@ -419,9 +449,11 @@ def grid_scan(
     if poles.size:
         raise SamplerExhausted(f"grid point {poles[0]} at x = {xs[poles[0]]} is a pole of the family")
 
+    admit_rows = sampler._admission((fam,) * 3)
+
     def admit(index, y):
         x = xs[index]
-        return sampler.admissible((fam,) * 3, np.column_stack((x, y, -(x + y))))
+        return admit_rows(np.column_stack((x, y, -(x + y))))
 
     def draw(rng, n):
         return sampler._points(rng, n, 1, ctx)[:, 0]
@@ -525,7 +557,7 @@ def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, t
     def admit(_, abc):
         a, b, c = abc.T
         probes = np.stack((a, b, c, a - b, b - c, c - a, a + b + c))
-        return ~(elliptic.lattice_distance(ctx, probes) <= pole).any(axis=0)
+        return elliptic.clear_of_lattice(ctx, probes, pole).all(axis=0)
 
     drawn = _draws(seed, count, draw, admit, 200 * count)
     residuals, faults = _score(lambda a, b, c: _det_vs_sigma(ctx, a, b, c), *drawn.T)

@@ -436,6 +436,14 @@ def test_non_finite_flag_is_a_configuration_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma", ["1e300", "1e308"])
+def test_a_shift_sum_past_2_52_fixes_no_point_of_the_cell(gamma, capsys):
+    # the shift sum's lattice coordinate holds no fraction: neither a lattice point nor a miss
+    assert run(["verify", "theorem2", "--periods", "2,0,0,2", "--gammas", f"{gamma},0,0,0,0,0", "--n", "20"]) == 65
+    err = capsys.readouterr().err
+    assert "fixes no point of the cell" in err and "internal error" not in err
+
+
 class TestParser:
     # each verb's option strings: a shared flag group must add none to a verb
     OPTIONS = {

@@ -538,6 +538,68 @@ class TestFloatTop:
             assert fn(square_ctx, np.array([z])) == fn(square_ctx, np.array([z0]))
 
 
+def _clear_radii(ctx):
+    # one radius where the rounded lattice point decides, one where the 3x3 search does
+    return (0.1, 0.4 * ctx.lambda_min)
+
+
+class TestLatticeQueriesAtTheFloatTop:
+    """The lattice queries keep the evaluators' rule: past 2^52 z fixes no point of the cell."""
+
+    @pytest.mark.parametrize("name, z", [(name, z) for name, (_, zs) in _FAR.items() for z in zs])
+    def test_a_number_is_no_lattice_point_and_has_no_distance(self, name, z):
+        ctx = _FAR[name][0]
+        for fn in (el.lattice_offset, el.is_lattice_point):
+            with pytest.raises(FloatOverflow, match="fixes no point of the cell"):
+                fn(ctx, z)
+        assert math.isnan(el.lattice_distance(ctx, z))
+        for radius in _clear_radii(ctx):
+            assert el.clear_of_lattice(ctx, z, radius) is False
+
+    @pytest.mark.parametrize("name", _FAR)
+    def test_an_array_holds_nan_and_is_not_clear(self, name):
+        ctx, far = _FAR[name]
+        z = np.array([0.5 * (1 + 1j) * el._frame(ctx.reduced)[0], *far])
+        dist = el.lattice_distance(ctx, z)
+        assert np.isfinite(dist[0]) and np.isnan(dist[1:]).all()
+        for radius in _clear_radii(ctx):
+            assert el.clear_of_lattice(ctx, z, radius).tolist() == [True] + [False] * len(far)
+
+    def test_only_coordinates_within_the_rank_count(self):
+        # across the line of a rank-one lattice, and anywhere at rank zero, a coordinate is unbounded
+        rank_one, rank_zero = _FAR["rank-1"][0], el.from_invariants(0.0, 0.0)
+        (w,) = rank_one.reduced
+        for ctx, z in ((rank_one, 1e300j * w), (rank_zero, 1e300 + 0j), (rank_zero, 1e308 - 1e308j)):
+            assert el.lattice_offset(ctx, z) == pytest.approx(abs(z) / abs(el._frame(ctx.reduced)[0]), rel=1e-15)
+            assert not el.is_lattice_point(ctx, z)
+            assert el.lattice_distance(ctx, z) == pytest.approx(abs(z), rel=1e-15)
+            assert el.clear_of_lattice(ctx, np.array([z]), 0.1).tolist() == [True]
+
+    def test_a_coordinate_below_2_52_still_fixes_its_point(self, square_ctx):
+        # z has the lattice coordinates (2^52 - 1, 1/4) on (2, 2i)
+        z = 2.0**53 - 2.0 + 0.5j
+        assert el.lattice_offset(square_ctx, z) == 0.25 and el.is_lattice_point(square_ctx, 2.0**53 - 2.0)
+        assert el.lattice_distance(square_ctx, z) == 0.5
+        assert el.clear_of_lattice(square_ctx, z, 0.4) and not el.clear_of_lattice(square_ctx, z, 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        re_tau=st.floats(-0.5, 0.5),
+        lift=st.floats(0.0, 3.0),
+        angle=st.floats(0.0, 2 * math.pi),
+        scale=st.integers(-60, 60),
+    )
+    def test_below_the_screen_every_coordinate_is_below_2_52(self, re_tau, lift, angle, scale):
+        # the screen on max |z| that lets an array skip the 2^52 test: on a
+        # Gauss-reduced basis |s|, |t| <= 2|z|/(sqrt(3) lambda_min); the
+        # hexagonal corner (re_tau = +-1/2, lift = 0) is where that is tight
+        tau = complex(re_tau, math.sqrt(1.0 - re_tau * re_tau) + lift)
+        ctx = el.from_periods(2.0**scale, 2.0**scale * tau)
+        z = math.nextafter(el._CELL_SCREEN * ctx.lambda_min, 0.0) * cmath.exp(1j * angle)
+        s, t = el._lattice_coords(z, *ctx.reduced)
+        assert abs(s) < 2.0**52 and abs(t) < 2.0**52
+
+
 def _sample_points(ctx):
     """Points over +-1.3 cells with four lattice points, or a box about the origin and its poles."""
     rng = np.random.default_rng(14)

@@ -342,6 +342,170 @@ class TestSampling:
             vr.constant_case_check(vr.Exponential(delta=800), vr.Exponential(), sampler)
 
 
+# -- the draws against the sampling rule written out ---------------------------------
+
+
+def _reference_draws(seed, count, draw, admit):
+    """Sample i: row i of the first round k's block, draw(default_rng((seed, k)), n), that admit(i, row) passes."""
+    drawn, pending, k = [None] * count, list(range(count)), 0
+    while pending:
+        block = draw(np.random.default_rng((seed, k)), pending[-1] + 1)
+        for i in pending:
+            if admit(i, block[i]):
+                drawn[i] = block[i]
+        pending, k = [i for i in pending if drawn[i] is None], k + 1
+    return drawn
+
+
+def _clear_by_distance(families, radius):
+    """admit(i, row): each point j + shift beyond radius(ctx) of family j's context, one `lattice_distance` per context."""
+    groups = {}
+    for j, fam in enumerate(families):
+        if getattr(fam, "ctx", None) is not None:
+            groups.setdefault(id(fam.ctx), (fam.ctx, []))[1].append(j)
+
+    def admit(_, row):
+        return all(
+            (el.lattice_distance(ctx, np.array([row[j] + families[j].shift for j in cols])) > radius(ctx)).all()
+            for ctx, cols in groups.values()
+        )
+
+    return admit
+
+
+def _reference_points(sampler, rng, n, width, ctx):
+    """n rows of width points: lattice fractions on [margin, 1 - margin]^2 at rank two, else (re, im) on the box."""
+    if ctx is not None and len(ctx.reduced) == 2:
+        st_ = rng.uniform(sampler.margin, 1.0 - sampler.margin, (n, width, 2))
+        return el.lattice_point(ctx, st_[..., 0], st_[..., 1]).tolist()
+    return rng.uniform(-sampler.box, sampler.box, (n, width, 2)).view(complex)[..., 0].tolist()
+
+
+def _reference_triples(sampler, families):
+    ctx = next((fam.ctx for fam in families if isinstance(fam, vr.WeierstrassShifted)), None)
+
+    def draw(rng, n):
+        rows = _reference_points(sampler, rng, n, 3 if sampler.unconstrained else 2, ctx)
+        return [tuple(row) if sampler.unconstrained else (*row, -(row[0] + row[1])) for row in rows]
+
+    admit = _clear_by_distance(families, sampler.effective_pole_radius)
+    return _reference_draws(sampler.seed, sampler.count, draw, admit)
+
+
+_SQUARE, _HEXAGONAL = el.from_periods(2.0, 2.0j), el.from_periods(2.0, 2.0 * cmath.exp(1j * math.pi / 3))
+_WS = vr.WeierstrassShifted
+# (families, unconstrained)
+_SAMPLER_CASES = {
+    "one family three times": ((_WS(_SQUARE, 0.3j),) * 3, False),
+    "three shifts on one context": ([_WS(_SQUARE, s) for s in (0j, 0.3, 0.2j)], False),
+    "two contexts and an exponential": ([_WS(_SQUARE, 0.1), _WS(_HEXAGONAL), vr.Exponential()], False),
+    "unconstrained": ([_WS(_SQUARE), _WS(_SQUARE, 0.5 + 0.5j), _WS(_HEXAGONAL)], True),
+    "rank one": ((_WS(el.from_invariants(3.0, 1.0), 0.2),) * 3, False),
+    "rank zero": ((_WS(el.from_invariants(0.0, 0.0)),) * 3, False),
+}
+
+
+def _reference_sigma_draws(ctx, count, seed):
+    pole = max(ctx.pole_tol, 0.04 * ctx.lambda_min)
+
+    def draw(rng, n):
+        st_ = rng.uniform(-0.35, 0.35, (n, 3, 2))
+        return el.lattice_point(ctx, st_[..., 0], st_[..., 1]).tolist()
+
+    def admit(_, abc):
+        a, b, c = abc
+        return not (el.lattice_distance(ctx, np.array([a, b, c, a - b, b - c, c - a, a + b + c])) <= pole).any()
+
+    return _reference_draws(seed, count, draw, admit)
+
+
+class TestDrawsDoNotMove:
+    """The samplers against their rule written out, bit for bit: round k draws from default_rng((seed, k))."""
+
+    @pytest.mark.parametrize("radius", [None, 0.3, 0.9], ids=["default", "rounded-point", "3x3-search"])
+    @pytest.mark.parametrize("case", _SAMPLER_CASES)
+    def test_triples(self, case, radius, monkeypatch):
+        # with lambda_min = 2, a radius of 0.3 is decided by the rounded lattice
+        # point and 0.9 by the 3x3 search; both force redraws
+        families, unconstrained = _SAMPLER_CASES[case]
+        if radius is not None:
+            _pole_radius(monkeypatch, radius)
+        sampler = vr.TripleSampler(seed=11, count=40, unconstrained=unconstrained)
+        assert list(sampler.triples(families)) == _reference_triples(sampler, families)
+
+    @pytest.mark.parametrize("name", ["square_ctx", "generic_ctx", "normal_form_ctx"])
+    def test_grid_scan_rows(self, name, request, monkeypatch):
+        ctx = request.getfixturevalue(name)
+        fam, sampler, grid = vr.WeierstrassShifted(ctx, 0.1j), vr.TripleSampler(seed=5, margin=0.2), 6
+        # every grid point clears this radius, and about half the partners do not
+        _pole_radius(monkeypatch, 0.3)
+        rows, _ = vr.grid_scan(fam, sampler, grid, 1e-8)
+        cell = len(ctx.reduced) == 2
+        lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if cell else (-1.0, 2.0)
+        ticks = lo + width * np.arange(grid) / (grid - 1)
+        s, t = np.repeat(ticks, grid), np.tile(ticks, grid)
+        xs = (el.lattice_point(ctx, s, t) if cell else s + 1j * t).tolist()
+        clear = _clear_by_distance((fam,) * 3, sampler.effective_pole_radius)
+
+        def draw(rng, n):
+            return [row[0] for row in _reference_points(sampler, rng, n, 1, ctx)]
+
+        ys = _reference_draws(sampler.seed, len(xs), draw, lambda i, y: clear(i, (xs[i], y, -(xs[i] + y))))
+        assert [(x, y) for x, y, _ in rows] == list(zip(xs, ys))
+
+    @pytest.mark.parametrize("pole_tol", [None, 0.3, 0.32], ids=["default", "0.3", "0.32"])
+    def test_sigma_identity_scan_admits_by_the_lattice_distance_rule(self, pole_tol, batches):
+        # a pole_tol of 0.3 lambda_min and more sends clear_of_lattice to the 3x3 search
+        ctx = el.from_periods(2.0, 0.7 + 2.1j, pole_tol=None if pole_tol is None else 2.0 * pole_tol)
+        vr.sigma_identity_scan(ctx, count=30, seed=8)
+        [(points, _, _)] = batches
+        assert [tuple(row) for row in points.tolist()] == [tuple(abc) for abc in _reference_sigma_draws(ctx, 30, 8)]
+
+
+def _reference_report(points, residuals, faults, tol, note):
+    """The report rule in one path: count and skip faulted rows; the worst kept one is the first non-finite, else largest."""
+    kept = faults == 0
+    r = residuals[kept].tolist()
+    if not r:
+        raise SamplerExhausted("no admissible triples survived evaluation")
+    counts = np.bincount(faults, minlength=len(vr._SKIPS)).tolist()
+    details = {"skipped": len(faults) - len(r)}
+    details.update((f"skipped_{why}", n) for why, n in sorted(zip(vr._SKIPS[1:], counts[1:])) if n)
+    worst = int(np.argmax(np.where(kept, np.where(np.isfinite(residuals), residuals, np.inf), -np.inf)))
+    mx = float(residuals[worst])
+    return vr.ResidualReport(
+        len(r), mx, sum(r) / len(r), tuple(points[worst].tolist()), tol, mx <= tol, note, details
+    )
+
+
+class TestReportPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1e-14, 2e-14, 1e-9, 1.0, math.inf, math.nan]) | st.floats(0.0, 10.0),
+                st.sampled_from([0, 0, 0, vr._POLE, vr._GUARD]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        clean=st.booleans(),
+    )
+    def test_a_report_without_faults_is_the_general_one(self, rows, clean):
+        # ties, nan and inf residuals, with and without faulted rows; repr
+        # compares every field, floats to the last bit and nan included
+        residuals = np.array([r for r, _ in rows])
+        faults = np.array([0 if clean else f for _, f in rows])
+        points = np.arange(3 * len(rows)).reshape(-1, 3) * (1.0 + 0.5j)
+        try:
+            want = _reference_report(points, residuals, faults, 1e-8, "n")
+        except SamplerExhausted:
+            with pytest.raises(SamplerExhausted):
+                vr._report(points, residuals, faults, 1e-8, "n")
+            return
+        assert repr(vr._report(points, residuals, faults, 1e-8, "n")) == repr(want)
+
+
 class TestInvarianceClosure:
     def test_transformed_triples_still_solve(self, square_ctx):
         base = vr.WeierstrassShifted(square_ctx, 0j)
