@@ -11,7 +11,10 @@ coefficients are significant. Recovered cubic coefficients map onto the
 normal form W'^2 = 4 W^3 - g2 W - g3 through an affine substitution, which
 identifies the invariants of the underlying function up to the manifest
 scaling invariance. The shift parameter is not yet recovered from the
-samples and is not reported.
+samples and is not reported. The fits are small (five to a few dozen
+pairs, two or four coefficients), so they build their design matrix in
+place and take norms and means as the plain sums that numpy's wrappers
+take, to the same bits.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ TAU_CUB = 1e-6  # misfit of a cubic fit
 COEFF_EPS = 1e-8  # significance of a term, against the left-hand side
 SPREAD_EPS = 1e-10  # constant detection
 COND_REJECT = 1e14  # normal-equation condition above which a fit is refused
+_EPS = 2.0**-52  # the spacing of floats at 1
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,16 @@ class Classification:
 
 
 def _spread(w: np.ndarray) -> float:
-    return float(verifier.relative(np.abs(w - w.mean()).max(), np.abs(w).max()))
+    return float(verifier.relative(np.abs(w - w.sum() / len(w)).max(), np.abs(w).max()))
 
 
 def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrays x, w and w' by central differences on a uniform grid.
 
-    Provided derivatives pass straight through. Boundary points without a
+    The grid is uniform where every step is within 1e-9 |h| of the first,
+    h, plus 8 eps max|x| for the rounding of the x values themselves: a
+    grid written from x0 + i h at x0 = 1e5 is uniform. Provided
+    derivatives pass straight through. Boundary points without a
     full stencil are dropped; the truncation error is O(h^stencil_order).
     The stencil's sums reach 18 times the largest component of w. Where
     that could pass the float range, the stencil runs on w/2^E, the least
@@ -118,7 +125,9 @@ def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> tuple[np.ndarra
     if len(xs) < stencil_order + 1:
         raise TooFewPoints(f"need at least {stencil_order + 1} points for the order-{stencil_order} stencil")
     h = complex(xs[1] - xs[0])
-    if np.any(np.abs(np.diff(xs) - h) > 1e-9 * max(abs(h), 1e-300)):
+    # each x rounds by up to ulp(x)/2, so a step may differ from h by four of those
+    tol = 1e-9 * max(abs(h), 1e-300) + 8.0 * _EPS * np.abs(xs).max()
+    if np.any(np.abs(xs[1:] - xs[:-1] - h) > tol):
         raise GridNotUniform("sample grid is not uniform")
     # 18 max|w| < 2^1024 where every component is below 2^1019
     exponent = max(math.frexp(np.abs(ws.view(float)).max())[1] - 1019, 0)
@@ -142,12 +151,12 @@ def _solve_normal(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Normal-equation solve on unit-norm columns, with its condition number.
 
     Columns span scales like w^3 versus 1, so each is scaled to unit norm
-    first; the condition is that of the scaled normal matrix, which does not
+    first (the sum that np.linalg.norm takes, without its dispatch); the condition is that of the scaled normal matrix, which does not
     depend on the unit of w, from the eigenvalues of that Hermitian matrix.
     A fit above COND_REJECT raises, as does one whose normal matrix is not
     finite, where LAPACK fails or gives eigenvalues that are not finite.
     """
-    scales = np.linalg.norm(A, axis=0)
+    scales = np.sqrt(np.add.reduce((A.conj() * A).real, axis=0))
     scales[scales == 0.0] = 1.0
     Aeq = A / scales
     gram = Aeq.conj().T @ Aeq
@@ -168,13 +177,22 @@ def fit_cubic(w: np.ndarray, dw: np.ndarray) -> FitResult:
         raise DegenerateInput("w values are all one constant; nothing to fit")
     # a power past the float range is refused by `_solve_normal`, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        return _fit("cubic", np.column_stack([np.ones_like(w), w, w**2, w**3]), dw**2)
+        return _fit("cubic", _design(w, w**2, w**3), dw**2)
 
 
 def fit_linear(w: np.ndarray, dw: np.ndarray) -> FitResult:
     """Least squares for w' = l1 w + l0."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _fit("linear", np.column_stack([np.ones_like(w), w]), dw)
+        return _fit("linear", _design(w), dw)
+
+
+def _design(*columns: np.ndarray) -> np.ndarray:
+    """The design matrix: a column of ones, then the columns given."""
+    A = np.empty((len(columns[0]), len(columns) + 1), dtype=complex)
+    A[:, 0] = 1.0
+    for j, column in enumerate(columns, 1):
+        A[:, j] = column
+    return A
 
 
 def _fit(model: str, A: np.ndarray, b: np.ndarray) -> FitResult:
@@ -182,7 +200,7 @@ def _fit(model: str, A: np.ndarray, b: np.ndarray) -> FitResult:
     if len(b) <= A.shape[1]:
         raise TooFewPoints(f"{model} fit needs at least {A.shape[1] + 1} (w, w') pairs")
     coeffs, cond = _solve_normal(A, b)
-    misfit, size = (np.sqrt(np.mean(np.abs(v) ** 2)) for v in (A @ coeffs - b, b))
+    misfit, size = (np.sqrt((np.abs(v) ** 2).sum() / len(v)) for v in (A @ coeffs - b, b))
     residual = float(verifier.relative(misfit, size))
     if not math.isfinite(residual):
         raise IllConditionedFit(f"{model} fit: w' or the misfit beyond the float range")

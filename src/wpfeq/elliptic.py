@@ -45,7 +45,10 @@ and perfbench/oracle.py).
 A context built from invariants alone takes its generators from the complex
 AGM of the roots of 4t^3 - g2 t - g3 (Cremona and Thongjunthug, J. Number
 Theory 133, 2013), kept as its periods when their series invariants give
-(g2, g3) back. With zero discriminant the series runs at q = 0, where
+(g2, g3) back. The roots come in closed form, from Cardano's formula on
+the invariants scaled by a power of two (`_cubic_roots`), and the reduced
+basis is negated where needed so that Re b1 > 0, or Re b1 = 0 < Im b1:
+the order of the roots then does not change it. With zero discriminant the series runs at q = 0, where
 pe = k^2/sin^2(kz) - k^2/3 with k^2 = 9 g3/(2 g2), on the lattice (pi/k)Z
 of rank one, or pe = 1/z^2 on the lattice {0} when g2 = g3 = 0.
 
@@ -77,6 +80,7 @@ _ROUNDOFF = 2.0**-53
 _TERMS = tuple((n, n * n, n**3, n**5) for n in range(1, 17))
 _INVARIANT_TOL = 1e-12  # round trip of the AGM generators, relative to the scale
 LATTICE_TOL = 1e-9  # lattice membership, and how near to real a period ratio may come
+_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # a cube root of unity
 
 
 @dataclass(frozen=True)
@@ -302,24 +306,57 @@ def _agm(a: complex, b: complex) -> complex:
     return a
 
 
-def _agm_context(g2: complex, g3: complex, scale: float, pole_tol: float | None) -> EllipticContext:
-    """Context on the oriented reduced generators of the lattice with invariants (g2, g3).
+def _cubic_roots(g2: complex, g3: complex, t: float) -> tuple[complex, complex, complex]:
+    """Roots (e1, e2, e3) of 4x^3 - g2 x - g3: e1 the isolated one, Re(e2 - e3) >= 0.
 
-    With e1, e2, e3 the roots of 4t^3 - g2 t - g3, pi/M(sqrt(e1 - e3),
-    sqrt(e1 - e2)) and pi i/M(sqrt(e1 - e3), sqrt(e2 - e3)) span the lattice,
-    M the optimal AGM (Cremona and Thongjunthug). The context's series
-    invariants must give (g2, g3) back to 1e-12 of the scale
-    max(|g2|^(1/4), |g3|^(1/6)), or this raises:
-    on tall lattices the float invariants no longer fix tau, so that round
-    trip, not the basis, is what is guaranteed.
+    Cardano's formula runs on the invariants times t^4 and t^6, t the power
+    of two of `from_invariants` that brings the scale near 1, so that no
+    power leaves the float range; the roots are scaled back by 1/t^2, all
+    exactly. Of the three cube roots u, the one where the root
+    u + g2/(12 u) is largest does not cancel: that root is isolated, since
+    two roots near each other leave the third near -2 times them. One
+    Newton step polishes it. The other two come from the deflated
+    quadratic about their exact midpoint -e1/2, with product g3/(4 e1).
     """
-    e1, e2, e3 = np.roots([4.0, 0.0, -g2, -g3]).tolist()
+    g2, g3 = g2 * t**2 * t**2, g3 * t**3 * t**3
+    s = cmath.sqrt(g3 * g3 / 64.0 - g2 * g2 * g2 / 1728.0)
+    w = g3 / 8.0
+    w = w + s if (w.conjugate() * s).real >= 0.0 else w - s
+    u = w ** (1.0 / 3.0)
+    e1 = max((c + g2 / (12.0 * c) for c in (u, u * _OMEGA, u * _OMEGA.conjugate())), key=abs)
+    e1 -= (4.0 * e1**3 - g2 * e1 - g3) / (12.0 * e1 * e1 - g2)
+    mid = -0.5 * e1
+    d = cmath.sqrt(mid * mid - g3 / (4.0 * e1))
+    unit = 1.0 / (t * t)
+    return e1 * unit, (mid + d) * unit, (mid - d) * unit
+
+
+def _agm_basis(e1: complex, e2: complex, e3: complex) -> tuple[complex, complex]:
+    """Oriented reduced generators of the lattice whose 4t^3 - g2 t - g3 has the roots e1, e2, e3.
+
+    pi/M(sqrt(e1 - e3), sqrt(e1 - e2)) and pi i/M(sqrt(e1 - e3), sqrt(e2 - e3))
+    span the lattice, M the optimal AGM (Cremona and Thongjunthug). The
+    reduced pair is negated where Re b1 < 0, or Re b1 = 0 and Im b1 < 0,
+    so that the order of the roots does not flip its sign.
+    """
     m1 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
     m2 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
     # the generators' ratio i m1/m2 must not be real
     if not (m2 and abs((m1 / m2).real) > LATTICE_TOL * abs(m1 / m2)):
         raise SeriesNoConverge("the AGM periods of the invariants span no lattice")
     b1, b2 = _gauss_reduce(math.pi / m1, math.pi * 1j / m2)
+    return (-b1, -b2) if b1.real < 0.0 or (b1.real == 0.0 and b1.imag < 0.0) else (b1, b2)
+
+
+def _agm_context(g2: complex, g3: complex, scale: float, t: float, pole_tol: float | None) -> EllipticContext:
+    """Context on the AGM basis of the invariants (g2, g3): `_agm_basis` of `_cubic_roots`.
+
+    The context's series invariants must give (g2, g3) back to 1e-12 of the
+    scale max(|g2|^(1/4), |g3|^(1/6)), or this raises: on tall lattices the
+    float invariants no longer fix tau, so that round trip, not the basis,
+    is what is guaranteed.
+    """
+    b1, b2 = _agm_basis(*_cubic_roots(g2, g3, t))
     ctx = _context(None, Periods(b1, b2), (b1, b2), math.pi / b1, pole_tol)
     # in two divisions: scale**6 underflows for invariants near the float minimum
     err = max(abs(ctx.invariants.g2 - g2) / scale**2 / scale**2, abs(ctx.invariants.g3 - g3) / scale**3 / scale**3)
@@ -349,7 +386,7 @@ def from_invariants(g2: complex, g3: complex, *, pole_tol: float | None = None) 
     scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
     t = 2.0 ** -math.frexp(scale)[1]
     if (g2 * t**2 * t**2) ** 3 != 27.0 * (g3 * t**3 * t**3) ** 2:
-        return replace(_agm_context(g2, g3, scale, pole_tol), invariants=invariants)
+        return replace(_agm_context(g2, g3, scale, t, pole_tol), invariants=invariants)
     k = cmath.sqrt(4.5 * g3 / g2) if g2 else 0j
     return _context(invariants, None, (math.pi / k,) if k else (), k, pole_tol)
 

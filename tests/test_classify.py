@@ -1,6 +1,7 @@
 """Jet estimation, ODE fitting, the decision tree, and the normal-form map."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from wpfeq import classify as cl
 from wpfeq import elliptic as el
+from wpfeq import verifier as vr
 from wpfeq.errors import (
     DegenerateCubic,
     DegenerateInput,
@@ -108,6 +110,26 @@ class TestEstimateJets:
         s = cl.SampleSet((0.0, 0.1, 0.25, 0.3, 0.4), (0.0,) * 5)
         with pytest.raises(GridNotUniform):
             cl.estimate_jets(s, 2)
+
+    @pytest.mark.parametrize("x0", [0.5, 1e5])
+    def test_grid_far_from_the_origin_is_uniform(self, x0):
+        # the grid `wpfeq gen` writes: each x0 + i h rounds by up to ulp(x0)/2,
+        # 7e-12 at x0 = 1e5, above 1e-9 h there; one x moved by 1e-6 h is not uniform
+        h = 0.01
+        xs = [x0 + i * h for i in range(20)]
+        ws = tuple(math.exp(0.001 * x) for x in xs)
+        x, _, _ = cl.estimate_jets(cl.SampleSet(tuple(xs), ws))
+        assert x.tolist() == xs[2:-2]
+        xs[7] += 1e-6 * h
+        with pytest.raises(GridNotUniform):
+            cl.estimate_jets(cl.SampleSet(tuple(xs), ws))
+
+    def test_exponential_far_from_the_origin_classifies(self):
+        # `wpfeq gen --family exp --delta 0.001,0 --grid 100000:100000.2:0.01`; w moves
+        # by 2e-4 of itself over the grid, so the linear fit's condition is about 2e9
+        xs = tuple(1e5 + i * 0.01 for i in range(21))
+        dec = cl.classify_samples(cl.SampleSet(xs, tuple(cmath.exp(0.001 * x) for x in xs)))
+        assert dec.family == "exponential" and dec.params["delta"] == pytest.approx(0.001, rel=1e-5)
 
     def test_too_few_points(self):
         s = cl.SampleSet((0.0, 0.1, 0.2), (0.0, 0.1, 0.2))
@@ -430,3 +452,101 @@ class TestClassify:
         # loosening tau never turns an accepted family into a rejection
         if tight.family != "not_a_solution":
             assert loose.family != "not_a_solution"
+
+
+# -- the fits as they were written with numpy's general-purpose calls, kept as the reference
+
+
+def _reference_spread(w):
+    return float(vr.relative(np.abs(w - w.mean()).max(), np.abs(w).max()))
+
+
+def _reference_fit(model, A, b):
+    if len(b) <= A.shape[1]:
+        raise TooFewPoints(f"{model} fit needs at least {A.shape[1] + 1} (w, w') pairs")
+    scales = np.linalg.norm(A, axis=0)
+    scales[scales == 0.0] = 1.0
+    Aeq = A / scales
+    gram = Aeq.conj().T @ Aeq
+    try:
+        eigenvalues = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedFit("normal matrix beyond the float range") from exc
+    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
+    cond = high / low if low > 0.0 else math.inf
+    if not cond <= cl.COND_REJECT:
+        raise IllConditionedFit(f"normal-equation condition {cond:.3g}")
+    coeffs = np.linalg.solve(gram, Aeq.conj().T @ b) / scales
+    misfit, size = (np.sqrt(np.mean(np.abs(v) ** 2)) for v in (A @ coeffs - b, b))
+    residual = float(vr.relative(misfit, size))
+    if not math.isfinite(residual):
+        raise IllConditionedFit(f"{model} fit: w' or the misfit beyond the float range")
+    sizes = tuple(np.abs(A * coeffs).max(axis=0).tolist())
+    return cl.FitResult(model, tuple(coeffs), residual, cond, sizes, float(np.abs(b).max()))
+
+
+def _reference_fit_cubic(w, dw):
+    if _reference_spread(w) <= cl.SPREAD_EPS:
+        raise DegenerateInput("w values are all one constant; nothing to fit")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _reference_fit("cubic", np.column_stack([np.ones_like(w), w, w**2, w**3]), dw**2)
+
+
+def _reference_fit_linear(w, dw):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _reference_fit("linear", np.column_stack([np.ones_like(w), w]), dw)
+
+
+def _trim_cases():
+    """(family, samples of amplitude 1) on grids of 15 points, real and complex steps."""
+    lattices = [el.from_periods(2.0, 2.0j), el.from_periods(2.0, 0.7 + 2.1j), el.from_periods(1.3, 0.4 + 1.4j)]
+    grids = [(0.2, 0.05), (0.4, 0.001), (0.3 + 0.2j, 0.01 + 0.003j)]
+    functions = {
+        "wp": [functools.partial(el.wp, ctx) for ctx in lattices],
+        "exponential": [lambda x, d=d: (1.0 + 0.5j) * cmath.exp(d * x) + 0.3 for d in (1.0, 0.7, -2.0 + 1j, 1e-3, 3j)],
+        "affine": [lambda x, a=a, b=b: a * x + b for a in (3.0, 1.0 - 2j, 1e-3) for b in (1.0, -2j)],
+        "cubic": [lambda x: x**3, lambda x: (x - 0.3) ** 3 + 1.0, lambda x: (1j * x) ** 3 - x],
+        "constant": [lambda x: 3.7, lambda x: -2j, lambda x: 3.7 + 1e-13 * x],
+    }
+    for family, fns in functions.items():
+        for fn in fns:
+            for x0, h in grids:
+                xs = tuple(x0 + i * h for i in range(15))
+                yield family, xs, tuple(complex(fn(x)) for x in xs)
+
+
+class TestTrimsMoveNoBit:
+    """The fits' in-place design matrix and plain reductions give the numpy wrappers' bits."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("amplitude", [1e-200, 1.0, 1e200])
+    def test_classification_is_the_references(self, monkeypatch, amplitude, order):
+        monkeypatch.setattr(cl, "roundtrip_residual", lambda decision, seed=0: 0.0)
+        families = set()
+        for family, xs, ws in _trim_cases():
+            samples = cl.SampleSet(xs, tuple(amplitude * w for w in ws))
+            with monkeypatch.context() as m:
+                got = cl.classify_samples(samples, order)
+                for name, fn in (("_spread", _reference_spread), ("fit_cubic", _reference_fit_cubic),
+                                 ("fit_linear", _reference_fit_linear)):
+                    m.setattr(cl, name, fn)
+                want = cl.classify_samples(samples, order)
+            # repr spells every float to its last bit
+            assert repr(got) == repr(want)
+            families.add((family, got.family))
+        # every kind of sample met the fits, and every outcome came up
+        assert {f for f, _ in families} == {"wp", "exponential", "affine", "cubic", "constant"}
+        assert {g for _, g in families} >= {"weierstrass", "exponential", "linear", "not_a_solution", "constant"}
+
+    @pytest.mark.parametrize("amplitude", [1e-200, 1.0, 1e200])
+    def test_each_fit_is_the_references(self, amplitude):
+        for _, xs, ws in _trim_cases():
+            _, w, dw = cl.estimate_jets(cl.SampleSet(xs, tuple(amplitude * w for w in ws)))
+            for fit, reference in ((cl.fit_cubic, _reference_fit_cubic), (cl.fit_linear, _reference_fit_linear)):
+                outcomes = []
+                for fn in (fit, reference):
+                    try:
+                        outcomes.append(repr(fn(w, dw)))
+                    except (DegenerateInput, IllConditionedFit) as exc:
+                        outcomes.append(repr(exc))
+                assert outcomes[0] == outcomes[1]

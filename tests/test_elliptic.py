@@ -2,6 +2,7 @@
 functions, finite differences, the normal-form ODE, and symmetry."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -275,6 +276,135 @@ class TestThetaSeries:
             assert el.zeta(ctx, z) == pytest.approx(math.pi**2 * z / 3.0 + math.pi * cot, rel=1e-15)
             assert el.sigma(ctx, z) == 0
             assert [el.wp(ctx, np.array([z]))[0], el.wp_prime(ctx, np.array([z]))[0]] == [p, dp]
+
+
+def _power_of_two(g2: complex, g3: complex) -> float:
+    """The power of two t that `from_invariants` scales the invariants by: t max(|g2|^(1/4), |g3|^(1/6)) in [0.5, 1)."""
+    return 2.0 ** -math.frexp(max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0)))[1]
+
+
+def _roots(g2, g3):
+    g2, g3 = complex(g2), complex(g3)
+    return el._cubic_roots(g2, g3, _power_of_two(g2, g3))
+
+
+def _random_lattices(n, seed):
+    """n lattices (omega1, omega2) of every size and rotation, tau off the boundary of the fundamental domain."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        w1 = cmath.rect(10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-math.pi, math.pi))
+        out.append((w1, w1 * complex(rng.uniform(-0.45, 0.45), rng.uniform(1.05, 3.0))))
+    return out
+
+
+class TestAgmRoots:
+    """The closed-form roots of 4t^3 - g2 t - g3 and the AGM basis built on them."""
+
+    @staticmethod
+    def _within_conditioning(g2, g3, roots):
+        """Each root within 16 eps s^6/|f'(e)| of mpmath's, f = 4t^3 - g2 t - g3: the error
+        of a solver whose backward error is a few eps of the polynomial's terms, each at
+        most s^6 in size; the reference roots nearest to the roots given."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            refs = [complex(r) for r in mp.polyroots([4, 0, -mp.mpc(g2), -mp.mpc(g3)], maxsteps=100, extraprec=100)]
+        s6 = max(abs(g2) ** 1.5, abs(g3))
+        nearest = [min(refs, key=lambda r: abs(r - e)) for e in roots]
+        for e, ref in zip(roots, nearest):
+            assert abs(e - ref) * abs(12.0 * ref * ref - g2) <= 16.0 * 2.0**-52 * s6
+        return nearest
+
+    @staticmethod
+    def _ordered(roots):
+        e1, e2, e3 = roots
+        assert abs(e1) >= max(abs(e2), abs(e3)) and (e2 - e3).real >= 0.0
+
+    def test_roots_match_mpmath(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            g2 = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-4.0, 4.0)
+            g3 = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-4.0, 4.0)
+            roots = _roots(g2, g3)
+            self._ordered(roots)
+            # well apart here: each reference root is found once
+            assert len(set(self._within_conditioning(g2, g3, roots))) == 3
+
+    @pytest.mark.parametrize("g3", [4.0, -36.0, 4j, 1.0 + 2j, 1e-300, 1e150])
+    def test_g2_zero_gives_the_cube_roots(self, g3):
+        mp = pytest.importorskip("mpmath")
+        roots = _roots(0.0, g3)
+        self._ordered(roots)
+        # in mpmath: (g3/4) ** (1/3) in floats is off by |ln(g3/4)| times the rounding of 1/3
+        c = complex(mp.cbrt(mp.mpc(g3) / 4))
+        for e in roots:
+            assert min(abs(e - c * cmath.exp(2j * math.pi * k / 3)) for k in range(3)) <= 4.0 * 2.0**-52 * abs(c)
+
+    @pytest.mark.parametrize("g2", [4.0, -4.0, 4j, 1.0 - 3j, 1e-300, 1e100])
+    def test_g3_zero_gives_zero_and_a_pair(self, g2):
+        e1, e2, e3 = roots = _roots(g2, 0.0)
+        self._ordered(roots)
+        half = cmath.sqrt(g2) / 2.0
+        assert min(abs(e1 - half), abs(e1 + half)) <= 4.0 * 2.0**-52 * abs(half)
+        assert abs(e1 + e2 + e3) <= 4.0 * 2.0**-52 * abs(half)
+        assert min(abs(e2), abs(e3)) <= 4.0 * 2.0**-52 * abs(half)
+
+    @pytest.mark.parametrize("height", [3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    def test_near_double_roots_of_tall_lattices(self, height):
+        # e2 - e3 falls like exp(-pi Im tau): 2e-3 of e1 at 3i and 2e-7 at 6i; from 7i on
+        # the float invariants are those of a complex pair 5e-9 of e1 apart, which the
+        # roots of the rounded polynomial only fix to about sqrt(eps) of e1
+        inv = el.from_periods(1.0, height * 1j).invariants
+        roots = e1, e2, e3 = _roots(inv.g2, inv.g3)
+        self._ordered(roots)
+        assert abs(e1 + e2 + e3) <= 2.0**-52 * abs(e1)
+        self._within_conditioning(inv.g2, inv.g3, roots)
+
+    @pytest.mark.parametrize("power", [125, -125])
+    @pytest.mark.parametrize("g2, g3", [(4, 1), (1 + 2j, 0.3 - 1j), (0, 4), (4, 0), (7e5, 2e8)])
+    def test_invariants_scaled_by_powers_of_two(self, g2, g3, power):
+        # (c^4 g2, c^6 g3) has the roots c^2 e and the basis b/c, bit for bit: here
+        # g2 moves by 2^+-500 and g3 by 2^+-750, where g2^3 leaves the float range
+        c = 2.0**power
+        base = _roots(g2, g3)
+        scaled = _roots(g2 * c**4, g3 * c**6)
+        assert scaled == tuple(e * c * c for e in base)
+        assert el._agm_basis(*scaled) == tuple(b / c for b in el._agm_basis(*base))
+
+    def test_every_order_of_the_roots_gives_one_basis(self):
+        # not negated either: the sign rule picks Re b1 > 0
+        for w1, w2 in _random_lattices(50, 7):
+            inv = el.from_periods(w1, w2).invariants
+            roots = _roots(inv.g2, inv.g3)
+            b1, b2 = basis = el._agm_basis(*roots)
+            assert b1.real > 0.0 or (b1.real == 0.0 and b1.imag > 0.0)
+            for order in itertools.permutations(roots):
+                for got, want in zip(el._agm_basis(*order), basis):
+                    assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_negated_basis_moves_no_value(self):
+        rng = np.random.default_rng(3)
+        for w1, w2 in _random_lattices(200, 3):
+            b1, b2 = el.from_periods(w1, w2).reduced
+            ctx, negated = el.from_periods(b1, b2), el.from_periods(-b1, -b2)
+            assert negated.reduced == (-b1, -b2)
+            z = abs(b1) * (rng.uniform(-2.0, 2.0, 50) + 1j * rng.uniform(-2.0, 2.0, 50))
+            for fn in (el.wp, el.wp_prime, el.zeta, el.sigma):
+                assert fn(ctx, z).tolist() == fn(negated, z).tolist()
+
+    def test_outcomes_over_magnitudes_and_phases(self):
+        # 14 magnitudes times 5 phases for each invariant: g2^3 or 27 g3^2 passes the
+        # float range at 1e200 alone, and every other pair builds a lattice of rank two
+        magnitudes = [10.0**k for k in (-300, -200, -100, -30, -10, -3, -1, 0, 1, 3, 10, 30, 100, 200)]
+        values = [(m, m * cmath.exp(2j * math.pi * k / 5)) for m in magnitudes for k in range(5)]
+        for m2, g2 in values:
+            for m3, g3 in values:
+                if 1e200 in (m2, m3):
+                    with pytest.raises(FloatOverflow):
+                        el.from_invariants(g2, g3)
+                    continue
+                b1, _ = el.from_invariants(g2, g3).reduced
+                assert b1.real > 0.0 or (b1.real == 0.0 and b1.imag > 0.0)
 
 
 class TestWp:
