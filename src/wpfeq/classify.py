@@ -41,6 +41,7 @@ TAU_CUB = 1e-6  # misfit of a cubic fit
 COEFF_EPS = 1e-8  # significance of a term, against the left-hand side
 SPREAD_EPS = 1e-10  # constant detection
 COND_REJECT = 1e14  # normal-equation condition above which a fit is refused
+ROUNDTRIP_COUNT = 64  # triples the round trip scores the reconstructed family on
 _EPS = 2.0**-52  # the spacing of floats at 1
 
 
@@ -308,7 +309,7 @@ def classify_samples(samples: SampleSet, stencil_order: int = 4, seed: int = 0) 
     return decision
 
 
-def roundtrip_residual(decision: Classification, count: int = 64, seed: int = 0) -> float:
+def roundtrip_residual(decision: Classification, seed: int = 0) -> float:
     """Max functional-equation residual of the reconstructed family, on its lattice or the box."""
     if decision.family == "exponential":
         fam = verifier.Exponential(delta=decision.params["delta"])
@@ -318,6 +319,6 @@ def roundtrip_residual(decision: Classification, count: int = 64, seed: int = 0)
         fam = verifier.WeierstrassShifted(from_invariants(decision.params["g2"], decision.params["g3"]), 0j)
     else:
         return 0.0
-    sampler = verifier.TripleSampler(seed=seed, count=count, box=0.8)
+    sampler = verifier.TripleSampler(seed=seed, count=ROUNDTRIP_COUNT, box=0.8)
     report = verifier.scan(fam, fam, fam, sampler, tol=math.inf)
     return report.max_residual

@@ -11,10 +11,10 @@ shift and gamma flags take lattice fractions (1/3 accepted), and one beyond
 the lattice's rank exits 65. verify theorem1 runs as theorem2 with three
 equal shifts, and --expect overrides each verify kind's own expectation.
 A flag that the verb, verify kind or family does not read exits 64, as do
---periods with --g2/--g3 and --shift-frac with --shift. Selected numeric
-flags fall back to WPFEQ_* environment variables (flags > environment >
-defaults). Reports are JSON with shortest round-trip floats; fit without
---out writes its summary line to stderr; a closed stdout loses text only.
+--periods with --g2/--g3 and --shift-frac with --shift. A flag not given
+takes its default; no environment variable sets one. Reports are JSON
+with shortest round-trip floats; fit without --out writes its summary line
+to stderr; a closed stdout loses text only.
 Exit codes: 0 success or expected outcome, 1 verification failure, 2
 internal error, 64 usage, 65 configuration, 66 unreadable input.
 """
@@ -55,8 +55,6 @@ EXIT_INTERNAL = 2
 EXIT_USAGE = 64
 EXIT_CONFIG = 65
 EXIT_INPUT = 66
-
-_ENV_PREFIX = "WPFEQ_"
 
 # the most points one command samples, evaluates or writes; a larger count
 # is refused before any list or array is sized by it
@@ -169,37 +167,6 @@ def _parse_fractions(text: str, expect: int) -> list[float]:
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"bad numeric value {part!r}") from exc
     return out
-
-
-def _env(name: str):
-    return os.environ.get(_ENV_PREFIX + name.upper().replace("-", "_"))
-
-
-def _resolve_float(flag_value, env_name: str, default: float) -> float:
-    if flag_value is not None:
-        return float(flag_value)
-    env = _env(env_name)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ConfigError(f"bad {_ENV_PREFIX}{env_name.upper()} value {env!r}") from exc
-    return default
-
-
-def _resolve_int(flag_value, env_name: str, default: int) -> int:
-    # argparse parses the flag exactly, and so does int() a plain-integer
-    # variable; a double would round above 2**53
-    if flag_value is not None:
-        return flag_value
-    env = _env(env_name)
-    try:
-        return default if env is None else int(env)
-    except ValueError:
-        value = _resolve_float(None, env_name, default)
-    if not float(value).is_integer():
-        raise ConfigError(f"{_ENV_PREFIX}{env_name.upper()} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _positive(value: float, name: str) -> float:
@@ -349,8 +316,8 @@ _CONSTANT_CASES = {
 
 
 def _seed(args) -> int:
-    """The seed of verify, scan and fit: the flag, WPFEQ_SEED or 0; a negative one is refused."""
-    seed = _resolve_int(args.seed, "seed", 0)
+    """The seed of verify, scan and fit: the flag or 0; a negative one is refused."""
+    seed = 0 if args.seed is None else args.seed
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return seed
@@ -361,7 +328,7 @@ def _sampler(args, count: int) -> tuple[verifier.TripleSampler, dict]:
     sampler = verifier.TripleSampler(seed=_seed(args), count=count)
     if "margin" not in _reads(args):
         return sampler, {}
-    margin = _resolve_float(args.margin, "margin", sampler.margin)
+    margin = sampler.margin if args.margin is None else args.margin
     if not 0.0 < margin < 0.5:
         raise ConfigError(f"margin must lie in (0, 0.5), got {margin!r}")
     return replace(sampler, margin=margin), {"margin": margin}
@@ -384,8 +351,8 @@ def _family(args, name: str) -> verifier.FunctionFamily:
 
 def _cmd_verify(args, parser) -> int:
     start = time.perf_counter()
-    count = _within_ceiling(int(_positive(_resolve_int(args.n, "n", 1000), "sample count")), "sample count")
-    tol = _positive(_resolve_float(args.tol, "tol", _TOLERANCES[args.kind]), "tol")
+    count = _within_ceiling(int(_positive(1000 if args.n is None else args.n, "sample count")), "sample count")
+    tol = _positive(_TOLERANCES[args.kind] if args.tol is None else args.tol, "tol")
     sampler, margin = _sampler(args, count)
     params: dict = {"kind": args.kind, "seed": sampler.seed, "n": count, **margin}
     name, expected = args.kind, "pass"
@@ -419,7 +386,7 @@ def _cmd_verify(args, parser) -> int:
         name = "factfun-operator"
         family = args.family or "wp"
         fam = _family(args, family)
-        h_step = _positive(_resolve_float(args.h_step, "h_step", verifier.factfun_step(fam)), "h-step")
+        h_step = _positive(verifier.factfun_step(fam) if args.h_step is None else args.h_step, "h-step")
         params.update({"family": family, "h_step": h_step})
         rep = verifier.factfun_check(fam, sampler, h_step=h_step, tol=tol)
     else:
@@ -504,7 +471,7 @@ def _cmd_fit(args, parser) -> int:
 
 
 def _cmd_scan(args, parser) -> int:
-    tol = _positive(_resolve_float(args.tol, "tol", 1e-8), "tol")
+    tol = _positive(1e-8 if args.tol is None else args.tol, "tol")
     grid = int(_positive(args.grid, "grid"))
     _within_ceiling(grid * grid, "grid")
     sampler, margin = _sampler(args, grid * grid)
@@ -570,13 +537,7 @@ def _cmd_eval(args, parser) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="wpfeq",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="environment overrides (flags > environment > defaults): "
-        "WPFEQ_TOL, WPFEQ_SEED, WPFEQ_N, WPFEQ_MARGIN, WPFEQ_H_STEP",
-    )
+    parser = _Parser(prog="wpfeq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     # flag groups shared between verbs

@@ -79,6 +79,7 @@ _ROUNDOFF = 2.0**-53
 # (n, n^2, n^3, n^5) of the theta terms; a reduced basis keeps at most 16 (see `_context`)
 _TERMS = tuple((n, n * n, n**3, n**5) for n in range(1, 17))
 _INVARIANT_TOL = 1e-12  # round trip of the AGM generators, relative to the scale
+_SUBNORMAL_SLACK = 4 * 2.0**-1074  # and a few units of the subnormal grid, absolute
 LATTICE_TOL = 1e-9  # lattice membership, and how near to real a period ratio may come
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # a cube root of unity
 
@@ -157,7 +158,9 @@ class EllipticContext:
     evaluators' Horner runs. eta holds the quasi-period constants
     (zeta(b1/2), zeta(b2/2)). lambda_min is the distance to the nearest
     lattice point: |b1|, pi/|k| or inf, and pole_tol the distance within
-    which a lattice point counts as a pole.
+    which a lattice point counts as a pole: 1e-3 lambda_min, or 0 at rank
+    zero. Nothing else derives from pole_tol, so `dataclasses.replace` may
+    set another.
     """
 
     invariants: Invariants
@@ -211,9 +214,7 @@ def _frame(basis: tuple[complex, ...]) -> tuple[complex, complex]:
 # -- construction ----------------------------------------------------------------
 
 
-def _context(
-    invariants: Invariants | None, periods: Periods | None, reduced: tuple, k: complex, pole_tol: float | None
-) -> EllipticContext:
+def _context(invariants: Invariants | None, periods: Periods | None, reduced: tuple, k: complex) -> EllipticContext:
     """The context on a reduced basis (`_gauss_reduce`) with k = pi/b1 (0 at rank zero); None: series invariants.
 
     At rank two one loop over r^n, r = exp(2 pi i tau), gives the theta
@@ -236,8 +237,7 @@ def _context(
     Invariants beyond the float range (|b1| below about 1e-26) raise
     FloatOverflow. Below rank two the series runs at q = 0: no coefficients,
     eta = (pi k/6, 0), lambda_min = pi/|k| or inf, and the invariants must
-    be given. The default pole tolerance is 1e-3 lambda_min, 0 when
-    g2 = g3 = 0.
+    be given. The pole tolerance is 1e-3 lambda_min, 0 when g2 = g3 = 0.
     """
     coeffs, low, r, s1, s3, s5, prod = [], 0, 0j, 0, 0, 0, 1.0
     eta = (math.pi * k / 6.0, 0j)
@@ -272,14 +272,13 @@ def _context(
             if not cmath.isfinite(disc):
                 raise FloatOverflow(f"the invariants of the lattice on {b1} exceed the float range")
             invariants = Invariants(g2, g3, disc)
-    if pole_tol is None:
-        pole_tol = 1e-3 * lam if math.isfinite(lam) else 0.0
+    pole_tol = 1e-3 * lam if math.isfinite(lam) else 0.0
     series = _Series(coeffs, low, r, k, eta[0])
     return EllipticContext(invariants, periods, pole_tol, reduced, lam, k, tuple(coeffs), eta, series)
 
 
-def from_periods(omega1: complex, omega2: complex, *, pole_tol: float | None = None) -> EllipticContext:
-    """Context from lattice generators; invariants from the q-series of the reduced tau."""
+def from_periods(omega1: complex, omega2: complex) -> EllipticContext:
+    """Context from lattice generators; invariants from the q-series of the reduced tau, pole_tol 1e-3 lambda_min."""
     w1, w2 = complex(omega1), complex(omega2)
     if w1 == 0 or w2 == 0:
         raise DegenerateLattice("zero period generator")
@@ -289,7 +288,7 @@ def from_periods(omega1: complex, omega2: complex, *, pole_tol: float | None = N
     if ratio.imag < 0:
         w1, w2 = w2, w1
     b1, b2 = _gauss_reduce(w1, w2)
-    return _context(None, Periods(w1, w2), (b1, b2), math.pi / b1, pole_tol)
+    return _context(None, Periods(w1, w2), (b1, b2), math.pi / b1)
 
 
 def _agm(a: complex, b: complex) -> complex:
@@ -348,32 +347,36 @@ def _agm_basis(e1: complex, e2: complex, e3: complex) -> tuple[complex, complex]
     return (-b1, -b2) if b1.real < 0.0 or (b1.real == 0.0 and b1.imag < 0.0) else (b1, b2)
 
 
-def _agm_context(g2: complex, g3: complex, scale: float, t: float, pole_tol: float | None) -> EllipticContext:
+def _agm_context(g2: complex, g3: complex, scale: float, t: float) -> EllipticContext:
     """Context on the AGM basis of the invariants (g2, g3): `_agm_basis` of `_cubic_roots`.
 
     The context's series invariants must give (g2, g3) back to 1e-12 of the
     scale max(|g2|^(1/4), |g3|^(1/6)), or this raises: on tall lattices the
     float invariants no longer fix tau, so that round trip, not the basis,
-    is what is guaranteed.
+    is what is guaranteed. Each may first miss by four units of 2^-1074,
+    since subnormal invariants round to that grid (below about 1e-311 it is
+    coarser than 1e-12 of the scale); at normal scales that moves no verdict.
     """
     b1, b2 = _agm_basis(*_cubic_roots(g2, g3, t))
-    ctx = _context(None, Periods(b1, b2), (b1, b2), math.pi / b1, pole_tol)
+    ctx = _context(None, Periods(b1, b2), (b1, b2), math.pi / b1)
+    m2, m3 = (max(abs(h - g) - _SUBNORMAL_SLACK, 0.0) for h, g in ((ctx.invariants.g2, g2), (ctx.invariants.g3, g3)))
     # in two divisions: scale**6 underflows for invariants near the float minimum
-    err = max(abs(ctx.invariants.g2 - g2) / scale**2 / scale**2, abs(ctx.invariants.g3 - g3) / scale**3 / scale**3)
+    err = max(m2 / scale**2 / scale**2, m3 / scale**3 / scale**3)
     if not err <= _INVARIANT_TOL:
         raise SeriesNoConverge(f"the AGM lattice misses the invariants by {err:.3g} of the scale")
     return ctx
 
 
-def from_invariants(g2: complex, g3: complex, *, pole_tol: float | None = None) -> EllipticContext:
+def from_invariants(g2: complex, g3: complex) -> EllipticContext:
     """Context from invariants; a lattice of rank two unless the discriminant vanishes.
 
     A nonzero discriminant takes its periods from the AGM (`_agm_context`),
     which raises SeriesNoConverge rather than return a lattice with other
     invariants. Otherwise periods is None, and the theta series runs at
     q = 0 with k^2 = 9 g3/(2 g2), on (pi/k)Z, or k = 0 when g2 = g3 = 0.
-    The context carries the invariants given; a discriminant beyond the
-    float range raises FloatOverflow.
+    The context carries the invariants given, subnormal ones too, and
+    pole_tol 1e-3 lambda_min, or 0 when g2 = g3 = 0; a discriminant beyond
+    the float range raises FloatOverflow.
     """
     g2, g3 = complex(g2), complex(g3)
     try:
@@ -386,9 +389,9 @@ def from_invariants(g2: complex, g3: complex, *, pole_tol: float | None = None) 
     scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
     t = 2.0 ** -math.frexp(scale)[1]
     if (g2 * t**2 * t**2) ** 3 != 27.0 * (g3 * t**3 * t**3) ** 2:
-        return replace(_agm_context(g2, g3, scale, t, pole_tol), invariants=invariants)
+        return replace(_agm_context(g2, g3, scale, t), invariants=invariants)
     k = cmath.sqrt(4.5 * g3 / g2) if g2 else 0j
-    return _context(invariants, None, (math.pi / k,) if k else (), k, pole_tol)
+    return _context(invariants, None, (math.pi / k,) if k else (), k)
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -10,7 +10,10 @@ by another route what the package computes, or inverts one of its maps:
   accelerated;
 - `reduce_to_cell`: the representative of z in the fundamental cell;
 - `transform_jets`: the jets of alpha f(delta x) + beta by the chain rule;
-- `reexpand_normal_form`: the inverse of `classify.to_normal_form`.
+- `reexpand_normal_form`: the inverse of `classify.to_normal_form`;
+- `curve_add` and `exact_det3`: the chord-tangent law on
+  y^2 = 4x^3 - g2 x - g3 over `Fraction`s, and det3 with its six-term
+  scale, exactly, on rational points.
 """
 
 from __future__ import annotations
@@ -221,3 +224,44 @@ def reexpand_normal_form(g2: complex, g3: complex, a: complex, b: complex):
     p1 = 12.0 * b * b / a - g2 * a
     p0 = -4.0 * b**3 / a + g2 * a * b - g3 * a * a
     return p0, p1, p2, p3
+
+
+# -- the chord-tangent law over the rationals ----------------------------------------
+#
+# A point of y^2 = 4x^3 - g2 x - g3 is a pair of Fractions, and None is the
+# point at infinity O. Three points sum to O iff they lie on one line
+# (Silverman, The Arithmetic of Elliptic Curves, III.2; DLMF 23.20(ii)).
+
+
+def on_curve(point, g2, g3) -> bool:
+    x, y = point
+    return y * y == 4 * x**3 - g2 * x - g3
+
+
+def curve_neg(point):
+    return None if point is None else (point[0], -point[1])
+
+
+def curve_add(p, q, g2):
+    """p + q: minus the third point on the chord through p and q, or on the tangent at p = q."""
+    if p is None or q is None:
+        return q if p is None else p
+    (x1, y1), (x2, y2) = p, q
+    if x1 == x2 and y1 == -y2:
+        return None
+    # y = s (x - x1) + y1 meets 4x^3 - g2 x - g3 where the roots sum to s^2/4
+    s = (12 * x1 * x1 - g2) / (2 * y1) if p == q else (y2 - y1) / (x2 - x1)
+    x3 = s * s / 4 - x1 - x2
+    return x3, s * (x1 - x3) - y1
+
+
+def exact_det3(p1, p2, p3):
+    """det of the rows (1, 1, 1), (x1, x2, x3), (y1, y2, y3) of three affine points, and its six-term scale.
+
+    The cofactor expansion along the first row, in Fractions: the exact
+    value of `verifier.det3` and `verifier.det3_terms` on the jets
+    (f, f') = (x, y).
+    """
+    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
+    terms = (x2 * y3, -x3 * y2, -x1 * y3, x3 * y1, x1 * y2, -x2 * y1)
+    return sum(terms), sum(map(abs, terms))

@@ -194,34 +194,12 @@ class TestVerify:
         check = json.loads(out.read_text())["checks"][0]
         assert check["expected"] == expected and check["observed_pass"] == (expected == "pass")
 
-    def test_env_override_cycles(self, monkeypatch):
-        monkeypatch.setenv("WPFEQ_N", "50")
-        assert run(["verify", "constant", "--case", "exp"]) == 0
-        monkeypatch.setenv("WPFEQ_N", "banana")
-        assert run(["verify", "constant", "--case", "exp"]) == 65
-
-    @pytest.mark.parametrize("name", ["WPFEQ_N", "WPFEQ_SEED"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "2.5"])
-    def test_env_integer_must_be_a_finite_integer(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        assert run(["verify", "constant", "--case", "exp"]) == 65
-
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_seed_above_two_to_the_53_is_exact(self, monkeypatch, tmp_path, source):
+    def test_seed_above_two_to_the_53_is_exact(self, tmp_path):
         seed = 2**53 + 1  # the nearest double is 2**53
         out = tmp_path / "seed.json"
-        argv = ["verify", "constant", "--case", "exp", "--n", "20", "--out", str(out)]
-        if source == "flag":
-            argv += ["--seed", str(seed)]
-        else:
-            monkeypatch.setenv("WPFEQ_SEED", str(seed))
+        argv = ["verify", "constant", "--case", "exp", "--n", "20", "--seed", str(seed), "--out", str(out)]
         assert run(argv) == 0
         assert json.loads(out.read_text())["params"]["seed"] == seed
-
-    def test_resolve_int_keeps_every_digit(self, monkeypatch):
-        assert cli._resolve_int(2**53 + 1, "seed", 0) == 2**53 + 1
-        monkeypatch.setenv("WPFEQ_SEED", "1e3")
-        assert cli._resolve_int(None, "seed", 0) == 1000
 
 
 class TestGenAndFit:
@@ -548,12 +526,11 @@ def test_a_count_past_the_point_ceiling_exits_65_before_allocating(argv, tmp_pat
     assert not out.exists()
 
 
-def test_the_point_ceiling_itself_is_accepted(monkeypatch):
+def test_the_point_ceiling_itself_is_accepted():
     assert len(cli._parse_grid(f"0:{cli.MAX_POINTS - 1}:1")) == cli.MAX_POINTS
     with pytest.raises(cli.ConfigError):
         cli._parse_grid(f"0:{cli.MAX_POINTS}:1")
-    monkeypatch.setenv("WPFEQ_N", str(cli.MAX_POINTS + 1))
-    assert run(["verify", "constant"]) == 65
+    assert run(["verify", "constant", "--n", str(cli.MAX_POINTS + 1)]) == 65
 
 
 # -- every flag given is read, or refused ----------------------------------------------------------
@@ -652,12 +629,30 @@ def test_the_report_names_the_family_that_ran(kind, family, tmp_path):
     assert ("margin" in params) == (family is None)
 
 
-def test_sigma_records_no_margin(tmp_path, monkeypatch):
-    monkeypatch.setenv("WPFEQ_MARGIN", "0.4")
-    out = tmp_path / "r.json"
-    assert run(["verify", "sigma", "--periods", "2,0,0,2", "--n", "20", "--out", str(out)]) == 0
-    assert "margin" not in json.loads(out.read_text())["params"]
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem1", "--periods", "2,0,0,2", "--out", "{report}"],
+    ["verify", "factfun", "--periods", "2,0,0,2", "--out", "{report}"],
+    ["scan", "--periods", "2,0,0,2", "--grid", "8", "--out", "{csv}", "--summary", "{report}"],
+], ids=["theorem1", "factfun", "scan"])
+def test_the_environment_changes_no_run(argv, tmp_path, monkeypatch):
+    # variables named like the flags that a run left at their defaults, with values that would change or break it
+    paths = {"report": tmp_path / "report.json", "csv": tmp_path / "scan.csv"}
 
+    def outputs():
+        code = run([arg.format(**paths) for arg in argv])
+        texts = [path.read_text() if path.exists() else None for path in paths.values()]
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+        report = texts[0] and json.loads(texts[0])
+        if report:
+            report.pop("wall_time_s", None)
+        return code, report, texts[1]
+
+    plain = outputs()
+    for name, value in {"WPFEQ_N": "5", "WPFEQ_SEED": "7", "WPFEQ_TOL": "1e-30", "WPFEQ_MARGIN": "0.4",
+                        "WPFEQ_H_STEP": "banana"}.items():
+        monkeypatch.setenv(name, value)
+    assert outputs() == plain
 
 # -- seeds, stdout and a closed stdout --------------------------------------------------------------
 
@@ -670,19 +665,14 @@ def wp_samples(tmp_path, capsys):
     return path
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
 @pytest.mark.parametrize("verb", ["verify", "scan", "fit"])
-def test_a_negative_seed_exits_65(verb, source, wp_samples, tmp_path, monkeypatch, capsys):
+def test_a_negative_seed_exits_65(verb, wp_samples, tmp_path, capsys):
     argv = {
         "verify": ["verify", "theorem1", "--periods", "2,0,0,2", "--n", "20"],
         "scan": ["scan", "--periods", "2,0,0,2", "--grid", "4", "--out", str(tmp_path / "s.csv")],
         "fit": ["fit", "--input", str(wp_samples)],
     }[verb]
-    if source == "flag":
-        argv += ["--seed", "-1"]
-    else:
-        monkeypatch.setenv("WPFEQ_SEED", "-1")
-    assert run(argv) == 65
+    assert run([*argv, "--seed", "-1"]) == 65
     assert "seed must be non-negative" in capsys.readouterr().err
 
 

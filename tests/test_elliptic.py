@@ -4,6 +4,7 @@ functions, finite differences, the normal-form ODE, and symmetry."""
 import cmath
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ class TestThetaSeries:
 
     def test_tiny_invariants_keep_their_lattice(self):
         # g2^3 - 27 g3^2 underflows to 0 here, yet the discriminant is not 0
-        ctx = el.from_invariants(1e-300, 1e-300, pole_tol=0.0)
+        ctx = replace(el.from_invariants(1e-300, 1e-300), pole_tol=0.0)
         assert len(ctx.reduced) == 2
         assert el.wp(ctx, 0.3) == pytest.approx(1.0 / 0.09, rel=1e-14)
 
@@ -250,6 +251,17 @@ class TestThetaSeries:
         ctx = el.from_invariants(g2, g3)
         assert ctx.invariants.g2 == g2 and ctx.invariants.g3 == g3 and len(ctx.reduced) == 2
         assert ctx.lambda_min == pytest.approx(c * unit.lambda_min, rel=1e-14)
+
+    @pytest.mark.parametrize("g2, g3", [(1e-320, 1e-320), (1e-315, 1e-316)])
+    def test_subnormal_invariants_build_their_lattice(self, g2, g3):
+        # the series invariants of the AGM lattice round to the subnormal grid, 2^-1074 apart
+        ctx = el.from_invariants(g2, g3)
+        assert ctx.invariants.g2 == g2 and ctx.invariants.g3 == g3 and len(ctx.reduced) == 2
+        oracle = ThetaOracle(*ctx.reduced)
+        for z in (0.1 + 0.07j, 0.3 - 0.2j, 0.05 + 0.3j, 0.4 * cmath.exp(2j)):
+            z *= ctx.lambda_min
+            for value, ref in zip(el._wp_dp(ctx, z), oracle.wp_dp(z)):
+                assert abs(value - ref) <= 1e-12 * abs(ref)
 
     def test_trigonometric_degeneration(self):
         # Delta = 0: pe = k^2/sin^2(kz) - k^2/3, sigma = exp(k^2 z^2/6) sin(kz)/k
@@ -407,6 +419,20 @@ class TestAgmRoots:
                 assert b1.real > 0.0 or (b1.real == 0.0 and b1.imag > 0.0)
 
 
+    def test_subnormal_magnitudes_build_or_overflow(self):
+        # each invariant 0 or one of 14 magnitudes down to the subnormal range, times 5 phases: every pair
+        # builds, but where g2^3 or 27 g3^2 passes the float range (1e200 and up)
+        magnitudes = [10.0**k for k in (-323, -320, -316, -312, -310, -308, -300, -200, -100, 0, 100, 200, 300, 308)]
+        values = [0j] + [m * cmath.exp(2j * math.pi * k / 5) for m in magnitudes for k in range(5)]
+        for g2 in values:
+            for g3 in values:
+                if max(abs(g2), abs(g3)) > 1e150:
+                    with pytest.raises(FloatOverflow):
+                        el.from_invariants(g2, g3)
+                else:
+                    assert el.from_invariants(g2, g3).invariants.g2 == g2
+
+
 class TestWp:
     def test_fully_degenerate_closed_form(self, degenerate_ctx):
         assert el.wp(degenerate_ctx, 0.5) == pytest.approx(4.0, rel=1e-15)
@@ -444,14 +470,14 @@ class TestWp:
 
     def test_zero_pole_tolerance_is_pole_proximity(self):
         # with no pole tolerance, 1/z^3 overflows next to a lattice point
-        ctx = el.from_periods(2.0, 2.0j, pole_tol=0.0)
+        ctx = replace(el.from_periods(2.0, 2.0j), pole_tol=0.0)
         for z in (1e-150, 2.0 + 2.0j):
             with pytest.raises(PoleProximity):
                 el._wp_dp(ctx, z)
 
     def test_accurate_next_to_a_pole(self):
         # pe(lam + h) = 1/h^2 + g2 h^2/20 + O(h^4): nothing cancels as h -> 0
-        ctx = el.from_periods(2.0, 2.0j, pole_tol=0.0)
+        ctx = replace(el.from_periods(2.0, 2.0j), pole_tol=0.0)
         g2 = ctx.invariants.g2
         for lam, h in ((0.0, 1e-5), (0.0, 3e-7 * (1 + 2j)), (2.0 + 2.0j, -(2.0**-19) * 1j)):
             ref = 1.0 / h**2 + g2 * h**2 / 20.0
@@ -538,7 +564,7 @@ class TestWpArray:
 
     def test_non_finite_value_is_pole_fault(self):
         # with no pole tolerance, 1/z^3 overflows next to the origin
-        ctx = el.from_periods(2.0, 2.0j, pole_tol=0.0)
+        ctx = replace(el.from_periods(2.0, 2.0j), pole_tol=0.0)
         z = np.array([1e-150 + 0j, 0.5 + 0.5j])
         p, dp = el.wp(ctx, z), el.wp_prime(ctx, z)
         assert np.isnan(p).tolist() == [True, False]
@@ -937,7 +963,7 @@ class TestSigma:
 class TestZeta:
     def test_principal_part(self):
         # the default pole guard would veto 1e-6; the tolerance is overridable
-        ctx = el.from_periods(2.0, 2.0j, pole_tol=1e-8)
+        ctx = replace(el.from_periods(2.0, 2.0j), pole_tol=1e-8)
         z = 1e-6
         assert abs(el.zeta(ctx, z) * z - 1.0) <= 1e-9
 
@@ -1022,7 +1048,7 @@ class TestThetaKernel:
             el.from_periods(2.0, 0.7 + 2.1j),
             el.from_periods(1.0, 8.0j),
             el.from_periods(1e-20, 1e-20 * (0.3 + 1.1j)),
-            el.from_periods(2.0, 2.0j, pole_tol=0.0),
+            replace(el.from_periods(2.0, 2.0j), pole_tol=0.0),
             el.from_invariants(3.0, 1.0),
             el.from_invariants(0.0, 0.0),
         ],

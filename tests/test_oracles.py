@@ -1,4 +1,6 @@
-"""The test oracles themselves: the reference lattice sum and the cell representative."""
+"""The test oracles themselves: the reference lattice sum, the cell representative and the chord-tangent law."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from wpfeq import elliptic as el
 from wpfeq.errors import PoleProximity
 
-from oracles import lattice_sum_reference, reduce_to_cell
+from oracles import curve_add, curve_neg, exact_det3, lattice_sum_reference, on_curve, reduce_to_cell
 
 
 class TestReduceToCell:
@@ -49,3 +51,29 @@ class TestLatticeSumReference:
     def test_pole_rejected(self, square_ctx):
         with pytest.raises(PoleProximity):
             lattice_sum_reference(square_ctx, 2.0)
+
+
+class TestChordTangent:
+    G2, G3 = Fraction(4), Fraction(-1)
+    P, Q, R = (Fraction(0), Fraction(1)), (Fraction(2), Fraction(-5)), (Fraction(6), Fraction(29))
+
+    def add(self, *points):
+        total = None
+        for point in points:
+            total = curve_add(total, point, self.G2)
+        return total
+
+    def test_a_group_on_the_curve(self):
+        p, q, r = self.P, self.Q, self.R
+        assert all(on_curve(point, self.G2, self.G3) for point in (p, q, r, self.add(p, q), self.add(p, p)))
+        assert self.add(p, q) == self.add(q, p)
+        assert self.add(self.add(p, q), r) == self.add(p, self.add(q, r))
+        assert self.add(p, None) == p and self.add(p, curve_neg(p)) is None
+        assert self.add(p, p, p) == self.add(self.add(p, p), p)
+
+    def test_three_points_sum_to_o_iff_they_are_collinear(self):
+        p, q, r = self.P, self.Q, self.R
+        s = curve_neg(self.add(p, q))
+        assert exact_det3(p, q, s)[0] == 0
+        det, terms = exact_det3(p, q, r)
+        assert det != 0 and terms >= abs(det)

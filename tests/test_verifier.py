@@ -3,6 +3,7 @@
 import cmath
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -456,7 +457,9 @@ class TestDrawsDoNotMove:
     @pytest.mark.parametrize("pole_tol", [None, 0.3, 0.32], ids=["default", "0.3", "0.32"])
     def test_sigma_identity_scan_admits_by_the_lattice_distance_rule(self, pole_tol, batches):
         # a pole_tol of 0.3 lambda_min and more sends clear_of_lattice to the 3x3 search
-        ctx = el.from_periods(2.0, 0.7 + 2.1j, pole_tol=None if pole_tol is None else 2.0 * pole_tol)
+        ctx = el.from_periods(2.0, 0.7 + 2.1j)
+        if pole_tol is not None:
+            ctx = replace(ctx, pole_tol=2.0 * pole_tol)
         vr.sigma_identity_scan(ctx, count=30, seed=8)
         [(points, _, _)] = batches
         assert [tuple(row) for row in points.tolist()] == [tuple(abc) for abc in _reference_sigma_draws(ctx, 30, 8)]
