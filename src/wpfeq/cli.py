@@ -4,7 +4,8 @@ Verbs: symbolic (exact identity certifications), verify (sampled numerical
 verification), fit (classify samples from CSV), scan (residual grid to CSV),
 gen (sample generator for round trips), eval (point evaluation).
 
-Conventions: complex flags are comma-separated re,im pairs; --periods takes
+Conventions: complex flags are comma-separated re,im pairs, and a value may
+start with a minus sign (--z -0.3,0.1 as --z=-0.3,0.1); --periods takes
 four reals (omega1 then omega2), or --g2/--g3 the invariants, whose AGM
 basis then spans the lattice, or with zero discriminant (pi/k)Z or {0};
 shift and gamma flags take lattice fractions (1/3 accepted), and one beyond
@@ -26,6 +27,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -70,6 +72,13 @@ class InputError(WpfeqError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as a flag unless it
+        # looks like a negative number, by default -2 or -0.5 alone; widened
+        # to a minus sign before a digit, so "-0.3,0.1" and "-1/3,0" are values
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")

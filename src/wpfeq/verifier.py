@@ -11,8 +11,9 @@ operator check's, see `factfun_check`, excepted); det3's is the sum of the
 magnitudes of its six terms, homogeneous in alpha and delta of
 alpha f(delta x) + beta, so no verdict depends on the unit of f or x.
 Sampling is deterministic: round k of rejection draws one block from the
-generator seeded with (seed, k), and sample i takes row i of it, so a draw
-depends only on (seed, sample, attempt) and reports are reproducible.
+counter-based stream keyed by (seed, k) (see `_Stream`), and sample i takes
+row i of it, so a draw depends only on (seed, sample, attempt) and reports
+are reproducible.
 Rejection rounds test the geometry alone, the distance to the lattice.
 Every sampled check then scores its admitted triples once, by one path: its
 evaluation gives (value, scale, faults), `_score` divides, and `_report`
@@ -28,6 +29,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from typing import Sequence
@@ -229,11 +231,71 @@ def _pole_faults(*values: np.ndarray) -> np.ndarray:
     return np.where(nan, _POLE, 0)
 
 
+# -- the sample stream ----------------------------------------------------------------
+#
+# A counter-based generator (Salmon et al., "Parallel random numbers: as easy
+# as 1, 2, 3", SC 2011) on SplitMix64's finaliser mix64 (Steele, Lea & Flood,
+# OOPSLA 2014). Round k of seed s reads uniform j as
+# (mix64(key(s, k) + (j + 1) gamma) >> 11) 2^-53, all mod 2^64, where key
+# folds each 64-bit limb of s, least significant first, and then k, by
+# h <- mix64((h ^ word) + gamma) from h = 0. The stream is a function of its
+# integers alone, so seeded reports depend on no library's generator.
+
+_GAMMA, _M1, _M2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+# the same constants, and mix64's shifts, as numpy scalars: uint64 arrays wrap mod 2^64 by themselves
+_GAMMA_U, _M1_U, _M2_U = (np.uint64(c) for c in (_GAMMA, _M1, _M2))
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+
+
+def _fold(h: int, word: int) -> int:
+    """mix64((h ^ word) + gamma) of two ints below 2^64."""
+    z = (h ^ word) + _GAMMA & _MASK64
+    z = (z ^ z >> 30) * _M1 & _MASK64
+    z = (z ^ z >> 27) * _M2 & _MASK64
+    return z ^ z >> 31
+
+
+def _seed_key(seed) -> int:
+    """The 64-bit limbs of seed, least significant first, folded from 0.
+
+    A seed is a non-negative integer of any size (bool and numpy integers
+    included): a float raises TypeError, a negative one ValueError.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return reduce(_fold, (seed >> shift & _MASK64 for shift in range(0, max(seed.bit_length(), 1), 64)), 0)
+
+
+class _Stream:
+    """Round k of a seed's stream: its uniforms 0, 1, 2, ... in C order."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self, seed_key: int, k: int):
+        self._key = np.uint64(_fold(seed_key, k))
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size=1) -> np.ndarray:
+        """An array of shape size, low + (high - low) u elementwise, as numpy's Generator.uniform computes it."""
+        z = np.arange(1, (math.prod(size) if isinstance(size, tuple) else size) + 1, dtype=np.uint64)
+        z *= _GAMMA_U
+        z += self._key
+        z ^= z >> _S30
+        z *= _M1_U
+        z ^= z >> _S27
+        z *= _M2_U
+        z ^= z >> _S31
+        u = (z >> _S11).astype(float)
+        u *= 2.0**-53
+        return (low + (high - low) * u).reshape(size)
+
+
 def _draws(seed: int, count: int, draw, admit, budget: int, rounds: int | None = None) -> np.ndarray:
     """The first admitted draw of each of samples 0..count-1.
 
-    Round k draws one block, draw(rng, n), from the generator seeded with
-    (seed, k), and sample i takes row i of it: a draw depends only on (seed,
+    Round k draws one block, draw(stream, n), from round k of the seed's
+    `_Stream`, and sample i takes row i of it: a draw depends only on (seed,
     sample, attempt). admit(samples, rows), a bool per row, is the geometric
     test, and the samples it rejects are redrawn in the next round until
     every one holds an admitted row. Every draw spends one unit of a pooled
@@ -242,13 +304,14 @@ def _draws(seed: int, count: int, draw, admit, budget: int, rounds: int | None =
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    seed_key = _seed_key(seed)
     pending, drawn, spent, k = np.arange(count), None, 0, 0
     while pending.size:
         if spent + pending.size > budget or k == rounds:
             limit = rounds if k == rounds else budget
             raise SamplerExhausted(f"no accepted draw for sample {pending[0]} within {limit} draws")
         spent += pending.size
-        block = draw(np.random.default_rng((seed, k)), pending[-1] + 1)
+        block = draw(_Stream(seed_key, k), pending[-1] + 1)
         rows = block if drawn is None else block[pending]
         ok = admit(pending, rows)
         if drawn is None:
@@ -267,11 +330,12 @@ class TripleSampler:
     Points are drawn in lattice coordinates (s, t) uniform on
     [margin, 1-margin]^2 when a family's lattice has rank two, otherwise in
     a complex box of half-width `box`. z is -x-y unless `unconstrained`, in
-    which case all three points are independent. Triple i is row i of a
-    block drawn by the generator seeded with (seed, round). Draws within
+    which case all three points are independent. Triple i is row i of the
+    block that round k of the seed's `_Stream` gives. Draws within
     `effective_pole_radius` of the lattice, of any rank, are rejected and
     redrawn in the next round, with a budget of 100 draws per sample on
-    average.
+    average. The seed is a non-negative integer of any size; drawing with
+    a negative one raises ValueError, with a float TypeError.
     """
 
     seed: int = 0
@@ -433,11 +497,11 @@ def grid_scan(
     x runs over a grid x grid mesh: [margin, 1-margin]^2 in lattice
     coordinates where the family's lattice has rank two, else the box
     [-1, 1]^2; a grid point on a pole raises SamplerExhausted. Grid point
-    (i, j) is sample i*grid + j of the sampler's stream: its partner y is
-    redrawn, at most 200 times, while a point of (x, y, -x-y) lies near a
-    pole; SamplerExhausted then. The admitted triples are scored once, as
-    one batch; a triple whose residual faults has no row, and the report
-    counts it as skipped.
+    (i, j) is sample i*grid + j of the sampler's seed, drawn from its
+    `_Stream` as `_draws` reads it: its partner y is redrawn, at most 200
+    times, while a point of (x, y, -x-y) lies near a pole; SamplerExhausted
+    then. The admitted triples are scored once, as one batch; a triple
+    whose residual faults has no row, and the report counts it as skipped.
     """
     ctx = getattr(fam, "ctx", None)
     cell = ctx is not None and len(ctx.reduced) == 2
@@ -543,10 +607,12 @@ def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, t
     """Agreement of det3 on pe jets with the sigma quotient (see `_det_vs_sigma`).
 
     Points a, b, c are drawn in lattice coordinates uniform on
-    [-0.35, 0.35]^2 (`_SIGMA_SPREAD`) about the origin. Draws are rejected
-    and redrawn when any point, any pairwise difference, or the sum lies
-    near the lattice (where the quotient divides by a vanishing sigma or
-    both sides vanish). An admitted triple whose gap faults is skipped.
+    [-0.35, 0.35]^2 (`_SIGMA_SPREAD`) about the origin, sample i from row i
+    of round k of the seed's `_Stream`, as `_draws` reads it. Draws are
+    rejected and redrawn when any point, any pairwise difference, or the
+    sum lies near the lattice (where the quotient divides by a vanishing
+    sigma or both sides vanish). An admitted triple whose gap faults is
+    skipped. A negative seed raises ValueError, a float TypeError.
     """
     pole = max(ctx.pole_tol, 0.04 * ctx.lambda_min)
 

@@ -13,7 +13,9 @@ by another route what the package computes, or inverts one of its maps:
 - `reexpand_normal_form`: the inverse of `classify.to_normal_form`;
 - `curve_add` and `exact_det3`: the chord-tangent law on
   y^2 = 4x^3 - g2 x - g3 over `Fraction`s, and det3 with its six-term
-  scale, exactly, on rational points.
+  scale, exactly, on rational points;
+- `stream_uniforms`: the samplers' uniforms, SplitMix64 keyed by
+  (seed, round), in Python ints.
 """
 
 from __future__ import annotations
@@ -265,3 +267,33 @@ def exact_det3(p1, p2, p3):
     (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
     terms = (x2 * y3, -x3 * y2, -x1 * y3, x3 * y1, x1 * y2, -x2 * y1)
     return sum(terms), sum(map(abs, terms))
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finaliser (Steele, Lea & Flood, OOPSLA 2014) of z mod 2^64."""
+    z %= 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def stream_uniforms(seed: int, k: int, count: int) -> list[float]:
+    """Uniforms 0..count-1 of round k of the sample stream of seed, in Python ints and floats, no numpy.
+
+    The key folds the 64-bit limbs of seed, least significant first (at
+    least one), then k, by h = mix64((h xor word) + gamma) from h = 0;
+    uniform j is the top 53 bits of mix64(key + (j + 1) gamma), over 2^53.
+    """
+    words, rest = [], seed
+    while True:
+        rest, word = divmod(rest, 2**64)
+        words.append(word)
+        if rest == 0:
+            break
+    h = 0
+    for word in [*words, k]:
+        h = _mix64((h ^ word) + _GAMMA)
+    return [(_mix64(h + (j + 1) * _GAMMA) >> 11) / 2**53 for j in range(count)]

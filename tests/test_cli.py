@@ -7,6 +7,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -422,6 +424,43 @@ def test_a_shift_sum_past_2_52_fixes_no_point_of_the_cell(gamma, capsys):
     assert "fixes no point of the cell" in err and "internal error" not in err
 
 
+# (the run, the flag, a value with a leading minus sign): every complex and fraction flag
+_SIGNED = [
+    (["eval", "--fn", "wp", "--periods", "2,0,0,2"], "--z", "-0.3,0.1"),
+    (["eval", "--fn", "wp", "--z", "0.3,0.1"], "--periods", "-2,0,0,2"),
+    (["eval", "--fn", "wp", "--g3", "1,0", "--z", "0.3,0.2"], "--g2", "-4,0"),
+    (["eval", "--fn", "wp", "--g2", "4,0", "--z", "0.3,0.2"], "--g3", "-1,0"),
+    (["verify", "theorem1", "--periods", "2,0,0,2", "--n", "20"], "--shift", "-0.5,0.3"),
+    (["verify", "theorem1", "--periods", "2,0,0,2", "--n", "20"], "--shift-frac", "-1/3,0"),
+    (["verify", "theorem2", "--periods", "2,0,0,2", "--n", "20"], "--gammas", "-1/3,0,1/3,0,0,0"),
+    (["gen", "--family", "exp", "--grid", "0:1:0.5"], "--delta", "-0.5,1"),
+    (["gen", "--family", "linear", "--grid", "0:1:0.5"], "--alpha", "-2,0"),
+    (["gen", "--family", "linear", "--grid", "0:1:0.5"], "--beta", "-.5,0"),
+    (["gen", "--family", "constant", "--grid", "0:1:0.5"], "--c", "-1,0.5"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", _SIGNED, ids=[flag for _, flag, _ in _SIGNED])
+def test_a_value_may_start_with_a_minus_sign(argv, flag, value, tmp_path, capsys):
+    # "--z -0.3,0.1" runs as "--z=-0.3,0.1" does
+    csv = tmp_path / "samples.csv"
+    out = ["--out", str(csv)] if argv[0] == "gen" else []
+
+    def outputs(args):
+        code = run([*argv, *args, *out])
+        return code, capsys.readouterr().out, csv.read_text() if out else None
+
+    joined = outputs([f"{flag}={value}"])
+    assert joined[0] == 0
+    assert outputs([flag, value]) == joined
+
+
+@pytest.mark.parametrize("unknown", ["--bogus", "-5", "-0.3,0.1"])
+def test_an_unknown_option_or_stray_value_still_exits_64(unknown, capsys):
+    assert run(["eval", "--fn", "wp", "--periods", "2,0,0,2", "--z", "0.3,0.1", unknown]) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestParser:
     # each verb's option strings: a shared flag group must add none to a verb
     OPTIONS = {
@@ -674,6 +713,28 @@ def test_a_negative_seed_exits_65(verb, wp_samples, tmp_path, capsys):
     }[verb]
     assert run([*argv, "--seed", "-1"]) == 65
     assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_no_command_imports_numpy_random(wp_samples, tmp_path):
+    # numpy loads numpy.random on first use; the samplers draw from their own stream, so no run needs it
+    script = (
+        "import sys\n"
+        "from wpfeq import cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert cli.main(argv.split()) == 0, argv\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    runs = [
+        "verify theorem1 --periods 2,0,0,2 --n 50",
+        "verify sigma --periods 2,0,0,2 --n 50",
+        f"scan --periods 2,0,0,2 --grid 4 --out {tmp_path / 'scan.csv'}",
+        f"fit --input {wp_samples}",
+    ]
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, *runs], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_fit_without_out_writes_one_json_document_to_stdout(wp_samples, capsys):

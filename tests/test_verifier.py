@@ -14,7 +14,7 @@ from wpfeq import jetpoly as jp
 from wpfeq import verifier as vr
 from wpfeq.errors import FloatOverflow, PoleProximity, SamplerExhausted
 
-from oracles import transform_jets
+from oracles import stream_uniforms, transform_jets
 
 
 class TestFamilies:
@@ -173,6 +173,18 @@ class TestResidualAndScan:
         assert not math.isfinite(rep.max_residual)
 
 
+class _ReferenceStream:
+    """Round k of seed's stream from `stream_uniforms`: uniform(low, high, size) is low + (high - low) u in C order."""
+
+    def __init__(self, seed, k):
+        self.seed, self.k = seed, k
+
+    def uniform(self, low=0.0, high=1.0, size=1):
+        shape = size if isinstance(size, tuple) else (size,)
+        uniforms = stream_uniforms(self.seed, self.k, math.prod(shape))
+        return np.array([low + (high - low) * u for u in uniforms]).reshape(shape)
+
+
 def _pole_radius(monkeypatch, radius: float):
     """Give every sampler the pole radius `radius` on every context, to force redraws."""
     monkeypatch.setattr(vr.TripleSampler, "effective_pole_radius", lambda self, ctx: radius)
@@ -180,15 +192,15 @@ def _pole_radius(monkeypatch, radius: float):
 
 class TestSampling:
     def test_stream_is_keyed_by_seed_index_attempt(self, square_ctx, monkeypatch):
-        # round k draws one block from the generator seeded with (seed, k);
-        # sample i takes row i, (s, t) of x then of y, until x, y and z all
-        # clear the pole radius
+        # round k draws one block from round k of the seed's stream; sample i
+        # takes row i, (s, t) of x then of y, until x, y and z all clear the
+        # pole radius
         fam = vr.WeierstrassShifted(square_ctx, 0j)
         _pole_radius(monkeypatch, 0.5)
         sampler = vr.TripleSampler(seed=4, count=30)
         got = list(sampler.triples((fam, fam, fam)))
         w1, w2 = square_ctx.periods.omega1, square_ctx.periods.omega2
-        blocks = [np.random.default_rng((4, k)).uniform(0.05, 0.95, (30, 2, 2)) for k in range(40)]
+        blocks = [_ReferenceStream(4, k).uniform(0.05, 0.95, (30, 2, 2)) for k in range(40)]
         want, rounds = [], []
         for index in range(30):
             for k, block in enumerate(blocks):
@@ -220,14 +232,25 @@ class TestSampling:
             assert len(rounds) > 1 and len(calls) == per_round * len(rounds)
         calls.clear()
         rounds.clear()
-        _pole_radius(monkeypatch, 0.13)
+        # the corner grid point 0.1 + 0.1i lies 0.1414 from the lattice: 0.14 clears it and sends some partners y to a redraw
+        _pole_radius(monkeypatch, 0.14)
         vr.grid_scan(vr.WeierstrassShifted(square_ctx), vr.TripleSampler(), 8, 1e-8)
         assert len(rounds) > 1 and len(calls) == len(rounds)
+
+    def test_first_uniforms_are_pinned(self):
+        # an edit to the mixer, the key's limb fold or the counter moves these
+        pinned = {
+            (0, 0): [0.13870941014555427, 0.9711020828012883, 0.2778328726049074],
+            (2**64 + 1, 3): [0.5541178200148191, 0.4363933830683986, 0.28655844223857474],
+        }
+        for (seed, k), want in pinned.items():
+            assert stream_uniforms(seed, k, 3) == want
+            assert vr._Stream(vr._seed_key(seed), k).uniform(size=3).tolist() == want
 
     def test_box_stream_reads_re_im_pairs(self):
         fam = vr.Exponential()
         got = list(vr.TripleSampler(seed=4, count=3).triples((fam, fam, fam)))
-        block = np.random.default_rng((4, 0)).uniform(-1.0, 1.0, (3, 2, 2))
+        block = _ReferenceStream(4, 0).uniform(-1.0, 1.0, (3, 2, 2))
         want = [(complex(*x), complex(*y), -(complex(*x) + complex(*y))) for x, y in block]
         assert got == want
 
@@ -256,7 +279,7 @@ class TestSampling:
         else:
             drawn = run()
             assert attempts == [3, 2, 1]
-            assert drawn.tolist() == [np.random.default_rng((0, i)).uniform(size=i + 1)[i] for i in range(3)]
+            assert drawn.tolist() == [stream_uniforms(0, i, i + 1)[i] for i in range(3)]
 
     def test_starved_sampler_spends_the_pooled_budget(self, square_ctx, monkeypatch):
         spent = []
@@ -343,14 +366,48 @@ class TestSampling:
             vr.constant_case_check(vr.Exponential(delta=800), vr.Exponential(), sampler)
 
 
+class TestSeeds:
+    """A seed is a non-negative integer of any size; every sampler refuses anything else."""
+
+    @staticmethod
+    def _samplers(ctx, seed):
+        """Each sampler's draws at seed, by name."""
+        fam = vr.WeierstrassShifted(ctx)
+        return {
+            "triples": lambda: list(vr.TripleSampler(seed=seed, count=5).triples((fam, fam, fam))),
+            "grid_scan": lambda: vr.grid_scan(fam, vr.TripleSampler(seed=seed), 3, 1e-8)[0],
+            "sigma_identity_scan": lambda: vr.sigma_identity_scan(ctx, count=5, seed=seed).worst_triple,
+        }
+
+    def _draw_all(self, ctx, seed):
+        return [draw() for draw in self._samplers(ctx, seed).values()]
+
+    @pytest.mark.parametrize("sampler", ["triples", "grid_scan", "sigma_identity_scan"])
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**70), ValueError), (1.5, TypeError)])
+    def test_refused(self, square_ctx, sampler, seed, error):
+        with pytest.raises(error):
+            self._samplers(square_ctx, seed)[sampler]()
+
+    @pytest.mark.parametrize("seed, same_as", [(np.int64(5), 5), (True, 1), (2**70, None)])
+    def test_accepted(self, square_ctx, seed, same_as):
+        drawn = self._draw_all(square_ctx, seed)
+        if same_as is not None:
+            assert drawn == self._draw_all(square_ctx, same_as)
+
+    def test_every_limb_counts(self, square_ctx):
+        # 1 and 2**64 + 1 share their low 64 bits
+        a, b = self._draw_all(square_ctx, 1), self._draw_all(square_ctx, 2**64 + 1)
+        assert all(x != y for x, y in zip(a, b))
+
+
 # -- the draws against the sampling rule written out ---------------------------------
 
 
 def _reference_draws(seed, count, draw, admit):
-    """Sample i: row i of the first round k's block, draw(default_rng((seed, k)), n), that admit(i, row) passes."""
+    """Sample i: row i of the first round k's block, draw(_ReferenceStream(seed, k), n), that admit(i, row) passes."""
     drawn, pending, k = [None] * count, list(range(count)), 0
     while pending:
-        block = draw(np.random.default_rng((seed, k)), pending[-1] + 1)
+        block = draw(_ReferenceStream(seed, k), pending[-1] + 1)
         for i in pending:
             if admit(i, block[i]):
                 drawn[i] = block[i]
@@ -421,7 +478,7 @@ def _reference_sigma_draws(ctx, count, seed):
 
 
 class TestDrawsDoNotMove:
-    """The samplers against their rule written out, bit for bit: round k draws from default_rng((seed, k))."""
+    """The samplers against their rule written out, bit for bit: round k draws from `stream_uniforms(seed, k, n)`."""
 
     @pytest.mark.parametrize("radius", [None, 0.3, 0.9], ids=["default", "rounded-point", "3x3-search"])
     @pytest.mark.parametrize("case", _SAMPLER_CASES)
