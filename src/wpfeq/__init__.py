@@ -8,7 +8,6 @@ from .elliptic import (
     Periods,
     from_invariants,
     from_periods,
-    is_lattice_point,
     jets,
     sigma,
     wp,
@@ -46,7 +45,6 @@ __all__ = [
     "det3",
     "from_invariants",
     "from_periods",
-    "is_lattice_point",
     "jets",
     "residual",
     "scan",

@@ -100,11 +100,11 @@ class Invariants:
 
 
 class _Series:
-    """A context's theta_coeffs as Horner runs, with the constants its evaluators share.
+    """A context's theta coefficients a_n as Horner runs, with the constants its evaluators share.
 
-    Built by `_context`, which also counts low, the terms taken at e as
-    well as at 1/e. The polynomial sum_n c_n x^n is held as the runs
-    (c_N, ..., c_{low+1}) and (c_low, ..., c_1), top term first, the second
+    Built by `_context`, which cuts the a_n and also counts low, the terms
+    taken at e as well as at 1/e. The polynomial sum_n c_n x^n is held as the
+    runs (c_N, ..., c_{low+1}) and (c_low, ..., c_1), top term first, the second
     taken at both (see `_horner`): na, n2a and a are those of n a_n,
     n^2 a_n and a_n, the series of pe, pe' and zeta. With k that of the
     evaluation forms (1 when g2 = g3 = 0, see `_point`), k2 = k^2,
@@ -152,15 +152,13 @@ class EllipticContext:
     `periods` are the generators given or the AGM basis of the invariants,
     and `reduced` a Gauss-reduced pair (b1, b2) of them with Im(b2/b1) > 0;
     at zero discriminant periods is None and reduced is (pi/k,), or () if
-    g2 = g3 = 0. The theta series runs on k = pi/b1 (0 if g2 = g3 = 0) and
-    theta_coeffs[n-1] = a_n = q^(2n)/(1 - q^(2n)), cut where `_context`
-    says, which also builds `series`, the same coefficients as the
-    evaluators' Horner runs. eta holds the quasi-period constants
-    (zeta(b1/2), zeta(b2/2)). lambda_min is the distance to the nearest
-    lattice point: |b1|, pi/|k| or inf, and pole_tol the distance within
-    which a lattice point counts as a pole: 1e-3 lambda_min, or 0 at rank
-    zero. Nothing else derives from pole_tol, so `dataclasses.replace` may
-    set another.
+    g2 = g3 = 0. The theta series runs on k = pi/b1 (0 if g2 = g3 = 0), and
+    `series` holds its coefficients as the evaluators' Horner runs. eta
+    holds the quasi-period constants (zeta(b1/2), zeta(b2/2)). lambda_min
+    is the distance to the nearest lattice point: |b1|, pi/|k| or inf, and
+    pole_tol the distance within which a lattice point counts as a pole:
+    1e-3 lambda_min, or 0 at rank zero. Nothing else derives from pole_tol,
+    so `dataclasses.replace` may set another.
     """
 
     invariants: Invariants
@@ -169,7 +167,6 @@ class EllipticContext:
     reduced: tuple[complex, ...]
     lambda_min: float
     k: complex
-    theta_coeffs: tuple[complex, ...]
     eta: tuple[complex, complex]
     series: _Series = field(repr=False, compare=False)
 
@@ -274,7 +271,7 @@ def _context(invariants: Invariants | None, periods: Periods | None, reduced: tu
             invariants = Invariants(g2, g3, disc)
     pole_tol = 1e-3 * lam if math.isfinite(lam) else 0.0
     series = _Series(coeffs, low, r, k, eta[0])
-    return EllipticContext(invariants, periods, pole_tol, reduced, lam, k, tuple(coeffs), eta, series)
+    return EllipticContext(invariants, periods, pole_tol, reduced, lam, k, eta, series)
 
 
 def from_periods(omega1: complex, omega2: complex) -> EllipticContext:
@@ -698,11 +695,6 @@ def lattice_offset(ctx: EllipticContext, z: complex) -> float:
     if not all(-(2.0**52) < c < 2.0**52 for c in coords[:rank]):
         raise FloatOverflow(f"{complex(z)} {_NO_POINT}")
     return max([abs(c - round(c)) for c in coords[:rank]] + [math.hypot(*coords[rank:])])
-
-
-def is_lattice_point(ctx: EllipticContext, z: complex) -> bool:
-    """True when z is a lattice point within LATTICE_TOL (`lattice_offset`, which raises FloatOverflow past 2^52)."""
-    return lattice_offset(ctx, z) <= LATTICE_TOL
 
 
 # the 3x3 neighbour shifts (dm, dn) of the rounded lattice coordinates

@@ -496,12 +496,14 @@ def grid_scan(
 
     x runs over a grid x grid mesh: [margin, 1-margin]^2 in lattice
     coordinates where the family's lattice has rank two, else the box
-    [-1, 1]^2; a grid point on a pole raises SamplerExhausted. Grid point
-    (i, j) is sample i*grid + j of the sampler's seed, drawn from its
-    `_Stream` as `_draws` reads it: its partner y is redrawn, at most 200
-    times, while a point of (x, y, -x-y) lies near a pole; SamplerExhausted
-    then. The admitted triples are scored once, as one batch; a triple
-    whose residual faults has no row, and the report counts it as skipped.
+    [-1, 1]^2. Grid points pass the admission their partners pass: one
+    within `effective_pole_radius` of a pole (x + shift near the lattice)
+    raises SamplerExhausted at once, naming it. Grid point (i, j) is
+    sample i*grid + j of the sampler's seed, drawn from its `_Stream` as
+    `_draws` reads it: its partner y is redrawn, at most 200 times, while a
+    point of (x, y, -x-y) lies near a pole; SamplerExhausted then. The
+    admitted triples are scored once, as one batch; a triple whose residual
+    faults has no row, and the report counts it as skipped.
     """
     ctx = getattr(fam, "ctx", None)
     cell = ctx is not None and len(ctx.reduced) == 2
@@ -509,9 +511,10 @@ def grid_scan(
     ticks = lo + width * np.arange(grid) / max(grid - 1, 1)
     s, t = np.repeat(ticks, grid), np.tile(ticks, grid)
     xs = elliptic.lattice_point(ctx, s, t) if cell else s + 1j * t
-    poles = np.flatnonzero(np.isnan(fam.jets(xs, 0)[0]))
-    if poles.size:
-        raise SamplerExhausted(f"grid point {poles[0]} at x = {xs[poles[0]]} is a pole of the family")
+    near = np.flatnonzero(~sampler._admission((fam,))(xs[:, None]))
+    if near.size:
+        i, radius = near[0], sampler.effective_pole_radius(ctx)
+        raise SamplerExhausted(f"grid point {i} at x = {xs[i]} lies within {radius} of a pole of the family")
 
     admit_rows = sampler._admission((fam,) * 3)
 
@@ -628,32 +631,6 @@ def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, t
     drawn = _draws(seed, count, draw, admit, 200 * count)
     residuals, faults = _score(lambda a, b, c: _det_vs_sigma(ctx, a, b, c), *drawn.T)
     return _report(drawn, residuals, faults, tol, "det3 vs sigma quotient")
-
-
-def shifted_det_vs_sigma_scan(
-    ctx: EllipticContext,
-    shift: complex,
-    sampler: TripleSampler,
-    tol: float = 1e-6,
-) -> ResidualReport:
-    """Per-triple agreement of the shifted-triple determinant with its sigma form.
-
-    For f = g = h = pe(. + shift) at (x, y, z = -x-y) the determinant equals
-    the sigma quotient at (x+shift, y+shift, z+shift); the shift sum 3*shift
-    controls whether the value vanishes. The gap is measured as in
-    `_det_vs_sigma`, so where both sides vanish they agree to round-off.
-    This is the oracle that pins the residual floor of non-lattice shifts.
-    Triples whose sigma quotient has a zero denominator, at a lattice point
-    or by underflow, are skipped.
-    """
-    shift = complex(shift)
-    fam = WeierstrassShifted(ctx, shift)
-    return _collect(
-        sampler.triples((fam, fam, fam)),
-        lambda x, y, z: _det_vs_sigma(ctx, x + shift, y + shift, z + shift),
-        tol,
-        "shifted determinant vs sigma quotient",
-    )
 
 
 def theorem_shift_expectation(ctx: EllipticContext, total_shift: complex) -> str:

@@ -15,7 +15,10 @@ by another route what the package computes, or inverts one of its maps:
   y^2 = 4x^3 - g2 x - g3 over `Fraction`s, and det3 with its six-term
   scale, exactly, on rational points;
 - `stream_uniforms`: the samplers' uniforms, SplitMix64 keyed by
-  (seed, round), in Python ints.
+  (seed, round), in Python ints;
+- `shifted_det_vs_sigma_scan`: det3 of the shifted triple pe(. + shift)
+  against its sigma quotient, which pins the residual floor of a shift
+  sum off the lattice.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from wpfeq.elliptic import (
     lattice_point,
 )
 from wpfeq.errors import PoleProximity
+from wpfeq.verifier import ResidualReport, TripleSampler, WeierstrassShifted, _collect, _det_vs_sigma
 
 
 def brute_eisenstein_g2(w1, w2, cutoffs=(300, 600)):
@@ -297,3 +301,29 @@ def stream_uniforms(seed: int, k: int, count: int) -> list[float]:
     for word in [*words, k]:
         h = _mix64((h ^ word) + _GAMMA)
     return [(_mix64(h + (j + 1) * _GAMMA) >> 11) / 2**53 for j in range(count)]
+
+
+def shifted_det_vs_sigma_scan(
+    ctx: EllipticContext,
+    shift: complex,
+    sampler: TripleSampler,
+    tol: float = 1e-6,
+) -> ResidualReport:
+    """Per-triple agreement of the shifted-triple determinant with its sigma form.
+
+    For f = g = h = pe(. + shift) at (x, y, z = -x-y) the determinant equals
+    the sigma quotient at (x+shift, y+shift, z+shift); the shift sum 3*shift
+    controls whether the value vanishes. The gap is measured as in
+    `_det_vs_sigma`, so where both sides vanish they agree to round-off.
+    This is the oracle that pins the residual floor of non-lattice shifts.
+    Triples whose sigma quotient has a zero denominator, at a lattice point
+    or by underflow, are skipped.
+    """
+    shift = complex(shift)
+    fam = WeierstrassShifted(ctx, shift)
+    return _collect(
+        sampler.triples((fam, fam, fam)),
+        lambda x, y, z: _det_vs_sigma(ctx, x + shift, y + shift, z + shift),
+        tol,
+        "shifted determinant vs sigma quotient",
+    )

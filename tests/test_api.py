@@ -17,7 +17,9 @@ def test_star_import_exports_exactly_the_public_names():
 
 
 def test_test_oracles_are_not_public():
-    # the reference lattice sum and the cell representative live in tests/oracles.py
-    for name in ("lattice_sum_reference", "reduce_to_cell"):
+    # the reference lattice sum, the cell representative and the shifted sigma scan live in
+    # tests/oracles.py; lattice membership is `lattice_offset(ctx, z) <= LATTICE_TOL`
+    for name in ("lattice_sum_reference", "reduce_to_cell", "is_lattice_point"):
         assert name not in wpfeq.__all__ and not hasattr(wpfeq, name)
         assert not hasattr(wpfeq.elliptic, name)
+    assert not hasattr(wpfeq.verifier, "shifted_det_vs_sigma_scan")

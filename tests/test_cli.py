@@ -337,6 +337,18 @@ class TestScan:
         assert run(["scan", "--periods", "2,0,0,2", "--shift-frac", "0.95,0.95",
                     "--grid", "16", "--out", str(tmp_path / "s.csv")]) == 65
 
+    def test_grid_point_inside_the_pole_radius_is_named(self, tmp_path, capsys):
+        # at margin 0.01 grid point 0 lies 0.028 from the origin, inside the pole radius 0.06: refused before any
+        # partner is drawn; at 0.03 it lies 0.085 away and the scan writes every row
+        out = tmp_path / "m.csv"
+        argv = ["scan", "--periods", "2,0,0,2", "--grid", "8", "--out", str(out), "--margin"]
+        assert run(argv + ["0.01"]) == 65
+        err = capsys.readouterr().err
+        assert "grid point 0 at x = (0.02+0.02j) lies within 0.06 of a pole of the family" in err
+        assert "within 200 draws" not in err
+        assert run(argv + ["0.03"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 64
+
     def test_box_grid_without_periods(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["scan", "--family", "exp", "--grid", "5"]

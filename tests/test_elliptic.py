@@ -112,13 +112,13 @@ class TestConstruction:
         k = cmath.sqrt(4.5 * (8 + 0j) / (12 + 0j))
         assert ctx.k == k and ctx.reduced == (math.pi / k,) and ctx.periods is None
         assert ctx.lambda_min == math.pi / abs(k)
-        assert ctx.eta == (math.pi * k / 6.0, 0j) and ctx.theta_coeffs == ()
+        assert ctx.eta == (math.pi * k / 6.0, 0j) and ctx.series.a == ([], [])
         assert ctx.pole_tol == 1e-3 * math.pi / abs(k)
         assert ctx.invariants == el.Invariants(12, 8, 0)
         ctx = el.from_invariants(0, 0)
         assert ctx.k == 0 and ctx.reduced == () and ctx.periods is None
         assert ctx.lambda_min == math.inf
-        assert ctx.eta == (0j, 0j) and ctx.theta_coeffs == ()
+        assert ctx.eta == (0j, 0j) and ctx.series.a == ([], [])
         assert ctx.pole_tol == 0.0
 
     @pytest.mark.parametrize("g2, g3", [(4, 1), (4, 0), (1 + 2j, 0.3 - 1j), (7e5, 2e8)])
@@ -127,7 +127,7 @@ class TestConstruction:
         ctx = el.from_invariants(g2, g3)
         same = el.from_periods(*ctx.reduced)
         assert same.reduced == ctx.reduced
-        assert same.theta_coeffs == ctx.theta_coeffs and same.eta == ctx.eta
+        assert same.series.a == ctx.series.a and same.eta == ctx.eta
 
     @pytest.mark.parametrize("tau", [5j, 6j])
     def test_tall_lattice_invariants_have_rank_two(self, tau):
@@ -153,7 +153,7 @@ class TestConstruction:
         assert reduce_to_cell(degenerate_ctx, 0.5) == 0.5
         assert el.lattice_coordinates(degenerate_ctx, 0.3 - 0.4j) == (0.3, -0.4)
         assert el.lattice_offset(degenerate_ctx, 0.3 - 0.4j) == pytest.approx(0.5, rel=1e-15)
-        assert el.is_lattice_point(degenerate_ctx, 0j) and not el.is_lattice_point(degenerate_ctx, 1e-6)
+        assert el.lattice_offset(degenerate_ctx, 0j) <= el.LATTICE_TOL < el.lattice_offset(degenerate_ctx, 1e-6)
         assert el.lattice_point(degenerate_ctx, 0.0, 0.0) == 0
         # only a nonzero fraction beyond the rank has no answer
         rank_one = el.from_invariants(3, 1)
@@ -168,7 +168,7 @@ class TestConstruction:
         assert (w1, w2) == ctx.reduced
         assert el.lattice_point(ctx, 0.5, 0.25) == 0.5 * w1 + 0.25 * w2
         assert el.lattice_coordinates(ctx, 0.5 * w1 + 0.25 * w2) == pytest.approx((0.5, 0.25), abs=1e-15)
-        assert el.is_lattice_point(ctx, 2 * w1 - 5 * w2) and not el.is_lattice_point(ctx, 0.5 * w1)
+        assert el.lattice_offset(ctx, 2 * w1 - 5 * w2) <= el.LATTICE_TOL < el.lattice_offset(ctx, 0.5 * w1)
         assert reduce_to_cell(ctx, 3 * w1 + 0.2 * w2) == pytest.approx(0.2 * w2, abs=1e-12)
         z = 0.31 + 0.17j
         ref = lattice_sum_reference(ctx, z)
@@ -705,9 +705,8 @@ class TestLatticeQueriesAtTheFloatTop:
     @pytest.mark.parametrize("name, z", [(name, z) for name, (_, zs) in _FAR.items() for z in zs])
     def test_a_number_is_no_lattice_point_and_has_no_distance(self, name, z):
         ctx = _FAR[name][0]
-        for fn in (el.lattice_offset, el.is_lattice_point):
-            with pytest.raises(FloatOverflow, match="fixes no point of the cell"):
-                fn(ctx, z)
+        with pytest.raises(FloatOverflow, match="fixes no point of the cell"):
+            el.lattice_offset(ctx, z)
         assert math.isnan(el.lattice_distance(ctx, z))
         for radius in _clear_radii(ctx):
             assert el.clear_of_lattice(ctx, z, radius) is False
@@ -727,14 +726,15 @@ class TestLatticeQueriesAtTheFloatTop:
         (w,) = rank_one.reduced
         for ctx, z in ((rank_one, 1e300j * w), (rank_zero, 1e300 + 0j), (rank_zero, 1e308 - 1e308j)):
             assert el.lattice_offset(ctx, z) == pytest.approx(abs(z) / abs(el._frame(ctx.reduced)[0]), rel=1e-15)
-            assert not el.is_lattice_point(ctx, z)
+            assert el.lattice_offset(ctx, z) > el.LATTICE_TOL
             assert el.lattice_distance(ctx, z) == pytest.approx(abs(z), rel=1e-15)
             assert el.clear_of_lattice(ctx, np.array([z]), 0.1).tolist() == [True]
 
     def test_a_coordinate_below_2_52_still_fixes_its_point(self, square_ctx):
         # z has the lattice coordinates (2^52 - 1, 1/4) on (2, 2i)
         z = 2.0**53 - 2.0 + 0.5j
-        assert el.lattice_offset(square_ctx, z) == 0.25 and el.is_lattice_point(square_ctx, 2.0**53 - 2.0)
+        assert el.lattice_offset(square_ctx, z) == 0.25
+        assert el.lattice_offset(square_ctx, 2.0**53 - 2.0) <= el.LATTICE_TOL
         assert el.lattice_distance(square_ctx, z) == 0.5
         assert el.clear_of_lattice(square_ctx, z, 0.4) and not el.clear_of_lattice(square_ctx, z, 0.5)
 
@@ -1032,7 +1032,7 @@ class TestThetaKernel:
         q, u = math.exp(-math.pi * tau.imag), 2.0**-53
         (n, low), (m, sigma_low) = terms, sigma_terms
         top_run, low_run = ctx.series.n2a
-        assert len(ctx.theta_coeffs) == len(top_run) + len(low_run) == n and len(low_run) == low
+        assert len(top_run) + len(low_run) == n and len(low_run) == low
         assert n**2 * q ** (n - 1) >= u > (n + 1) ** 2 * q**n
         assert low**2 * q ** (2 * low - 2) >= u > (low + 1) ** 2 * q ** (2 * low)
         sigma_top, sigma_low_run = ctx.series.theta1[1]
@@ -1144,14 +1144,15 @@ class TestLatticeOps:
         assert el.lattice_point(ctx, 2.5, 0) == 2.5 * w
         assert el.lattice_coordinates(ctx, (2.5 + 0.5j) * w) == pytest.approx((2.5, 0.5), abs=1e-15)
         assert reduce_to_cell(ctx, (3.2 + 0.4j) * w) == pytest.approx((0.2 + 0.4j) * w, abs=1e-14)
-        assert el.is_lattice_point(ctx, -3 * w)
-        assert not el.is_lattice_point(ctx, 0.5 * w) and not el.is_lattice_point(ctx, 1j * w)
+        assert el.lattice_offset(ctx, -3 * w) <= el.LATTICE_TOL
+        assert el.lattice_offset(ctx, 0.5 * w) > el.LATTICE_TOL and el.lattice_offset(ctx, 1j * w) > el.LATTICE_TOL
         with pytest.raises(PoleProximity):
             el.wp(ctx, -3 * w)
 
-    def test_is_lattice_point_examples(self, square_ctx):
+    def test_lattice_membership_examples(self, square_ctx):
+        # a lattice point is one whose offset is within LATTICE_TOL, the rule of `theorem_shift_expectation`
         w1, w2 = square_ctx.periods.omega1, square_ctx.periods.omega2
-        assert el.is_lattice_point(square_ctx, 2 * w1 - 5 * w2)
-        assert not el.is_lattice_point(square_ctx, 0.5 * w1)
+        assert el.lattice_offset(square_ctx, 2 * w1 - 5 * w2) <= el.LATTICE_TOL
+        assert el.lattice_offset(square_ctx, 0.5 * w1) > el.LATTICE_TOL
         eps_lat = el.LATTICE_TOL
-        assert el.is_lattice_point(square_ctx, w1 * (1.0 + eps_lat / 10.0))
+        assert el.lattice_offset(square_ctx, w1 * (1.0 + eps_lat / 10.0)) <= el.LATTICE_TOL

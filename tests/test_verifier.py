@@ -14,7 +14,7 @@ from wpfeq import jetpoly as jp
 from wpfeq import verifier as vr
 from wpfeq.errors import FloatOverflow, PoleProximity, SamplerExhausted
 
-from oracles import stream_uniforms, transform_jets
+from oracles import shifted_det_vs_sigma_scan, stream_uniforms, transform_jets
 
 
 class TestFamilies:
@@ -232,10 +232,11 @@ class TestSampling:
             assert len(rounds) > 1 and len(calls) == per_round * len(rounds)
         calls.clear()
         rounds.clear()
-        # the corner grid point 0.1 + 0.1i lies 0.1414 from the lattice: 0.14 clears it and sends some partners y to a redraw
+        # the corner grid point 0.1 + 0.1i lies 0.1414 from the lattice: 0.14 clears it and sends some partners y to a redraw;
+        # the grid points pass one admission call, then their partners one per round
         _pole_radius(monkeypatch, 0.14)
         vr.grid_scan(vr.WeierstrassShifted(square_ctx), vr.TripleSampler(), 8, 1e-8)
-        assert len(rounds) > 1 and len(calls) == len(rounds)
+        assert len(rounds) > 1 and len(calls) == 1 + len(rounds)
 
     def test_first_uniforms_are_pinned(self):
         # an edit to the mixer, the key's limb fold or the counter moves these
@@ -359,6 +360,14 @@ class TestSampling:
         fam = vr.WeierstrassShifted(degenerate_ctx)
         with pytest.raises(SamplerExhausted, match="grid point 12 at x = 0j"):
             vr.grid_scan(fam, vr.TripleSampler(count=25), 5, 1e-8)
+
+    def test_grid_point_inside_the_pole_radius_raises_at_once(self, square_ctx, monkeypatch):
+        # margin 0.01 puts grid point 0 at 0.02 + 0.02i, 0.028 from the origin and inside the
+        # sampler's pole radius 0.03 lambda_min = 0.06, which no partner y can clear
+        fam = vr.WeierstrassShifted(square_ctx)
+        monkeypatch.setattr(vr, "_draws", lambda *a, **k: pytest.fail("drew partners"))
+        with pytest.raises(SamplerExhausted, match=r"^grid point 0 at x = \(0\.02\+0\.02j\) lies within 0\.06 "):
+            vr.grid_scan(fam, vr.TripleSampler(margin=0.01), 8, 1e-8)
 
     def test_overflow_in_a_batch_raises(self):
         sampler = vr.TripleSampler(count=50, unconstrained=True)
@@ -666,7 +675,7 @@ class TestSigmaQuotient:
 
     def test_tall_lattice_shifted_scan_scores_every_draw(self):
         # products of sigma values that underflow there are scaled, not skipped
-        rep = vr.shifted_det_vs_sigma_scan(
+        rep = shifted_det_vs_sigma_scan(
             el.from_periods(1.0, 8j), 0.9 + 0.9j, vr.TripleSampler(seed=7, count=100)
         )
         assert rep.details == {"skipped": 0}
@@ -674,20 +683,20 @@ class TestSigmaQuotient:
 
     def test_det_and_quotient_agree_at_zero_shift(self, square_ctx):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
-        rep = vr.shifted_det_vs_sigma_scan(square_ctx, 0j, vr.TripleSampler(seed=1, count=100))
+        rep = shifted_det_vs_sigma_scan(square_ctx, 0j, vr.TripleSampler(seed=1, count=100))
         # both sides vanish here and agree to the round-off of det3's terms
         assert rep.samples == 100
         assert rep.passed
 
     def test_shifted_residual_floor_agrees(self, square_ctx):
-        rep = vr.shifted_det_vs_sigma_scan(
+        rep = shifted_det_vs_sigma_scan(
             square_ctx, 0.37 * 2.0 / 3.0, vr.TripleSampler(seed=8, count=200), tol=1e-6
         )
         assert rep.passed
 
     def test_shifted_scan_scores_every_draw(self, square_ctx):
         # sigma evaluates on the whole plane: shifted points far out are scored
-        rep = vr.shifted_det_vs_sigma_scan(
+        rep = shifted_det_vs_sigma_scan(
             square_ctx, 0.9 + 0.9j, vr.TripleSampler(seed=0, count=200)
         )
         assert rep.samples == 200
@@ -920,7 +929,7 @@ class TestBatchedChecks:
     def test_shifted_sigma_scan_matches_scalar(self, name, request, batches):
         ctx = request.getfixturevalue(name)
         shift = 0.37 * ctx.periods.omega1
-        vr.shifted_det_vs_sigma_scan(ctx, shift, vr.TripleSampler(seed=21, count=60), tol=1e-6)
+        shifted_det_vs_sigma_scan(ctx, shift, vr.TripleSampler(seed=21, count=60), tol=1e-6)
         [(points, gaps, faults)] = batches
         assert not faults.any()
         for (x, y, z), gap in zip(points.tolist(), gaps.tolist()):
