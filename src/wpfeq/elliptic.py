@@ -2,9 +2,10 @@
 
 Generators are Gauss-reduced to (b1, b2) with tau = b2/b1 in the fundamental
 domain. pe, pe', zeta and sigma all come from series of Jacobi's theta1 in
-the nome q = exp(i pi tau) (DLMF 20.2, 20.5, 23.6), and g2, g3 and the
-discriminant from Lambert series in its coefficients (DLMF 23.8; see
-`_context`), all in one loop. With k = pi/b1, v = k z, r = q^2 and
+the nome q = exp(i pi tau) (DLMF 20.2, 20.5, 23.6), and g2 and g3 from
+Lambert series in its coefficients, summed on the basis scaled by a power
+of two (DLMF 23.8, 23.10(iv); see `_context`), all in one loop. With
+k = pi/b1, v = k z, r = q^2 and
 a_n = r^n/(1 - r^n),
 
     L(v) = theta1'(v)/theta1(v) = cot v + 4 sum_n a_n sin 2nv,
@@ -61,7 +62,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,7 +80,6 @@ _ROUNDOFF = 2.0**-53
 # (n, n^2, n^3, n^5) of the theta terms; a reduced basis keeps at most 16 (see `_context`)
 _TERMS = tuple((n, n * n, n**3, n**5) for n in range(1, 17))
 _INVARIANT_TOL = 1e-12  # round trip of the AGM generators, relative to the scale
-_SUBNORMAL_SLACK = 4 * 2.0**-1074  # and a few units of the subnormal grid, absolute
 LATTICE_TOL = 1e-9  # lattice membership, and how near to real a period ratio may come
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # a cube root of unity
 
@@ -96,7 +96,6 @@ class Periods:
 class Invariants:
     g2: complex
     g3: complex
-    discriminant: complex  # g2^3 - 27 g3^2; from the q-product for a lattice
 
 
 class _Series:
@@ -215,11 +214,12 @@ def _context(invariants: Invariants | None, periods: Periods | None, reduced: tu
     """The context on a reduced basis (`_gauss_reduce`) with k = pi/b1 (0 at rank zero); None: series invariants.
 
     At rank two one loop over r^n, r = exp(2 pi i tau), gives the theta
-    coefficients a_n = r^n/(1 - r^n), the Lambert sums S_p = sum n^p a_n
-    (DLMF 23.8): eta1 = (pi k/6)(1 - 24 S_1), g2 = (4/3) k^4 (1 + 240 S_3),
-    g3 = (8/27) k^6 (1 - 504 S_5), and the discriminant (2k)^12 r
-    prod (1 - r^n)^24, which does not cancel the way g2^3 - 27 g3^2 does on
-    tall lattices; eta2 = zeta(b2/2) is Legendre's relation (DLMF 23.2.14).
+    coefficients a_n = r^n/(1 - r^n) and the Lambert sums S_p = sum n^p a_n
+    (DLMF 23.8): eta1 = (pi k/6)(1 - 24 S_1), g2 = (4/3) k^4 (1 + 240 S_3)
+    and g3 = (8/27) k^6 (1 - 504 S_5), these two on the basis scaled by 2^-e
+    into |b1| 2^-e in [0.5, 1), where k 2^e is exact, and scaled back by
+    2^(4e), 2^(6e) (DLMF 23.10(iv)); eta2 = zeta(b2/2) is Legendre's
+    relation (DLMF 23.2.14).
 
     The series is cut here, per context, and built into the Horner runs of
     `_Series`. After rounding |q| <= |e| <= 1, so term n of the pe, pe' and
@@ -231,12 +231,17 @@ def _context(invariants: Invariants | None, periods: Periods | None, reduced: tu
     well: 8, 7, 5, 3 and 1 of them. The Lambert sums run on the N terms,
     which reach round-off sooner.
 
-    Invariants beyond the float range (|b1| below about 1e-26) raise
-    FloatOverflow. Below rank two the series runs at q = 0: no coefficients,
-    eta = (pi k/6, 0), lambda_min = pi/|k| or inf, and the invariants must
-    be given. The pole tolerance is 1e-3 lambda_min, 0 when g2 = g3 = 0.
+    g2, g3 beyond the float range (|b1| below about 1e-51) raise
+    FloatOverflow. Invariants given at rank two must match these to 1e-12
+    of the scale max(|g2|^(1/4), |g3|^(1/6)), both at 2^-e, where neither
+    is subnormal, or this raises SeriesNoConverge: the float invariants of
+    a tall lattice do not fix tau, so that round trip, not the basis, is
+    what is guaranteed. Below rank two the series runs at q = 0: no
+    coefficients, eta = (pi k/6, 0), lambda_min = pi/|k| or inf, and the
+    invariants must be given. The pole tolerance is 1e-3 lambda_min, 0 when
+    g2 = g3 = 0.
     """
-    coeffs, low, r, s1, s3, s5, prod = [], 0, 0j, 0, 0, 0, 1.0
+    coeffs, low, r, s1, s3, s5 = [], 0, 0j, 0, 0, 0
     eta = (math.pi * k / 6.0, 0j)
     lam = math.pi / abs(k) if k else math.inf
     if len(reduced) == 2:
@@ -255,28 +260,38 @@ def _context(invariants: Invariants | None, periods: Periods | None, reduced: tu
             s1 += n * a
             s3 += n3 * a
             s5 += n5 * a
-            prod *= 1.0 - rn
             qn *= q
         eta1 = math.pi * k / 6.0 * (1.0 - 24.0 * s1)
         eta, lam = (eta1, (eta1 * b2 - math.pi * 1j) / b1), abs(b1)
+        e = math.frexp(abs(b1))[1]
+        unit = _ldexp(k, e)
+        g2, g3 = 4.0 / 3.0 * unit**4 * (1.0 + 240.0 * s3), 8.0 / 27.0 * unit**6 * (1.0 - 504.0 * s5)
         if invariants is None:
             try:
-                g2, g3 = 4.0 / 3.0 * k**4 * (1.0 + 240.0 * s3), 8.0 / 27.0 * k**6 * (1.0 - 504.0 * s5)
-                disc = (2.0 * k) ** 12 * r * prod**24
-            except OverflowError:
-                disc = math.inf
-            # a complex power past the float range raises, or comes out nan
-            if not cmath.isfinite(disc):
-                raise FloatOverflow(f"the invariants of the lattice on {b1} exceed the float range")
-            invariants = Invariants(g2, g3, disc)
+                invariants = Invariants(_ldexp(g2, -4 * e), _ldexp(g3, -6 * e))
+            except OverflowError as exc:
+                raise FloatOverflow(f"the invariants of the lattice on {b1} exceed the float range") from exc
+        else:
+            h2, h3 = _ldexp(invariants.g2, 4 * e), _ldexp(invariants.g3, 6 * e)
+            scale = max(abs(h2) ** 0.25, abs(h3) ** (1.0 / 6.0))
+            err = max(abs(g2 - h2) / scale**4, abs(g3 - h3) / scale**6)
+            if not err <= _INVARIANT_TOL:
+                raise SeriesNoConverge(f"the AGM lattice misses the invariants by {err:.3g} of the scale")
     pole_tol = 1e-3 * lam if math.isfinite(lam) else 0.0
     series = _Series(coeffs, low, r, k, eta[0])
     return EllipticContext(invariants, periods, pole_tol, reduced, lam, k, eta, series)
 
 
+def _ldexp(z: complex, e: int) -> complex:
+    """z 2^e, part by part: exact unless a part leaves the float range, which raises OverflowError, or underflows."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def from_periods(omega1: complex, omega2: complex) -> EllipticContext:
     """Context from lattice generators; invariants from the q-series of the reduced tau, pole_tol 1e-3 lambda_min."""
     w1, w2 = complex(omega1), complex(omega2)
+    if not (cmath.isfinite(w1) and cmath.isfinite(w2)):
+        raise ValueError(f"periods must be finite, got {w1} and {w2}")
     if w1 == 0 or w2 == 0:
         raise DegenerateLattice("zero period generator")
     ratio = w2 / w1
@@ -344,49 +359,28 @@ def _agm_basis(e1: complex, e2: complex, e3: complex) -> tuple[complex, complex]
     return (-b1, -b2) if b1.real < 0.0 or (b1.real == 0.0 and b1.imag < 0.0) else (b1, b2)
 
 
-def _agm_context(g2: complex, g3: complex, scale: float, t: float) -> EllipticContext:
-    """Context on the AGM basis of the invariants (g2, g3): `_agm_basis` of `_cubic_roots`.
-
-    The context's series invariants must give (g2, g3) back to 1e-12 of the
-    scale max(|g2|^(1/4), |g3|^(1/6)), or this raises: on tall lattices the
-    float invariants no longer fix tau, so that round trip, not the basis,
-    is what is guaranteed. Each may first miss by four units of 2^-1074,
-    since subnormal invariants round to that grid (below about 1e-311 it is
-    coarser than 1e-12 of the scale); at normal scales that moves no verdict.
-    """
-    b1, b2 = _agm_basis(*_cubic_roots(g2, g3, t))
-    ctx = _context(None, Periods(b1, b2), (b1, b2), math.pi / b1)
-    m2, m3 = (max(abs(h - g) - _SUBNORMAL_SLACK, 0.0) for h, g in ((ctx.invariants.g2, g2), (ctx.invariants.g3, g3)))
-    # in two divisions: scale**6 underflows for invariants near the float minimum
-    err = max(m2 / scale**2 / scale**2, m3 / scale**3 / scale**3)
-    if not err <= _INVARIANT_TOL:
-        raise SeriesNoConverge(f"the AGM lattice misses the invariants by {err:.3g} of the scale")
-    return ctx
-
-
 def from_invariants(g2: complex, g3: complex) -> EllipticContext:
-    """Context from invariants; a lattice of rank two unless the discriminant vanishes.
+    """Context from finite invariants; a lattice of rank two unless the discriminant vanishes.
 
-    A nonzero discriminant takes its periods from the AGM (`_agm_context`),
-    which raises SeriesNoConverge rather than return a lattice with other
-    invariants. Otherwise periods is None, and the theta series runs at
-    q = 0 with k^2 = 9 g3/(2 g2), on (pi/k)Z, or k = 0 when g2 = g3 = 0.
-    The context carries the invariants given, subnormal ones too, and
-    pole_tol 1e-3 lambda_min, or 0 when g2 = g3 = 0; a discriminant beyond
-    the float range raises FloatOverflow.
+    A nonzero discriminant takes its periods from the AGM (`_agm_basis` of
+    `_cubic_roots`), which raises SeriesNoConverge rather than return a
+    lattice with other invariants (see `_context`). Otherwise periods is
+    None, and the theta series runs at q = 0 with k^2 = 9 g3/(2 g2), on
+    (pi/k)Z, or k = 0 when g2 = g3 = 0. The context carries the invariants
+    given, subnormal ones too, and pole_tol 1e-3 lambda_min, or 0 when
+    g2 = g3 = 0. Every pair of finite invariants builds.
     """
     g2, g3 = complex(g2), complex(g3)
-    try:
-        invariants = Invariants(g2, g3, g2**3 - 27.0 * g3**2)
-    except OverflowError as exc:
-        raise FloatOverflow("the discriminant g2^3 - 27 g3^2 exceeds the float range") from exc
-    # g2^3 = 27 g3^2 tested on invariants rescaled by a power of two: the
-    # same roundings as the discriminant, without its underflow; this alone
-    # decides the rank (t**6 itself overflows for invariants near 1e-308)
-    scale = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
-    t = 2.0 ** -math.frexp(scale)[1]
+    if not (cmath.isfinite(g2) and cmath.isfinite(g3)):
+        raise ValueError(f"invariants must be finite, got g2 = {g2}, g3 = {g3}")
+    invariants = Invariants(g2, g3)
+    # g2^3 = 27 g3^2 tested on invariants rescaled by a power of two, so
+    # that no power leaves the float range; this alone decides the rank
+    # (t**6 itself overflows for invariants near 1e-308)
+    t = 2.0 ** -math.frexp(max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0)))[1]
     if (g2 * t**2 * t**2) ** 3 != 27.0 * (g3 * t**3 * t**3) ** 2:
-        return replace(_agm_context(g2, g3, scale, t), invariants=invariants)
+        b1, b2 = _agm_basis(*_cubic_roots(g2, g3, t))
+        return _context(invariants, Periods(b1, b2), (b1, b2), math.pi / b1)
     k = cmath.sqrt(4.5 * g3 / g2) if g2 else 0j
     return _context(invariants, None, (math.pi / k,) if k else (), k)
 

@@ -495,19 +495,20 @@ def grid_scan(
     """Rows (x, y, residual) of the triple (fam, fam, fam) with x on a grid, and their report.
 
     x runs over a grid x grid mesh: [margin, 1-margin]^2 in lattice
-    coordinates where the family's lattice has rank two, else the box
-    [-1, 1]^2. Grid points pass the admission their partners pass: one
-    within `effective_pole_radius` of a pole (x + shift near the lattice)
-    raises SamplerExhausted at once, naming it. Grid point (i, j) is
-    sample i*grid + j of the sampler's seed, drawn from its `_Stream` as
-    `_draws` reads it: its partner y is redrawn, at most 200 times, while a
-    point of (x, y, -x-y) lies near a pole; SamplerExhausted then. The
-    admitted triples are scored once, as one batch; a triple whose residual
+    coordinates where the family's lattice has rank two, else the
+    sampler's box [-box, box]^2, where the partners lie too. Grid points
+    pass the admission their partners pass: one within
+    `effective_pole_radius` of a pole (x + shift near the lattice) raises
+    SamplerExhausted at once, naming it. Grid point (i, j) is sample
+    i*grid + j of the sampler's seed, drawn from its `_Stream` as `_draws`
+    reads it: its partner y is redrawn, at most 200 times, while a point of
+    (x, y, -x-y) lies near a pole; SamplerExhausted then. The admitted
+    triples are scored once, as one batch; a triple whose residual
     faults has no row, and the report counts it as skipped.
     """
     ctx = getattr(fam, "ctx", None)
     cell = ctx is not None and len(ctx.reduced) == 2
-    lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if cell else (-1.0, 2.0)
+    lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if cell else (-sampler.box, 2.0 * sampler.box)
     ticks = lo + width * np.arange(grid) / max(grid - 1, 1)
     s, t = np.repeat(ticks, grid), np.tile(ticks, grid)
     xs = elliptic.lattice_point(ctx, s, t) if cell else s + 1j * t

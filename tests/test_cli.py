@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wpfeq import cli
+from wpfeq import cli, elliptic
+
+from oracles import ThetaOracle
 
 
 def run(argv):
@@ -389,9 +391,23 @@ class TestEval:
     def test_needs_context(self):
         assert run(["eval", "--fn", "wp", "--z", "1,0"]) == 65
 
-    @pytest.mark.parametrize("lattice", [["--periods", "1e-27,0,0,1e-27"], ["--g2", "1e103,0", "--g3", "0,0"]])
-    def test_lattice_beyond_the_float_range_exit_65(self, lattice, capsys):
-        assert run(["eval", "--fn", "wp", *lattice, "--z", "1e-28,0"]) == 65
+    @pytest.mark.parametrize(
+        "lattice, ctx",
+        [
+            (["--periods", "1e-27,0,0,1e-27"], lambda: elliptic.from_periods(1e-27, 1e-27j)),
+            (["--g2", "1e103,0", "--g3", "0,0"], lambda: elliptic.from_invariants(1e103, 0)),
+        ],
+    )
+    def test_lattice_past_the_discriminants_range_evaluates(self, lattice, ctx, capsys):
+        # g2^3 - 27 g3^2 leaves the float range, g2 and g3 do not
+        assert run(["eval", "--fn", "wp", *lattice, "--z", "1e-28,0"]) == 0
+        got = complex(*map(float, capsys.readouterr().out.split()))
+        ref = ThetaOracle(*ctx().reduced).values(1e-28)[0]
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    def test_lattice_beyond_the_float_range_exit_65(self, capsys):
+        # g3 of a lattice on 1e-60 passes 1e308
+        assert run(["eval", "--fn", "wp", "--periods", "1e-60,0,0,1e-60", "--z", "1e-28,0"]) == 65
         assert "internal error" not in capsys.readouterr().err
 
 

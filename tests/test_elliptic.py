@@ -43,18 +43,44 @@ class TestConstruction:
     @pytest.mark.parametrize("tau", [1j, cmath.exp(1j * math.pi / 3), 0.35 + 1.05j, 1.9j, 3j, 8j, 0.5 + 8j])
     @pytest.mark.parametrize("scale", [0.5, 1.0, 100.0])
     @pytest.mark.parametrize("pair", ["rotated", "swapped"])
-    def test_invariants_and_discriminant_match_theta_oracle(self, tau, scale, pair):
+    def test_invariants_match_theta_oracle(self, tau, scale, pair):
         # a rotated pair turns the invariants; a swapped one must be reoriented
         turn = cmath.exp(0.7j) if pair == "rotated" else 1.0
         w1, w2 = turn * scale, turn * scale * tau
         ctx = el.from_periods(*((w1, w2) if pair == "rotated" else (w2, w1)))
-        g2, g3, disc = ThetaOracle(w1, w2).invariants()
+        g2, g3 = ThetaOracle(w1, w2).invariants()
         s = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
         assert abs(ctx.invariants.g2 - g2) <= 1e-13 * s**4
         assert abs(ctx.invariants.g3 - g3) <= 1e-13 * s**6
-        # a lattice has rank two, and its discriminant does not cancel
-        assert abs(ctx.invariants.discriminant - disc) <= 1e-13 * abs(disc)
         assert len(ctx.reduced) == 2
+
+    @pytest.mark.parametrize(
+        "periods, g2, g3",
+        [
+            ((1.0, 1j), ("0x1.7a253b92a1a3fp+7", "0x0.0p+0"), ("-0x1.1cdb269329ffap-44", "0x0.0p+0")),
+            (
+                (1.0, cmath.exp(1j * math.pi / 3)),
+                ("0x1.435dcecf367f2p-46", "-0x1.f09655a449c27p-44"),
+                ("0x1.9a6987277b268p+9", "0x1.097beaac461dfp-41"),
+            ),
+            ((1.0, 8j), ("0x1.03c1f081b5ac3p+7", "0x0.0p+0"), ("0x1.1cdb269329ffap+8", "0x0.0p+0")),
+            (
+                (1e-20, (0.3 + 1.1j) * 1e-20),
+                ("0x1.95040b5839686p+272", "0x1.8c526cb6fcb09p+270"),
+                ("0x1.01c8a4fa5e3f9p+407", "-0x1.9cce13ed7461bp+405"),
+            ),
+            (
+                (1e20, (0.3 + 1.1j) * 1e20),
+                ("0x1.1cb53f16f6abbp-259", "0x1.1698bc409749ep-261"),
+                ("0x1.adb9f9f5c3aeep-391", "-0x1.5812de5863681p-392"),
+            ),
+        ],
+        ids=["square", "hexagonal", "tau-8i", "scale-1e-20", "scale-1e20"],
+    )
+    def test_series_invariants_are_pinned(self, periods, g2, g3):
+        # the parts of g2 and g3 bit for bit, signed zeros too, as float.hex
+        inv = el.from_periods(*periods).invariants
+        assert [(g.real.hex(), g.imag.hex()) for g in (inv.g2, inv.g3)] == [g2, g3]
 
     def test_default_pole_tolerance_follows_the_shortest_vector(self):
         # (1, 0.999+0.001i) is far from reduced: its shortest vector has
@@ -79,11 +105,30 @@ class TestConstruction:
         with pytest.raises(DegenerateLattice):
             el.from_periods(1.0, 0.0)
 
-    @pytest.mark.parametrize("s", [1e-26, 1e-27, 1e-30, 1e-160, 1e-300])
+    @pytest.mark.parametrize("g2, g3", [(math.nan, 0), (math.inf, 0), (1, complex(0, -math.inf))])
+    def test_non_finite_invariants_are_an_invalid_argument(self, g2, g3):
+        with pytest.raises(ValueError, match="invariants must be finite"):
+            el.from_invariants(g2, g3)
+
+    @pytest.mark.parametrize("w1, w2", [(math.inf, 1j), (1, complex(math.nan, 1)), (1, complex(0, math.inf))])
+    def test_non_finite_periods_are_an_invalid_argument(self, w1, w2):
+        with pytest.raises(ValueError, match="periods must be finite"):
+            el.from_periods(w1, w2)
+
+    @pytest.mark.parametrize("s", [1e-26, 1e-27, 1e-30])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j])
+    def test_small_lattices_build(self, s, tau):
+        # g2(s L) = g2(L)/s^4 and g3(s L) = g3(L)/s^6 (DLMF 23.10(iv))
+        unit, ctx = el.from_periods(1.0, tau).invariants, el.from_periods(s, s * tau).invariants
+        scale = max(abs(unit.g2) ** 0.25, abs(unit.g3) ** (1.0 / 6.0))
+        assert abs(ctx.g2 * s**4 - unit.g2) <= 1e-14 * scale**4
+        assert abs(ctx.g3 * s**6 - unit.g3) <= 1e-14 * scale**6
+
+    @pytest.mark.parametrize("s", [1e-60, 1e-160, 1e-300])
     @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j])
     def test_invariants_beyond_the_float_range_are_typed(self, s, tau):
-        # (2k)^12 of the discriminant passes 1e308 for k = pi/|omega| above about 3e25;
-        # past about 1e77 a complex power comes out nan rather than raise
+        # g3 passes 1e308 for |omega| below about 1e-51, and from about 1e-162
+        # on the Gauss reduction's squared lengths leave the float range
         with pytest.raises(FloatOverflow):
             el.from_periods(s, s * tau)
 
@@ -94,16 +139,17 @@ class TestConstruction:
         with pytest.raises(FloatOverflow):
             el.from_periods(s, s * tau)
 
-    @pytest.mark.parametrize("g2, g3", [(1e103, 0), (12 * 2.0**340, 8 * 2.0**510), (0, 1e155)])
-    def test_discriminant_beyond_the_float_range_is_typed(self, g2, g3):
-        with pytest.raises(FloatOverflow):
-            el.from_invariants(g2, g3)
+    @pytest.mark.parametrize("g2, g3, rank", [(1e103, 0, 2), (12 * 2.0**340, 8 * 2.0**510, 1), (0, 1e155, 2)])
+    def test_invariants_past_the_discriminants_range_build(self, g2, g3, rank):
+        # g2^3 or 27 g3^2 passes 1e308 here, but only the rank test reads them, rescaled
+        ctx = el.from_invariants(g2, g3)
+        assert ctx.invariants == el.Invariants(g2, g3) and len(ctx.reduced) == rank
 
     def test_invariants_only_rank(self):
         assert len(el.from_invariants(0, 0).reduced) == 0
         ctx = el.from_invariants(4, 0)
         assert len(ctx.reduced) == 2
-        assert ctx.invariants.discriminant == pytest.approx(64.0)
+        assert ctx.invariants == el.Invariants(4, 0)
         assert len(el.from_invariants(3, 1).reduced) == 1
 
     def test_rank_one_and_zero_contexts(self):
@@ -114,7 +160,7 @@ class TestConstruction:
         assert ctx.lambda_min == math.pi / abs(k)
         assert ctx.eta == (math.pi * k / 6.0, 0j) and ctx.series.a == ([], [])
         assert ctx.pole_tol == 1e-3 * math.pi / abs(k)
-        assert ctx.invariants == el.Invariants(12, 8, 0)
+        assert ctx.invariants == el.Invariants(12, 8)
         ctx = el.from_invariants(0, 0)
         assert ctx.k == 0 and ctx.reduced == () and ctx.periods is None
         assert ctx.lambda_min == math.inf
@@ -222,6 +268,29 @@ class TestThetaSeries:
             for value, ref in zip(el._wp_dp(ctx, z), el._wp_dp(lattice, z)):
                 assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (el.from_periods, (1e-27, 1e-27j)),
+            (el.from_periods, (1e-45, (0.3 + 1.1j) * 1e-45)),
+            (el.from_invariants, (1e300, 1e300)),
+            (el.from_invariants, (1e103, 0)),
+        ],
+        ids=["periods-1e-27", "periods-1e-45", "invariants-1e300", "invariants-1e103"],
+    )
+    def test_lattices_past_the_discriminants_range_match_theta_oracle(self, build, args):
+        # lattices whose g2^3 - 27 g3^2 leaves the float range; points over the reduced cell
+        ctx = build(*args)
+        b1, b2 = ctx.reduced
+        oracle = ThetaOracle(b1, b2)
+        for s, t in ((0.1, 0.07), (0.3, -0.2), (0.45, 0.4), (-0.2, 0.5), (-0.35, -0.45)):
+            z = s * b1 + t * b2
+            p, dp, zt, sg = oracle.values(z)
+            for value, ref in zip((*el._wp_dp(ctx, z), el.zeta(ctx, z)), (p, dp, zt)):
+                assert abs(value - ref) <= 1e-14 * abs(ref)
+            # sigma comes from exp(log|sigma|), whose rounding is |ln|sigma|| units of 2^-53
+            assert abs(el.sigma(ctx, z) - sg) <= 2.0**-52 * (8.0 + abs(math.log(abs(sg)))) * abs(sg)
+
     def test_failed_round_trip_raises(self, monkeypatch):
         # a basis whose invariants miss is never returned
         monkeypatch.setattr(el, "_INVARIANT_TOL", 0.0)
@@ -254,7 +323,7 @@ class TestThetaSeries:
 
     @pytest.mark.parametrize("g2, g3", [(1e-320, 1e-320), (1e-315, 1e-316)])
     def test_subnormal_invariants_build_their_lattice(self, g2, g3):
-        # the series invariants of the AGM lattice round to the subnormal grid, 2^-1074 apart
+        # invariants on the subnormal grid, 2^-1074 apart, compared with the series ones at the unit scale
         ctx = el.from_invariants(g2, g3)
         assert ctx.invariants.g2 == g2 and ctx.invariants.g3 == g3 and len(ctx.reduced) == 2
         oracle = ThetaOracle(*ctx.reduced)
@@ -405,32 +474,25 @@ class TestAgmRoots:
                 assert fn(ctx, z).tolist() == fn(negated, z).tolist()
 
     def test_outcomes_over_magnitudes_and_phases(self):
-        # 14 magnitudes times 5 phases for each invariant: g2^3 or 27 g3^2 passes the
-        # float range at 1e200 alone, and every other pair builds a lattice of rank two
+        # 14 magnitudes times 5 phases for each invariant: every pair builds a
+        # lattice of rank two, 1e200 too, where g2^3 or 27 g3^2 passes the float range
         magnitudes = [10.0**k for k in (-300, -200, -100, -30, -10, -3, -1, 0, 1, 3, 10, 30, 100, 200)]
-        values = [(m, m * cmath.exp(2j * math.pi * k / 5)) for m in magnitudes for k in range(5)]
-        for m2, g2 in values:
-            for m3, g3 in values:
-                if 1e200 in (m2, m3):
-                    with pytest.raises(FloatOverflow):
-                        el.from_invariants(g2, g3)
-                    continue
-                b1, _ = el.from_invariants(g2, g3).reduced
+        values = [m * cmath.exp(2j * math.pi * k / 5) for m in magnitudes for k in range(5)]
+        for g2 in values:
+            for g3 in values:
+                ctx = el.from_invariants(g2, g3)
+                b1, _ = ctx.reduced
                 assert b1.real > 0.0 or (b1.real == 0.0 and b1.imag > 0.0)
+                assert ctx.invariants == el.Invariants(g2, g3)
 
-
-    def test_subnormal_magnitudes_build_or_overflow(self):
-        # each invariant 0 or one of 14 magnitudes down to the subnormal range, times 5 phases: every pair
-        # builds, but where g2^3 or 27 g3^2 passes the float range (1e200 and up)
+    def test_subnormal_magnitudes_build(self):
+        # each invariant 0 or one of 14 magnitudes from the subnormal range to the top
+        # of the float range, times 5 phases: every pair builds and keeps its invariants
         magnitudes = [10.0**k for k in (-323, -320, -316, -312, -310, -308, -300, -200, -100, 0, 100, 200, 300, 308)]
         values = [0j] + [m * cmath.exp(2j * math.pi * k / 5) for m in magnitudes for k in range(5)]
         for g2 in values:
             for g3 in values:
-                if max(abs(g2), abs(g3)) > 1e150:
-                    with pytest.raises(FloatOverflow):
-                        el.from_invariants(g2, g3)
-                else:
-                    assert el.from_invariants(g2, g3).invariants.g2 == g2
+                assert el.from_invariants(g2, g3).invariants == el.Invariants(g2, g3)
 
 
 class TestWp:

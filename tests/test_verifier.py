@@ -335,7 +335,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("invariants", [(0.0, 0.0), (3.0, 1.0)], ids=["rank-0", "rank-1"])
     def test_grid_scan_below_rank_two_uses_the_box(self, invariants):
-        # a lattice of rank below two has no cell: x runs over the box [-1, 1]^2,
+        # a lattice of rank below two has no cell: x runs over the sampler's box, [-1, 1]^2 by default,
         # and y is redrawn clear of the lattice's poles
         ctx = el.from_invariants(*invariants)
         sampler = vr.TripleSampler(count=4)
@@ -345,6 +345,15 @@ class TestSampling:
         assert max(r for _, _, r in rows) <= 1e-8
         for x, y, _ in rows:
             assert min(el.lattice_distance(ctx, np.array([x, y, -x - y]))) > sampler.effective_pole_radius(ctx)
+
+    def test_grid_scan_without_a_lattice_spans_the_samplers_box(self):
+        # the grid and the partners share the box [-box, box]^2
+        sampler = vr.TripleSampler(seed=1, count=16, box=0.25)
+        rows, rep = vr.grid_scan(vr.Exponential(), sampler, 4, 1e-8)
+        assert rep.samples == 16
+        xs, ys = np.array([x for x, _, _ in rows]), np.array([y for _, y, _ in rows])
+        assert max(abs(xs.real).max(), abs(xs.imag).max()) == 0.25
+        assert max(abs(ys.real).max(), abs(ys.imag).max()) <= 0.25
 
     def test_grid_scan_on_the_agm_lattice(self, normal_form_ctx):
         fam = vr.WeierstrassShifted(normal_form_ctx)
