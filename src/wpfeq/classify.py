@@ -310,7 +310,7 @@ def classify_samples(samples: SampleSet, stencil_order: int = 4, seed: int = 0) 
 
 
 def roundtrip_residual(decision: Classification, seed: int = 0) -> float:
-    """Max functional-equation residual of the reconstructed family, on its lattice or the box."""
+    """Max functional-equation residual of the reconstructed family, on triples drawn in its lattice's frame."""
     if decision.family == "exponential":
         fam = verifier.Exponential(delta=decision.params["delta"])
     elif decision.family == "linear":
@@ -319,6 +319,6 @@ def roundtrip_residual(decision: Classification, seed: int = 0) -> float:
         fam = verifier.WeierstrassShifted(from_invariants(decision.params["g2"], decision.params["g3"]), 0j)
     else:
         return 0.0
-    sampler = verifier.TripleSampler(seed=seed, count=ROUNDTRIP_COUNT, box=0.8)
+    sampler = verifier.TripleSampler(seed=seed, count=ROUNDTRIP_COUNT)
     report = verifier.scan(fam, fam, fam, sampler, tol=math.inf)
     return report.max_residual

@@ -45,7 +45,6 @@ from .errors import (
     JetOrderOverflow,
     PoleProximity,
     SamplerExhausted,
-    NoPeriods,
     SeriesNoConverge,
     TooFewPoints,
     WpfeqError,
@@ -203,11 +202,18 @@ def _context_from_args(args) -> elliptic.EllipticContext:
     raise ConfigError("provide either --periods or --g2/--g3")
 
 
+def _fraction_point(ctx, s: float, t: float) -> complex:
+    """The point of lattice fractions s, t (`elliptic.lattice_point`); a nonzero one beyond the rank is refused."""
+    if any((s, t)[len(ctx.reduced) :]):
+        raise ConfigError(f"a nonzero lattice fraction beyond the rank {len(ctx.reduced)} of the lattice")
+    return elliptic.lattice_point(ctx, s, t)
+
+
 def _shift_from_args(args, ctx) -> complex:
     # gen has no shift flags
     frac, absolute = vars(args).get("shift_frac"), vars(args).get("shift")
     if frac is not None:
-        return elliptic.lattice_point(ctx, *_parse_fractions(frac, 2))
+        return _fraction_point(ctx, *_parse_fractions(frac, 2))
     if absolute is not None:
         return _parse_complex(absolute)
     return 0j
@@ -376,7 +382,7 @@ def _cmd_verify(args, parser) -> int:
             raise ConfigError("theorem2 verification needs --gammas s1,t1,s2,t2,s3,t3")
         else:
             vals = _parse_fractions(args.gammas, 6)
-            gammas = params["gammas"] = [elliptic.lattice_point(ctx, *vals[i : i + 2]) for i in (0, 2, 4)]
+            gammas = params["gammas"] = [_fraction_point(ctx, *vals[i : i + 2]) for i in (0, 2, 4)]
         rep = verifier.theorem2_shift_test(ctx, *gammas, sampler, tol)
         expected = rep.details["expected"]
     elif args.kind == "sigma":
@@ -631,7 +637,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, DegenerateLattice, FloatOverflow, JetOrderOverflow, NoPeriods, OverflowError, PoleProximity,
+    except (ConfigError, DegenerateLattice, FloatOverflow, JetOrderOverflow, OverflowError, PoleProximity,
             SamplerExhausted, SeriesNoConverge) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -49,9 +49,12 @@ Theory 133, 2013), kept as its periods when their series invariants give
 (g2, g3) back. The roots come in closed form, from Cardano's formula on
 the invariants scaled by a power of two (`_cubic_roots`), and the reduced
 basis is negated where needed so that Re b1 > 0, or Re b1 = 0 < Im b1:
-the order of the roots then does not change it. With zero discriminant the series runs at q = 0, where
-pe = k^2/sin^2(kz) - k^2/3 with k^2 = 9 g3/(2 g2), on the lattice (pi/k)Z
-of rank one, or pe = 1/z^2 on the lattice {0} when g2 = g3 = 0.
+the order of the roots then does not change it. With zero discriminant
+the series runs at q = 0, where pe = k^2/sin^2(kz) - k^2/3 with
+k^2 = 9 g3/(2 g2), on the lattice (pi/k)Z of rank one, or pe = 1/z^2 on
+the lattice {0} when g2 = g3 = 0. Lattice fractions refer to the frame
+(pi/k, i pi/k) there, or (1, i) (`lattice_point`), so the samplers draw by
+one rule at every rank, and the draws on a scaled lattice scale with it.
 
 The lattice convention throughout: the generators span the lattice
 directly, Lambda = {m*omega1 + n*omega2}.
@@ -69,7 +72,6 @@ import numpy as np
 from .errors import (
     DegenerateLattice,
     FloatOverflow,
-    NoPeriods,
     PoleProximity,
     SeriesNoConverge,
 )
@@ -82,6 +84,7 @@ _TERMS = tuple((n, n * n, n**3, n**5) for n in range(1, 17))
 _INVARIANT_TOL = 1e-12  # round trip of the AGM generators, relative to the scale
 LATTICE_TOL = 1e-9  # lattice membership, and how near to real a period ratio may come
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # a cube root of unity
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -615,9 +618,9 @@ def sigma(ctx: EllipticContext, z):
     """Entire odd sigma, zero on the lattice; FloatOverflow beyond the float range.
 
     sigma(z0 + lam) = (-1)^(m+n+mn) exp(H (z0 + lam/2)) sigma(z0) for
-    lam = m b1 + n b2 and H = 2 m eta1 + 2 n eta2; the exponent and
-    log|sigma(z0)| are added before anything is exponentiated, and the
-    parity sign is applied exactly, so sigma(-z) = -sigma(z) bit for bit.
+    lam = m b1 + n b2 and H = 2 m eta1 + 2 n eta2; the powers of two of the
+    exponent and of |sigma(z0)| are applied exactly, as is the parity sign,
+    so no rounding grows with |ln|sigma||, and sigma(-z) = -sigma(z) bit for bit.
     Elementwise on an array, which raises FloatOverflow if any value does,
     or if any point fixes no point of the cell (see `_point`).
     """
@@ -631,7 +634,10 @@ def sigma(ctx: EllipticContext, z):
     lead = d / (2j * k) * (s0 + s[0] + s[1])
     eta1, eta2 = ctx.eta
     power = eta1 * k * z0 * z0 / math.pi + (m * eta1 + n * eta2) * (z + z0) - 0.5 * iu2
-    size = np.exp(power.real + np.log(np.abs(lead)))
+    # |lead| = frac 2^ex, Re(power) = r + xp ln 2 with |r| <= ln(2)/2: only r is exponentiated; xp clips past range
+    frac, ex = np.frexp(np.abs(lead))
+    xp = np.clip(np.rint(power.real / _LN2), -4096.0, 4096.0)
+    size = np.ldexp(frac * np.exp(power.real - xp * _LN2), ex + xp.astype(int))
     zero = lead == 0
     if np.isinf(size[~zero]).any():
         raise FloatOverflow("|sigma| exceeds the float range")
@@ -665,17 +671,14 @@ def _generators(ctx: EllipticContext) -> tuple[complex, ...]:
     return (ctx.periods.omega1, ctx.periods.omega2) if ctx.periods is not None else ctx.reduced
 
 
-def lattice_point(ctx: EllipticContext, s, t):
-    """s*omega1 + t*omega2 from lattice fractions, numbers or arrays; NoPeriods for one beyond the rank."""
-    gens = _generators(ctx)
-    if any(np.any(f) for f in (s, t)[len(gens) :]):
-        raise NoPeriods(f"a nonzero lattice fraction beyond the rank {len(gens)} of the lattice")
-    w1, w2 = _frame(gens)
+def lattice_point(ctx: EllipticContext | None, s, t):
+    """s*w1 + t*w2, numbers or arrays, in `_frame`: the periods, (pi/k, i pi/k), or (1, i) at rank zero and for None."""
+    w1, w2 = _frame(_generators(ctx) if ctx is not None else ())
     return s * w1 + t * w2
 
 
 def lattice_coordinates(ctx: EllipticContext, z: complex) -> tuple[float, float]:
-    """Coordinates of z in the generators of lattice fractions, by `_frame` below rank two."""
+    """Coordinates of z in the frame of lattice fractions (`_frame`): the inverse of `lattice_point`."""
     return _lattice_coords(complex(z), *_frame(_generators(ctx)))
 
 

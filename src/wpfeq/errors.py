@@ -25,10 +25,6 @@ class FloatOverflow(WpfeqError):
     """An intermediate value left the double-precision range."""
 
 
-class NoPeriods(WpfeqError):
-    """A lattice fraction beyond the lattice's rank: a second one on (pi/k)Z, any on {0}."""
-
-
 class JetOrderOverflow(WpfeqError):
     """A derivation would create a jet variable beyond the supported order."""
 

@@ -327,9 +327,9 @@ def _draws(seed: int, count: int, draw, admit, budget: int, rounds: int | None =
 class TripleSampler:
     """Deterministic rejection sampler for admissible triples.
 
-    Points are drawn in lattice coordinates (s, t) uniform on
-    [margin, 1-margin]^2 when a family's lattice has rank two, otherwise in
-    a complex box of half-width `box`. z is -x-y unless `unconstrained`, in
+    Points are drawn as fractions (s, t) uniform on [margin, 1-margin]^2 of
+    the frame of the first pe family's lattice, at every rank, or of (1, i)
+    without one (`elliptic.lattice_point`). z is -x-y unless `unconstrained`, in
     which case all three points are independent. Triple i is row i of the
     block that round k of the seed's `_Stream` gives. Draws within
     `effective_pole_radius` of the lattice, of any rank, are rejected and
@@ -342,15 +342,11 @@ class TripleSampler:
     count: int = 1000
     margin: float = 0.05
     unconstrained: bool = False
-    box: float = 1.0
 
     def _points(self, rng, n: int, k: int, ctx: EllipticContext | None) -> np.ndarray:
-        """An (n, k) block of points, each from two uniform draws (s, t) or (re, im)."""
-        if ctx is not None and len(ctx.reduced) == 2:
-            st = rng.uniform(self.margin, 1.0 - self.margin, (n, k, 2))
-            return elliptic.lattice_point(ctx, st[..., 0], st[..., 1])
-        # the (re, im) pairs, viewed as complex numbers
-        return rng.uniform(-self.box, self.box, (n, k, 2)).view(complex)[..., 0]
+        """An (n, k) block of points, each from two uniform fractions (s, t) of the frame of ctx."""
+        st = rng.uniform(self.margin, 1.0 - self.margin, (n, k, 2))
+        return elliptic.lattice_point(ctx, st[..., 0], st[..., 1])
 
     def effective_pole_radius(self, ctx: EllipticContext | None) -> float:
         """max(pole_tol, 0.03 lambda_min) of the context; 1e-6 without a context or finite lambda_min."""
@@ -494,10 +490,9 @@ def grid_scan(
 ) -> tuple[list[tuple[complex, complex, float]], ResidualReport]:
     """Rows (x, y, residual) of the triple (fam, fam, fam) with x on a grid, and their report.
 
-    x runs over a grid x grid mesh: [margin, 1-margin]^2 in lattice
-    coordinates where the family's lattice has rank two, else the
-    sampler's box [-box, box]^2, where the partners lie too. Grid points
-    pass the admission their partners pass: one within
+    x runs over a grid x grid mesh of the fractions [margin, 1-margin]^2 of
+    the frame that `TripleSampler` draws the partners in. Grid points pass
+    the admission their partners pass: one within
     `effective_pole_radius` of a pole (x + shift near the lattice) raises
     SamplerExhausted at once, naming it. Grid point (i, j) is sample
     i*grid + j of the sampler's seed, drawn from its `_Stream` as `_draws`
@@ -507,11 +502,8 @@ def grid_scan(
     faults has no row, and the report counts it as skipped.
     """
     ctx = getattr(fam, "ctx", None)
-    cell = ctx is not None and len(ctx.reduced) == 2
-    lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if cell else (-sampler.box, 2.0 * sampler.box)
-    ticks = lo + width * np.arange(grid) / max(grid - 1, 1)
-    s, t = np.repeat(ticks, grid), np.tile(ticks, grid)
-    xs = elliptic.lattice_point(ctx, s, t) if cell else s + 1j * t
+    ticks = sampler.margin + (1.0 - 2.0 * sampler.margin) * np.arange(grid) / max(grid - 1, 1)
+    xs = elliptic.lattice_point(ctx, np.repeat(ticks, grid), np.tile(ticks, grid))
     near = np.flatnonzero(~sampler._admission((fam,))(xs[:, None]))
     if near.size:
         i, radius = near[0], sampler.effective_pole_radius(ctx)
@@ -610,15 +602,16 @@ _SIGMA_SPREAD = 0.35
 def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, tol: float = 1e-8) -> ResidualReport:
     """Agreement of det3 on pe jets with the sigma quotient (see `_det_vs_sigma`).
 
-    Points a, b, c are drawn in lattice coordinates uniform on
-    [-0.35, 0.35]^2 (`_SIGMA_SPREAD`) about the origin, sample i from row i
-    of round k of the seed's `_Stream`, as `_draws` reads it. Draws are
-    rejected and redrawn when any point, any pairwise difference, or the
-    sum lies near the lattice (where the quotient divides by a vanishing
-    sigma or both sides vanish). An admitted triple whose gap faults is
-    skipped. A negative seed raises ValueError, a float TypeError.
+    Points a, b, c are drawn as fractions uniform on [-0.35, 0.35]^2
+    (`_SIGMA_SPREAD`) of the lattice's frame (`elliptic.lattice_point`),
+    sample i from row i of round k of the seed's `_Stream`, as `_draws`
+    reads it. Draws are rejected and redrawn when any point, any pairwise
+    difference, or the sum lies within max(pole_tol, 0.04 lambda_min) of
+    the lattice, 0.04 at rank zero (where the quotient divides by a
+    vanishing sigma or both sides vanish). An admitted triple whose gap
+    faults is skipped. A negative seed raises ValueError, a float TypeError.
     """
-    pole = max(ctx.pole_tol, 0.04 * ctx.lambda_min)
+    pole = max(ctx.pole_tol, 0.04 * ctx.lambda_min) if ctx.reduced else 0.04
 
     def draw(rng, n):
         st = rng.uniform(-_SIGMA_SPREAD, _SIGMA_SPREAD, (n, 3, 2))

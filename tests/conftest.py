@@ -28,6 +28,12 @@ def tall_ctx():
 
 
 @pytest.fixture(scope="session")
+def rank_one_ctx():
+    # zero discriminant: the lattice (pi/k)Z, k^2 = 9 g3/(2 g2) = 1.5
+    return elliptic.from_invariants(3.0, 1.0)
+
+
+@pytest.fixture(scope="session")
 def degenerate_ctx():
     return elliptic.from_invariants(0.0, 0.0)
 

@@ -175,8 +175,10 @@ def lattice_sum_reference(
 
     z^-2 + sum'[(z-lambda)^-2 - lambda^-2] over rectangular cutoffs
     (cutoff, 2*cutoff, ...), Richardson-extrapolated; the reported tail
-    estimate is the last extrapolation improvement. NoPeriods below rank two.
+    estimate is the last extrapolation improvement. ValueError below rank two.
     """
+    if len(ctx.reduced) < 2:
+        raise ValueError("the lattice sum needs a lattice of rank two")
     z = complex(z)
     if lattice_distance(ctx, z) <= ctx.pole_tol:
         raise PoleProximity(z)

@@ -170,15 +170,64 @@ class TestVerify:
         assert run(argv) == 0
         assert run(["verify", "derived", "--family", "wp", "--g2", "4,0", "--g3", "0,0", "--n", "100"]) == 0
 
-    def test_zero_discriminant_has_a_lattice_of_lower_rank(self, tmp_path):
-        # sigma draws two lattice fractions, which a lattice of rank one lacks
-        assert run(["verify", "sigma", "--g2", "3,0", "--g3", "1,0"]) == 65
+    def test_zero_discriminant_has_a_lattice_of_lower_rank(self, tmp_path, capsys):
+        # sigma draws fractions of the frame (pi/k, i pi/k) of a lattice of rank one
+        assert run(["verify", "sigma", "--g2", "3,0", "--g3", "1,0"]) == 0
         # the poles of 1/z^2 are the lattice {0}: a zero shift sum lies on it
         assert run(["verify", "theorem1", "--g2", "0,0", "--g3", "0,0", "--n", "50"]) == 0
-        # an odd box grid holds the pole x = 0 of 1/z^2
-        assert run(["scan", "--family", "wp", "--g2", "0,0", "--g3", "0,0", "--grid", "5",
+        # the middle point 0.5 + 0.5i of an odd grid, shifted by -0.5 - 0.5i, is the pole of 1/z^2
+        capsys.readouterr()
+        assert run(["scan", "--family", "wp", "--g2", "0,0", "--g3", "0,0", "--shift", "-0.5,-0.5", "--grid", "5",
                     "--out", str(tmp_path / "s.csv")]) == 65
+        assert "grid point 12 " in capsys.readouterr().err
         assert run(["verify", "factfun", "--family", "wp", "--g2", "3,0", "--g3", "1,0", "--n", "50"]) == 0
+
+    @pytest.mark.parametrize("invariants", [("12,0", "8,0"), ("3,0", "1,0"), ("0,0", "0,0")],
+                             ids=["node", "rank-one", "cusp"])
+    def test_sigma_runs_below_rank_two(self, invariants, tmp_path):
+        out = tmp_path / "sigma.json"
+        argv = ["verify", "sigma", "--g2", invariants[0], "--g3", invariants[1], "--n", "200", "--out", str(out)]
+        assert run(argv) == 0
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["samples"] == 200 and check["max_residual"] <= 1e-13
+
+    @pytest.mark.parametrize("shift", [None, "0.3,0"])
+    def test_the_scaled_node_is_sampled_in_its_own_units(self, shift, tmp_path):
+        # (12, 8) scaled by 1000 has the period 1000 pi/sqrt(3); the shift 0.3 of it is no solution, and fails
+        # by far, not by a hair
+        out = tmp_path / "node.json"
+        argv = ["verify", "theorem1", "--g2", "1.2e-11,0", "--g3", "8e-18,0", "--n", "200", "--out", str(out)]
+        assert run(argv + (["--shift-frac", shift] if shift else [])) == 0
+        check = json.loads(out.read_text())["checks"][0]
+        if shift:
+            assert check["expected"] == "fail" and check["max_residual"] >= 1e-2
+        else:
+            assert check["expected"] == "pass" and check["max_residual"] <= 1e-13
+
+    def test_margin_changes_a_rank_one_run(self, tmp_path):
+        outputs = []
+        for margin in ("0.05", "0.3"):
+            report, table = tmp_path / f"v{margin}.json", tmp_path / f"s{margin}.csv"
+            lattice = ["--g2", "12,0", "--g3", "8,0", "--margin", margin]
+            assert run(["verify", "theorem1", *lattice, "--n", "100", "--out", str(report)]) == 0
+            assert run(["scan", *lattice, "--grid", "4", "--out", str(table)]) == 0
+            outputs.append((json.loads(report.read_text())["checks"][0], table.read_text()))
+        (check_a, table_a), (check_b, table_b) = outputs
+        for key in ("max_residual", "mean_residual"):
+            assert check_a[key] != check_b[key]
+        assert table_a != table_b
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem1", "--g2", "12,0", "--g3", "8,0", "--shift-frac", "1/3,1/2"],
+        ["verify", "theorem2", "--g2", "0,0", "--g3", "0,0", "--gammas", "0,0,0,0.1,0,0"],
+        ["scan", "--g2", "0,0", "--g3", "0,0", "--shift-frac", "0.5,0", "--grid", "4", "--out", "{out}"],
+    ], ids=["theorem1-rank-one", "theorem2-rank-zero", "scan-rank-zero"])
+    def test_a_fraction_beyond_the_rank_exits_65(self, argv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run([arg.format(out=out) for arg in argv]) == 65
+        rank = 1 if "12,0" in argv else 0
+        assert f"a nonzero lattice fraction beyond the rank {rank} of the lattice" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("fracs, code", [("1/3,0", 0), ("1/3,1/2", 65)])
     def test_theorem1_on_the_rank_one_lattice(self, fracs, code):

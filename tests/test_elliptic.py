@@ -16,7 +16,6 @@ from wpfeq import verifier as vr
 from wpfeq.errors import (
     DegenerateLattice,
     FloatOverflow,
-    NoPeriods,
     PoleProximity,
     SeriesNoConverge,
 )
@@ -200,13 +199,18 @@ class TestConstruction:
         assert el.lattice_coordinates(degenerate_ctx, 0.3 - 0.4j) == (0.3, -0.4)
         assert el.lattice_offset(degenerate_ctx, 0.3 - 0.4j) == pytest.approx(0.5, rel=1e-15)
         assert el.lattice_offset(degenerate_ctx, 0j) <= el.LATTICE_TOL < el.lattice_offset(degenerate_ctx, 1e-6)
-        assert el.lattice_point(degenerate_ctx, 0.0, 0.0) == 0
-        # only a nonzero fraction beyond the rank has no answer
+        # lattice_point maps fractions of the frame at every rank, and lattice_coordinates inverts it;
+        # a family without a lattice takes the frame (1, i) too
         rank_one = el.from_invariants(3, 1)
-        for ctx, fracs in ((degenerate_ctx, (0.5, 0.0)), (degenerate_ctx, (0.0, 0.5)), (rank_one, (0.5, 0.25))):
-            with pytest.raises(NoPeriods):
-                el.lattice_point(ctx, *fracs)
-        with pytest.raises(NoPeriods):
+        w = rank_one.reduced[0]
+        frames = ((degenerate_ctx, (1, 1j)), (rank_one, (w, 1j * w)), (normal_form_ctx, normal_form_ctx.reduced))
+        for ctx, (w1, w2) in frames:
+            for s, t in ((0.0, 0.0), (0.5, 0.25), (-1.5, 0.75)):
+                z = el.lattice_point(ctx, s, t)
+                assert z == s * w1 + t * w2
+                assert el.lattice_coordinates(ctx, z) == pytest.approx((s, t), abs=1e-15)
+        assert el.lattice_point(None, 0.5, 0.25) == 0.5 + 0.25j
+        with pytest.raises(ValueError, match="rank two"):
             lattice_sum_reference(degenerate_ctx, 0.5)
         # invariants (4, 0) keep their AGM basis as periods
         ctx = normal_form_ctx
@@ -288,8 +292,8 @@ class TestThetaSeries:
             p, dp, zt, sg = oracle.values(z)
             for value, ref in zip((*el._wp_dp(ctx, z), el.zeta(ctx, z)), (p, dp, zt)):
                 assert abs(value - ref) <= 1e-14 * abs(ref)
-            # sigma comes from exp(log|sigma|), whose rounding is |ln|sigma|| units of 2^-53
-            assert abs(el.sigma(ctx, z) - sg) <= 2.0**-52 * (8.0 + abs(math.log(abs(sg)))) * abs(sg)
+            # sigma's powers of two are exact, so its rounding does not grow with |ln|sigma||
+            assert abs(el.sigma(ctx, z) - sg) <= 2.0**-52 * 8.0 * abs(sg)
 
     def test_failed_round_trip_raises(self, monkeypatch):
         # a basis whose invariants miss is never returned
@@ -988,6 +992,27 @@ class TestSigma:
             z = s * w1 + t * w2
             ref = oracle.sigma(z)
             assert abs(el.sigma(ctx, z) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (el.from_invariants, (1e300, 1e300)),
+            (el.from_periods, (1e-27, 1e-27j)),
+            (el.from_periods, (2.0, 2.0j)),
+            (el.from_periods, (2.0, 2.0 * cmath.exp(1j * math.pi / 3.0))),
+            (el.from_periods, (2.0, 0.7 + 2.1j)),
+        ],
+        ids=["invariants-1e300", "periods-1e-27", "square", "hexagonal", "generic"],
+    )
+    def test_keeps_its_digits_at_every_scale(self, build, args):
+        # |sigma| reaches e^-174 here; exponentiating ln|sigma| whole lost |ln|sigma|| units of 2^-53
+        ctx = build(*args)
+        b1, b2 = ctx.reduced
+        oracle = ThetaOracle(b1, b2)
+        st_ = np.random.default_rng(9).uniform(-1.5, 1.5, (80, 2))
+        z = st_[:, 0] * b1 + st_[:, 1] * b2
+        ref = np.array([oracle.sigma(p) for p in z])
+        assert (np.abs(el.sigma(ctx, z) - ref) / np.abs(ref)).max() <= 4e-15
 
     def test_normalisation_at_origin(self, square_ctx):
         z = 1e-6

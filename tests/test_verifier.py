@@ -248,10 +248,10 @@ class TestSampling:
             assert stream_uniforms(seed, k, 3) == want
             assert vr._Stream(vr._seed_key(seed), k).uniform(size=3).tolist() == want
 
-    def test_box_stream_reads_re_im_pairs(self):
+    def test_without_a_lattice_the_stream_reads_fractions_of_1_and_i(self):
         fam = vr.Exponential()
         got = list(vr.TripleSampler(seed=4, count=3).triples((fam, fam, fam)))
-        block = _ReferenceStream(4, 0).uniform(-1.0, 1.0, (3, 2, 2))
+        block = _ReferenceStream(4, 0).uniform(0.05, 0.95, (3, 2, 2))
         want = [(complex(*x), complex(*y), -(complex(*x) + complex(*y))) for x, y in block]
         assert got == want
 
@@ -334,26 +334,28 @@ class TestSampling:
         assert rep.worst_triple == (0.3 + 0.4j, 0.5 - 0.2j, -0.8 - 0.2j)
 
     @pytest.mark.parametrize("invariants", [(0.0, 0.0), (3.0, 1.0)], ids=["rank-0", "rank-1"])
-    def test_grid_scan_below_rank_two_uses_the_box(self, invariants):
-        # a lattice of rank below two has no cell: x runs over the sampler's box, [-1, 1]^2 by default,
-        # and y is redrawn clear of the lattice's poles
+    def test_grid_scan_below_rank_two_uses_the_frame(self, invariants):
+        # below rank two x runs over fractions of the frame, (pi/k, i pi/k) or (1, i), on
+        # [margin, 1 - margin]^2, and y is redrawn clear of the lattice's poles
         ctx = el.from_invariants(*invariants)
+        w = ctx.reduced[0] if ctx.reduced else 1.0
         sampler = vr.TripleSampler(count=4)
         rows, rep = vr.grid_scan(vr.WeierstrassShifted(ctx), sampler, 2, 1e-8)
         assert rep.passed and rep.samples == 4
-        assert [x for x, _, _ in rows] == [-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]
+        ticks = (0.05, 0.05 + 0.9)
+        assert [x for x, _, _ in rows] == [s * w + t * (1j * w) for s in ticks for t in ticks]
         assert max(r for _, _, r in rows) <= 1e-8
         for x, y, _ in rows:
             assert min(el.lattice_distance(ctx, np.array([x, y, -x - y]))) > sampler.effective_pole_radius(ctx)
 
-    def test_grid_scan_without_a_lattice_spans_the_samplers_box(self):
-        # the grid and the partners share the box [-box, box]^2
-        sampler = vr.TripleSampler(seed=1, count=16, box=0.25)
+    def test_grid_scan_without_a_lattice_spans_the_samplers_square(self):
+        # the grid and the partners share the fractions [margin, 1 - margin]^2 of (1, i)
+        sampler = vr.TripleSampler(seed=1, count=16, margin=0.25)
         rows, rep = vr.grid_scan(vr.Exponential(), sampler, 4, 1e-8)
         assert rep.samples == 16
         xs, ys = np.array([x for x, _, _ in rows]), np.array([y for _, y, _ in rows])
-        assert max(abs(xs.real).max(), abs(xs.imag).max()) == 0.25
-        assert max(abs(ys.real).max(), abs(ys.imag).max()) <= 0.25
+        assert (xs.real.min(), xs.real.max(), xs.imag.min(), xs.imag.max()) == (0.25, 0.75, 0.25, 0.75)
+        assert min(ys.real.min(), ys.imag.min()) >= 0.25 and max(ys.real.max(), ys.imag.max()) <= 0.75
 
     def test_grid_scan_on_the_agm_lattice(self, normal_form_ctx):
         fam = vr.WeierstrassShifted(normal_form_ctx)
@@ -365,9 +367,10 @@ class TestSampling:
         assert max(r for _, _, r in rows) == rep.max_residual <= 1e-8
 
     def test_grid_point_on_a_pole_raises_at_once(self, degenerate_ctx):
-        # an odd box grid holds x = 0, the pole of 1/z^2: no partner y can help
-        fam = vr.WeierstrassShifted(degenerate_ctx)
-        with pytest.raises(SamplerExhausted, match="grid point 12 at x = 0j"):
+        # the middle point 0.5 + 0.5i of an odd grid, shifted by -0.5 - 0.5i, is the pole of 1/z^2:
+        # no partner y can help
+        fam = vr.WeierstrassShifted(degenerate_ctx, -0.5 - 0.5j)
+        with pytest.raises(SamplerExhausted, match=r"grid point 12 at x = \(0\.5\+0\.5j\)"):
             vr.grid_scan(fam, vr.TripleSampler(count=25), 5, 1e-8)
 
     def test_grid_point_inside_the_pole_radius_raises_at_once(self, square_ctx, monkeypatch):
@@ -449,12 +452,19 @@ def _clear_by_distance(families, radius):
     return admit
 
 
+def _reference_frame(ctx):
+    """The frame of lattice fractions written out: the periods, (w, i w) on the lattice wZ, else (1, i)."""
+    if ctx is not None and ctx.periods is not None:
+        return ctx.periods.omega1, ctx.periods.omega2
+    w = ctx.reduced[0] if ctx is not None and ctx.reduced else 1.0
+    return w, 1j * w
+
+
 def _reference_points(sampler, rng, n, width, ctx):
-    """n rows of width points: lattice fractions on [margin, 1 - margin]^2 at rank two, else (re, im) on the box."""
-    if ctx is not None and len(ctx.reduced) == 2:
-        st_ = rng.uniform(sampler.margin, 1.0 - sampler.margin, (n, width, 2))
-        return el.lattice_point(ctx, st_[..., 0], st_[..., 1]).tolist()
-    return rng.uniform(-sampler.box, sampler.box, (n, width, 2)).view(complex)[..., 0].tolist()
+    """n rows of width points: fractions on [margin, 1 - margin]^2 of the frame."""
+    st_ = rng.uniform(sampler.margin, 1.0 - sampler.margin, (n, width, 2))
+    w1, w2 = _reference_frame(ctx)
+    return (st_[..., 0] * w1 + st_[..., 1] * w2).tolist()
 
 
 def _reference_triples(sampler, families):
@@ -482,11 +492,12 @@ _SAMPLER_CASES = {
 
 
 def _reference_sigma_draws(ctx, count, seed):
-    pole = max(ctx.pole_tol, 0.04 * ctx.lambda_min)
+    pole = max(ctx.pole_tol, 0.04 * ctx.lambda_min) if ctx.reduced else 0.04
+    w1, w2 = _reference_frame(ctx)
 
     def draw(rng, n):
         st_ = rng.uniform(-0.35, 0.35, (n, 3, 2))
-        return el.lattice_point(ctx, st_[..., 0], st_[..., 1]).tolist()
+        return (st_[..., 0] * w1 + st_[..., 1] * w2).tolist()
 
     def admit(_, abc):
         a, b, c = abc
@@ -509,18 +520,16 @@ class TestDrawsDoNotMove:
         sampler = vr.TripleSampler(seed=11, count=40, unconstrained=unconstrained)
         assert list(sampler.triples(families)) == _reference_triples(sampler, families)
 
-    @pytest.mark.parametrize("name", ["square_ctx", "generic_ctx", "normal_form_ctx"])
+    @pytest.mark.parametrize("name", ["square_ctx", "generic_ctx", "normal_form_ctx", "rank_one_ctx", "degenerate_ctx"])
     def test_grid_scan_rows(self, name, request, monkeypatch):
         ctx = request.getfixturevalue(name)
         fam, sampler, grid = vr.WeierstrassShifted(ctx, 0.1j), vr.TripleSampler(seed=5, margin=0.2), 6
         # every grid point clears this radius, and about half the partners do not
         _pole_radius(monkeypatch, 0.3)
         rows, _ = vr.grid_scan(fam, sampler, grid, 1e-8)
-        cell = len(ctx.reduced) == 2
-        lo, width = (sampler.margin, 1.0 - 2.0 * sampler.margin) if cell else (-1.0, 2.0)
-        ticks = lo + width * np.arange(grid) / (grid - 1)
-        s, t = np.repeat(ticks, grid), np.tile(ticks, grid)
-        xs = (el.lattice_point(ctx, s, t) if cell else s + 1j * t).tolist()
+        ticks = sampler.margin + (1.0 - 2.0 * sampler.margin) * np.arange(grid) / (grid - 1)
+        w1, w2 = _reference_frame(ctx)
+        xs = (np.repeat(ticks, grid) * w1 + np.tile(ticks, grid) * w2).tolist()
         clear = _clear_by_distance((fam,) * 3, sampler.effective_pole_radius)
 
         def draw(rng, n):
@@ -535,6 +544,13 @@ class TestDrawsDoNotMove:
         ctx = el.from_periods(2.0, 0.7 + 2.1j)
         if pole_tol is not None:
             ctx = replace(ctx, pole_tol=2.0 * pole_tol)
+        vr.sigma_identity_scan(ctx, count=30, seed=8)
+        [(points, _, _)] = batches
+        assert [tuple(row) for row in points.tolist()] == [tuple(abc) for abc in _reference_sigma_draws(ctx, 30, 8)]
+
+    @pytest.mark.parametrize("name", ["rank_one_ctx", "degenerate_ctx"])
+    def test_sigma_identity_scan_below_rank_two_draws_in_the_frame(self, name, request, batches):
+        ctx = request.getfixturevalue(name)
         vr.sigma_identity_scan(ctx, count=30, seed=8)
         [(points, _, _)] = batches
         assert [tuple(row) for row in points.tolist()] == [tuple(abc) for abc in _reference_sigma_draws(ctx, 30, 8)]
@@ -626,6 +642,27 @@ class TestScaleFreeResiduals:
             assert vr.scan(fam, fam, fam, sampler, tol=1e-8).passed == solves
         for gammas, solves in (((0.2 * w1, 0.3 * w2, 0.8 * w1 + 0.7 * w2), True), ((0.2 * w1, 0.3 * w2, 0j), False)):
             assert vr.theorem2_shift_test(ctx, *gammas, sampler).passed == solves
+
+    @pytest.mark.parametrize("invariants", [(12.0, 8.0), (3.0, 1.0)], ids=["node", "rank-one"])
+    def test_reports_below_rank_two_do_not_depend_on_the_scale(self, invariants):
+        # the lattice 2^e (pi/k)Z has invariants 2^(-4e) g2, 2^(-6e) g3, and every draw is a fraction of its
+        # frame: the scaled draws are the unit ones times 2^e, and the evaluators are homogeneous to the bit
+        def reports(e):
+            g2, g3 = invariants
+            ctx = el.from_invariants(math.ldexp(g2, -4 * e), math.ldexp(g3, -6 * e))
+            w, sampler = ctx.reduced[0], vr.TripleSampler(seed=3, count=100)
+            out = [vr.theorem2_shift_test(ctx, 0.1 * w, 0.3 * w, f * w, sampler) for f in (-0.4, -0.3)]
+            out.append(vr.sigma_identity_scan(ctx, count=100, seed=3))
+            out.append(vr.grid_scan(vr.WeierstrassShifted(ctx, w / 3.0), sampler, 6, 1e-8)[1])
+            unscaled = [tuple(complex(math.ldexp(p.real, -e), math.ldexp(p.imag, -e)) for p in r.worst_triple)
+                        for r in out]
+            return [(r.passed, r.samples, r.max_residual) for r in out], unscaled
+
+        unit = reports(0)
+        assert [verdict for verdict, _, _ in unit[0]] == [True, False, True, True]
+        assert [samples for _, samples, _ in unit[0]] == [100, 100, 100, 36]
+        for e in (-40, 40):
+            assert reports(e) == unit
 
     @pytest.mark.parametrize("alpha", [1e-7, 1e-6, 1e-3, 1.0, 1e3, 1e6])
     def test_exponential_non_solution_fails_at_every_amplitude(self, alpha):
@@ -757,7 +794,7 @@ class TestTheorem2:
     def test_degenerations_decide_by_their_lattice(self, invariants, s, expected):
         # the poles of k^2/sin^2(kz) - k^2/3 are (pi/k)Z, those of 1/z^2 are {0}
         ctx = el.from_invariants(*invariants)
-        sampler = vr.TripleSampler(seed=2, count=200, box=0.8)
+        sampler = vr.TripleSampler(seed=2, count=200)
         rep = vr.theorem2_shift_test(ctx, 0.3, 0.5, -0.8 + s, sampler)
         assert rep.details["expected"] == expected
         assert rep.passed == (expected == "pass")
