@@ -171,10 +171,6 @@ class DiffPolynomial:
         used = _unpack(reduce(or_, self._terms, 0))[_F_BLOCK if prefix == "f" else _G_BLOCK :]
         return max((i for i in range(_JETS) if used[i]), default=-1)
 
-    def leading_term(self) -> tuple[tuple, Scalar]:
-        mono = max(self._terms)
-        return _unpack(mono), self._terms[mono]
-
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other):

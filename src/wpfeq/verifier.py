@@ -291,29 +291,32 @@ class _Stream:
         return (low + (high - low) * u).reshape(size)
 
 
-def _draws(seed: int, count: int, draw, admit, budget: int, rounds: int | None = None) -> np.ndarray:
-    """The first admitted draw of each of samples 0..count-1.
+# every sampler's budget: it runs out after this many draws per requested sample, pooled
+_DRAWS_PER_SAMPLE = 200
+
+
+def _draws(seed: int, count: int, draw, admit) -> np.ndarray:
+    """The first admitted row of each of samples 0..count-1.
 
     Round k draws one block, draw(stream, n), from round k of the seed's
     `_Stream`, and sample i takes row i of it: a draw depends only on (seed,
-    sample, attempt). admit(samples, rows), a bool per row, is the geometric
-    test, and the samples it rejects are redrawn in the next round until
-    every one holds an admitted row. Every draw spends one unit of a pooled
-    budget, so the budget runs out exactly when drawing sample by sample
-    would; with `rounds`, a sample also runs out after that many attempts.
+    sample, attempt). admit(rows), a bool per row, is the geometric test, and
+    the samples it rejects are redrawn in the next round until every one
+    holds an admitted row. Every draw spends one unit of a budget of
+    `_DRAWS_PER_SAMPLE` draws per sample, pooled over the samples, so it runs
+    out, with SamplerExhausted, exactly when drawing sample by sample would.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    seed_key = _seed_key(seed)
+    seed_key, budget = _seed_key(seed), _DRAWS_PER_SAMPLE * count
     pending, drawn, spent, k = np.arange(count), None, 0, 0
     while pending.size:
-        if spent + pending.size > budget or k == rounds:
-            limit = rounds if k == rounds else budget
-            raise SamplerExhausted(f"no accepted draw for sample {pending[0]} within {limit} draws")
+        if spent + pending.size > budget:
+            raise SamplerExhausted(f"no accepted draw for sample {pending[0]} within the pooled {budget} draws")
         spent += pending.size
         block = draw(_Stream(seed_key, k), pending[-1] + 1)
         rows = block if drawn is None else block[pending]
-        ok = admit(pending, rows)
+        ok = admit(rows)
         if drawn is None:
             # round 0 draws a row for every sample; later rounds overwrite the rejected ones
             drawn = block
@@ -333,9 +336,9 @@ class TripleSampler:
     which case all three points are independent. Triple i is row i of the
     block that round k of the seed's `_Stream` gives. Draws within
     `effective_pole_radius` of the lattice, of any rank, are rejected and
-    redrawn in the next round, with a budget of 100 draws per sample on
-    average. The seed is a non-negative integer of any size; drawing with
-    a negative one raises ValueError, with a float TypeError.
+    redrawn in the next round, within `_draws`' pooled budget. The seed is
+    a non-negative integer of any size; drawing with a negative one raises
+    ValueError, with a float TypeError.
     """
 
     seed: int = 0
@@ -348,11 +351,9 @@ class TripleSampler:
         st = rng.uniform(self.margin, 1.0 - self.margin, (n, k, 2))
         return elliptic.lattice_point(ctx, st[..., 0], st[..., 1])
 
-    def effective_pole_radius(self, ctx: EllipticContext | None) -> float:
-        """max(pole_tol, 0.03 lambda_min) of the context; 1e-6 without a context or finite lambda_min."""
-        if ctx is None or math.isinf(ctx.lambda_min):
-            return 1e-6
-        return max(ctx.pole_tol, 0.03 * ctx.lambda_min)
+    def effective_pole_radius(self, ctx: EllipticContext) -> float:
+        """max(pole_tol, 0.03 lambda_min) of the context; 1e-6 at rank zero, where lambda_min is infinite."""
+        return 1e-6 if math.isinf(ctx.lambda_min) else max(ctx.pole_tol, 0.03 * ctx.lambda_min)
 
     def _admission(self, families: Sequence[FunctionFamily]):
         """admit(points): the rows of the (n, len(families)) points where each point j + shift clears family j's poles.
@@ -389,7 +390,6 @@ class TripleSampler:
     def triples(self, families: Sequence[FunctionFamily]):
         """Yield `count` admissible (x, y, z); raises SamplerExhausted."""
         ctx = next((fam.ctx for fam in families if isinstance(fam, WeierstrassShifted)), None)
-        admit = self._admission(families)
 
         def draw(rng, n):
             if self.unconstrained:
@@ -399,7 +399,7 @@ class TripleSampler:
             np.negative(block[:, 0] + block[:, 1], out=block[:, 2])
             return block
 
-        drawn = _draws(self.seed, self.count, draw, lambda _, points: admit(points), 100 * self.count)
+        drawn = _draws(self.seed, self.count, draw, self._admission(families))
         # tuples from the columns' lists: one list per column, not one per row
         yield from zip(*drawn.T.tolist())
 
@@ -496,9 +496,9 @@ def grid_scan(
     `effective_pole_radius` of a pole (x + shift near the lattice) raises
     SamplerExhausted at once, naming it. Grid point (i, j) is sample
     i*grid + j of the sampler's seed, drawn from its `_Stream` as `_draws`
-    reads it: its partner y is redrawn, at most 200 times, while a point of
-    (x, y, -x-y) lies near a pole; SamplerExhausted then. The admitted
-    triples are scored once, as one batch; a triple whose residual
+    reads it: the row (x, y, -x-y) with x pinned, its partner y redrawn while
+    a point of it lies near a pole, within `_draws`' pooled budget. The
+    admitted rows are scored once, as one batch; a triple whose residual
     faults has no row, and the report counts it as skipped.
     """
     ctx = getattr(fam, "ctx", None)
@@ -509,21 +509,15 @@ def grid_scan(
         i, radius = near[0], sampler.effective_pole_radius(ctx)
         raise SamplerExhausted(f"grid point {i} at x = {xs[i]} lies within {radius} of a pole of the family")
 
-    admit_rows = sampler._admission((fam,) * 3)
-
-    def admit(index, y):
-        x = xs[index]
-        return admit_rows(np.column_stack((x, y, -(x + y))))
-
     def draw(rng, n):
-        return sampler._points(rng, n, 1, ctx)[:, 0]
+        x, y = xs[:n], sampler._points(rng, n, 1, ctx)[:, 0]
+        return np.column_stack((x, y, -(x + y)))
 
-    ys = _draws(sampler.seed, len(xs), draw, admit, 200 * len(xs), rounds=200)
-    zs = -(xs + ys)
-    residuals, faults = residual(fam, fam, fam, xs, ys, zs)
-    report = _report(np.column_stack((xs, ys, zs)), residuals, faults, tol, "")
+    drawn = _draws(sampler.seed, len(xs), draw, sampler._admission((fam,) * 3))
+    residuals, faults = residual(fam, fam, fam, *drawn.T)
+    report = _report(drawn, residuals, faults, tol, "")
     kept = faults == 0
-    return list(zip(xs[kept].tolist(), ys[kept].tolist(), residuals[kept].tolist())), report
+    return list(zip(drawn[kept, 0].tolist(), drawn[kept, 1].tolist(), residuals[kept].tolist())), report
 
 
 # -- closed-form cross-checks ----------------------------------------------------------
@@ -608,8 +602,9 @@ def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, t
     reads it. Draws are rejected and redrawn when any point, any pairwise
     difference, or the sum lies within max(pole_tol, 0.04 lambda_min) of
     the lattice, 0.04 at rank zero (where the quotient divides by a
-    vanishing sigma or both sides vanish). An admitted triple whose gap
-    faults is skipped. A negative seed raises ValueError, a float TypeError.
+    vanishing sigma or both sides vanish), within `_draws`' pooled budget.
+    An admitted triple whose gap faults is skipped. A negative seed raises
+    ValueError, a float TypeError.
     """
     pole = max(ctx.pole_tol, 0.04 * ctx.lambda_min) if ctx.reduced else 0.04
 
@@ -617,12 +612,12 @@ def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, t
         st = rng.uniform(-_SIGMA_SPREAD, _SIGMA_SPREAD, (n, 3, 2))
         return elliptic.lattice_point(ctx, st[..., 0], st[..., 1])
 
-    def admit(_, abc):
+    def admit(abc):
         a, b, c = abc.T
         probes = np.stack((a, b, c, a - b, b - c, c - a, a + b + c))
         return elliptic.clear_of_lattice(ctx, probes, pole).all(axis=0)
 
-    drawn = _draws(seed, count, draw, admit, 200 * count)
+    drawn = _draws(seed, count, draw, admit)
     residuals, faults = _score(lambda a, b, c: _det_vs_sigma(ctx, a, b, c), *drawn.T)
     return _report(drawn, residuals, faults, tol, "det3 vs sigma quotient")
 
@@ -770,7 +765,6 @@ def factfun_check(
     """
     ctx = getattr(fam, "ctx", None)
     h_step = factfun_step(fam) if h_step is None else h_step
-    clearance = sampler.effective_pole_radius(ctx) + 4.0 * h_step
 
     def evaluate(x, y, z):
         points = np.stack((x, y, z))
@@ -778,7 +772,7 @@ def factfun_check(
         if ctx is not None:
             # the finite-difference stencil must stay clear of the poles
             near = elliptic.lattice_distance(ctx, points + fam.shift)
-            faults[(near <= clearance).any(axis=0)] = _GUARD
+            faults[(near <= sampler.effective_pole_radius(ctx) + 4.0 * h_step).any(axis=0)] = _GUARD
         ok = faults == 0
         fv, fp = fam.jets(points[:, ok], 1)
         value[ok], pole = _third_order_operator(fam.antiderivative, x[ok], y[ok], z[ok], h_step)
@@ -803,12 +797,7 @@ def constant_case_check(
     This is the two-function reduction that remains when the third function
     is the zero constant: it vanishes when f and g are proportional
     exponentials with equal rates, or when either function is identically
-    zero, and has a floor for mismatched rates.
+    zero, and has a floor for mismatched rates. It is `scan` with h the zero
+    constant, whose det3 and six-term scale are exactly these.
     """
-
-    def evaluate(x, y, z):
-        (fv, fp), (gv, gp) = ff.jets(x, 1), fg.jets(y, 1)
-        p, q = fv * gp, fp * gv
-        return p - q, np.abs(p) + np.abs(q), _pole_faults(fv, gv)
-
-    return _collect(sampler.triples((ff, fg, Constant(0j))), evaluate, tol, "")
+    return scan(ff, fg, Constant(0j), sampler, tol)

@@ -16,6 +16,8 @@ by another route what the package computes, or inverts one of its maps:
   scale, exactly, on rational points;
 - `stream_uniforms`: the samplers' uniforms, SplitMix64 keyed by
   (seed, round), in Python ints;
+- `leading_term`: the term of a jet polynomial with the largest packed
+  monomial, which the tests hold to graded lex order;
 - `shifted_det_vs_sigma_scan`: det3 of the shifted triple pe(. + shift)
   against its sigma quotient, which pins the residual floor of a shift
   sum off the lattice.
@@ -37,6 +39,7 @@ from wpfeq.elliptic import (
     lattice_point,
 )
 from wpfeq.errors import PoleProximity
+from wpfeq.jetpoly import DiffPolynomial, Scalar, _unpack
 from wpfeq.verifier import ResidualReport, TripleSampler, WeierstrassShifted, _collect, _det_vs_sigma
 
 
@@ -302,6 +305,12 @@ def stream_uniforms(seed: int, k: int, count: int) -> list[float]:
     for word in [*words, k]:
         h = _mix64((h ^ word) + _GAMMA)
     return [(_mix64(h + (j + 1) * _GAMMA) >> 11) / 2**53 for j in range(count)]
+
+
+def leading_term(poly: DiffPolynomial) -> tuple[tuple, Scalar]:
+    """(exponents, coefficient) of the term of poly whose packed monomial is the largest."""
+    mono = max(poly._terms)
+    return _unpack(mono), poly._terms[mono]
 
 
 def shifted_det_vs_sigma_scan(

@@ -282,6 +282,14 @@ class TestClassify:
         dec = cl.classify_samples(s)
         assert dec.family == "linear"
 
+    @pytest.mark.parametrize(
+        "decision",
+        [cl.Classification("constant", {"c": 1.0}), cl.Classification("not_a_solution")],
+        ids=["constant", "not_a_solution"],
+    )
+    def test_roundtrip_of_a_family_without_a_scan_is_zero(self, decision):
+        assert cl.roundtrip_residual(decision) == 0.0
+
     def test_weierstrass_exact_jets(self, normal_form_ctx):
         xs, ws, dws = [], [], []
         for i in range(40):

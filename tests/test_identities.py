@@ -158,6 +158,20 @@ class TestCentralDifference:
         assert diff0[1] == 2 * jp.f(1)
         assert diff1[1] == 2 * jp.f(2)
 
+    @pytest.mark.parametrize(
+        "corrupt, note",
+        [
+            (lambda a, b, c: (a * jp.f(0), b, c), "order 1: no constant normalisation"),
+            (lambda a, b, c: (a, b, c + jp.f(0)), "order 1: coefficients do not match"),
+        ],
+        ids=["A1-times-f0", "C1-plus-f0"],
+    )
+    def test_corrupted_relation_fails(self, monkeypatch, corrupt, note):
+        first, second = idn._central_difference_relations()
+        monkeypatch.setattr(idn, "_central_difference_relations", lambda: (corrupt(*first), second))
+        rep = idn.central_difference_check()
+        assert (rep.holds, rep.cofactor, rep.note) == (False, None, note)
+
 
 def test_run_checks_all_pass():
     # every row exactly: label, verdict, cofactor and note

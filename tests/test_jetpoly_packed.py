@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from wpfeq import identities, jetpoly as jp
 from wpfeq.errors import ExponentOverflow, JetOrderOverflow, MissingJet
 
+from oracles import leading_term
+
 
 def grlex_key(mono):
     # graded lex with later-listed variables dominant, i.e. f0 the smallest
@@ -38,7 +40,7 @@ class TestOrder:
     def test_leading_term_and_text_follow_grlex(self, monos):
         p = jp.DiffPolynomial({m: i + 1 for i, m in enumerate(monos)})
         lead = max(monos, key=grlex_key)
-        assert p.leading_term() == (lead, monos.index(lead) + 1)
+        assert leading_term(p) == (lead, monos.index(lead) + 1)
         ordered = sorted(monos, key=grlex_key, reverse=True)
         assert str(p) == " + ".join(str(monomial(m, monos.index(m) + 1)) for m in ordered)
 

@@ -262,43 +262,55 @@ class TestSampling:
         short = list(vr.TripleSampler(seed=8, count=50).triples((fam, fam, fam)))
         assert long[:50] == short
 
-    @pytest.mark.parametrize("budget, exhausted", [(6, False), (5, True)])
-    def test_budget_is_pooled_as_sample_by_sample(self, budget, exhausted):
-        # sample i is accepted at attempt i: drawing sample by sample spends
-        # 1 + 2 + 3 = 6 draws on three samples
+    @pytest.mark.parametrize(
+        "accepted, exhausted", [((0, 199, 398), False), ((0, 199, 399), True)], ids=["600-fit", "601-exhausted"]
+    )
+    def test_budget_is_pooled_as_sample_by_sample(self, accepted, exhausted):
+        # sample i is accepted at attempt accepted[i]: drawing sample by sample spends
+        # 1 + 200 + 399 = 600 draws on three samples, the pooled budget of 200 each,
+        # though sample 2 alone takes more than 200; one attempt more overspends
         attempts = []
 
-        def admit(samples, rows):
-            attempts.append(samples.size)
-            return samples < len(attempts)
+        def draw(rng, n):
+            return np.column_stack((np.arange(n), rng.uniform(size=n)))
 
-        run = lambda: vr._draws(0, 3, lambda rng, n: rng.uniform(size=n), admit, budget)  # noqa: E731
+        def admit(rows):
+            attempts.append(len(rows))
+            return np.array(accepted)[rows[:, 0].astype(int)] < len(attempts)
+
+        run = lambda: vr._draws(0, 3, draw, admit)  # noqa: E731
         if exhausted:
-            with pytest.raises(SamplerExhausted):
+            with pytest.raises(SamplerExhausted, match="within the pooled 600 draws"):
                 run()
-            assert sum(attempts) == 3 + 2  # the third round would overspend
+            assert sum(attempts) == 600  # the next round would overspend
         else:
             drawn = run()
-            assert attempts == [3, 2, 1]
-            assert drawn.tolist() == [stream_uniforms(0, i, i + 1)[i] for i in range(3)]
+            assert sum(attempts) == 600
+            assert drawn[:, 1].tolist() == [stream_uniforms(0, k, i + 1)[i] for i, k in enumerate(accepted)]
 
     def test_starved_sampler_spends_the_pooled_budget(self, square_ctx, monkeypatch):
+        # every sampler, whatever it draws, runs out after 200 draws per requested sample
         spent = []
         draws = vr._draws
 
-        def counted(seed, count, draw, admit, budget, rounds=None):
-            def counting(samples, rows):
-                spent.append(samples.size)
-                return admit(samples, rows)
+        def starved(seed, count, draw, admit):
+            def refusing(rows):
+                spent.append(len(rows))
+                return np.zeros(len(rows), bool)
 
-            return draws(seed, count, draw, counting, budget, rounds)
+            return draws(seed, count, draw, refusing)
 
-        monkeypatch.setattr(vr, "_draws", counted)
-        _pole_radius(monkeypatch, 10.0)
+        monkeypatch.setattr(vr, "_draws", starved)
         fam = vr.WeierstrassShifted(square_ctx, 0j)
-        with pytest.raises(SamplerExhausted):
-            list(vr.TripleSampler(count=7).triples((fam, fam, fam)))
-        assert sum(spent) == 700
+        for run, count in (
+            (lambda: list(vr.TripleSampler(count=7).triples((fam, fam, fam))), 7),
+            (lambda: vr.grid_scan(fam, vr.TripleSampler(), 3, 1e-8), 9),
+            (lambda: vr.sigma_identity_scan(square_ctx, count=5), 5),
+        ):
+            spent.clear()
+            with pytest.raises(SamplerExhausted, match=f"within the pooled {200 * count} draws"):
+                run()
+            assert sum(spent) == 200 * count
 
     def test_pole_radius_beyond_the_cell_starves(self, square_ctx, monkeypatch):
         fam = vr.WeierstrassShifted(square_ctx, 0j)
@@ -708,6 +720,12 @@ class TestSigmaQuotient:
     def test_antisymmetry_exact(self, square_ctx):
         a, b, c = 0.5 + 0.3j, 1.1 + 0.9j, 0.4 + 1.3j
         assert vr.sigma_quotient(square_ctx, a, b, c) == -vr.sigma_quotient(square_ctx, b, a, c)
+
+    def test_a_quotient_beyond_the_float_range_raises(self, square_ctx):
+        # the quotient grows as 1/a^3 near the pole: about 7e301 at a = 1e-100, about 1e331 at 1e-110
+        assert abs(vr.sigma_quotient(square_ctx, 1e-100, 0.3, 0.2j)) < 1e302
+        with pytest.raises(FloatOverflow, match="a sigma quotient exceeds the float range"):
+            vr.sigma_quotient(square_ctx, 1e-110, 0.3, 0.2j)
 
     def test_matches_det3(self, square_ctx):
         rep = vr.sigma_identity_scan(square_ctx, count=200, seed=0, tol=1e-8)
