@@ -40,7 +40,7 @@ TAU_LIN = 1e-6  # misfit of a linear-sector fit
 TAU_CUB = 1e-6  # misfit of a cubic fit
 COEFF_EPS = 1e-8  # significance of a term, against the left-hand side
 SPREAD_EPS = 1e-10  # constant detection
-COND_REJECT = 1e14  # normal-equation condition above which a fit is refused
+COND_REJECT = 1e14  # condition of the scaled normal matrix, (smax/smin)^2, above which a fit is refused
 ROUNDTRIP_COUNT = 64  # triples the round trip scores the reconstructed family on
 _EPS = 2.0**-52  # the spacing of floats at 1
 
@@ -83,7 +83,7 @@ class FitResult:
     model: str  # "cubic" | "linear"
     coefficients: tuple[complex, ...]  # (p0, p1, p2, p3) or (l0, l1)
     residual: float
-    condition: float
+    condition: float  # (smax/smin)^2 of the unit-norm design, the scaled normal matrix's condition
     term_sizes: tuple[float, ...]
     target_size: float
 
@@ -138,7 +138,7 @@ def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> tuple[np.ndarra
     else:
         diff, step = -scaled[4:] + 8.0 * scaled[3:-1] - 8.0 * scaled[1:-3] + scaled[:-4], 12.0 * h
     # divide as Python complex numbers: numpy's complex division rounds otherwise in the
-    # last bit, and the fits' normal matrices amplify that
+    # last bit, and the fits amplify that by their condition
     dw = np.array([d / step for d in diff.tolist()], dtype=complex)
     if exponent:
         # each component alone: a complex product would make inf * 0 a nan
@@ -148,35 +148,37 @@ def estimate_jets(samples: SampleSet, stencil_order: int = 4) -> tuple[np.ndarra
     return xs[half:-half], ws[half:-half], dw
 
 
-def _solve_normal(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Normal-equation solve on unit-norm columns, with its condition number.
+def _least_squares(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Orthogonal least squares on unit-norm columns, with its condition number.
 
     Columns span scales like w^3 versus 1, so each is scaled to unit norm
-    first (the sum that np.linalg.norm takes, without its dispatch); the condition is that of the scaled normal matrix, which does not
-    depend on the unit of w, from the eigenvalues of that Hermitian matrix.
-    A fit above COND_REJECT raises, as does one whose normal matrix is not
-    finite, where LAPACK fails or gives eigenvalues that are not finite.
+    first (the sum that np.linalg.norm takes, without its dispatch). One
+    np.linalg.lstsq call gives the coefficients and the singular values of
+    the scaled design; the condition is (smax/smin)^2, that of the scaled
+    normal matrix, which does not depend on the unit of w, while the solve
+    never forms that matrix and so does not square the design's condition.
+    A fit above COND_REJECT raises, as does one whose design is not
+    finite, where LAPACK fails or gives singular values that are not finite.
     """
     scales = np.sqrt(np.add.reduce((A.conj() * A).real, axis=0))
     scales[scales == 0.0] = 1.0
-    Aeq = A / scales
-    gram = Aeq.conj().T @ Aeq
     try:
-        eigenvalues = np.linalg.eigvalsh(gram)
+        coeffs, _, _, singular = np.linalg.lstsq(A / scales, b, rcond=None)
     except np.linalg.LinAlgError as exc:
-        raise IllConditionedFit("normal matrix beyond the float range") from exc
-    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
-    cond = high / low if low > 0.0 else math.inf
+        raise IllConditionedFit("design beyond the float range") from exc
+    ratio = float(singular[0] / singular[-1]) if singular[-1] > 0.0 else math.inf
+    # a product, not a power: a float ** raises OverflowError where this is inf
+    cond = ratio * ratio
     if not cond <= COND_REJECT:
-        raise IllConditionedFit(f"normal-equation condition {cond:.3g}")
-    return np.linalg.solve(gram, Aeq.conj().T @ b) / scales, cond
+        raise IllConditionedFit(f"least-squares condition {cond:.3g}")
+    return coeffs / scales, cond
 
 
 def fit_cubic(w: np.ndarray, dw: np.ndarray) -> FitResult:
     """Least squares for w'^2 = p3 w^3 + p2 w^2 + p1 w + p0."""
     if _spread(w) <= SPREAD_EPS:
         raise DegenerateInput("w values are all one constant; nothing to fit")
-    # a power past the float range is refused by `_solve_normal`, not warned about
+    # a power past the float range is refused by `_least_squares`, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         return _fit("cubic", _design(w, w**2, w**3), dw**2)
 
@@ -200,7 +202,7 @@ def _fit(model: str, A: np.ndarray, b: np.ndarray) -> FitResult:
     """Least squares A p = b, with the misfit relative to the RMS of b."""
     if len(b) <= A.shape[1]:
         raise TooFewPoints(f"{model} fit needs at least {A.shape[1] + 1} (w, w') pairs")
-    coeffs, cond = _solve_normal(A, b)
+    coeffs, cond = _least_squares(A, b)
     misfit, size = (np.sqrt((np.abs(v) ** 2).sum() / len(v)) for v in (A @ coeffs - b, b))
     residual = float(verifier.relative(misfit, size))
     if not math.isfinite(residual):

@@ -319,9 +319,6 @@ def _cmd_symbolic(args, parser) -> int:
 
 # -- verify -------------------------------------------------------------------------
 
-# default tolerance of each verify kind
-_TOLERANCES = {"theorem1": 1e-8, "theorem2": 1e-8, "sigma": 1e-8, "derived": 1e-7, "factfun": 1e-6, "constant": 1e-12}
-
 # the constant-third-function cases: (f, g, expected outcome)
 _CONSTANT_CASES = {
     "exp": (verifier.Exponential(), verifier.Exponential(), "pass"),
@@ -367,7 +364,8 @@ def _family(args, name: str) -> verifier.FunctionFamily:
 def _cmd_verify(args, parser) -> int:
     start = time.perf_counter()
     count = _within_ceiling(int(_positive(1000 if args.n is None else args.n, "sample count")), "sample count")
-    tol = _positive(_TOLERANCES[args.kind] if args.tol is None else args.tol, "tol")
+    # each check's own default tolerance unless --tol is given
+    tol = {} if args.tol is None else {"tol": _positive(args.tol, "tol")}
     sampler, margin = _sampler(args, count)
     params: dict = {"kind": args.kind, "seed": sampler.seed, "n": count, **margin}
     name, expected = args.kind, "pass"
@@ -383,11 +381,11 @@ def _cmd_verify(args, parser) -> int:
         else:
             vals = _parse_fractions(args.gammas, 6)
             gammas = params["gammas"] = [_fraction_point(ctx, *vals[i : i + 2]) for i in (0, 2, 4)]
-        rep = verifier.theorem2_shift_test(ctx, *gammas, sampler, tol)
+        rep = verifier.theorem2_shift_test(ctx, *gammas, sampler, **tol)
         expected = rep.details["expected"]
     elif args.kind == "sigma":
         name = "sigma-identity"
-        rep = verifier.sigma_identity_scan(_context_from_args(args), count=count, seed=sampler.seed, tol=tol)
+        rep = verifier.sigma_identity_scan(_context_from_args(args), count=count, seed=sampler.seed, **tol)
     elif args.kind == "derived":
         name = "derived-determinant"
         k, l = 1 if args.k is None else args.k, 2 if args.l is None else args.l
@@ -396,21 +394,21 @@ def _cmd_verify(args, parser) -> int:
         family = args.family or "wp"
         fam = _family(args, family)
         params.update({"family": family, "k": k, "l": l, "s": args.s})
-        rep = verifier.derived_determinant_check(fam, fam, fam, k, l, args.s, sampler, tol)
+        rep = verifier.derived_determinant_check(fam, fam, fam, k, l, args.s, sampler, **tol)
     elif args.kind == "factfun":
         name = "factfun-operator"
         family = args.family or "wp"
         fam = _family(args, family)
         h_step = _positive(verifier.factfun_step(fam) if args.h_step is None else args.h_step, "h-step")
         params.update({"family": family, "h_step": h_step})
-        rep = verifier.factfun_check(fam, sampler, h_step=h_step, tol=tol)
+        rep = verifier.factfun_check(fam, sampler, h_step=h_step, **tol)
     else:
         case = args.case or "exp"
         name = f"constant-{case}"
         ff, fg, expected = _CONSTANT_CASES[case]
         params["case"] = case
-        rep = verifier.constant_case_check(ff, fg, replace(sampler, unconstrained=True), tol)
-    params["tol"] = tol
+        rep = verifier.constant_case_check(ff, fg, replace(sampler, unconstrained=True), **tol)
+    params["tol"] = rep.tol
 
     check = _residual_check(name, rep, args.expect or expected)
     if name in ("theorem1", "theorem2"):
@@ -486,17 +484,17 @@ def _cmd_fit(args, parser) -> int:
 
 
 def _cmd_scan(args, parser) -> int:
-    tol = _positive(1e-8 if args.tol is None else args.tol, "tol")
+    tol = {} if args.tol is None else {"tol": _positive(args.tol, "tol")}
     grid = int(_positive(args.grid, "grid"))
     _within_ceiling(grid * grid, "grid")
     sampler, margin = _sampler(args, grid * grid)
     fam = _family(args, args.family)
-    rows, rep = verifier.grid_scan(fam, sampler, grid, tol)
+    rows, rep = verifier.grid_scan(fam, sampler, grid, **tol)
     _write_csv(args.out, ["x_re", "x_im", "y_re", "y_im", "residual"],
                ((x.real, x.imag, y.real, y.imag, r) for x, y, r in rows))
     check = {"name": "scan", "pass": rep.passed, "max_residual": rep.max_residual,
-             "mean_residual": rep.mean_residual, "rows": len(rows), "tol": tol}
-    params = {"family": args.family, "grid": grid, "seed": sampler.seed, **margin, "tol": tol, "out": args.out}
+             "mean_residual": rep.mean_residual, "rows": len(rows), "tol": rep.tol}
+    params = {"family": args.family, "grid": grid, "seed": sampler.seed, **margin, "tol": rep.tol, "out": args.out}
     # no wall time here: scan outputs are specified to be byte reproducible
     report = _report("scan", params, [check], None)
     if args.summary:
@@ -578,7 +576,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="numerical verification on sampled triples",
                        parents=[lattice, shift, delta, sampling])
-    p.add_argument("kind", choices=list(_TOLERANCES))
+    p.add_argument("kind", choices=list(_KIND_FLAGS))
     p.add_argument("--gammas", help="six lattice fractions s1,t1,s2,t2,s3,t3")
     p.add_argument("--family", choices=["wp", "exp", "linear"])
     p.add_argument("--case", choices=list(_CONSTANT_CASES), help="constant-third-function case")

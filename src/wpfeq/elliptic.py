@@ -349,15 +349,13 @@ def _agm_basis(e1: complex, e2: complex, e3: complex) -> tuple[complex, complex]
     """Oriented reduced generators of the lattice whose 4t^3 - g2 t - g3 has the roots e1, e2, e3.
 
     pi/M(sqrt(e1 - e3), sqrt(e1 - e2)) and pi i/M(sqrt(e1 - e3), sqrt(e2 - e3))
-    span the lattice, M the optimal AGM (Cremona and Thongjunthug). The
+    span the lattice for distinct roots, M the optimal AGM (Cremona and
+    Thongjunthug), so their ratio is never real. The
     reduced pair is negated where Re b1 < 0, or Re b1 = 0 and Im b1 < 0,
     so that the order of the roots does not flip its sign.
     """
     m1 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
     m2 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
-    # the generators' ratio i m1/m2 must not be real
-    if not (m2 and abs((m1 / m2).real) > LATTICE_TOL * abs(m1 / m2)):
-        raise SeriesNoConverge("the AGM periods of the invariants span no lattice")
     b1, b2 = _gauss_reduce(math.pi / m1, math.pi * 1j / m2)
     return (-b1, -b2) if b1.real < 0.0 or (b1.real == 0.0 and b1.imag < 0.0) else (b1, b2)
 

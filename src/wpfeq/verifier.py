@@ -486,7 +486,7 @@ def scan(
 
 
 def grid_scan(
-    fam: FunctionFamily, sampler: TripleSampler, grid: int, tol: float
+    fam: FunctionFamily, sampler: TripleSampler, grid: int, tol: float = 1e-8
 ) -> tuple[list[tuple[complex, complex, float]], ResidualReport]:
     """Rows (x, y, residual) of the triple (fam, fam, fam) with x on a grid, and their report.
 

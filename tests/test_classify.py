@@ -2,7 +2,9 @@
 
 import cmath
 import functools
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +220,47 @@ class TestFits:
                 assert other[model] == pytest.approx(ref, rel=1e-6)
 
 
+    def test_exact_jets_recover_the_invariants_of_the_sweep_shapes(self):
+        # the 160 shapes of the benchmark's lattice-sweep at seed 4242, with exact w':
+        # the fit's error, in units of the lattice scale s (g2 ~ s^4, g3 ~ s^6), is round-off
+        spec = importlib.util.spec_from_file_location("inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        for op in range(160):
+            shape = inputs.sweep_op(4242, op)
+            ctx = el.from_periods(*shape["omega"])
+            xs = shape["segment"]
+            w, dw = _exact_jets(ctx, np.array(xs))
+            dec = cl.classify_samples(cl.SampleSet(xs, tuple(w.tolist()), tuple(dw.tolist())))
+            g2, g3 = ctx.invariants.g2, ctx.invariants.g3
+            s = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+            assert abs(dec.params["g2"] - g2) <= 1e-12 * s**4, shape["kind"]
+            assert abs(dec.params["g3"] - g3) <= 1e-12 * s**6, shape["kind"]
+
+    def test_condition_is_the_scaled_normal_matrix_eigenvalue_ratio(self):
+        # the oracle forms the normal matrix of the unit-norm columns and takes its
+        # eigenvalues; the fit's (smax/smin)^2 agrees to the oracle's own round-off, eps cond
+        rng = np.random.default_rng(59)
+        top = 0.0
+        for _ in range(200):
+            m = int(rng.integers(5, 42))
+            w = 1.0 + 10.0 ** rng.uniform(-2.3, 0.5) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            dw = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            for fit, A in ((cl.fit_cubic, np.column_stack([np.ones_like(w), w, w**2, w**3])),
+                           (cl.fit_linear, np.column_stack([np.ones_like(w), w]))):
+                unit = A / np.linalg.norm(A, axis=0)
+                eigenvalues = np.linalg.eigvalsh(unit.conj().T @ unit)
+                oracle = eigenvalues[-1] / eigenvalues[0]
+                bound = 8.0 * 2.0**-52 * oracle
+                try:
+                    condition = fit(w, dw).condition
+                except IllConditionedFit:
+                    assert oracle * (1.0 + bound) > cl.COND_REJECT
+                    continue
+                assert abs(condition / oracle - 1.0) <= bound
+                top = max(top, condition)
+        assert top >= 1e13
+
     @pytest.mark.parametrize("scale", [1e100, 1e150, 1e160, 1e200, 1e250, 1e300, 1e-200, 1e-300])
     @pytest.mark.parametrize("fit", [cl.fit_cubic, cl.fit_linear])
     def test_powers_beyond_the_float_range_are_refused_not_warned(self, scale, fit):
@@ -386,8 +429,9 @@ class TestClassify:
             assert abs(dec.params[key] - ref.params[key]) <= 1e-12 * abs(ref.params[key])
             # g3 of the square lattice is 0: its fit error is measured in units of g2^(3/2)
             assert abs(dec.params[key] - unit.params[key]) <= 1e-6 * abs(unit.params["g2"]) ** weight
+        # b of the square lattice is 0: its fit error is measured in units of |a|
         for key in ("a", "b"):
-            assert abs(dec.params[key] * power - ref.params[key]) <= 1e-12 * abs(ref.params[key])
+            assert abs(dec.params[key] * power - ref.params[key]) <= 1e-12 * abs(ref.params["a"])
 
     def test_linear_alpha_is_in_the_unit_of_w(self):
         xs = tuple(0.1 * i for i in range(12))
@@ -462,7 +506,8 @@ class TestClassify:
             assert loose.family != "not_a_solution"
 
 
-# -- the fits as they were written with numpy's general-purpose calls, kept as the reference
+# -- the fits as they were written with numpy's general-purpose calls, kept as the reference;
+# the solve itself is `_least_squares`, whose unit-norm scales are pinned on their own
 
 
 def _reference_spread(w):
@@ -472,19 +517,7 @@ def _reference_spread(w):
 def _reference_fit(model, A, b):
     if len(b) <= A.shape[1]:
         raise TooFewPoints(f"{model} fit needs at least {A.shape[1] + 1} (w, w') pairs")
-    scales = np.linalg.norm(A, axis=0)
-    scales[scales == 0.0] = 1.0
-    Aeq = A / scales
-    gram = Aeq.conj().T @ Aeq
-    try:
-        eigenvalues = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedFit("normal matrix beyond the float range") from exc
-    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
-    cond = high / low if low > 0.0 else math.inf
-    if not cond <= cl.COND_REJECT:
-        raise IllConditionedFit(f"normal-equation condition {cond:.3g}")
-    coeffs = np.linalg.solve(gram, Aeq.conj().T @ b) / scales
+    coeffs, cond = cl._least_squares(A, b)
     misfit, size = (np.sqrt(np.mean(np.abs(v) ** 2)) for v in (A @ coeffs - b, b))
     residual = float(vr.relative(misfit, size))
     if not math.isfinite(residual):
@@ -558,3 +591,26 @@ class TestTrimsMoveNoBit:
                     except (DegenerateInput, IllConditionedFit) as exc:
                         outcomes.append(repr(exc))
                 assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("amplitude", [1e-200, 1.0, 1e200])
+    def test_unit_norm_columns_are_numpys(self, monkeypatch, amplitude):
+        # the design that reaches lstsq is scaled by np.linalg.norm's column norms, to the bit
+        lstsq, seen = np.linalg.lstsq, []
+
+        def spy(a, b, rcond=None):
+            seen.append(a)
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        for _, xs, ws in _trim_cases():
+            _, w, dw = cl.estimate_jets(cl.SampleSet(xs, tuple(amplitude * w for w in ws)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for A in (np.column_stack([np.ones_like(w), w, w**2, w**3]), np.column_stack([np.ones_like(w), w])):
+                    seen.clear()
+                    try:
+                        cl._least_squares(A, dw)
+                    except IllConditionedFit:
+                        pass
+                    scales = np.linalg.norm(A, axis=0)
+                    scales[scales == 0.0] = 1.0
+                    assert len(seen) == 1 and seen[0].tobytes() == (A / scales).tobytes()

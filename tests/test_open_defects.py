@@ -149,7 +149,7 @@ def test_affine_samples_far_from_the_origin_are_linear():
     assert cls.classify_samples(cls.SampleSet(xs, tuple(3.0 * x + 1.0 for x in xs))).family == "linear"
 
 
-@_defect(13, "1e-3 x + 1 classifies as exponential")
+# mended: the orthogonal solve no longer squares the fit's condition; kept as its regression test
 def test_affine_samples_of_a_small_slope_are_linear():
     xs = tuple(0.2 + 0.05 * k for k in range(15))
     assert cls.classify_samples(cls.SampleSet(xs, tuple(1e-3 * x + 1.0 for x in xs))).family == "linear"
