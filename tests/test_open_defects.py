@@ -8,6 +8,10 @@ regression test. A marker is only ever removed, never added to another test.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +32,13 @@ def _verify(tmp_path, *argv):
 
 def _fails_as_expected(code, check):
     assert code == 0 and check["expected"] == "fail" and not check["observed_pass"]
+
+
+def _wpfeq(*argv):
+    """`wpfeq argv` in a fresh process: what C code writes to file descriptors 1 and 2 is captured too."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "wpfeq.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
 
 
 # -- item 16: draws deep in a tall cell cannot see a non-solution ------------------
@@ -153,3 +164,57 @@ def test_affine_samples_far_from_the_origin_are_linear():
 def test_affine_samples_of_a_small_slope_are_linear():
     xs = tuple(0.2 + 0.05 * k for k in range(15))
     assert cls.classify_samples(cls.SampleSet(xs, tuple(1e-3 * x + 1.0 for x in xs))).family == "linear"
+
+
+# -- item 25: gen writes values that are not finite --------------------------------
+
+
+def _gen_refuses(tmp_path, capsys, *argv):
+    """gen exits 65 without writing its file, and says what it refused."""
+    out = tmp_path / "samples.csv"
+    code = cli.main(["gen", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 65 and not out.exists() and "internal error" not in err
+
+
+@_defect(25, "an exponential whose rate times x has an infinite imaginary part exits 2")
+def test_gen_of_an_exponential_with_an_infinite_phase_exits_65(tmp_path, capsys):
+    _gen_refuses(tmp_path, capsys, "--family", "exp", "--delta", "0,1e300", "--grid", "1e10:2e10:1e10")
+
+
+@_defect(25, "an exponential beyond the float range writes inf,nan and exits 0")
+def test_gen_of_an_exponential_beyond_the_float_range_exits_65(tmp_path, capsys):
+    _gen_refuses(tmp_path, capsys, "--family", "exp", "--delta", "1e300,0", "--grid", "1e10:2e10:1e10")
+
+
+@_defect(25, "a slope at the float top writes inf and exits 0")
+def test_gen_of_a_line_beyond_the_float_range_exits_65(tmp_path, capsys):
+    _gen_refuses(tmp_path, capsys, "--family", "linear", "--alpha", "1e308,0", "--grid", "0.5:2.5:1")
+
+
+@_defect(25, "an exponential's alpha at the float top writes inf in its last row and exits 0")
+def test_gen_of_an_exponential_at_the_float_top_exits_65(tmp_path, capsys):
+    _gen_refuses(tmp_path, capsys, "--family", "exp", "--alpha", "1e308,0", "--grid", "0.5:0.6:0.02")
+
+
+# -- item 26: classify decides the same for alpha f + beta ---------------------------
+
+
+@_defect(26, "pe + 1e3 on (1, i) classifies as not_a_solution")
+def test_wp_with_a_large_offset_is_weierstrass():
+    ctx = el.from_periods(1.0, 1.0j)
+    xs = tuple(0.3 + 0.1j + 0.005 * k for k in range(40))
+    ws = tuple(el.wp(ctx, x) + 1e3 for x in xs)
+    assert cls.classify_samples(cls.SampleSet(xs, ws)).family == "weierstrass"
+
+
+@_defect(26, "the constant 1e308 + 1.7e308i fits as not_a_solution, after two LAPACK lines on stdout",
+         raises=json.JSONDecodeError)
+def test_a_constant_at_the_float_top_fits_as_constant_and_prints_one_json_document(tmp_path):
+    csv = str(tmp_path / "k.csv")
+    made = _wpfeq("gen", "--family", "constant", "--c", "1e308,1.7e308", "--grid", "0.6:1.6:0.1", "--out", csv)
+    assert made.returncode == 0, made.stderr
+    done = _wpfeq("fit", "--input", csv)
+    report = json.loads(done.stdout)
+    assert report["checks"][0]["family"] == "constant" and done.returncode == 0
+    assert done.stderr.splitlines() == [done.stderr.strip()] and done.stderr.startswith("family: constant")
