@@ -506,7 +506,7 @@ def _cmd_scan(args, parser) -> int:
 # -- gen ----------------------------------------------------------------------------
 
 
-def _parse_grid(text: str):
+def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"expected start:stop:step, got {text!r}")
@@ -518,14 +518,21 @@ def _parse_grid(text: str):
         raise ConfigError("grid needs stop > start and step > 0")
     span = _finite([(stop - start) / step * (1.0 + 1e-12)], text)[0]
     n = _within_ceiling(int(math.floor(span)) + 1, "grid")
-    return [start + i * step for i in range(n)]
+    return start + np.arange(n) * step
 
 
 def _cmd_gen(args, parser) -> int:
     grid = _parse_grid(args.grid)
     fam = _family(args, args.family)
-    values = [fam.jets(x, 0)[0] for x in grid]
-    _write_csv(args.out, ["x_re", "x_im", "w_re", "w_im"], ((x, 0.0, w.real, w.imag) for x, w in zip(grid, values)))
+    # one family call per chunk, and every value checked before the file is opened
+    chunk = verifier.CHUNK
+    with np.errstate(all="ignore"):
+        w = np.concatenate([fam.jets(grid[i : i + chunk] + 0j, 0)[0] for i in range(0, len(grid), chunk)])
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(f"grid point {i} at x = {grid[i]} has no finite value: a pole, or beyond the float range")
+    _write_csv(args.out, ["x_re", "x_im", "w_re", "w_im"], zip(grid, np.zeros_like(grid), w.real, w.imag))
     _say(f"wrote {len(grid)} samples to {args.out}")
     return EXIT_OK
 

@@ -26,7 +26,6 @@ two-level finite-difference stencil.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
@@ -45,19 +44,16 @@ from .errors import FloatOverflow, PoleProximity, SamplerExhausted
 #
 # Each family gives exact jets, `jets(x, order)` -> the tuple (f, f', ...,
 # f^(order)), and an antiderivative, `antiderivative(x)`, at a number or
-# elementwise over an ndarray, by one body. Where a number raises
-# PoleProximity, an array holds nan, and a batch reads its faults from that
+# elementwise over an ndarray, by one numpy body: a number comes back as a
+# numpy complex, under the array's rules. An exponential raises FloatOverflow
+# where exp(delta x) is not finite; pe's families hold nan where elliptic
+# raises PoleProximity for a number, and a batch reads its faults from that
 # (`_pole_faults`).
 
 
-def _as_complex(x):
-    """An ndarray of one or more dimensions as it is, anything else as one complex number."""
-    return x if isinstance(x, np.ndarray) and x.ndim else complex(x)
-
-
 def _filled(x, value: complex):
-    """value at x: the number itself, or an array of x's shape."""
-    return np.full(x.shape, value, dtype=complex) if isinstance(x, np.ndarray) else value
+    """value in x's shape: a numpy complex for a number, else an array."""
+    return np.full(np.shape(x), value, dtype=complex)[()]
 
 
 @dataclass(frozen=True)
@@ -68,11 +64,11 @@ class WeierstrassShifted:
     shift: complex = 0j
 
     def jets(self, x, order: int = 5) -> tuple:
-        return elliptic.jets(self.ctx, _as_complex(x) + self.shift, order)
+        return elliptic.jets(self.ctx, x + self.shift, order)
 
     def antiderivative(self, x):
         # F with F' = pe(. + shift) is -zeta(. + shift)
-        return -elliptic.zeta(self.ctx, _as_complex(x) + self.shift)
+        return -elliptic.zeta(self.ctx, x + self.shift)
 
 
 @dataclass(frozen=True)
@@ -90,20 +86,15 @@ class Exponential:
             raise ValueError("alpha must be nonzero; use Constant instead")
 
     def _exp(self, x):
-        """exp(delta x) of a number or elementwise; FloatOverflow if any value overflows."""
-        if not isinstance(x, np.ndarray):
-            try:
-                return cmath.exp(self.delta * x)
-            except OverflowError as exc:
-                raise FloatOverflow(f"exp({self.delta} * {x}) overflows") from exc
+        """exp(delta x) elementwise; FloatOverflow if any value is not finite."""
         with np.errstate(all="ignore"):
             e = np.exp(self.delta * x)
         if not np.isfinite(e).all():
-            raise FloatOverflow(f"exp({self.delta} * x) overflows on the batch")
+            raise FloatOverflow(f"exp({self.delta} * x) overflows at x = {np.ravel(x)[np.argmin(np.isfinite(e))]}")
         return e
 
     def jets(self, x, order: int = 5) -> tuple:
-        d = self.alpha * self._exp(_as_complex(x))
+        d = self.alpha * self._exp(x)
         vals = [d + self.beta]
         for _ in range(order):
             d = d * self.delta
@@ -111,7 +102,6 @@ class Exponential:
         return tuple(vals)
 
     def antiderivative(self, x):
-        x = _as_complex(x)
         return self.alpha / self.delta * self._exp(x) + self.beta * x
 
 
@@ -127,12 +117,10 @@ class Linear:
             raise ValueError("alpha must be nonzero; use Constant instead")
 
     def jets(self, x, order: int = 5) -> tuple:
-        x = _as_complex(x)
         vals = [self.alpha * x + self.beta, _filled(x, self.alpha)] + [_filled(x, 0j)] * max(0, order - 1)
         return tuple(vals[: order + 1])
 
     def antiderivative(self, x):
-        x = _as_complex(x)
         return self.alpha * x * x / 2.0 + self.beta * x
 
 
@@ -141,11 +129,10 @@ class Constant:
     value: complex = 0j
 
     def jets(self, x, order: int = 5) -> tuple:
-        x = _as_complex(x)
         return (_filled(x, complex(self.value)),) + (_filled(x, 0j),) * order
 
     def antiderivative(self, x):
-        return complex(self.value) * _as_complex(x)
+        return complex(self.value) * x
 
 
 FunctionFamily = WeierstrassShifted | Exponential | Linear | Constant
@@ -169,6 +156,10 @@ def det3_terms(jf: tuple, jg: tuple, jh: tuple):
 def relative(value, scale):
     """|value| / scale elementwise, scale being the size of value's terms; all-zero terms give 0."""
     return np.abs(value) / np.maximum(scale, 1e-300)
+
+
+# the most points one family call evaluates in `wpfeq gen`
+CHUNK = 2**14
 
 
 def _score(evaluate, *args):
