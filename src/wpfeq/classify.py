@@ -270,38 +270,47 @@ def classify_samples(samples: SampleSet, stencil_order: int = 4, seed: int = 0) 
     stencil_order of the samples: so 5 samples with derivatives, 7 at order
     2 and 9 at order 4.
 
-    w, and w' where given, are divided by 2^E with 2^(E-1) <= max |w| < 2^E
-    (E within +-1021) before the spread, the stencil and the fits, so that
-    no power of w leaves the float range: alpha w solves an ODE of the same
-    family with the same g2, g3 and delta, and a, b and a linear alpha are
-    scaled back. The power of two is exact, so nothing else moves; the
-    evidence holds the fits of w/2^E.
+    w, and w' where given, are divided by 2^E with 2^(E-1) <= max(|Re w|,
+    |Im w|) < 2^E (E within +-1021) before the spread, the stencil and the
+    fits, so that no power of w leaves the float range: alpha w solves an ODE
+    of the same family with the same g2, g3 and delta, and a, b and a linear
+    alpha are scaled back. The power of two is exact, so nothing else moves.
+    The fits then run in u = w - mean(w) over the stencil's points, so an
+    offset beta of w + beta does not make the columns 1, u, u^2, u^3
+    collinear: the mean is added back to b, and a linear alpha is the
+    centred fit's l0. The evidence holds the fits of u.
 
     The round trip rebuilds the decided family and scans the functional
     equation on it, attaching the max residual as independent evidence that
     the classified family really solves the equation.
     """
     ws = np.array(samples.ws, dtype=complex)
-    # 2^E and 2^-E stay normal floats, so both scalings are exact
-    exponent = min(max(math.frexp(np.abs(ws).max())[1], -1021), 1021)
+    # 2^E and 2^-E stay normal floats, so both scalings are exact; a part cannot overflow where |w| can
+    exponent = min(max(math.frexp(np.abs(ws.view(float)).max())[1], -1021), 1021)
     unit = 2.0**-exponent
     ws = ws * unit
     if _spread(ws) < SPREAD_EPS:
-        return Classification("constant", {"c": sum(samples.ws) / len(samples.ws)}, ())
+        return Classification("constant", {"c": sum(ws.tolist()) / len(ws) / unit}, ())
     need = 5 if samples.dws is not None else 5 + stencil_order
     if len(samples.xs) < need:
         stencil = "" if samples.dws is not None else f" after the order-{stencil_order} stencil"
         raise TooFewPoints(f"classification needs at least {need} samples, to leave 5 (w, w') pairs{stencil}")
     dws = None if samples.dws is None else tuple((np.array(samples.dws, dtype=complex) * unit).tolist())
     _, w, dw = estimate_jets(SampleSet(samples.xs, tuple(ws.tolist()), dws), stencil_order)
+    mean = w.sum() / len(w)
+    u = w - mean
     fits = []
     for fit in (fit_cubic, fit_linear):
         try:
-            fits.append(fit(w, dw))
+            fits.append(fit(u, dw))
         except (DegenerateInput, IllConditionedFit):
             fits.append(None)
     decision = classify(*fits)
     params = dict(decision.params)
+    # the fits ran in u = w - mean, so w = a W + b + mean; a linear alpha stays l0, the mean of w'
+    # where l1 is insignificant (l0 - l1 mean would carry l1's noise from the samples out to w = 0)
+    if "b" in params:
+        params["b"] += mean
     for key in ("a", "b", "alpha"):
         if key in params:
             params[key] = params[key] / unit

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from operator import or_
+from operator import add, mul, or_
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -427,7 +427,7 @@ def divide_exact(numerator: DiffPolynomial, denominator: DiffPolynomial) -> Diff
 
 
 def _evaluation_table(p: DiffPolynomial) -> tuple:
-    """(used variables, exponent matrix, coefficients, |coefficients|, columns) of p, kept on p."""
+    """(used variables, exponent matrix, coefficients, |coefficients|) of p, kept on p."""
     try:
         return p._table
     except AttributeError:
@@ -437,7 +437,7 @@ def _evaluation_table(p: DiffPolynomial) -> tuple:
     exps = np.array([[m >> s & _EXP for _, s in used] for m in monos], dtype=np.intp)
     coeffs = np.array([complex(q) for q in p._terms.values()], dtype=complex)
     names = tuple(name for name, _ in used)
-    p._table = (names, exps.reshape(len(monos), len(used)), coeffs, np.abs(coeffs), np.arange(len(used)))
+    p._table = (names, exps.reshape(len(monos), len(used)), coeffs, np.abs(coeffs))
     return p._table
 
 
@@ -454,14 +454,16 @@ def evaluate(
     array of one shape (one value per point of a batch). With absolute=True
     the sum of |coefficient| * prod |value|^e is returned instead, which is
     the natural cancellation scale for residual normalisation. The
-    (terms x variables) exponent matrix picks from a table of powers, and
-    one product and one sum finish every point at once. The matrix and the
-    coefficient vector are built at p's first evaluation and kept on p.
+    (terms x variables) exponent matrix picks from a table of powers; the
+    factors are multiplied and the terms added one elementwise operation
+    each, so every point of a batch is evaluated in one order, and its value
+    does not depend on the batch. The matrix and the coefficient vector are
+    built at p's first evaluation and kept on p.
     """
     supplied = dict(zip(VARIABLES[:_G_BLOCK], [] if f_jets is None else f_jets))
     supplied.update(zip(VARIABLES[_G_BLOCK:_PARAM_BLOCK], [] if g_jets is None else g_jets))
     supplied.update((name, v) for name, v in (params or {}).items() if name in PARAMETERS)
-    names, exps, coeffs, abs_coeffs, columns = _evaluation_table(p)
+    names, exps, coeffs, abs_coeffs = _evaluation_table(p)
     for name in names:
         if name not in supplied:
             raise MissingJet(f"no value supplied for {name}")
@@ -477,8 +479,10 @@ def evaluate(
     powers = np.ones((exps.max(initial=0) + 1,) + base.shape, base.dtype)
     for k in range(1, len(powers)):
         powers[k] = powers[k - 1] * base
-    picked = powers[exps, columns]
-    return np.tensordot(coeffs, picked.prod(axis=1), axes=1)[()]
+    # the factors multiplied, then the terms added, one elementwise operation each: one order for
+    # every point, where numpy's reductions would order a short batch's products and sums otherwise
+    terms = reduce(mul, (powers[exps[:, j], j] for j in range(len(names))))
+    return reduce(add, (terms.T * coeffs).T)[()]
 
 
 # -- building blocks of the eliminated determinants --------------------------

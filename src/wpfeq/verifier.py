@@ -18,10 +18,10 @@ Rejection rounds test the geometry alone, the distance to the lattice.
 Every sampled check then scores its admitted triples once, by one path: its
 evaluation gives (value, scale, faults), `_score` divides, and `_report`
 skips and counts a faulted triple, picks the worst and decides. A batch is
-scored in as few evaluator calls as it allows: pe families on one context share one
-`elliptic.jets` call on the stacked points, and the operator check
-evaluates the antiderivative once, on the 22 distinct points of its
-two-level finite-difference stencil.
+scored in as few evaluator calls of at most `CHUNK` triples as it allows:
+pe families on one context share one `elliptic.jets` call on the stacked
+points, and the operator check evaluates the antiderivative once, on the 22
+distinct points of its two-level finite-difference stencil.
 """
 
 from __future__ import annotations
@@ -158,19 +158,26 @@ def relative(value, scale):
     return np.abs(value) / np.maximum(scale, 1e-300)
 
 
-# the most points one family call evaluates in `wpfeq gen`
+# the most points one call evaluates: a sampled check scores a longer batch chunk by chunk
+# (`_score`), and `wpfeq gen` evaluates its grid so
 CHUNK = 2**14
 
 
 def _score(evaluate, *args):
     """(residuals, faults) of evaluate(*args), which gives (value, scale, faults): |value| / scale.
 
-    The one place a sampled check divides; evaluate runs under one errstate,
-    so an overflow or a nan it meets lands in the residual or the faults.
+    The one place a sampled check divides. args are arrays of one length; a
+    batch longer than CHUNK is scored chunk by chunk and the results joined,
+    so a check holds one chunk's intermediates at a time, and since every
+    evaluation is elementwise the values are those of one call. evaluate
+    runs under one errstate, so an overflow or a nan it meets lands in the
+    residual or the faults.
     """
+    n = len(args[0])
+    chunks = [args] if n <= CHUNK else [[a[i : i + CHUNK] for a in args] for i in range(0, n, CHUNK)]
     with np.errstate(all="ignore"):
-        value, scale, faults = evaluate(*args)
-        return relative(value, scale), faults
+        scored = [(relative(value, scale), faults) for value, scale, faults in (evaluate(*c) for c in chunks)]
+    return scored[0] if len(scored) == 1 else tuple(np.concatenate(column) for column in zip(*scored))
 
 
 def residual(

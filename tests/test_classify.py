@@ -439,6 +439,13 @@ class TestClassify:
             dec = cl.classify_samples(cl.SampleSet(xs, tuple(amplitude * (3.0 * x + 1.0) for x in xs)))
             assert dec.family == "linear" and dec.params["alpha"] == pytest.approx(3.0 * amplitude, rel=1e-12)
 
+    @pytest.mark.parametrize("x0", [1000.0, 1e5])
+    def test_linear_alpha_far_from_the_origin(self, x0):
+        # the centred fit's l0 is the mean slope; l0 - l1 mean would carry l1's noise out to w = 0
+        xs = tuple(x0 + 0.01 * k for k in range(15))
+        dec = cl.classify_samples(cl.SampleSet(xs, tuple(3.0 * x + 1.0 for x in xs)))
+        assert dec.family == "linear" and dec.params["alpha"] == pytest.approx(3.0, rel=1e-8)
+
     def test_absolute_value_rejected(self):
         s = _samples(abs, -1.0, 1.0, 0.05)
         assert cl.classify_samples(s).family == "not_a_solution"
@@ -491,6 +498,42 @@ class TestClassify:
 
         s = _samples(lambda x: 3.0 * math.exp(0.7 * x) - 2.0, 0.0, 2.0, 0.05)
         assert cl.classify_samples(s).family == "exponential"
+
+    @pytest.mark.parametrize("family", ["weierstrass", "exponential", "linear", "constant"])
+    def test_verdict_holds_for_alpha_w_plus_beta(self, family):
+        # alpha w + beta solves the same ODE family: the verdict stays, as do g2, g3 and delta, while
+        # a -> alpha a, b -> alpha b + beta, a linear slope -> alpha slope and c -> alpha c + beta.
+        # beta = alpha r: the samples carry eps (1 + |r|) |alpha| of round-off, which the order-4
+        # stencil and the fits amplify by up to about 3e4 on these grids; g3 of the square lattice
+        # is 0, so its error is measured in units of g2^(3/2)
+        ctx = el.from_periods(1.0, 1.0j)
+        xs, fn = {
+            "weierstrass": ([0.3 + 0.1j + 0.005 * k for k in range(40)], lambda x: el.wp(ctx, x)),
+            "exponential": ([0.2 + 0.05 * k for k in range(20)], lambda x: cmath.exp((0.7 + 0.3j) * x)),
+            "linear": ([0.2 + 0.05 * k for k in range(20)], lambda x: (1.5 - 0.5j) * x + 0.3),
+            "constant": ([0.2 + 0.05 * k for k in range(20)], lambda x: 0.7 + 0.1j),
+        }[family]
+        ws = [complex(fn(x)) for x in xs]
+        base = cl.classify_samples(cl.SampleSet(tuple(xs), tuple(ws)))
+        assert base.family == family
+        p = base.params
+        for alpha in (1e-300 * (1 - 2j), 2.5 - 1.5j, -1e-5j, 1e150 * (0.6 + 0.8j), 1e300 * (-0.3 + 1j)):
+            for r in (0, 1e-3j, -1e2 + 3e2j, 1e4, -1e4j):
+                beta, tol = alpha * r, 1e5 * 2.0**-52 * (1 + abs(r))
+                dec = cl.classify_samples(cl.SampleSet(tuple(xs), tuple(alpha * w + beta for w in ws)))
+                assert dec.family == family
+                q = dec.params
+                if family == "weierstrass":
+                    assert abs(q["g2"] - p["g2"]) <= tol * abs(p["g2"])
+                    assert abs(q["g3"] - p["g3"]) <= tol * abs(p["g2"]) ** 1.5
+                    assert abs(q["a"] - alpha * p["a"]) <= tol * abs(alpha * p["a"])
+                    assert abs(q["b"] - (alpha * p["b"] + beta)) <= tol * abs(alpha * p["a"])
+                elif family == "exponential":
+                    assert abs(q["delta"] - p["delta"]) <= tol * abs(p["delta"])
+                elif family == "linear":
+                    assert abs(q["alpha"] - alpha * p["alpha"]) <= tol * abs(alpha * p["alpha"])
+                else:
+                    assert abs(q["c"] - (alpha * p["c"] + beta)) <= tol * abs(alpha * p["c"] + beta)
 
     def test_threshold_monotonicity(self, monkeypatch):
         s = _samples(math.exp, 0.0, 2.0, 0.05)

@@ -159,6 +159,19 @@ class TestEvaluateMatrix:
                 point = jp.evaluate(p, fv[:, k], gv[:, k], params, absolute=absolute)
                 assert abs(batch[k] - point) <= 1e-12 * abs(point)
 
+    def test_a_point_has_its_value_in_any_batch(self):
+        # bit for bit: numpy's reductions would order a short batch's products and sums otherwise
+        p = jp.build_addet(1, 2)
+        rng = np.random.default_rng(7)
+        fv, gv = rng.standard_normal((2, 4, 40_000, 2)).view(complex)[..., 0]
+        for absolute in (False, True):
+            whole = jp.evaluate(p, fv, gv, absolute=absolute)
+            for n in (1, 2, 7, 100):
+                for start in (0, 12_345, 40_000 - n):
+                    part = jp.evaluate(p, fv[:, start : start + n], gv[:, start : start + n], absolute=absolute)
+                    assert part.tobytes() == whole[start : start + n].tobytes(), (absolute, n, start)
+            assert jp.evaluate(p, fv[:, 5], gv[:, 5], absolute=absolute) == whole[5]
+
     def test_unused_jets_may_be_nan(self):
         assert jp.evaluate(jp.f(0) * jp.g(1) + 1, [2.0, np.nan], [np.nan, 3.0]) == 7.0
 
@@ -259,11 +272,18 @@ def rebuilt_evaluate(p, f_jets=None, g_jets=None, params=None, absolute=False):
     powers = np.ones((exps.max(initial=0) + 1,) + base.shape, base.dtype)
     for k in range(1, len(powers)):
         powers[k] = powers[k - 1] * base
-    picked = powers[exps.reshape(len(monos), len(used)), np.arange(len(used))]
-    value = np.tensordot(coeffs, picked.prod(axis=1), axes=1)
     if not used:
         # a polynomial without variables takes the shape of the supplied batch
-        value = np.broadcast_to(value, np.broadcast(0j, *supplied.values()).shape)
+        return np.broadcast_to(coeffs.sum(), np.broadcast(0j, *supplied.values()).shape)[()]
+    # evaluate's fixed order: the factors multiplied, then the terms added, one elementwise operation each
+    picked = powers[exps.reshape(len(monos), len(used)), np.arange(len(used))]
+    terms = picked[:, 0]
+    for j in range(1, len(used)):
+        terms = terms * picked[:, j]
+    terms = coeffs.reshape((-1,) + (1,) * (terms.ndim - 1)) * terms
+    value = terms[0]
+    for t in range(1, len(monos)):
+        value = value + terms[t]
     return value[()]
 
 

@@ -154,7 +154,7 @@ def test_fit_on_a_coarse_stencil_finds_weierstrass(tmp_path):
     assert cli.main(["fit", "--input", csv, "--expect", "weierstrass"]) == 0
 
 
-@_defect(13, "3x + 1 far from the origin classifies as exponential")
+# mended: the fits run in w - mean(w) (item 26); kept as its regression test
 def test_affine_samples_far_from_the_origin_are_linear():
     xs = tuple(1000.0 + 0.01 * k for k in range(15))
     assert cls.classify_samples(cls.SampleSet(xs, tuple(3.0 * x + 1.0 for x in xs))).family == "linear"
@@ -173,37 +173,35 @@ def test_affine_samples_of_a_small_slope_are_linear():
 
 
 def _gen_refuses(tmp_path, capsys, *argv):
-    """gen exits 65 without writing its file, and says what it refused."""
+    """gen exits 65 without writing its file or reporting an internal error."""
     out = tmp_path / "samples.csv"
     code = cli.main(["gen", *argv, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 65 and not out.exists() and "internal error" not in err
 
 
-# was: an exponential whose rate times x has an infinite imaginary part exits 2
 def test_gen_of_an_exponential_with_an_infinite_phase_exits_65(tmp_path, capsys):
     _gen_refuses(tmp_path, capsys, "--family", "exp", "--delta", "0,1e300", "--grid", "1e10:2e10:1e10")
 
 
-# was: an exponential beyond the float range writes inf,nan and exits 0
 def test_gen_of_an_exponential_beyond_the_float_range_exits_65(tmp_path, capsys):
     _gen_refuses(tmp_path, capsys, "--family", "exp", "--delta", "1e300,0", "--grid", "1e10:2e10:1e10")
 
 
-# was: a slope at the float top writes inf and exits 0
 def test_gen_of_a_line_beyond_the_float_range_exits_65(tmp_path, capsys):
     _gen_refuses(tmp_path, capsys, "--family", "linear", "--alpha", "1e308,0", "--grid", "0.5:2.5:1")
 
 
-# was: an exponential's alpha at the float top writes inf in its last row and exits 0
 def test_gen_of_an_exponential_at_the_float_top_exits_65(tmp_path, capsys):
     _gen_refuses(tmp_path, capsys, "--family", "exp", "--alpha", "1e308,0", "--grid", "0.5:0.6:0.02")
 
 
 # -- item 26: classify decides the same for alpha f + beta ---------------------------
+#
+# Mended: classify takes 2^E from the largest part of w, and fits in w - mean(w).
+# Each test stays as its regression test.
 
 
-@_defect(26, "pe + 1e3 on (1, i) classifies as not_a_solution")
 def test_wp_with_a_large_offset_is_weierstrass():
     ctx = el.from_periods(1.0, 1.0j)
     xs = tuple(0.3 + 0.1j + 0.005 * k for k in range(40))
@@ -211,8 +209,6 @@ def test_wp_with_a_large_offset_is_weierstrass():
     assert cls.classify_samples(cls.SampleSet(xs, ws)).family == "weierstrass"
 
 
-@_defect(26, "the constant 1e308 + 1.7e308i fits as not_a_solution, after two LAPACK lines on stdout",
-         raises=json.JSONDecodeError)
 def test_a_constant_at_the_float_top_fits_as_constant_and_prints_one_json_document(tmp_path):
     csv = str(tmp_path / "k.csv")
     made = _wpfeq("gen", "--family", "constant", "--c", "1e308,1.7e308", "--grid", "0.6:1.6:0.1", "--out", csv)

@@ -984,7 +984,7 @@ class TestBatchedChecks:
         w1, w2 = ctx.periods.omega1, ctx.periods.omega2
         st = np.random.default_rng(20).uniform(-0.35, 0.35, (3, 80, 2))
         a, b, c = st[..., 0] * w1 + st[..., 1] * w2
-        gaps, faults = vr._score(vr._det_vs_sigma, ctx, a, b, c)
+        gaps, faults = vr._score(lambda a, b, c: vr._det_vs_sigma(ctx, a, b, c), a, b, c)
         assert not faults.any()
         for i, triple in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
             assert abs(gaps[i] - scalar_det_vs_sigma(ctx, *triple)) <= 1e-12
@@ -1001,7 +1001,7 @@ class TestBatchedChecks:
 
     def test_sigma_gap_faults_where_the_denominator_vanishes(self, square_ctx):
         a, b, c = np.array([0.5 + 0.3j, 2.0 + 0j]), np.array([0.2j] * 2), np.array([0.7] * 2)
-        gaps, faults = vr._score(vr._det_vs_sigma, square_ctx, a, b, c)
+        gaps, faults = vr._score(lambda a, b, c: vr._det_vs_sigma(square_ctx, a, b, c), a, b, c)
         assert faults.tolist() == [0, vr._POLE] and math.isfinite(gaps[0])
 
     @pytest.mark.parametrize("name", CONTEXTS)
@@ -1063,6 +1063,31 @@ class TestBatchedChecks:
 # nan) come up, but nothing so close to one that the quotient overflows
 _coords = st.integers(min_value=-130, max_value=130).map(lambda k: k / 100.0)
 _points = st.lists(st.tuples(_coords, _coords), min_size=3, max_size=3)
+
+
+class TestChunkedScoring:
+    def test_every_sampled_check_is_its_unchunked_report(self, generic_ctx, monkeypatch):
+        # a batch longer than CHUNK is scored chunk by chunk: 50 triples in chunks of 7, the last of one
+        wp = vr.WeierstrassShifted(generic_ctx, 0.1 + 0.05j)
+        exp = vr.Exponential(2.0 - 1j, 0.5, 0.5 + 0.2j)
+        sampler = vr.TripleSampler(seed=5, count=50)
+        checks = {
+            "scan": lambda: vr.scan(wp, wp, wp, sampler, 1e-8),
+            "theorem2": lambda: vr.theorem2_shift_test(generic_ctx, 0.1, 0.2j, -0.3, sampler),
+            "sigma": lambda: vr.sigma_identity_scan(generic_ctx, count=50, seed=5),
+            "derived": lambda: vr.derived_determinant_check(wp, wp, wp, 1, 2, None, sampler),
+            "derived (1, 3, 4)": lambda: vr.derived_determinant_check(exp, exp, exp, 1, 3, 4, sampler),
+            "factfun": lambda: vr.factfun_check(wp, sampler),
+            "constant": lambda: vr.constant_case_check(exp, vr.Exponential(delta=0.7), sampler),
+            "grid scan": lambda: vr.grid_scan(wp, sampler, 7),
+        }
+        whole = {name: repr(check()) for name, check in checks.items()}
+        relative, sizes = vr.relative, []
+        monkeypatch.setattr(vr, "relative", lambda value, scale: sizes.append(len(value)) or relative(value, scale))
+        monkeypatch.setattr(vr, "CHUNK", 7)
+        for name, check in checks.items():
+            assert repr(check()) == whole[name], name
+        assert max(sizes) == 7 and 1 in sizes
 
 
 class TestSigmaQuotientArrays:
