@@ -173,8 +173,7 @@ def _score(evaluate, *args):
     runs under one errstate, so an overflow or a nan it meets lands in the
     residual or the faults.
     """
-    n = len(args[0])
-    chunks = [args] if n <= CHUNK else [[a[i : i + CHUNK] for a in args] for i in range(0, n, CHUNK)]
+    chunks = [[a[i : i + CHUNK] for a in args] for i in range(0, max(len(args[0]), 1), CHUNK)]
     with np.errstate(all="ignore"):
         scored = [(relative(value, scale), faults) for value, scale, faults in (evaluate(*c) for c in chunks)]
     return scored[0] if len(scored) == 1 else tuple(np.concatenate(column) for column in zip(*scored))
