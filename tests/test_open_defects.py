@@ -35,10 +35,11 @@ def _fails_as_expected(code, check):
 
 
 def _wpfeq(*argv):
-    """`wpfeq argv` in a fresh process: what C code writes to file descriptors 1 and 2 is captured too."""
+    """`wpfeq argv` in a fresh process with warnings raised as errors: what C code writes to file descriptors 1 and 2 is captured too."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "wpfeq.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
+    argv = [sys.executable, "-W", "error", "-m", "wpfeq.cli", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
 
 
 # -- item 16: draws deep in a tall cell cannot see a non-solution ------------------
@@ -194,6 +195,50 @@ def test_gen_of_a_line_beyond_the_float_range_exits_65(tmp_path, capsys):
 
 def test_gen_of_an_exponential_at_the_float_top_exits_65(tmp_path, capsys):
     _gen_refuses(tmp_path, capsys, "--family", "exp", "--alpha", "1e308,0", "--grid", "0.5:0.6:0.02")
+
+
+# -- item 25: a frame whose draws fix no point of the cell ----------------------------
+#
+# On the periods (-1 + 2i, 1e308 + i) the context evaluates (`eval --fn wp --z 0.3,0.1`
+# exits 0), but the draws of every sampler lie far past 2^52 cells, and x + y overflows.
+
+
+def _refuses_the_frame(tmp_path, *argv):
+    """`wpfeq argv` on the periods (-1 + 2i, 1e308 + i) exits 65 naming the frame, and writes no file."""
+    out = tmp_path / "out"
+    done = _wpfeq(*argv, "--periods", "-1,2,1e308,1", "--out", str(out))
+    assert done.returncode == 65 and "fixes no point of the cell" in done.stderr, done.stderr
+    assert not out.exists()
+
+
+@_defect(25, "theorem1 exits 2: overflow encountered in add")
+def test_theorem1_on_a_frame_past_the_float_top_exits_65(tmp_path):
+    _refuses_the_frame(tmp_path, "verify", "theorem1", "--n", "5")
+
+
+@_defect(25, "derived exits 2: overflow encountered in add")
+def test_derived_on_a_frame_past_the_float_top_exits_65(tmp_path):
+    _refuses_the_frame(tmp_path, "verify", "derived", "--n", "5")
+
+
+@_defect(25, "factfun exits 2: overflow encountered in add")
+def test_factfun_on_a_frame_past_the_float_top_exits_65(tmp_path):
+    _refuses_the_frame(tmp_path, "verify", "factfun", "--n", "5")
+
+
+@_defect(25, "theorem2 exits 2: overflow encountered in add")
+def test_theorem2_on_a_frame_past_the_float_top_exits_65(tmp_path):
+    _refuses_the_frame(tmp_path, "verify", "theorem2", "--gammas", "0,0,0,0,0,0")
+
+
+@_defect(25, "sigma exits 65 blaming the budget: no accepted draw for sample 0")
+def test_sigma_identity_on_a_frame_past_the_float_top_exits_65(tmp_path):
+    _refuses_the_frame(tmp_path, "verify", "sigma")
+
+
+@_defect(25, "scan exits 65 saying that grid point 0 lies within 0.067 of a pole")
+def test_scan_on_a_frame_past_the_float_top_exits_65(tmp_path):
+    _refuses_the_frame(tmp_path, "scan", "--grid", "2")
 
 
 # -- item 26: classify decides the same for alpha f + beta ---------------------------
