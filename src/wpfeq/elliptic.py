@@ -30,16 +30,17 @@ ODE  pe'^2 = 4 pe^3 - g2 pe - g3, never from numerical differentiation.
 Each evaluator has one body for a complex number and for an ndarray,
 evaluated elementwise, which is how the sampled checks score a whole batch
 at a time; a point's value does not depend on its batch. Horner's rule is
-one loop for both (`_horner`). The two part only in `_point` and at the
-poles, so they may differ in the last bits: the rounding and e, e - 1 in
-`_point` (`round` and `_exp_expm1` for a number, numpy's for an array),
-and the poles, where a number raises PoleProximity (in `_point` next to a
-lattice point, in `_pole_edge` where a value overflows) and an array holds
-nan. Past 2^52 a lattice coordinate holds no fraction, so z fixes no point
-of the cell: a number raises FloatOverflow there, and an array holds nan
-(sigma's raises, as it does beyond the float range); the lattice queries
-keep the same rule (`lattice_offset`, `lattice_distance`). `sigma` and
-`lattice_distance` take a number as an array of one. The reference for
+one loop for both (`_horner`). The two part only in `_cell`, `_point` and
+at the poles, so they may differ in the last bits: the rounding in `_cell`
+and e, e - 1 in `_point` (`round` and `_exp_expm1` for a number, numpy's
+for an array), and the poles, where a number raises PoleProximity (in
+`_point` next to a lattice point, in `_pole_edge` where a value overflows)
+and an array holds nan. Past 2^52 a lattice coordinate holds no fraction,
+so z fixes no point of the cell; `_cell` holds that rule for the
+evaluators, the lattice queries and the samplers' frames: a number raises
+FloatOverflow, and an array holds nan (sigma's raises, as it does beyond
+the float range). `sigma` and `lattice_distance` take a number as an
+array of one. The reference for
 both is a theta oracle at 30 digits (`ThetaOracle` in tests/oracles.py,
 and perfbench/oracle.py).
 
@@ -198,10 +199,9 @@ def _gauss_reduce(b1: complex, b2: complex) -> tuple[complex, complex]:
 
 def _lattice_coords(z: complex, w1: complex, w2: complex) -> tuple[float, float]:
     """Real coordinates (s, t) with z = s*w1 + t*w2."""
-    det = w1.real * w2.imag - w1.imag * w2.real
-    s = (z.real * w2.imag - z.imag * w2.real) / det
-    t = (w1.real * z.imag - w1.imag * z.real) / det
-    return s, t
+    x, y, a, b, c, d = z.real, z.imag, w1.real, w1.imag, w2.real, w2.imag
+    det = a * d - b * c
+    return (x * d - y * c) / det, (a * y - b * x) / det
 
 
 def _frame(basis: tuple[complex, ...]) -> tuple[complex, complex]:
@@ -414,48 +414,67 @@ def _elementwise(arrays_only: bool = False):
     return wrap
 
 
+def _cell(ctx: EllipticContext, z):
+    """(z0, m, n): z = z0 + m*b1 + n*b2 with z's lattice coordinates within the rank rounded, a number or elementwise.
+
+    n is 0 below rank two, and m too at rank zero. Past 2^52 a coordinate
+    holds no fraction, so z fixes no point of the cell: a number raises
+    FloatOverflow, and an array holds nan there. On a Gauss-reduced basis
+    |s|, |t| <= 2|z|/(sqrt(3) lambda_min) (see `_ROUNDING_EXACT`), and at
+    rank one |s| <= |z|/lambda_min, so below max |z| = `_CELL_SCREEN`
+    lambda_min no coordinate reaches 2^52, and one abs-max (failed by a nan)
+    replaces the test per coordinate. Both `round` and `np.rint` round half
+    to even.
+    """
+    rank = len(ctx.reduced)
+    if rank == 2:
+        b1, b2 = ctx.reduced
+        s, t = _lattice_coords(z, b1, b2)
+    elif rank:
+        (b1,), b2 = ctx.reduced, 0j
+        s, t = (z / b1).real, 0.0
+    else:
+        return z, 0, 0
+    if not isinstance(z, np.ndarray):
+        if not (-(2.0**52) < s < 2.0**52 and -(2.0**52) < t < 2.0**52):
+            raise FloatOverflow(f"{z} {_NO_POINT}")
+        m, n = round(s), round(t)
+    else:
+        if not np.abs(z).max(initial=0.0) < _CELL_SCREEN * ctx.lambda_min:
+            s, t = (np.where(abs(c) < 2.0**52, c, np.nan) for c in (s, t))
+        m, n = np.rint(s), np.rint(t)
+    return z - m * b1 - n * b2, m, n
+
+
+# past 2^52 a lattice coordinate holds no fraction (`_cell`)
+_NO_POINT = "fixes no point of the cell: a lattice coordinate is not below 2^52"
+
+# below this many lambda_min, |z| bounds every lattice coordinate within the rank below 2^52 (`_cell`)
+_CELL_SCREEN = 0.8 * 2.0**52
+
+
 def _point(ctx: EllipticContext, z):
     """(z0, m, n, k, sign, 2iu, e, d, near) at v = k*z0, for a number or elementwise.
 
-    z = z0 + m*b1 + n*b2 with the lattice coordinates of z within the rank rounded away.
-    u = sign*v is oriented so that Im u >= 0; then e = e^(2iu) has |e| <= 1
-    and d = e - 1 comes from expm1. The callers build cot u = i(e + 1)/d,
-    1/sin^2 u = -4e/d^2 and sin u = e^(-iu) d/(2i) from them, so nothing
-    overflows however tall the lattice, and nothing cancels next to a lattice
-    point. pe is even in v and pe', zeta and sigma of z0 are odd, so `sign`
-    alone maps back from u. With g2 = g3 = 0 the same forms give the k -> 0
-    limit: k = 1, iu = 0, e = 1, d = 2i z0 (cot = 1/z0, 1/sin^2 = 1/z0^2,
-    sin = z0), and no series terms. `near` holds within the pole tolerance of
-    a lattice point and where d^3 underflows to zero; a number there raises
-    PoleProximity at once, before anything divides by d. A coordinate that
-    is not below 2^52 fixes no point of the cell: a number raises
-    FloatOverflow, and an array rounds it to nan (`_rounding`), so every
-    value there is nan. The rounding and e, d are where a number and an
+    z = z0 + m*b1 + n*b2 with the lattice coordinates of z within the rank
+    rounded away (`_cell`, which raises FloatOverflow for a number that
+    fixes no point of the cell, and holds nan for an array, so every value
+    there is nan). u = sign*v is oriented so that Im u >= 0; then
+    e = e^(2iu) has |e| <= 1 and d = e - 1 comes from expm1. The callers
+    build cot u = i(e + 1)/d, 1/sin^2 u = -4e/d^2 and sin u = e^(-iu) d/(2i)
+    from them, so nothing overflows however tall the lattice, and nothing
+    cancels next to a lattice point. pe is even in v and pe', zeta and sigma
+    of z0 are odd, so `sign` alone maps back from u. With g2 = g3 = 0 the
+    same forms give the k -> 0 limit: k = 1, iu = 0, e = 1, d = 2i z0
+    (cot = 1/z0, 1/sin^2 = 1/z0^2, sin = z0), and no series terms. `near`
+    holds within the pole tolerance of a lattice point and where d^3
+    underflows to zero; a number there raises PoleProximity at once, before
+    anything divides by d. The rounding and e, d are where a number and an
     array part: `round` and `_exp_expm1` for a number, numpy's elementwise
     functions for an array.
     """
     batch = isinstance(z, np.ndarray)
-    z0, m, n = z, 0, 0
-    if len(ctx.reduced) == 2:
-        b1, b2 = ctx.reduced
-        s, t = _lattice_coords(z, b1, b2)
-        if batch:
-            rounding = _rounding(ctx, z)
-            m, n = rounding(s), rounding(t)
-        elif -(2.0**52) < s < 2.0**52 and -(2.0**52) < t < 2.0**52:
-            m, n = round(s), round(t)
-        else:
-            raise FloatOverflow(f"{z} {_NO_POINT}")
-        z0 = z - m * b1 - n * b2
-    elif ctx.reduced:  # rank one: the coordinate along pi/k
-        m = (z / ctx.reduced[0]).real
-        if batch:
-            m = _rounding(ctx, z)(m)
-        elif -(2.0**52) < m < 2.0**52:
-            m = round(m)
-        else:
-            raise FloatOverflow(f"{z} {_NO_POINT}")
-        z0 = z - m * ctx.reduced[0]
+    z0, m, n = _cell(ctx, z)
     if not ctx.k:
         k, sign, iu2, e, d = 1.0, 1.0, 0j, 1.0 + 0j, 2j * z0
     else:
@@ -472,30 +491,6 @@ def _point(ctx: EllipticContext, z):
     if near is True:
         raise PoleProximity(z)
     return z0, m, n, k, sign, iu2, e, d, near
-
-
-# past 2^52 a lattice coordinate holds no fraction (`_point`)
-_NO_POINT = "fixes no point of the cell: a lattice coordinate is not below 2^52"
-
-# below this many lambda_min, |z| bounds every lattice coordinate within the rank below 2^52 (`_rounding`)
-_CELL_SCREEN = 0.8 * 2.0**52
-
-
-def _cell_round(x: np.ndarray) -> np.ndarray:
-    """x rounded to integers, nan where |x| is not below 2^52: there x holds no fraction, and z no point of the cell."""
-    return np.where(abs(x) < 2.0**52, x.round(), np.nan)
-
-
-def _rounding(ctx: EllipticContext, z: np.ndarray):
-    """How the array z rounds its lattice coordinates within the rank: plainly below the screen, else by `_cell_round`.
-
-    On a Gauss-reduced basis |s|, |t| <= 2|z|/(sqrt(3) lambda_min) (see
-    `_ROUNDING_EXACT`), and at rank one |s| <= |z|/lambda_min, so below
-    max |z| = `_CELL_SCREEN` lambda_min no such coordinate reaches 2^52 and
-    one abs-max replaces the test per coordinate. A nan in z fails the
-    screen.
-    """
-    return np.ndarray.round if np.abs(z).max(initial=0.0) < _CELL_SCREEN * ctx.lambda_min else _cell_round
 
 
 def _exp_expm1(x: complex) -> tuple[complex, complex]:
@@ -684,7 +679,7 @@ def lattice_offset(ctx: EllipticContext, z: complex) -> float:
     """Largest distance of a lattice coordinate of z from an integer, or length of those beyond the rank.
 
     A coordinate within the rank that is not below 2^52 holds no fraction,
-    so z fixes no point of the cell: FloatOverflow, as in `_point`.
+    so z fixes no point of the cell: FloatOverflow, as in `_cell`.
     """
     coords, rank = lattice_coordinates(ctx, z), len(ctx.reduced)
     if not all(-(2.0**52) < c < 2.0**52 for c in coords[:rank]):
@@ -707,16 +702,13 @@ _ROUNDING_EXACT = 0.3
 def lattice_distance(ctx: EllipticContext, z):
     """Euclidean distance from z to the nearest lattice point; elementwise on an array.
 
-    The nearest point is one of the 3x3 about the rounded coordinates of z
-    in `_frame` of the reduced basis, with the generators beyond the rank 0.
-    nan where z fixes no point of the cell (`_rounding`); a coordinate beyond
-    the rank is unbounded.
+    The nearest point is one of the 3x3 about the rounded lattice point of z
+    (`_cell`), with the generators beyond the rank 0. nan where z fixes no
+    point of the cell; a coordinate beyond the rank is unbounded.
     """
-    rank, rounding = len(ctx.reduced), _rounding(ctx, z)
+    _, m, n = _cell(ctx, z)
     b1, b2 = (*ctx.reduced, 0j, 0j)[:2]
-    s, t = _lattice_coords(z, *_frame(ctx.reduced))
-    m = (rounding(s) if rank else s.round())[..., None] + _NEAR_DM
-    n = (rounding(t) if rank == 2 else t.round())[..., None] + _NEAR_DN
+    m, n = np.asarray(m)[..., None] + _NEAR_DM, np.asarray(n)[..., None] + _NEAR_DN
     return np.abs(z[..., None] - m * b1 - n * b2).min(axis=-1)
 
 
@@ -725,14 +717,11 @@ def clear_of_lattice(ctx: EllipticContext, z, radius: float):
     """lattice_distance(ctx, z) > radius elementwise, bit for bit, from the rounded lattice point alone where it decides.
 
     At rank two with radius below `_ROUNDING_EXACT` lambda_min, a lattice
-    point within the radius of z is the one its rounded coordinates name,
-    and `lattice_distance` takes that candidate's distance by the same
-    arithmetic; elsewhere this asks `lattice_distance`. A z that fixes no
-    point of the cell is not clear, as its distance is nan.
+    point within the radius of z is the one its rounded coordinates name
+    (`_cell`), and `lattice_distance` takes that candidate's distance by the
+    same arithmetic; elsewhere this asks `lattice_distance`. A z that fixes
+    no point of the cell is not clear, as its distance is nan.
     """
     if len(ctx.reduced) != 2 or not radius < _ROUNDING_EXACT * ctx.lambda_min:
         return lattice_distance(ctx, z) > radius
-    b1, b2 = ctx.reduced
-    s, t = _lattice_coords(z, b1, b2)
-    rounding = _rounding(ctx, z)
-    return np.abs(z - rounding(s) * b1 - rounding(t) * b2) > radius
+    return np.abs(_cell(ctx, z)[0]) > radius

@@ -18,7 +18,7 @@ class PoleProximity(WpfeqError):
 
 
 class SeriesNoConverge(WpfeqError):
-    """A series evaluation could not reach the requested tolerance."""
+    """The AGM lattice of the given invariants misses them by more than 1e-12 of their scale."""
 
 
 class FloatOverflow(WpfeqError):
@@ -50,7 +50,11 @@ class TooFewPoints(WpfeqError):
 
 
 class IllConditionedFit(WpfeqError):
-    """Normal equations are too ill conditioned even after equilibration."""
+    """A least-squares fit is refused.
+
+    The condition of its unit-norm columns passes `classify.COND_REJECT`, or
+    its design or misfit leaves the float range.
+    """
 
 
 class DegenerateInput(WpfeqError):

@@ -323,6 +323,22 @@ def _draws(seed: int, count: int, draw, admit) -> np.ndarray:
     return drawn
 
 
+def _check_frame(ctx: EllipticContext | None, low: float, high: float, reach: int) -> None:
+    """FloatOverflow unless reach times the farthest draw of the frame fixes a point of the cell (`elliptic._cell`).
+
+    A sampler draws from the fractions [low, high]^2 of the frame of ctx
+    (`elliptic.lattice_point`) and sums up to `reach` draws; the farthest
+    draw is a corner of that box. Without a context the frame is (1, i).
+    """
+    if ctx is None:
+        return
+    far = reach * max((elliptic.lattice_point(ctx, s, t) for s in (low, high) for t in (low, high)), key=abs)
+    try:
+        elliptic._cell(ctx, far)
+    except FloatOverflow:
+        raise FloatOverflow(f"the draws on this frame or their sums reach {far}, which fixes no point of the cell") from None
+
+
 @dataclass(frozen=True)
 class TripleSampler:
     """Deterministic rejection sampler for admissible triples.
@@ -331,7 +347,9 @@ class TripleSampler:
     the frame of the first pe family's lattice, at every rank, or of (1, i)
     without one (`elliptic.lattice_point`). z is -x-y unless `unconstrained`, in
     which case all three points are independent. Triple i is row i of the
-    block that round k of the seed's `_Stream` gives. Draws within
+    block that round k of the seed's `_Stream` gives. A frame where a draw,
+    or x + y, fixes no point of the cell raises FloatOverflow before any
+    draw (`_check_frame`). Draws within
     `effective_pole_radius` of the lattice, of any rank, are rejected and
     redrawn in the next round, within `_draws`' pooled budget. The seed is
     a non-negative integer of any size; drawing with a negative one raises
@@ -396,6 +414,7 @@ class TripleSampler:
             np.negative(block[:, 0] + block[:, 1], out=block[:, 2])
             return block
 
+        _check_frame(ctx, self.margin, 1.0 - self.margin, 1 if self.unconstrained else 2)
         drawn = _draws(self.seed, self.count, draw, self._admission(families))
         # tuples from the columns' lists: one list per column, not one per row
         yield from zip(*drawn.T.tolist())
@@ -488,7 +507,8 @@ def grid_scan(
     """Rows (x, y, residual) of the triple (fam, fam, fam) with x on a grid, and their report.
 
     x runs over a grid x grid mesh of the fractions [margin, 1-margin]^2 of
-    the frame that `TripleSampler` draws the partners in. Grid points pass
+    the frame that `TripleSampler` draws the partners in, which it refuses
+    as the sampler does (`_check_frame`). Grid points pass
     the admission their partners pass: one within
     `effective_pole_radius` of a pole (x + shift near the lattice) raises
     SamplerExhausted at once, naming it. Grid point (i, j) is sample
@@ -499,6 +519,7 @@ def grid_scan(
     faults has no row, and the report counts it as skipped.
     """
     ctx = getattr(fam, "ctx", None)
+    _check_frame(ctx, sampler.margin, 1.0 - sampler.margin, 2)
     ticks = sampler.margin + (1.0 - 2.0 * sampler.margin) * np.arange(grid) / max(grid - 1, 1)
     xs = elliptic.lattice_point(ctx, np.repeat(ticks, grid), np.tile(ticks, grid))
     near = np.flatnonzero(~sampler._admission((fam,))(xs[:, None]))
@@ -599,11 +620,13 @@ def sigma_identity_scan(ctx: EllipticContext, count: int = 500, seed: int = 0, t
     reads it. Draws are rejected and redrawn when any point, any pairwise
     difference, or the sum lies within max(pole_tol, 0.04 lambda_min) of
     the lattice, 0.04 at rank zero (where the quotient divides by a
-    vanishing sigma or both sides vanish), within `_draws`' pooled budget.
-    An admitted triple whose gap faults is skipped. A negative seed raises
-    ValueError, a float TypeError.
+    vanishing sigma or both sides vanish), within `_draws`' pooled budget;
+    a frame where the sum fixes no point of the cell raises FloatOverflow
+    first (`_check_frame`). An admitted triple whose gap faults is skipped.
+    A negative seed raises ValueError, a float TypeError.
     """
     pole = max(ctx.pole_tol, 0.04 * ctx.lambda_min) if ctx.reduced else 0.04
+    _check_frame(ctx, -_SIGMA_SPREAD, _SIGMA_SPREAD, 3)
 
     def draw(rng, n):
         st = rng.uniform(-_SIGMA_SPREAD, _SIGMA_SPREAD, (n, 3, 2))

@@ -1,9 +1,12 @@
 """Determinant residuals, sampling determinism, and the closed-form cross-checks."""
 
 import cmath
+import importlib.util
 import inspect
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +395,28 @@ class TestSampling:
         monkeypatch.setattr(vr, "_draws", lambda *a, **k: pytest.fail("drew partners"))
         with pytest.raises(SamplerExhausted, match=r"^grid point 0 at x = \(0\.02\+0\.02j\) lies within 0\.06 "):
             vr.grid_scan(fam, vr.TripleSampler(margin=0.01), 8, 1e-8)
+
+    def test_a_frame_whose_draws_fix_no_point_of_the_cell_is_refused_before_drawing(self, monkeypatch):
+        # on (-1 + 2i, 1e308 + i) the draws lie far past 2^52 cells, and x + y overflows
+        ctx = el.from_periods(-1.0 + 2.0j, 1e308 + 1.0j)
+        fam = vr.WeierstrassShifted(ctx)
+        monkeypatch.setattr(vr, "_draws", lambda *a, **k: pytest.fail("drew"))
+        for run in (
+            lambda: list(vr.TripleSampler(count=5).triples((fam, fam, fam))),
+            lambda: list(vr.TripleSampler(count=5, unconstrained=True).triples((fam, fam, fam))),
+            lambda: vr.grid_scan(fam, vr.TripleSampler(), 2),
+            lambda: vr.sigma_identity_scan(ctx, count=5),
+        ):
+            with pytest.raises(FloatOverflow, match="fixes no point of the cell"):
+                run()
+
+    def test_a_frame_is_judged_on_the_sums_it_draws(self):
+        # on (1, 2^52 + i) a draw's coordinate along 1 stays below 0.95 (2^52 + 1), under 2^52,
+        # but x + y reaches twice that: unconstrained triples draw, constrained ones are refused
+        fam = vr.WeierstrassShifted(el.from_periods(1.0, 2.0**52 + 1.0j))
+        assert len(list(vr.TripleSampler(count=5, unconstrained=True).triples((fam, fam, fam)))) == 5
+        with pytest.raises(FloatOverflow, match="fixes no point of the cell"):
+            list(vr.TripleSampler(count=5).triples((fam, fam, fam)))
 
     def test_overflow_in_a_batch_raises(self):
         sampler = vr.TripleSampler(count=50, unconstrained=True)
@@ -1241,6 +1266,32 @@ class TestTracerContract:
 
     def test_triples_is_a_generator(self):
         assert inspect.isgeneratorfunction(vr.TripleSampler.triples)
+
+    def test_one_traced_round_of_each_workload_reaches_every_traced_layer(self, monkeypatch):
+        # a layer that no operation reaches has no span, and the traced benchmark run's
+        # per-layer metrics then fail with a KeyError
+        monkeypatch.setattr(sys, "path", list(sys.path))  # worker.py puts perfbench/ on it
+        tracing, worker = (_perfbench_module(name) for name in ("tracing", "worker"))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for name, (setup, run) in worker.WORKLOADS.items():
+                ops = range(worker.inputs.ROUND_SIZE[name])
+                _, _, errors = worker.run_ops(run, setup(), 1, ops, tracer, f"{name}.op")
+                assert errors == []
+        finally:
+            tracer.uninstall()
+        names = {f"{module}.{attr}" for module, attr in tracing.CALL_TARGETS} | {tracing.TRIPLES}
+        assert names - set(tracer.summary()) == set()
+        assert tracer.yields > 0
+
+
+def _perfbench_module(name: str):
+    """perfbench/<name>.py as a module of its own, loaded from the file and never written."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", Path(__file__).parents[1] / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestFactfunStep:
