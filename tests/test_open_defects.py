@@ -7,7 +7,9 @@ tier-1 red: that change drops the marker, and the test becomes its
 regression test. A marker is only ever removed, never added to another test.
 """
 
+import cmath
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -32,6 +34,20 @@ def _verify(tmp_path, *argv):
 
 def _fails_as_expected(code, check):
     assert code == 0 and check["expected"] == "fail" and not check["observed_pass"]
+
+
+def _finite_within_tol_or_refused(code, report):
+    """Exit 0 with a finite max within tol, or exit 65; the report writes a non-finite max as null."""
+    if code != 65:
+        check = json.loads(report.read_text())["checks"][0]
+        assert code == 0 and check["max_residual"] is not None and check["max_residual"] <= check["tol"]
+
+
+def _write_samples(path, xs, ws):
+    """A sample CSV of the points and values, at 17 significant digits."""
+    rows = [f"{x.real!r},{x.imag!r},{w.real!r},{w.imag!r}" for x, w in zip(map(complex, xs), map(complex, ws))]
+    path.write_text("\n".join(["x_re,x_im,w_re,w_im", *rows]) + "\n")
+    return str(path)
 
 
 def _wpfeq(*argv):
@@ -122,6 +138,14 @@ def test_invariants_of_a_tall_lattice_rebuild_it():
         assert max(el.lattice_offset(a, w) for w in b.reduced) <= el.LATTICE_TOL
 
 
+@_defect(3, "scan of the exponential with delta 400 reads max residual nan and exits 1")
+def test_scan_of_a_steep_exponential_reads_a_finite_max(tmp_path):
+    summary = tmp_path / "scan.json"
+    argv = ["scan", "--family", "exp", "--delta", "400,0", "--grid", "4"]
+    code = cli.main([*argv, "--out", str(tmp_path / "s.csv"), "--summary", str(summary)])
+    _finite_within_tol_or_refused(code, summary)
+
+
 # -- item 4: checks and constructions that leave the float range ---------------------
 
 
@@ -130,6 +154,13 @@ def test_derived_check_on_a_small_lattice_reads_a_finite_max(tmp_path):
     code, check = _verify(tmp_path, "derived", "--family", "wp", "--periods", "1e-20,0,0,1e-20", "--n", "100")
     # the report writes a non-finite max as null
     assert check["max_residual"] is not None and code == 0
+
+
+@_defect(4, "the derived check of the exponential with delta 700 reads nan and exits 1")
+def test_derived_check_of_a_steep_exponential_reads_a_finite_max(tmp_path):
+    report = tmp_path / "report.json"
+    code = cli.main(["verify", "derived", "--family", "exp", "--delta", "700,0", "--n", "20", "--out", str(report)])
+    _finite_within_tol_or_refused(code, report)
 
 
 @_defect(4, "the basis of the invariants (1e300, 1e300) raises FloatOverflow", raises=FloatOverflow)
@@ -155,6 +186,22 @@ def test_fit_on_a_coarse_stencil_finds_weierstrass(tmp_path):
     assert cli.main(["fit", "--input", csv, "--expect", "weierstrass"]) == 0
 
 
+# on x = 0.5 + 0.2i + 0.005k, k < 30: a window short enough that the cubic fits a non-solution within TAU_CUB
+_SHORT_WINDOW = tuple(0.5 + 0.2j + 0.005 * k for k in range(30))
+
+
+@_defect(13, "exact tanh samples on a short window classify as weierstrass, at a cubic misfit of 7.5e-7")
+def test_tanh_on_a_short_window_is_not_a_solution():
+    samples = cls.SampleSet(_SHORT_WINDOW, tuple(cmath.tanh(x) for x in _SHORT_WINDOW))
+    assert cls.classify_samples(samples).family == "not_a_solution"
+
+
+@_defect(13, "exact e^x + e^2x samples on a short window classify as weierstrass, at a cubic misfit of 1.3e-7")
+def test_a_sum_of_two_exponentials_on_a_short_window_is_not_a_solution():
+    samples = cls.SampleSet(_SHORT_WINDOW, tuple(cmath.exp(x) + cmath.exp(2.0 * x) for x in _SHORT_WINDOW))
+    assert cls.classify_samples(samples).family == "not_a_solution"
+
+
 # mended: the fits run in w - mean(w) (item 26); kept as its regression test
 def test_affine_samples_far_from_the_origin_are_linear():
     xs = tuple(1000.0 + 0.01 * k for k in range(15))
@@ -165,6 +212,22 @@ def test_affine_samples_far_from_the_origin_are_linear():
 def test_affine_samples_of_a_small_slope_are_linear():
     xs = tuple(0.2 + 0.05 * k for k in range(15))
     assert cls.classify_samples(cls.SampleSet(xs, tuple(1e-3 * x + 1.0 for x in xs))).family == "linear"
+
+
+# -- item 14: the round trip confirms any family it is given ------------------------
+
+
+@_defect(14, "sin, cos, cosh, sinh and cosh + 2 classify as exponential; fit of sin prints delta i, round trip 4.2e-17")
+def test_trigonometric_samples_are_not_a_solution(tmp_path, capsys):
+    grids = [[0.3 + 0.01 * k for k in range(30)], [0.5 + 0.2j + 0.005 * k for k in range(30)],
+             [1.1 + 0.02 * k for k in range(30)]]
+    for fn in (cmath.sin, cmath.cos, cmath.cosh, cmath.sinh, lambda x: cmath.cosh(x) + 2.0):
+        for xs in grids:
+            samples = cls.SampleSet(tuple(xs), tuple(fn(x) for x in xs))
+            assert cls.classify_samples(samples).family == "not_a_solution"
+    csv = _write_samples(tmp_path / "sin.csv", grids[0], map(cmath.sin, grids[0]))
+    assert cli.main(["fit", "--input", csv]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["family"] == "not_a_solution"
 
 
 # -- item 25: gen writes values that are not finite --------------------------------
@@ -195,6 +258,18 @@ def test_gen_of_a_line_beyond_the_float_range_exits_65(tmp_path, capsys):
 
 def test_gen_of_an_exponential_at_the_float_top_exits_65(tmp_path, capsys):
     _gen_refuses(tmp_path, capsys, "--family", "exp", "--alpha", "1e308,0", "--grid", "0.5:0.6:0.02")
+
+
+# -- item 25: fit exits 65 on a readable sample file -----------------------------------
+
+
+@_defect(25, "fit of cosh rounded to 10 digits exits 65: the AGM lattice misses the invariants by 6.9e-12 of the scale")
+def test_fit_of_rounded_cosh_samples_exits_as_documented(tmp_path, capsys):
+    xs = [0.3 + 0.02 * k for k in range(25)]
+    csv = _write_samples(tmp_path / "cosh.csv", xs, (float(f"{math.cosh(x):.10g}") for x in xs))
+    code = cli.main(["fit", "--input", csv])
+    assert code in (0, 1)
+    json.loads(capsys.readouterr().out)
 
 
 # -- item 25: a frame whose draws fix no point of the cell ----------------------------
