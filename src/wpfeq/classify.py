@@ -5,21 +5,21 @@ Any nonconstant solution of the determinant functional equation satisfies
     w'^2 = p3 w^3 + p2 w^2 + p1 w + p0,
 
 with the linear sector  w' = l1 w + l0  covering the exponential and affine
-degenerations. Both fits are linear least squares in the coefficients, so
-classification reduces to comparing equation residuals and testing which
-coefficients are significant. Recovered cubic coefficients map onto the
-normal form W'^2 = 4 W^3 - g2 W - g3 through an affine substitution, which
-identifies the invariants of the underlying function up to the manifest
-scaling invariance. The shift parameter is not yet recovered from the
-samples and is not reported. The fits are small (five to a few dozen
-pairs, two or four coefficients), so they build their design matrix in
-place and take norms and means as the plain sums that numpy's wrappers
-take, to the same bits.
+degenerations. Both fits are linear least squares in the coefficients, and
+each names at most one family by its leading coefficient: the linear fit
+names Linear or Exponential by l1, the cubic fit names Weierstrass by p3,
+and everything else, sin, cos and cosh among them, is NotASolution.
+Recovered cubic coefficients map onto the normal form
+W'^2 = 4 W^3 - g2 W - g3 through an affine substitution, which identifies
+the invariants of the underlying function up to the manifest scaling
+invariance. The shift parameter is not yet recovered from the samples and
+is not reported. The fits are small (five to a few dozen pairs, two or four
+coefficients), so they build their design matrix in place and take norms
+and means as the plain sums that numpy's wrappers take, to the same bits.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +38,7 @@ from .errors import (
 # decision thresholds, an order of magnitude above the residuals observed with exact jets
 TAU_LIN = 1e-6  # misfit of a linear-sector fit
 TAU_CUB = 1e-6  # misfit of a cubic fit
-COEFF_EPS = 1e-8  # significance of a term, against the left-hand side
+COEFF_EPS = 1e-8  # significance of the leading term, against the left-hand side
 SPREAD_EPS = 1e-10  # constant detection
 COND_REJECT = 1e14  # condition of the scaled normal matrix, (smax/smin)^2, above which a fit is refused
 ROUNDTRIP_COUNT = 64  # triples the round trip scores the reconstructed family on
@@ -75,21 +75,18 @@ class SampleSet:
 class FitResult:
     """Least-squares ODE coefficients with the relative RMS equation misfit.
 
-    term_sizes[k] is the largest magnitude of term k over the samples, such
-    as max |p3 w^3|; target_size is that of the left-hand side, max |w'^2|
-    or max |w'|. The misfit is relative to the RMS of the left-hand side.
+    lead_size is the largest magnitude of the leading term over the samples,
+    max |p3 w^3| or max |l1 w|; target_size is that of the left-hand side,
+    max |w'^2| or max |w'|. The misfit is relative to the RMS of the
+    left-hand side.
     """
 
     model: str  # "cubic" | "linear"
     coefficients: tuple[complex, ...]  # (p0, p1, p2, p3) or (l0, l1)
     residual: float
     condition: float  # (smax/smin)^2 of the unit-norm design, the scaled normal matrix's condition
-    term_sizes: tuple[float, ...]
+    lead_size: float
     target_size: float
-
-    def significant(self, eps: float) -> list[bool]:
-        """Per term, whether its size passes eps of the target's."""
-        return [size > eps * self.target_size for size in self.term_sizes]
 
 
 @dataclass(frozen=True)
@@ -207,8 +204,8 @@ def _fit(model: str, A: np.ndarray, b: np.ndarray) -> FitResult:
     residual = float(verifier.relative(misfit, size))
     if not math.isfinite(residual):
         raise IllConditionedFit(f"{model} fit: w' or the misfit beyond the float range")
-    sizes = tuple(np.abs(A * coeffs).max(axis=0).tolist())
-    return FitResult(model, tuple(coeffs), residual, cond, sizes, float(np.abs(b).max()))
+    lead = float(np.abs(A * coeffs)[:, -1].max())
+    return FitResult(model, tuple(coeffs), residual, cond, lead, float(np.abs(b).max()))
 
 
 def to_normal_form(p0: complex, p1: complex, p2: complex, p3: complex):
@@ -229,36 +226,29 @@ def to_normal_form(p0: complex, p1: complex, p2: complex, p3: complex):
 
 
 def classify(cubic: FitResult | None, linear: FitResult | None) -> Classification:
-    """Decision tree over the two fits.
+    """Decision tree over the two fits, each read by its leading coefficient.
 
     A fit is good when its misfit is within TAU_LIN or TAU_CUB. A good
     linear fit gives Linear (l1 w insignificant) or Exponential(delta = l1).
     A good cubic fit with significant p3 is the Weierstrass family in
-    normal form; with p3 insignificant but p2 significant it is the
-    trigonometric sector, folded into Exponential with delta = sqrt(p2).
-    A term of either fit is significant where its largest size over the
-    samples passes COEFF_EPS of the largest left-hand side: the raw
-    coefficients span scales like |omega|^-6 (p0 ~ -g3) against 4 (p3) on
-    small lattices. Everything else is NotASolution, a valid outcome, not
-    an error. Constant samples never get here: `classify_samples` decides
+    normal form. The leading term is significant where its largest size
+    over the samples passes COEFF_EPS of the largest left-hand side: the
+    raw coefficients span scales like |omega|^-6 (p0 ~ -g3) against 4 (p3)
+    on small lattices. Everything else is NotASolution, a valid outcome,
+    not an error: so is a good cubic fit without p3, such as that of sin,
+    cos or cosh, whose w'^2 = p2 w^2 + p0 with p0 nonzero solves no
+    equation of the paper. Constant samples never get here: `classify_samples` decides
     them by spread first.
     """
     evidence = tuple(r for r in (cubic, linear) if r is not None)
     if linear is not None and linear.residual <= TAU_LIN:
         l0, l1 = linear.coefficients
-        if not linear.significant(COEFF_EPS)[1]:
+        if not linear.lead_size > COEFF_EPS * linear.target_size:
             return Classification("linear", {"alpha": l0}, evidence)
         return Classification("exponential", {"delta": l1}, evidence)
-    if cubic is not None and cubic.residual <= TAU_CUB:
-        p0, p1, p2, p3 = cubic.coefficients
-        significant = cubic.significant(COEFF_EPS)
-        if significant[3]:
-            g2, g3, a, b = to_normal_form(p0, p1, p2, p3)
-            return Classification(
-                "weierstrass", {"g2": g2, "g3": g3, "a": a, "b": b}, evidence
-            )
-        if significant[2]:
-            return Classification("exponential", {"delta": cmath.sqrt(p2)}, evidence)
+    if cubic is not None and cubic.residual <= TAU_CUB and cubic.lead_size > COEFF_EPS * cubic.target_size:
+        g2, g3, a, b = to_normal_form(*cubic.coefficients)
+        return Classification("weierstrass", {"g2": g2, "g3": g3, "a": a, "b": b}, evidence)
     return Classification("not_a_solution", {}, evidence)
 
 

@@ -347,12 +347,18 @@ class TestClassify:
         assert abs(dec.params["g3"]) <= 1e-6
         assert dec.roundtrip_residual <= 1e-7
 
-    def test_sine_lands_in_the_exponential_sector(self):
-        s = _samples(math.sin, -2.0, 2.0, 0.1)
-        dec = cl.classify_samples(s)
-        assert dec.family == "exponential"
-        assert abs(dec.params["delta"] - 1j) <= 1e-4 or abs(dec.params["delta"] + 1j) <= 1e-4
-        assert dec.roundtrip_residual <= 1e-8
+    def test_a_cubic_design_without_full_rank_leaves_the_decision_to_the_linear_fit(self):
+        # w = +-1 in turn: u = w, so u^3 = u and u^2 = 1, and the cubic fit is refused
+        ws = tuple(float((-1) ** k) for k in range(8))
+        dec = cl.classify_samples(cl.SampleSet(tuple(0.1 * k for k in range(8)), ws, tuple(2.0 * w + 3.0 for w in ws)))
+        assert [fit.model for fit in dec.evidence] == ["linear"]
+        assert dec.family == "exponential" and dec.params["delta"] == pytest.approx(2.0, rel=1e-12)
+
+    def test_sine_is_not_a_solution(self):
+        # w'^2 = 1 - w^2: a good cubic fit without p3, which names no family
+        dec = cl.classify_samples(_samples(math.sin, -2.0, 2.0, 0.1))
+        assert dec.family == "not_a_solution" and dec.params == {} and dec.roundtrip_residual is None
+        assert dec.evidence[0].model == "cubic" and dec.evidence[0].residual <= cl.TAU_CUB
 
     @pytest.mark.parametrize("scale", [0.3, 0.2])
     def test_small_lattice_round_trip(self, scale):
@@ -565,8 +571,8 @@ def _reference_fit(model, A, b):
     residual = float(vr.relative(misfit, size))
     if not math.isfinite(residual):
         raise IllConditionedFit(f"{model} fit: w' or the misfit beyond the float range")
-    sizes = tuple(np.abs(A * coeffs).max(axis=0).tolist())
-    return cl.FitResult(model, tuple(coeffs), residual, cond, sizes, float(np.abs(b).max()))
+    lead = float(np.abs(A * coeffs).max(axis=0)[-1])
+    return cl.FitResult(model, tuple(coeffs), residual, cond, lead, float(np.abs(b).max()))
 
 
 def _reference_fit_cubic(w, dw):

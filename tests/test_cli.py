@@ -140,6 +140,10 @@ class TestVerify:
     def test_missing_periods_is_config_error(self):
         assert run(["verify", "theorem1", "--shift-frac", "1/3,0"]) == 65
 
+    def test_theorem2_without_gammas_is_config_error(self, capsys):
+        assert run(["verify", "theorem2", "--periods", "2,0,0,2"]) == 65
+        assert "needs --gammas" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "family, indices, code",
         [
@@ -311,8 +315,10 @@ class TestGenAndFit:
             (["0,0,1,0", "0.1,0,nan,0", "0.2,0,3,0"], "non-finite"),
             (["0,0,1,0", "inf,0,2,0", "0.2,0,3,0"], "non-finite"),
             (["0,0,1,0", "0.1,nan,2,0", "0.2,0,3,-inf"], "non-finite"),
+            (["0,0,1,0", "0.1,0,one,0", "0.2,0,3,0"], "bad sample row"),
+            (["0,0,1,0", "0.1,0,2", "0.2,0,3,0"], "bad sample row"),
         ],
-        ids=["repeated-x", "nan-w", "inf-x", "nan-x"],
+        ids=["repeated-x", "nan-w", "inf-x", "nan-x", "word", "short-row"],
     )
     def test_bad_samples_exit_66(self, tmp_path, capsys, rows, message):
         # nine rows, so only the bad ones can refuse the file
@@ -348,9 +354,29 @@ class TestGenAndFit:
         p.write_text("\n".join(rows) + "\n")
         assert run(["fit", "--input", str(p), "--expect", "weierstrass"]) == 1
 
-    def test_bad_grid_spec_exit_65(self, tmp_path):
-        assert run(["gen", "--family", "exp", "--grid", "nope", "--out",
+    @pytest.mark.parametrize("grid, message", [("nope", "expected start:stop:step"), ("a:1:0.1", "bad grid range")])
+    def test_bad_grid_spec_exit_65(self, tmp_path, capsys, grid, message):
+        assert run(["gen", "--family", "exp", "--grid", grid, "--out",
                     str(tmp_path / "x.csv")]) == 65
+        assert message in capsys.readouterr().err
+
+    def test_wrong_header_exit_66(self, tmp_path, capsys):
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(["x,y,w_re,w_im", *(f"{0.3 + 0.1 * i},0,{i},0" for i in range(9))]) + "\n")
+        assert run(["fit", "--input", str(p)]) == 66
+        assert "expected header x_re,x_im,w_re,w_im" in capsys.readouterr().err
+
+    def test_blank_rows_are_skipped(self, tmp_path, capsys):
+        plain, blank = tmp_path / "wp.csv", tmp_path / "blank.csv"
+        assert run(["gen", "--family", "wp", "--periods", "2,0,0,2", "--grid", "0.5:0.6:0.01", "--out", str(plain)]) == 0
+        header, *rows = plain.read_text().splitlines()
+        blank.write_text("\n".join([header, "", *rows[:5], " , ,, ", *rows[5:], ""]) + "\n")
+        capsys.readouterr()
+        checks = []
+        for path in (plain, blank):
+            assert run(["fit", "--input", str(path)]) == 0
+            checks.append(json.loads(capsys.readouterr().out)["checks"])
+        assert checks[0] == checks[1] and checks[0][0]["family"] == "weierstrass"
 
     @pytest.mark.parametrize(
         "grid, count", [("0:1:0.4", 3), ("0.6:1.6:0.01", 101), ("0:2:0.05", 41), ("0:1:0.1", 11)]

@@ -948,6 +948,12 @@ class TestWpPrime:
         dp = el.wp_prime(normal_form_ctx, 0.3)
         assert abs(dp * dp - (4.0 * p**3 - 4.0 * p)) <= 1e-9 * max(1.0, abs(p) ** 3)
 
+    def test_a_derivative_past_the_float_range_is_pole_proximity(self, degenerate_ctx):
+        # pe' = -2/z^3 overflows at 1e-104, where pe = 1/z^2 does not: a number raises, an array holds nan
+        with pytest.raises(PoleProximity):
+            el.wp_prime(degenerate_ctx, 1e-104)
+        assert np.isnan(el.wp_prime(degenerate_ctx, np.array([1e-104 + 0j]))[0])
+
 
 class TestJets:
     def test_inverse_square_jets(self, degenerate_ctx):

@@ -19,7 +19,7 @@ from wpfeq.errors import IllConditionedFit, SeriesNoConverge
 
 def _cubic(misfit):
     # p3 w^3 as large as w'^2: g2 = 4, g3 = 0
-    return cl.FitResult("cubic", (0j, -4 + 0j, 0j, 4 + 0j), misfit, 1.0, (1.0, 1.0, 1.0, 1.0), 1.0)
+    return cl.FitResult("cubic", (0j, -4 + 0j, 0j, 4 + 0j), misfit, 1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("misfit, family", [(3e-7, "weierstrass"), (3e-6, "not_a_solution")])
@@ -30,7 +30,7 @@ def test_tau_cub_bounds_the_cubic_misfit(misfit, family):
 @pytest.mark.parametrize("slope, family", [(3e-9, "linear"), (3e-8, "exponential")])
 def test_coeff_eps_bounds_an_insignificant_slope(slope, family):
     # a linear fit within TAU_LIN whose l1 w term is `slope` of the target
-    fit = cl.FitResult("linear", (1 + 0j, slope + 0j), 0.0, 1.0, (1.0, slope), 1.0)
+    fit = cl.FitResult("linear", (1 + 0j, slope + 0j), 0.0, 1.0, slope, 1.0)
     assert cl.classify(None, fit).family == family
 
 
